@@ -8,9 +8,10 @@
                                         to-nmll (sequent-derivation file)
     lamp props [--n N] [--seed N]       run the metatheory property suites
 
-Exit codes: 0 success, 1 type error, 2 parse error, 3 internal invariant
-violation, 4 state budget exceeded.  Set LAMP_COLOR=1 for ANSI-colored
-trace output.
+Exit codes: 0 success, 1 type error (including a program that uses a
+channel other than exactly once), 2 parse error, 3 internal invariant
+violation, 4 state budget exceeded or input nested too deeply, 5 file
+not readable.  Set LAMP_COLOR=1 for ANSI-colored trace output.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import argparse
 import os
 import sys
 
-from .derivations import RuleViolation, check_derivation
+from .derivations import (
+    LinearityError, RuleViolation, check_channel_linearity, check_derivation,
+)
 from .mll import MllRuleViolation, check_mll, mll_to_nmll, nmll_to_mll
 from .parser import ParseError, parse_program
 from .reconstruct import TypecheckError, reconstruct
@@ -31,7 +34,7 @@ from .terms import flatten_par, join_par, print_sequent, print_term
 from .sexpr import derivation_to_sexpr, mll_to_sexpr, sexpr_to_mll
 from .testlab import GenConfig, run_property_suite
 
-EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_INTERNAL, EXIT_BUDGET = 0, 1, 2, 3, 4
+EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_INTERNAL, EXIT_BUDGET, EXIT_IO = range(6)
 
 
 def _color_enabled() -> bool:
@@ -70,6 +73,9 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     prog = _load(args.file)
+    # reduction terminates only on linear terms: beta copies an argument
+    # whose bound name occurs twice
+    check_channel_linearity(prog.sequent)
     term = prog.sequent.joined_term()
     if args.mode == "full":
         trace = normalize(term)
@@ -171,7 +177,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except TypecheckError as err:
+    except (TypecheckError, LinearityError) as err:
         print(f"type error: {err}", file=sys.stderr)
         return EXIT_TYPE
     except BudgetExceeded as err:
@@ -183,7 +189,10 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_IO
+    except RecursionError:
+        print("budget exceeded: input nested too deeply", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -26,8 +26,9 @@ from typing import Iterable, Optional
 
 from .derivations import Derivation, LinearityError, Rule, check_channel_linearity
 from .terms import (
-    App, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, Unit, Var, is_free_in, print_term, var_names,
+    App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
+    Term, TypeExpr, Unit, Var, is_free_in, print_sequent, print_term,
+    print_type, var_names,
 )
 
 
@@ -91,7 +92,8 @@ class _Reconstructor:
             return
         if isinstance(a, MetaVar):
             if self._occurs(a, b):
-                raise UnificationFailure(f"occurs check: {a.name} in {b}")
+                shown = type_text(self.deep_resolve(b))
+                raise UnificationFailure(f"occurs check: {a.name} in {shown}")
             self.subst[a] = b
             return
         if isinstance(b, MetaVar):
@@ -102,7 +104,9 @@ class _Reconstructor:
                 self.unify(a1, b1)
                 self.unify(a2, b2)
             case _:
-                raise UnificationFailure(f"cannot unify {a} with {b}")
+                raise UnificationFailure(
+                    f"cannot unify {type_text(self.deep_resolve(a))} "
+                    f"with {type_text(self.deep_resolve(b))}")
 
     def deep_resolve(self, ty, default: Optional[TypeExpr] = None):
         ty = self.resolve(ty)
@@ -379,10 +383,8 @@ class _Reconstructor:
         return walk(d)
 
 
-def seq_text(s: Sequent) -> str:
-    # error rendering only: show unknowns as pseudo-atoms
-    from .terms import Atom, print_sequent
-
+def type_text(ty) -> str:
+    """A type in lamp syntax for error messages; unknowns show by name."""
     def scrub(ty):
         match ty:
             case MetaVar(name):
@@ -394,9 +396,16 @@ def seq_text(s: Sequent) -> str:
             case _:
                 return ty
 
+    return print_type(scrub(ty))
+
+
+def seq_text(s: Sequent) -> str:
+    # error rendering only: each type enters the sequent as a pseudo-atom
+    # spelled by type_text
     return print_sequent(Sequent(
-        tuple((x, scrub(ty)) for x, ty in s.gamma),
-        tuple(DeltaEntry(e.term, None if e.type is None else scrub(e.type))
+        tuple((x, Atom(type_text(ty))) for x, ty in s.gamma),
+        tuple(DeltaEntry(e.term,
+                         None if e.type is None else Atom(type_text(e.type)))
               for e in s.delta)))
 
 

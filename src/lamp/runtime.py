@@ -22,11 +22,10 @@ inert applications such as a pending function call.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .reduction import _lca_is_par, apply_redex, find_redexes
+from .reduction import _lca_is_par, apply_redex, comm_size, find_redexes
 from .terms import (
     App, Dist, Par, Send, Sequent, Term, UNIT, flatten_par, occurrences,
     replace_at, substitute, subterms,
@@ -63,10 +62,10 @@ class ChannelCell:
 class DeadlockReport(Exception):
     blocked_workers: list[int]
     pending_channels: list[str]
-    timed_out: bool = False
+    out_of_rounds: bool = False
 
     def __str__(self) -> str:
-        how = "timed out" if self.timed_out else "stuck"
+        how = "out of rounds" if self.out_of_rounds else "stuck"
         return (f"{how}: workers {self.blocked_workers} blocked, "
                 f"channels {self.pending_channels} undelivered")
 
@@ -126,18 +125,24 @@ class _Worker:
         return False
 
 
-def run_concurrent(program: Sequent, timeout_ms: int = 5000,
-                   seed: int = 0) -> list[Term]:
+def run_concurrent(program: Sequent, seed: int = 0) -> list[Term]:
     """Run the program's top-level components concurrently and return the
     final component list (parallel spines flattened, worker order).
 
     The caller is expected to have typechecked the program; on typed input
     a DeadlockReport is unreachable and signals a bug."""
-    components = flatten_par(program.joined_term())
+    term = program.joined_term()
+    components = flatten_par(term)
     workers = [_Worker(i, t) for i, t in enumerate(components)]
     cells: dict[str, ChannelCell] = {}
     rng = random.Random(seed)
-    deadline = time.monotonic() + timeout_ms / 1000.0
+    # A round that progresses takes at least one step.  A linear program
+    # takes at most 3 * comm_size steps: each Send or Dist node is removed
+    # once, by a local step or a send step; each removal fills at most one
+    # cell per Send and two per Dist; and each fill is consumed once.  Only
+    # a program that copies a channel, which typechecking rules out, can
+    # outrun the budget.
+    rounds_left = 3 * comm_size(term) + 1
 
     while True:
         order = list(range(len(workers)))
@@ -147,15 +152,16 @@ def run_concurrent(program: Sequent, timeout_ms: int = 5000,
             w = workers[i]
             if w.local_step() or w.send_step(cells) or w.receive_step(cells):
                 progressed = True
-            if time.monotonic() > deadline:
-                raise DeadlockReport(
-                    blocked_workers=[w.index for w in workers
-                                     if find_redexes(w.term)],
-                    pending_channels=[c.name for c in cells.values()
-                                      if c.state == "filled"],
-                    timed_out=True)
         if not progressed:
             break
+        rounds_left -= 1
+        if rounds_left < 0:
+            raise DeadlockReport(
+                blocked_workers=[w.index for w in workers
+                                 if find_redexes(w.term)],
+                pending_channels=[c.name for c in cells.values()
+                                  if c.state == "filled"],
+                out_of_rounds=True)
 
     pending = [c.name for c in cells.values() if c.state == "filled"]
     stuck = [w.index for w in workers if find_redexes(w.term)]

@@ -10,6 +10,10 @@ but permanently inert, and the progress suite quantifies over generated
 programs that can always fire.
 
 Identical configurations reproduce identical derivations byte for byte.
+
+Each non-axiom rule is written forward once, in FORWARD.  The random
+generator samples it; ``closure`` exhausts it below a size bound for the
+completeness probe.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .derivations import Derivation, Rule
+from .derivations import Derivation, Rule, _replaced, _without
 from .metatheory import check_no_freaks, check_subformula
 from .mll import MllDerivation, MllRule, MllSequent
 from .reconstruct import TypecheckError, reconstruct
@@ -29,7 +33,8 @@ from .reduction import (
 from .runtime import DeadlockReport, run_concurrent
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, UNIT, Var, flatten_par, print_term, split_joined, subterms,
+    Term, TypeExpr, UNIT, Var, children, flatten_par, print_term, split_joined,
+    subterms, with_children,
 )
 
 
@@ -48,13 +53,118 @@ def _node_count(d: Derivation) -> int:
     return 1 + sum(_node_count(p) for p in d.premises)
 
 
+# ---------------------------------------------------------------------------
+# The forward typing rules, each written once and driven two ways: sampled
+# by _Gen, exhausted below a size bound by closure.
+
+class ForwardRule(NamedTuple):
+    """A non-axiom rule read forward.  premises[n](s, prev) lists, in a
+    fixed order, the positions at which sequent s can serve as premise n,
+    given the (sequent, position) pairs chosen for premises 0..n-1;
+    conclusion(seqs, positions) builds the conclusion.  Premises must share
+    no name."""
+
+    premises: tuple[Callable[[Sequent, tuple], Iterable], ...]
+    conclusion: Callable[[tuple[Sequent, ...], tuple], Sequent]
+
+
+def axiom(x: str, a: TypeExpr) -> Sequent:
+    """The conclusion of Ax, the one rule without premises."""
+    return Sequent(((x, a),), (DeltaEntry(Var(x), a),))
+
+
+def _principal(prev: tuple) -> DeltaEntry:
+    s, j = prev[0]
+    return s.delta[j]
+
+
+def _bot_i(seqs, _positions) -> Sequent:
+    (s,) = seqs
+    return Sequent(s.gamma, s.delta + (DeltaEntry(UNIT, BOT),))
+
+
+def _bot_e(seqs, positions) -> Sequent:
+    (s,), (i,) = seqs, positions
+    entry = DeltaEntry(Close(s.delta[i].term), None)
+    return Sequent(s.gamma, _replaced(s.delta, i, entry))
+
+
+def _lolli_i(seqs, positions) -> Sequent:
+    (s,), ((j, i),) = seqs, positions
+    x, a = s.gamma[j]
+    e = s.delta[i]
+    entry = DeltaEntry(Send(x, e.term), Lolli(a, e.type))
+    return Sequent(_without(s.gamma, j), _replaced(s.delta, i, entry))
+
+
+def _parr_i(seqs, positions) -> Sequent:
+    (s,), (i,) = seqs, positions
+    e1, e2 = s.delta[i], s.delta[i + 1]
+    entry = DeltaEntry(Par(e1.term, e2.term), ParT(e1.type, e2.type))
+    return Sequent(s.gamma, s.delta[:i] + (entry,) + s.delta[i + 2:])
+
+
+def _lolli_e(seqs, positions) -> Sequent:
+    (s1, s2), (j1, j2) = seqs, positions
+    fn, arg = s1.delta[j1], s2.delta[j2]
+    entry = DeltaEntry(App(fn.term, arg.term), fn.type.res)
+    return Sequent(s1.gamma + s2.gamma,
+                   _replaced(s1.delta, j1, entry) + _without(s2.delta, j2))
+
+
+def _parr_e(seqs, positions) -> Sequent:
+    (s1, s2, s3), (j, g2, g3) = seqs, positions
+    entry = DeltaEntry(Dist(s2.gamma[g2][0], s3.gamma[g3][0], s1.delta[j].term),
+                       BOT)
+    return Sequent(s1.gamma + _without(s2.gamma, g2) + _without(s3.gamma, g3),
+                   _replaced(s1.delta, j, entry) + s2.delta + s3.delta)
+
+
+FORWARD: dict[Rule, ForwardRule] = {
+    Rule.BOT_I: ForwardRule((lambda s, prev: (None,),), _bot_i),
+    Rule.BOT_E: ForwardRule(
+        (lambda s, prev: [i for i, e in enumerate(s.delta) if e.type == BOT],),
+        _bot_e),
+    Rule.LOLLI_I: ForwardRule(
+        (lambda s, prev: [(j, i) for j in range(len(s.gamma))
+                          for i, e in enumerate(s.delta)
+                          if e.type is not None],),
+        _lolli_i),
+    Rule.PARR_I: ForwardRule(
+        (lambda s, prev: [i for i in range(len(s.delta) - 1)
+                          if s.delta[i].type is not None
+                          and s.delta[i + 1].type is not None],),
+        _parr_i),
+    Rule.LOLLI_E: ForwardRule(
+        (lambda s, prev: [j for j, e in enumerate(s.delta)
+                          if isinstance(e.type, Lolli)],
+         lambda s, prev: [j for j, e in enumerate(s.delta)
+                          if e.type == _principal(prev).type.arg]),
+        _lolli_e),
+    Rule.PARR_E: ForwardRule(
+        (lambda s, prev: [j for j, e in enumerate(s.delta)
+                          if isinstance(e.type, ParT)],
+         lambda s, prev: [g for g, (_, a) in enumerate(s.gamma)
+                          if a == _principal(prev).type.left],
+         lambda s, prev: [g for g, (_, b) in enumerate(s.gamma)
+                          if b == _principal(prev).type.right]),
+        _parr_e),
+}
+
+# generator action weights; the order fixes the rng draws
+_GEN_WEIGHTS = ((Rule.AX, 2.0), (Rule.BOT_I, 1.0), (Rule.BOT_E, 0.7),
+                (Rule.LOLLI_I, 2.2), (Rule.PARR_I, 1.0),
+                (Rule.LOLLI_E, 3.0), (Rule.PARR_E, 1.2))
+
+
 class _Gen:
     def __init__(self, cfg: GenConfig):
         self.cfg = cfg
         self.rng = random.Random(
             f"{cfg.seed}:{cfg.max_nodes}:{','.join(cfg.atom_pool)}")
         self._ids = itertools.count()
-        self.pool: list[Derivation] = []
+        # each derivation beside its node count
+        self.pool: list[tuple[Derivation, int]] = []
 
     def fresh(self) -> str:
         return f"v{next(self._ids)}"
@@ -74,160 +184,134 @@ class _Gen:
             return ParT(self.leaf_type(1), self.leaf_type(1))
         return self.atom()
 
-    # -- forward rule applications ----------------------------------------
-
     def _axiom(self) -> None:
-        x, a = self.fresh(), self.leaf_type()
-        self.pool.append(Derivation(
-            Rule.AX, Sequent(((x, a),), (DeltaEntry(Var(x), a),))))
+        x = self.fresh()
+        self.pool.append((Derivation(Rule.AX, axiom(x, self.leaf_type())), 1))
 
-    def _fits(self, *parts: Derivation) -> bool:
-        return sum(_node_count(p) for p in parts) + 1 <= self.cfg.max_nodes
-
-    def _bot_i(self) -> bool:
-        options = [k for k, d in enumerate(self.pool) if self._fits(d)]
-        if not options:
-            return False
-        k = self.rng.choice(options)
-        d = self.pool[k]
-        s = d.conclusion
-        con = Sequent(s.gamma, s.delta + (DeltaEntry(UNIT, BOT),))
-        self.pool[k] = Derivation(Rule.BOT_I, con, (d,))
-        return True
-
-    def _bot_e(self) -> bool:
-        options = [(k, i) for k, d in enumerate(self.pool)
-                   if self._fits(d)
-                   for i, e in enumerate(d.conclusion.delta) if e.type == BOT]
-        if not options:
-            return False
-        k, i = self.rng.choice(options)
-        d = self.pool[k]
-        s = d.conclusion
-        entry = DeltaEntry(Close(s.delta[i].term), None)
-        con = Sequent(s.gamma, s.delta[:i] + (entry,) + s.delta[i + 1:])
-        self.pool[k] = Derivation(Rule.BOT_E, con, (d,))
-        return True
-
-    def _lolli_i(self) -> bool:
-        options = [(k, j, i) for k, d in enumerate(self.pool)
-                   if self._fits(d)
-                   for j in range(len(d.conclusion.gamma))
-                   for i, e in enumerate(d.conclusion.delta)
-                   if e.type is not None]
-        if not options:
-            return False
-        k, j, i = self.rng.choice(options)
-        d = self.pool[k]
-        s = d.conclusion
-        x, a = s.gamma[j]
-        entry = DeltaEntry(Send(x, s.delta[i].term), Lolli(a, s.delta[i].type))
-        con = Sequent(s.gamma[:j] + s.gamma[j + 1:],
-                      s.delta[:i] + (entry,) + s.delta[i + 1:])
-        self.pool[k] = Derivation(Rule.LOLLI_I, con, (d,))
-        return True
-
-    def _parr_i(self) -> bool:
-        options = [(k, i) for k, d in enumerate(self.pool)
-                   if self._fits(d)
-                   for i in range(len(d.conclusion.delta) - 1)
-                   if d.conclusion.delta[i].type is not None
-                   and d.conclusion.delta[i + 1].type is not None]
-        if not options:
-            return False
-        k, i = self.rng.choice(options)
-        d = self.pool[k]
-        s = d.conclusion
-        e1, e2 = s.delta[i], s.delta[i + 1]
-        entry = DeltaEntry(Par(e1.term, e2.term), ParT(e1.type, e2.type))
-        con = Sequent(s.gamma, s.delta[:i] + (entry,) + s.delta[i + 2:])
-        self.pool[k] = Derivation(Rule.PARR_I, con, (d,))
-        return True
-
-    def _lolli_e(self) -> bool:
-        options = []
-        for k1, d1 in enumerate(self.pool):
-            for j1, e1 in enumerate(d1.conclusion.delta):
-                if not isinstance(e1.type, Lolli):
-                    continue
-                for k2, d2 in enumerate(self.pool):
-                    if k2 == k1 or not self._fits(d1, d2):
+    def _options(self, rule: Rule) -> list[tuple]:
+        """Every (k1, p1, k2, p2, ...) at which the rule applies within the
+        node budget: premise n is pool entry kn at position pn.  Listed in
+        the order of nested loops over the premises."""
+        partial = [((), (), self.cfg.max_nodes - 1)]  # option, prev, budget
+        for n, gen in enumerate(FORWARD[rule].premises):
+            grown = []
+            for option, prev, budget in partial:
+                for k, (d, size) in enumerate(self.pool):
+                    if k in option[::2] or size > budget:
                         continue
-                    for j2, e2 in enumerate(d2.conclusion.delta):
-                        if e2.type == e1.type.arg:
-                            options.append((k1, j1, k2, j2))
-        if not options:
-            return False
-        k1, j1, k2, j2 = self.rng.choice(options)
-        d1, d2 = self.pool[k1], self.pool[k2]
-        s1, s2 = d1.conclusion, d2.conclusion
-        fn, arg = s1.delta[j1], s2.delta[j2]
-        entry = DeltaEntry(App(fn.term, arg.term), fn.type.res)
-        delta = (s1.delta[:j1] + (entry,) + s1.delta[j1 + 1:]
-                 + s2.delta[:j2] + s2.delta[j2 + 1:])
-        con = Sequent(s1.gamma + s2.gamma, delta)
-        node = Derivation(Rule.LOLLI_E, con, (d1, d2))
-        self.pool[max(k1, k2)] = node
-        del self.pool[min(k1, k2)]
-        return True
-
-    def _parr_e(self) -> bool:
-        options = []
-        for k1, d1 in enumerate(self.pool):
-            for j, e in enumerate(d1.conclusion.delta):
-                # only split entries that are literally parallel compositions,
-                # so every generated binary output can eventually fire
-                if not (isinstance(e.type, ParT) and isinstance(e.term, Par)):
-                    continue
-                for k2, d2 in enumerate(self.pool):
-                    if k2 == k1:
-                        continue
-                    for g2, (x, a) in enumerate(d2.conclusion.gamma):
-                        if a != e.type.left:
+                    s = d.conclusion
+                    for p in gen(s, prev):
+                        # only split entries that are literally parallel
+                        # compositions, so every generated binary output
+                        # can eventually fire
+                        if rule is Rule.PARR_E and n == 0 \
+                                and not isinstance(s.delta[p].term, Par):
                             continue
-                        for k3, d3 in enumerate(self.pool):
-                            if k3 in (k1, k2) or not self._fits(d1, d2, d3):
-                                continue
-                            for g3, (y, b) in enumerate(d3.conclusion.gamma):
-                                if b == e.type.right:
-                                    options.append((k1, j, k2, g2, k3, g3))
+                        grown.append((option + (k, p), prev + ((s, p),),
+                                      budget - size))
+            partial = grown
+        return [option for option, _, _ in partial]
+
+    def _apply(self, rule: Rule) -> None:
+        options = self._options(rule)
         if not options:
-            return False
-        k1, j, k2, g2, k3, g3 = self.rng.choice(options)
-        d1, d2, d3 = self.pool[k1], self.pool[k2], self.pool[k3]
-        s1, s2, s3 = d1.conclusion, d2.conclusion, d3.conclusion
-        x, y = s2.gamma[g2][0], s3.gamma[g3][0]
-        entry = DeltaEntry(Dist(x, y, s1.delta[j].term), BOT)
-        delta = (s1.delta[:j] + (entry,) + s1.delta[j + 1:]
-                 + s2.delta + s3.delta)
-        gamma = (s1.gamma + s2.gamma[:g2] + s2.gamma[g2 + 1:]
-                 + s3.gamma[:g3] + s3.gamma[g3 + 1:])
-        node = Derivation(Rule.PARR_E, Sequent(gamma, delta), (d1, d2, d3))
-        keep = max(k1, k2, k3)
-        self.pool[keep] = node
-        for k in sorted({k1, k2, k3} - {keep}, reverse=True):
+            return
+        option = self.rng.choice(options)
+        ks = option[::2]
+        ds = tuple(self.pool[k][0] for k in ks)
+        con = FORWARD[rule].conclusion(tuple(d.conclusion for d in ds),
+                                       option[1::2])
+        keep = max(ks)
+        self.pool[keep] = (Derivation(rule, con, ds),
+                           1 + sum(self.pool[k][1] for k in ks))
+        for k in sorted(set(ks) - {keep}, reverse=True):
             del self.pool[k]
-        return True
 
     def run(self) -> Derivation:
-        actions: list[tuple[Callable, float]] = [
-            (self._axiom, 2.0), (self._bot_i, 1.0), (self._bot_e, 0.7),
-            (self._lolli_i, 2.2), (self._parr_i, 1.0),
-            (self._lolli_e, 3.0), (self._parr_e, 1.2),
-        ]
         self._axiom()
-        fns, weights = zip(*actions)
+        rules, weights = zip(*_GEN_WEIGHTS)
         for _ in range(self.cfg.max_nodes * 4):
-            if _node_count(max(self.pool, key=_node_count)) >= self.cfg.max_nodes:
+            if max(n for _, n in self.pool) >= self.cfg.max_nodes:
                 break
-            self.rng.choices(fns, weights=weights, k=1)[0]()
-        return max(self.pool, key=_node_count)
+            rule = self.rng.choices(rules, weights=weights)[0]
+            if rule is Rule.AX:
+                self._axiom()
+            else:
+                self._apply(rule)
+        return max(self.pool, key=lambda entry: entry[1])[0]
 
 
 def gen_derivation(cfg: GenConfig) -> Derivation:
     """Generate a random checkable derivation of at most cfg.max_nodes rule
     applications."""
     return _Gen(cfg).run()
+
+
+def _renamed(s: Sequent, rename: Callable[[str], str]) -> Sequent:
+    def walk(t: Term) -> Term:
+        match t:
+            case Var(x):
+                return Var(rename(x))
+            case Send(x, b):
+                return Send(rename(x), walk(b))
+            case Dist(x, y, b):
+                return Dist(rename(x), rename(y), walk(b))
+        return with_children(t, tuple(walk(c) for c in children(t)))
+
+    return Sequent(tuple((rename(x), ty) for x, ty in s.gamma),
+                   tuple(DeltaEntry(walk(e.term), e.type) for e in s.delta))
+
+
+def _canonical(s: Sequent) -> Sequent:
+    """s with its names renamed n0, n1, ... in order of first occurrence."""
+    mapping: dict[str, str] = {}
+    return _renamed(s, lambda x: mapping.setdefault(x, f"n{len(mapping)}"))
+
+
+def _size(s: Sequent) -> int:
+    return sum(1 for e in s.delta for _ in subterms(e.term)) + len(s.gamma)
+
+
+def closure(types: Iterable[TypeExpr], max_size: int) -> set[Sequent]:
+    """Every sequent derivable from axioms over `types` by the forward rules
+    other than ParrE, up to max_size term nodes plus declarations, with
+    canonical names so each is listed once.  No rule shrinks a sequent, so
+    a derivation of a sequent within the bound stays within it throughout.
+    ParrE is left out; callers add one layer of it where they need it."""
+    unary = [r for r in FORWARD.values() if len(r.premises) == 1]
+    lolli_e = FORWARD[Rule.LOLLI_E]
+    found: set[Sequent] = set()
+    order: list[tuple[Sequent, int]] = []  # each sequent beside its size
+
+    def add(s: Sequent) -> None:
+        s = _canonical(s)
+        size = _size(s)
+        if size <= max_size and s not in found:
+            found.add(s)
+            order.append((s, size))
+
+    def pair(s1: Sequent, s2: Sequent) -> None:
+        first, second = lolli_e.premises
+        fresh = None
+        for j1 in first(s1, ()):
+            for j2 in second(s2, ((s1, j1),)):
+                # canonical names all start with n, so a prefix freshens
+                fresh = fresh or _renamed(s2, lambda x: "f" + x)
+                add(lolli_e.conclusion((s1, fresh), (j1, j2)))
+
+    for ty in types:
+        add(axiom("x", ty))
+    # each sequent meets every earlier one, and itself, as either premise
+    for k, (s, size) in enumerate(order):
+        for rule in unary:
+            for p in rule.premises[0](s, ()):
+                add(rule.conclusion((s,), (p,)))
+        for other, other_size in order[:k + 1]:
+            # a LolliE conclusion holds both premises plus one application
+            if size + other_size < max_size:
+                pair(s, other)
+                pair(other, s)
+    return found
 
 
 # ---------------------------------------------------------------------------

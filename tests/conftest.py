@@ -33,12 +33,13 @@ def corpus_text(name: str) -> str:
     return (CORPUS / f"{name}.lamp").read_text(encoding="utf-8")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     """Run `python -m lamp.cli ARGS` from the checkout root.
 
     The child inherits the caller's environment with `LAMP_COLOR=0` and this
     checkout's `src` first on `PYTHONPATH`, so the tests exercise this tree's
-    `lamp` whether or not a package is installed.
+    `lamp` whether or not a package is installed.  A child still running
+    after `timeout` seconds is killed and the test errors.
     """
     env = dict(os.environ)
     env["LAMP_COLOR"] = "0"
@@ -48,4 +49,4 @@ def run_cli(*args, env_extra=None):
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "lamp.cli", *args],
-        capture_output=True, text=True, cwd=ROOT, env=env)
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=timeout)

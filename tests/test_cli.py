@@ -82,6 +82,46 @@ def test_type_error_exit_code(tmp_path):
     assert "type error" in r.stderr
 
 
+def test_type_error_prints_types_in_lamp_syntax(tmp_path):
+    bad = tmp_path / "mismatch.lamp"
+    bad.write_text("a : A |- (lam x. x) a : B")
+    r = run_cli("check", str(bad))
+    assert r.returncode == 1
+    assert r.stderr == "type error: cannot unify A with B\n"
+    assert "Atom(" not in r.stderr
+
+
+@pytest.mark.parametrize("mode", ["full", "cbv"])
+def test_run_rejects_non_linear_program(tmp_path, mode):
+    # beta copies the argument of lam x. x x, so reducing would never end
+    f = tmp_path / "omega.lamp"
+    f.write_text("|- (lam x. x x) (lam y. y y) : A\n")
+    r = run_cli("run", str(f), "--mode", mode, timeout=30)
+    assert r.returncode == 1
+    assert r.stderr.startswith("type error: ")
+    assert "occurs 2x as a variable" in r.stderr
+
+
+def _assert_one_line_error(r, code):
+    assert r.returncode == code
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_missing_file_exit_code(tmp_path):
+    r = run_cli("parse", str(tmp_path / "absent.lamp"))
+    _assert_one_line_error(r, 5)
+    assert r.stderr.startswith("error: ")
+
+
+def test_deep_input_exit_code(tmp_path):
+    deep = tmp_path / "deep.lamp"
+    deep.write_text("f : A, a : B |- f" + " a" * 1500 + " : C\n")
+    r = run_cli("parse", str(deep))
+    _assert_one_line_error(r, 4)
+    assert r.stderr.startswith("budget exceeded: ")
+
+
 def test_translate_to_mll(tmp_path):
     r = run_cli("translate", "corpus/excluded_middle.lamp",
                 "--direction", "to-mll")

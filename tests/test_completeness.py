@@ -7,162 +7,50 @@ the backward strategy is not proved, so this is the strongest evidence the
 artifact can offer: below the bound there are no counterexamples at all.
 """
 
-import itertools
+import hashlib
 
-from lamp.derivations import sequent_names
+from lamp.derivations import Rule
 from lamp.reconstruct import reconstruct
-from lamp.terms import (
-    App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    UNIT, Var, subterms,
-)
+from lamp.terms import Atom, BOT, Dist, Sequent, print_sequent, subterms
+from lamp.testlab import FORWARD, _canonical, _size, axiom, closure
 
 TYPES = [Atom("A"), BOT]
 MAX_SIZE = 7
 
-
-def _rename_with(canon, seq):
-    def walk(t):
-        match t:
-            case Var(x):
-                return Var(canon(x))
-            case App(f, a):
-                return App(walk(f), walk(a))
-            case Send(x, b):
-                return Send(canon(x), walk(b))
-            case Dist(x, y, b):
-                return Dist(canon(x), canon(y), walk(b))
-            case Par(l, r):
-                return Par(walk(l), walk(r))
-            case Close(b):
-                return Close(walk(b))
-            case _:
-                return t
-
-    gamma = tuple((canon(x), ty) for x, ty in seq.gamma)
-    delta = tuple(DeltaEntry(walk(e.term), e.type) for e in seq.delta)
-    return Sequent(gamma, delta)
-
-
-def _canonical(seq):
-    mapping = {}
-
-    def canon(n):
-        if n not in mapping:
-            mapping[n] = f"n{len(mapping)}"
-        return mapping[n]
-
-    return _rename_with(canon, seq)
-
-
-_fresh = itertools.count()
-
-
-def _freshened(seq):
-    mapping = {n: f"f{next(_fresh)}" for n in sorted(sequent_names(seq))}
-    return _rename_with(lambda n: mapping.get(n, n), seq)
-
-
-def _size(seq):
-    return sum(1 for e in seq.delta for _ in subterms(e.term)) + len(seq.gamma)
-
-
-def _forward_closure():
-    seen = set()
-    frontier = []
-    for ty in TYPES:
-        s = _canonical(Sequent((("x", ty),), (DeltaEntry(Var("x"), ty),)))
-        seen.add(s)
-        frontier.append(s)
-
-    def grown(s):
-        yield Sequent(s.gamma, s.delta + (DeltaEntry(UNIT, BOT),))
-        for i, e in enumerate(s.delta):
-            if e.type == BOT:
-                yield Sequent(s.gamma,
-                              s.delta[:i] + (DeltaEntry(Close(e.term), None),)
-                              + s.delta[i + 1:])
-        for j, (x, a) in enumerate(s.gamma):
-            for i, e in enumerate(s.delta):
-                if e.type is None:
-                    continue
-                yield Sequent(
-                    s.gamma[:j] + s.gamma[j + 1:],
-                    s.delta[:i]
-                    + (DeltaEntry(Send(x, e.term), Lolli(a, e.type)),)
-                    + s.delta[i + 1:])
-        for i in range(len(s.delta) - 1):
-            e1, e2 = s.delta[i], s.delta[i + 1]
-            if e1.type is None or e2.type is None:
-                continue
-            yield Sequent(s.gamma,
-                          s.delta[:i]
-                          + (DeltaEntry(Par(e1.term, e2.term),
-                                        ParT(e1.type, e2.type)),)
-                          + s.delta[i + 2:])
-
-    while frontier:
-        new_frontier = []
-        pool = list(seen)
-
-        def add(s2):
-            s2 = _canonical(s2)
-            if _size(s2) <= MAX_SIZE and s2 not in seen:
-                seen.add(s2)
-                new_frontier.append(s2)
-
-        for s in frontier:
-            for g in grown(s):
-                add(g)
-            for other in pool:
-                for first, second in ((s, other), (other, s)):
-                    s1, s2 = _freshened(first), _freshened(second)
-                    for j1, e1 in enumerate(s1.delta):
-                        if not isinstance(e1.type, Lolli):
-                            continue
-                        for j2, e2 in enumerate(s2.delta):
-                            if e2.type == e1.type.arg:
-                                add(Sequent(
-                                    s1.gamma + s2.gamma,
-                                    s1.delta[:j1]
-                                    + (DeltaEntry(App(e1.term, e2.term),
-                                                  e1.type.res),)
-                                    + s1.delta[j1 + 1:]
-                                    + s2.delta[:j2] + s2.delta[j2 + 1:]))
-        frontier = new_frontier
-    return seen
+# sha256 of the sorted print_sequent lines, joined by newlines, of every
+# sequent the probe checks; pins the set so a change to the rules or to the
+# closure cannot shrink it unnoticed
+DIGEST = "ba63d75abcf53781c77f5ae6b81cae802ed5e2040f2128c4ac0aed3ddeca71f3"
 
 
 def _dist_layer(seen):
     """One binary-output elimination over every par-typed entry, receiving
-    into two fresh axioms, plus the close of the resulting bot entry."""
+    into two fresh axioms, plus the close of the resulting bot entry moved
+    to the front."""
+    parr_e, bot_e = FORWARD[Rule.PARR_E], FORWARD[Rule.BOT_E]
     out = set()
     for s in seen:
-        s1 = _freshened(s)
-        for j, e in enumerate(s1.delta):
-            if not isinstance(e.type, ParT):
-                continue
-            x, y = f"f{next(_fresh)}", f"f{next(_fresh)}"
-            con = Sequent(
-                s1.gamma,
-                s1.delta[:j] + (DeltaEntry(Dist(x, y, e.term), BOT),)
-                + s1.delta[j + 1:]
-                + (DeltaEntry(Var(x), e.type.left),
-                   DeltaEntry(Var(y), e.type.right)))
+        for j in parr_e.premises[0](s, ()):
+            e = s.delta[j]
+            # canonical names all start with n, so r0 and r1 are fresh
+            con = parr_e.conclusion(
+                (s, axiom("r0", e.type.left), axiom("r1", e.type.right)),
+                (j, 0, 0))
             out.add(_canonical(con))
-            closed = Sequent(
-                con.gamma,
-                (DeltaEntry(Close(con.delta[j].term), None),)
-                + con.delta[:j] + con.delta[j + 1:])
-            out.add(_canonical(closed))
+            front = Sequent(con.gamma,
+                            (con.delta[j],) + con.delta[:j] + con.delta[j + 1:])
+            out.add(_canonical(bot_e.conclusion((front,), (0,))))
     return out
 
 
 def test_reconstruct_complete_up_to_bound():
-    seen = _forward_closure()
+    seen = closure(TYPES, MAX_SIZE)
     extra = _dist_layer(seen)
-    assert len(seen) > 400
+    assert (len(seen), len(extra), len(seen | extra)) == (579, 476, 1055)
     assert any(isinstance(sub, Dist)
                for s in extra for e in s.delta for _, sub in subterms(e.term))
+    lines = sorted(print_sequent(s) for s in seen | extra)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGEST
     for s in sorted(seen | extra, key=_size):
         d = reconstruct(s)
         assert d.conclusion == s

@@ -66,6 +66,15 @@ def test_untyped_dangling_send_reports_deadlock():
         run_concurrent(seq)
 
 
+def test_non_linear_program_exhausts_round_budget():
+    # beta copies the argument of lam x. x x, so the run never settles; the
+    # round budget ends it at once, whatever the speed of the machine
+    prog = parse_program("|- (lam x. x x) (lam y. y y) : A")
+    with pytest.raises(DeadlockReport) as info:
+        run_concurrent(prog.sequent)
+    assert info.value.out_of_rounds
+
+
 def test_worker_order_is_seeded():
     prog = parse_program(corpus_text("cyclic"))
     a = run_concurrent(prog.sequent, seed=3)

@@ -52,9 +52,17 @@ def _render_trace_lines(initial: str, steps: list[tuple[str, str]]) -> str:
     return "\n".join(lines)
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text: {err.reason} "
+                         f"at byte {err.start}") from None
+
+
 def _load(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_program(fh.read())
+    return parse_program(_read(path))
 
 
 def cmd_parse(args) -> int:
@@ -113,8 +121,7 @@ def cmd_translate(args) -> int:
         check_mll(m)
         print(mll_to_sexpr(m))
         return EXIT_OK
-    with open(args.file, encoding="utf-8") as fh:
-        m = sexpr_to_mll(fh.read())
+    m = sexpr_to_mll(_read(args.file))
     check_mll(m)
     d = mll_to_nmll(m)
     check_derivation(d)

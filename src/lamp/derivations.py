@@ -135,6 +135,8 @@ def _gamma_dict(s: Sequent, path, what: str) -> dict:
 
 
 def _premises_disjoint(node: Derivation, path) -> None:
+    if len(node.premises) < 2:
+        return
     names = [sequent_names(p.conclusion) for p in node.premises]
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
@@ -331,10 +333,11 @@ def name_counts(s: Sequent) -> dict[str, tuple[int, int]]:
 def check_channel_linearity(s: Sequent) -> None:
     """Every declared name occurs exactly once as a variable and never as a
     binder; every undeclared name occurs exactly once as a variable and
-    exactly once as a binder."""
+    exactly once as a binder.  Reports the first offender: declarations in
+    order, then names in order of first occurrence."""
     counts = name_counts(s)
-    declared = {x for x, _ in s.gamma}
-    for x in declared | set(counts):
+    declared = dict.fromkeys(x for x, _ in s.gamma)
+    for x in dict.fromkeys([*declared, *counts]):
         var_n, bind_n = counts.get(x, (0, 0))
         if x in declared:
             if var_n != 1 or bind_n != 0:

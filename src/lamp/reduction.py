@@ -1,6 +1,9 @@
 """Reduction for lamp terms: redex discovery, firing, and normalization.
 
-Three redex kinds cover all the reduction rules:
+A single constructor, Send, is both the lambda and the output channel, so
+every rule has one shape: an activator is replaced by its continuation and
+hands one value to each of its channels.  ``fire`` writes the rules down
+once; everything else here and in the runtime only chooses receivers.
 
 * beta      -- ``(lam x. u) v`` anywhere, with x free in u;
 * comm      -- an applied output ``(out x. u) v`` whose unique free
@@ -21,14 +24,14 @@ bounds every reduction sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Optional
 
 from .terms import (
     App, Close, Dist, Par, Path, Send, Term, UNIT, Var,
-    is_free_in, occurrences, print_term, replace_at, substitute, subterm_at,
-    subterms,
+    is_free_in, join_par, occurrences, print_term, replace_at,
+    split_joined, substitute, subterm_at, subterms,
 )
-
 
 class StaleRedex(Exception):
     pass
@@ -47,14 +50,10 @@ class Redex:
     receivers: tuple[Path, ...] = ()
 
     def describe(self, root: Term) -> str:
-        node = subterm_at(root, self.activator)
         if self.kind == "beta":
             return "Beta"
-        if self.kind == "comm":
-            assert isinstance(node, App) and isinstance(node.fun, Send)
-            return f"Comm {node.fun.chan}"
-        assert isinstance(node, Dist)
-        return f"Dist {node.chan1} {node.chan2}"
+        _, _, sends = fire(subterm_at(root, self.activator))
+        return " ".join([self.kind.capitalize()] + [x for x, _ in sends])
 
 
 @dataclass
@@ -78,6 +77,19 @@ def comm_size(t: Term) -> int:
     return sum(1 for _, s in subterms(t) if isinstance(s, (Send, Dist)))
 
 
+def fire(node: Term) -> Optional[tuple]:
+    """The reduction rules, written once.  If node is an activator, return
+    its kind, the continuation that replaces it, and the value it hands to
+    each of its channels; otherwise None.  A beta's one channel is bound in
+    its own continuation; comm and dist send across a Par."""
+    match node:
+        case App(Send(x, u), v):
+            return ("beta" if is_free_in(x, u) else "comm"), u, ((x, v),)
+        case Dist(x, y, Par(s, t)):
+            return "dist", UNIT, ((x, s), (y, t))
+    return None
+
+
 def _lca_is_par(root: Term, a: Path, b: Path) -> bool:
     n = 0
     while n < len(a) and n < len(b) and a[n] == b[n]:
@@ -89,58 +101,35 @@ def find_redexes(t: Term) -> list[Redex]:
     """All redexes of t in leftmost-outermost activator order."""
     out: list[Redex] = []
     for path, node in subterms(t):
-        match node:
-            case App(Send(x, u), _):
-                if is_free_in(x, u):
-                    out.append(Redex("beta", path))
-                else:
-                    for occ in occurrences(t, x):
-                        if _lca_is_par(t, path, occ):
-                            out.append(Redex("comm", path, (occ,)))
-            case Dist(x, y, Par(_, _)):
-                for ox in occurrences(t, x):
-                    if not _lca_is_par(t, path, ox):
-                        continue
-                    for oy in occurrences(t, y):
-                        if _lca_is_par(t, path, oy):
-                            out.append(Redex("dist", path, (ox, oy)))
+        firing = fire(node)
+        if firing is None:
+            continue
+        kind, _, sends = firing
+        # a beta's receiver is in its own continuation: nothing to choose
+        choices = [] if kind == "beta" else [
+            [occ for occ in occurrences(t, x) if _lca_is_par(t, path, occ)]
+            for x, _ in sends]
+        out.extend(Redex(kind, path, recv) for recv in product(*choices))
     out.sort(key=lambda r: (r.activator, r.receivers))
     return out
 
 
-def _check_receiver(root: Term, r: Redex, occ: Path, name: str) -> None:
-    got = subterm_at(root, occ)
-    if got != Var(name) or not _lca_is_par(root, r.activator, occ):
-        raise StaleRedex(f"receiver for {name!r} no longer valid")
-
-
 def apply_redex(t: Term, r: Redex) -> Term:
     """Fire one redex.  Raises StaleRedex if r does not match t anymore."""
-    node = subterm_at(t, r.activator)
+    firing = fire(subterm_at(t, r.activator))
+    if firing is None or firing[0] != r.kind:
+        raise StaleRedex(f"activator is not a {r.kind} redex")
+    _, cont, sends = firing
     if r.kind == "beta":
-        match node:
-            case App(Send(x, u), v) if is_free_in(x, u):
-                return replace_at(t, r.activator, substitute(u, x, v))
-        raise StaleRedex("activator is not a beta redex")
-    if r.kind == "comm":
-        match node:
-            case App(Send(x, u), v) if not is_free_in(x, u):
-                (occ,) = r.receivers
-                _check_receiver(t, r, occ, x)
-                t = replace_at(t, r.activator, u)
-                return replace_at(t, occ, v)
-        raise StaleRedex("activator is not an applied output")
-    if r.kind == "dist":
-        match node:
-            case Dist(x, y, Par(s, u)):
-                ox, oy = r.receivers
-                _check_receiver(t, r, ox, x)
-                _check_receiver(t, r, oy, y)
-                t = replace_at(t, r.activator, UNIT)
-                t = replace_at(t, ox, s)
-                return replace_at(t, oy, u)
-        raise StaleRedex("activator is not a binary output over a parallel")
-    raise StaleRedex(f"unknown redex kind {r.kind!r}")
+        ((x, v),) = sends
+        return replace_at(t, r.activator, substitute(cont, x, v))
+    for (x, _), occ in zip(sends, r.receivers, strict=True):
+        if subterm_at(t, occ) != Var(x) or not _lca_is_par(t, r.activator, occ):
+            raise StaleRedex(f"receiver for {x!r} no longer valid")
+    t = replace_at(t, r.activator, cont)
+    for (_, v), occ in zip(sends, r.receivers):
+        t = replace_at(t, occ, v)
+    return t
 
 
 def normalize(t: Term) -> Trace:
@@ -221,7 +210,8 @@ def spine_paths(m: int) -> list[Path]:
 def cbv_step(components: list[Term]) -> Optional[tuple[list[Term], Redex]]:
     """One call-by-value step over top-level components, scanning left to
     right.  Returns the new component list and the fired redex (with paths
-    into the joined term), or None when every component is cbv-stuck."""
+    into the joined term), or None when every component is cbv-stuck.
+    Only applied outputs fire, and only on a value argument."""
     spine = spine_paths(len(components))
     recv_cache: dict[int, list[tuple[Path, str]]] = {}
 
@@ -233,28 +223,27 @@ def cbv_step(components: list[Term]) -> Optional[tuple[list[Term], Redex]]:
 
     for i, comp in enumerate(components):
         for pos, node in _eval_positions(comp):
-            match node:
-                case App(Send(x, u), v) if is_value(v):
-                    if is_free_in(x, u):
-                        out = list(components)
-                        out[i] = replace_at(comp, pos, substitute(u, x, v))
-                        return out, Redex("beta", spine[i] + pos)
-                    for j in range(len(components)):
-                        if j == i:
-                            continue
-                        for rpos, rname in receivers(j):
-                            if rname == x:
-                                out = list(components)
-                                out[i] = replace_at(comp, pos, u)
-                                out[j] = replace_at(components[j], rpos, v)
-                                return out, Redex("comm", spine[i] + pos,
-                                                  (spine[j] + rpos,))
+            firing = fire(node)
+            if firing is None or firing[0] == "dist":
+                continue
+            kind, _, ((x, v),) = firing
+            if not is_value(v):
+                continue
+            if kind == "beta":
+                r = Redex("beta", spine[i] + pos)
+            else:
+                r = next((Redex("comm", spine[i] + pos, (spine[j] + rpos,))
+                          for j in range(len(components)) if j != i
+                          for rpos, rname in receivers(j) if rname == x), None)
+                if r is None:
+                    continue
+            fired = apply_redex(join_par(components), r)
+            return split_joined(fired, len(components)), r
     return None
 
 
 def cbv_trace(components: list[Term]) -> list[tuple[str, list[Term]]]:
     """Run cbv_step to exhaustion, collecting (description, state) pairs."""
-    from .terms import join_par
     steps: list[tuple[str, list[Term]]] = []
     while True:
         nxt = cbv_step(components)

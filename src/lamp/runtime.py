@@ -4,8 +4,9 @@ Each top-level parallel component runs as a worker.  A worker repeatedly:
 
 1. fires a redex local to its own term (beta steps and communications whose
    sender and receiver both live inside the component);
-2. otherwise transmits on an applied output or binary output whose receiver
-   variable lives in another component, by filling that channel's cell;
+2. otherwise fires an applied output or binary output with a receiver in
+   another component: its value fills that channel's cell, while a receiver
+   in the same component gets its value in place;
 3. otherwise consumes a filled cell for any channel occurring free in its
    term, substituting the delivered value.
 
@@ -25,10 +26,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .reduction import _lca_is_par, apply_redex, comm_size, find_redexes
+from .reduction import _lca_is_par, apply_redex, comm_size, find_redexes, fire
 from .terms import (
-    App, Dist, Par, Send, Sequent, Term, UNIT, flatten_par, occurrences,
-    replace_at, substitute, subterms,
+    Sequent, Term, flatten_par, occurrences, replace_at, substitute, subterms,
 )
 
 
@@ -84,37 +84,23 @@ class _Worker:
 
     def send_step(self, cells: dict[str, ChannelCell]) -> bool:
         for path, node in subterms(self.term):
-            match node:
-                case App(Send(x, u), v):
-                    if occurrences(self.term, x):
-                        continue  # receiver is local; handled as a redex
+            firing = fire(node)
+            if firing is None or firing[0] == "beta":
+                continue  # local_step has fired every beta redex
+            _, cont, sends = firing
+            local = [occurrences(self.term, x) for x, _ in sends]
+            if all(local) or any(occ and not _lca_is_par(self.term, path, occ[0])
+                                 for occ in local):
+                continue  # fully local, so a redex; or not yet deliverable
+            term = replace_at(self.term, path, cont)
+            for (x, v), occ in zip(sends, local):
+                if occ:
+                    term = replace_at(term, occ[0], v)
+                else:
                     cells.setdefault(x, ChannelCell(x)).fill(v)
-                    self.term = replace_at(self.term, path, u)
-                    return True
-                case Dist(x, y, Par(s, t)):
-                    if self._fire_dist(path, x, y, s, t, cells):
-                        return True
+            self.term = term
+            return True
         return False
-
-    def _fire_dist(self, path, x, y, s, t, cells) -> bool:
-        local_x = occurrences(self.term, x)
-        local_y = occurrences(self.term, y)
-        if local_x and local_y:
-            return False  # fully local; find_redexes owns it
-        if (local_x and not _lca_is_par(self.term, path, local_x[0])) \
-                or (local_y and not _lca_is_par(self.term, path, local_y[0])):
-            return False
-        term = replace_at(self.term, path, UNIT)
-        if local_x:
-            term = replace_at(term, local_x[0], s)
-        else:
-            cells.setdefault(x, ChannelCell(x)).fill(s)
-        if local_y:
-            term = replace_at(term, local_y[0], t)
-        else:
-            cells.setdefault(y, ChannelCell(y)).fill(t)
-        self.term = term
-        return True
 
     def receive_step(self, cells: dict[str, ChannelCell]) -> bool:
         for name in sorted(cells):

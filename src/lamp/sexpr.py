@@ -74,7 +74,7 @@ def _lex(text: str) -> list[str]:
 
 
 def _read_tree(toks: list[str], pos: int):
-    if toks[pos] != "(":
+    if pos >= len(toks) or toks[pos] != "(":
         raise ParseError("expected '(' in s-expression")
     pos += 1
     if pos >= len(toks) or toks[pos] in '()':
@@ -92,6 +92,14 @@ def _read_tree(toks: list[str], pos: int):
     if pos >= len(toks) or toks[pos] != ")":
         raise ParseError("expected ')' in s-expression")
     return (tag, seq_text, premises), pos + 1
+
+
+def _read_all(text: str):
+    toks = _lex(text)
+    tree, pos = _read_tree(toks, 0)
+    if pos < len(toks):
+        raise ParseError(f"trailing input {toks[pos]!r} after s-expression")
+    return tree
 
 
 def parse_sequent_text(text: str) -> Sequent:
@@ -121,7 +129,7 @@ def _split_types(part: str) -> list[str]:
 
 
 def sexpr_to_derivation(text: str) -> Derivation:
-    tree, pos = _read_tree(_lex(text), 0)
+    tree = _read_all(text)
 
     def build(node) -> Derivation:
         tag, seq_text, premises = node
@@ -134,7 +142,7 @@ def sexpr_to_derivation(text: str) -> Derivation:
 
 
 def sexpr_to_mll(text: str) -> MllDerivation:
-    tree, pos = _read_tree(_lex(text), 0)
+    tree = _read_all(text)
 
     def build(node) -> MllDerivation:
         tag, seq_text, premises = node

@@ -108,6 +108,32 @@ def _assert_one_line_error(r, code):
     assert "Traceback" not in r.stderr
 
 
+def test_non_linear_name_reported_under_any_hash_seed(tmp_path):
+    # names are checked in order of first occurrence, not in set order
+    f = tmp_path / "omega.lamp"
+    f.write_text("|- (lam x. x x) (lam y. y y) : A\n")
+    for hash_seed in ("0", "1", "2", "3"):
+        r = run_cli("run", str(f), env_extra={"PYTHONHASHSEED": hash_seed},
+                    timeout=30)
+        _assert_one_line_error(r, 1)
+        assert "name 'x' occurs" in r.stderr, (hash_seed, r.stderr)
+
+
+@pytest.mark.parametrize("command,text", [
+    pytest.param(["translate", "--direction", "to-nmll"], b"",
+                 id="empty-sexpr"),
+    pytest.param(["translate", "--direction", "to-nmll"],
+                 b'(AxId "A |- A") junk', id="trailing-sexpr"),
+    pytest.param(["parse"], b"\xff\xfe", id="non-utf8"),
+])
+def test_malformed_file_is_one_line_parse_error(tmp_path, command, text):
+    f = tmp_path / "input"
+    f.write_bytes(text)
+    r = run_cli(command[0], str(f), *command[1:])
+    _assert_one_line_error(r, 2)
+    assert r.stderr.startswith("parse error: ")
+
+
 def test_missing_file_exit_code(tmp_path):
     r = run_cli("parse", str(tmp_path / "absent.lamp"))
     _assert_one_line_error(r, 5)

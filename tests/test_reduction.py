@@ -1,6 +1,8 @@
 """Reduction engine: redex discovery, firing, normalization, exhaustive
 enumeration, and the call-by-value discipline."""
 
+import hashlib
+
 import pytest
 
 from lamp.parser import parse_program, parse_term
@@ -8,10 +10,18 @@ from lamp.reduction import (
     BudgetExceeded, StaleRedex, apply_redex, cbv_step, cbv_trace,
     comm_size, enumerate_normal_forms, find_redexes, is_value, normalize,
 )
+from lamp.runtime import run_concurrent
 from lamp.terms import (
     App, Dist, Par, Send, UNIT, Var, flatten_par, join_par, print_term,
 )
+from lamp.testlab import GenConfig, gen_derivation
 from tests.conftest import corpus_text
+
+# sha256 over 400 generated programs of everything the reducers print:
+# normalize's trace, each cbv step, three concurrent runs and, for small
+# programs, every normal form; pins the behaviour of the reduction rules
+REDUCTION_DIGEST = \
+    "597a5565560ac3167505217058ded8b9d7172fbb5f7b531b2b505ba897d8c3f7"
 
 
 def test_comm_size_unit():
@@ -228,3 +238,21 @@ def test_redexes_leftmost_outermost_order():
     prog = parse_program(corpus_text("cyclic"))
     rs = find_redexes(prog.sequent.joined_term())
     assert [r.activator for r in rs] == sorted(r.activator for r in rs)
+
+
+def test_reduction_behaviour_is_byte_stable():
+    h = hashlib.sha256()
+    for max_nodes in (12, 36):
+        for seed in range(200):
+            seq = gen_derivation(GenConfig(seed=seed, max_nodes=max_nodes)) \
+                .conclusion
+            t = seq.joined_term()
+            lines = [normalize(t).render()]
+            lines += [f"{desc} => {print_term(join_par(state))}"
+                      for desc, state in cbv_trace(flatten_par(t))]
+            lines += [print_term(join_par(run_concurrent(seq, seed=r)))
+                      for r in range(3)]
+            if comm_size(t) <= 6:
+                lines += sorted(print_term(n) for n in enumerate_normal_forms(t))
+            h.update(("\n".join(lines) + "\n").encode())
+    assert h.hexdigest() == REDUCTION_DIGEST

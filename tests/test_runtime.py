@@ -4,6 +4,7 @@ sequential normalizer."""
 import pytest
 
 from lamp.parser import parse_program
+from lamp.reconstruct import reconstruct
 from lamp.reduction import normalize
 from lamp.runtime import (
     ChannelCell, ChannelProtocolError, DeadlockReport, run_concurrent,
@@ -38,6 +39,23 @@ def test_corpus_runs_match_normalizer_50_seeds(name, expected):
         got = sorted(print_term(t)
                      for t in run_concurrent(prog.sequent, seed=seed))
         assert got == want
+
+
+def test_half_local_binary_output_matches_normalizer():
+    # out2 v14 v0 sends v14's value to a receiver in its own component and
+    # v0's to close(v0) in another, on every scheduler seed
+    prog = parse_program(
+        "|- lam v12. (out2 v14 v0. (lam v5. v5 | *)"
+        " | v14 ((lam v1. v1) (lam v8. v8) v12)) : B -o (bot par B),"
+        " close(v0), * : bot")
+    reconstruct(prog.sequent, prog.annotations)
+    want = sorted(print_term(t) for t in
+                  flatten_par(normalize(prog.sequent.joined_term()).final))
+    assert want == ["*", "close(*)", "lam v12. (* | v12)"]
+    for seed in range(20):
+        got = sorted(print_term(t)
+                     for t in run_concurrent(prog.sequent, seed=seed))
+        assert got == want, seed
 
 
 def test_cell_discipline():

@@ -113,6 +113,9 @@ def interleave_assignment(target: tuple, parts: tuple[tuple, ...]) -> Optional[l
         return None
 
     out = go(0, (0,) * len(parts))
+    # go refers to itself, so its table would otherwise live on until the
+    # cyclic collector next runs
+    go.cache_clear()
     return list(out) if out is not None else None
 
 

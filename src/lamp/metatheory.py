@@ -9,7 +9,7 @@ from typing import Optional, Union
 from .derivations import Derivation, Rule, sequent_names
 from .terms import (
     App, Bot, Close, DeltaEntry, Lolli, Par, ParT, Send, Sequent, Term,
-    TypeExpr, Var, binders, is_simple, occurrences, print_term, print_type,
+    TypeExpr, Var, binders, free_index, is_simple, print_term, print_type,
     subformulas, substitute, subterms,
 )
 
@@ -176,11 +176,12 @@ def check_no_freaks(s: Sequent) -> None:
     cannot hold both ends of a channel without a parallel in between."""
     for e in s.delta:
         root = e.term
+        index = free_index(root)
         for path, sub in subterms(root):
             if not path or not is_simple(path, root):
                 continue
             for z in binders(sub):
-                for occ in occurrences(root, z):
+                for occ in index.get(z, ()):
                     if occ[:len(path)] != path:
                         raise FreakOccurrence(
                             f"channel {z!r} bound inside {print_term(sub)} "

@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 
 from .terms import (
     App, Close, Dist, Par, Path, Send, Term, UNIT, Var,
-    is_free_in, join_par, occurrences, print_term, replace_at,
+    free_index, is_free_in, join_par, print_term, replace_at,
     split_joined, substitute, subterm_at, subterms,
 )
 
@@ -90,27 +90,44 @@ def fire(node: Term) -> Optional[tuple]:
     return None
 
 
+def _lca(a: Path, b: Path) -> Path:
+    """The path of the least common ancestor of the nodes at a and b."""
+    for n, (i, j) in enumerate(zip(a, b)):
+        if i != j:
+            return a[:n]
+    return a if len(a) <= len(b) else b
+
+
 def _lca_is_par(root: Term, a: Path, b: Path) -> bool:
-    n = 0
-    while n < len(a) and n < len(b) and a[n] == b[n]:
-        n += 1
-    return isinstance(subterm_at(root, a[:n]), Par)
+    return isinstance(subterm_at(root, _lca(a, b)), Par)
 
 
 def find_redexes(t: Term) -> list[Redex]:
-    """All redexes of t in leftmost-outermost activator order."""
+    """All redexes of t in leftmost-outermost activator order.  Receivers
+    come from one free_index of t, built at the first comm or dist
+    activator."""
     out: list[Redex] = []
+    index = None
+    # the Par paths seen so far, which in preorder include every Par
+    # ancestor of the current node, where an activator's LCAs lie
+    pars: set[Path] = set()
     for path, node in subterms(t):
+        if isinstance(node, Par):
+            pars.add(path)
+            continue
         firing = fire(node)
         if firing is None:
             continue
         kind, _, sends = firing
+        if kind != "beta" and index is None:
+            index = free_index(t)
         # a beta's receiver is in its own continuation: nothing to choose
         choices = [] if kind == "beta" else [
-            [occ for occ in occurrences(t, x) if _lca_is_par(t, path, occ)]
+            [occ for occ in index.get(x, ()) if _lca(path, occ) in pars]
             for x, _ in sends]
+        # activators come in preorder and each receiver list in preorder,
+        # so the product is already in (activator, receivers) order
         out.extend(Redex(kind, path, recv) for recv in product(*choices))
-    out.sort(key=lambda r: (r.activator, r.receivers))
     return out
 
 

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .reduction import _lca_is_par, apply_redex, comm_size, find_redexes, fire
 from .terms import (
-    Sequent, Term, flatten_par, occurrences, replace_at, substitute, subterms,
+    Sequent, Term, flatten_par, free_index, replace_at, substitute, subterms,
 )
 
 
@@ -83,12 +83,15 @@ class _Worker:
         return False
 
     def send_step(self, cells: dict[str, ChannelCell]) -> bool:
+        index = None
         for path, node in subterms(self.term):
             firing = fire(node)
             if firing is None or firing[0] == "beta":
                 continue  # local_step has fired every beta redex
+            if index is None:
+                index = free_index(self.term)
             _, cont, sends = firing
-            local = [occurrences(self.term, x) for x, _ in sends]
+            local = [index.get(x) for x, _ in sends]
             if all(local) or any(occ and not _lca_is_par(self.term, path, occ[0])
                                  for occ in local):
                 continue  # fully local, so a redex; or not yet deliverable
@@ -103,12 +106,13 @@ class _Worker:
         return False
 
     def receive_step(self, cells: dict[str, ChannelCell]) -> bool:
-        for name in sorted(cells):
-            cell = cells[name]
-            if cell.state == "filled" and occurrences(self.term, name):
-                self.term = substitute(self.term, name, cell.consume())
-                return True
-        return False
+        ready = [x for x in free_index(self.term)
+                 if x in cells and cells[x].state == "filled"]
+        if not ready:
+            return False
+        name = min(ready)
+        self.term = substitute(self.term, name, cells[name].consume())
+        return True
 
 
 def run_concurrent(program: Sequent, seed: int = 0) -> list[Term]:

@@ -1,0 +1,220 @@
+"""The free-occurrence index against the per-name walks it replaced.
+
+``free_index`` finds every name's free occurrences in one pass; redex
+search, the runtime and the printer read it.  The oracles below are the
+walks lamp used before: one ``occurrences`` walk per name, and a
+``find_redexes`` that walks the term once per channel.  Both must agree
+with the index on every state normalize reaches, and on every state
+enumerate visits, for 400 generated programs.
+"""
+
+from functools import lru_cache
+from itertools import product
+
+from hypothesis import given
+
+from lamp.parser import parse_program, parse_term
+from lamp.reduction import (
+    Redex, apply_redex, comm_size, find_redexes, normalize,
+)
+from lamp.terms import (
+    App, Close, Dist, Par, Send, UNIT, Var, children, free_index, is_free_in,
+    occurrences, print_term, subterm_at, subterms, var_names,
+)
+from lamp.testlab import GenConfig, gen_derivation
+from tests.test_terms import _terms
+
+DEPTH = 10_000
+
+
+# -- oracles: the per-name walks --------------------------------------------
+
+def _old_subterms(t, prefix=()):
+    yield prefix, t
+    for i, c in enumerate(children(t)):
+        yield from _old_subterms(c, prefix + (i,))
+
+
+def _old_occurrences(t, x):
+    found = []
+
+    def walk(s, prefix):
+        match s:
+            case Var(y) if y == x:
+                found.append(prefix)
+            case Send(y, b):
+                if y != x:
+                    walk(b, prefix + (0,))
+            case Dist(y, z, b):
+                if x not in (y, z):
+                    walk(b, prefix + (0,))
+            case _:
+                for i, c in enumerate(children(s)):
+                    walk(c, prefix + (i,))
+
+    walk(t, ())
+    return found
+
+
+def _old_lca_is_par(root, a, b):
+    n = 0
+    while n < len(a) and n < len(b) and a[n] == b[n]:
+        n += 1
+    return isinstance(subterm_at(root, a[:n]), Par)
+
+
+def _old_find_redexes(t):
+    out = []
+    for path, node in _old_subterms(t):
+        match node:
+            case App(Send(x, u), _):
+                if _old_occurrences(u, x):
+                    out.append(Redex("beta", path))
+                    continue
+                kind, chans = "comm", (x,)
+            case Dist(x, y, Par()):
+                kind, chans = "dist", (x, y)
+            case _:
+                continue
+        choices = [[occ for occ in _old_occurrences(t, c)
+                    if _old_lca_is_par(t, path, occ)] for c in chans]
+        out.extend(Redex(kind, path, recv) for recv in product(*choices))
+    out.sort(key=lambda r: (r.activator, r.receivers))
+    return out
+
+
+# -- the states both are compared on ----------------------------------------
+
+def _reachable(t):
+    """Every state enumerate_normal_forms visits from t."""
+    seen = {t}
+    frontier = [t]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for r in _old_find_redexes(s):
+                s2 = apply_redex(s, r)
+                if s2 not in seen:
+                    seen.add(s2)
+                    nxt.append(s2)
+        frontier = nxt
+    return seen
+
+
+@lru_cache(maxsize=1)
+def _states():
+    """The 400 generated programs, every state normalize passes through,
+    and, at comm_size <= 6, every state enumerate visits."""
+    programs, states = [], []
+    for max_nodes in (12, 36):
+        for seed in range(200):
+            t = gen_derivation(GenConfig(seed=seed, max_nodes=max_nodes)) \
+                .conclusion.joined_term()
+            programs.append(t)
+            states.append(t)
+            states += [s for _, s in normalize(t).steps]
+            if comm_size(t) <= 6:
+                states += _reachable(t)
+    return programs, states
+
+
+def test_free_index_matches_per_name_walk():
+    _, states = _states()
+    assert len(states) > 1000
+    for t in states:
+        index = free_index(t)
+        for x in var_names(t):
+            assert index.get(x, []) == _old_occurrences(t, x), (print_term(t), x)
+        assert set(index) <= var_names(t)
+
+
+def test_find_redexes_matches_per_channel_search():
+    _, states = _states()
+    kinds = set()
+    for t in states:
+        redexes = find_redexes(t)
+        assert redexes == _old_find_redexes(t), print_term(t)
+        kinds |= {r.kind for r in redexes}
+    assert kinds == {"beta", "comm", "dist"}
+
+
+@given(_terms(4))
+def test_free_index_matches_walk_on_untyped_terms(t):
+    # names repeat, binders shadow and Dist may bind one name twice here
+    index = free_index(t)
+    for x in var_names(t):
+        assert index.get(x, []) == _old_occurrences(t, x)
+    assert find_redexes(t) == _old_find_redexes(t)
+
+
+def test_print_parse_round_trip_on_generated_programs():
+    programs, _ = _states()
+    for t in programs:
+        assert parse_term(print_term(t)) == t
+
+
+# -- hand-built cases ---------------------------------------------------------
+
+def test_index_follows_a_binder_flip():
+    # out x. y  receives x in place of y along channel y: the binder for x
+    # now binds the occurrence that was free, and prints as a lambda
+    t = Par(App(Send("x", Var("y")), Var("v")),
+            App(Send("y", UNIT), Var("x")))
+    assert free_index(t) == {"y": [(0, 0, 0)], "v": [(0, 1)], "x": [(1, 1)]}
+    assert print_term(t) == "(out x. y) v | (out y. *) x"
+    (r_y,) = [r for r in find_redexes(t) if r.activator == (1,)]
+    t2 = apply_redex(t, r_y)
+    assert t2 == Par(App(Send("x", Var("x")), Var("v")), UNIT)
+    assert free_index(t2) == {"v": [(0, 1)]}
+    assert print_term(t2) == "(lam x. x) v | *"
+    assert [r.kind for r in find_redexes(t2)] == ["beta"]
+
+
+def test_index_lists_both_occurrences_of_a_non_linear_name():
+    # one sender, two receivers: the race test_cli's enumerate reports
+    t = parse_program("|- (out x. *) v | x | x : bot par (A par A)\n") \
+        .sequent.joined_term()
+    assert free_index(t)["x"] == [(1, 0), (1, 1)]
+    assert find_redexes(t) == [Redex("comm", (0,), ((1, 0),)),
+                               Redex("comm", (0,), ((1, 1),))]
+    assert find_redexes(t) == _old_find_redexes(t)
+
+
+def test_receiver_beside_the_output_needs_a_par_between():
+    # untypable: the output and its receiver meet at an application
+    t = App(Var("x"), App(Send("x", UNIT), Var("v")))
+    assert free_index(t)["x"] == [(0,)]
+    assert find_redexes(t) == _old_find_redexes(t) == []
+    t = Par(Var("x"), App(Send("x", UNIT), Var("v")))
+    assert find_redexes(t) == [Redex("comm", (1,), ((0,),))]
+
+
+def test_inner_binder_for_the_same_name_shadows():
+    assert free_index(Send("x", Send("x", Var("x")))) == {}
+    t = Send("x", Dist("x", "y", Par(Var("x"), Var("y"))))
+    assert free_index(t) == {}
+    assert not is_free_in("x", t.body)
+    assert print_term(t) == "out x. out2 x y. (x | y)"
+
+
+# -- depth --------------------------------------------------------------------
+
+def test_traversals_survive_a_term_ten_thousand_deep():
+    deep = Var("x")
+    for _ in range(DEPTH):
+        deep = Close(deep)
+    # one output whose receiver sits DEPTH closes down the other side
+    t = Par(App(Send("x", UNIT), Var("v")), deep)
+    receiver = (1,) + (0,) * DEPTH
+    assert sum(1 for _ in subterms(t)) == DEPTH + 6
+    assert free_index(t) == {"v": [(0, 1)], "x": [receiver]}
+    assert occurrences(t, "x") == [receiver]
+    assert comm_size(t) == 1
+    assert find_redexes(t) == [Redex("comm", (0,), (receiver,))]
+
+    nested = Var("n0")
+    for i in range(DEPTH):
+        nested = Send(f"n{i}", nested)
+    assert free_index(nested) == {}
+    assert comm_size(nested) == DEPTH
+    assert find_redexes(nested) == []

@@ -91,6 +91,16 @@ def test_print_output_when_bound_name_absent():
     assert print_term(Send("x", UNIT)) == "out x. *"
 
 
+def test_print_follows_binder_flip_after_substitution():
+    t = Send("x", Send("z", Var("w")))
+    assert print_term(t) == "out x. out z. w"
+    # substitution moves a free x under the binder for x: now a lambda
+    assert print_term(substitute(t, "w", Var("x"))) == "lam x. out z. x"
+    # an inner binder for x takes the moved occurrence: the outer stays out
+    shadowed = Send("x", Send("x", Var("w")))
+    assert print_term(substitute(shadowed, "w", Var("x"))) == "out x. lam x. x"
+
+
 def test_print_applied_output_parenthesized():
     assert print_term(App(Send("x", UNIT), Var("v"))) == "(out x. *) v"
 

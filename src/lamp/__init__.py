@@ -23,8 +23,8 @@ from .derivations import (  # noqa: F401
     check_derivation,
 )
 from .reconstruct import (  # noqa: F401
-    LinearityViolation, MissingAnnotation, TypecheckError, UnificationFailure,
-    UnsatisfiableSplit, reconstruct,
+    LinearityViolation, TypecheckError, UnificationFailure, UnsatisfiableSplit,
+    reconstruct,
 )
 from .metatheory import (  # noqa: F401
     BottomLike, HeadVar, NormalShape, PreconditionViolation, ShapeViolation,

@@ -18,15 +18,14 @@ constructions off checked trees instead of re-searching.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from typing import Any, Optional
+from itertools import chain
+from typing import Any, Optional, Sequence
 
 from .terms import (
     App, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent, Unit,
-    Var, is_free_in, sequent_names, subterms,
+    Var, free_index, subterms, var_names,
 )
 
 
@@ -96,38 +95,104 @@ def _replaced(entries: tuple, i: int, *new) -> tuple:
 
 def interleave_assignment(target: tuple, parts: tuple[tuple, ...]) -> Optional[list[int]]:
     """If target merges the parts preserving each part's order, return one
-    assignment mapping target positions to part indices, else None."""
+    assignment mapping target positions to part indices, else None.
 
-    @lru_cache(maxsize=None)
-    def go(ti: int, idxs: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if ti == len(target):
-            if all(idxs[k] == len(parts[k]) for k in range(len(parts))):
-                return ()
+    Depth first with an explicit stack, trying the parts in order at each
+    position, so the first merge in that order is the one returned; a
+    state (how far each part is consumed) that failed once is not
+    explored again."""
+    end = tuple(len(p) for p in parts)
+    state = (0,) * len(parts)
+    trail: list[tuple[tuple[int, ...], int]] = []  # (state before, part taken)
+    failed: set[tuple[int, ...]] = set()
+    k = 0
+    while True:
+        ti = len(trail)
+        if ti == len(target) and state == end:
+            return [m for _, m in trail]
+        taken = None
+        if ti < len(target) and state not in failed:
+            x = target[ti]
+            for m in range(k, len(parts)):
+                if state[m] < end[m] and parts[m][state[m]] == x:
+                    taken = m
+                    break
+        if taken is not None:
+            trail.append((state, taken))
+            state = state[:taken] + (state[taken] + 1,) + state[taken + 1:]
+            k = 0
+            continue
+        failed.add(state)
+        if not trail:
             return None
-        for k in range(len(parts)):
-            if idxs[k] < len(parts[k]) and parts[k][idxs[k]] == target[ti]:
-                nxt = idxs[:k] + (idxs[k] + 1,) + idxs[k + 1:]
-                tail = go(ti + 1, nxt)
-                if tail is not None:
-                    return (k,) + tail
-        return None
-
-    out = go(0, (0,) * len(parts))
-    # go refers to itself, so its table would otherwise live on until the
-    # cyclic collector next runs
-    go.cache_clear()
-    return list(out) if out is not None else None
+        state, k = trail.pop()
+        k += 1
 
 
 def _is_interleaving(target: tuple, parts: tuple[tuple, ...]) -> bool:
     return interleave_assignment(target, parts) is not None
 
 
-def _same_entries(a: tuple, b: tuple) -> bool:
-    """Side entries of unary rules are compared up to exchange: the comma is
-    a par, and derivation surgery (grafting a subproof over an axiom leaf)
-    permutes conclusions exactly as the calculus allows."""
-    return a == b or Counter(a) == Counter(b)
+def multiset_diff(a: Sequence, *parts: Sequence) -> tuple[list, list]:
+    """What a holds beyond the parts together, and what they hold beyond a,
+    as multisets, each in order.  Identical objects pair first, by id; what
+    is left pairs by equality, which stops at the first difference instead
+    of hashing whole terms.  Where a rule's conclusion shares its
+    unchanged entries with its premises, only the principal entries are
+    left; where it does not, equal entries mostly sit in the same order,
+    so each finds its partner near the front."""
+    ids: dict[int, int] = {}
+    for x in chain(*parts):
+        ids[id(x)] = ids.get(id(x), 0) + 1
+    extra = []
+    for x in a:
+        n = ids.get(id(x))
+        if n:
+            ids[id(x)] = n - 1
+        else:
+            extra.append(x)
+    missing = []
+    for x in chain(*parts):
+        n = ids.get(id(x))
+        if n:
+            ids[id(x)] = n - 1
+            missing.append(x)
+    rest = []
+    for x in extra:
+        for k, y in enumerate(missing):
+            if x == y:
+                del missing[k]
+                break
+        else:
+            rest.append(x)
+    return rest, missing
+
+
+def _where(entries: tuple, e) -> list[int]:
+    """The positions of the entries equal to e, in order."""
+    return [k for k, x in enumerate(entries) if x is e or x == e]
+
+
+class _EntryNames:
+    """Per entry object, the names it uses and the names free in it, each
+    computed once.  Keyed by id: valid while the entries it has seen are
+    alive, which the derivation being checked guarantees."""
+
+    def __init__(self):
+        self._all: dict[int, frozenset[str]] = {}
+        self._free: dict[int, frozenset[str]] = {}
+
+    def all(self, e: DeltaEntry) -> frozenset[str]:
+        hit = self._all.get(id(e))
+        if hit is None:
+            hit = self._all[id(e)] = frozenset(var_names(e.term))
+        return hit
+
+    def free(self, e: DeltaEntry) -> frozenset[str]:
+        hit = self._free.get(id(e))
+        if hit is None:
+            hit = self._free[id(e)] = frozenset(free_index(e.term))
+        return hit
 
 
 def _gamma_dict(s: Sequent, path, what: str) -> dict:
@@ -137,31 +202,44 @@ def _gamma_dict(s: Sequent, path, what: str) -> dict:
     return d
 
 
-def _premises_disjoint(node: Derivation, path) -> None:
+def _premises_disjoint(node: Derivation, path, names: _EntryNames) -> None:
     if len(node.premises) < 2:
         return
-    names = [sequent_names(p.conclusion) for p in node.premises]
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            shared = names[i] & names[j]
+    used = []
+    for p in node.premises:
+        s = {x for x, _ in p.conclusion.gamma}
+        s.update(*(names.all(e) for e in p.conclusion.delta))
+        used.append(s)
+    for i in range(len(used)):
+        for j in range(i + 1, len(used)):
+            shared = used[i] & used[j]
             if shared:
                 raise RuleViolation(
                     path, f"premises {i} and {j} share variables {sorted(shared)}")
 
 
-def _occurs_in_entries(x: str, entries) -> bool:
-    return any(is_free_in(x, e.term) for e in entries)
+_STAR = DeltaEntry(Unit(), Bot())
 
 
 def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> RuleInstance:
     """Verify that node instantiates its rule and return the instance data.
     Subderivations are not descended into (see check_derivation)."""
+    return _match(node, path, _EntryNames())
+
+
+def _match(node: Derivation, path: tuple[int, ...], names: _EntryNames) -> RuleInstance:
+    """match_rule.  Each rule finds its principal entries as what one
+    multiset difference between conclusion and premises leaves over, and
+    reports the first positions that hold those values.  Side entries of
+    unary rules are compared up to exchange: the comma is a par, and
+    derivation surgery (grafting a subproof over an axiom leaf) permutes
+    conclusions exactly as the calculus allows."""
     rule, con, prems = node.rule, node.conclusion, node.premises
     if len(prems) != ARITY[rule]:
         raise RuleViolation(path, f"{rule.value} expects {ARITY[rule]} premises, "
                                   f"got {len(prems)}")
     cg = _gamma_dict(con, path, "conclusion")
-    _premises_disjoint(node, path)
+    _premises_disjoint(node, path, names)
 
     if rule is Rule.AX:
         match con:
@@ -173,71 +251,50 @@ def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> RuleInstance:
         p = prems[0].conclusion
         if p.gamma != con.gamma:
             raise RuleViolation(path, "BotI must not change declarations")
-        for i, e in enumerate(con.delta):
-            if e == DeltaEntry(Unit(), Bot()) \
-                    and _same_entries(_without(con.delta, i), p.delta):
-                return RuleInstance(rule, {"i": i})
+        if multiset_diff(con.delta, p.delta) == ([_STAR], []):
+            return RuleInstance(rule, {"i": con.delta.index(_STAR)})
         raise RuleViolation(path, "BotI must add one entry  * : bot")
 
     if rule is Rule.BOT_E:
         p = prems[0].conclusion
         if p.gamma != con.gamma:
             raise RuleViolation(path, "BotE must not change declarations")
-        for i, e in enumerate(con.delta):
-            if e.type is None and isinstance(e.term, Close):
-                want = DeltaEntry(e.term.body, Bot())
-                for j, pe in enumerate(p.delta):
-                    if pe == want and _same_entries(_without(con.delta, i),
-                                                    _without(p.delta, j)):
-                        return RuleInstance(rule, {"i": i, "j": j})
+        match multiset_diff(con.delta, p.delta):
+            case [DeltaEntry(Close(body), None) as e], [pe] \
+                    if pe == DeltaEntry(body, Bot()):
+                return RuleInstance(rule, {"i": con.delta.index(e),
+                                           "j": p.delta.index(pe)})
         raise RuleViolation(path, "BotE must close one entry of type bot")
 
     if rule is Rule.PARR_I:
         p = prems[0].conclusion
         if p.gamma != con.gamma:
             raise RuleViolation(path, "ParrI must not change declarations")
-        for i, e in enumerate(con.delta):
-            match e:
-                case DeltaEntry(Par(s, t), ParT(a, b)):
-                    for j in range(len(p.delta) - 1):
-                        if p.delta[j] == DeltaEntry(s, a) \
-                                and p.delta[j + 1] == DeltaEntry(t, b) \
-                                and _same_entries(
-                                    _without(con.delta, i),
-                                    _without(_without(p.delta, j + 1), j)):
-                            return RuleInstance(rule, {"i": i, "j": j,
-                                                       "a": a, "b": b})
+        match multiset_diff(con.delta, p.delta):
+            case [DeltaEntry(Par(s, t), ParT(a, b)) as e], [_, _] as parts:
+                left, right = DeltaEntry(s, a), DeltaEntry(t, b)
+                if parts in ([left, right], [right, left]):
+                    for j in _where(p.delta[:-1], left):
+                        if p.delta[j + 1] == right:
+                            return RuleInstance(rule, {"i": con.delta.index(e),
+                                                       "j": j, "a": a, "b": b})
         raise RuleViolation(path, "ParrI must merge two adjacent typed entries")
 
     if rule is Rule.LOLLI_I:
         p = prems[0].conclusion
         pg = _gamma_dict(p, path, "premise")
-        for i, e in enumerate(con.delta):
-            match e:
-                case DeltaEntry(Send(x, t), Lolli(a, b)):
-                    if x in cg or pg.get(x) != a:
-                        continue
-                    gamma_rest = tuple((y, ty) for y, ty in p.gamma if y != x)
-                    if gamma_rest != con.gamma:
-                        continue
-                    hit = None
-                    for j, pe in enumerate(p.delta):
-                        if pe == DeltaEntry(t, b) \
-                                and _same_entries(_without(con.delta, i),
-                                                  _without(p.delta, j)):
-                            hit = j
-                            break
-                    if hit is None:
-                        continue
-                    rest = _without(p.delta, hit)
-                    if not (is_free_in(x, t) or _occurs_in_entries(x, rest)):
-                        raise RuleViolation(
-                            path, f"abstracted {x!r} occurs neither in the "
-                                  f"principal term nor elsewhere (no weakening)")
-                    gamma_pos = next(k for k, (y, _) in enumerate(p.gamma) if y == x)
-                    return RuleInstance(rule, {"i": i, "j": hit, "x": x,
-                                               "a": a, "b": b,
-                                               "gamma_pos": gamma_pos})
+        match multiset_diff(con.delta, p.delta):
+            case [DeltaEntry(Send(x, t), Lolli(a, b)) as e], [pe] \
+                    if pe == DeltaEntry(t, b) and x not in cg and pg.get(x) == a \
+                    and tuple((y, ty) for y, ty in p.gamma if y != x) == con.gamma:
+                if not any(x in names.free(f) for f in p.delta):
+                    raise RuleViolation(
+                        path, f"abstracted {x!r} occurs neither in the "
+                              f"principal term nor elsewhere (no weakening)")
+                gamma_pos = next(k for k, (y, _) in enumerate(p.gamma) if y == x)
+                return RuleInstance(rule, {"i": con.delta.index(e),
+                                           "j": p.delta.index(pe), "x": x,
+                                           "a": a, "b": b, "gamma_pos": gamma_pos})
         raise RuleViolation(path, "LolliI must abstract one declaration into a Send")
 
     if rule is Rule.LOLLI_E:
@@ -248,14 +305,17 @@ def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> RuleInstance:
         joined.update(g2)
         if joined != cg or len(g1) + len(g2) != len(cg):
             raise RuleViolation(path, "LolliE must join the premise declarations")
-        for i, e in enumerate(con.delta):
-            match e:
-                case DeltaEntry(App(s, t), b) if b is not None:
-                    for j1, e1 in enumerate(p1.delta):
-                        match e1:
-                            case DeltaEntry(fn, Lolli(a1, b1)) if fn == s and b1 == b:
-                                for j2, e2 in enumerate(p2.delta):
-                                    if e2 == DeltaEntry(t, a1):
+        match multiset_diff(con.delta, p1.delta, p2.delta):
+            case [DeltaEntry(App(s, t), b) as e], [_, _] as parts if b is not None:
+                # the function entry has the Lolli type, so at most one
+                # order of the two parts fits
+                for fn, arg in (parts, parts[::-1]):
+                    match fn:
+                        case DeltaEntry(f, Lolli(a1, b1)) \
+                                if f == s and b1 == b and arg == DeltaEntry(t, a1):
+                            for i in _where(con.delta, e):
+                                for j1 in _where(p1.delta, fn):
+                                    for j2 in _where(p2.delta, arg):
                                         if _is_interleaving(
                                                 _without(con.delta, i),
                                                 (_without(p1.delta, j1),
@@ -271,19 +331,17 @@ def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> RuleInstance:
         g1 = _gamma_dict(p1, path, "premise 0")
         g2 = _gamma_dict(p2, path, "premise 1")
         g3 = _gamma_dict(p3, path, "premise 2")
-        for i, e in enumerate(con.delta):
-            match e:
-                case DeltaEntry(Dist(x, y, s), Bot()):
-                    if g2.get(x) is None or g3.get(y) is None:
-                        continue
-                    a, b = g2[x], g3[y]
-                    joined = dict(g1)
-                    joined.update({k: v for k, v in g2.items() if k != x})
-                    joined.update({k: v for k, v in g3.items() if k != y})
-                    if joined != cg or len(g1) + len(g2) + len(g3) - 2 != len(cg):
-                        continue
-                    for j, e1 in enumerate(p1.delta):
-                        if e1 == DeltaEntry(s, ParT(a, b)):
+        match multiset_diff(con.delta, p1.delta, p2.delta, p3.delta):
+            case [DeltaEntry(Dist(x, y, s), Bot()) as e], [pe] \
+                    if g2.get(x) is not None and g3.get(y) is not None:
+                a, b = g2[x], g3[y]
+                joined = dict(g1)
+                joined.update({k: v for k, v in g2.items() if k != x})
+                joined.update({k: v for k, v in g3.items() if k != y})
+                if joined == cg and len(g1) + len(g2) + len(g3) - 2 == len(cg) \
+                        and pe == DeltaEntry(s, ParT(a, b)):
+                    for i in _where(con.delta, e):
+                        for j in _where(p1.delta, pe):
                             if _is_interleaving(
                                     _without(con.delta, i),
                                     (_without(p1.delta, j), p2.delta, p3.delta)):
@@ -302,14 +360,15 @@ def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> RuleInstance:
 
 
 def check_derivation(d: Derivation) -> None:
-    """Raise RuleViolation at the first node that is not a rule instance."""
-
-    def walk(node: Derivation, path: tuple[int, ...]) -> None:
-        match_rule(node, path)
-        for k, p in enumerate(node.premises):
-            walk(p, path + (k,))
-
-    walk(d, ())
+    """Raise RuleViolation at the first node, in preorder, that is not a
+    rule instance."""
+    names = _EntryNames()
+    stack = [(d, ())]
+    while stack:
+        node, path = stack.pop()
+        _match(node, path, names)
+        for k in range(len(node.premises) - 1, -1, -1):
+            stack.append((node.premises[k], path + (k,)))
 
 
 def name_counts(s: Sequent) -> dict[str, tuple[int, int]]:
@@ -350,6 +409,9 @@ def check_channel_linearity(s: Sequent) -> None:
 
 
 def all_sequents(d: Derivation):
-    yield d.conclusion
-    for p in d.premises:
-        yield from all_sequents(p)
+    """Every node's conclusion, in preorder."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node.conclusion
+        stack.extend(reversed(node.premises))

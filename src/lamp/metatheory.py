@@ -6,11 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .derivations import Derivation, Rule, sequent_names
+from .derivations import Derivation, Rule
 from .terms import (
     App, Bot, Close, DeltaEntry, Lolli, Par, ParT, Send, Sequent, Term,
     TypeExpr, Var, binders, free_index, is_simple, print_term, print_type,
-    subformulas, substitute, subterms,
+    sequent_names, subformulas, substitute, subterms,
 )
 
 

@@ -18,12 +18,11 @@ entry indices; fresh term variables come from a deterministic counter
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .derivations import Derivation, Rule, match_rule
+from .derivations import Derivation, Rule, match_rule, multiset_diff
 from .terms import (
     App, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
     TypeExpr, UNIT, Var, print_type,
@@ -82,10 +81,6 @@ def print_mll_sequent(s: MllSequent) -> str:
 
 def _without(xs: tuple, i: int) -> tuple:
     return xs[:i] + xs[i + 1:]
-
-
-def _same_multiset(a: tuple, *parts: tuple) -> bool:
-    return Counter(a) == sum((Counter(p) for p in parts), Counter())
 
 
 def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
@@ -147,9 +142,10 @@ def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]
         for i, a in enumerate(p1.right):
             for j, b in enumerate(p2.left):
                 if a == b \
-                        and _same_multiset(con.left, p1.left, _without(p2.left, j)) \
-                        and _same_multiset(con.right, _without(p1.right, i),
-                                           p2.right):
+                        and multiset_diff(con.left, p1.left,
+                                          _without(p2.left, j)) == ([], []) \
+                        and multiset_diff(con.right, _without(p1.right, i),
+                                          p2.right) == ([], []):
                     exact = (con.left == p1.left + _without(p2.left, j)
                              and con.right == _without(p1.right, i) + p2.right)
                     found.append((not exact, {"i": i, "j": j, "a": a}))
@@ -169,11 +165,11 @@ def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]
                         for j, b1 in enumerate(p2.left):
                             if b1 != b:
                                 continue
-                            if _same_multiset(_without(con.left, k),
-                                              p1.left, _without(p2.left, j)) \
-                                    and _same_multiset(con.right,
-                                                       _without(p1.right, i),
-                                                       p2.right):
+                            if multiset_diff(_without(con.left, k), p1.left,
+                                             _without(p2.left, j)) == ([], []) \
+                                    and multiset_diff(con.right,
+                                                      _without(p1.right, i),
+                                                      p2.right) == ([], []):
                                 exact = (con.left == p1.left + (ty,)
                                          + _without(p2.left, j)
                                          and con.right
@@ -197,11 +193,11 @@ def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]
                         for j, b1 in enumerate(p2.left):
                             if b1 != b:
                                 continue
-                            if _same_multiset(_without(con.left, k),
-                                              _without(p1.left, i),
-                                              _without(p2.left, j)) \
-                                    and _same_multiset(con.right,
-                                                       p1.right, p2.right):
+                            if multiset_diff(_without(con.left, k),
+                                             _without(p1.left, i),
+                                             _without(p2.left, j)) == ([], []) \
+                                    and multiset_diff(con.right, p1.right,
+                                                      p2.right) == ([], []):
                                 exact = (con.left
                                          == _without(p1.left, i)
                                          + _without(p2.left, j) + (ty,)

@@ -44,10 +44,6 @@ class UnificationFailure(TypecheckError):
     pass
 
 
-class MissingAnnotation(TypecheckError):
-    pass
-
-
 class LinearityViolation(TypecheckError):
     pass
 
@@ -368,13 +364,29 @@ class _Reconstructor:
         raise UnsatisfiableSplit("entry is neither an application nor a binary output")
 
     def finalize(self, d: Derivation) -> Derivation:
+        # solve hands a premise the very declaration and entry objects of
+        # its conclusion that the rule leaves unchanged; resolving each
+        # object once keeps that sharing, which the checker and the
+        # printer rely on to do per-entry work once per object.  Keyed by
+        # id: every key stays alive in d for the whole walk.
+        done: dict[int, object] = {}
+
+        def fix(item, resolved):
+            hit = done.get(id(item))
+            if hit is None:
+                hit = done[id(item)] = resolved(item)
+            return hit
+
+        def declaration(g):
+            return g[0], self.deep_resolve(g[1], BOT)
+
+        def entry(e: DeltaEntry) -> DeltaEntry:
+            return DeltaEntry(e.term, None if e.type is None
+                              else self.deep_resolve(e.type, BOT))
+
         def fix_seq(s: Sequent) -> Sequent:
-            return Sequent(
-                tuple((x, self.deep_resolve(ty, BOT)) for x, ty in s.gamma),
-                tuple(DeltaEntry(e.term,
-                                 None if e.type is None
-                                 else self.deep_resolve(e.type, BOT))
-                      for e in s.delta))
+            return Sequent(tuple(fix(g, declaration) for g in s.gamma),
+                           tuple(fix(e, entry) for e in s.delta))
 
         def walk(node: Derivation) -> Derivation:
             return Derivation(node.rule, fix_seq(node.conclusion),

@@ -16,22 +16,34 @@ _NMLL_TAGS = {r.value: r for r in Rule}
 _MLL_TAGS = {r.value: r for r in MllRule}
 
 
-def _fmt_tree(tag: str, sequent_text: str, premises: list[str]) -> str:
-    head = f"({tag} {_quote(sequent_text)}"
-    if not premises:
-        return head + ")"
-    inner_lines = [line for p in premises for line in p.splitlines()]
-    return head + "\n" + "\n".join("  " + line for line in inner_lines) + ")"
+def _write(d, sequent_text) -> str:
+    """One line per node, indented two spaces per level; a node's closing
+    parenthesis ends the line of the last node of its subtree.  Works for
+    both derivation kinds, at any depth."""
+    lines = []
+    stack = [(d, 0, 1)]  # node, depth, parentheses closing after its subtree
+    while stack:
+        node, depth, closing = stack.pop()
+        text = _quote(sequent_text(node.conclusion))
+        line = f"{'  ' * depth}({node.rule.value} {text}"
+        last = len(node.premises) - 1
+        if last < 0:
+            lines.append(line + ")" * closing)
+            continue
+        lines.append(line)
+        for k in range(last, -1, -1):
+            stack.append((node.premises[k], depth + 1, closing + 1 if k == last else 1))
+    return "\n".join(lines)
 
 
 def derivation_to_sexpr(d: Derivation) -> str:
-    return _fmt_tree(d.rule.value, print_sequent(d.conclusion),
-                     [derivation_to_sexpr(p) for p in d.premises])
+    # nodes share their unchanged entries: each is printed once
+    memo: dict[int, str] = {}
+    return _write(d, lambda s: print_sequent(s, memo))
 
 
 def mll_to_sexpr(d: MllDerivation) -> str:
-    return _fmt_tree(d.rule.value, print_mll_sequent(d.conclusion),
-                     [mll_to_sexpr(p) for p in d.premises])
+    return _write(d, print_mll_sequent)
 
 
 def _quote(s: str) -> str:

@@ -155,15 +155,20 @@ def subterm_at(t: Term, path: Path) -> Term:
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
-    if not path:
-        return new
-    i = path[0]
-    kids = children(t)
-    if i >= len(kids):
-        raise InvalidPath(f"no child {i} at {type(t).__name__}")
-    kids = list(kids)
-    kids[i] = replace_at(kids[i], path[1:], new)
-    return with_children(t, tuple(kids))
+    """t with the subterm at path replaced by new: the nodes along path are
+    rebuilt bottom up, everything off it is shared."""
+    spine: list[tuple[Term, int]] = []
+    for i in path:
+        kids = children(t)
+        if i >= len(kids):
+            raise InvalidPath(f"no child {i} at {type(t).__name__}")
+        spine.append((t, i))
+        t = kids[i]
+    for node, i in reversed(spine):
+        kids = list(children(node))
+        kids[i] = new
+        new = with_children(node, tuple(kids))
+    return new
 
 
 def subterms(t: Term, prefix: Path = ()) -> Iterator[tuple[Path, Term]]:
@@ -420,11 +425,30 @@ def print_type(ty: TypeExpr) -> str:
     return _fmt_type(ty, 0)
 
 
-def print_sequent(s: Sequent) -> str:
-    decls = ", ".join(f"{x} : {print_type(ty)}" for x, ty in s.gamma)
-    ents = ", ".join(
-        f"{print_term(e.term)} : {print_type(e.type)}" if e.type is not None
-        else print_term(e.term)
-        for e in s.delta
-    )
+def _declaration_text(g: tuple[str, TypeExpr]) -> str:
+    return f"{g[0]} : {print_type(g[1])}"
+
+
+def _entry_text(e: DeltaEntry) -> str:
+    if e.type is None:
+        return print_term(e.term)
+    return f"{print_term(e.term)} : {print_type(e.type)}"
+
+
+def print_sequent(s: Sequent, memo: Optional[dict[int, str]] = None) -> str:
+    """s in lamp syntax.  memo, if given, maps the id of each declaration
+    and entry object printed so far to its text, so that a caller printing
+    many sequents that share those objects prints each once; the caller
+    keeps the objects alive while it reuses memo."""
+    if memo is None:
+        memo = {}
+
+    def text(item, fmt) -> str:
+        hit = memo.get(id(item))
+        if hit is None:
+            hit = memo[id(item)] = fmt(item)
+        return hit
+
+    decls = ", ".join(text(g, _declaration_text) for g in s.gamma)
+    ents = ", ".join(text(e, _entry_text) for e in s.delta)
     return f"{decls} |- {ents}" if decls else f"|- {ents}"

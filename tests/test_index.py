@@ -211,6 +211,11 @@ def test_traversals_survive_a_term_ten_thousand_deep():
     assert occurrences(t, "x") == [receiver]
     assert comm_size(t) == 1
     assert find_redexes(t) == [Redex("comm", (0,), (receiver,))]
+    trace = normalize(t)
+    assert [desc for desc, _ in trace.steps] == ["Comm x"]
+    assert subterm_at(trace.final, (0,)) == UNIT
+    assert subterm_at(trace.final, receiver) == Var("v")
+    assert find_redexes(trace.final) == []
 
     nested = Var("n0")
     for i in range(DEPTH):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .derivations import Derivation, Rule, match_rule, multiset_diff
+from .derivations import Derivation, Rule, _EntryNames, _match, multiset_diff
 from .terms import (
     App, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
     TypeExpr, UNIT, Var, print_type,
@@ -241,8 +241,28 @@ def nmll_to_mll(d: Derivation) -> MllDerivation:
     Eliminations have no sequent-calculus namesake and become cuts: closing
     a bot entry cuts against the bottom axiom, an application routes through
     lolli-left via two cuts, and a binary output stacks bot-right over a cut
-    over par-left."""
-    inst = match_rule(d).data
+    over par-left.
+
+    Nodes are matched in preorder with one name cache, since they share the
+    entries their rules leave unchanged, and translated premises first,
+    without recursion."""
+    names = _EntryNames()
+    preorder = []
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        preorder.append((node, _match(node, (), names).data))
+        stack.extend(reversed(node.premises))
+    # reversed, preorder lists every node after its premises
+    done: dict[int, MllDerivation] = {}
+    for node, inst in reversed(preorder):
+        done[id(node)] = _to_mll(node, inst, [done[id(p)] for p in node.premises])
+    return done[id(d)]
+
+
+def _to_mll(d: Derivation, inst: dict[str, Any], subs: list[MllDerivation]) -> MllDerivation:
+    """One node of nmll_to_mll: d, its rule instance data and the
+    translations of its premises."""
     con = type_erasure(d.conclusion)
     rule = d.rule
 
@@ -250,24 +270,22 @@ def nmll_to_mll(d: Derivation) -> MllDerivation:
         return MllDerivation(MllRule.AX_ID, con)
 
     if rule is Rule.BOT_I:
-        return MllDerivation(MllRule.BOT_R, con, (nmll_to_mll(d.premises[0]),))
+        return MllDerivation(MllRule.BOT_R, con, (subs[0],))
 
     if rule is Rule.LOLLI_I:
-        return MllDerivation(MllRule.LOLLI_R, con, (nmll_to_mll(d.premises[0]),))
+        return MllDerivation(MllRule.LOLLI_R, con, (subs[0],))
 
     if rule is Rule.PARR_I:
-        return MllDerivation(MllRule.PARR_R, con, (nmll_to_mll(d.premises[0]),))
+        return MllDerivation(MllRule.PARR_R, con, (subs[0],))
 
     if rule is Rule.BOT_E:
-        sub = nmll_to_mll(d.premises[0])
         axbot = MllDerivation(MllRule.AX_BOT, MllSequent((BOT,), ()))
-        return MllDerivation(MllRule.CUT, con, (sub, axbot))
+        return MllDerivation(MllRule.CUT, con, (subs[0], axbot))
 
     if rule is Rule.LOLLI_E:
         a, b = inst["a"], inst["b"]
         fun_pos = _typed_pos(d.premises[0].conclusion, inst["j1"])
-        sub1 = nmll_to_mll(d.premises[0])
-        sub2 = nmll_to_mll(d.premises[1])
+        sub1, sub2 = subs
         e1 = sub1.conclusion
         ax_a = MllDerivation(MllRule.AX_ID, MllSequent((a,), (a,)))
         ax_b = MllDerivation(MllRule.AX_ID, MllSequent((b,), (b,)))
@@ -284,9 +302,7 @@ def nmll_to_mll(d: Derivation) -> MllDerivation:
         a, b = inst["a"], inst["b"]
         par_pos = _typed_pos(d.premises[0].conclusion, inst["j"])
         gx, gy = inst["gamma_pos_x"], inst["gamma_pos_y"]
-        sub1 = nmll_to_mll(d.premises[0])
-        sub2 = nmll_to_mll(d.premises[1])
-        sub3 = nmll_to_mll(d.premises[2])
+        sub1, sub2, sub3 = subs
         e1, e2, e3 = sub1.conclusion, sub2.conclusion, sub3.conclusion
         sides = _without(e2.left, gx) + _without(e3.left, gy)
         parr_l = MllDerivation(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
@@ -62,8 +63,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "op", "eof"
     text: str
     line: int
@@ -73,18 +73,20 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
     pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
-        if m.lastgroup == "ws":
-            line += m.group().count("\n")
-            if "\n" in m.group():
-                line_start = m.start() + m.group().rindex("\n") + 1
-        else:
-            toks.append(Token(m.lastgroup, m.group(), line, m.start() - line_start + 1))
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break  # text[pos] starts no token
+        kind, tok = m.lastgroup, m.group()
+        if kind != "ws":
+            toks.append(Token(kind, tok, line, start - line_start + 1))
+        elif "\n" in tok:
+            line += tok.count("\n")
+            line_start = start + tok.rindex("\n") + 1
         pos = m.end()
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}",
+                         line, pos - line_start + 1)
     toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
@@ -104,8 +106,8 @@ class _Parser:
         self.annotations: list[tuple[Term, TypeExpr]] = []
 
     def peek(self, k: int = 0) -> Token:
-        j = min(self.i + k, len(self.toks) - 1)
-        return self.toks[j]
+        j = self.i + k
+        return self.toks[j] if j < len(self.toks) else self.toks[-1]
 
     def next(self) -> Token:
         t = self.peek()

@@ -33,7 +33,14 @@ from .terms import (
 
 
 class TypecheckError(Exception):
-    pass
+    """A typing failure.  Its message may be given as a function that
+    renders it: backtracking throws most of these errors away unread, so
+    the text is built on the first str()."""
+
+    def __str__(self) -> str:
+        if len(self.args) == 1 and callable(self.args[0]):
+            self.args = (self.args[0](),)
+        return super().__str__()
 
 
 class UnsatisfiableSplit(TypecheckError):
@@ -88,8 +95,10 @@ class _Reconstructor:
             return
         if isinstance(a, MetaVar):
             if self._occurs(a, b):
-                shown = type_text(self.deep_resolve(b))
-                raise UnificationFailure(f"occurs check: {a.name} in {shown}")
+                # resolved now: backtracking rolls subst back before any str()
+                shown = self.deep_resolve(b)
+                raise UnificationFailure(
+                    lambda: f"occurs check: {a.name} in {type_text(shown)}")
             self.subst[a] = b
             return
         if isinstance(b, MetaVar):
@@ -100,9 +109,9 @@ class _Reconstructor:
                 self.unify(a1, b1)
                 self.unify(a2, b2)
             case _:
+                ra, rb = self.deep_resolve(a), self.deep_resolve(b)
                 raise UnificationFailure(
-                    f"cannot unify {type_text(self.deep_resolve(a))} "
-                    f"with {type_text(self.deep_resolve(b))}")
+                    lambda: f"cannot unify {type_text(ra)} with {type_text(rb)}")
 
     def deep_resolve(self, ty, default: Optional[TypeExpr] = None):
         ty = self.resolve(ty)
@@ -223,7 +232,7 @@ class _Reconstructor:
                 case Close(body):
                     if ty is not None:
                         raise UnsatisfiableSplit(
-                            f"close(...) entry carries a type: {print_term(term)}")
+                            lambda: f"close(...) entry carries a type: {print_term(term)}")
                     inner = delta[:i] + (DeltaEntry(body, BOT),) + delta[i + 1:]
                     sub = self.solve(Sequent(gamma, inner))
                     return Derivation(Rule.BOT_E, seq, (sub,))
@@ -243,7 +252,7 @@ class _Reconstructor:
                     if not (is_free_in(x, body)
                             or any(is_free_in(x, r.term) for r in rest)):
                         raise LinearityViolation(
-                            f"channel {x!r} of {print_term(term)} is never used")
+                            lambda: f"channel {x!r} of {print_term(term)} is never used")
                     inner = delta[:i] + (DeltaEntry(body, b),) + delta[i + 1:]
                     sub = self.solve(Sequent(gamma + ((x, a),), inner))
                     return Derivation(Rule.LOLLI_I, seq, (sub,))
@@ -252,8 +261,9 @@ class _Reconstructor:
         candidates = [i for i, e in enumerate(delta)
                       if isinstance(e.term, (App, Dist))]
         if not candidates:
+            # seq holds no subst: its text does not change on backtracking
             raise UnsatisfiableSplit(
-                f"no rule applies to  {seq_text(seq)}")
+                lambda: f"no rule applies to  {seq_text(seq)}")
         last_err: Optional[TypecheckError] = None
         for i in candidates:
             snapshot = dict(self.subst)

@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 
 from .terms import (
     App, Close, Dist, Par, Path, Send, Term, UNIT, Var,
-    free_index, is_free_in, join_par, print_term, replace_at,
+    _scan, is_free_in, join_par, print_term, replace_at,
     split_joined, substitute, subterm_at, subterms,
 )
 
@@ -77,14 +77,17 @@ def comm_size(t: Term) -> int:
     return sum(1 for _, s in subterms(t) if isinstance(s, (Send, Dist)))
 
 
-def fire(node: Term) -> Optional[tuple]:
+def fire(node: Term, lams: Optional[set[int]] = None) -> Optional[tuple]:
     """The reduction rules, written once.  If node is an activator, return
     its kind, the continuation that replaces it, and the value it hands to
     each of its channels; otherwise None.  A beta's one channel is bound in
-    its own continuation; comm and dist send across a Par."""
+    its own continuation; comm and dist send across a Par.  lams, the
+    lambdas of a _scan over a term holding node, answers that without a
+    walk of the continuation."""
     match node:
-        case App(Send(x, u), v):
-            return ("beta" if is_free_in(x, u) else "comm"), u, ((x, v),)
+        case App(Send(x, u) as send, v):
+            lam = id(send) in lams if lams is not None else is_free_in(x, u)
+            return ("beta" if lam else "comm"), u, ((x, v),)
         case Dist(x, y, Par(s, t)):
             return "dist", UNIT, ((x, s), (y, t))
     return None
@@ -103,28 +106,18 @@ def _lca_is_par(root: Term, a: Path, b: Path) -> bool:
 
 
 def find_redexes(t: Term) -> list[Redex]:
-    """All redexes of t in leftmost-outermost activator order.  Receivers
-    come from one free_index of t, built at the first comm or dist
-    activator."""
+    """All redexes of t in leftmost-outermost activator order, read off one
+    _scan of t."""
+    scan = _scan(t)
     out: list[Redex] = []
-    index = None
-    # the Par paths seen so far, which in preorder include every Par
-    # ancestor of the current node, where an activator's LCAs lie
-    pars: set[Path] = set()
-    for path, node in subterms(t):
-        if isinstance(node, Par):
-            pars.add(path)
+    for path, node in scan.acts:
+        kind, _, sends = fire(node, scan.lams)
+        if kind == "beta":
+            # a beta's receiver is in its own continuation: nothing to choose
+            out.append(Redex(kind, path))
             continue
-        firing = fire(node)
-        if firing is None:
-            continue
-        kind, _, sends = firing
-        if kind != "beta" and index is None:
-            index = free_index(t)
-        # a beta's receiver is in its own continuation: nothing to choose
-        choices = [] if kind == "beta" else [
-            [occ for occ in index.get(x, ()) if _lca(path, occ) in pars]
-            for x, _ in sends]
+        choices = [[occ for occ in scan.free.get(x, ()) if _lca(path, occ) in scan.pars]
+                   for x, _ in sends]
         # activators come in preorder and each receiver list in preorder,
         # so the product is already in (activator, receivers) order
         out.extend(Redex(kind, path, recv) for recv in product(*choices))
@@ -183,8 +176,10 @@ def enumerate_normal_forms(t: Term, max_states: int = 100_000) -> set[Term]:
                 continue
             for r in redexes:
                 s2 = apply_redex(s, r)
-                if s2 not in seen:
-                    seen.add(s2)
+                # one hash per reduct: seen grows iff s2 is new
+                before = len(seen)
+                seen.add(s2)
+                if len(seen) > before:
                     if len(seen) > max_states:
                         raise BudgetExceeded(len(seen))
                     nxt.append(s2)

@@ -15,6 +15,9 @@ and consumed exactly once; any second fill or consume aborts the run.  The
 scheduler is a seeded simulation: worker order is reshuffled every round,
 and any interleaving must produce the same final component multiset as the
 sequential normalizer, which the test suite checks across many seeds.
+A worker whose poll makes no progress sleeps until a cell for a name free
+in its term is filled: nothing else can change what a poll of that term
+finds, so the schedule is the same as if it were polled every round.
 Workers transmit asynchronously, exactly like the term-level rules: a
 strictly blocking discipline could not run programs whose messages are
 inert applications such as a pending function call.
@@ -24,12 +27,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .reduction import _lca_is_par, apply_redex, comm_size, find_redexes, fire
-from .terms import (
-    Sequent, Term, flatten_par, free_index, replace_at, substitute, subterms,
-)
+from .reduction import _lca, apply_redex, comm_size, find_redexes, fire
+from .terms import Sequent, Term, _Scan, _scan, flatten_par, replace_at, substitute
 
 
 class ChannelProtocolError(Exception):
@@ -74,25 +75,39 @@ class DeadlockReport(Exception):
 class _Worker:
     index: int
     term: Term
+    # set while a poll has made no progress and no cell for a name free
+    # in term has been filled since: polling it again would do nothing
+    asleep: bool = False
 
-    def local_step(self) -> bool:
+    def poll(self, cells: dict[str, ChannelCell],
+             fill: Callable[[str, Term], None]) -> Optional[list[str]]:
+        """Take one step if the worker can; return None if it did, else the
+        names free in its term, whose fills are what can wake it."""
         redexes = find_redexes(self.term)
         if redexes:
             self.term = apply_redex(self.term, redexes[0])
-            return True
-        return False
+            return None
+        scan = _scan(self.term)
+        if self.send_step(scan, fill):
+            return None
+        ready = [x for x in scan.free
+                 if x in cells and cells[x].state == "filled"]
+        if ready:
+            name = min(ready)
+            self.term = substitute(self.term, name, cells[name].consume())
+            return None
+        return list(scan.free)
 
-    def send_step(self, cells: dict[str, ChannelCell]) -> bool:
-        index = None
-        for path, node in subterms(self.term):
-            firing = fire(node)
-            if firing is None or firing[0] == "beta":
-                continue  # local_step has fired every beta redex
-            if index is None:
-                index = free_index(self.term)
-            _, cont, sends = firing
-            local = [index.get(x) for x, _ in sends]
-            if all(local) or any(occ and not _lca_is_par(self.term, path, occ[0])
+    def send_step(self, scan: _Scan, fill: Callable[[str, Term], None]) -> bool:
+        """Fire an activator with a receiver in another component (local
+        redexes have all been fired): its value fills that channel's cell,
+        while a receiver in this component gets its value in place."""
+        for path, node in scan.acts:
+            kind, cont, sends = fire(node, scan.lams)
+            if kind == "beta":
+                continue
+            local = [scan.free.get(x) for x, _ in sends]
+            if all(local) or any(occ and _lca(path, occ[0]) not in scan.pars
                                  for occ in local):
                 continue  # fully local, so a redex; or not yet deliverable
             term = replace_at(self.term, path, cont)
@@ -100,19 +115,10 @@ class _Worker:
                 if occ:
                     term = replace_at(term, occ[0], v)
                 else:
-                    cells.setdefault(x, ChannelCell(x)).fill(v)
+                    fill(x, v)
             self.term = term
             return True
         return False
-
-    def receive_step(self, cells: dict[str, ChannelCell]) -> bool:
-        ready = [x for x in free_index(self.term)
-                 if x in cells and cells[x].state == "filled"]
-        if not ready:
-            return False
-        name = min(ready)
-        self.term = substitute(self.term, name, cells[name].consume())
-        return True
 
 
 def run_concurrent(program: Sequent, seed: int = 0) -> list[Term]:
@@ -134,14 +140,29 @@ def run_concurrent(program: Sequent, seed: int = 0) -> list[Term]:
     # outrun the budget.
     rounds_left = 3 * comm_size(term) + 1
 
+    # per channel, the workers that fell asleep with that name free
+    sleepers: dict[str, list[_Worker]] = {}
+
+    def fill(x: str, v: Term) -> None:
+        cells.setdefault(x, ChannelCell(x)).fill(v)
+        for w in sleepers.pop(x, ()):
+            w.asleep = False
+
     while True:
         order = list(range(len(workers)))
         rng.shuffle(order)
         progressed = False
         for i in order:
             w = workers[i]
-            if w.local_step() or w.send_step(cells) or w.receive_step(cells):
+            if w.asleep:
+                continue
+            waits_on = w.poll(cells, fill)
+            if waits_on is None:
                 progressed = True
+                continue
+            w.asleep = True
+            for x in waits_on:
+                sleepers.setdefault(x, []).append(w)
         if not progressed:
             break
         rounds_left -= 1

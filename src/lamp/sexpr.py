@@ -7,6 +7,8 @@ per line so golden files diff cleanly; the reader accepts any whitespace.
 
 from __future__ import annotations
 
+import re
+
 from .derivations import Derivation, Rule
 from .mll import MllDerivation, MllRule, MllSequent, print_mll_sequent
 from .parser import ParseError, _Parser
@@ -52,66 +54,58 @@ def _quote(s: str) -> str:
 
 # -- reading ----------------------------------------------------------------
 
+_SEXPR_TOKEN = re.compile(r'\s+|[()]|"([^"\\]*(?:\\.[^"\\]*)*)"|[^\s()"]+', re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _lex(text: str) -> list[str]:
+    """Parentheses, atoms, and quoted strings with their escapes undone,
+    kept as '"' plus their content."""
     toks: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            toks.append(c)
-            i += 1
-        elif c == '"':
-            j = i + 1
-            buf = []
-            while j < len(text) and text[j] != '"':
-                if text[j] == "\\" and j + 1 < len(text):
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= len(text):
-                raise ParseError("unterminated string in s-expression")
-            toks.append('"' + "".join(buf))
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            toks.append(text[i:j])
-            i = j
+    pos = 0
+    for m in _SEXPR_TOKEN.finditer(text):
+        if m.start() != pos:
+            break  # only a '"' starts no token: its string never closes
+        pos = m.end()
+        tok = m.group()
+        if tok[0] == '"':
+            toks.append('"' + _ESCAPE.sub(r"\1", m.group(1)))
+        elif not tok[0].isspace():
+            toks.append(tok)
+    if pos < len(text):
+        raise ParseError("unterminated string in s-expression")
     return toks
 
 
-def _read_tree(toks: list[str], pos: int):
-    if pos >= len(toks) or toks[pos] != "(":
-        raise ParseError("expected '(' in s-expression")
-    pos += 1
-    if pos >= len(toks) or toks[pos] in '()':
-        raise ParseError("expected rule tag")
-    tag = toks[pos]
-    pos += 1
-    if pos >= len(toks) or not toks[pos].startswith('"'):
-        raise ParseError("expected quoted sequent")
-    seq_text = toks[pos][1:]
-    pos += 1
-    premises = []
-    while pos < len(toks) and toks[pos] == "(":
-        sub, pos = _read_tree(toks, pos)
-        premises.append(sub)
-    if pos >= len(toks) or toks[pos] != ")":
-        raise ParseError("expected ')' in s-expression")
-    return (tag, seq_text, premises), pos + 1
-
-
 def _read_all(text: str):
+    """The tree of (tag, sequent text, premises) nodes that text spells,
+    read with an explicit stack of open nodes."""
     toks = _lex(text)
-    tree, pos = _read_tree(toks, 0)
-    if pos < len(toks):
-        raise ParseError(f"trailing input {toks[pos]!r} after s-expression")
-    return tree
+    pos = 0
+    open_nodes: list[tuple[str, str, list]] = []
+    while True:
+        if pos >= len(toks) or toks[pos] != "(":
+            raise ParseError("expected '(' in s-expression")
+        pos += 1
+        if pos >= len(toks) or toks[pos] in '()':
+            raise ParseError("expected rule tag")
+        tag = toks[pos]
+        pos += 1
+        if pos >= len(toks) or not toks[pos].startswith('"'):
+            raise ParseError("expected quoted sequent")
+        open_nodes.append((tag, toks[pos][1:], []))
+        pos += 1
+        # close every node that ends before the next premise starts
+        while pos >= len(toks) or toks[pos] != "(":
+            if pos >= len(toks) or toks[pos] != ")":
+                raise ParseError("expected ')' in s-expression")
+            pos += 1
+            node = open_nodes.pop()
+            if not open_nodes:
+                if pos < len(toks):
+                    raise ParseError(f"trailing input {toks[pos]!r} after s-expression")
+                return node
+            open_nodes[-1][2].append(node)
 
 
 def parse_sequent_text(text: str) -> Sequent:
@@ -140,27 +134,28 @@ def _split_types(part: str) -> list[str]:
     return part.split(",")
 
 
-def sexpr_to_derivation(text: str) -> Derivation:
-    tree = _read_all(text)
-
-    def build(node) -> Derivation:
+def _build(text: str, tags: dict, parse_sequent, make):
+    """The derivation text spells, built without recursion.  Tags and
+    sequents are checked in preorder, the order a reader meets them."""
+    stack = [_read_all(text)]
+    preorder = []
+    while stack:
+        node = stack.pop()
         tag, seq_text, premises = node
-        if tag not in _NMLL_TAGS:
+        if tag not in tags:
             raise ParseError(f"unknown rule tag {tag!r}")
-        return Derivation(_NMLL_TAGS[tag], parse_sequent_text(seq_text),
-                          tuple(build(p) for p in premises))
+        preorder.append((node, tags[tag], parse_sequent(seq_text)))
+        stack.extend(reversed(premises))
+    # reversed, preorder lists every node after its premises
+    built: dict[int, object] = {}
+    for node, rule, seq in reversed(preorder):
+        built[id(node)] = make(rule, seq, tuple(built.pop(id(p)) for p in node[2]))
+    return built[id(preorder[0][0])]
 
-    return build(tree)
+
+def sexpr_to_derivation(text: str) -> Derivation:
+    return _build(text, _NMLL_TAGS, parse_sequent_text, Derivation)
 
 
 def sexpr_to_mll(text: str) -> MllDerivation:
-    tree = _read_all(text)
-
-    def build(node) -> MllDerivation:
-        tag, seq_text, premises = node
-        if tag not in _MLL_TAGS:
-            raise ParseError(f"unknown rule tag {tag!r}")
-        return MllDerivation(_MLL_TAGS[tag], parse_mll_sequent_text(seq_text),
-                             tuple(build(p) for p in premises))
-
-    return build(tree)
+    return _build(text, _MLL_TAGS, parse_mll_sequent_text, MllDerivation)

@@ -16,7 +16,7 @@ its channel and lambda readings, which is exactly the intended semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Types
@@ -129,22 +129,6 @@ def children(t: Term) -> tuple[Term, ...]:
     return ()
 
 
-def with_children(t: Term, kids: tuple[Term, ...]) -> Term:
-    match t:
-        case App():
-            return App(kids[0], kids[1])
-        case Send(x, _):
-            return Send(x, kids[0])
-        case Dist(x, y, _):
-            return Dist(x, y, kids[0])
-        case Par():
-            return Par(kids[0], kids[1])
-        case Close():
-            return Close(kids[0])
-        case _:
-            return t
-
-
 def subterm_at(t: Term, path: Path) -> Term:
     for i in path:
         kids = children(t)
@@ -165,9 +149,17 @@ def replace_at(t: Term, path: Path, new: Term) -> Term:
         spine.append((t, i))
         t = kids[i]
     for node, i in reversed(spine):
-        kids = list(children(node))
-        kids[i] = new
-        new = with_children(node, tuple(kids))
+        cls = type(node)
+        if cls is App:
+            new = App(new, node.arg) if i == 0 else App(node.fun, new)
+        elif cls is Par:
+            new = Par(new, node.right) if i == 0 else Par(node.left, new)
+        elif cls is Send:
+            new = Send(node.chan, new)
+        elif cls is Dist:
+            new = Dist(node.chan1, node.chan2, new)
+        else:
+            new = Close(new)
     return new
 
 
@@ -210,10 +202,19 @@ def var_names(t: Term) -> set[str]:
     return out
 
 
-def _scan(t: Term) -> tuple[dict[str, list[Path]], set[int]]:
-    """One preorder pass over t.  Returns the paths of the free occurrences
-    of every name, each list in preorder, and the ids of the Send nodes
-    whose name occurs free in their own body (the lambdas).
+class _Scan(NamedTuple):
+    """What one preorder pass over a term finds."""
+
+    free: dict[str, list[Path]]  # per name, its free occurrences in preorder
+    lams: set[int]  # ids of the Sends whose name is free in their own body
+    pars: set[Path]  # paths of the Par nodes
+    # activator candidates in preorder: App(Send, _) and Dist(_, _, Par)
+    acts: list[tuple[Path, Term]]
+
+
+def _scan(t: Term) -> _Scan:
+    """One preorder pass over t: the name index, the lambdas, the Par paths
+    and the activator candidates, which together are all redex search reads.
 
     A variable belongs to its innermost enclosing Send or Dist binder for
     its name; with none it is free.  Binders for other names are
@@ -221,6 +222,8 @@ def _scan(t: Term) -> tuple[dict[str, list[Path]], set[int]]:
     """
     free: dict[str, list[Path]] = {}
     lams: set[int] = set()
+    pars: set[Path] = set()
+    acts: list[tuple[Path, Term]] = []
     # per name, the enclosing binders innermost last: a Send, or None for
     # a Dist; a (None, names) stack entry closes the binders for names
     scope: dict[str, list[Optional[Send]]] = {}
@@ -236,9 +239,12 @@ def _scan(t: Term) -> tuple[dict[str, list[Path]], set[int]]:
             else:
                 free.setdefault(s.name, []).append(p)
         elif cls is App:
+            if type(s.fun) is Send:
+                acts.append((p, s))
             stack.append((s.arg, p + (1,)))
             stack.append((s.fun, p + (0,)))
         elif cls is Par:
+            pars.add(p)
             stack.append((s.right, p + (1,)))
             stack.append((s.left, p + (0,)))
         elif cls is Send:
@@ -246,6 +252,8 @@ def _scan(t: Term) -> tuple[dict[str, list[Path]], set[int]]:
             stack.append((None, (s.chan,)))
             stack.append((s.body, p + (0,)))
         elif cls is Dist:
+            if type(s.body) is Par:
+                acts.append((p, s))
             scope.setdefault(s.chan1, []).append(None)
             scope.setdefault(s.chan2, []).append(None)
             stack.append((None, (s.chan1, s.chan2)))
@@ -255,7 +263,7 @@ def _scan(t: Term) -> tuple[dict[str, list[Path]], set[int]]:
         elif s is None:
             for x in p:
                 scope[x].pop()
-    return free, lams
+    return _Scan(free, lams, pars, acts)
 
 
 def free_index(t: Term) -> dict[str, list[Path]]:
@@ -264,7 +272,7 @@ def free_index(t: Term) -> dict[str, list[Path]]:
     Occurrences under a Send or Dist binder for the same name are bound and
     skipped; binders for other names are transparent.
     """
-    return _scan(t)[0]
+    return _scan(t).free
 
 
 def occurrences(t: Term, x: str) -> list[Path]:
@@ -273,7 +281,18 @@ def occurrences(t: Term, x: str) -> list[Path]:
 
 
 def is_free_in(x: str, t: Term) -> bool:
-    return x in free_index(t)
+    """Whether x occurs free in t; stops at the first free occurrence."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        cls = type(s)
+        if cls is Var:
+            if s.name == x:
+                return True
+        elif not (cls is Send and s.chan == x
+                  or cls is Dist and x in (s.chan1, s.chan2)):
+            stack.extend(children(s))
+    return False
 
 
 def substitute(t: Term, x: str, s: Term) -> Term:
@@ -403,7 +422,7 @@ def _fmt_term(t: Term, lvl: int, lams: set[int]) -> str:
 
 
 def print_term(t: Term) -> str:
-    return _fmt_term(t, _PAR_LVL, _scan(t)[1])
+    return _fmt_term(t, _PAR_LVL, _scan(t).lams)
 
 
 def _fmt_type(ty: TypeExpr, lvl: int) -> str:

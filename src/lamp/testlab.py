@@ -33,8 +33,8 @@ from .reduction import (
 from .runtime import DeadlockReport, run_concurrent
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, UNIT, Var, children, flatten_par, print_term, split_joined,
-    subterms, with_children,
+    Term, TypeExpr, UNIT, Var, flatten_par, print_term, split_joined,
+    subterms,
 )
 
 
@@ -256,7 +256,13 @@ def _renamed(s: Sequent, rename: Callable[[str], str]) -> Sequent:
                 return Send(rename(x), walk(b))
             case Dist(x, y, b):
                 return Dist(rename(x), rename(y), walk(b))
-        return with_children(t, tuple(walk(c) for c in children(t)))
+            case App(f, a):
+                return App(walk(f), walk(a))
+            case Par(l, r):
+                return Par(walk(l), walk(r))
+            case Close(b):
+                return Close(walk(b))
+        return t
 
     return Sequent(tuple((rename(x), ty) for x, ty in s.gamma),
                    tuple(DeltaEntry(walk(e.term), e.type) for e in s.delta))

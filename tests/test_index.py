@@ -147,6 +147,24 @@ def test_free_index_matches_walk_on_untyped_terms(t):
     assert find_redexes(t) == _old_find_redexes(t)
 
 
+@given(_terms(4))
+def test_is_free_in_matches_index_on_untyped_terms(t):
+    # the early-exit walk against the index, on t and on every subterm;
+    # Dist may bind one name twice and inner binders shadow outer ones
+    for _, s in subterms(t):
+        index = free_index(s)
+        for x in var_names(t) | {"fresh"}:
+            assert is_free_in(x, s) == (x in index), (print_term(s), x)
+
+
+def test_is_free_in_respects_a_dist_binding_one_name_twice():
+    t = Dist("x", "x", Par(Var("x"), Var("y")))
+    assert not is_free_in("x", t) and "x" not in free_index(t)
+    assert is_free_in("y", t) and "y" in free_index(t)
+    t = Par(Var("x"), Dist("x", "x", Var("x")))
+    assert is_free_in("x", t) and free_index(t)["x"] == [(0,)]
+
+
 def test_print_parse_round_trip_on_generated_programs():
     programs, _ = _states()
     for t in programs:
@@ -187,6 +205,20 @@ def test_receiver_beside_the_output_needs_a_par_between():
     assert find_redexes(t) == _old_find_redexes(t) == []
     t = Par(Var("x"), App(Send("x", UNIT), Var("v")))
     assert find_redexes(t) == [Redex("comm", (1,), ((0,),))]
+
+
+def test_dist_whose_body_is_not_a_par_is_no_activator():
+    # out2 fires only on a parallel body; a Par under a Close or an App
+    # does not count, and its channels' occurrences get no redex
+    for body in (Var("z"), Close(Par(Var("u"), Var("v"))),
+                 App(Par(Var("u"), Var("v")), UNIT)):
+        t = Par(Dist("x", "y", body), Par(Var("x"), Var("y")))
+        assert find_redexes(t) == _old_find_redexes(t) == []
+    # a Dist with a Par body beside one without: only the first fires
+    t = Par(Par(Dist("x", "y", Par(UNIT, UNIT)), Dist("u", "w", Var("z"))),
+            Par(Par(Var("x"), Var("y")), Par(Var("u"), Var("w"))))
+    assert find_redexes(t) == _old_find_redexes(t) \
+        == [Redex("dist", (0, 0), ((1, 0, 0), (1, 0, 1)))]
 
 
 def test_inner_binder_for_the_same_name_shadows():

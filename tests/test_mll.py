@@ -1,7 +1,12 @@
 """Sequent calculus checking and the two derivation translations."""
 
+import hashlib
+import random
+import sys
+
 import pytest
 
+from lamp import derivations
 from lamp.derivations import Derivation, Rule, check_derivation
 from lamp.mll import (
     MllDerivation, MllRule, MllRuleViolation, MllSequent, check_mll,
@@ -10,10 +15,12 @@ from lamp.mll import (
 from lamp.parser import parse_program
 from lamp.reconstruct import reconstruct
 from lamp.terms import (
-    Atom, BOT, Close, DeltaEntry, Lolli, ParT, Sequent, Var,
+    Atom, BOT, Close, DeltaEntry, Lolli, ParT, Sequent, Var, var_names,
 )
 from lamp.testlab import GenConfig, gen_derivation, gen_mll
+from lamp.sexpr import mll_to_sexpr
 from tests.conftest import corpus_text
+from tests.test_checker import _INPUTS, _stars_over
 
 A, B = Atom("A"), Atom("B")
 
@@ -135,3 +142,63 @@ def test_generated_mll_round(seed):
     d = mll_to_nmll(m)
     check_derivation(d)
     assert type_erasure(d.conclusion) == m.conclusion
+
+
+# -- nmll_to_mll: one name cache, no recursion -------------------------------
+
+# SHA-256 of mll_to_sexpr(nmll_to_mll(d)), "\n\n" after each, over
+# _translation_inputs(); taken when nmll_to_mll matched every node with a
+# fresh name cache, by recursion
+NMLL_TO_MLL_SHA256 = "c517317928c70d1a9d2b10538978268c0618f7385bce31fe211be95e9ee50a60"
+
+
+def _translation_inputs():
+    rng = random.Random(1)
+    ds = [reconstruct(_INPUTS.ring_case(0, n, rng).sequent) for n in (8, 24, 48)]
+    return ds + [gen_derivation(GenConfig(seed=seed, max_nodes=36))
+                 for seed in range(50)]
+
+
+def test_nmll_to_mll_output_is_byte_stable():
+    h = hashlib.sha256()
+    for d in _translation_inputs():
+        h.update(mll_to_sexpr(nmll_to_mll(d)).encode())
+        h.update(b"\n\n")
+    assert h.hexdigest() == NMLL_TO_MLL_SHA256
+
+
+def test_nmll_to_mll_names_each_entry_object_once(monkeypatch):
+    # nodes share the entries their rule leaves unchanged; one cache for
+    # the whole walk computes each object's names once
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return var_names(t)
+
+    monkeypatch.setattr(derivations, "var_names", counted)
+    for d in _translation_inputs():
+        entries = set()
+        stack = [d]
+        while stack:
+            node = stack.pop()
+            entries.update(id(e) for e in node.conclusion.delta)
+            stack.extend(node.premises)
+        calls = 0
+        nmll_to_mll(d)
+        assert calls <= len(entries)
+
+
+def test_nmll_to_mll_translates_a_thousand_node_chain():
+    assert sys.getrecursionlimit() == 1000
+    f = DeltaEntry(Var("f"), Lolli(A, B))
+    d = _stars_over(Derivation(Rule.AX, Sequent((("f", Lolli(A, B)),), (f,))), 1000)
+    m = nmll_to_mll(d)
+    assert m.conclusion == type_erasure(d.conclusion)
+    depth = 0
+    while m.premises:
+        assert m.rule is MllRule.BOT_R
+        (m,) = m.premises
+        depth += 1
+    assert depth == 1000 and m.rule is MllRule.AX_ID

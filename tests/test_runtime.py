@@ -1,19 +1,25 @@
 """Concurrent runtime: channel discipline, determinacy, agreement with the
 sequential normalizer."""
 
+import random
+from collections import Counter
+
 import pytest
 
+from lamp import runtime
 from lamp.parser import parse_program
 from lamp.reconstruct import reconstruct
-from lamp.reduction import normalize
+from lamp.reduction import find_redexes, normalize
 from lamp.runtime import (
     ChannelCell, ChannelProtocolError, DeadlockReport, run_concurrent,
 )
+from lamp.testlab import GenConfig, gen_derivation
 from lamp.terms import (
     App, DeltaEntry, Par, ParT, BOT, Send, Sequent, UNIT, Var, flatten_par,
     print_term,
 )
 from tests.conftest import corpus_text
+from tests.test_checker import _INPUTS
 
 
 def test_single_transmission():
@@ -98,3 +104,60 @@ def test_worker_order_is_seeded():
     a = run_concurrent(prog.sequent, seed=3)
     b = run_concurrent(prog.sequent, seed=3)
     assert a == b
+
+
+# -- idle workers sleep --------------------------------------------------------
+
+class _AlwaysAwake(runtime._Worker):
+    """A worker that never sleeps: polled every round, as before workers
+    slept until a cell filled."""
+
+    @property
+    def asleep(self):
+        return False
+
+    @asleep.setter
+    def asleep(self, value):
+        pass
+
+
+def _counted_run(monkeypatch, sequent, seed):
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return find_redexes(t)
+
+    monkeypatch.setattr(runtime, "find_redexes", counted)
+    return run_concurrent(sequent, seed=seed), calls
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_ring_makes_a_linear_number_of_redex_searches(monkeypatch, n):
+    # a count guard, not a timing guard: a worker that cannot move is not
+    # polled again until a cell for a name free in its term is filled
+    case = _INPUTS.ring_case(0, n, random.Random(n))
+    final, calls = _counted_run(monkeypatch, case.sequent, seed=n)
+    assert Counter(final) == case.concurrent_multiset()
+    assert calls <= 8 * (n + 1)
+    monkeypatch.setattr(runtime, "_Worker", _AlwaysAwake)
+    polled, polled_calls = _counted_run(monkeypatch, case.sequent, seed=n)
+    assert polled == final
+    assert polled_calls > n * n / 2
+
+
+def test_sleeping_workers_leave_the_schedule_unchanged(monkeypatch):
+    # a poll of a term no fill has touched finds nothing, so skipping it
+    # changes no step: the same final list, in the same order, on every seed
+    rng = random.Random(0)
+    programs = [_INPUTS.ring_case(0, 12, rng).sequent,
+                _INPUTS.relay_case(0, 8, rng).sequent]
+    programs += [gen_derivation(GenConfig(seed=seed, max_nodes=36)).conclusion
+                 for seed in range(60)]
+    want = []
+    for seq in programs:
+        want.append([run_concurrent(seq, seed=s) for s in range(3)])
+    monkeypatch.setattr(runtime, "_Worker", _AlwaysAwake)
+    assert [[run_concurrent(seq, seed=s) for s in range(3)]
+            for seq in programs] == want

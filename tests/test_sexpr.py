@@ -1,13 +1,18 @@
 """Derivation serialization round trips for both calculi."""
 
+import sys
+
 import pytest
 
+from lamp.derivations import Derivation, Rule
 from lamp.parser import ParseError
 from lamp.sexpr import (
     derivation_to_sexpr, mll_to_sexpr, sexpr_to_derivation, sexpr_to_mll,
 )
 from lamp.testlab import GenConfig, gen_derivation, gen_mll
 from lamp.mll import mll_to_nmll
+from lamp.terms import DeltaEntry, Lolli, Sequent, Var
+from tests.test_checker import A, B, _stars_over
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -36,3 +41,30 @@ def test_unknown_tag_rejected():
 def test_malformed_sexpr_rejected():
     with pytest.raises(ParseError):
         sexpr_to_derivation('(Ax "x : A |- x : A"')
+
+
+def test_reader_round_trips_a_thousand_node_chain():
+    # the writer prints any depth; the reader reads it back without
+    # recursion (Derivation == would recurse, so compare node by node)
+    assert sys.getrecursionlimit() == 1000
+    f = DeltaEntry(Var("f"), Lolli(A, B))
+    d = _stars_over(Derivation(Rule.AX, Sequent((("f", Lolli(A, B)),), (f,))), 1000)
+    pairs = [(sexpr_to_derivation(derivation_to_sexpr(d)), d)]
+    nodes = 0
+    while pairs:
+        got, want = pairs.pop()
+        assert (got.rule, got.conclusion) == (want.rule, want.conclusion)
+        assert len(got.premises) == len(want.premises)
+        pairs.extend(zip(got.premises, want.premises))
+        nodes += 1
+    assert nodes == 1001
+
+
+def test_reader_reports_the_first_bad_tag_in_preorder():
+    text = '(BotI "|- * : bot" (Nope "|- x : A") (Bad "|- y : A"))'
+    with pytest.raises(ParseError, match="'Nope'"):
+        sexpr_to_derivation(text)
+    with pytest.raises(ParseError, match="unterminated string"):
+        sexpr_to_derivation('(Ax "x : A |- x : A)')
+    with pytest.raises(ParseError, match="trailing input"):
+        sexpr_to_derivation('(Ax "x : A |- x : A") (Ax "x : A |- x : A")')

@@ -1,6 +1,8 @@
 """Derivation checking, reconstruction, linearity, grafting, normal shapes,
 and the subformula audit."""
 
+import importlib
+
 import pytest
 
 from lamp.derivations import (
@@ -13,15 +15,19 @@ from lamp.metatheory import (
 )
 from lamp.parser import parse_program
 from lamp.reconstruct import (
-    LinearityViolation, UnificationFailure, reconstruct,
+    LinearityViolation, TypecheckError, UnificationFailure, reconstruct,
 )
+from lamp.testlab import GenConfig, gen_derivation
 from lamp.terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
     UNIT, Var,
 )
 from tests.conftest import corpus_text
+from tests.test_checker import _INPUTS
 
-A = Atom("A")
+A, B = Atom("A"), Atom("B")
+# the package exports the function under the module's name
+reconstruct_module = importlib.import_module("lamp.reconstruct")
 
 
 def ax(name, ty):
@@ -298,3 +304,56 @@ def test_no_freaks_detects_self_communication():
     s = Sequent((), (DeltaEntry(App(Var("z"), Send("z", UNIT)), BOT),))
     with pytest.raises(FreakOccurrence):
         check_no_freaks(s)
+
+
+# -- error text is rendered only when read -----------------------------------
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(reconstruct_module, name)
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(reconstruct_module, name, counted)
+    return calls
+
+
+def test_backtracking_renders_no_error_text(monkeypatch):
+    # the typecheck workload's programs and their one-atom-swapped twins:
+    # every error the search throws away goes unprinted, and a rejection
+    # is printed once, when read
+    seqs = _counting(monkeypatch, "seq_text")
+    types = _counting(monkeypatch, "type_text")
+    rejected = 0
+    for seed in range(40):
+        seq = gen_derivation(GenConfig(seed=seed, max_nodes=20)).conclusion
+        reconstruct(seq)
+        assert not seqs and not types
+        sites = _INPUTS._atom_sites(seq)
+        if not sites:
+            continue
+        with pytest.raises(TypecheckError) as info:
+            reconstruct(_INPUTS.swap_atom(seq, sites[0]))
+        assert not seqs and not types
+        text = str(info.value)
+        assert text and str(info.value) == text  # rendered once, then kept
+        assert len(seqs) <= 1 and len(types) <= 2
+        seqs.clear()
+        types.clear()
+        rejected += 1
+    assert rejected > 20
+
+
+def test_unification_error_shows_types_as_they_were_when_raised():
+    # the message is rendered late, but from the types resolved when the
+    # error was raised: backtracking unbinds ?t before anyone reads it
+    rec = reconstruct_module._Reconstructor(())
+    t = rec.fresh()
+    snapshot = dict(rec.subst)
+    rec.unify(t, A)
+    with pytest.raises(UnificationFailure) as info:
+        rec.unify(Lolli(t, B), ParT(A, B))
+    rec.subst = snapshot
+    assert str(info.value) == "cannot unify A -o B with A par B"

@@ -176,7 +176,8 @@ def enumerate_normal_forms(t: Term, max_states: int = 100_000) -> set[Term]:
                 continue
             for r in redexes:
                 s2 = apply_redex(s, r)
-                # one hash per reduct: seen grows iff s2 is new
+                # one lookup per reduct, whose hash tuple recomputes in C
+                # over every node (it keeps none): seen grows iff s2 is new
                 before = len(seen)
                 seen.add(s2)
                 if len(seen) > before:

@@ -11,11 +11,22 @@ Binder names are globally unique within a program and substitution performs
 plain replacement with no renaming: when a substituted term moves under a
 Send binder for one of its free names, the binder silently flips between
 its channel and lambda readings, which is exactly the intended semantics.
+
+Each term is an immutable tuple ``(tag, *fields)``: the tag is the class
+name, the channel names come next and the children last, from the class's
+``_first`` index on (``Dist(x, y, b)`` is ``("Dist", x, y, b)`` with its one
+child at index 3).  Hashing and equality are tuple's own and run in C; the
+tag keeps constructors with equal fields, such as ``App(a, b)`` and
+``Par(a, b)``, apart.  Fields are also named attributes, class patterns
+match on them, and the repr is the field-named one of a dataclass.  Walks
+over paths index the tuple directly.  Types, entries and sequents are
+frozen dataclasses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_, itemgetter
 from typing import Iterator, NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -59,50 +70,101 @@ def subformulas(ty: TypeExpr) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Terms
+# Terms: (tag, *fields) tuples, see the module docstring
 
-@dataclass(frozen=True)
-class Unit:
+class _Term(tuple):
+    """What the seven term classes share: a field-named repr, and pickling
+    and copying through the constructor."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _first: int  # the tuple index of the first child; len(t) if none
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self[1:]))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Unit(_Term):
     """The terminated process, printed ``*``."""
 
+    __slots__ = ()
+    _first = 1
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class App:
-    fun: "Term"
-    arg: "Term"
+    def __new__(cls) -> Unit:
+        return tuple.__new__(cls, ("Unit",))
 
 
-@dataclass(frozen=True)
-class Send:
+class Var(_Term):
+    __slots__ = ()
+    __match_args__ = ("name",)
+    _first = 2
+    name = property(itemgetter(1))
+
+    def __new__(cls, name: str) -> Var:
+        return tuple.__new__(cls, ("Var", name))
+
+
+class App(_Term):
+    __slots__ = ()
+    __match_args__ = ("fun", "arg")
+    _first = 1
+    fun = property(itemgetter(1))
+    arg = property(itemgetter(2))
+
+    def __new__(cls, fun: Term, arg: Term) -> App:
+        return tuple.__new__(cls, ("App", fun, arg))
+
+
+class Send(_Term):
     """Output channel with continuation; also the lambda binder."""
 
-    chan: str
-    body: "Term"
+    __slots__ = ()
+    __match_args__ = ("chan", "body")
+    _first = 2
+    chan = property(itemgetter(1))
+    body = property(itemgetter(2))
+
+    def __new__(cls, chan: str, body: Term) -> Send:
+        return tuple.__new__(cls, ("Send", chan, body))
 
 
-@dataclass(frozen=True)
-class Dist:
+class Dist(_Term):
     """Binary output channel without continuation, printed ``out2 x y.``"""
 
-    chan1: str
-    chan2: str
-    body: "Term"
+    __slots__ = ()
+    __match_args__ = ("chan1", "chan2", "body")
+    _first = 3
+    chan1 = property(itemgetter(1))
+    chan2 = property(itemgetter(2))
+    body = property(itemgetter(3))
+
+    def __new__(cls, chan1: str, chan2: str, body: Term) -> Dist:
+        return tuple.__new__(cls, ("Dist", chan1, chan2, body))
 
 
-@dataclass(frozen=True)
-class Par:
-    left: "Term"
-    right: "Term"
+class Par(_Term):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+    _first = 1
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __new__(cls, left: Term, right: Term) -> Par:
+        return tuple.__new__(cls, ("Par", left, right))
 
 
-@dataclass(frozen=True)
-class Close:
-    body: "Term"
+class Close(_Term):
+    __slots__ = ()
+    __match_args__ = ("body",)
+    _first = 1
+    body = property(itemgetter(1))
+
+    def __new__(cls, body: Term) -> Close:
+        return tuple.__new__(cls, ("Close", body))
 
 
 Term = Union[Unit, Var, App, Send, Dist, Par, Close]
@@ -117,24 +179,15 @@ class InvalidPath(Exception):
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    # the innermost call of every traversal: type tests run about three
-    # times faster than class patterns here
-    cls = type(t)
-    if cls is App:
-        return (t.fun, t.arg)
-    if cls is Par:
-        return (t.left, t.right)
-    if cls is Send or cls is Dist or cls is Close:
-        return (t.body,)
-    return ()
+    return t[t._first:]
 
 
 def subterm_at(t: Term, path: Path) -> Term:
     for i in path:
-        kids = children(t)
-        if i >= len(kids):
+        first = t._first
+        if not 0 <= i < len(t) - first:
             raise InvalidPath(f"no child {i} at {type(t).__name__}")
-        t = kids[i]
+        t = t[first + i]
     return t
 
 
@@ -143,23 +196,13 @@ def replace_at(t: Term, path: Path, new: Term) -> Term:
     rebuilt bottom up, everything off it is shared."""
     spine: list[tuple[Term, int]] = []
     for i in path:
-        kids = children(t)
-        if i >= len(kids):
+        first = t._first
+        if not 0 <= i < len(t) - first:
             raise InvalidPath(f"no child {i} at {type(t).__name__}")
-        spine.append((t, i))
-        t = kids[i]
-    for node, i in reversed(spine):
-        cls = type(node)
-        if cls is App:
-            new = App(new, node.arg) if i == 0 else App(node.fun, new)
-        elif cls is Par:
-            new = Par(new, node.right) if i == 0 else Par(node.left, new)
-        elif cls is Send:
-            new = Send(node.chan, new)
-        elif cls is Dist:
-            new = Dist(node.chan1, node.chan2, new)
-        else:
-            new = Close(new)
+        spine.append((t, first + i))
+        t = t[first + i]
+    for node, k in reversed(spine):
+        new = tuple.__new__(type(node), node[:k] + (new,) + node[k + 1:])
     return new
 
 
@@ -227,39 +270,40 @@ def _scan(t: Term) -> _Scan:
     # per name, the enclosing binders innermost last: a Send, or None for
     # a Dist; a (None, names) stack entry closes the binders for names
     scope: dict[str, list[Optional[Send]]] = {}
+    # fields are read by index, which costs about half a property read
     stack: list = [(t, ())]
     while stack:
         s, p = stack.pop()
         cls = type(s)
         if cls is Var:
-            bound = scope.get(s.name)
+            bound = scope.get(s[1])
             if bound:
                 if bound[-1] is not None:
                     lams.add(id(bound[-1]))
             else:
-                free.setdefault(s.name, []).append(p)
+                free.setdefault(s[1], []).append(p)
         elif cls is App:
-            if type(s.fun) is Send:
+            if type(s[1]) is Send:
                 acts.append((p, s))
-            stack.append((s.arg, p + (1,)))
-            stack.append((s.fun, p + (0,)))
+            stack.append((s[2], p + (1,)))
+            stack.append((s[1], p + (0,)))
         elif cls is Par:
             pars.add(p)
-            stack.append((s.right, p + (1,)))
-            stack.append((s.left, p + (0,)))
+            stack.append((s[2], p + (1,)))
+            stack.append((s[1], p + (0,)))
         elif cls is Send:
-            scope.setdefault(s.chan, []).append(s)
-            stack.append((None, (s.chan,)))
-            stack.append((s.body, p + (0,)))
+            scope.setdefault(s[1], []).append(s)
+            stack.append((None, (s[1],)))
+            stack.append((s[2], p + (0,)))
         elif cls is Dist:
-            if type(s.body) is Par:
+            if type(s[3]) is Par:
                 acts.append((p, s))
-            scope.setdefault(s.chan1, []).append(None)
-            scope.setdefault(s.chan2, []).append(None)
-            stack.append((None, (s.chan1, s.chan2)))
-            stack.append((s.body, p + (0,)))
+            scope.setdefault(s[1], []).append(None)
+            scope.setdefault(s[2], []).append(None)
+            stack.append((None, (s[1], s[2])))
+            stack.append((s[3], p + (0,)))
         elif cls is Close:
-            stack.append((s.body, p + (0,)))
+            stack.append((s[1], p + (0,)))
         elif s is None:
             for x in p:
                 scope[x].pop()
@@ -296,22 +340,30 @@ def is_free_in(x: str, t: Term) -> bool:
 
 
 def substitute(t: Term, x: str, s: Term) -> Term:
-    """Replace every free occurrence of x in t by s.  No renaming, ever."""
-    match t:
-        case Var(y):
-            return s if y == x else t
-        case Send(y, b):
-            return t if y == x else Send(y, substitute(b, x, s))
-        case Dist(y, z, b):
-            return t if x in (y, z) else Dist(y, z, substitute(b, x, s))
-        case App(f, a):
-            return App(substitute(f, x, s), substitute(a, x, s))
-        case Par(l, r):
-            return Par(substitute(l, x, s), substitute(r, x, s))
-        case Close(b):
-            return Close(substitute(b, x, s))
-        case _:
-            return t
+    """Replace every free occurrence of x in t by s.  No renaming, ever.
+    A subterm with no free x comes back as the same object."""
+    done: list[Term] = []  # the results of the subterms finished so far
+    stack: list = [t]
+    while stack:
+        n = stack.pop()
+        cls = type(n)
+        if n is None:  # the children of the node below are the tail of done
+            n = stack.pop()
+            first = n._first
+            kids = done[first - len(n):]
+            del done[first - len(n):]
+            if not all(map(is_, kids, n[first:])):
+                n = tuple.__new__(type(n), n[:first] + tuple(kids))
+            done.append(n)
+        elif cls is Var:
+            done.append(s if n.name == x else n)
+        elif (cls is Unit or cls is Send and n.chan == x
+              or cls is Dist and x in (n.chan1, n.chan2)):
+            done.append(n)
+        else:
+            stack += (n, None)
+            stack.extend(reversed(children(n)))
+    return done[0]
 
 
 def flatten_par(t: Term) -> list[Term]:

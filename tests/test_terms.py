@@ -1,15 +1,63 @@
-"""Term syntax: occurrences, substitution, parallel spines, simple contexts,
-printing."""
+"""Term syntax: representation, occurrences, substitution, parallel spines,
+simple contexts, printing."""
+
+import copy
+import pickle
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lamp.terms import (
     App, Atom, BOT, Close, Dist, InvalidPath, Lolli, Par, ParT, Send, UNIT,
-    Var, flatten_par, is_simple, join_par, occurrences, print_term,
+    Unit, Var, flatten_par, is_simple, join_par, occurrences, print_term,
     print_type, split_joined, substitute, subterm_at,
 )
 from lamp.parser import parse_term, parse_type
+from lamp.reduction import enumerate_normal_forms, find_redexes, normalize
+
+ONE_OF_EACH = [UNIT, Var("x"), App(Var("f"), Var("a")), Send("x", Var("x")),
+               Dist("x", "y", Par(Var("x"), Var("y"))), Par(Var("a"), UNIT),
+               Close(UNIT)]
+
+
+# -- representation: (tag, *fields) tuples -------------------------------------
+
+def test_constructors_with_equal_fields_stay_apart():
+    a, b = Var("a"), Var("b")
+    for s, t in [(App(a, b), Par(a, b)), (Send("x", a), Close(a)),
+                 (Var("x"), Atom("x"))]:
+        assert s != t and t != s
+        assert len({s, t}) == 2
+
+
+def test_repr_names_the_fields():
+    assert repr(App(Var("x"), UNIT)) == "App(fun=Var(name='x'), arg=Unit())"
+    assert repr(Dist("x", "y", Close(UNIT))) == \
+        "Dist(chan1='x', chan2='y', body=Close(body=Unit()))"
+
+
+@pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+def test_pickle_and_copy_round_trip(t):
+    backs = [pickle.loads(pickle.dumps(t, proto))
+             for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in backs + [copy.copy(t), copy.deepcopy(t)]:
+        assert back == t and type(back) is type(t) and repr(back) == repr(t)
+
+
+@pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
+def test_terms_are_immutable(t):
+    for name in type(t).__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(t, name, UNIT)
+    with pytest.raises(AttributeError):
+        t.extra = UNIT
+
+
+def test_hash_and_equality_are_tuples_own():
+    for cls in (Unit, Var, App, Send, Dist, Par, Close):
+        assert cls.__hash__ is tuple.__hash__
+        assert cls.__eq__ is tuple.__eq__
 
 
 def test_occurrences_in_parallel_and_under_other_binder():
@@ -43,6 +91,30 @@ def test_substitute_leaves_bound_occurrences():
 def test_substitute_does_not_enter_same_name_binder():
     t = Send("x", Var("x"))
     assert substitute(t, "x", UNIT) == t
+
+
+def test_substitute_shares_subterms_without_the_name():
+    left = Send("x", Var("x"))
+    t = Par(left, Close(Var("y")))
+    out = substitute(t, "y", UNIT)
+    assert out == Par(left, Close(UNIT)) and out.left is left
+    assert substitute(t, "z", UNIT) is t
+
+
+def test_beta_under_five_thousand_closes():
+    assert sys.getrecursionlimit() == 1000
+    depth = 5000
+    body = Var("x")
+    for _ in range(depth):
+        body = Close(body)
+    t = App(Send("x", body), UNIT)  # (lam x. close^5000(x)) *
+    trace = normalize(t)
+    assert [desc for desc, _ in trace.steps] == ["Beta"]
+    (nf,) = enumerate_normal_forms(t)
+    # equal terms this deep are not compared with ==, which recurses in C
+    for final in (trace.final, nf):
+        assert subterm_at(final, (0,) * depth) == UNIT
+        assert find_redexes(final) == []
 
 
 def test_flatten_par_left_nested():
@@ -139,7 +211,7 @@ def test_parse_print_roundtrip(t):
 @given(_terms(3), _names)
 def test_substitute_noop_when_not_free(t, x):
     if not occurrences(t, x):
-        assert substitute(t, x, App(Var("q1"), Var("q2"))) == t
+        assert substitute(t, x, App(Var("q1"), Var("q2"))) is t
 
 
 def _types(depth: int):

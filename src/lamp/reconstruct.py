@@ -68,6 +68,15 @@ class _Reconstructor:
         self.ann: dict[int, tuple[Term, TypeExpr]] = {
             id(node): (node, ty) for node, ty in annotations}
         self._ids = itertools.count()
+        # var_names per subterm, by id; each value holds its term, so no
+        # key outlives the object it names
+        self._names: dict[int, tuple[Term, set[str]]] = {}
+
+    def names(self, term: Term) -> set[str]:
+        hit = self._names.get(id(term))
+        if hit is None:
+            hit = self._names[id(term)] = (term, var_names(term))
+        return hit[1]
 
     # -- unification -------------------------------------------------------
 
@@ -159,7 +168,7 @@ class _Reconstructor:
         """
         n_seeds = len(seeds)
         items = [({x}, ("g", k)) for k, (x, _) in enumerate(gamma)]
-        items += [(var_names(e.term), ("d", k)) for k, e in enumerate(entries)]
+        items += [(self.names(e.term), ("d", k)) for k, e in enumerate(entries)]
 
         parent = list(range(n_seeds + len(items)))
 
@@ -322,7 +331,7 @@ class _Reconstructor:
                 self._apply_annotation(arg, arg_ty)
                 fun_ty = Lolli(arg_ty, e.type)
                 base_g, base_d, floating = self._split(
-                    gamma, rest, [var_names(fun), var_names(arg)])
+                    gamma, rest, [self.names(fun), self.names(arg)])
                 last: Optional[TypecheckError] = None
                 for choice in placements(floating, 2):
                     snapshot = dict(self.subst)
@@ -348,7 +357,7 @@ class _Reconstructor:
                 a, b = self.fresh(), self.fresh()
                 self._apply_annotation(body, ParT(a, b))
                 base_g, base_d, floating = self._split(
-                    gamma, rest, [var_names(body), {x}, {y}])
+                    gamma, rest, [self.names(body), {x}, {y}])
                 last = None
                 for choice in placements(floating, 3):
                     snapshot = dict(self.subst)
@@ -431,10 +440,46 @@ def seq_text(s: Sequent) -> str:
               for e in s.delta)))
 
 
+def polarity_balance(seq: Sequent) -> dict[str, int]:
+    """Positive minus negative occurrences of each atom in seq's types,
+    non-zero counts only.  Declarations count negative and typed entries
+    positive; the sign flips under the argument of -o.  An axiom links one
+    occurrence of each sign and no other rule adds or drops an atom, so
+    every derivable sequent gives {}."""
+    bal: dict[str, int] = {}
+    stack = [(ty, -1) for _, ty in seq.gamma]
+    stack += [(e.type, 1) for e in seq.delta if e.type is not None]
+    while stack:
+        ty, sign = stack.pop()
+        if isinstance(ty, Atom):
+            bal[ty.name] = bal.get(ty.name, 0) + sign
+        elif isinstance(ty, Lolli):
+            stack.append((ty.arg, -sign))
+            stack.append((ty.res, sign))
+        elif isinstance(ty, ParT):
+            stack.append((ty.left, sign))
+            stack.append((ty.right, sign))
+    return {name: n for name, n in bal.items() if n}
+
+
+def _unbalanced_text(bal: dict[str, int]) -> str:
+    # an atom prints as its name in lamp syntax
+    short = [name for name, n in bal.items() if n == -1]
+    over = [name for name, n in bal.items() if n == 1]
+    if len(bal) == 2 and len(short) == len(over) == 1:
+        # the one axiom link that must fail: the surplus negative
+        # occurrence meets the surplus positive one
+        return f"cannot unify {short[0]} with {over[0]}"
+    counts = ", ".join(f"{name} {n:+d}" for name, n in sorted(bal.items()))
+    return ("atoms occur unbalanced (positive minus negative occurrences): "
+            + counts)
+
+
 def reconstruct(goal: Sequent,
                 annotations: Iterable[tuple[Term, TypeExpr]] = ()) -> Derivation:
     """Find a derivation of goal; raises a TypecheckError subclass if the
-    sequent is not typable by the backward strategy."""
+    sequent is not typable by the backward strategy.  A goal whose atoms
+    are unbalanced (polarity_balance) is rejected before any search."""
     try:
         check_channel_linearity(goal)
     except LinearityError as err:
@@ -443,6 +488,9 @@ def reconstruct(goal: Sequent,
         if e.type is None and not isinstance(e.term, Close):
             raise UnsatisfiableSplit(
                 f"untyped entry must be close(...): {print_term(e.term)}")
+    bal = polarity_balance(goal)
+    if bal:
+        raise UnificationFailure(_unbalanced_text(bal))
     rec = _Reconstructor(annotations)
     d = rec.solve(goal)
     return rec.finalize(d)

@@ -80,7 +80,7 @@ class _Worker:
     asleep: bool = False
 
     def poll(self, cells: dict[str, ChannelCell],
-             fill: Callable[[str, Term], None]) -> Optional[list[str]]:
+             fill: Callable[[str, Term, int], None]) -> Optional[list[str]]:
         """Take one step if the worker can; return None if it did, else the
         names free in its term, whose fills are what can wake it."""
         redexes = find_redexes(self.term)
@@ -98,7 +98,8 @@ class _Worker:
             return None
         return list(scan.free)
 
-    def send_step(self, scan: _Scan, fill: Callable[[str, Term], None]) -> bool:
+    def send_step(self, scan: _Scan,
+                  fill: Callable[[str, Term, int], None]) -> bool:
         """Fire an activator with a receiver in another component (local
         redexes have all been fired): its value fills that channel's cell,
         while a receiver in this component gets its value in place."""
@@ -115,7 +116,7 @@ class _Worker:
                 if occ:
                     term = replace_at(term, occ[0], v)
                 else:
-                    fill(x, v)
+                    fill(x, v, self.index)
             self.term = term
             return True
         return False
@@ -142,11 +143,28 @@ def run_concurrent(program: Sequent, seed: int = 0) -> list[Term]:
 
     # per channel, the workers that fell asleep with that name free
     sleepers: dict[str, list[_Worker]] = {}
+    # per channel, the worker whose send filled its cell
+    senders: dict[str, int] = {}
 
-    def fill(x: str, v: Term) -> None:
+    def fill(x: str, v: Term, sender: int) -> None:
         cells.setdefault(x, ChannelCell(x)).fill(v)
+        senders[x] = sender
         for w in sleepers.pop(x, ()):
             w.asleep = False
+
+    declared = {x for x, _ in program.gamma}
+
+    def report(out_of_rounds: bool = False) -> DeadlockReport:
+        # blocked: a worker whose sent value sits in an undelivered cell,
+        # that still holds an activator, or whose term has a free name that
+        # no declaration binds (a channel whose value never came)
+        pending = [c.name for c in cells.values() if c.state == "filled"]
+        blocked = {senders[x] for x in pending}
+        for w in workers:
+            scan = _scan(w.term)
+            if scan.acts or any(x not in declared for x in scan.free):
+                blocked.add(w.index)
+        return DeadlockReport(sorted(blocked), pending, out_of_rounds)
 
     while True:
         order = list(range(len(workers)))
@@ -167,17 +185,12 @@ def run_concurrent(program: Sequent, seed: int = 0) -> list[Term]:
             break
         rounds_left -= 1
         if rounds_left < 0:
-            raise DeadlockReport(
-                blocked_workers=[w.index for w in workers
-                                 if find_redexes(w.term)],
-                pending_channels=[c.name for c in cells.values()
-                                  if c.state == "filled"],
-                out_of_rounds=True)
+            raise report(out_of_rounds=True)
 
-    pending = [c.name for c in cells.values() if c.state == "filled"]
-    stuck = [w.index for w in workers if find_redexes(w.term)]
-    if pending or stuck:
-        raise DeadlockReport(blocked_workers=stuck, pending_channels=pending)
+    # the last round made no progress, so no worker has a redex left; what
+    # is reported is a value sent and never received
+    if any(c.state == "filled" for c in cells.values()):
+        raise report()
     out: list[Term] = []
     for w in workers:
         out.extend(flatten_par(w.term))

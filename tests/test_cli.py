@@ -91,6 +91,20 @@ def test_type_error_prints_types_in_lamp_syntax(tmp_path):
     assert "Atom(" not in r.stderr
 
 
+def test_swapped_twin_is_one_line_naming_its_atoms(tmp_path):
+    from lamp.testlab import GenConfig, gen_derivation
+    from lamp.terms import print_sequent
+    from tests.test_checker import _INPUTS
+    seq = gen_derivation(GenConfig(seed=4, max_nodes=20)).conclusion
+    twin = _INPUTS.swap_atom(seq, _INPUTS._atom_sites(seq)[0])
+    bad = tmp_path / "twin.lamp"
+    bad.write_text(print_sequent(twin))
+    r = run_cli("check", str(bad))
+    assert r.returncode == 1
+    assert r.stderr in ("type error: cannot unify A with B\n",
+                        "type error: cannot unify B with A\n")
+
+
 @pytest.mark.parametrize("mode", ["full", "cbv"])
 def test_run_rejects_non_linear_program(tmp_path, mode):
     # beta copies the argument of lam x. x x, so reducing would never end

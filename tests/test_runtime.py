@@ -83,11 +83,19 @@ def test_double_fill_rejected():
 
 def test_untyped_dangling_send_reports_deadlock():
     # an applied output with no receiver anywhere fills a cell nobody
-    # drains; the runtime reports it instead of hanging
-    seq = Sequent((), (DeltaEntry(
-        Par(App(Send("x", UNIT), Var("v")), UNIT), ParT(BOT, BOT)),))
-    with pytest.raises(DeadlockReport):
-        run_concurrent(seq)
+    # drains; the runtime reports it instead of hanging, naming the worker
+    # that sent the value
+    prog = parse_program("v : A |- (out x. *) v | * : bot")
+    with pytest.raises(DeadlockReport) as info:
+        run_concurrent(prog.sequent)
+    assert str(info.value) == (
+        "stuck: workers [0] blocked, channels ['x'] undelivered")
+    # worker 1 waits on y, which no declaration binds and no worker sends
+    prog = parse_program("v : A |- (out x. *) v : bot, close(y)")
+    with pytest.raises(DeadlockReport) as info:
+        run_concurrent(prog.sequent)
+    assert info.value.blocked_workers == [0, 1]
+    assert info.value.pending_channels == ["x"]
 
 
 def test_non_linear_program_exhausts_round_budget():

@@ -2,6 +2,7 @@
 and the subformula audit."""
 
 import importlib
+import random
 
 import pytest
 
@@ -15,7 +16,8 @@ from lamp.metatheory import (
 )
 from lamp.parser import parse_program
 from lamp.reconstruct import (
-    LinearityViolation, TypecheckError, UnificationFailure, reconstruct,
+    LinearityViolation, TypecheckError, UnificationFailure, polarity_balance,
+    reconstruct,
 )
 from lamp.testlab import GenConfig, gen_derivation
 from lamp.terms import (
@@ -320,30 +322,70 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _counting_solve(monkeypatch):
+    calls = []
+    real = reconstruct_module._Reconstructor.solve
+
+    def counted(self, seq):
+        calls.append(seq)
+        return real(self, seq)
+
+    monkeypatch.setattr(reconstruct_module._Reconstructor, "solve", counted)
+    return calls
+
+
+def _bot_pinned_leaf(d):
+    """An annotation pinning to bot the variable of d's first axiom whose
+    type is not bot: the goal stays balanced, so only the search, failing
+    below the root, can reject it."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if node.rule is Rule.AX and node.conclusion.delta[0].type != BOT:
+            return [(node.conclusion.delta[0].term, BOT)]
+        stack.extend(node.premises)
+    return None
+
+
 def test_backtracking_renders_no_error_text(monkeypatch):
-    # the typecheck workload's programs and their one-atom-swapped twins:
-    # every error the search throws away goes unprinted, and a rejection
-    # is printed once, when read
+    # the typecheck workload's programs, their one-atom-swapped twins,
+    # which the polarity pre-check rejects before any search, and each
+    # program with a variable wrongly pinned to bot, which the search
+    # must reject: every error the search throws away goes unprinted,
+    # and a rejection is printed once, when read
     seqs = _counting(monkeypatch, "seq_text")
     types = _counting(monkeypatch, "type_text")
-    rejected = 0
+    solves = _counting_solve(monkeypatch)
+    rejected = searched = 0
     for seed in range(40):
-        seq = gen_derivation(GenConfig(seed=seed, max_nodes=20)).conclusion
+        d = gen_derivation(GenConfig(seed=seed, max_nodes=20))
+        seq = d.conclusion
         reconstruct(seq)
         assert not seqs and not types
+        goals = []
         sites = _INPUTS._atom_sites(seq)
-        if not sites:
-            continue
-        with pytest.raises(TypecheckError) as info:
-            reconstruct(_INPUTS.swap_atom(seq, sites[0]))
-        assert not seqs and not types
-        text = str(info.value)
-        assert text and str(info.value) == text  # rendered once, then kept
-        assert len(seqs) <= 1 and len(types) <= 2
-        seqs.clear()
-        types.clear()
-        rejected += 1
-    assert rejected > 20
+        if sites:
+            goals.append((_INPUTS.swap_atom(seq, sites[0]), ()))
+        pinned = _bot_pinned_leaf(d)
+        if pinned:
+            goals.append((seq, pinned))
+        for goal, annotations in goals:
+            solves.clear()
+            with pytest.raises(TypecheckError) as info:
+                reconstruct(goal, annotations)
+            assert not seqs and not types
+            if annotations:
+                assert solves  # balanced: the search is what rejects it
+                searched += 1
+            else:
+                assert not solves
+                rejected += 1
+            text = str(info.value)
+            assert text and str(info.value) == text  # rendered once, then kept
+            assert len(seqs) <= 1 and len(types) <= 2
+            seqs.clear()
+            types.clear()
+    assert rejected > 20 and searched > 20
 
 
 def test_unification_error_shows_types_as_they_were_when_raised():
@@ -357,3 +399,63 @@ def test_unification_error_shows_types_as_they_were_when_raised():
         rec.unify(Lolli(t, B), ParT(A, B))
     rec.subst = snapshot
     assert str(info.value) == "cannot unify A -o B with A par B"
+
+
+# -- polarity pre-check -----------------------------------------------------------
+
+def _workload_twins(n=400):
+    """gen_derivation conclusions at the typecheck workload's sizes, each
+    with its one-atom-swapped twin (None if it has no atom to swap)."""
+    sizes = _INPUTS.TYPECHECK_MAX_NODES
+    for seed in range(n):
+        seq = gen_derivation(
+            GenConfig(seed=seed, max_nodes=sizes[seed % len(sizes)])).conclusion
+        sites = _INPUTS._atom_sites(seq)
+        twin = (_INPUTS.swap_atom(seq, random.Random(seed).choice(sites))
+                if sites else None)
+        yield seq, twin
+
+
+def test_polarity_balance_matches_bench_statement():
+    twins = 0
+    for seq, twin in _workload_twins():
+        assert polarity_balance(seq) == {} == _INPUTS.polarity_balance(seq)
+        if twin is not None:
+            assert polarity_balance(twin) == _INPUTS.polarity_balance(twin) != {}
+            twins += 1
+    assert twins > 350
+
+
+def test_swapped_twins_are_rejected_before_the_search(monkeypatch):
+    # count-based: no twin reaches _Reconstructor.solve, and each names the
+    # axiom link that must fail
+    solves = _counting_solve(monkeypatch)
+    for _, twin in _workload_twins():
+        if twin is None:
+            continue
+        with pytest.raises(UnificationFailure) as info:
+            reconstruct(twin)
+        assert not solves
+        short, over = sorted(polarity_balance(twin).items(),
+                             key=lambda item: item[1])
+        assert (short[1], over[1]) == (-1, 1)
+        assert str(info.value) == f"cannot unify {short[0]} with {over[0]}"
+
+
+def test_search_alone_rejects_swapped_twins():
+    # the pre-check only anticipates the search's verdict
+    for _, twin in _workload_twins():
+        if twin is None:
+            continue
+        with pytest.raises(TypecheckError):
+            reconstruct_module._Reconstructor(()).solve(twin)
+
+
+def test_unbalanced_message_names_every_atom():
+    with pytest.raises(UnificationFailure) as info:
+        reconstruct(parse_program("x : A |- x : A -o A").sequent)
+    assert str(info.value) == (
+        "atoms occur unbalanced (positive minus negative occurrences): A -1")
+    with pytest.raises(UnificationFailure) as info:
+        reconstruct(parse_program("x : A, y : C |- x y : B").sequent)
+    assert str(info.value).endswith(": A -1, B +1, C -1")

@@ -18,7 +18,7 @@ from lamp.terms import (
     Atom, BOT, Close, DeltaEntry, Lolli, ParT, Sequent, Var, var_names,
 )
 from lamp.testlab import GenConfig, gen_derivation, gen_mll
-from lamp.sexpr import mll_to_sexpr
+from lamp.sexpr import derivation_to_sexpr, mll_to_sexpr
 from tests.conftest import corpus_text
 from tests.test_checker import _INPUTS, _stars_over
 
@@ -165,6 +165,28 @@ def test_nmll_to_mll_output_is_byte_stable():
         h.update(mll_to_sexpr(nmll_to_mll(d)).encode())
         h.update(b"\n\n")
     assert h.hexdigest() == NMLL_TO_MLL_SHA256
+
+
+# SHA-256 of derivation_to_sexpr(mll_to_nmll(m)), "\n\n" after each, over
+# _mll_inputs(); taken when mll_to_nmll translated each node by recursion
+MLL_TO_NMLL_SHA256 = "19f1d7cdcd3cf09bc87b6fe857a2a3eca4a7a181561d976ac11376d14341ef8a"
+
+
+def _mll_inputs():
+    rng = random.Random(1)
+    cases = [_INPUTS.ring_case(0, n, rng) for n in (8, 24, 48)]
+    cases += [_INPUTS.relay_case(0, n, rng) for n in (8, 16, 24)]
+    ms = [nmll_to_mll(reconstruct(c.sequent)) for c in cases]
+    return ms + [gen_mll(GenConfig(seed=seed, max_nodes=m))
+                 for m in (9, 24) for seed in range(50)]
+
+
+def test_mll_to_nmll_output_is_byte_stable():
+    h = hashlib.sha256()
+    for m in _mll_inputs():
+        h.update(derivation_to_sexpr(mll_to_nmll(m)).encode())
+        h.update(b"\n\n")
+    assert h.hexdigest() == MLL_TO_NMLL_SHA256
 
 
 def test_nmll_to_mll_names_each_entry_object_once(monkeypatch):

@@ -8,7 +8,7 @@ from lamp.derivations import (
 )
 from lamp.reconstruct import reconstruct
 from lamp.reduction import Redex, apply_redex, comm_size, normalize
-from lamp.sexpr import derivation_to_sexpr
+from lamp.sexpr import derivation_to_sexpr, mll_to_sexpr
 from lamp.terms import App, Send, replace_at, subterm_at
 from lamp.testlab import (
     GenConfig, _node_count, gen_derivation, gen_mll, run_property_suite,
@@ -31,6 +31,18 @@ def test_generation_is_byte_stable():
             h.update((derivation_to_sexpr(d) + "\n").encode())
     assert h.hexdigest() == \
         "5ccc63081722060b7a2370dffd5992a29de9144557f93289f0af76bba3ddca6a"
+
+
+def test_mll_generation_is_byte_stable():
+    # sha256 of 500 generated sequent calculus derivations, taken when the
+    # generator recounted each pool entry's nodes on every draw
+    h = hashlib.sha256()
+    for m in (1, 7, 12, 20, 36):
+        for seed in range(100):
+            d = gen_mll(GenConfig(seed=seed, max_nodes=m))
+            h.update((mll_to_sexpr(d) + "\n").encode())
+    assert h.hexdigest() == \
+        "e35f536b06456946cf8a5c2f0cb6a902c16b937d931b37bef59425224bc14921"
 
 
 def test_generated_derivations_check():

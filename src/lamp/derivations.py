@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 from typing import Any, Optional, Sequence
 
 from .terms import (
     App, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent, Unit,
-    Var, free_index, subterms, var_names,
+    Var, free_index, preorder, subterms, var_names,
 )
 
 
@@ -55,6 +56,10 @@ class Derivation:
     rule: Rule
     conclusion: Sequent
     premises: tuple["Derivation", ...] = ()
+
+
+# the kids, for preorder and fold, of a node of either derivation kind
+premises_of = attrgetter("premises")
 
 
 @dataclass
@@ -363,32 +368,18 @@ def check_derivation(d: Derivation) -> None:
     """Raise RuleViolation at the first node, in preorder, that is not a
     rule instance."""
     names = _EntryNames()
-    stack = [(d, ())]
-    while stack:
-        node, path = stack.pop()
+    for path, node in preorder(d, premises_of):
         _match(node, path, names)
-        for k in range(len(node.premises) - 1, -1, -1):
-            stack.append((node.premises[k], path + (k,)))
 
 
 def name_counts(s: Sequent) -> dict[str, tuple[int, int]]:
     """Per name: (variable occurrences, binder occurrences) across the
     conclusion list, counting textually (bound occurrences included)."""
     counts: dict[str, list[int]] = {}
-
-    def bump(name: str, slot: int) -> None:
-        counts.setdefault(name, [0, 0])[slot] += 1
-
     for e in s.delta:
         for _, sub in subterms(e.term):
-            match sub:
-                case Var(x):
-                    bump(x, 0)
-                case Send(x, _):
-                    bump(x, 1)
-                case Dist(x, y, _):
-                    bump(x, 1)
-                    bump(y, 1)
+            for x in sub[1:sub._first]:  # its names, see terms.binders
+                counts.setdefault(x, [0, 0])[type(sub) is not Var] += 1
     return {k: (v[0], v[1]) for k, v in counts.items()}
 
 
@@ -410,8 +401,4 @@ def check_channel_linearity(s: Sequent) -> None:
 
 def all_sequents(d: Derivation):
     """Every node's conclusion, in preorder."""
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        yield node.conclusion
-        stack.extend(reversed(node.premises))
+    return (node.conclusion for _, node in preorder(d, premises_of))

@@ -6,11 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .derivations import Derivation, Rule
+from .derivations import Derivation, Rule, premises_of
 from .terms import (
     App, Bot, Close, DeltaEntry, Lolli, Par, ParT, Send, Sequent, Term,
-    TypeExpr, Var, binders, free_index, is_simple, print_term, print_type,
-    sequent_names, subformulas, substitute, subterms,
+    TypeExpr, Var, binders, free_index, is_simple, preorder, print_term,
+    print_type, sequent_names, subformulas, substitute, subterms,
 )
 
 
@@ -53,24 +53,22 @@ def subst_derivation(d1: Derivation, d2: Derivation, x: str,
                       for e in seq.delta) + theta
         return Sequent(tuple(gamma), delta)
 
-    def graft(node: Derivation) -> Derivation:
-        if node.rule is Rule.AX:
-            return d1
-        new_premises = []
-        hit = False
-        for p in node.premises:
-            if not hit and any(y == x for y, _ in p.conclusion.gamma):
-                new_premises.append(graft(p))
-                hit = True
-            else:
-                new_premises.append(p)
-        if not hit:
+    # the nodes down to the axiom for x, each beside the premise that holds x
+    spine: list[tuple[Derivation, int]] = []
+    node = d2
+    while node.rule is not Rule.AX:
+        k = next((k for k, p in enumerate(node.premises)
+                  if any(y == x for y, _ in p.conclusion.gamma)), None)
+        if k is None:
             raise PreconditionViolation(
                 f"{x!r} vanished from the premises; d2 is not well formed")
-        return Derivation(node.rule, transform(node.conclusion),
-                          tuple(new_premises))
-
-    return graft(d2)
+        spine.append((node, k))
+        node = node.premises[k]
+    out = d1
+    for node, k in reversed(spine):
+        out = Derivation(node.rule, transform(node.conclusion),
+                         node.premises[:k] + (out,) + node.premises[k + 1:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +148,13 @@ def check_subformula(d: Derivation) -> None:
         if e.type is not None:
             allowed |= subformulas(e.type)
 
-    def walk(node: Derivation, path: tuple[int, ...]) -> None:
+    for path, node in preorder(d, premises_of):
         for _, ty in node.conclusion.gamma:
             if ty not in allowed:
                 raise SubformulaCounterexample(path, ty)
         for e in node.conclusion.delta:
             if e.type is not None and e.type not in allowed:
                 raise SubformulaCounterexample(path, e.type)
-        for k, p in enumerate(node.premises):
-            walk(p, path + (k,))
-
-    walk(d, ())
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .derivations import Derivation, Rule, _EntryNames, _match, multiset_diff
+from .derivations import (
+    Derivation, Rule, _EntryNames, _match, multiset_diff, premises_of,
+)
 from .terms import (
     App, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    TypeExpr, UNIT, Var, print_type,
+    TypeExpr, UNIT, Var, fold, preorder, print_type,
 )
 
 
@@ -213,12 +215,8 @@ def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]
 
 
 def check_mll(d: MllDerivation) -> None:
-    def walk(node: MllDerivation, path: tuple[int, ...]) -> None:
+    for path, node in preorder(d, premises_of):
         match_mll(node, path)
-        for k, p in enumerate(node.premises):
-            walk(p, path + (k,))
-
-    walk(d, ())
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +242,12 @@ def nmll_to_mll(d: Derivation) -> MllDerivation:
     over par-left.
 
     Nodes are matched in preorder with one name cache, since they share the
-    entries their rules leave unchanged, and translated premises first,
-    without recursion."""
+    entries their rules leave unchanged, then translated premises first."""
     names = _EntryNames()
-    preorder = []
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        preorder.append((node, _match(node, (), names).data))
-        stack.extend(reversed(node.premises))
-    # reversed, preorder lists every node after its premises
-    done: dict[int, MllDerivation] = {}
-    for node, inst in reversed(preorder):
-        done[id(node)] = _to_mll(node, inst, [done[id(p)] for p in node.premises])
-    return done[id(d)]
+    insts = {id(node): _match(node, path, names).data
+             for path, node in preorder(d, premises_of)}
+    return fold(d, premises_of,
+                lambda node, subs: _to_mll(node, insts[id(node)], subs))
 
 
 def _to_mll(d: Derivation, inst: dict[str, Any], subs: list[MllDerivation]) -> MllDerivation:
@@ -337,8 +327,10 @@ class _Translator:
     def fresh(self) -> str:
         return f"c{next(self._ids)}"
 
-    def translate(self, node: MllDerivation) -> Derivation:
-        inst = match_mll(node)
+    def translate(self, node: MllDerivation, inst: dict[str, Any],
+                  subs: list[Derivation]) -> Derivation:
+        """One node of mll_to_nmll: node, its rule instance data and the
+        translations of its premises."""
         rule = node.rule
         con = node.conclusion
 
@@ -358,14 +350,14 @@ class _Translator:
                 (ax,))
 
         if rule is MllRule.BOT_R:
-            sub = self.translate(node.premises[0])
+            (sub,) = subs
             i = inst["i"]
             s = sub.conclusion
             delta = s.delta[:i] + (DeltaEntry(UNIT, BOT),) + s.delta[i:]
             return Derivation(Rule.BOT_I, Sequent(s.gamma, delta), (sub,))
 
         if rule is MllRule.LOLLI_R:
-            sub = self.translate(node.premises[0])
+            (sub,) = subs
             i, j, a, b = inst["i"], inst["j"], inst["a"], inst["b"]
             s = sub.conclusion
             x = s.gamma[j][0]
@@ -375,7 +367,7 @@ class _Translator:
             return Derivation(Rule.LOLLI_I, Sequent(gamma, delta), (sub,))
 
         if rule is MllRule.PARR_R:
-            sub = self.translate(node.premises[0])
+            (sub,) = subs
             i, a, b = inst["i"], inst["a"], inst["b"]
             s = sub.conclusion
             entry = DeltaEntry(Par(s.delta[i].term, s.delta[i + 1].term),
@@ -384,14 +376,12 @@ class _Translator:
             return Derivation(Rule.PARR_I, Sequent(s.gamma, delta), (sub,))
 
         if rule is MllRule.CUT:
-            d_left = self.translate(node.premises[0])
-            d_right = self.translate(node.premises[1])
+            d_left, d_right = subs
             return self._cut_encoding(d_left, d_right,
                                       inst["i"], inst["j"], inst["a"])
 
         if rule is MllRule.LOLLI_L:
-            d_arg = self.translate(node.premises[0])
-            d_right = self.translate(node.premises[1])
+            d_arg, d_right = subs
             i, j, a, b = inst["i"], inst["j"], inst["a"], inst["b"]
             f = self.fresh()
             ty = Lolli(a, b)
@@ -407,8 +397,7 @@ class _Translator:
             return self._cut_encoding(app, d_right, i, j, b)
 
         if rule is MllRule.PARR_L:
-            d_a = self.translate(node.premises[0])
-            d_b = self.translate(node.premises[1])
+            d_a, d_b = subs
             i, j, a, b = inst["i"], inst["j"], inst["a"], inst["b"]
             p = self.fresh()
             ty = ParT(a, b)
@@ -470,5 +459,12 @@ class _Translator:
 def mll_to_nmll(d: MllDerivation) -> Derivation:
     """Translate a checked sequent calculus derivation into natural
     deduction; the result's conclusion erases back to d's conclusion up to
-    the order in which independent contexts were joined."""
-    return _Translator().translate(d)
+    the order in which independent contexts were joined.
+
+    Nodes are matched in preorder, then translated premises first, which
+    is the order in which fresh names are drawn."""
+    insts = {id(node): match_mll(node, path)
+             for path, node in preorder(d, premises_of)}
+    tr = _Translator()
+    return fold(d, premises_of,
+                lambda node, subs: tr.translate(node, insts[id(node)], subs))

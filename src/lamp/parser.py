@@ -99,6 +99,14 @@ class Program:
     annotations: list[tuple[Term, TypeExpr]] = field(default_factory=list)
 
 
+def _nest_right(parts: list, make):
+    """The parts [a, b, c] of a chain as make(a, make(b, c))."""
+    out = parts.pop()
+    for left in reversed(parts):
+        out = make(left, out)
+    return out
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
@@ -132,20 +140,23 @@ class _Parser:
         return self.next().text
 
     # -- types ------------------------------------------------------------
+    # Each chain a op b op ... is read by a loop, so its length costs no
+    # recursion.  The three loops are not one shared method: its frame
+    # would lower how deep the parentheses the parser reads can nest.
 
     def type_(self) -> TypeExpr:
-        left = self.lolli()
-        if self.peek().text == "par":
+        parts = [self.lolli()]
+        while self.peek().text == "par":
             self.next()
-            return ParT(left, self.type_())
-        return left
+            parts.append(self.lolli())
+        return _nest_right(parts, ParT)
 
     def lolli(self) -> TypeExpr:
-        left = self.tatom()
-        if self.peek().text == "-o":
+        parts = [self.tatom()]
+        while self.peek().text == "-o":
             self.next()
-            return Lolli(left, self.lolli())
-        return left
+            parts.append(self.tatom())
+        return _nest_right(parts, Lolli)
 
     def tatom(self) -> TypeExpr:
         t = self.peek()
@@ -164,11 +175,11 @@ class _Parser:
     # -- terms ------------------------------------------------------------
 
     def term(self) -> Term:
-        left = self.seq()
-        if self.peek().text == "|":
+        parts = [self.seq()]
+        while self.peek().text == "|":
             self.next()
-            return Par(left, self.term())
-        return left
+            parts.append(self.seq())
+        return _nest_right(parts, Par)
 
     def seq(self) -> Term:
         t = self.peek()
@@ -286,12 +297,9 @@ def _check_binders_unique(s: Sequent) -> None:
     seen: set[str] = set()
     for e in s.delta:
         for _, sub in subterms(e.term):
-            names = []
-            if isinstance(sub, Send):
-                names = [sub.chan]
-            elif isinstance(sub, Dist):
-                names = [sub.chan1, sub.chan2]
-            for x in names:
+            if type(sub) is Var:
+                continue
+            for x in sub[1:sub._first]:  # its names, see terms.binders
                 if x in seen:
                     raise DuplicateBinder(f"binder {x!r} is bound more than once")
                 seen.add(x)

@@ -24,11 +24,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .derivations import Derivation, LinearityError, Rule, check_channel_linearity
+from .derivations import (
+    Derivation, LinearityError, Rule, check_channel_linearity, premises_of,
+)
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, Unit, Var, is_free_in, print_sequent, print_term,
-    print_type, var_names,
+    Term, TypeExpr, Unit, Var, fold, is_free_in, preorder, print_sequent,
+    print_term, print_type, type_children, var_names,
 )
 
 
@@ -45,6 +47,14 @@ class TypecheckError(Exception):
 
 class UnsatisfiableSplit(TypecheckError):
     pass
+
+
+class _NoSplit(UnsatisfiableSplit):
+    """The premise seeds of a branching candidate share a name.  solve
+    reports this only when no candidate can be split."""
+
+
+_NO_SPLIT = "premise seeds share a variable; no disjoint split exists"
 
 
 class UnificationFailure(TypecheckError):
@@ -88,15 +98,12 @@ class _Reconstructor:
             ty = self.subst[ty]
         return ty
 
+    def _kids(self, ty) -> tuple:
+        """ty's children, resolved."""
+        return tuple(map(self.resolve, type_children(ty)))
+
     def _occurs(self, m: MetaVar, ty) -> bool:
-        ty = self.resolve(ty)
-        match ty:
-            case MetaVar():
-                return ty == m
-            case Lolli(a, b) | ParT(a, b):
-                return self._occurs(m, a) or self._occurs(m, b)
-            case _:
-                return False
+        return any(s == m for _, s in preorder(self.resolve(ty), self._kids))
 
     def unify(self, a, b) -> None:
         a, b = self.resolve(a), self.resolve(b)
@@ -123,16 +130,12 @@ class _Reconstructor:
                     lambda: f"cannot unify {type_text(ra)} with {type_text(rb)}")
 
     def deep_resolve(self, ty, default: Optional[TypeExpr] = None):
-        ty = self.resolve(ty)
-        match ty:
-            case MetaVar():
-                return default if default is not None else ty
-            case Lolli(a, b):
-                return Lolli(self.deep_resolve(a, default), self.deep_resolve(b, default))
-            case ParT(a, b):
-                return ParT(self.deep_resolve(a, default), self.deep_resolve(b, default))
-            case _:
-                return ty
+        def leave(s, parts):
+            if parts:
+                return type(s)(*parts)
+            return default if default is not None and isinstance(s, MetaVar) else s
+
+        return fold(self.resolve(ty), self._kids, leave)
 
     def _as_lolli(self, ty) -> tuple:
         ty = self.resolve(ty)
@@ -195,8 +198,7 @@ class _Reconstructor:
         for k in range(n_seeds):
             r = find(k)
             if r in seed_root:
-                raise UnsatisfiableSplit(
-                    "premise seeds share a variable; no disjoint split exists")
+                raise _NoSplit(_NO_SPLIT)
             seed_root[r] = k
 
         assign_g: dict[int, int] = {}
@@ -266,22 +268,26 @@ class _Reconstructor:
                     sub = self.solve(Sequent(gamma + ((x, a),), inner))
                     return Derivation(Rule.LOLLI_I, seq, (sub,))
 
-        # branching inversions; try candidates left to right
+        # branching inversions; try candidates left to right, and report
+        # the first error of a candidate whose context split exists
         candidates = [i for i, e in enumerate(delta)
                       if isinstance(e.term, (App, Dist))]
         if not candidates:
             # seq holds no subst: its text does not change on backtracking
             raise UnsatisfiableSplit(
                 lambda: f"no rule applies to  {seq_text(seq)}")
-        last_err: Optional[TypecheckError] = None
+        first: Optional[TypecheckError] = None
         for i in candidates:
             snapshot = dict(self.subst)
             try:
                 return self._solve_branching(seq, i)
+            except _NoSplit:
+                self.subst = snapshot
             except TypecheckError as err:
                 self.subst = snapshot
-                last_err = err
-        raise last_err if last_err is not None else UnsatisfiableSplit("stuck")
+                if first is None:
+                    first = err
+        raise first if first is not None else UnsatisfiableSplit(_NO_SPLIT)
 
     def _solve_branching(self, seq: Sequent, i: int) -> Derivation:
         gamma, delta = seq.gamma, seq.delta
@@ -407,27 +413,18 @@ class _Reconstructor:
             return Sequent(tuple(fix(g, declaration) for g in s.gamma),
                            tuple(fix(e, entry) for e in s.delta))
 
-        def walk(node: Derivation) -> Derivation:
-            return Derivation(node.rule, fix_seq(node.conclusion),
-                              tuple(walk(p) for p in node.premises))
-
-        return walk(d)
+        return fold(d, premises_of, lambda node, subs: Derivation(
+            node.rule, fix_seq(node.conclusion), tuple(subs)))
 
 
 def type_text(ty) -> str:
     """A type in lamp syntax for error messages; unknowns show by name."""
-    def scrub(ty):
-        match ty:
-            case MetaVar(name):
-                return Atom(name)
-            case Lolli(a, b):
-                return Lolli(scrub(a), scrub(b))
-            case ParT(a, b):
-                return ParT(scrub(a), scrub(b))
-            case _:
-                return ty
+    def leave(s, parts):
+        if parts:
+            return type(s)(*parts)
+        return Atom(s.name) if isinstance(s, MetaVar) else s
 
-    return print_type(scrub(ty))
+    return print_type(fold(ty, type_children, leave))
 
 
 def seq_text(s: Sequent) -> str:

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
+from typing import Optional
 
 from .terms import (
     App, Close, Dist, Par, Path, Send, Term, UNIT, Var,
-    _scan, is_free_in, join_par, print_term, replace_at,
-    split_joined, substitute, subterm_at, subterms,
+    _scan, children, is_free_in, join_par, preorder, print_term,
+    replace_at, split_joined, substitute, subterm_at, subterms,
 )
 
 class StaleRedex(Exception):
@@ -200,17 +200,14 @@ def is_value(t: Term) -> bool:
     return isinstance(t, (Send, Par))
 
 
-def _eval_positions(t: Term, prefix: Path = ()) -> Iterator[tuple[Path, Term]]:
-    yield prefix, t
-    match t:
-        case App(f, a):
-            yield from _eval_positions(f, prefix + (0,))
-            if is_value(f):
-                yield from _eval_positions(a, prefix + (1,))
-        case Dist(_, _, b):
-            yield from _eval_positions(b, prefix + (0,))
-        case Close(b):
-            yield from _eval_positions(b, prefix + (0,))
+def _eval_kids(t: Term) -> tuple[Term, ...]:
+    """The children of t at evaluation positions."""
+    cls = type(t)
+    if cls is App:
+        return (t.fun, t.arg) if is_value(t.fun) else (t.fun,)
+    if cls is Dist or cls is Close:
+        return children(t)
+    return ()
 
 
 def spine_paths(m: int) -> list[Path]:
@@ -230,12 +227,12 @@ def cbv_step(components: list[Term]) -> Optional[tuple[list[Term], Redex]]:
 
     def receivers(j: int) -> list[tuple[Path, str]]:
         if j not in recv_cache:
-            recv_cache[j] = [(p, n.name) for p, n in _eval_positions(components[j])
+            recv_cache[j] = [(p, n.name) for p, n in preorder(components[j], _eval_kids)
                              if isinstance(n, Var)]
         return recv_cache[j]
 
     for i, comp in enumerate(components):
-        for pos, node in _eval_positions(comp):
+        for pos, node in preorder(comp, _eval_kids):
             firing = fire(node)
             if firing is None or firing[0] == "dist":
                 continue

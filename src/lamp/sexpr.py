@@ -8,11 +8,12 @@ per line so golden files diff cleanly; the reader accepts any whitespace.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .derivations import Derivation, Rule
 from .mll import MllDerivation, MllRule, MllSequent, print_mll_sequent
 from .parser import ParseError, _Parser
-from .terms import Sequent, print_sequent
+from .terms import Sequent, fold, preorder, print_sequent
 
 _NMLL_TAGS = {r.value: r for r in Rule}
 _MLL_TAGS = {r.value: r for r in MllRule}
@@ -77,6 +78,9 @@ def _lex(text: str) -> list[str]:
     return toks
 
 
+_PREMISES = itemgetter(2)  # of a node that _read_all returns
+
+
 def _read_all(text: str):
     """The tree of (tag, sequent text, premises) nodes that text spells,
     read with an explicit stack of open nodes."""
@@ -135,22 +139,17 @@ def _split_types(part: str) -> list[str]:
 
 
 def _build(text: str, tags: dict, parse_sequent, make):
-    """The derivation text spells, built without recursion.  Tags and
-    sequents are checked in preorder, the order a reader meets them."""
-    stack = [_read_all(text)]
-    preorder = []
-    while stack:
-        node = stack.pop()
-        tag, seq_text, premises = node
+    """The derivation text spells.  Tags and sequents are checked in
+    preorder, the order a reader meets them."""
+    tree = _read_all(text)
+    parsed = {}
+    for _, node in preorder(tree, _PREMISES):
+        tag, seq_text, _ = node
         if tag not in tags:
             raise ParseError(f"unknown rule tag {tag!r}")
-        preorder.append((node, tags[tag], parse_sequent(seq_text)))
-        stack.extend(reversed(premises))
-    # reversed, preorder lists every node after its premises
-    built: dict[int, object] = {}
-    for node, rule, seq in reversed(preorder):
-        built[id(node)] = make(rule, seq, tuple(built.pop(id(p)) for p in node[2]))
-    return built[id(preorder[0][0])]
+        parsed[id(node)] = tags[tag], parse_sequent(seq_text)
+    return fold(tree, _PREMISES,
+                lambda node, subs: make(*parsed[id(node)], tuple(subs)))
 
 
 def sexpr_to_derivation(text: str) -> Derivation:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_, itemgetter
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Types
@@ -59,14 +59,56 @@ TypeExpr = Union[Atom, Bot, Lolli, ParT]
 BOT = Bot()
 
 
-def subformulas(ty: TypeExpr) -> set:
-    """All subformulas of ty, including ty itself."""
-    out = {ty}
+def type_children(ty: TypeExpr) -> tuple:
     match ty:
         case Lolli(a, b) | ParT(a, b):
-            out |= subformulas(a)
-            out |= subformulas(b)
-    return out
+            return a, b
+    return ()
+
+
+def subformulas(ty: TypeExpr) -> set:
+    """All subformulas of ty, including ty itself."""
+    return {s for _, s in preorder(ty, type_children)}
+
+
+# ---------------------------------------------------------------------------
+# Walks.  Terms, types and both kinds of derivation are trees; kids(node)
+# lists a node's children in order.  Both walks keep their own stack, so
+# neither is bounded by the recursion limit.
+
+def preorder(root, kids: Callable) -> Iterator[tuple[Path, object]]:
+    """Every (path, node) of the tree at root, parents first, leftmost
+    first; a path lists child indices from root."""
+    stack = [((), root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        ks = kids(node)
+        for i in range(len(ks) - 1, -1, -1):
+            stack.append((path + (i,), ks[i]))
+
+
+def fold(root, kids: Callable, leave: Callable):
+    """leave(node, values) for every node of the tree at root, children
+    first, left to right, where values lists what leave gave the node's
+    children; returns what it gave root."""
+    values: list = []
+    # (node, None) is yet to open; (node, its kids) pops once they are done
+    stack: list = [(root, None)]
+    while stack:
+        node, ks = stack.pop()
+        if ks is None:
+            ks = kids(node)
+            if ks:
+                stack.append((node, ks))
+                for k in reversed(ks):
+                    stack.append((k, None))
+                continue
+            values.append(leave(node, ks))
+        else:
+            n = len(ks)
+            values[-n:] = [leave(node, values[-n:])]
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -206,43 +248,22 @@ def replace_at(t: Term, path: Path, new: Term) -> Term:
     return new
 
 
-def subterms(t: Term, prefix: Path = ()) -> Iterator[tuple[Path, Term]]:
+def subterms(t: Term) -> Iterator[tuple[Path, Term]]:
     """All (path, subterm) pairs in preorder, leftmost-outermost first."""
-    stack = [(prefix, t)]
-    while stack:
-        path, s = stack.pop()
-        yield path, s
-        kids = children(s)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,), kids[i]))
+    return preorder(t, children)
 
+
+# s[1:s._first] are the names node s carries: a variable's, or the
+# channels a Send or Dist binds
 
 def binders(t: Term) -> set[str]:
     """Names bound by a Send or Dist anywhere in t."""
-    out: set[str] = set()
-    for _, s in subterms(t):
-        match s:
-            case Send(x, _):
-                out.add(x)
-            case Dist(x, y, _):
-                out.add(x)
-                out.add(y)
-    return out
+    return {x for _, s in subterms(t) if type(s) is not Var for x in s[1:s._first]}
 
 
 def var_names(t: Term) -> set[str]:
     """Every name occurring in t, as a variable or as a binder."""
-    out: set[str] = set()
-    for _, s in subterms(t):
-        match s:
-            case Var(x):
-                out.add(x)
-            case Send(x, _):
-                out.add(x)
-            case Dist(x, y, _):
-                out.add(x)
-                out.add(y)
-    return out
+    return {x for _, s in subterms(t) for x in s[1:s._first]}
 
 
 class _Scan(NamedTuple):
@@ -366,11 +387,13 @@ def substitute(t: Term, x: str, s: Term) -> Term:
     return done[0]
 
 
+def _spine(t: Term) -> tuple[Term, ...]:
+    return children(t) if type(t) is Par else ()
+
+
 def flatten_par(t: Term) -> list[Term]:
     """The maximal parallel spine of t, left to right."""
-    if isinstance(t, Par):
-        return flatten_par(t.left) + flatten_par(t.right)
-    return [t]
+    return [s for _, s in preorder(t, _spine) if type(s) is not Par]
 
 
 def join_par(parts: list[Term]) -> Term:
@@ -446,54 +469,61 @@ def sequent_names(s: Sequent) -> set[str]:
 # lambda exactly when its bound name occurs free in the body, which one
 # _scan of the whole term records for every Send at once.
 
-_PAR_LVL, _SEQ_LVL, _APP_LVL, _ATOM_LVL = 0, 1, 2, 3
-
-
-def _fmt_term(t: Term, lvl: int, lams: set[int]) -> str:
-    match t:
-        case Unit():
-            s, mine = "*", _ATOM_LVL
-        case Var(x):
-            s, mine = x, _ATOM_LVL
-        case App(f, a):
-            s = f"{_fmt_term(f, _APP_LVL, lams)} {_fmt_term(a, _ATOM_LVL, lams)}"
-            mine = _APP_LVL
-        case Send(x, b):
-            kw = "lam" if id(t) in lams else "out"
-            s, mine = f"{kw} {x}. {_fmt_term(b, _SEQ_LVL, lams)}", _SEQ_LVL
-        case Dist(x, y, b):
-            s, mine = f"out2 {x} {y}. {_fmt_term(b, _SEQ_LVL, lams)}", _SEQ_LVL
-        case Par(l, r):
-            s = f"{_fmt_term(l, _SEQ_LVL, lams)} | {_fmt_term(r, _PAR_LVL, lams)}"
-            mine = _PAR_LVL
-        case Close(b):
-            s, mine = f"close({_fmt_term(b, _PAR_LVL, lams)})", _ATOM_LVL
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-    return f"({s})" if mine < lvl else s
+_LOOSE = frozenset({Send, Dist, Par})  # the classes looser than application
 
 
 def print_term(t: Term) -> str:
-    return _fmt_term(t, _PAR_LVL, _scan(t).lams)
+    lams = _scan(t).lams
+
+    def text(n: Term, kids: list[str]) -> str:
+        # fields by index, as in _scan
+        cls = type(n)
+        if cls is Var:
+            return n[1]
+        if cls is Unit:
+            return "*"
+        if cls is Close:
+            return f"close({kids[0]})"
+        if cls is App:
+            f, a = kids
+            if type(n[1]) in _LOOSE:
+                f = f"({f})"
+            if type(n[2]) in _LOOSE or type(n[2]) is App:
+                a = f"({a})"
+            return f"{f} {a}"
+        # a Par left of | or in a binder's body takes parentheses
+        b = kids[0]
+        if type(n[1] if cls is Par else n[-1]) is Par:
+            b = f"({b})"
+        if cls is Par:
+            return f"{b} | {kids[1]}"
+        if cls is Send:
+            return f"{'lam' if id(n) in lams else 'out'} {n[1]}. {b}"
+        return f"out2 {n[1]} {n[2]}. {b}"
+
+    return fold(t, children, text)
 
 
-def _fmt_type(ty: TypeExpr, lvl: int) -> str:
-    match ty:
-        case Atom(n):
-            s, mine = n, 2
-        case Bot():
-            s, mine = "bot", 2
-        case Lolli(a, b):
-            s, mine = f"{_fmt_type(a, 2)} -o {_fmt_type(b, 1)}", 1
-        case ParT(a, b):
-            s, mine = f"{_fmt_type(a, 1)} par {_fmt_type(b, 0)}", 0
-        case _:
-            raise TypeError(f"not a type: {ty!r}")
-    return f"({s})" if mine < lvl else s
+_TYPE_LEVEL = {Atom: 2, Bot: 2, Lolli: 1, ParT: 0}
 
 
 def print_type(ty: TypeExpr) -> str:
-    return _fmt_type(ty, 0)
+    def wrap(s: str, kid: TypeExpr, lvl: int) -> str:
+        return f"({s})" if _TYPE_LEVEL[type(kid)] < lvl else s
+
+    def text(n: TypeExpr, kids: list[str]) -> str:
+        match n:
+            case Atom(name):
+                return name
+            case Bot():
+                return "bot"
+            case Lolli(a, b):
+                return f"{wrap(kids[0], a, 2)} -o {wrap(kids[1], b, 1)}"
+            case ParT(a, _):
+                return f"{wrap(kids[0], a, 1)} par {kids[1]}"
+        raise TypeError(f"not a type: {n!r}")
+
+    return fold(ty, type_children, text)
 
 
 def _declaration_text(g: tuple[str, TypeExpr]) -> str:

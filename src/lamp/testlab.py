@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .derivations import Derivation, Rule, _replaced, _without
+from .derivations import Derivation, Rule, _replaced, _without, premises_of
 from .metatheory import check_no_freaks, check_subformula
 from .mll import MllDerivation, MllRule, MllSequent
 from .reconstruct import TypecheckError, reconstruct
@@ -33,8 +33,8 @@ from .reduction import (
 from .runtime import DeadlockReport, run_concurrent
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, UNIT, Var, flatten_par, print_term, split_joined,
-    subterms,
+    Term, TypeExpr, UNIT, Var, children, flatten_par, fold, preorder,
+    print_term, split_joined, subterms,
 )
 
 
@@ -50,7 +50,7 @@ class GenConfig:
 
 
 def _node_count(d: Derivation) -> int:
-    return 1 + sum(_node_count(p) for p in d.premises)
+    return sum(1 for _ in preorder(d, premises_of))
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +248,18 @@ def gen_derivation(cfg: GenConfig) -> Derivation:
 
 
 def _renamed(s: Sequent, rename: Callable[[str], str]) -> Sequent:
-    def walk(t: Term) -> Term:
-        match t:
-            case Var(x):
-                return Var(rename(x))
-            case Send(x, b):
-                return Send(rename(x), walk(b))
-            case Dist(x, y, b):
-                return Dist(rename(x), rename(y), walk(b))
-            case App(f, a):
-                return App(walk(f), walk(a))
-            case Par(l, r):
-                return Par(walk(l), walk(r))
-            case Close(b):
-                return Close(walk(b))
-        return t
+    """s with every name x replaced by rename(x).  rename meets the names
+    in order of first occurrence (declarations, then each entry's names in
+    preorder, a binder before its body), which _canonical numbers by."""
+    gamma = tuple((rename(x), ty) for x, ty in s.gamma)
+    new = {x: rename(x) for e in s.delta for _, t in subterms(e.term)
+           for x in t[1:t._first]}
 
-    return Sequent(tuple((rename(x), ty) for x, ty in s.gamma),
-                   tuple(DeltaEntry(walk(e.term), e.type) for e in s.delta))
+    def rebuilt(t: Term, kids: list[Term]) -> Term:
+        return type(t)(*(new[x] for x in t[1:t._first]), *kids)
+
+    return Sequent(gamma, tuple(DeltaEntry(fold(e.term, children, rebuilt), e.type)
+                                for e in s.delta))
 
 
 def _canonical(s: Sequent) -> Sequent:
@@ -327,7 +321,8 @@ class _MllGen:
     def __init__(self, cfg: GenConfig):
         self.cfg = cfg
         self.rng = random.Random(f"mll:{cfg.seed}:{cfg.max_nodes}")
-        self.pool: list[MllDerivation] = []
+        # each derivation beside its node count
+        self.pool: list[tuple[MllDerivation, int]] = []
 
     def _type(self, depth: int = 0) -> TypeExpr:
         r = self.rng.random()
@@ -341,62 +336,62 @@ class _MllGen:
 
     def _ax_id(self) -> None:
         a = self._type()
-        self.pool.append(MllDerivation(MllRule.AX_ID, MllSequent((a,), (a,))))
+        self.pool.append((MllDerivation(MllRule.AX_ID, MllSequent((a,), (a,))), 1))
 
     def _ax_bot(self) -> None:
-        self.pool.append(MllDerivation(MllRule.AX_BOT, MllSequent((BOT,), ())))
+        self.pool.append((MllDerivation(MllRule.AX_BOT, MllSequent((BOT,), ())), 1))
 
-    def _mfits(self, *parts: MllDerivation) -> bool:
-        return sum(_mll_node_count(p) for p in parts) + 1 <= self.cfg.max_nodes
+    def _mfits(self, *sizes: int) -> bool:
+        return sum(sizes) + 1 <= self.cfg.max_nodes
 
     def _bot_r(self) -> bool:
-        options = [k for k, d in enumerate(self.pool) if self._mfits(d)]
+        options = [k for k, (_, n) in enumerate(self.pool) if self._mfits(n)]
         if not options:
             return False
         k = self.rng.choice(options)
-        d = self.pool[k]
+        d, n = self.pool[k]
         s = d.conclusion
         i = self.rng.randint(0, len(s.right))
         con = MllSequent(s.left, s.right[:i] + (BOT,) + s.right[i:])
-        self.pool[k] = MllDerivation(MllRule.BOT_R, con, (d,))
+        self.pool[k] = MllDerivation(MllRule.BOT_R, con, (d,)), n + 1
         return True
 
     def _lolli_r(self) -> bool:
-        options = [(k, i, j) for k, d in enumerate(self.pool)
-                   if self._mfits(d)
+        options = [(k, i, j) for k, (d, n) in enumerate(self.pool)
+                   if self._mfits(n)
                    for i in range(len(d.conclusion.right))
                    for j in range(len(d.conclusion.left))]
         if not options:
             return False
         k, i, j = self.rng.choice(options)
-        d = self.pool[k]
+        d, n = self.pool[k]
         s = d.conclusion
         a, b = s.left[j], s.right[i]
         con = MllSequent(s.left[:j] + s.left[j + 1:],
                          s.right[:i] + (Lolli(a, b),) + s.right[i + 1:])
-        self.pool[k] = MllDerivation(MllRule.LOLLI_R, con, (d,))
+        self.pool[k] = MllDerivation(MllRule.LOLLI_R, con, (d,)), n + 1
         return True
 
     def _parr_r(self) -> bool:
-        options = [(k, i) for k, d in enumerate(self.pool)
-                   if len(d.conclusion.right) >= 2 and self._mfits(d)
+        options = [(k, i) for k, (d, n) in enumerate(self.pool)
+                   if len(d.conclusion.right) >= 2 and self._mfits(n)
                    for i in range(len(d.conclusion.right) - 1)]
         if not options:
             return False
         k, i = self.rng.choice(options)
-        d = self.pool[k]
+        d, n = self.pool[k]
         s = d.conclusion
         con = MllSequent(s.left, s.right[:i]
                          + (ParT(s.right[i], s.right[i + 1]),)
                          + s.right[i + 2:])
-        self.pool[k] = MllDerivation(MllRule.PARR_R, con, (d,))
+        self.pool[k] = MllDerivation(MllRule.PARR_R, con, (d,)), n + 1
         return True
 
     def _binary(self, rule: MllRule) -> bool:
         options = []
-        for k1, d1 in enumerate(self.pool):
-            for k2, d2 in enumerate(self.pool):
-                if k1 == k2 or not self._mfits(d1, d2):
+        for k1, (d1, n1) in enumerate(self.pool):
+            for k2, (d2, n2) in enumerate(self.pool):
+                if k1 == k2 or not self._mfits(n1, n2):
                     continue
                 s1, s2 = d1.conclusion, d2.conclusion
                 if rule is MllRule.CUT:
@@ -415,7 +410,7 @@ class _MllGen:
         if not options:
             return False
         k1, k2, i, j = self.rng.choice(options)
-        d1, d2 = self.pool[k1], self.pool[k2]
+        (d1, n1), (d2, n2) = self.pool[k1], self.pool[k2]
         s1, s2 = d1.conclusion, d2.conclusion
         if rule is MllRule.CUT:
             con = MllSequent(s1.left + s2.left[:j] + s2.left[j + 1:],
@@ -429,16 +424,14 @@ class _MllGen:
             con = MllSequent(s1.left[:i] + s1.left[i + 1:]
                              + s2.left[:j] + s2.left[j + 1:] + (ty,),
                              s1.right + s2.right)
-        node = MllDerivation(rule, con, (d1, d2))
-        self.pool[max(k1, k2)] = node
+        self.pool[max(k1, k2)] = MllDerivation(rule, con, (d1, d2)), n1 + n2 + 1
         del self.pool[min(k1, k2)]
         return True
 
     def run(self) -> MllDerivation:
         self._ax_id()
         for _ in range(self.cfg.max_nodes * 4):
-            if _mll_node_count(max(self.pool, key=_mll_node_count)) \
-                    >= self.cfg.max_nodes:
+            if max(n for _, n in self.pool) >= self.cfg.max_nodes:
                 break
             r = self.rng.random()
             if r < 0.22:
@@ -457,11 +450,7 @@ class _MllGen:
                 self._binary(MllRule.LOLLI_L)
             else:
                 self._binary(MllRule.PARR_L)
-        return max(self.pool, key=_mll_node_count)
-
-
-def _mll_node_count(d: MllDerivation) -> int:
-    return 1 + sum(_mll_node_count(p) for p in d.premises)
+        return max(self.pool, key=lambda entry: entry[1])[0]
 
 
 def gen_mll(cfg: GenConfig) -> MllDerivation:
@@ -614,8 +603,8 @@ def run_property_suite(n_cases: int, cfg: GenConfig,
         results["no-freaks"].record(case_seed, ok)
 
         # runtime determinacy across schedules
-        expected = sorted(print_term(t)
-                          for t in _flatten(states[-1][0]))
+        expected = sorted(print_term(t) for e in states[-1][0].delta
+                          for t in flatten_par(e.term))
         ok = True
         for rseed in range(RUNTIME_SEEDS):
             try:
@@ -629,10 +618,3 @@ def run_property_suite(n_cases: int, cfg: GenConfig,
         results["runtime-determinacy"].record(case_seed, ok)
 
     return Report([results[n] for n in names])
-
-
-def _flatten(seq: Sequent) -> list[Term]:
-    out: list[Term] = []
-    for e in seq.delta:
-        out.extend(flatten_par(e.term))
-    return out

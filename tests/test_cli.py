@@ -105,6 +105,18 @@ def test_swapped_twin_is_one_line_naming_its_atoms(tmp_path):
                         "type error: cannot unify B with A\n")
 
 
+def test_check_reports_the_first_splittable_candidates_error(tmp_path):
+    # gen_derivation seed 14, max_nodes 20, with v13 : A pinned to bot.
+    # The application's context split exists and fails on the pin; the
+    # binary output's premise seeds share a name.  The first is reported.
+    f = tmp_path / "pinned.lamp"
+    f.write_text("|- (lam v11. v11) (out v10. (v13 : bot)) : A -o A, "
+                 "out2 v13 v8. ((lam v5. v5) v10 | *) : bot, * : bot, "
+                 "close(*), close(v8)\n")
+    r = run_cli("check", str(f))
+    assert (r.returncode, r.stderr) == (1, "type error: cannot unify A with bot\n")
+
+
 @pytest.mark.parametrize("mode", ["full", "cbv"])
 def test_run_rejects_non_linear_program(tmp_path, mode):
     # beta copies the argument of lam x. x x, so reducing would never end
@@ -155,11 +167,29 @@ def test_missing_file_exit_code(tmp_path):
 
 
 def test_deep_input_exit_code(tmp_path):
+    # the parser still reads parentheses by recursive descent
     deep = tmp_path / "deep.lamp"
-    deep.write_text("f : A, a : B |- f" + " a" * 1500 + " : C\n")
+    deep.write_text("|- " + "(" * 1500 + "*" + ")" * 1500 + " : bot\n")
     r = run_cli("parse", str(deep))
     _assert_one_line_error(r, 4)
     assert r.stderr.startswith("budget exceeded: ")
+
+
+def test_wide_programs_go_through(tmp_path):
+    # | chains and applications are read with loops, and every walk over
+    # the tree keeps its own stack
+    f = tmp_path / "wide.lamp"
+    text = "|- close((out x. *) * | x" + " | *" * 1998 + ")"
+    f.write_text(text + "\n")
+    r = run_cli("parse", str(f))
+    assert (r.returncode, r.stdout) == (0, text + "\n"), r.stderr
+    for args in (["run"], ["run", "--mode", "cbv"], ["enumerate"]):
+        r = run_cli(args[0], str(f), *args[1:])
+        assert r.returncode == 0, (args, r.stderr)
+    assert r.stdout.endswith("close(" + " | ".join(["*"] * 2000) + ")\nCONFLUENT\n")
+    app = tmp_path / "app.lamp"
+    app.write_text("f : A, a : B |- f" + " a" * 1500 + " : C\n")
+    assert run_cli("parse", str(app)).returncode == 0
 
 
 def test_translate_to_mll(tmp_path):

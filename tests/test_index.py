@@ -18,8 +18,8 @@ from lamp.reduction import (
     Redex, apply_redex, comm_size, find_redexes, normalize,
 )
 from lamp.terms import (
-    App, Close, Dist, Par, Send, UNIT, Var, children, free_index, is_free_in,
-    occurrences, print_term, subterm_at, subterms, var_names,
+    App, Close, Dist, Par, Send, UNIT, Var, children, flatten_par, free_index,
+    is_free_in, occurrences, print_term, subterm_at, subterms, var_names,
 )
 from lamp.testlab import GenConfig, gen_derivation
 from tests.test_terms import _terms
@@ -242,6 +242,8 @@ def test_traversals_survive_a_term_ten_thousand_deep():
     assert free_index(t) == {"v": [(0, 1)], "x": [receiver]}
     assert occurrences(t, "x") == [receiver]
     assert comm_size(t) == 1
+    assert print_term(t) == "(out x. *) v | " + "close(" * DEPTH + "x" + ")" * DEPTH
+    assert flatten_par(t) == [t.left, deep]
     assert find_redexes(t) == [Redex("comm", (0,), (receiver,))]
     trace = normalize(t)
     assert [desc for desc, _ in trace.steps] == ["Comm x"]

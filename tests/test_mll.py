@@ -144,6 +144,25 @@ def test_generated_mll_round(seed):
     assert type_erasure(d.conclusion) == m.conclusion
 
 
+def test_translators_report_the_path_of_a_bad_node():
+    # a broken axiom two nodes down: each translator names the node at
+    # (0, 0), as the checker of its input does
+    x_y = Sequent((("x", A),), (DeltaEntry(Var("y"), A),))
+    d = _stars_over(Derivation(Rule.AX, x_y), 2)
+    for check in (check_derivation, nmll_to_mll):
+        with pytest.raises(derivations.RuleViolation) as err:
+            check(d)
+        assert err.value.path == (0, 0)
+    m = MllDerivation(MllRule.AX_ID, MllSequent((A,), (B,)))
+    for _ in range(2):
+        c = m.conclusion
+        m = MllDerivation(MllRule.BOT_R, MllSequent(c.left, c.right + (BOT,)), (m,))
+    for check in (check_mll, mll_to_nmll):
+        with pytest.raises(MllRuleViolation) as err:
+            check(m)
+        assert err.value.path == (0, 0)
+
+
 # -- nmll_to_mll: one name cache, no recursion -------------------------------
 
 # SHA-256 of mll_to_sexpr(nmll_to_mll(d)), "\n\n" after each, over

@@ -1,0 +1,143 @@
+"""preorder and fold, the two walks over every tree in lamp, and what they
+buy: terms, types and derivations of any depth at the default recursion
+limit, and no function in src/lamp that calls itself outside a short list
+of searches and bounded generators."""
+
+import ast
+import sys
+
+from lamp.derivations import (
+    Derivation, Rule, all_sequents, check_derivation,
+)
+from lamp.metatheory import check_subformula
+from lamp.mll import (
+    MllDerivation, MllRule, MllSequent, check_mll, mll_to_nmll, nmll_to_mll,
+    type_erasure,
+)
+from lamp.parser import parse_term, parse_type
+from lamp.reduction import comm_size
+from lamp.terms import (
+    Atom, BOT, Close, DeltaEntry, Sequent, UNIT, Var, children, flatten_par,
+    fold, print_term, print_type,
+)
+from tests.conftest import SRC
+
+A = Atom("A")
+DEPTH = 2500
+
+
+def test_fold_leaves_children_first_left_to_right():
+    t = parse_term("(a | b) c")
+    seen = []
+
+    def leave(node, values):
+        seen.append(node)
+        return f"{node[0]}({','.join(values)})"
+
+    assert fold(t, children, leave) == "App(Par(Var(),Var()),Var())"
+    assert [print_term(n) for n in seen] == ["a", "b", "a | b", "c", "(a | b) c"]
+
+
+# -- no recursion outside the searches and the bounded generators -----------
+
+# the parser's binder chains, the backward proof search and unification,
+# and two type generators whose depth is at most 2
+ALLOWED = {"_Parser.seq", "_Reconstructor.solve", "_Reconstructor.unify",
+           "_Gen.leaf_type", "_MllGen._type"}
+
+
+def _calls_itself(fn: ast.FunctionDef) -> bool:
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == fn.name:
+                return True
+            if isinstance(f, ast.Attribute) and f.attr == fn.name \
+                    and isinstance(f.value, ast.Name) and f.value.id == "self":
+                return True
+    return False
+
+
+def test_no_function_calls_itself():
+    found = []
+    for path in sorted((SRC / "lamp").glob("*.py")):
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), ())]
+        while stack:
+            node, scope = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    inner = scope + (child.name,)
+                    if isinstance(child, ast.FunctionDef) and _calls_itself(child):
+                        found.append(".".join(inner))
+                stack.append((child, inner))
+    assert set(found) <= ALLOWED, sorted(set(found) - ALLOWED)
+
+
+# -- any depth at the default recursion limit ---------------------------------
+
+def test_long_chains_parse_print_and_flatten():
+    assert sys.getrecursionlimit() == 1000
+    text = " | ".join(["*"] * 10_000)
+    t = parse_term(text)
+    assert print_term(t) == text
+    assert flatten_par(t) == [UNIT] * 10_000
+    assert comm_size(t) == 0
+    for op in (" -o ", " par "):
+        text = op.join(["A"] * 2000)
+        assert print_type(parse_type(text)) == text
+
+
+def _nd_chain(n):
+    """An axiom under n nodes, BotI and BotE in turn: each BotI adds
+    * : bot, each BotE closes it."""
+    star, closed = DeltaEntry(UNIT, BOT), DeltaEntry(Close(UNIT), None)
+    d = Derivation(Rule.AX, Sequent((("x", A),), (DeltaEntry(Var("x"), A),)))
+    for k in range(n):
+        c = d.conclusion
+        if k % 2 == 0:
+            d = Derivation(Rule.BOT_I, Sequent(c.gamma, c.delta + (star,)), (d,))
+        else:
+            d = Derivation(Rule.BOT_E,
+                           Sequent(c.gamma, c.delta[:-1] + (closed,)), (d,))
+    return d
+
+
+def test_natural_deduction_chain_checks_and_translates():
+    assert sys.getrecursionlimit() == 1000
+    d = _nd_chain(DEPTH)
+    check_derivation(d)
+    assert sum(1 for _ in all_sequents(d)) == DEPTH + 1
+    check_subformula(d)
+    m = nmll_to_mll(d)
+    check_mll(m)
+    assert m.conclusion == type_erasure(d.conclusion)
+
+
+def _mll_chain(n, cut):
+    """An identity axiom under n nodes: BotR adds bot on the right; with
+    cut, every second node cuts that bot against the bottom axiom."""
+    m = MllDerivation(MllRule.AX_ID, MllSequent((A,), (A,)))
+    axbot = MllDerivation(MllRule.AX_BOT, MllSequent((BOT,), ()))
+    for k in range(n):
+        c = m.conclusion
+        if cut and k % 2:
+            m = MllDerivation(MllRule.CUT, MllSequent(c.left, c.right[:-1]),
+                              (m, axbot))
+        else:
+            m = MllDerivation(MllRule.BOT_R,
+                              MllSequent(c.left, c.right + (BOT,)), (m,))
+    return m
+
+
+def test_sequent_chains_check_and_translate():
+    assert sys.getrecursionlimit() == 1000
+    for cut in (False, True):
+        m = _mll_chain(DEPTH, cut)
+        check_mll(m)
+        d = mll_to_nmll(m)
+        assert type_erasure(d.conclusion) == m.conclusion
+        # each cut adds a close entry to every sequent below it: checking
+        # the translation with cuts would take about ten seconds
+        if not cut:
+            check_derivation(d)

@@ -20,21 +20,25 @@ import argparse
 import os
 import sys
 
-from .derivations import (
-    LinearityError, RuleViolation, check_channel_linearity, check_derivation,
-)
-from .mll import MllRuleViolation, check_mll, mll_to_nmll, nmll_to_mll
-from .parser import ParseError, parse_program
-from .reconstruct import TypecheckError, reconstruct
-from .reduction import (
-    BudgetExceeded, cbv_trace, enumerate_normal_forms, normalize,
-)
-from .runtime import ChannelProtocolError, DeadlockReport, run_concurrent
-from .terms import flatten_par, join_par, print_sequent, print_term
-from .sexpr import derivation_to_sexpr, mll_to_sexpr, sexpr_to_mll
-from .testlab import GenConfig, run_property_suite
+# Each command imports the modules it uses, so that a command compiles
+# no more of lamp than it runs.
 
 EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_INTERNAL, EXIT_BUDGET, EXIT_IO = range(6)
+
+# The exit code and message prefix of each lamp error class, checked in
+# order, by module and class name: a class whose module no command
+# imported cannot have been raised.
+_INTERNAL = "internal invariant violation"
+_ERRORS = (
+    ("parser", "ParseError", EXIT_PARSE, "parse error"),
+    ("reconstruct", "TypecheckError", EXIT_TYPE, "type error"),
+    ("derivations", "LinearityError", EXIT_TYPE, "type error"),
+    ("reduction", "BudgetExceeded", EXIT_BUDGET, "budget exceeded"),
+    ("derivations", "RuleViolation", EXIT_INTERNAL, _INTERNAL),
+    ("mll", "MllRuleViolation", EXIT_INTERNAL, _INTERNAL),
+    ("runtime", "DeadlockReport", EXIT_INTERNAL, _INTERNAL),
+    ("runtime", "ChannelProtocolError", EXIT_INTERNAL, _INTERNAL),
+)
 
 
 def _color_enabled() -> bool:
@@ -53,6 +57,7 @@ def _render_trace_lines(initial: str, steps: list[tuple[str, str]]) -> str:
 
 
 def _read(path: str) -> str:
+    from .parser import ParseError
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
@@ -62,16 +67,21 @@ def _read(path: str) -> str:
 
 
 def _load(path: str):
+    from .parser import parse_program
     return parse_program(_read(path))
 
 
 def cmd_parse(args) -> int:
+    from .terms import print_sequent
     prog = _load(args.file)
     print(print_sequent(prog.sequent))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
+    from .derivations import check_derivation
+    from .reconstruct import reconstruct
+    from .sexpr import derivation_to_sexpr
     prog = _load(args.file)
     d = reconstruct(prog.sequent, prog.annotations)
     check_derivation(d)
@@ -80,6 +90,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .derivations import check_channel_linearity
+    from .reduction import cbv_trace, normalize
+    from .terms import flatten_par, join_par, print_term
     prog = _load(args.file)
     # reduction terminates only on linear terms: beta copies an argument
     # whose bound name occurs twice
@@ -97,6 +110,8 @@ def cmd_run(args) -> int:
         print(_render_trace_lines(print_term(term), steps))
         return EXIT_OK
     # concurrent: honor the precondition by typechecking first
+    from .reconstruct import reconstruct
+    from .runtime import run_concurrent
     reconstruct(prog.sequent, prog.annotations)
     final = run_concurrent(prog.sequent, seed=args.seed)
     print(f"final: {print_term(join_par(final))}")
@@ -104,6 +119,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .reduction import enumerate_normal_forms
+    from .terms import print_term
     prog = _load(args.file)
     term = prog.sequent.joined_term()
     forms = enumerate_normal_forms(term, args.budget)
@@ -114,6 +131,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .derivations import check_derivation
+    from .mll import check_mll, mll_to_nmll, nmll_to_mll
+    from .reconstruct import reconstruct
+    from .sexpr import derivation_to_sexpr, mll_to_sexpr, sexpr_to_mll
     if args.direction == "to-mll":
         prog = _load(args.file)
         d = reconstruct(prog.sequent, prog.annotations)
@@ -130,6 +151,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_props(args) -> int:
+    from .testlab import GenConfig, run_property_suite
     cfg = GenConfig(seed=args.seed, max_nodes=args.max_nodes)
     report = run_property_suite(args.n, cfg)
     print(report.render())
@@ -177,29 +199,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _lamp_error(err: Exception):
+    """The exit code and message prefix of err, if it is a lamp error."""
+    for module, name, code, label in _ERRORS:
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(err, getattr(loaded, name)):
+            return code, label
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except (TypecheckError, LinearityError) as err:
-        print(f"type error: {err}", file=sys.stderr)
-        return EXIT_TYPE
-    except BudgetExceeded as err:
-        print(f"budget exceeded: {err}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (RuleViolation, MllRuleViolation, DeadlockReport,
-            ChannelProtocolError) as err:
-        print(f"internal invariant violation: {err}", file=sys.stderr)
-        return EXIT_INTERNAL
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except RecursionError:
         print("budget exceeded: input nested too deeply", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as err:
+        known = _lamp_error(err)
+        if known is None:
+            raise
+        code, label = known
+        print(f"{label}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import Any, Optional, Sequence
 
 from .terms import (
     App, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent, Unit,
-    Var, free_index, preorder, subterms, var_names,
+    Var, _scan, children, nodes, preorder, var_names,
 )
 
 
@@ -196,7 +196,7 @@ class _EntryNames:
     def free(self, e: DeltaEntry) -> frozenset[str]:
         hit = self._free.get(id(e))
         if hit is None:
-            hit = self._free[id(e)] = frozenset(free_index(e.term))
+            hit = self._free[id(e)] = frozenset(_scan(e.term).free)
         return hit
 
 
@@ -377,7 +377,7 @@ def name_counts(s: Sequent) -> dict[str, tuple[int, int]]:
     conclusion list, counting textually (bound occurrences included)."""
     counts: dict[str, list[int]] = {}
     for e in s.delta:
-        for _, sub in subterms(e.term):
+        for sub in nodes(e.term, children):
             for x in sub[1:sub._first]:  # its names, see terms.binders
                 counts.setdefault(x, [0, 0])[type(sub) is not Var] += 1
     return {k: (v[0], v[1]) for k, v in counts.items()}
@@ -401,4 +401,4 @@ def check_channel_linearity(s: Sequent) -> None:
 
 def all_sequents(d: Derivation):
     """Every node's conclusion, in preorder."""
-    return (node.conclusion for _, node in preorder(d, premises_of))
+    return (node.conclusion for node in nodes(d, premises_of))

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, UNIT, Var, is_free_in, subterms,
+    Term, TypeExpr, UNIT, Var, children, is_free_in, nodes,
 )
 
 
@@ -296,7 +296,7 @@ class _Parser:
 def _check_binders_unique(s: Sequent) -> None:
     seen: set[str] = set()
     for e in s.delta:
-        for _, sub in subterms(e.term):
+        for sub in nodes(e.term, children):
             if type(sub) is Var:
                 continue
             for x in sub[1:sub._first]:  # its names, see terms.binders

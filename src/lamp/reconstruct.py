@@ -29,7 +29,7 @@ from .derivations import (
 )
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, Unit, Var, fold, is_free_in, preorder, print_sequent,
+    Term, TypeExpr, Unit, Var, fold, is_free_in, nodes, print_sequent,
     print_term, print_type, type_children, var_names,
 )
 
@@ -103,7 +103,7 @@ class _Reconstructor:
         return tuple(map(self.resolve, type_children(ty)))
 
     def _occurs(self, m: MetaVar, ty) -> bool:
-        return any(s == m for _, s in preorder(self.resolve(ty), self._kids))
+        return any(s == m for s in nodes(self.resolve(ty), self._kids))
 
     def unify(self, a, b) -> None:
         a, b = self.resolve(a), self.resolve(b)

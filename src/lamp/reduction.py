@@ -19,18 +19,26 @@ then the activator node.  Every fired step removes exactly one Send or
 Dist node and moves (never copies) the transmitted terms, so on linear
 terms the communication size decreases by exactly one per step, which
 bounds every reduction sequence.
+
+Redexes are found on one ``_scan`` of a term, which gives every position
+as a parent-linked cell (see ``terms``); the LCA test climbs cells, and
+``_reduct`` builds a reduct from the cells of the scan that found its
+redex, rebuilding each node above an edited position once.  ``normalize``,
+``enumerate_normal_forms`` and the runtime fire straight from the scan;
+``find_redexes`` and ``apply_redex`` speak in paths, for callers that hold
+a redex across calls, and ``apply_redex`` checks that it still matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .terms import (
-    App, Close, Dist, Par, Path, Send, Term, UNIT, Var,
-    _scan, children, is_free_in, join_par, preorder, print_term,
-    replace_at, split_joined, substitute, subterm_at, subterms,
+    App, Cell, Close, Dist, Par, Path, Send, Term, UNIT, Var, _Scan,
+    _cells_at, _path, _scan, children, is_free_in, join_par, nodes, preorder,
+    print_term, split_joined, substitute, subterm_at,
 )
 
 class StaleRedex(Exception):
@@ -52,8 +60,7 @@ class Redex:
     def describe(self, root: Term) -> str:
         if self.kind == "beta":
             return "Beta"
-        _, _, sends = fire(subterm_at(root, self.activator))
-        return " ".join([self.kind.capitalize()] + [x for x, _ in sends])
+        return _step_text(self.kind, fire(subterm_at(root, self.activator))[2])
 
 
 @dataclass
@@ -74,7 +81,7 @@ class Trace:
 
 def comm_size(t: Term) -> int:
     """Number of Send and Dist nodes in t."""
-    return sum(1 for _, s in subterms(t) if isinstance(s, (Send, Dist)))
+    return sum(1 for s in nodes(t, children) if isinstance(s, (Send, Dist)))
 
 
 def fire(node: Term, lams: Optional[set[int]] = None) -> Optional[tuple]:
@@ -93,72 +100,134 @@ def fire(node: Term, lams: Optional[set[int]] = None) -> Optional[tuple]:
     return None
 
 
-def _lca(a: Path, b: Path) -> Path:
-    """The path of the least common ancestor of the nodes at a and b."""
-    for n, (i, j) in enumerate(zip(a, b)):
-        if i != j:
-            return a[:n]
-    return a if len(a) <= len(b) else b
+def _step_text(kind: str, sends) -> str:
+    if kind == "beta":
+        return "Beta"
+    return " ".join([kind.capitalize()] + [x for x, _ in sends])
 
 
-def _lca_is_par(root: Term, a: Path, b: Path) -> bool:
-    return isinstance(subterm_at(root, _lca(a, b)), Par)
+def _above(c: Cell) -> set[int]:
+    """The ids of cell c and of every cell above it.  They stay unique
+    while c is held, since c holds them all."""
+    out = set()
+    while c is not None:
+        out.add(id(c))
+        c = c[0]
+    return out
+
+
+def _across_par(above: set[int], c: Cell) -> bool:
+    """Whether the least common ancestor of cell c and the cell whose
+    _above is above, both of one scan, is a Par."""
+    while id(c) not in above:
+        c = c[0]
+    return type(c[2]) is Par
+
+
+def _redexes(scan: _Scan) -> Iterator[tuple[Cell, tuple, tuple[Cell, ...]]]:
+    """(activator cell, its firing, receiver cells) of every redex of the
+    scanned term, in find_redexes' order, one at a time."""
+    for act in scan.acts:
+        firing = fire(act[2], scan.lams)
+        if firing[0] == "beta":
+            # a beta's receiver is in its own continuation: nothing to choose
+            yield act, firing, ()
+            continue
+        above = _above(act)
+        choices = [[c for c in scan.free.get(x, ()) if _across_par(above, c)]
+                   for x, _ in firing[2]]
+        # activators come in preorder and each receiver list in preorder,
+        # so the product is already in (activator, receivers) order
+        for recv in product(*choices):
+            yield act, firing, recv
+
+
+def _reduct(act: Cell, firing: tuple, receivers: Sequence[Cell]) -> Term:
+    """The term whose scan holds act and receivers, with the activator at
+    act fired: its continuation in its place, a beta's value substituted
+    into it, and each other value at its receiver, paired with sends in
+    order.  Each node on the union of the edited positions' paths is
+    rebuilt once, bottom up; everything off them is shared."""
+    kind, cont, sends = firing
+    if kind == "beta":
+        ((x, v),) = sends
+        edits = [(act, substitute(cont, x, v))]
+    else:
+        edits = [(act, cont)]
+        edits += [(c, v) for c, (_, v) in zip(receivers, sends, strict=True)]
+    # the cells where the paths of two edits meet, by id, each with its
+    # node's fields and the number of its children yet to be rebuilt; a
+    # node has at most two children, so no third path meets the same one
+    joins: dict[int, list] = {}
+    if len(edits) > 1:
+        seen: set[int] = set()
+        for c, _ in edits:
+            while c[0] is not None:
+                c = c[0]
+                if id(c) in seen:
+                    joins[id(c)] = [list(c[2]), 2]
+                    break
+                seen.add(id(c))
+    for c, new in edits:
+        while c[0] is not None:
+            up = c[0]
+            join = joins.get(id(up))
+            if join is None:
+                node, k = up[2], c[1]
+                new = tuple.__new__(type(node), node[:k] + (new,) + node[k + 1:])
+            else:
+                join[0][c[1]] = new
+                join[1] -= 1
+                if join[1]:
+                    break  # the edit that brings the last child goes on
+                new = tuple.__new__(type(up[2]), join[0])
+            c = up
+        else:
+            root = new
+    return root
 
 
 def find_redexes(t: Term) -> list[Redex]:
     """All redexes of t in leftmost-outermost activator order, read off one
     _scan of t."""
-    scan = _scan(t)
-    out: list[Redex] = []
-    for path, node in scan.acts:
-        kind, _, sends = fire(node, scan.lams)
-        if kind == "beta":
-            # a beta's receiver is in its own continuation: nothing to choose
-            out.append(Redex(kind, path))
-            continue
-        choices = [[occ for occ in scan.free.get(x, ()) if _lca(path, occ) in scan.pars]
-                   for x, _ in sends]
-        # activators come in preorder and each receiver list in preorder,
-        # so the product is already in (activator, receivers) order
-        out.extend(Redex(kind, path, recv) for recv in product(*choices))
-    return out
+    return [Redex(firing[0], _path(act), tuple(map(_path, recv)))
+            for act, firing, recv in _redexes(_scan(t))]
 
 
 def apply_redex(t: Term, r: Redex) -> Term:
     """Fire one redex.  Raises StaleRedex if r does not match t anymore."""
-    firing = fire(subterm_at(t, r.activator))
+    cells = _cells_at(t, (r.activator, *r.receivers))
+    act = next(cells)
+    firing = fire(act[2])
     if firing is None or firing[0] != r.kind:
         raise StaleRedex(f"activator is not a {r.kind} redex")
-    _, cont, sends = firing
     if r.kind == "beta":
-        ((x, v),) = sends
-        return replace_at(t, r.activator, substitute(cont, x, v))
-    for (x, _), occ in zip(sends, r.receivers, strict=True):
-        if subterm_at(t, occ) != Var(x) or not _lca_is_par(t, r.activator, occ):
+        return _reduct(act, firing, ())
+    receivers = tuple(cells)
+    above = _above(act)
+    for (x, _), c in zip(firing[2], receivers, strict=True):
+        if c[2] != Var(x) or not _across_par(above, c):
             raise StaleRedex(f"receiver for {x!r} no longer valid")
-    t = replace_at(t, r.activator, cont)
-    for (_, v), occ in zip(sends, r.receivers):
-        t = replace_at(t, occ, v)
-    return t
+    return _reduct(act, firing, receivers)
 
 
 def normalize(t: Term) -> Trace:
     """Reduce t to normal form, always firing the first redex in
-    leftmost-outermost order.  Terminates because every step removes one
-    Send or Dist node."""
+    leftmost-outermost order, found and fired off one _scan per step.
+    Terminates because every step removes one Send or Dist node."""
     trace = Trace(t, [])
     while True:
-        redexes = find_redexes(t)
-        if not redexes:
+        first = next(_redexes(_scan(t)), None)
+        if first is None:
             return trace
-        r = redexes[0]
-        desc = r.describe(t)
-        t = apply_redex(t, r)
-        trace.steps.append((desc, t))
+        act, firing, receivers = first
+        t = _reduct(act, firing, receivers)
+        trace.steps.append((_step_text(firing[0], firing[2]), t))
 
 
 def enumerate_normal_forms(t: Term, max_states: int = 100_000) -> set[Term]:
-    """Breadth-first exploration of every redex choice at every state.
+    """Breadth-first exploration of every redex choice at every state,
+    each reduct built from the one _scan of its state.
 
     Returns the set of syntactically distinct normal forms reached.
     Raises BudgetExceeded once more than max_states states are visited.
@@ -170,12 +239,10 @@ def enumerate_normal_forms(t: Term, max_states: int = 100_000) -> set[Term]:
     while frontier:
         nxt: list[Term] = []
         for s in frontier:
-            redexes = find_redexes(s)
-            if not redexes:
-                normal.add(s)
-                continue
-            for r in redexes:
-                s2 = apply_redex(s, r)
+            fired = False
+            for act, firing, receivers in _redexes(_scan(s)):
+                fired = True
+                s2 = _reduct(act, firing, receivers)
                 # one lookup per reduct, whose hash tuple recomputes in C
                 # over every node (it keeps none): seen grows iff s2 is new
                 before = len(seen)
@@ -184,6 +251,8 @@ def enumerate_normal_forms(t: Term, max_states: int = 100_000) -> set[Term]:
                     if len(seen) > max_states:
                         raise BudgetExceeded(len(seen))
                     nxt.append(s2)
+            if not fired:
+                normal.add(s)
         frontier = nxt
     return normal
 

@@ -29,8 +29,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .reduction import _lca, apply_redex, comm_size, find_redexes, fire
-from .terms import Sequent, Term, _Scan, _scan, flatten_par, replace_at, substitute
+from .reduction import (
+    _above, _across_par, _reduct, _redexes, comm_size, fire,
+)
+from .terms import Sequent, Term, _Scan, _scan, flatten_par, substitute
 
 
 class ChannelProtocolError(Exception):
@@ -83,11 +85,11 @@ class _Worker:
              fill: Callable[[str, Term, int], None]) -> Optional[list[str]]:
         """Take one step if the worker can; return None if it did, else the
         names free in its term, whose fills are what can wake it."""
-        redexes = find_redexes(self.term)
-        if redexes:
-            self.term = apply_redex(self.term, redexes[0])
-            return None
         scan = _scan(self.term)
+        first = next(_redexes(scan), None)
+        if first is not None:
+            self.term = _reduct(*first)
+            return None
         if self.send_step(scan, fill):
             return None
         ready = [x for x in scan.free
@@ -103,19 +105,21 @@ class _Worker:
         """Fire an activator with a receiver in another component (local
         redexes have all been fired): its value fills that channel's cell,
         while a receiver in this component gets its value in place."""
-        for path, node in scan.acts:
-            kind, cont, sends = fire(node, scan.lams)
+        for act in scan.acts:
+            kind, cont, sends = fire(act[2], scan.lams)
             if kind == "beta":
                 continue
             local = [scan.free.get(x) for x, _ in sends]
-            if all(local) or any(occ and _lca(path, occ[0]) not in scan.pars
-                                 for occ in local):
-                continue  # fully local, so a redex; or not yet deliverable
-            term = replace_at(self.term, path, cont)
+            if all(local):
+                continue  # fully local, so a redex
+            above = _above(act)
+            if any(occ and not _across_par(above, occ[0]) for occ in local):
+                continue  # not yet deliverable
+            here = [(x, v) for (x, v), occ in zip(sends, local) if occ]
+            term = _reduct(act, (kind, cont, here),
+                           [occ[0] for occ in local if occ])
             for (x, v), occ in zip(sends, local):
-                if occ:
-                    term = replace_at(term, occ[0], v)
-                else:
+                if not occ:
                     fill(x, v, self.index)
             self.term = term
             return True

@@ -11,12 +11,12 @@ import re
 from operator import itemgetter
 
 from .derivations import Derivation, Rule
-from .mll import MllDerivation, MllRule, MllSequent, print_mll_sequent
 from .parser import ParseError, _Parser
-from .terms import Sequent, fold, preorder, print_sequent
+from .terms import Sequent, fold, nodes, print_sequent
 
+# the MLL writer and reader import mll themselves: lamp check, which uses
+# neither, then never compiles it
 _NMLL_TAGS = {r.value: r for r in Rule}
-_MLL_TAGS = {r.value: r for r in MllRule}
 
 
 def _write(d, sequent_text) -> str:
@@ -46,6 +46,7 @@ def derivation_to_sexpr(d: Derivation) -> str:
 
 
 def mll_to_sexpr(d: MllDerivation) -> str:
+    from .mll import print_mll_sequent
     return _write(d, print_mll_sequent)
 
 
@@ -119,10 +120,11 @@ def parse_sequent_text(text: str) -> Sequent:
 
 
 def parse_mll_sequent_text(text: str) -> MllSequent:
+    from .mll import MllSequent
+    from .parser import parse_type
     if "|-" not in text:
         raise ParseError("missing |- in sequent")
     left_text, right_text = text.split("|-", 1)
-    from .parser import parse_type
 
     def types(part: str):
         part = part.strip()
@@ -143,7 +145,7 @@ def _build(text: str, tags: dict, parse_sequent, make):
     preorder, the order a reader meets them."""
     tree = _read_all(text)
     parsed = {}
-    for _, node in preorder(tree, _PREMISES):
+    for node in nodes(tree, _PREMISES):
         tag, seq_text, _ = node
         if tag not in tags:
             raise ParseError(f"unknown rule tag {tag!r}")
@@ -157,4 +159,6 @@ def sexpr_to_derivation(text: str) -> Derivation:
 
 
 def sexpr_to_mll(text: str) -> MllDerivation:
-    return _build(text, _MLL_TAGS, parse_mll_sequent_text, MllDerivation)
+    from .mll import MllDerivation, MllRule
+    return _build(text, {r.value: r for r in MllRule}, parse_mll_sequent_text,
+                  MllDerivation)

@@ -19,8 +19,11 @@ child at index 3).  Hashing and equality are tuple's own and run in C; the
 tag keeps constructors with equal fields, such as ``App(a, b)`` and
 ``Par(a, b)``, apart.  Fields are also named attributes, class patterns
 match on them, and the repr is the field-named one of a dataclass.  Walks
-over paths index the tuple directly.  Types, entries and sequents are
-frozen dataclasses.
+index the tuple directly.  A path (child indices from the root) names a
+position to callers; inside a walk, ``_scan`` names one by a cell linked
+to its parent's, built in O(1) where a path costs its length, and a path
+is built only for a position that is reported.  Types, entries and
+sequents are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def type_children(ty: TypeExpr) -> tuple:
 
 def subformulas(ty: TypeExpr) -> set:
     """All subformulas of ty, including ty itself."""
-    return {s for _, s in preorder(ty, type_children)}
+    return set(nodes(ty, type_children))
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +89,17 @@ def preorder(root, kids: Callable) -> Iterator[tuple[Path, object]]:
         ks = kids(node)
         for i in range(len(ks) - 1, -1, -1):
             stack.append((path + (i,), ks[i]))
+
+
+def nodes(root, kids: Callable) -> Iterator:
+    """The nodes preorder yields, in its order, without their paths: a
+    path costs its length to build, so a walk that drops them costs the
+    tree's size, not its size times its depth."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(kids(node)))
 
 
 def fold(root, kids: Callable, leave: Callable):
@@ -258,43 +272,51 @@ def subterms(t: Term) -> Iterator[tuple[Path, Term]]:
 
 def binders(t: Term) -> set[str]:
     """Names bound by a Send or Dist anywhere in t."""
-    return {x for _, s in subterms(t) if type(s) is not Var for x in s[1:s._first]}
+    return {x for s in nodes(t, children) if type(s) is not Var for x in s[1:s._first]}
 
 
 def var_names(t: Term) -> set[str]:
     """Every name occurring in t, as a variable or as a binder."""
-    return {x for _, s in subterms(t) for x in s[1:s._first]}
+    return {x for s in nodes(t, children) for x in s[1:s._first]}
+
+
+# A position in a scanned term is a cell (parent cell, k, node): node is
+# the subterm there and parent cell's node[k] (a tuple index, not a path
+# index); the root's cell is (None, 0, root).  A cell is built in O(1) as
+# the walk reaches its node, and two cells of one scan are the same
+# position exactly when they are the same object.
+Cell = tuple
 
 
 class _Scan(NamedTuple):
     """What one preorder pass over a term finds."""
 
-    free: dict[str, list[Path]]  # per name, its free occurrences in preorder
+    free: dict[str, list[Cell]]  # per name, its free occurrences in preorder
     lams: set[int]  # ids of the Sends whose name is free in their own body
-    pars: set[Path]  # paths of the Par nodes
     # activator candidates in preorder: App(Send, _) and Dist(_, _, Par)
-    acts: list[tuple[Path, Term]]
+    acts: list[Cell]
 
 
 def _scan(t: Term) -> _Scan:
-    """One preorder pass over t: the name index, the lambdas, the Par paths
-    and the activator candidates, which together are all redex search reads.
+    """One preorder pass over t: the name index, the lambdas and the
+    activator candidates, each at its cell, which together are all redex
+    search and firing read.
 
     A variable belongs to its innermost enclosing Send or Dist binder for
     its name; with none it is free.  Binders for other names are
     transparent.
     """
-    free: dict[str, list[Path]] = {}
+    free: dict[str, list[Cell]] = {}
     lams: set[int] = set()
-    pars: set[Path] = set()
-    acts: list[tuple[Path, Term]] = []
+    acts: list[Cell] = []
     # per name, the enclosing binders innermost last: a Send, or None for
-    # a Dist; a (None, names) stack entry closes the binders for names
+    # a Dist; a (None, names, None) stack entry closes the binders for names
     scope: dict[str, list[Optional[Send]]] = {}
     # fields are read by index, which costs about half a property read
-    stack: list = [(t, ())]
+    stack: list = [(None, 0, t)]
     while stack:
-        s, p = stack.pop()
+        c = stack.pop()
+        s = c[2]
         cls = type(s)
         if cls is Var:
             bound = scope.get(s[1])
@@ -302,33 +324,59 @@ def _scan(t: Term) -> _Scan:
                 if bound[-1] is not None:
                     lams.add(id(bound[-1]))
             else:
-                free.setdefault(s[1], []).append(p)
+                free.setdefault(s[1], []).append(c)
         elif cls is App:
             if type(s[1]) is Send:
-                acts.append((p, s))
-            stack.append((s[2], p + (1,)))
-            stack.append((s[1], p + (0,)))
+                acts.append(c)
+            stack.append((c, 2, s[2]))
+            stack.append((c, 1, s[1]))
         elif cls is Par:
-            pars.add(p)
-            stack.append((s[2], p + (1,)))
-            stack.append((s[1], p + (0,)))
+            stack.append((c, 2, s[2]))
+            stack.append((c, 1, s[1]))
         elif cls is Send:
             scope.setdefault(s[1], []).append(s)
-            stack.append((None, (s[1],)))
-            stack.append((s[2], p + (0,)))
+            stack.append((None, (s[1],), None))
+            stack.append((c, 2, s[2]))
         elif cls is Dist:
             if type(s[3]) is Par:
-                acts.append((p, s))
+                acts.append(c)
             scope.setdefault(s[1], []).append(None)
             scope.setdefault(s[2], []).append(None)
-            stack.append((None, (s[1], s[2])))
-            stack.append((s[3], p + (0,)))
+            stack.append((None, (s[1], s[2]), None))
+            stack.append((c, 3, s[3]))
         elif cls is Close:
-            stack.append((s[1], p + (0,)))
+            stack.append((c, 1, s[1]))
         elif s is None:
-            for x in p:
+            for x in c[1]:
                 scope[x].pop()
-    return _Scan(free, lams, pars, acts)
+    return _Scan(free, lams, acts)
+
+
+def _path(c: Cell) -> Path:
+    """The path from the root to the position of cell c."""
+    out = []
+    while c[0] is not None:
+        up = c[0]
+        out.append(c[1] - up[2]._first)
+        c = up
+    out.reverse()
+    return tuple(out)
+
+
+def _cells_at(t: Term, paths) -> Iterator[Cell]:
+    """A cell for the position of each path in t, made as the paths are
+    read, one per position, as one scan of t would make them."""
+    root = (None, 0, t)
+    made: dict[tuple[int, int], Cell] = {}  # (id of the parent cell, k)
+    for path in paths:
+        c = root
+        for i in path:
+            node = c[2]
+            first = node._first
+            if not 0 <= i < len(node) - first:
+                raise InvalidPath(f"no child {i} at {type(node).__name__}")
+            c = made.setdefault((id(c), first + i), (c, first + i, node[first + i]))
+        yield c
 
 
 def free_index(t: Term) -> dict[str, list[Path]]:
@@ -337,12 +385,12 @@ def free_index(t: Term) -> dict[str, list[Path]]:
     Occurrences under a Send or Dist binder for the same name are bound and
     skipped; binders for other names are transparent.
     """
-    return _scan(t).free
+    return {x: [_path(c) for c in cells] for x, cells in _scan(t).free.items()}
 
 
 def occurrences(t: Term, x: str) -> list[Path]:
     """Paths of the free occurrences of x in t, in preorder."""
-    return free_index(t).get(x, [])
+    return [_path(c) for c in _scan(t).free.get(x, ())]
 
 
 def is_free_in(x: str, t: Term) -> bool:
@@ -393,7 +441,7 @@ def _spine(t: Term) -> tuple[Term, ...]:
 
 def flatten_par(t: Term) -> list[Term]:
     """The maximal parallel spine of t, left to right."""
-    return [s for _, s in preorder(t, _spine) if type(s) is not Par]
+    return [s for s in nodes(t, _spine) if type(s) is not Par]
 
 
 def join_par(parts: list[Term]) -> Term:

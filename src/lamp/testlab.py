@@ -33,8 +33,8 @@ from .reduction import (
 from .runtime import DeadlockReport, run_concurrent
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, UNIT, Var, children, flatten_par, fold, preorder,
-    print_term, split_joined, subterms,
+    Term, TypeExpr, UNIT, Var, children, flatten_par, fold, nodes,
+    print_term, split_joined,
 )
 
 
@@ -50,7 +50,7 @@ class GenConfig:
 
 
 def _node_count(d: Derivation) -> int:
-    return sum(1 for _ in preorder(d, premises_of))
+    return sum(1 for _ in nodes(d, premises_of))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def _renamed(s: Sequent, rename: Callable[[str], str]) -> Sequent:
     in order of first occurrence (declarations, then each entry's names in
     preorder, a binder before its body), which _canonical numbers by."""
     gamma = tuple((rename(x), ty) for x, ty in s.gamma)
-    new = {x: rename(x) for e in s.delta for _, t in subterms(e.term)
+    new = {x: rename(x) for e in s.delta for t in nodes(e.term, children)
            for x in t[1:t._first]}
 
     def rebuilt(t: Term, kids: list[Term]) -> Term:
@@ -269,7 +269,7 @@ def _canonical(s: Sequent) -> Sequent:
 
 
 def _size(s: Sequent) -> int:
-    return sum(1 for e in s.delta for _ in subterms(e.term)) + len(s.gamma)
+    return sum(1 for e in s.delta for _ in nodes(e.term, children)) + len(s.gamma)
 
 
 def closure(types: Iterable[TypeExpr], max_size: int) -> set[Sequent]:
@@ -555,7 +555,7 @@ def run_property_suite(n_cases: int, cfg: GenConfig,
             has_potential = any(
                 isinstance(sub, Dist)
                 or (isinstance(sub, App) and isinstance(sub.fun, Send))
-                for _, sub in subterms(s.joined_term()))
+                for sub in nodes(s.joined_term(), children))
             if has_potential and not redexes:
                 ok = False
         results["progress"].record(case_seed, ok)

@@ -33,8 +33,8 @@ def corpus_text(name: str) -> str:
     return (CORPUS / f"{name}.lamp").read_text(encoding="utf-8")
 
 
-def run_cli(*args, env_extra=None, timeout=None):
-    """Run `python -m lamp.cli ARGS` from the checkout root.
+def run_python(*args, env_extra=None, timeout=None):
+    """Run `python ARGS` from the checkout root.
 
     The child inherits the caller's environment with `LAMP_COLOR=0` and this
     checkout's `src` first on `PYTHONPATH`, so the tests exercise this tree's
@@ -48,5 +48,10 @@ def run_cli(*args, env_extra=None, timeout=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "lamp.cli", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, cwd=ROOT, env=env, timeout=timeout)
+
+
+def run_cli(*args, env_extra=None, timeout=None):
+    """Run `python -m lamp.cli ARGS` as run_python does."""
+    return run_python("-m", "lamp.cli", *args, env_extra=env_extra, timeout=timeout)

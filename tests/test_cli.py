@@ -1,8 +1,10 @@
 """Command line behaviour: outputs, exit codes, golden stability."""
 
+import json
+
 import pytest
 
-from tests.conftest import CORPUS_NAMES, GOLDEN, run_cli
+from tests.conftest import CORPUS_NAMES, GOLDEN, run_cli, run_python
 
 
 def test_parse_prints_sequent():
@@ -220,3 +222,106 @@ def test_color_toggle():
     r2 = run_cli("run", "corpus/cyclic.lamp")
     assert r2.returncode == 0, r2.stderr
     assert "\x1b" not in r2.stdout
+
+
+# -- start-up: a command imports what it runs --------------------------------
+
+# every name lamp's __init__ exported when it imported all of lamp, by module
+_EXPORTS = {
+    "terms": "App Atom BOT Bot Close DeltaEntry Dist Lolli Par ParT Send "
+             "Sequent Term TypeExpr UNIT Unit Var flatten_par is_simple "
+             "join_par occurrences print_sequent print_term print_type "
+             "split_joined substitute",
+    "parser": "DuplicateBinder LamWithoutOccurrence ParseError Program "
+              "parse_program parse_term parse_type",
+    "derivations": "Derivation LinearityError Rule RuleViolation "
+                   "check_channel_linearity check_derivation",
+    "reconstruct": "LinearityViolation TypecheckError UnificationFailure "
+                   "UnsatisfiableSplit reconstruct",
+    "metatheory": "BottomLike HeadVar NormalShape PreconditionViolation "
+                  "ShapeViolation SubformulaCounterexample ValueShape "
+                  "check_no_freaks check_subformula classify_normal "
+                  "subst_derivation",
+    "reduction": "BudgetExceeded Redex StaleRedex Trace apply_redex cbv_step "
+                 "cbv_trace comm_size enumerate_normal_forms find_redexes "
+                 "is_value normalize",
+    "mll": "MllDerivation MllRule MllRuleViolation MllSequent check_mll "
+           "mll_to_nmll nmll_to_mll print_mll_sequent type_erasure",
+    "runtime": "ChannelCell ChannelProtocolError DeadlockReport run_concurrent",
+    "testlab": "GenConfig Report gen_derivation gen_mll run_property_suite",
+}
+
+
+def test_every_export_still_imports_from_lamp():
+    # lamp.testlab first: it imports the module lamp.reconstruct, whose
+    # name is also the name of the function lamp exports
+    r = run_python("-c", f"""
+import importlib, json, lamp.testlab
+exports = {_EXPORTS!r}
+wrong = [f"{{m}}.{{n}}" for m, names in exports.items() for n in names.split()
+         if getattr(lamp, n) is not getattr(importlib.import_module("lamp." + m), n)]
+namespace = {{}}
+exec("from lamp import *", namespace)
+print(json.dumps([wrong, sorted(set(lamp.__all__) - set(namespace))]))
+""")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [[], []]
+    exported = {n for names in _EXPORTS.values() for n in names.split()}
+    r = run_python("-c", "import json, lamp; print(json.dumps(lamp.__all__))")
+    assert set(json.loads(r.stdout)) == exported
+
+
+@pytest.mark.parametrize("command,unused", [
+    ("run", {"metatheory", "mll", "runtime", "sexpr", "testlab"}),
+    ("check", {"metatheory", "mll", "reduction", "runtime", "testlab"}),
+])
+def test_a_command_imports_only_what_it_runs(command, unused):
+    r = run_python("-c", f"""
+import json, sys
+from lamp.cli import main
+code = main([{command!r}, "corpus/cyclic.lamp"])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lamp."))]))
+""")
+    assert r.returncode == 0, r.stderr
+    code, loaded = json.loads(r.stdout.splitlines()[-1])
+    assert code == 0
+    assert not {m.removeprefix("lamp.") for m in loaded} & unused, loaded
+
+
+def _errors():
+    from lamp.derivations import LinearityError, RuleViolation
+    from lamp.mll import MllRuleViolation
+    from lamp.parser import DuplicateBinder, ParseError
+    from lamp.reconstruct import TypecheckError, UnificationFailure
+    from lamp.reduction import BudgetExceeded
+    from lamp.runtime import ChannelProtocolError, DeadlockReport
+    internal = "internal invariant violation: "
+    return [
+        (ParseError("p"), 2, "parse error: p"),
+        (DuplicateBinder("d"), 2, "parse error: d"),
+        (TypecheckError("t"), 1, "type error: t"),
+        (UnificationFailure("u"), 1, "type error: u"),
+        (LinearityError("x", 2, 0, True), 1,
+         "type error: declared name 'x' occurs 2x as a variable and 0x as a binder"),
+        (BudgetExceeded(3), 4, "budget exceeded: state budget exceeded after 3 states"),
+        (RuleViolation((0,), "r"), 3, internal + "at node [0]: r"),
+        (MllRuleViolation((), "m"), 3, internal + "at node []: m"),
+        (DeadlockReport([1], ["x"]), 3,
+         internal + "stuck: workers [1] blocked, channels ['x'] undelivered"),
+        (ChannelProtocolError("c"), 3, internal + "c"),
+        (FileNotFoundError("f"), 5, "error: f"),
+        (RecursionError(), 4, "budget exceeded: input nested too deeply"),
+    ]
+
+
+def test_each_error_class_keeps_its_exit_code(monkeypatch, capsys):
+    from lamp import cli
+    for err, code, message in _errors():
+        def fail(args, err=err):
+            raise err
+        monkeypatch.setattr(cli, "cmd_parse", fail)
+        assert cli.main(["parse", "any.lamp"]) == code, err
+        assert capsys.readouterr().err == message + "\n"
+    monkeypatch.setattr(cli, "cmd_parse", lambda args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["parse", "any.lamp"])

@@ -5,7 +5,9 @@ search, the runtime and the printer read it.  The oracles below are the
 walks lamp used before: one ``occurrences`` walk per name, and a
 ``find_redexes`` that walks the term once per channel.  Both must agree
 with the index on every state normalize reaches, and on every state
-enumerate visits, for 400 generated programs.
+enumerate visits, for 400 generated programs.  On the same states, the
+reducts that enumerate and normalize build from one scan must be the
+ones ``apply_redex`` builds from each redex's paths.
 """
 
 from functools import lru_cache
@@ -15,11 +17,12 @@ from hypothesis import given
 
 from lamp.parser import parse_program, parse_term
 from lamp.reduction import (
-    Redex, apply_redex, comm_size, find_redexes, normalize,
+    Redex, _reduct, _redexes, apply_redex, comm_size, find_redexes, normalize,
 )
 from lamp.terms import (
-    App, Close, Dist, Par, Send, UNIT, Var, children, flatten_par, free_index,
-    is_free_in, occurrences, print_term, subterm_at, subterms, var_names,
+    App, Close, Dist, Par, Send, UNIT, Var, _scan, children, flatten_par,
+    free_index, is_free_in, occurrences, print_term, subterm_at, subterms,
+    var_names,
 )
 from lamp.testlab import GenConfig, gen_derivation
 from tests.test_terms import _terms
@@ -165,6 +168,36 @@ def test_is_free_in_respects_a_dist_binding_one_name_twice():
     assert is_free_in("x", t) and free_index(t)["x"] == [(0,)]
 
 
+def _check_reducts_from_one_scan(t, normalizes=True):
+    # what enumerate_normal_forms builds for t, in its order
+    redexes = find_redexes(t)
+    assert [_reduct(*fired) for fired in _redexes(_scan(t))] \
+        == [apply_redex(t, r) for r in redexes], print_term(t)
+    if not normalizes:
+        return
+    # normalize's first step and its text
+    steps = normalize(t).steps
+    if redexes:
+        assert steps[0] == (redexes[0].describe(t), apply_redex(t, redexes[0]))
+    else:
+        assert steps == []
+
+
+def test_reducts_from_one_scan_match_apply_redex():
+    _, states = _states()
+    for t in states:
+        _check_reducts_from_one_scan(t)
+
+
+@given(_terms(4))
+def test_reducts_from_one_scan_match_apply_redex_on_untyped_terms(t):
+    # several receivers per channel, and receivers that meet below the
+    # activator's Par, only occur here; normalize runs only where no name
+    # occurs twice, since a beta that copies may never terminate
+    names = [s.name for _, s in subterms(t) if type(s) is Var]
+    _check_reducts_from_one_scan(t, normalizes=len(names) == len(set(names)))
+
+
 def test_print_parse_round_trip_on_generated_programs():
     programs, _ = _states()
     for t in programs:
@@ -219,6 +252,17 @@ def test_dist_whose_body_is_not_a_par_is_no_activator():
             Par(Par(Var("x"), Var("y")), Par(Var("u"), Var("w"))))
     assert find_redexes(t) == _old_find_redexes(t) \
         == [Redex("dist", (0, 0), ((1, 0, 0), (1, 0, 1)))]
+
+
+def test_dist_receivers_that_meet_below_the_activators_par():
+    # both receivers sit across the root Par from the activator, and their
+    # paths meet at (1,), whose one rebuild must take both values
+    t = Par(Dist("x", "y", Par(Var("s"), Var("u"))),
+            Par(Var("x"), Close(Var("y"))))
+    assert find_redexes(t) == [Redex("dist", (0,), ((1, 0), (1, 1, 0)))]
+    want = Par(UNIT, Par(Var("s"), Close(Var("u"))))
+    assert normalize(t).final == want
+    assert [_reduct(*fired) for fired in _redexes(_scan(t))] == [want]
 
 
 def test_inner_binder_for_the_same_name_shadows():

@@ -2,9 +2,11 @@
 enumeration, and the call-by-value discipline."""
 
 import hashlib
+import random
 
 import pytest
 
+from lamp import reduction
 from lamp.parser import parse_program, parse_term
 from lamp.reduction import (
     BudgetExceeded, StaleRedex, apply_redex, cbv_step, cbv_trace,
@@ -12,10 +14,11 @@ from lamp.reduction import (
 )
 from lamp.runtime import run_concurrent
 from lamp.terms import (
-    App, Dist, Par, Send, UNIT, Var, flatten_par, join_par, print_term,
+    App, Dist, Par, Send, UNIT, Var, _scan, flatten_par, join_par, print_term,
 )
 from lamp.testlab import GenConfig, gen_derivation
 from tests.conftest import corpus_text
+from tests.test_checker import _INPUTS
 
 # sha256 over 400 generated programs of everything the reducers print:
 # normalize's trace, each cbv step, three concurrent runs and, for small
@@ -105,6 +108,24 @@ def test_normalize_single_beta():
     tr = normalize(App(Send("x", Var("x")), Var("y")))
     assert tr.final == Var("y")
     assert len(tr.steps) == 1
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_normalize_scans_once_per_step(monkeypatch, n):
+    # a count guard, not a timing guard: each step is found and fired off
+    # one scan of its state, and the normal form takes one more
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return _scan(t)
+
+    monkeypatch.setattr(reduction, "_scan", counted)
+    case = _INPUTS.ring_case(0, n, random.Random(n))
+    trace = normalize(case.sequent.joined_term())
+    assert len(trace.steps) >= n
+    assert calls == len(trace.steps) + 1
 
 
 @pytest.mark.parametrize("name,final_components,steps", [

@@ -9,14 +9,14 @@ import pytest
 from lamp import runtime
 from lamp.parser import parse_program
 from lamp.reconstruct import reconstruct
-from lamp.reduction import find_redexes, normalize
+from lamp.reduction import normalize
 from lamp.runtime import (
     ChannelCell, ChannelProtocolError, DeadlockReport, run_concurrent,
 )
 from lamp.testlab import GenConfig, gen_derivation
 from lamp.terms import (
-    App, DeltaEntry, Par, ParT, BOT, Send, Sequent, UNIT, Var, flatten_par,
-    print_term,
+    App, DeltaEntry, Par, ParT, BOT, Send, Sequent, UNIT, Var, _scan,
+    flatten_par, print_term,
 )
 from tests.conftest import corpus_text
 from tests.test_checker import _INPUTS
@@ -130,14 +130,15 @@ class _AlwaysAwake(runtime._Worker):
 
 
 def _counted_run(monkeypatch, sequent, seed):
+    # every poll scans its worker's term once, and redex search reads that scan
     calls = 0
 
     def counted(t):
         nonlocal calls
         calls += 1
-        return find_redexes(t)
+        return _scan(t)
 
-    monkeypatch.setattr(runtime, "find_redexes", counted)
+    monkeypatch.setattr(runtime, "_scan", counted)
     return run_concurrent(sequent, seed=seed), calls
 
 

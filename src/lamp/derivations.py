@@ -25,8 +25,8 @@ from operator import attrgetter
 from typing import Any, Optional, Sequence
 
 from .terms import (
-    App, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent, Unit,
-    Var, _scan, children, nodes, preorder, var_names,
+    App, BOT, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
+    UNIT, Var, _scan, children, nodes, preorder, var_names,
 )
 
 
@@ -223,7 +223,7 @@ def _premises_disjoint(node: Derivation, path, names: _EntryNames) -> None:
                     path, f"premises {i} and {j} share variables {sorted(shared)}")
 
 
-_STAR = DeltaEntry(Unit(), Bot())
+_STAR = DeltaEntry(UNIT, BOT)
 
 
 def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> RuleInstance:
@@ -266,7 +266,7 @@ def _match(node: Derivation, path: tuple[int, ...], names: _EntryNames) -> RuleI
             raise RuleViolation(path, "BotE must not change declarations")
         match multiset_diff(con.delta, p.delta):
             case [DeltaEntry(Close(body), None) as e], [pe] \
-                    if pe == DeltaEntry(body, Bot()):
+                    if pe == DeltaEntry(body, BOT):
                 return RuleInstance(rule, {"i": con.delta.index(e),
                                            "j": p.delta.index(pe)})
         raise RuleViolation(path, "BotE must close one entry of type bot")

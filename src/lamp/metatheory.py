@@ -8,7 +8,7 @@ from typing import Optional, Union
 
 from .derivations import Derivation, Rule, premises_of
 from .terms import (
-    App, Bot, Close, DeltaEntry, Lolli, Par, ParT, Send, Sequent, Term,
+    App, BOT, Close, DeltaEntry, Lolli, Par, ParT, Send, Sequent, Term,
     TypeExpr, Var, binders, free_index, is_simple, preorder, print_term,
     print_type, sequent_names, subformulas, substitute, subterms,
 )
@@ -112,7 +112,7 @@ def classify_normal(t: Term, ty: Optional[TypeExpr]) -> NormalShape:
                 raise ShapeViolation(
                     f"parallel value typed {print_type(ty) if ty else '?'}")
             return ValueShape("parallel")
-    if ty == Bot() or ty is None or isinstance(t, Close):
+    if ty == BOT or ty is None or isinstance(t, Close):
         return BottomLike()
     stack: list[Term] = []
     head = t
@@ -140,7 +140,7 @@ class SubformulaCounterexample(Exception):
 def check_subformula(d: Derivation) -> None:
     """Every type anywhere in d must be a subformula of an end-sequent type
     or of bot.  Intended for derivations whose end-sequent term is normal."""
-    allowed: set = {Bot()}
+    allowed: set = {BOT}
     root = d.conclusion
     for _, ty in root.gamma:
         allowed |= subformulas(ty)

@@ -27,7 +27,7 @@ from .derivations import (
 )
 from .terms import (
     App, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    TypeExpr, UNIT, Var, fold, preorder, print_type,
+    TypeExpr, UNIT, Var, _Node, children, fold, preorder, print_type,
 )
 
 
@@ -54,10 +54,9 @@ MLL_ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class MllSequent:
-    left: tuple[TypeExpr, ...]
-    right: tuple[TypeExpr, ...]
+class MllSequent(_Node):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,57 @@ def print_mll_sequent(s: MllSequent) -> str:
 
 def _without(xs: tuple, i: int) -> tuple:
     return xs[:i] + xs[i + 1:]
+
+
+# The context-splitting rules: the class of the conclusion's left formula
+# the rule introduces (None for Cut), whether the first premise's
+# principal formula is on its left, and the rule's error
+_SPLITTING = {
+    MllRule.CUT: (None, False, "cut formulas do not match the contexts"),
+    MllRule.LOLLI_L: (Lolli, False, "lolli-left does not match its premises"),
+    MllRule.PARR_L: (ParT, True, "par-left does not match its premises"),
+}
+
+
+def _match_split(con: MllSequent, p1: MllSequent, p2: MllSequent, cls,
+                 on_left: bool):
+    """The instance of a context-splitting rule, or None.  Formula i of
+    p1 and the declaration j of p2 are principal: a cut formula and its
+    copy, or the two parts of the introduced formula k.  Several choices
+    can match the same multisets; the first whose left-to-right context
+    concatenation reproduces the conclusion lists exactly wins, so that
+    the term decoration erases back verbatim, else the first that
+    matches."""
+    # (k, the introduced formula as a 1-tuple, its parts); a Cut's
+    # formulas are any equal pair
+    if cls is None:
+        heads = [(None, (), None, None)]
+    else:
+        heads = [(k, (ty,), *children(ty)) for k, ty in enumerate(con.left)
+                 if type(ty) is cls]
+    found = None
+    for k, intro, a, b in heads:
+        left = con.left if k is None else _without(con.left, k)
+        for i, a1 in enumerate(p1.left if on_left else p1.right):
+            if a is not None and a1 != a:
+                continue
+            l1 = _without(p1.left, i) if on_left else p1.left
+            r1 = p1.right if on_left else _without(p1.right, i)
+            for j, b1 in enumerate(p2.left):
+                if b1 != (a1 if k is None else b):
+                    continue
+                l2 = _without(p2.left, j)
+                if multiset_diff(left, l1, l2) != ([], []) \
+                        or multiset_diff(con.right, r1, p2.right) != ([], []):
+                    continue
+                inst = ({"i": i, "j": j, "a": a1} if k is None
+                        else {"k": k, "i": i, "j": j, "a": a, "b": b})
+                if con.left == (l1 + l2 + intro if on_left else l1 + intro + l2) \
+                        and con.right == r1 + p2.right:
+                    return inst
+                if found is None:
+                    found = inst
+    return found
 
 
 def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
@@ -133,83 +183,12 @@ def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]
                             return {"i": i, "a": a, "b": b}
         raise MllRuleViolation(path, "par-right must split one par formula")
 
-    # For the context-splitting rules, several principal positions can match
-    # the same multisets; prefer the candidate whose left-to-right context
-    # concatenation reproduces the conclusion lists exactly, so that the
-    # term decoration erases back verbatim.
-
-    if rule is MllRule.CUT:
-        p1, p2 = prems[0].conclusion, prems[1].conclusion
-        found = []
-        for i, a in enumerate(p1.right):
-            for j, b in enumerate(p2.left):
-                if a == b \
-                        and multiset_diff(con.left, p1.left,
-                                          _without(p2.left, j)) == ([], []) \
-                        and multiset_diff(con.right, _without(p1.right, i),
-                                          p2.right) == ([], []):
-                    exact = (con.left == p1.left + _without(p2.left, j)
-                             and con.right == _without(p1.right, i) + p2.right)
-                    found.append((not exact, {"i": i, "j": j, "a": a}))
-        if found:
-            return min(found, key=lambda f: f[0])[1]
-        raise MllRuleViolation(path, "cut formulas do not match the contexts")
-
-    if rule is MllRule.LOLLI_L:
-        p1, p2 = prems[0].conclusion, prems[1].conclusion
-        found = []
-        for k, ty in enumerate(con.left):
-            match ty:
-                case Lolli(a, b):
-                    for i, a1 in enumerate(p1.right):
-                        if a1 != a:
-                            continue
-                        for j, b1 in enumerate(p2.left):
-                            if b1 != b:
-                                continue
-                            if multiset_diff(_without(con.left, k), p1.left,
-                                             _without(p2.left, j)) == ([], []) \
-                                    and multiset_diff(con.right,
-                                                      _without(p1.right, i),
-                                                      p2.right) == ([], []):
-                                exact = (con.left == p1.left + (ty,)
-                                         + _without(p2.left, j)
-                                         and con.right
-                                         == _without(p1.right, i) + p2.right)
-                                found.append((not exact,
-                                              {"k": k, "i": i, "j": j,
-                                               "a": a, "b": b}))
-        if found:
-            return min(found, key=lambda f: (f[0], f[1]["k"]))[1]
-        raise MllRuleViolation(path, "lolli-left does not match its premises")
-
-    if rule is MllRule.PARR_L:
-        p1, p2 = prems[0].conclusion, prems[1].conclusion
-        found = []
-        for k, ty in enumerate(con.left):
-            match ty:
-                case ParT(a, b):
-                    for i, a1 in enumerate(p1.left):
-                        if a1 != a:
-                            continue
-                        for j, b1 in enumerate(p2.left):
-                            if b1 != b:
-                                continue
-                            if multiset_diff(_without(con.left, k),
-                                             _without(p1.left, i),
-                                             _without(p2.left, j)) == ([], []) \
-                                    and multiset_diff(con.right, p1.right,
-                                                      p2.right) == ([], []):
-                                exact = (con.left
-                                         == _without(p1.left, i)
-                                         + _without(p2.left, j) + (ty,)
-                                         and con.right == p1.right + p2.right)
-                                found.append((not exact,
-                                              {"k": k, "i": i, "j": j,
-                                               "a": a, "b": b}))
-        if found:
-            return min(found, key=lambda f: (f[0], f[1]["k"]))[1]
-        raise MllRuleViolation(path, "par-left does not match its premises")
+    if rule in _SPLITTING:
+        inst = _match_split(con, prems[0].conclusion, prems[1].conclusion,
+                            *_SPLITTING[rule][:2])
+        if inst is not None:
+            return inst
+        raise MllRuleViolation(path, _SPLITTING[rule][2])
 
     raise MllRuleViolation(path, f"unknown rule {rule!r}")
 

@@ -21,7 +21,6 @@ a derivation is schematic in such types, so any instantiation checks, and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .derivations import (
@@ -29,8 +28,8 @@ from .derivations import (
 )
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, Unit, Var, fold, is_free_in, nodes, print_sequent,
-    print_term, print_type, type_children, var_names,
+    Term, TypeExpr, Unit, Var, _Node, children, fold, is_free_in, nodes,
+    print_sequent, print_term, print_type, var_names,
 )
 
 
@@ -65,11 +64,11 @@ class LinearityViolation(TypecheckError):
     pass
 
 
-@dataclass(frozen=True)
-class MetaVar:
+class MetaVar(_Node):
     """A type unknown, local to one reconstruction run."""
 
-    name: str
+    __slots__ = ()
+    __match_args__ = ("name",)
 
 
 class _Reconstructor:
@@ -100,7 +99,7 @@ class _Reconstructor:
 
     def _kids(self, ty) -> tuple:
         """ty's children, resolved."""
-        return tuple(map(self.resolve, type_children(ty)))
+        return tuple(map(self.resolve, children(ty)))
 
     def _occurs(self, m: MetaVar, ty) -> bool:
         return any(s == m for s in nodes(self.resolve(ty), self._kids))
@@ -120,14 +119,13 @@ class _Reconstructor:
         if isinstance(b, MetaVar):
             self.unify(b, a)
             return
-        match a, b:
-            case (Lolli(a1, a2), Lolli(b1, b2)) | (ParT(a1, a2), ParT(b1, b2)):
-                self.unify(a1, b1)
-                self.unify(a2, b2)
-            case _:
-                ra, rb = self.deep_resolve(a), self.deep_resolve(b)
-                raise UnificationFailure(
-                    lambda: f"cannot unify {type_text(ra)} with {type_text(rb)}")
+        # same constructor and names (an atom's), then the children in turn
+        if type(a) is not type(b) or a[1:a._first] != b[1:b._first]:
+            ra, rb = self.deep_resolve(a), self.deep_resolve(b)
+            raise UnificationFailure(
+                lambda: f"cannot unify {type_text(ra)} with {type_text(rb)}")
+        for x, y in zip(children(a), children(b)):
+            self.unify(x, y)
 
     def deep_resolve(self, ty, default: Optional[TypeExpr] = None):
         def leave(s, parts):
@@ -137,21 +135,15 @@ class _Reconstructor:
 
         return fold(self.resolve(ty), self._kids, leave)
 
-    def _as_lolli(self, ty) -> tuple:
+    def _as(self, cls, ty) -> tuple:
+        """The two children of ty as a cls (Lolli or ParT): its own if it
+        is one, else fresh unknowns it is unified with."""
         ty = self.resolve(ty)
-        if isinstance(ty, Lolli):
-            return ty.arg, ty.res
-        a, b = self.fresh(), self.fresh()
-        self.unify(ty, Lolli(a, b))
-        return a, b
-
-    def _as_part(self, ty) -> tuple:
-        ty = self.resolve(ty)
-        if isinstance(ty, ParT):
-            return ty.left, ty.right
-        a, b = self.fresh(), self.fresh()
-        self.unify(ty, ParT(a, b))
-        return a, b
+        if type(ty) is not cls:
+            shape = cls(self.fresh(), self.fresh())
+            self.unify(ty, shape)
+            ty = shape
+        return children(ty)
 
     def _apply_annotation(self, term: Term, ty) -> None:
         hit = self.ann.get(id(term))
@@ -248,7 +240,7 @@ class _Reconstructor:
                     sub = self.solve(Sequent(gamma, inner))
                     return Derivation(Rule.BOT_E, seq, (sub,))
                 case Par(s, t):
-                    a, b = self._as_part(ty)
+                    a, b = self._as(ParT, ty)
                     inner = (delta[:i] + (DeltaEntry(s, a), DeltaEntry(t, b))
                              + delta[i + 1:])
                     sub = self.solve(Sequent(gamma, inner))
@@ -258,7 +250,7 @@ class _Reconstructor:
                         raise UnsatisfiableSplit(
                             f"binder {x!r} shadows a declaration")
                     self._apply_annotation(term, ty)
-                    a, b = self._as_lolli(ty)
+                    a, b = self._as(Lolli, ty)
                     rest = delta[:i] + delta[i + 1:]
                     if not (is_free_in(x, body)
                             or any(is_free_in(x, r.term) for r in rest)):
@@ -290,103 +282,64 @@ class _Reconstructor:
         raise first if first is not None else UnsatisfiableSplit(_NO_SPLIT)
 
     def _solve_branching(self, seq: Sequent, i: int) -> Derivation:
+        """Invert LolliE or ParrE at entry i.  Each premise gets the
+        declarations and side entries its context split gives it, in
+        order, its seed entry (if any) where entry i stood, and the
+        declarations its rule adds last."""
         gamma, delta = seq.gamma, seq.delta
         e = delta[i]
         rest = delta[:i] + delta[i + 1:]
-        rest_idx = [j for j in range(len(delta)) if j != i]
-
-        def premise_delta(assign_d, k, seed_entry=None):
-            ents = []
-            placed = seed_entry is None
-            for pos, j in enumerate(rest_idx):
-                if not placed and j > i:
-                    ents.append(seed_entry)
-                    placed = True
-                if assign_d[pos] == k:
-                    ents.append(rest[pos])
-            if not placed:
-                ents.append(seed_entry)
-            return tuple(ents)
-
-        def premise_gamma(assign_g, k):
-            return tuple(g for pos, g in enumerate(gamma) if assign_g[pos] == k)
-
-        def placements(floating, n_premises):
-            # a component sharing no name with any seed can live in any
-            # premise; try leftmost first, backtracking across the rest
-            if len(floating) > 5:
-                yield [0] * len(floating)
-                return
-            yield from itertools.product(range(n_premises),
-                                         repeat=len(floating))
-
-        def with_floating(base_g, base_d, floating, choice):
-            ag, ad = dict(base_g), dict(base_d)
-            for group, k in zip(floating, choice):
-                for kind, idx in group:
-                    if kind == "g":
-                        ag[idx] = k
-                    else:
-                        ad[idx] = k
-            return ag, ad
-
+        # per premise: its seed's names, and its seed entry or () with the
+        # declarations its rule adds
         match e.term:
             case App(fun, arg):
                 self._apply_annotation(e.term, e.type)
                 arg_ty = self.fresh()
                 self._apply_annotation(arg, arg_ty)
-                fun_ty = Lolli(arg_ty, e.type)
-                base_g, base_d, floating = self._split(
-                    gamma, rest, [self.names(fun), self.names(arg)])
-                last: Optional[TypecheckError] = None
-                for choice in placements(floating, 2):
-                    snapshot = dict(self.subst)
-                    assign_g, assign_d = with_floating(base_g, base_d,
-                                                       floating, choice)
-                    p1 = Sequent(premise_gamma(assign_g, 0),
-                                 premise_delta(assign_d, 0,
-                                               DeltaEntry(fun, fun_ty)))
-                    p2 = Sequent(premise_gamma(assign_g, 1),
-                                 premise_delta(assign_d, 1,
-                                               DeltaEntry(arg, arg_ty)))
-                    try:
-                        d1 = self.solve(p1)
-                        d2 = self.solve(p2)
-                        return Derivation(Rule.LOLLI_E, seq, (d1, d2))
-                    except TypecheckError as err:
-                        self.subst = snapshot
-                        last = err
-                raise last if last is not None \
-                    else UnsatisfiableSplit("no placement works")
+                rule, seeds = Rule.LOLLI_E, [self.names(fun), self.names(arg)]
+                adds = [((DeltaEntry(fun, Lolli(arg_ty, e.type)),), ()),
+                        ((DeltaEntry(arg, arg_ty),), ())]
             case Dist(x, y, body):
                 self.unify(e.type, BOT)
                 a, b = self.fresh(), self.fresh()
                 self._apply_annotation(body, ParT(a, b))
-                base_g, base_d, floating = self._split(
-                    gamma, rest, [self.names(body), {x}, {y}])
-                last = None
-                for choice in placements(floating, 3):
-                    snapshot = dict(self.subst)
-                    assign_g, assign_d = with_floating(base_g, base_d,
-                                                       floating, choice)
-                    p1 = Sequent(premise_gamma(assign_g, 0),
-                                 premise_delta(assign_d, 0,
-                                               DeltaEntry(body, ParT(a, b))))
-                    p2 = Sequent(premise_gamma(assign_g, 1) + ((x, a),),
-                                 premise_delta(assign_d, 1))
-                    p3 = Sequent(premise_gamma(assign_g, 2) + ((y, b),),
-                                 premise_delta(assign_d, 2))
-                    try:
-                        d1 = self.solve(p1)
-                        d2 = self.solve(p2)
-                        d3 = self.solve(p3)
-                        return Derivation(Rule.PARR_E, seq, (d1, d2, d3))
-                    except TypecheckError as err:
-                        self.subst = snapshot
-                        last = err
-                raise last if last is not None \
-                    else UnsatisfiableSplit("no placement works")
-        raise UnsatisfiableSplit("entry is neither an application nor a binary output")
+                rule, seeds = Rule.PARR_E, [self.names(body), {x}, {y}]
+                adds = [((DeltaEntry(body, ParT(a, b)),), ()),
+                        ((), ((x, a),)), ((), ((y, b),))]
+            case _:
+                raise UnsatisfiableSplit(
+                    "entry is neither an application nor a binary output")
+
+        def premise(ag: dict[int, int], ad: dict[int, int], k: int) -> Sequent:
+            seed, decls = adds[k]
+            mine = [pos for pos in range(len(rest)) if ad[pos] == k]
+            return Sequent(
+                tuple(g for pos, g in enumerate(gamma) if ag[pos] == k) + decls,
+                tuple(rest[pos] for pos in mine if pos < i) + seed
+                + tuple(rest[pos] for pos in mine if pos >= i))
+
+        base_g, base_d, floating = self._split(gamma, rest, seeds)
+        # a component sharing no name with any seed can live in any
+        # premise; try leftmost first, backtracking across the rest
+        if len(floating) > 5:
+            choices = [(0,) * len(floating)]
+        else:
+            choices = itertools.product(range(len(seeds)), repeat=len(floating))
+        last: Optional[TypecheckError] = None
+        for choice in choices:
+            snapshot = dict(self.subst)
+            ag, ad = dict(base_g), dict(base_d)
+            for group, k in zip(floating, choice):
+                for kind, idx in group:
+                    (ag if kind == "g" else ad)[idx] = k
+            try:
+                subs = tuple(self.solve(premise(ag, ad, k))
+                             for k in range(len(seeds)))
+                return Derivation(rule, seq, subs)
+            except TypecheckError as err:
+                self.subst = snapshot
+                last = err
+        raise last  # choices holds at least one placement
 
     def finalize(self, d: Derivation) -> Derivation:
         # solve hands a premise the very declaration and entry objects of
@@ -424,7 +377,7 @@ def type_text(ty) -> str:
             return type(s)(*parts)
         return Atom(s.name) if isinstance(s, MetaVar) else s
 
-    return print_type(fold(ty, type_children, leave))
+    return print_type(fold(ty, children, leave))
 
 
 def seq_text(s: Sequent) -> str:

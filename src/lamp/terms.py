@@ -12,67 +12,29 @@ plain replacement with no renaming: when a substituted term moves under a
 Send binder for one of its free names, the binder silently flips between
 its channel and lambda readings, which is exactly the intended semantics.
 
-Each term is an immutable tuple ``(tag, *fields)``: the tag is the class
-name, the channel names come next and the children last, from the class's
-``_first`` index on (``Dist(x, y, b)`` is ``("Dist", x, y, b)`` with its one
-child at index 3).  Hashing and equality are tuple's own and run in C; the
-tag keeps constructors with equal fields, such as ``App(a, b)`` and
-``Par(a, b)``, apart.  Fields are also named attributes, class patterns
-match on them, and the repr is the field-named one of a dataclass.  Walks
-index the tuple directly.  A path (child indices from the root) names a
-position to callers; inside a walk, ``_scan`` names one by a cell linked
-to its parent's, built in O(1) where a path costs its length, and a path
-is built only for a position that is reported.  Types, entries and
-sequents are frozen dataclasses.
+Terms, types, entries (a term and its type) and sequents are all
+immutable tuples ``(tag, *fields)`` of one base class: the tag is the
+class name, the names come next and the children last, from the class's
+``_first`` index on (``Dist(x, y, b)`` is ``("Dist", x, y, b)`` with its
+one child at index 3, ``Atom("A")`` is ``("Atom", "A")`` with none, and an
+entry or a sequent has no children).  Hashing and equality are tuple's own
+and run in C: hashing knows no recursion limit, but comparing two equal,
+distinct trees counts each level against it.  The tag keeps constructors
+with equal fields, such as ``App(a, b)`` and ``Par(a, b)`` or
+``Lolli(a, b)`` and ``ParT(a, b)``, apart.  Fields are also named
+attributes, class patterns match on them, and the repr is the field-named
+one of a dataclass.  Walks index the tuple directly, and one kids
+function, ``children``, serves terms and types alike.  A path (child
+indices from the root) names a position to callers; inside a walk,
+``_scan`` names one by a cell linked to its parent's, built in O(1) where
+a path costs its length, and a path is built only for a position that is
+reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_, itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Union
-
-# ---------------------------------------------------------------------------
-# Types
-
-@dataclass(frozen=True)
-class Atom:
-    name: str
-
-
-@dataclass(frozen=True)
-class Bot:
-    pass
-
-
-@dataclass(frozen=True)
-class Lolli:
-    arg: "TypeExpr"
-    res: "TypeExpr"
-
-
-@dataclass(frozen=True)
-class ParT:
-    left: "TypeExpr"
-    right: "TypeExpr"
-
-
-TypeExpr = Union[Atom, Bot, Lolli, ParT]
-
-BOT = Bot()
-
-
-def type_children(ty: TypeExpr) -> tuple:
-    match ty:
-        case Lolli(a, b) | ParT(a, b):
-            return a, b
-    return ()
-
-
-def subformulas(ty: TypeExpr) -> set:
-    """All subformulas of ty, including ty itself."""
-    return set(nodes(ty, type_children))
-
 
 # ---------------------------------------------------------------------------
 # Walks.  Terms, types and both kinds of derivation are trees; kids(node)
@@ -126,15 +88,35 @@ def fold(root, kids: Callable, leave: Callable):
 
 
 # ---------------------------------------------------------------------------
-# Terms: (tag, *fields) tuples, see the module docstring
+# Terms, types, entries and sequents: (tag, *fields) tuples, see the module
+# docstring
 
-class _Term(tuple):
-    """What the seven term classes share: a field-named repr, and pickling
-    and copying through the constructor."""
+class _Node(tuple):
+    """What every term, type, entry and sequent class shares.  A class
+    lists its fields once, in __match_args__, and sets _first if it has
+    children; from those the base gives it a positional constructor, a
+    property per field, a field-named repr, and pickling and copying
+    through the constructor."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
     _first: int  # the tuple index of the first child; len(t) if none
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = cls.__match_args__
+        tag = (cls.__name__,)
+        cls._first = cls.__dict__.get("_first", len(fields) + 1)
+        for k, name in enumerate(fields, 1):
+            setattr(cls, name, property(itemgetter(k)))
+
+        def __new__(c, *values):
+            if len(values) != len(fields):
+                raise TypeError(f"{c.__name__}() takes {len(fields)} fields "
+                                f"{fields}, got {len(values)}")
+            return tuple.__new__(c, tag + values)
+
+        cls.__new__ = staticmethod(__new__)
 
     def __getnewargs__(self) -> tuple:
         return self[1:]
@@ -144,83 +126,49 @@ class _Term(tuple):
         return f"{type(self).__qualname__}({fields})"
 
 
-class Unit(_Term):
+class Unit(_Node):
     """The terminated process, printed ``*``."""
 
     __slots__ = ()
-    _first = 1
-
-    def __new__(cls) -> Unit:
-        return tuple.__new__(cls, ("Unit",))
 
 
-class Var(_Term):
+class Var(_Node):
     __slots__ = ()
     __match_args__ = ("name",)
-    _first = 2
-    name = property(itemgetter(1))
-
-    def __new__(cls, name: str) -> Var:
-        return tuple.__new__(cls, ("Var", name))
 
 
-class App(_Term):
+class App(_Node):
     __slots__ = ()
     __match_args__ = ("fun", "arg")
     _first = 1
-    fun = property(itemgetter(1))
-    arg = property(itemgetter(2))
-
-    def __new__(cls, fun: Term, arg: Term) -> App:
-        return tuple.__new__(cls, ("App", fun, arg))
 
 
-class Send(_Term):
+class Send(_Node):
     """Output channel with continuation; also the lambda binder."""
 
     __slots__ = ()
     __match_args__ = ("chan", "body")
     _first = 2
-    chan = property(itemgetter(1))
-    body = property(itemgetter(2))
-
-    def __new__(cls, chan: str, body: Term) -> Send:
-        return tuple.__new__(cls, ("Send", chan, body))
 
 
-class Dist(_Term):
+class Dist(_Node):
     """Binary output channel without continuation, printed ``out2 x y.``"""
 
     __slots__ = ()
     __match_args__ = ("chan1", "chan2", "body")
     _first = 3
-    chan1 = property(itemgetter(1))
-    chan2 = property(itemgetter(2))
-    body = property(itemgetter(3))
-
-    def __new__(cls, chan1: str, chan2: str, body: Term) -> Dist:
-        return tuple.__new__(cls, ("Dist", chan1, chan2, body))
 
 
-class Par(_Term):
+class Par(_Node):
     __slots__ = ()
     __match_args__ = ("left", "right")
     _first = 1
-    left = property(itemgetter(1))
-    right = property(itemgetter(2))
-
-    def __new__(cls, left: Term, right: Term) -> Par:
-        return tuple.__new__(cls, ("Par", left, right))
 
 
-class Close(_Term):
+class Close(_Node):
     __slots__ = ()
     __match_args__ = ("body",)
     _first = 1
-    body = property(itemgetter(1))
-
-    def __new__(cls, body: Term) -> Close:
-        return tuple.__new__(cls, ("Close", body))
 
 
 Term = Union[Unit, Var, App, Send, Dist, Par, Close]
@@ -234,7 +182,8 @@ class InvalidPath(Exception):
     pass
 
 
-def children(t: Term) -> tuple[Term, ...]:
+def children(t: _Node) -> tuple:
+    """The children of a term or a type, in order."""
     return t[t._first:]
 
 
@@ -487,18 +436,54 @@ def is_simple(path: Path, root: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Types
+
+class Atom(_Node):
+    __slots__ = ()
+    __match_args__ = ("name",)
+
+
+class Bot(_Node):
+    __slots__ = ()
+
+
+class Lolli(_Node):
+    __slots__ = ()
+    __match_args__ = ("arg", "res")
+    _first = 1
+
+
+class ParT(_Node):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+    _first = 1
+
+
+TypeExpr = Union[Atom, Bot, Lolli, ParT]
+
+BOT = Bot()
+
+
+def subformulas(ty: TypeExpr) -> set:
+    """All subformulas of ty, including ty itself."""
+    return set(nodes(ty, children))
+
+
+# ---------------------------------------------------------------------------
 # Sequents
 
-@dataclass(frozen=True)
-class DeltaEntry:
-    term: Term
-    type: Optional[TypeExpr]  # None only for close(...) processes
+class DeltaEntry(_Node):
+    """A term and its type; the type is None only for close(...)."""
+
+    __slots__ = ()
+    __match_args__ = ("term", "type")
 
 
-@dataclass(frozen=True)
-class Sequent:
-    gamma: tuple[tuple[str, TypeExpr], ...]
-    delta: tuple[DeltaEntry, ...]
+class Sequent(_Node):
+    """Declarations gamma, (name, type) pairs, and entries delta."""
+
+    __slots__ = ()
+    __match_args__ = ("gamma", "delta")
 
     def joined_term(self) -> Term:
         return join_par([e.term for e in self.delta])
@@ -571,7 +556,7 @@ def print_type(ty: TypeExpr) -> str:
                 return f"{wrap(kids[0], a, 1)} par {kids[1]}"
         raise TypeError(f"not a type: {n!r}")
 
-    return fold(ty, type_children, text)
+    return fold(ty, children, text)
 
 
 def _declaration_text(g: tuple[str, TypeExpr]) -> str:

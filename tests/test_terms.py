@@ -8,56 +8,97 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from lamp.mll import MllSequent
+from lamp.reconstruct import MetaVar
 from lamp.terms import (
-    App, Atom, BOT, Close, Dist, InvalidPath, Lolli, Par, ParT, Send, UNIT,
-    Unit, Var, flatten_par, is_simple, join_par, occurrences, print_term,
-    print_type, split_joined, substitute, subterm_at,
+    App, Atom, BOT, Bot, Close, DeltaEntry, Dist, InvalidPath, Lolli, Par,
+    ParT, Send, Sequent, UNIT, Unit, Var, _Node, flatten_par, is_simple,
+    join_par, occurrences, print_term, print_type, split_joined, substitute,
+    subterm_at,
 )
 from lamp.parser import parse_term, parse_type
 from lamp.reduction import enumerate_normal_forms, find_redexes, normalize
 
-ONE_OF_EACH = [UNIT, Var("x"), App(Var("f"), Var("a")), Send("x", Var("x")),
-               Dist("x", "y", Par(Var("x"), Var("y"))), Par(Var("a"), UNIT),
-               Close(UNIT)]
+A, B = Atom("A"), Atom("B")
+
+# fields of one instance of each class on the shared tuple base
+FIELDS = {
+    Unit: (), Var: ("x",), App: (Var("f"), Var("a")), Send: ("x", Var("x")),
+    Dist: ("x", "y", Par(Var("x"), Var("y"))), Par: (Var("a"), UNIT),
+    Close: (UNIT,), Atom: ("A",), Bot: (), Lolli: (A, BOT), ParT: (A, B),
+    DeltaEntry: (Var("x"), A), Sequent: ((("x", A),), (DeltaEntry(Var("x"), A),)),
+    MllSequent: ((A,), (A, BOT)), MetaVar: ("?t0",),
+}
+NODE_CLASSES = sorted(_Node.__subclasses__(), key=lambda cls: cls.__name__)
+by_name = pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
 
 
 # -- representation: (tag, *fields) tuples -------------------------------------
 
+def test_every_node_class_is_covered():
+    assert set(FIELDS) == set(NODE_CLASSES)
+    assert len({cls.__name__ for cls in NODE_CLASSES}) == len(NODE_CLASSES)
+
+
 def test_constructors_with_equal_fields_stay_apart():
     a, b = Var("a"), Var("b")
     for s, t in [(App(a, b), Par(a, b)), (Send("x", a), Close(a)),
-                 (Var("x"), Atom("x"))]:
+                 (Var("x"), Atom("x")), (Lolli(A, B), ParT(A, B)),
+                 (DeltaEntry(a, A), Sequent(a, A)),
+                 (Sequent((), ()), MllSequent((), ()))]:
         assert s != t and t != s
         assert len({s, t}) == 2
+
+
+@by_name
+def test_fields_come_back_from_the_tuple_and_the_repr(cls):
+    t = cls(*FIELDS[cls])
+    assert t[0] == cls.__name__ and t[1:] == FIELDS[cls]
+    assert tuple(getattr(t, name) for name in cls.__match_args__) == FIELDS[cls]
+    fields = ", ".join(f"{k}={v!r}" for k, v in zip(cls.__match_args__, FIELDS[cls]))
+    assert repr(t) == f"{cls.__name__}({fields})"
 
 
 def test_repr_names_the_fields():
     assert repr(App(Var("x"), UNIT)) == "App(fun=Var(name='x'), arg=Unit())"
     assert repr(Dist("x", "y", Close(UNIT))) == \
         "Dist(chan1='x', chan2='y', body=Close(body=Unit()))"
+    assert repr(DeltaEntry(UNIT, Lolli(A, BOT))) == \
+        "DeltaEntry(term=Unit(), type=Lolli(arg=Atom(name='A'), res=Bot()))"
 
 
-@pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
-def test_pickle_and_copy_round_trip(t):
+@by_name
+def test_pickle_and_copy_round_trip(cls):
+    t = cls(*FIELDS[cls])
     backs = [pickle.loads(pickle.dumps(t, proto))
              for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
     for back in backs + [copy.copy(t), copy.deepcopy(t)]:
         assert back == t and type(back) is type(t) and repr(back) == repr(t)
 
 
-@pytest.mark.parametrize("t", ONE_OF_EACH, ids=lambda t: type(t).__name__)
-def test_terms_are_immutable(t):
-    for name in type(t).__match_args__:
+@by_name
+def test_terms_are_immutable(cls):
+    t = cls(*FIELDS[cls])
+    for name in cls.__match_args__:
         with pytest.raises(AttributeError):
             setattr(t, name, UNIT)
     with pytest.raises(AttributeError):
         t.extra = UNIT
 
 
+def test_constructors_check_their_field_count():
+    with pytest.raises(TypeError):
+        App(UNIT)
+    with pytest.raises(TypeError):
+        Bot(A)
+
+
 def test_hash_and_equality_are_tuples_own():
-    for cls in (Unit, Var, App, Send, Dist, Par, Close):
+    for cls in NODE_CLASSES:
         assert cls.__hash__ is tuple.__hash__
         assert cls.__eq__ is tuple.__eq__
+        t = cls(*FIELDS[cls])
+        assert hash(t) == hash(tuple(t)) and t == cls(*FIELDS[cls])
 
 
 def test_occurrences_in_parallel_and_under_other_binder():

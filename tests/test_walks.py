@@ -18,7 +18,7 @@ from lamp.parser import parse_term, parse_type
 from lamp.reduction import comm_size
 from lamp.terms import (
     Atom, BOT, Close, DeltaEntry, Sequent, UNIT, Var, children, flatten_par,
-    fold, print_term, print_type,
+    fold, print_term, print_type, subformulas,
 )
 from tests.conftest import SRC
 
@@ -86,6 +86,20 @@ def test_long_chains_parse_print_and_flatten():
     for op in (" -o ", " par "):
         text = op.join(["A"] * 2000)
         assert print_type(parse_type(text)) == text
+
+
+def test_deep_types_hash_print_and_yield_subformulas():
+    assert sys.getrecursionlimit() == 1000
+    for leaf, op in (("bot", " par "), ("A", " -o ")):
+        text = op.join([leaf] * (2000 + 1))
+        ty = parse_type(text)
+        assert hash(ty) == hash(parse_type(text))
+        assert print_type(ty) == text
+        subs = subformulas(ty)
+        assert len(subs) == 2000 + 1 and ty in subs
+        # the declaration and the entry share the one type object
+        check_subformula(Derivation(
+            Rule.AX, Sequent((("x", ty),), (DeltaEntry(Var("x"), ty),))))
 
 
 def _nd_chain(n):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from .terms import (
     App, BOT, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
@@ -98,14 +98,12 @@ def _replaced(entries: tuple, i: int, *new) -> tuple:
     return entries[:i] + tuple(new) + entries[i + 1:]
 
 
-def interleave_assignment(target: tuple, parts: tuple[tuple, ...]) -> Optional[list[int]]:
-    """If target merges the parts preserving each part's order, return one
-    assignment mapping target positions to part indices, else None.
+def _is_interleaving(target: tuple, parts: tuple[tuple, ...]) -> bool:
+    """Whether target merges the parts preserving each part's order.
 
     Depth first with an explicit stack, trying the parts in order at each
-    position, so the first merge in that order is the one returned; a
-    state (how far each part is consumed) that failed once is not
-    explored again."""
+    position; a state (how far each part is consumed) that failed once is
+    not explored again."""
     end = tuple(len(p) for p in parts)
     state = (0,) * len(parts)
     trail: list[tuple[tuple[int, ...], int]] = []  # (state before, part taken)
@@ -114,7 +112,7 @@ def interleave_assignment(target: tuple, parts: tuple[tuple, ...]) -> Optional[l
     while True:
         ti = len(trail)
         if ti == len(target) and state == end:
-            return [m for _, m in trail]
+            return True
         taken = None
         if ti < len(target) and state not in failed:
             x = target[ti]
@@ -129,13 +127,9 @@ def interleave_assignment(target: tuple, parts: tuple[tuple, ...]) -> Optional[l
             continue
         failed.add(state)
         if not trail:
-            return None
+            return False
         state, k = trail.pop()
         k += 1
-
-
-def _is_interleaving(target: tuple, parts: tuple[tuple, ...]) -> bool:
-    return interleave_assignment(target, parts) is not None
 
 
 def multiset_diff(a: Sequence, *parts: Sequence) -> tuple[list, list]:

@@ -22,11 +22,11 @@ bounds every reduction sequence.
 
 Redexes are found on one ``_scan`` of a term, which gives every position
 as a parent-linked cell (see ``terms``); the LCA test climbs cells, and
-``_reduct`` builds a reduct from the cells of the scan that found its
-redex, rebuilding each node above an edited position once.  ``normalize``,
-``enumerate_normal_forms`` and the runtime fire straight from the scan;
-``find_redexes`` and ``apply_redex`` speak in paths, for callers that hold
-a redex across calls, and ``apply_redex`` checks that it still matches.
+``_reduct`` builds a reduct with ``terms._put`` at the cells of the scan
+that found its redex.  ``normalize``, ``enumerate_normal_forms``, cbv and
+the runtime fire straight from the scan; ``find_redexes`` and
+``apply_redex`` speak in paths, for callers that hold a redex across
+calls, and ``apply_redex`` checks that it still matches.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from typing import Iterator, Optional, Sequence
 
 from .terms import (
     App, Cell, Close, Dist, Par, Path, Send, Term, UNIT, Var, _Scan,
-    _cells_at, _path, _scan, children, is_free_in, join_par, nodes, preorder,
-    print_term, split_joined, substitute, subterm_at,
+    _cells_at, _path, _put, _scan, children, is_free_in, nodes, print_term,
+    split_joined, substitute, subterm_at,
 )
 
 class StaleRedex(Exception):
@@ -146,45 +146,13 @@ def _reduct(act: Cell, firing: tuple, receivers: Sequence[Cell]) -> Term:
     """The term whose scan holds act and receivers, with the activator at
     act fired: its continuation in its place, a beta's value substituted
     into it, and each other value at its receiver, paired with sends in
-    order.  Each node on the union of the edited positions' paths is
-    rebuilt once, bottom up; everything off them is shared."""
+    order."""
     kind, cont, sends = firing
     if kind == "beta":
         ((x, v),) = sends
-        edits = [(act, substitute(cont, x, v))]
-    else:
-        edits = [(act, cont)]
-        edits += [(c, v) for c, (_, v) in zip(receivers, sends, strict=True)]
-    # the cells where the paths of two edits meet, by id, each with its
-    # node's fields and the number of its children yet to be rebuilt; a
-    # node has at most two children, so no third path meets the same one
-    joins: dict[int, list] = {}
-    if len(edits) > 1:
-        seen: set[int] = set()
-        for c, _ in edits:
-            while c[0] is not None:
-                c = c[0]
-                if id(c) in seen:
-                    joins[id(c)] = [list(c[2]), 2]
-                    break
-                seen.add(id(c))
-    for c, new in edits:
-        while c[0] is not None:
-            up = c[0]
-            join = joins.get(id(up))
-            if join is None:
-                node, k = up[2], c[1]
-                new = tuple.__new__(type(node), node[:k] + (new,) + node[k + 1:])
-            else:
-                join[0][c[1]] = new
-                join[1] -= 1
-                if join[1]:
-                    break  # the edit that brings the last child goes on
-                new = tuple.__new__(type(up[2]), join[0])
-            c = up
-        else:
-            root = new
-    return root
+        return _put([(act, substitute(cont, x, v))])
+    return _put([(act, cont)]
+                + [(c, v) for c, (_, v) in zip(receivers, sends, strict=True)])
 
 
 def find_redexes(t: Term) -> list[Redex]:
@@ -269,21 +237,55 @@ def is_value(t: Term) -> bool:
     return isinstance(t, (Send, Par))
 
 
-def _eval_kids(t: Term) -> tuple[Term, ...]:
-    """The children of t at evaluation positions."""
-    cls = type(t)
-    if cls is App:
-        return (t.fun, t.arg) if is_value(t.fun) else (t.fun,)
-    if cls is Dist or cls is Close:
-        return children(t)
-    return ()
+def _component(c: Cell, spine: set[int]) -> Optional[Cell]:
+    """The cell of the top-level component holding cell c, if c is at an
+    evaluation position of it, else None; spine holds the ids of the Par
+    nodes that join the components."""
+    while c[0] is not None and id(c[0][2]) not in spine:
+        up = c[0]
+        cls = type(up[2])
+        if not (cls is Dist or cls is Close
+                or cls is App and (c[1] == 1 or is_value(up[2][1]))):
+            return None
+        c = up
+    return c
 
 
-def spine_paths(m: int) -> list[Path]:
-    """Paths of the m components of a left-folded parallel composition."""
-    if m == 1:
-        return [()]
-    return [(0,) * (m - 1)] + [(0,) * (m - 1 - i) + (1,) for i in range(1, m)]
+def _cbv_fire(components: list[Term]) -> Optional[tuple[list[Term], Redex, str]]:
+    """cbv_step's new components and redex, and the step's text, from one
+    _scan of the joined components: the first activator at an evaluation
+    position whose argument is a value fires, a comm into the first free
+    occurrence of its channel at an evaluation position of another
+    component."""
+    if not components:
+        return None
+    joined, spine = components[0], set()
+    for p in components[1:]:  # join_par, keeping the joining Pars' ids
+        joined = Par(joined, p)
+        spine.add(id(joined))
+    scan = _scan(joined)
+    for act in scan.acts:
+        node = act[2]
+        if type(node) is Dist or not is_value(node[2]):
+            continue
+        home = _component(act, spine)
+        if home is None:
+            continue
+        firing = fire(node, scan.lams)
+        kind, _, ((x, _),) = firing
+        receivers = ()
+        if kind == "comm":
+            for c in scan.free.get(x, ()):
+                there = _component(c, spine)
+                if there is not None and there is not home:
+                    receivers = (c,)
+                    break
+            else:
+                continue
+        r = Redex(kind, _path(act), tuple(map(_path, receivers)))
+        fired = _reduct(act, firing, receivers)
+        return split_joined(fired, len(components)), r, _step_text(kind, firing[2])
+    return None
 
 
 def cbv_step(components: list[Term]) -> Optional[tuple[list[Term], Redex]]:
@@ -291,43 +293,16 @@ def cbv_step(components: list[Term]) -> Optional[tuple[list[Term], Redex]]:
     right.  Returns the new component list and the fired redex (with paths
     into the joined term), or None when every component is cbv-stuck.
     Only applied outputs fire, and only on a value argument."""
-    spine = spine_paths(len(components))
-    recv_cache: dict[int, list[tuple[Path, str]]] = {}
-
-    def receivers(j: int) -> list[tuple[Path, str]]:
-        if j not in recv_cache:
-            recv_cache[j] = [(p, n.name) for p, n in preorder(components[j], _eval_kids)
-                             if isinstance(n, Var)]
-        return recv_cache[j]
-
-    for i, comp in enumerate(components):
-        for pos, node in preorder(comp, _eval_kids):
-            firing = fire(node)
-            if firing is None or firing[0] == "dist":
-                continue
-            kind, _, ((x, v),) = firing
-            if not is_value(v):
-                continue
-            if kind == "beta":
-                r = Redex("beta", spine[i] + pos)
-            else:
-                r = next((Redex("comm", spine[i] + pos, (spine[j] + rpos,))
-                          for j in range(len(components)) if j != i
-                          for rpos, rname in receivers(j) if rname == x), None)
-                if r is None:
-                    continue
-            fired = apply_redex(join_par(components), r)
-            return split_joined(fired, len(components)), r
-    return None
+    fired = _cbv_fire(components)
+    return None if fired is None else fired[:2]
 
 
 def cbv_trace(components: list[Term]) -> list[tuple[str, list[Term]]]:
     """Run cbv_step to exhaustion, collecting (description, state) pairs."""
     steps: list[tuple[str, list[Term]]] = []
     while True:
-        nxt = cbv_step(components)
-        if nxt is None:
+        fired = _cbv_fire(components)
+        if fired is None:
             return steps
-        desc = nxt[1].describe(join_par(components))
-        components = nxt[0]
+        components, _, desc = fired
         steps.append((desc, components))

@@ -8,7 +8,8 @@ Each top-level parallel component runs as a worker.  A worker repeatedly:
    another component: its value fills that channel's cell, while a receiver
    in the same component gets its value in place;
 3. otherwise consumes a filled cell for any channel occurring free in its
-   term, substituting the delivered value.
+   term, putting the delivered value at that channel's free occurrences,
+   which the poll's scan already holds.
 
 Linearity makes every channel single use, so a cell is filled exactly once
 and consumed exactly once; any second fill or consume aborts the run.  The
@@ -32,7 +33,7 @@ from typing import Callable, Optional
 from .reduction import (
     _above, _across_par, _reduct, _redexes, comm_size, fire,
 )
-from .terms import Sequent, Term, _Scan, _scan, flatten_par, substitute
+from .terms import Sequent, Term, _Scan, _put, _scan, flatten_par
 
 
 class ChannelProtocolError(Exception):
@@ -96,7 +97,8 @@ class _Worker:
                  if x in cells and cells[x].state == "filled"]
         if ready:
             name = min(ready)
-            self.term = substitute(self.term, name, cells[name].consume())
+            value = cells[name].consume()
+            self.term = _put([(c, value) for c in scan.free[name]])
             return None
         return list(scan.free)
 

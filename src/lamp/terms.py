@@ -28,12 +28,14 @@ function, ``children``, serves terms and types alike.  A path (child
 indices from the root) names a position to callers; inside a walk,
 ``_scan`` names one by a cell linked to its parent's, built in O(1) where
 a path costs its length, and a path is built only for a position that is
-reported.
+reported.  An edit of a term (``replace_at``, ``substitute``, a reduct, a
+runtime consume) puts new subterms at cells with ``_put``, which rebuilds
+each node above them once.
 """
 
 from __future__ import annotations
 
-from operator import is_, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -188,27 +190,13 @@ def children(t: _Node) -> tuple:
 
 
 def subterm_at(t: Term, path: Path) -> Term:
-    for i in path:
-        first = t._first
-        if not 0 <= i < len(t) - first:
-            raise InvalidPath(f"no child {i} at {type(t).__name__}")
-        t = t[first + i]
-    return t
+    return next(_cells_at(t, (path,)))[2]
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
     """t with the subterm at path replaced by new: the nodes along path are
     rebuilt bottom up, everything off it is shared."""
-    spine: list[tuple[Term, int]] = []
-    for i in path:
-        first = t._first
-        if not 0 <= i < len(t) - first:
-            raise InvalidPath(f"no child {i} at {type(t).__name__}")
-        spine.append((t, first + i))
-        t = t[first + i]
-    for node, k in reversed(spine):
-        new = tuple.__new__(type(node), node[:k] + (new,) + node[k + 1:])
-    return new
+    return _put([(next(_cells_at(t, (path,))), new)])
 
 
 def subterms(t: Term) -> Iterator[tuple[Path, Term]]:
@@ -357,31 +345,72 @@ def is_free_in(x: str, t: Term) -> bool:
     return False
 
 
+def _free_cells(t: Term, x: str) -> Iterator[Cell]:
+    """The cells of the free occurrences of x in t, in preorder: one walk
+    that makes a cell per node it enters and skips every binder for x."""
+    stack: list = [(None, 0, t)]
+    while stack:
+        c = stack.pop()
+        s = c[2]
+        cls = type(s)
+        if cls is Var:
+            if s[1] == x:
+                yield c
+        elif cls is Send:
+            if s[1] != x:
+                stack.append((c, 2, s[2]))
+        elif cls is Dist:
+            if s[1] != x and s[2] != x:
+                stack.append((c, 3, s[3]))
+        else:  # Unit has no children, App, Par and Close have them from 1
+            for k in range(len(s) - 1, 0, -1):
+                stack.append((c, k, s[k]))
+
+
 def substitute(t: Term, x: str, s: Term) -> Term:
     """Replace every free occurrence of x in t by s.  No renaming, ever.
     A subterm with no free x comes back as the same object."""
-    done: list[Term] = []  # the results of the subterms finished so far
-    stack: list = [t]
-    while stack:
-        n = stack.pop()
-        cls = type(n)
-        if n is None:  # the children of the node below are the tail of done
-            n = stack.pop()
-            first = n._first
-            kids = done[first - len(n):]
-            del done[first - len(n):]
-            if not all(map(is_, kids, n[first:])):
-                n = tuple.__new__(type(n), n[:first] + tuple(kids))
-            done.append(n)
-        elif cls is Var:
-            done.append(s if n.name == x else n)
-        elif (cls is Unit or cls is Send and n.chan == x
-              or cls is Dist and x in (n.chan1, n.chan2)):
-            done.append(n)
+    edits = [(c, s) for c in _free_cells(t, x)]
+    return _put(edits) if edits else t
+
+
+def _put(edits: list[tuple[Cell, Term]]) -> Term:
+    """The scanned term with each edit's new node at its cell: edits are
+    (cell, new node) pairs of one scan, and no edited cell lies above
+    another.  Each node on the union of the edited positions' paths is
+    rebuilt once, bottom up, and everything off them is shared; returns
+    the new root.  replace_at, substitute, every reduct and the runtime's
+    consumes all edit a term through here."""
+    # the cells where the paths of two edits meet, by id, each with its
+    # node's fields and the number of its children yet to be rebuilt; a
+    # node has at most two children, so no third path meets the same one
+    joins: dict[int, list] = {}
+    if len(edits) > 1:
+        seen: set[int] = set()
+        for c, _ in edits:
+            while c[0] is not None:
+                c = c[0]
+                if id(c) in seen:
+                    joins[id(c)] = [list(c[2]), 2]
+                    break
+                seen.add(id(c))
+    for c, new in edits:
+        while c[0] is not None:
+            up = c[0]
+            join = joins.get(id(up))
+            if join is None:
+                node, k = up[2], c[1]
+                new = tuple.__new__(type(node), node[:k] + (new,) + node[k + 1:])
+            else:
+                join[0][c[1]] = new
+                join[1] -= 1
+                if join[1]:
+                    break  # the edit that brings the last child goes on
+                new = tuple.__new__(type(up[2]), join[0])
+            c = up
         else:
-            stack += (n, None)
-            stack.extend(reversed(children(n)))
-    return done[0]
+            root = new
+    return root
 
 
 def _spine(t: Term) -> tuple[Term, ...]:
@@ -424,14 +453,11 @@ def is_simple(path: Path, root: Term) -> bool:
     Punching a hole at such a position yields a context that is not a
     parallel composition of the hole with anything else.
     """
-    t = root
-    for i in path:
-        if isinstance(t, Par):
+    c = next(_cells_at(root, (path,)))[0]
+    while c is not None:
+        if type(c[2]) is Par:
             return False
-        kids = children(t)
-        if i >= len(kids):
-            raise InvalidPath(f"no child {i} at {type(t).__name__}")
-        t = kids[i]
+        c = c[0]
     return True
 
 

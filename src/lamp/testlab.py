@@ -38,11 +38,13 @@ from .terms import (
 )
 
 
+_ATOMS = ("A", "B")  # the atoms generated types are built from
+
+
 @dataclass(frozen=True)
 class GenConfig:
     seed: int = 0
     max_nodes: int = 12
-    atom_pool: tuple[str, ...] = ("A", "B")
 
     def __post_init__(self):
         if self.max_nodes < 1:
@@ -161,7 +163,7 @@ class _Gen:
     def __init__(self, cfg: GenConfig):
         self.cfg = cfg
         self.rng = random.Random(
-            f"{cfg.seed}:{cfg.max_nodes}:{','.join(cfg.atom_pool)}")
+            f"{cfg.seed}:{cfg.max_nodes}:{','.join(_ATOMS)}")
         self._ids = itertools.count()
         # each derivation beside its node count
         self.pool: list[tuple[Derivation, int]] = []
@@ -170,7 +172,7 @@ class _Gen:
         return f"v{next(self._ids)}"
 
     def atom(self) -> TypeExpr:
-        return Atom(self.rng.choice(self.cfg.atom_pool))
+        return Atom(self.rng.choice(_ATOMS))
 
     def leaf_type(self, depth: int = 0) -> TypeExpr:
         # axioms range over whole formulas, not just propositional atoms;
@@ -327,7 +329,7 @@ class _MllGen:
     def _type(self, depth: int = 0) -> TypeExpr:
         r = self.rng.random()
         if depth >= 2 or r < 0.55:
-            return Atom(self.rng.choice(self.cfg.atom_pool))
+            return Atom(self.rng.choice(_ATOMS))
         if r < 0.7:
             return BOT
         if r < 0.85:
@@ -532,7 +534,7 @@ def run_property_suite(n_cases: int, cfg: GenConfig,
 
     for case in range(n_cases):
         case_seed = cfg.seed * 1_000_003 + case
-        d = gen_derivation(GenConfig(case_seed, cfg.max_nodes, cfg.atom_pool))
+        d = gen_derivation(GenConfig(case_seed, cfg.max_nodes))
         seq = d.conclusion
         joined = seq.joined_term()
         m = len(seq.delta)

@@ -213,6 +213,16 @@ def test_cbv_open_variable_stuck():
     assert cbv_step([Var("x")]) is None
 
 
+def test_cbv_receiver_must_be_free():
+    # the only x at an evaluation position of the other component is bound
+    # by its out2, so the output has no receiver
+    sender = App(Send("x", UNIT), Send("v", Var("v")))
+    assert cbv_step([sender, Dist("x", "y", Var("x"))]) is None
+    assert cbv_step([sender, Dist("u", "y", Var("x"))])[0] \
+        == [UNIT, Dist("u", "y", Send("v", Var("v")))]
+    assert cbv_step([]) is None
+
+
 def test_cbv_sender_blocks_until_receiver_ready():
     # u | x(y).w: receiver is exposed immediately, handshake fires
     t = parse_term("(out x. out q. *) (lam a. a) | x(y). y")

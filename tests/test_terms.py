@@ -12,9 +12,9 @@ from lamp.mll import MllSequent
 from lamp.reconstruct import MetaVar
 from lamp.terms import (
     App, Atom, BOT, Bot, Close, DeltaEntry, Dist, InvalidPath, Lolli, Par,
-    ParT, Send, Sequent, UNIT, Unit, Var, _Node, flatten_par, is_simple,
-    join_par, occurrences, print_term, print_type, split_joined, substitute,
-    subterm_at,
+    ParT, Send, Sequent, UNIT, Unit, Var, _Node, flatten_par, is_free_in,
+    is_simple, join_par, occurrences, print_term, print_type, replace_at,
+    split_joined, substitute, subterm_at,
 )
 from lamp.parser import parse_term, parse_type
 from lamp.reduction import enumerate_normal_forms, find_redexes, normalize
@@ -192,8 +192,14 @@ def test_is_simple_at_root():
 
 
 def test_is_simple_invalid_path():
-    with pytest.raises(InvalidPath):
-        is_simple((0, 5), Close(Var("x")))
+    # what subterm_at and replace_at reject: a negative index, and one past
+    # a leaf that sits under a Par
+    for path, t in (((0, 5), Close(Var("x"))), ((-1,), Close(Var("x"))),
+                    ((0, 9), Par(Var("a"), Var("b")))):
+        for op in (lambda: subterm_at(t, path), lambda: is_simple(path, t),
+                   lambda: replace_at(t, path, UNIT)):
+            with pytest.raises(InvalidPath):
+                op()
 
 
 def test_print_lambda_when_bound_name_occurs():
@@ -253,6 +259,37 @@ def test_parse_print_roundtrip(t):
 def test_substitute_noop_when_not_free(t, x):
     if not occurrences(t, x):
         assert substitute(t, x, App(Var("q1"), Var("q2"))) is t
+
+
+def _substituted(t, x, s):
+    """substitute, written as the recursion over the grammar."""
+    match t:
+        case Var(y):
+            return s if y == x else t
+        case Send(y, _) if y == x:
+            return t
+        case Dist(y, z, _) if x in (y, z):
+            return t
+    return type(t)(*t[1:t._first], *(_substituted(k, x, s) for k in t[t._first:]))
+
+
+@given(_terms(4), _names, _terms(1))
+def test_substitute_matches_the_recursion(t, x, s):
+    # names repeat and inner Send and Dist binders shadow outer ones here
+    out = substitute(t, x, s)
+    assert out == _substituted(t, x, s)
+    if not is_free_in(x, t):
+        assert out is t
+
+
+def test_substitute_stops_at_send_and_dist_binders_for_the_name():
+    send = Send("x", App(Var("x"), Var("y")))
+    dist = Dist("y", "x", Par(Var("x"), Var("y")))
+    t = Par(Par(Var("x"), send), Close(App(dist, Var("x"))))
+    out = substitute(t, "x", UNIT)
+    assert out == _substituted(t, "x", UNIT) \
+        == Par(Par(UNIT, send), Close(App(dist, UNIT)))
+    assert out.left.right is send and out.right.body.fun is dist
 
 
 def _types(depth: int):

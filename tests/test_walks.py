@@ -1,7 +1,8 @@
 """preorder and fold, the two walks over every tree in lamp, and what they
 buy: terms, types and derivations of any depth at the default recursion
 limit, and no function in src/lamp that calls itself outside a short list
-of searches and bounded generators."""
+of searches and bounded generators.  Beside them, a guard that terms._put
+stays the one rebuild of an edited term."""
 
 import ast
 import sys
@@ -58,20 +59,41 @@ def _calls_itself(fn: ast.FunctionDef) -> bool:
     return False
 
 
-def test_no_function_calls_itself():
-    found = []
+def _src_nodes():
+    """Every AST node of src/lamp, after the names of its module and of
+    the classes and functions around it (its own, if it is one)."""
     for path in sorted((SRC / "lamp").glob("*.py")):
-        stack = [(ast.parse(path.read_text(encoding="utf-8")), ())]
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))]
         while stack:
             node, scope = stack.pop()
             for child in ast.iter_child_nodes(node):
                 inner = scope
                 if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                     inner = scope + (child.name,)
-                    if isinstance(child, ast.FunctionDef) and _calls_itself(child):
-                        found.append(".".join(inner))
+                yield inner, child
                 stack.append((child, inner))
-    assert set(found) <= ALLOWED, sorted(set(found) - ALLOWED)
+
+
+def test_no_function_calls_itself():
+    found = {".".join(scope[1:]) for scope, node in _src_nodes()
+             if isinstance(node, ast.FunctionDef) and _calls_itself(node)}
+    assert found <= ALLOWED, sorted(found - ALLOWED)
+
+
+# -- one rebuild: _put is the only code that makes a node from new fields ----
+
+# _Node's generated constructor, and _put, which rebuilds a term around
+# its edited positions
+TUPLE_NEW_CALLERS = {"terms._Node.__init_subclass__.__new__", "terms._put"}
+
+
+def test_only_put_and_the_constructor_call_tuple_new():
+    found = {".".join(scope) for scope, node in _src_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "tuple"}
+    assert found <= TUPLE_NEW_CALLERS, sorted(found - TUPLE_NEW_CALLERS)
+    assert "terms._put" in found
 
 
 # -- any depth at the default recursion limit ---------------------------------

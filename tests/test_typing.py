@@ -1,6 +1,7 @@
 """Derivation checking, reconstruction, linearity, grafting, normal shapes,
 and the subformula audit."""
 
+import hashlib
 import importlib
 import random
 
@@ -19,6 +20,7 @@ from lamp.reconstruct import (
     LinearityViolation, TypecheckError, UnificationFailure, polarity_balance,
     reconstruct,
 )
+from lamp.sexpr import derivation_to_sexpr
 from lamp.testlab import GenConfig, gen_derivation
 from lamp.terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
@@ -399,6 +401,53 @@ def test_unification_error_shows_types_as_they_were_when_raised():
         rec.unify(Lolli(t, B), ParT(A, B))
     rec.subst = snapshot
     assert str(info.value) == "cannot unify A -o B with A par B"
+
+
+# -- reconstruct's output, pinned -------------------------------------------
+
+# SHA-256 of what reconstruct gives each goal of _digest_goals(), "\n\n"
+# after each: derivation_to_sexpr of its derivation, or its error's class
+# name and text; taken when solve and the placement loop were two nested
+# backtracking loops
+RECONSTRUCT_DIGEST = \
+    "c5118b781f3a89d51e95b0137e90c838b20a9e792cab25896bf4380e503ffcf1"
+
+
+def _digest_goals():
+    """gen_derivation conclusions at max_nodes 18-22, each followed by its
+    first-site atom-swapped twin and its bot-pinned variant, then the
+    bench's ring and relay programs."""
+    for seed in range(300):
+        d = gen_derivation(GenConfig(seed=seed, max_nodes=18 + seed % 5))
+        seq = d.conclusion
+        yield seq, ()
+        sites = _INPUTS._atom_sites(seq)
+        if sites:
+            yield _INPUTS.swap_atom(seq, sites[0]), ()
+        pinned = _bot_pinned_leaf(d)
+        if pinned:
+            yield seq, pinned
+    rng = random.Random(1)
+    cases = [_INPUTS.ring_case(0, n, rng) for n in (8, 24, 48)]
+    cases += [_INPUTS.relay_case(0, n, rng) for n in (8, 16, 24)]
+    for c in cases:
+        yield c.sequent, ()
+
+
+def test_reconstruct_output_is_byte_stable():
+    h = hashlib.sha256()
+    verdicts = {True: 0, False: 0}
+    for goal, annotations in _digest_goals():
+        try:
+            out = derivation_to_sexpr(reconstruct(goal, annotations))
+            verdicts[True] += 1
+        except TypecheckError as e:
+            out = f"{type(e).__name__}: {e}"
+            verdicts[False] += 1
+        h.update(out.encode())
+        h.update(b"\n\n")
+    assert verdicts == {True: 306, False: 570}
+    assert h.hexdigest() == RECONSTRUCT_DIGEST
 
 
 # -- polarity pre-check -----------------------------------------------------------

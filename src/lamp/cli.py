@@ -142,9 +142,8 @@ def cmd_translate(args) -> int:
         check_mll(m)
         print(mll_to_sexpr(m))
         return EXIT_OK
-    m = sexpr_to_mll(_read(args.file))
-    check_mll(m)
-    d = mll_to_nmll(m)
+    # mll_to_nmll matches every node as check_mll does, in the same order
+    d = mll_to_nmll(sexpr_to_mll(_read(args.file)))
     check_derivation(d)
     print(derivation_to_sexpr(d))
     return EXIT_OK

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Any
 
 from .derivations import (
-    Derivation, Rule, _EntryNames, _match, multiset_diff, premises_of,
+    Derivation, Rule, _EntryNames, _match, _without, multiset_diff, premises_of,
 )
 from .terms import (
     App, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
@@ -78,10 +78,6 @@ def print_mll_sequent(s: MllSequent) -> str:
     right = ", ".join(print_type(t) for t in s.right)
     out = f"{left} |-" if left else "|-"
     return f"{out} {right}" if right else out
-
-
-def _without(xs: tuple, i: int) -> tuple:
-    return xs[:i] + xs[i + 1:]
 
 
 # The context-splitting rules: the class of the conclusion's left formula

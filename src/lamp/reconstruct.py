@@ -21,14 +21,14 @@ a derivation is schematic in such types, so any instantiation checks, and
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .derivations import (
     Derivation, LinearityError, Rule, check_channel_linearity, premises_of,
 )
 from .terms import (
-    App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, Unit, Var, _Node, children, fold, is_free_in, nodes,
+    App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, MetaVar, Par, ParT, Send,
+    Sequent, Term, TypeExpr, Unit, Var, children, fold, is_free_in, nodes,
     print_sequent, print_term, print_type, var_names,
 )
 
@@ -62,13 +62,6 @@ class UnificationFailure(TypecheckError):
 
 class LinearityViolation(TypecheckError):
     pass
-
-
-class MetaVar(_Node):
-    """A type unknown, local to one reconstruction run."""
-
-    __slots__ = ()
-    __match_args__ = ("name",)
 
 
 class _Reconstructor:
@@ -105,27 +98,29 @@ class _Reconstructor:
         return any(s == m for s in nodes(self.resolve(ty), self._kids))
 
     def unify(self, a, b) -> None:
-        a, b = self.resolve(a), self.resolve(b)
-        if a == b:
-            return
-        if isinstance(a, MetaVar):
-            if self._occurs(a, b):
-                # resolved now: backtracking rolls subst back before any str()
-                shown = self.deep_resolve(b)
+        # pairs still to unify, the leftmost children's on top
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            a, b = self.resolve(a), self.resolve(b)
+            if a == b:
+                continue
+            if isinstance(b, MetaVar) and not isinstance(a, MetaVar):
+                a, b = b, a
+            if isinstance(a, MetaVar):
+                if self._occurs(a, b):
+                    # resolved now: backtracking rolls subst back before any str()
+                    shown = self.deep_resolve(b)
+                    raise UnificationFailure(
+                        lambda: f"occurs check: {a.name} in {print_type(shown)}")
+                self.subst[a] = b
+                continue
+            # same constructor and names (an atom's), then the children in turn
+            if type(a) is not type(b) or a[1:a._first] != b[1:b._first]:
+                ra, rb = self.deep_resolve(a), self.deep_resolve(b)
                 raise UnificationFailure(
-                    lambda: f"occurs check: {a.name} in {type_text(shown)}")
-            self.subst[a] = b
-            return
-        if isinstance(b, MetaVar):
-            self.unify(b, a)
-            return
-        # same constructor and names (an atom's), then the children in turn
-        if type(a) is not type(b) or a[1:a._first] != b[1:b._first]:
-            ra, rb = self.deep_resolve(a), self.deep_resolve(b)
-            raise UnificationFailure(
-                lambda: f"cannot unify {type_text(ra)} with {type_text(rb)}")
-        for x, y in zip(children(a), children(b)):
-            self.unify(x, y)
+                    lambda: f"cannot unify {print_type(ra)} with {print_type(rb)}")
+            stack.extend(zip(reversed(children(a)), reversed(children(b))))
 
     def deep_resolve(self, ty, default: Optional[TypeExpr] = None):
         def leave(s, parts):
@@ -152,19 +147,18 @@ class _Reconstructor:
 
     # -- context splitting ---------------------------------------------------
 
-    def _split(self, gamma, entries, seeds: list[set[str]]):
-        """Partition declarations and side entries among premises.
+    def _split(self, items: list[set[str]], seeds: list[set[str]]):
+        """Partition items, the name sets of the declarations and then of
+        the side entries, among premises.
 
         Each premise k owns the connected component of seed k in the
-        share-a-name graph; those assignments are forced.  Components that
-        touch no seed can in principle go anywhere (their home premise must
-        merely be able to absorb them), so they are returned separately for
-        the caller to place, leftmost placement tried first.
+        share-a-name graph: owner[j] is the premise item j must go to, or
+        None if its component touches no seed.  Such a component can in
+        principle go anywhere (its home premise must merely be able to
+        absorb it), so the components are also returned as lists of item
+        indices, for the caller to place.
         """
         n_seeds = len(seeds)
-        items = [({x}, ("g", k)) for k, (x, _) in enumerate(gamma)]
-        items += [(self.names(e.term), ("d", k)) for k, e in enumerate(entries)]
-
         parent = list(range(n_seeds + len(items)))
 
         def find(i: int) -> int:
@@ -173,16 +167,13 @@ class _Reconstructor:
                 i = parent[i]
             return i
 
-        def union(i: int, j: int) -> None:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-
         by_name: dict[str, int] = {}
-        for el, names in enumerate(seeds + [ns for ns, _ in items]):
+        for el, names in enumerate(seeds + items):
             for name in names:
                 if name in by_name:
-                    union(el, by_name[name])
+                    ri, rj = find(el), find(by_name[name])
+                    if ri != rj:
+                        parent[ri] = rj
                 else:
                     by_name[name] = el
 
@@ -193,20 +184,14 @@ class _Reconstructor:
                 raise _NoSplit(_NO_SPLIT)
             seed_root[r] = k
 
-        assign_g: dict[int, int] = {}
-        assign_d: dict[int, int] = {}
-        floating: dict[int, list[tuple[str, int]]] = {}
-        for el, (_, tag) in enumerate(items, start=n_seeds):
-            root = find(el)
-            if root in seed_root:
-                k = seed_root[root]
-                if tag[0] == "g":
-                    assign_g[tag[1]] = k
-                else:
-                    assign_d[tag[1]] = k
-            else:
-                floating.setdefault(root, []).append(tag)
-        return assign_g, assign_d, list(floating.values())
+        owner: list[Optional[int]] = []
+        floating: dict[int, list[int]] = {}
+        for j in range(len(items)):
+            root = find(n_seeds + j)
+            owner.append(seed_root.get(root))
+            if owner[j] is None:
+                floating.setdefault(root, []).append(j)
+        return owner, list(floating.values())
 
     # -- main solver ---------------------------------------------------------
 
@@ -260,86 +245,102 @@ class _Reconstructor:
                     sub = self.solve(Sequent(gamma + ((x, a),), inner))
                     return Derivation(Rule.LOLLI_I, seq, (sub,))
 
-        # branching inversions; try candidates left to right, and report
-        # the first error of a candidate whose context split exists
+        # branching inversions: every placement of every candidate in turn,
+        # each attempt from the subst as it is here.  The error reported is
+        # the last placement's of the first candidate whose context split
+        # exists.
         candidates = [i for i, e in enumerate(delta)
                       if isinstance(e.term, (App, Dist))]
         if not candidates:
             # seq holds no subst: its text does not change on backtracking
             raise UnsatisfiableSplit(
-                lambda: f"no rule applies to  {seq_text(seq)}")
+                lambda: f"no rule applies to  {print_sequent(seq)}")
+        snapshot = dict(self.subst)
         first: Optional[TypecheckError] = None
         for i in candidates:
-            snapshot = dict(self.subst)
-            try:
-                return self._solve_branching(seq, i)
-            except _NoSplit:
-                self.subst = snapshot
-            except TypecheckError as err:
-                self.subst = snapshot
-                if first is None:
-                    first = err
+            attempts = self._branching(seq, i)
+            last: Optional[TypecheckError] = None
+            while True:
+                try:
+                    step = next(attempts, None)
+                    if step is None:
+                        break
+                    rule, premises = step
+                    return Derivation(rule, seq, tuple(map(self.solve, premises)))
+                except TypecheckError as err:
+                    self.subst = dict(snapshot)
+                    if isinstance(err, _NoSplit):
+                        break
+                    last = err
+            if first is None:
+                first = last
         raise first if first is not None else UnsatisfiableSplit(_NO_SPLIT)
 
-    def _solve_branching(self, seq: Sequent, i: int) -> Derivation:
-        """Invert LolliE or ParrE at entry i.  Each premise gets the
-        declarations and side entries its context split gives it, in
-        order, its seed entry (if any) where entry i stood, and the
-        declarations its rule adds last."""
+    def _branching(self, seq: Sequent, i: int
+                   ) -> Iterator[tuple[Rule, list[Sequent]]]:
+        """Invert LolliE or ParrE at entry i: yield the rule and its
+        premises once per placement of the components that share no name
+        with a premise seed, leftmost placement first.  Each premise gets
+        the declarations and side entries the split gives it, in order,
+        its seed entry (if any) where entry i stood, and the declarations
+        its rule adds last.
+
+        The first step makes the unknowns, applies the annotations and
+        computes the split, raising what fails; solve restores the subst
+        after a failed placement, so each later step binds the
+        annotations again."""
         gamma, delta = seq.gamma, seq.delta
         e = delta[i]
         rest = delta[:i] + delta[i + 1:]
         # per premise: its seed's names, and its seed entry or () with the
-        # declarations its rule adds
+        # declarations its rule adds; the entry's own annotation was
+        # applied on entering solve
         match e.term:
             case App(fun, arg):
-                self._apply_annotation(e.term, e.type)
-                arg_ty = self.fresh()
-                self._apply_annotation(arg, arg_ty)
+                pinned, ty = arg, self.fresh()
                 rule, seeds = Rule.LOLLI_E, [self.names(fun), self.names(arg)]
-                adds = [((DeltaEntry(fun, Lolli(arg_ty, e.type)),), ()),
-                        ((DeltaEntry(arg, arg_ty),), ())]
+                adds = [((DeltaEntry(fun, Lolli(ty, e.type)),), ()),
+                        ((DeltaEntry(arg, ty),), ())]
             case Dist(x, y, body):
                 self.unify(e.type, BOT)
                 a, b = self.fresh(), self.fresh()
-                self._apply_annotation(body, ParT(a, b))
+                pinned, ty = body, ParT(a, b)
                 rule, seeds = Rule.PARR_E, [self.names(body), {x}, {y}]
-                adds = [((DeltaEntry(body, ParT(a, b)),), ()),
+                adds = [((DeltaEntry(body, ty),), ()),
                         ((), ((x, a),)), ((), ((y, b),))]
-            case _:
-                raise UnsatisfiableSplit(
-                    "entry is neither an application nor a binary output")
 
-        def premise(ag: dict[int, int], ad: dict[int, int], k: int) -> Sequent:
-            seed, decls = adds[k]
-            mine = [pos for pos in range(len(rest)) if ad[pos] == k]
-            return Sequent(
-                tuple(g for pos, g in enumerate(gamma) if ag[pos] == k) + decls,
-                tuple(rest[pos] for pos in mine if pos < i) + seed
-                + tuple(rest[pos] for pos in mine if pos >= i))
+        def bind() -> None:
+            # what the rule asks of the unknowns: ParrE's entry is bot, and
+            # the seed term's annotation holds
+            if rule is Rule.PARR_E:
+                self.unify(e.type, BOT)
+            self._apply_annotation(pinned, ty)
 
-        base_g, base_d, floating = self._split(gamma, rest, seeds)
+        bind()
+        g = len(gamma)
+        owner, floating = self._split(
+            [{x} for x, _ in gamma] + [self.names(r.term) for r in rest], seeds)
         # a component sharing no name with any seed can live in any
         # premise; try leftmost first, backtracking across the rest
         if len(floating) > 5:
             choices = [(0,) * len(floating)]
         else:
             choices = itertools.product(range(len(seeds)), repeat=len(floating))
-        last: Optional[TypecheckError] = None
-        for choice in choices:
-            snapshot = dict(self.subst)
-            ag, ad = dict(base_g), dict(base_d)
+        for n, choice in enumerate(choices):
+            if n:
+                bind()
+            own = list(owner)
             for group, k in zip(floating, choice):
-                for kind, idx in group:
-                    (ag if kind == "g" else ad)[idx] = k
-            try:
-                subs = tuple(self.solve(premise(ag, ad, k))
-                             for k in range(len(seeds)))
-                return Derivation(rule, seq, subs)
-            except TypecheckError as err:
-                self.subst = snapshot
-                last = err
-        raise last  # choices holds at least one placement
+                for j in group:
+                    own[j] = k
+            premises = []
+            for k, (seed, decls) in enumerate(adds):
+                mine = [o == k for o in own]
+                premises.append(Sequent(
+                    tuple(itertools.compress(gamma, mine)) + decls,
+                    tuple(itertools.compress(rest[:i], mine[g:])) + seed
+                    + tuple(itertools.compress(rest[i:], mine[g + i:]))))
+            yield rule, premises
 
     def finalize(self, d: Derivation) -> Derivation:
         # solve hands a premise the very declaration and entry objects of
@@ -368,26 +369,6 @@ class _Reconstructor:
 
         return fold(d, premises_of, lambda node, subs: Derivation(
             node.rule, fix_seq(node.conclusion), tuple(subs)))
-
-
-def type_text(ty) -> str:
-    """A type in lamp syntax for error messages; unknowns show by name."""
-    def leave(s, parts):
-        if parts:
-            return type(s)(*parts)
-        return Atom(s.name) if isinstance(s, MetaVar) else s
-
-    return print_type(fold(ty, children, leave))
-
-
-def seq_text(s: Sequent) -> str:
-    # error rendering only: each type enters the sequent as a pseudo-atom
-    # spelled by type_text
-    return print_sequent(Sequent(
-        tuple((x, Atom(type_text(ty))) for x, ty in s.gamma),
-        tuple(DeltaEntry(e.term,
-                         None if e.type is None else Atom(type_text(e.type)))
-              for e in s.delta)))
 
 
 def polarity_balance(seq: Sequent) -> dict[str, int]:

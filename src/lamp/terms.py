@@ -485,6 +485,14 @@ class ParT(_Node):
     _first = 1
 
 
+class MetaVar(_Node):
+    """A type unknown, local to one reconstruction run; it prints by its
+    name."""
+
+    __slots__ = ()
+    __match_args__ = ("name",)
+
+
 TypeExpr = Union[Atom, Bot, Lolli, ParT]
 
 BOT = Bot()
@@ -563,7 +571,7 @@ def print_term(t: Term) -> str:
     return fold(t, children, text)
 
 
-_TYPE_LEVEL = {Atom: 2, Bot: 2, Lolli: 1, ParT: 0}
+_TYPE_LEVEL = {Atom: 2, Bot: 2, MetaVar: 2, Lolli: 1, ParT: 0}
 
 
 def print_type(ty: TypeExpr) -> str:
@@ -572,7 +580,7 @@ def print_type(ty: TypeExpr) -> str:
 
     def text(n: TypeExpr, kids: list[str]) -> str:
         match n:
-            case Atom(name):
+            case Atom(name) | MetaVar(name):
                 return name
             case Bot():
                 return "bot"

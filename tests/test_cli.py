@@ -1,10 +1,12 @@
 """Command line behaviour: outputs, exit codes, golden stability."""
 
 import json
+import random
 
 import pytest
 
 from tests.conftest import CORPUS_NAMES, GOLDEN, run_cli, run_python
+from tests.test_checker import _INPUTS
 
 
 def test_parse_prints_sequent():
@@ -205,6 +207,29 @@ def test_translate_to_mll(tmp_path):
     r2 = run_cli("translate", str(mll_file), "--direction", "to-nmll")
     assert r2.returncode == 0, r2.stderr
     assert r2.stdout.startswith("(ParrI")
+
+
+def test_translate_to_nmll_reports_the_first_bad_node(tmp_path):
+    # the BotR below the root sits on a bottom axiom: its left side differs
+    f = tmp_path / "bad.mllsx"
+    f.write_text('(LolliR "|- A, A -o bot"\n'
+                 '  (BotR "A |- A, bot"\n'
+                 '    (AxBot "bot |-")))\n')
+    r = run_cli("translate", str(f), "--direction", "to-nmll")
+    _assert_one_line_error(r, 3)
+    assert r.stderr == ("internal invariant violation: at node [0]: "
+                        "bot-right must add one bot on the right\n")
+
+
+def test_deep_ring_checks_runs_and_translates(tmp_path):
+    # the proof search costs one Python frame per rule, so the bench's
+    # ring text at 240 components stays inside the default recursion limit
+    f = tmp_path / "ring.lamp"
+    f.write_text(_INPUTS.ring_case(0, 240, random.Random(0)).text + "\n")
+    for args in (["check"], ["run", "--mode", "concurrent"],
+                 ["translate", "--direction", "to-mll"]):
+        r = run_cli(args[0], str(f), *args[1:])
+        assert r.returncode == 0, (args, r.stderr)
 
 
 def test_props_command():

@@ -355,8 +355,8 @@ def test_backtracking_renders_no_error_text(monkeypatch):
     # program with a variable wrongly pinned to bot, which the search
     # must reject: every error the search throws away goes unprinted,
     # and a rejection is printed once, when read
-    seqs = _counting(monkeypatch, "seq_text")
-    types = _counting(monkeypatch, "type_text")
+    seqs = _counting(monkeypatch, "print_sequent")
+    types = _counting(monkeypatch, "print_type")
     solves = _counting_solve(monkeypatch)
     rejected = searched = 0
     for seed in range(40):

@@ -41,21 +41,23 @@ def test_fold_leaves_children_first_left_to_right():
 
 # -- no recursion outside the searches and the bounded generators -----------
 
-# the parser's binder chains, the backward proof search and unification,
-# and two type generators whose depth is at most 2
-ALLOWED = {"_Parser.seq", "_Reconstructor.solve", "_Reconstructor.unify",
-           "_Gen.leaf_type", "_MllGen._type"}
+# the parser's binder chains, the backward proof search, and two type
+# generators whose depth is at most 2
+ALLOWED = {"_Parser.seq", "_Reconstructor.solve", "_Gen.leaf_type",
+           "_MllGen._type"}
 
 
 def _calls_itself(fn: ast.FunctionDef) -> bool:
+    """Whether fn reads its own name, or self's attribute of that name: a
+    call, or a reference passed on, as in map(self.solve, ...)."""
     for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            f = node.func
-            if isinstance(f, ast.Name) and f.id == fn.name:
-                return True
-            if isinstance(f, ast.Attribute) and f.attr == fn.name \
-                    and isinstance(f.value, ast.Name) and f.value.id == "self":
-                return True
+        if isinstance(node, ast.Name) and node.id == fn.name \
+                and isinstance(node.ctx, ast.Load):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == fn.name \
+                and isinstance(node.ctx, ast.Load) \
+                and isinstance(node.value, ast.Name) and node.value.id == "self":
+            return True
     return False
 
 

@@ -157,6 +157,14 @@ def cmd_props(args) -> int:
     return EXIT_OK if report.passed else EXIT_INTERNAL
 
 
+def positive(text: str) -> int:
+    """An int of at least 1; argparse names this type in its error."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lamp", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("props", help="run the metatheory property suites")
     p.add_argument("--n", type=int, default=100, help="generated cases")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=int, default=12)
+    p.add_argument("--max-nodes", type=positive, default=12)
     p.set_defaults(fn=cmd_props)
 
     return ap

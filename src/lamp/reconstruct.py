@@ -234,7 +234,6 @@ class _Reconstructor:
                     if any(x == y for y, _ in gamma):
                         raise UnsatisfiableSplit(
                             f"binder {x!r} shadows a declaration")
-                    self._apply_annotation(term, ty)
                     a, b = self._as(Lolli, ty)
                     rest = delta[:i] + delta[i + 1:]
                     if not (is_free_in(x, body)

@@ -114,30 +114,27 @@ def _read_all(text: str):
 
 
 def parse_sequent_text(text: str) -> Sequent:
-    p = _Parser(text)
-    s = p.sequent()
-    return s
+    return _Parser(text).sequent()
 
 
 def parse_mll_sequent_text(text: str) -> MllSequent:
+    """Types separated by ',', then '|-', then types; a side may be empty."""
     from .mll import MllSequent
-    from .parser import parse_type
-    if "|-" not in text:
-        raise ParseError("missing |- in sequent")
-    left_text, right_text = text.split("|-", 1)
+    p = _Parser(text)
 
-    def types(part: str):
-        part = part.strip()
-        if not part:
-            return ()
-        return tuple(parse_type(p.strip()) for p in _split_types(part))
+    def types(stop: str) -> tuple:
+        out = [] if p.peek().text == stop else [p.type_()]
+        while out and p.peek().text == ",":
+            p.next()
+            out.append(p.type_())
+        return tuple(out)
 
-    return MllSequent(types(left_text), types(right_text))
-
-
-def _split_types(part: str) -> list[str]:
-    # commas never occur inside the type grammar, so a plain split is safe
-    return part.split(",")
+    left = types("|-")
+    p.expect("|-")
+    right = types("")  # the end of input's text
+    if p.peek().kind != "eof":
+        p.fail(f"trailing input {p.peek().text!r}")
+    return MllSequent(left, right)
 
 
 def _build(text: str, tags: dict, parse_sequent, make):

@@ -332,17 +332,7 @@ def occurrences(t: Term, x: str) -> list[Path]:
 
 def is_free_in(x: str, t: Term) -> bool:
     """Whether x occurs free in t; stops at the first free occurrence."""
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        cls = type(s)
-        if cls is Var:
-            if s.name == x:
-                return True
-        elif not (cls is Send and s.chan == x
-                  or cls is Dist and x in (s.chan1, s.chan2)):
-            stack.extend(children(s))
-    return False
+    return next(_free_cells(t, x), None) is not None
 
 
 def _free_cells(t: Term, x: str) -> Iterator[Cell]:

@@ -11,13 +11,14 @@ programs that can always fire.
 
 Identical configurations reproduce identical derivations byte for byte.
 
-Each non-axiom rule is written forward once, in FORWARD.  The random
-generator samples it; ``closure`` exhausts it below a size bound for the
-completeness probe.
+Each non-axiom rule is written forward once, in FORWARD or, for the
+sequent calculus, _MLL_FORWARD.  One engine samples both tables; ``closure``
+exhausts FORWARD below a size bound for the completeness probe.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -63,11 +64,11 @@ class ForwardRule(NamedTuple):
     """A non-axiom rule read forward.  premises[n](s, prev) lists, in a
     fixed order, the positions at which sequent s can serve as premise n,
     given the (sequent, position) pairs chosen for premises 0..n-1;
-    conclusion(seqs, positions) builds the conclusion.  Premises must share
-    no name."""
+    conclusion(seqs, positions, rng) builds the conclusion, drawing from
+    rng only for BotR (where its bot goes).  Premises share no name."""
 
     premises: tuple[Callable[[Sequent, tuple], Iterable], ...]
-    conclusion: Callable[[tuple[Sequent, ...], tuple], Sequent]
+    conclusion: Callable[..., Sequent]
 
 
 def axiom(x: str, a: TypeExpr) -> Sequent:
@@ -75,23 +76,27 @@ def axiom(x: str, a: TypeExpr) -> Sequent:
     return Sequent(((x, a),), (DeltaEntry(Var(x), a),))
 
 
+def _whole(s, prev) -> tuple:
+    return (None,)  # the one position of a premise taken whole
+
+
 def _principal(prev: tuple) -> DeltaEntry:
     s, j = prev[0]
     return s.delta[j]
 
 
-def _bot_i(seqs, _positions) -> Sequent:
+def _bot_i(seqs, _positions, _rng=None) -> Sequent:
     (s,) = seqs
     return Sequent(s.gamma, s.delta + (DeltaEntry(UNIT, BOT),))
 
 
-def _bot_e(seqs, positions) -> Sequent:
+def _bot_e(seqs, positions, _rng=None) -> Sequent:
     (s,), (i,) = seqs, positions
     entry = DeltaEntry(Close(s.delta[i].term), None)
     return Sequent(s.gamma, _replaced(s.delta, i, entry))
 
 
-def _lolli_i(seqs, positions) -> Sequent:
+def _lolli_i(seqs, positions, _rng=None) -> Sequent:
     (s,), ((j, i),) = seqs, positions
     x, a = s.gamma[j]
     e = s.delta[i]
@@ -99,14 +104,14 @@ def _lolli_i(seqs, positions) -> Sequent:
     return Sequent(_without(s.gamma, j), _replaced(s.delta, i, entry))
 
 
-def _parr_i(seqs, positions) -> Sequent:
+def _parr_i(seqs, positions, _rng=None) -> Sequent:
     (s,), (i,) = seqs, positions
     e1, e2 = s.delta[i], s.delta[i + 1]
     entry = DeltaEntry(Par(e1.term, e2.term), ParT(e1.type, e2.type))
     return Sequent(s.gamma, s.delta[:i] + (entry,) + s.delta[i + 2:])
 
 
-def _lolli_e(seqs, positions) -> Sequent:
+def _lolli_e(seqs, positions, _rng=None) -> Sequent:
     (s1, s2), (j1, j2) = seqs, positions
     fn, arg = s1.delta[j1], s2.delta[j2]
     entry = DeltaEntry(App(fn.term, arg.term), fn.type.res)
@@ -114,7 +119,7 @@ def _lolli_e(seqs, positions) -> Sequent:
                    _replaced(s1.delta, j1, entry) + _without(s2.delta, j2))
 
 
-def _parr_e(seqs, positions) -> Sequent:
+def _parr_e(seqs, positions, _rng=None) -> Sequent:
     (s1, s2, s3), (j, g2, g3) = seqs, positions
     entry = DeltaEntry(Dist(s2.gamma[g2][0], s3.gamma[g3][0], s1.delta[j].term),
                        BOT)
@@ -123,7 +128,7 @@ def _parr_e(seqs, positions) -> Sequent:
 
 
 FORWARD: dict[Rule, ForwardRule] = {
-    Rule.BOT_I: ForwardRule((lambda s, prev: (None,),), _bot_i),
+    Rule.BOT_I: ForwardRule((_whole,), _bot_i),
     Rule.BOT_E: ForwardRule(
         (lambda s, prev: [i for i, e in enumerate(s.delta) if e.type == BOT],),
         _bot_e),
@@ -153,23 +158,32 @@ FORWARD: dict[Rule, ForwardRule] = {
         _parr_e),
 }
 
-# generator action weights; the order fixes the rng draws
-_GEN_WEIGHTS = ((Rule.AX, 2.0), (Rule.BOT_I, 1.0), (Rule.BOT_E, 0.7),
-                (Rule.LOLLI_I, 2.2), (Rule.PARR_I, 1.0),
-                (Rule.LOLLI_E, 3.0), (Rule.PARR_E, 1.2))
-
 
 class _Gen:
+    """The forward generator, drawing rules and their options to grow a
+    pool from axioms.  A calculus sets the class attributes and _axiom, the
+    conclusion of an axiom rule; these are natural deduction's."""
+
+    # ParrE splits only literal parallel compositions: see the module doc
+    table = {**FORWARD, Rule.PARR_E: FORWARD[Rule.PARR_E]._replace(premises=(
+        lambda s, prev: [j for j, e in enumerate(s.delta)
+                         if isinstance(e.type, ParT) and isinstance(e.term, Par)],
+        *FORWARD[Rule.PARR_E].premises[1:]))}
+    derivation = Derivation
+    key = "{0.seed}:{0.max_nodes}:" + ",".join(_ATOMS)
+    # the rules drawn, an axiom first, beside their weights; the order
+    # fixes the rng draws.  The bounds sum them as rng.choices does.
+    rules, weights = zip((Rule.AX, 2.0), (Rule.BOT_I, 1.0), (Rule.BOT_E, 0.7),
+                         (Rule.LOLLI_I, 2.2), (Rule.PARR_I, 1.0),
+                         (Rule.LOLLI_E, 3.0), (Rule.PARR_E, 1.2))
+    bounds = tuple(itertools.accumulate(weights))
+
     def __init__(self, cfg: GenConfig):
         self.cfg = cfg
-        self.rng = random.Random(
-            f"{cfg.seed}:{cfg.max_nodes}:{','.join(_ATOMS)}")
+        self.rng = random.Random(self.key.format(cfg))
         self._ids = itertools.count()
         # each derivation beside its node count
-        self.pool: list[tuple[Derivation, int]] = []
-
-    def fresh(self) -> str:
-        return f"v{next(self._ids)}"
+        self.pool: list[tuple] = []
 
     def atom(self) -> TypeExpr:
         return Atom(self.rng.choice(_ATOMS))
@@ -186,60 +200,57 @@ class _Gen:
             return ParT(self.leaf_type(1), self.leaf_type(1))
         return self.atom()
 
-    def _axiom(self) -> None:
-        x = self.fresh()
-        self.pool.append((Derivation(Rule.AX, axiom(x, self.leaf_type())), 1))
+    def pick(self):
+        """The first rule whose bound exceeds rng.random() times the last
+        bound: rng.choices's draw, or a plain threshold draw if that is 1."""
+        r = self.rng.random() * self.bounds[-1]
+        return self.rules[bisect.bisect(self.bounds, r, 0, len(self.rules) - 1)]
 
-    def _options(self, rule: Rule) -> list[tuple]:
-        """Every (k1, p1, k2, p2, ...) at which the rule applies within the
-        node budget: premise n is pool entry kn at position pn.  Listed in
-        the order of nested loops over the premises."""
-        partial = [((), (), self.cfg.max_nodes - 1)]  # option, prev, budget
-        for n, gen in enumerate(FORWARD[rule].premises):
+    def _axiom(self, rule: Rule) -> Sequent:
+        return axiom(f"v{next(self._ids)}", self.leaf_type())
+
+    def _options(self, rule) -> list[tuple]:
+        """Every (ks, prev, nodes left) at which the rule fits the node
+        budget: premise n is pool entry ks[n], and prev[n] its (sequent,
+        position) pair.  In the order of nested loops over the premises."""
+        options = [((), (), self.cfg.max_nodes - 1)]
+        for gen in self.table[rule].premises:
             grown = []
-            for option, prev, budget in partial:
+            for ks, prev, budget in options:
                 for k, (d, size) in enumerate(self.pool):
-                    if k in option[::2] or size > budget:
+                    if k in ks or size > budget:
                         continue
                     s = d.conclusion
                     for p in gen(s, prev):
-                        # only split entries that are literally parallel
-                        # compositions, so every generated binary output
-                        # can eventually fire
-                        if rule is Rule.PARR_E and n == 0 \
-                                and not isinstance(s.delta[p].term, Par):
-                            continue
-                        grown.append((option + (k, p), prev + ((s, p),),
+                        grown.append((ks + (k,), prev + ((s, p),),
                                       budget - size))
-            partial = grown
-        return [option for option, _, _ in partial]
+            options = grown
+        return options
 
-    def _apply(self, rule: Rule) -> None:
+    def _apply(self, rule) -> None:
+        """Add an axiom of rule, or apply rule at an option drawn if any."""
+        if rule not in self.table:
+            self.pool.append((self.derivation(rule, self._axiom(rule)), 1))
+            return
         options = self._options(rule)
         if not options:
             return
-        option = self.rng.choice(options)
-        ks = option[::2]
+        ks, prev, _ = self.rng.choice(options)
+        seqs, positions = zip(*prev)
+        con = self.table[rule].conclusion(seqs, positions, self.rng)
         ds = tuple(self.pool[k][0] for k in ks)
-        con = FORWARD[rule].conclusion(tuple(d.conclusion for d in ds),
-                                       option[1::2])
         keep = max(ks)
-        self.pool[keep] = (Derivation(rule, con, ds),
+        self.pool[keep] = (self.derivation(rule, con, ds),
                            1 + sum(self.pool[k][1] for k in ks))
         for k in sorted(set(ks) - {keep}, reverse=True):
             del self.pool[k]
 
-    def run(self) -> Derivation:
-        self._axiom()
-        rules, weights = zip(*_GEN_WEIGHTS)
+    def run(self):
+        self._apply(self.rules[0])
         for _ in range(self.cfg.max_nodes * 4):
             if max(n for _, n in self.pool) >= self.cfg.max_nodes:
                 break
-            rule = self.rng.choices(rules, weights=weights)[0]
-            if rule is Rule.AX:
-                self._axiom()
-            else:
-                self._apply(rule)
+            self._apply(self.pick())
         return max(self.pool, key=lambda entry: entry[1])[0]
 
 
@@ -319,140 +330,95 @@ def closure(types: Iterable[TypeExpr], max_size: int) -> set[Sequent]:
 # ---------------------------------------------------------------------------
 # Random sequent calculus derivations (for translation round-trips)
 
-class _MllGen:
-    def __init__(self, cfg: GenConfig):
-        self.cfg = cfg
-        self.rng = random.Random(f"mll:{cfg.seed}:{cfg.max_nodes}")
-        # each derivation beside its node count
-        self.pool: list[tuple[MllDerivation, int]] = []
+# A binary sequent calculus rule takes its first premise, prev[0][0], whole
+# and lists pairs (i in the first premise, j in the second's left).
+
+def _bot_r(seqs, _positions, rng) -> MllSequent:
+    (s,) = seqs
+    i = rng.randint(0, len(s.right))
+    return MllSequent(s.left, s.right[:i] + (BOT,) + s.right[i:])
+
+
+def _lolli_r(seqs, positions, _rng) -> MllSequent:
+    (s,), ((i, j),) = seqs, positions
+    return MllSequent(_without(s.left, j),
+                      _replaced(s.right, i, Lolli(s.left[j], s.right[i])))
+
+
+def _parr_r(seqs, positions, _rng) -> MllSequent:
+    (s,), (i,) = seqs, positions
+    r = s.right
+    return MllSequent(s.left, r[:i] + (ParT(r[i], r[i + 1]),) + r[i + 2:])
+
+
+def _cut(seqs, positions, _rng) -> MllSequent:
+    (s1, s2), (_, (i, j)) = seqs, positions
+    return MllSequent(s1.left + _without(s2.left, j),
+                      _without(s1.right, i) + s2.right)
+
+
+def _lolli_l(seqs, positions, _rng) -> MllSequent:
+    (s1, s2), (_, (i, j)) = seqs, positions
+    ty = Lolli(s1.right[i], s2.left[j])
+    return MllSequent(s1.left + (ty,) + _without(s2.left, j),
+                      _without(s1.right, i) + s2.right)
+
+
+def _parr_l(seqs, positions, _rng) -> MllSequent:
+    (s1, s2), (_, (i, j)) = seqs, positions
+    ty = ParT(s1.left[i], s2.left[j])
+    return MllSequent(_without(s1.left, i) + _without(s2.left, j) + (ty,),
+                      s1.right + s2.right)
+
+
+def _pairs(xs: tuple, ys: tuple) -> Iterable[tuple[int, int]]:
+    return itertools.product(range(len(xs)), range(len(ys)))
+
+
+_MLL_FORWARD: dict[MllRule, ForwardRule] = {
+    MllRule.BOT_R: ForwardRule((_whole,), _bot_r),
+    MllRule.LOLLI_R: ForwardRule(
+        (lambda s, prev: _pairs(s.right, s.left),), _lolli_r),
+    MllRule.PARR_R: ForwardRule(
+        (lambda s, prev: range(len(s.right) - 1),), _parr_r),
+    MllRule.CUT: ForwardRule(
+        (_whole,
+         lambda s, prev: [(i, j) for i, a in enumerate(prev[0][0].right)
+                          for j, b in enumerate(s.left) if a == b]),
+        _cut),
+    MllRule.LOLLI_L: ForwardRule(
+        (_whole, lambda s, prev: _pairs(prev[0][0].right, s.left)), _lolli_l),
+    MllRule.PARR_L: ForwardRule(
+        (_whole, lambda s, prev: _pairs(prev[0][0].left, s.left)), _parr_l),
+}
+
+
+class _MllGen(_Gen):
+    table = _MLL_FORWARD
+    derivation = MllDerivation
+    key = "mll:{0.seed}:{0.max_nodes}"
+    # the rules drawn, an axiom first, beside thresholds on rng.random():
+    # not weights, whose running sums would round to other bounds
+    rules, bounds = zip(
+        (MllRule.AX_ID, 0.22), (MllRule.AX_BOT, 0.3), (MllRule.BOT_R, 0.42),
+        (MllRule.LOLLI_R, 0.58), (MllRule.PARR_R, 0.68), (MllRule.CUT, 0.8),
+        (MllRule.LOLLI_L, 0.92), (MllRule.PARR_L, 1.0))
 
     def _type(self, depth: int = 0) -> TypeExpr:
         r = self.rng.random()
         if depth >= 2 or r < 0.55:
-            return Atom(self.rng.choice(_ATOMS))
+            return self.atom()
         if r < 0.7:
             return BOT
         if r < 0.85:
             return Lolli(self._type(depth + 1), self._type(depth + 1))
         return ParT(self._type(depth + 1), self._type(depth + 1))
 
-    def _ax_id(self) -> None:
+    def _axiom(self, rule: MllRule) -> MllSequent:
+        if rule is MllRule.AX_BOT:
+            return MllSequent((BOT,), ())
         a = self._type()
-        self.pool.append((MllDerivation(MllRule.AX_ID, MllSequent((a,), (a,))), 1))
-
-    def _ax_bot(self) -> None:
-        self.pool.append((MllDerivation(MllRule.AX_BOT, MllSequent((BOT,), ())), 1))
-
-    def _mfits(self, *sizes: int) -> bool:
-        return sum(sizes) + 1 <= self.cfg.max_nodes
-
-    def _bot_r(self) -> bool:
-        options = [k for k, (_, n) in enumerate(self.pool) if self._mfits(n)]
-        if not options:
-            return False
-        k = self.rng.choice(options)
-        d, n = self.pool[k]
-        s = d.conclusion
-        i = self.rng.randint(0, len(s.right))
-        con = MllSequent(s.left, s.right[:i] + (BOT,) + s.right[i:])
-        self.pool[k] = MllDerivation(MllRule.BOT_R, con, (d,)), n + 1
-        return True
-
-    def _lolli_r(self) -> bool:
-        options = [(k, i, j) for k, (d, n) in enumerate(self.pool)
-                   if self._mfits(n)
-                   for i in range(len(d.conclusion.right))
-                   for j in range(len(d.conclusion.left))]
-        if not options:
-            return False
-        k, i, j = self.rng.choice(options)
-        d, n = self.pool[k]
-        s = d.conclusion
-        a, b = s.left[j], s.right[i]
-        con = MllSequent(s.left[:j] + s.left[j + 1:],
-                         s.right[:i] + (Lolli(a, b),) + s.right[i + 1:])
-        self.pool[k] = MllDerivation(MllRule.LOLLI_R, con, (d,)), n + 1
-        return True
-
-    def _parr_r(self) -> bool:
-        options = [(k, i) for k, (d, n) in enumerate(self.pool)
-                   if len(d.conclusion.right) >= 2 and self._mfits(n)
-                   for i in range(len(d.conclusion.right) - 1)]
-        if not options:
-            return False
-        k, i = self.rng.choice(options)
-        d, n = self.pool[k]
-        s = d.conclusion
-        con = MllSequent(s.left, s.right[:i]
-                         + (ParT(s.right[i], s.right[i + 1]),)
-                         + s.right[i + 2:])
-        self.pool[k] = MllDerivation(MllRule.PARR_R, con, (d,)), n + 1
-        return True
-
-    def _binary(self, rule: MllRule) -> bool:
-        options = []
-        for k1, (d1, n1) in enumerate(self.pool):
-            for k2, (d2, n2) in enumerate(self.pool):
-                if k1 == k2 or not self._mfits(n1, n2):
-                    continue
-                s1, s2 = d1.conclusion, d2.conclusion
-                if rule is MllRule.CUT:
-                    for i, a in enumerate(s1.right):
-                        for j, b in enumerate(s2.left):
-                            if a == b:
-                                options.append((k1, k2, i, j))
-                elif rule is MllRule.LOLLI_L:
-                    for i in range(len(s1.right)):
-                        for j in range(len(s2.left)):
-                            options.append((k1, k2, i, j))
-                else:  # PARR_L
-                    for i in range(len(s1.left)):
-                        for j in range(len(s2.left)):
-                            options.append((k1, k2, i, j))
-        if not options:
-            return False
-        k1, k2, i, j = self.rng.choice(options)
-        (d1, n1), (d2, n2) = self.pool[k1], self.pool[k2]
-        s1, s2 = d1.conclusion, d2.conclusion
-        if rule is MllRule.CUT:
-            con = MllSequent(s1.left + s2.left[:j] + s2.left[j + 1:],
-                             s1.right[:i] + s1.right[i + 1:] + s2.right)
-        elif rule is MllRule.LOLLI_L:
-            ty = Lolli(s1.right[i], s2.left[j])
-            con = MllSequent(s1.left + (ty,) + s2.left[:j] + s2.left[j + 1:],
-                             s1.right[:i] + s1.right[i + 1:] + s2.right)
-        else:
-            ty = ParT(s1.left[i], s2.left[j])
-            con = MllSequent(s1.left[:i] + s1.left[i + 1:]
-                             + s2.left[:j] + s2.left[j + 1:] + (ty,),
-                             s1.right + s2.right)
-        self.pool[max(k1, k2)] = MllDerivation(rule, con, (d1, d2)), n1 + n2 + 1
-        del self.pool[min(k1, k2)]
-        return True
-
-    def run(self) -> MllDerivation:
-        self._ax_id()
-        for _ in range(self.cfg.max_nodes * 4):
-            if max(n for _, n in self.pool) >= self.cfg.max_nodes:
-                break
-            r = self.rng.random()
-            if r < 0.22:
-                self._ax_id()
-            elif r < 0.3:
-                self._ax_bot()
-            elif r < 0.42:
-                self._bot_r()
-            elif r < 0.58:
-                self._lolli_r()
-            elif r < 0.68:
-                self._parr_r()
-            elif r < 0.8:
-                self._binary(MllRule.CUT)
-            elif r < 0.92:
-                self._binary(MllRule.LOLLI_L)
-            else:
-                self._binary(MllRule.PARR_L)
-        return max(self.pool, key=lambda entry: entry[1])[0]
+        return MllSequent((a,), (a,))
 
 
 def gen_mll(cfg: GenConfig) -> MllDerivation:

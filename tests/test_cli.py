@@ -240,6 +240,15 @@ def test_props_command():
     assert all("failures=0" in line for line in lines)
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_props_rejects_a_node_budget_below_one(value):
+    r = run_cli("props", "--n", "1", "--max-nodes", value)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines()[-1] == (
+        f"lamp props: error: argument --max-nodes: invalid positive value: '{value}'")
+
+
 def test_color_toggle():
     r = run_cli("run", "corpus/cyclic.lamp", env_extra={"LAMP_COLOR": "1"})
     assert r.returncode == 0, r.stderr

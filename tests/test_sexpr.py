@@ -7,10 +7,11 @@ import pytest
 from lamp.derivations import Derivation, Rule
 from lamp.parser import ParseError
 from lamp.sexpr import (
-    derivation_to_sexpr, mll_to_sexpr, sexpr_to_derivation, sexpr_to_mll,
+    derivation_to_sexpr, mll_to_sexpr, parse_mll_sequent_text,
+    sexpr_to_derivation, sexpr_to_mll,
 )
 from lamp.testlab import GenConfig, gen_derivation, gen_mll
-from lamp.mll import mll_to_nmll
+from lamp.mll import MllSequent, mll_to_nmll
 from lamp.terms import DeltaEntry, Lolli, Sequent, Var
 from tests.test_checker import A, B, _stars_over
 
@@ -68,3 +69,20 @@ def test_reader_reports_the_first_bad_tag_in_preorder():
         sexpr_to_derivation('(Ax "x : A |- x : A)')
     with pytest.raises(ParseError, match="trailing input"):
         sexpr_to_derivation('(Ax "x : A |- x : A") (Ax "x : A |- x : A")')
+
+
+@pytest.mark.parametrize("text,error", [
+    ("A, B -o |- A", "1:9: expected a type, found '|-'"),
+    ("A ,, B |- A", "1:4: expected a type, found ','"),
+    ("A |- A |- A", "1:8: trailing input '|-'"),
+    ("A", "1:2: expected '|-', found 'end of input'"),
+])
+def test_mll_sequent_errors_are_placed_in_the_whole_text(text, error):
+    with pytest.raises(ParseError) as err:
+        parse_mll_sequent_text(text)
+    assert str(err.value) == error
+
+
+def test_mll_sequent_text_skips_a_comment_holding_a_turnstile():
+    assert parse_mll_sequent_text("A # a note: |- x\n |- A") \
+        == MllSequent((A,), (A,))

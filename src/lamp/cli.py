@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="explore every reduction order")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=100_000,
+    p.add_argument("--budget", type=positive, default=100_000,
                    help="maximum number of visited states")
     p.set_defaults(fn=cmd_enumerate)
 
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_translate)
 
     p = sub.add_parser("props", help="run the metatheory property suites")
-    p.add_argument("--n", type=int, default=100, help="generated cases")
+    p.add_argument("--n", type=positive, default=100, help="generated cases")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-nodes", type=positive, default=12)
     p.set_defaults(fn=cmd_props)

@@ -28,7 +28,7 @@ from .derivations import (
 )
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, MetaVar, Par, ParT, Send,
-    Sequent, Term, TypeExpr, Unit, Var, children, fold, is_free_in, nodes,
+    Sequent, Term, TypeExpr, Unit, Var, children, fold, nodes,
     print_sequent, print_term, print_type, var_names,
 )
 
@@ -231,15 +231,7 @@ class _Reconstructor:
                     sub = self.solve(Sequent(gamma, inner))
                     return Derivation(Rule.PARR_I, seq, (sub,))
                 case Send(x, body):
-                    if any(x == y for y, _ in gamma):
-                        raise UnsatisfiableSplit(
-                            f"binder {x!r} shadows a declaration")
                     a, b = self._as(Lolli, ty)
-                    rest = delta[:i] + delta[i + 1:]
-                    if not (is_free_in(x, body)
-                            or any(is_free_in(x, r.term) for r in rest)):
-                        raise LinearityViolation(
-                            lambda: f"channel {x!r} of {print_term(term)} is never used")
                     inner = delta[:i] + (DeltaEntry(body, b),) + delta[i + 1:]
                     sub = self.solve(Sequent(gamma + ((x, a),), inner))
                     return Derivation(Rule.LOLLI_I, seq, (sub,))

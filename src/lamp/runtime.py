@@ -104,13 +104,11 @@ class _Worker:
 
     def send_step(self, scan: _Scan,
                   fill: Callable[[str, Term, int], None]) -> bool:
-        """Fire an activator with a receiver in another component (local
-        redexes have all been fired): its value fills that channel's cell,
-        while a receiver in this component gets its value in place."""
+        """Fire an activator with a receiver in another component (poll has
+        fired every local redex, betas too): its value fills that channel's
+        cell, while a receiver in this component gets its value in place."""
         for act in scan.acts:
             kind, cont, sends = fire(act[2], scan.lams)
-            if kind == "beta":
-                continue
             local = [scan.free.get(x) for x, _ in sends]
             if all(local):
                 continue  # fully local, so a redex

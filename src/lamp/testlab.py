@@ -27,14 +27,12 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .derivations import Derivation, Rule, _replaced, _without, premises_of
 from .metatheory import check_no_freaks, check_subformula
 from .mll import MllDerivation, MllRule, MllSequent
-from .reconstruct import TypecheckError, reconstruct
-from .reduction import (
-    Redex, apply_redex, comm_size, enumerate_normal_forms, find_redexes,
-)
-from .runtime import DeadlockReport, run_concurrent
+from .reconstruct import reconstruct
+from .reduction import _reduct, _redexes, comm_size, enumerate_normal_forms
+from .runtime import run_concurrent
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, UNIT, Var, children, flatten_par, fold, nodes,
+    Term, TypeExpr, UNIT, Var, _scan, children, flatten_par, fold, nodes,
     print_term, split_joined,
 )
 
@@ -468,121 +466,95 @@ CONFLUENCE_CS_LIMIT = 6
 RUNTIME_SEEDS = 5
 
 
-def _reduction_states(seq: Sequent, reducer) -> list[tuple[Sequent, list[Redex]]]:
-    """Deterministic leftmost reduction over the joined term, re-split into
-    entries after each step; collects (sequent, available redexes) states."""
-    m = len(seq.delta)
+def one_step(t: Term) -> list[Term]:
+    """The one-step reducts of t in find_redexes order, each built once
+    from one _scan of t."""
+    return [_reduct(*redex) for redex in _redexes(_scan(t))]
+
+
+def _walk(seq: Sequent, reducts) -> list[tuple[Sequent, list[Sequent]]]:
+    """Each state of the leftmost reduction from seq beside its one-step
+    reducts, each split back into seq's entries with seq's types.  The next
+    state is the first reduct; at most comm_size + 1 states are taken,
+    which stops an engine that removes no node."""
     types = [e.type for e in seq.delta]
-    states = []
-    current = seq
+    m = len(types)
+    walk = []
+    state = seq
     for _ in range(comm_size(seq.joined_term()) + 1):
-        joined = current.joined_term()
-        redexes = find_redexes(joined)
-        states.append((current, redexes))
-        if not redexes:
+        nexts = [Sequent(seq.gamma, tuple(map(DeltaEntry, split_joined(t, m), types)))
+                 for t in reducts(state.joined_term())]
+        walk.append((state, nexts))
+        if not nexts:
             break
-        new = reducer(joined, redexes[0])
-        parts = split_joined(new, m)
-        current = Sequent(current.gamma,
-                          tuple(DeltaEntry(t, ty)
-                                for t, ty in zip(parts, types)))
-    return states
+        state = nexts[0]
+    return walk
+
+
+def _retypes(s: Sequent) -> bool:
+    con = reconstruct(s).conclusion
+    return (con.gamma == s.gamma
+            and [e.type for e in con.delta] == [e.type for e in s.delta])
+
+
+def _can_fire(s: Sequent) -> bool:
+    """Whether s holds an applied output or a binary output."""
+    return any(type(t) is Dist or type(t) is App and type(t.fun) is Send
+               for t in nodes(s.joined_term(), children))
+
+
+# Each suite beside its predicate over a generated program and its walk:
+# True or False, or None to skip the case.  The check_* functions raise on
+# a violation and return None.
+SUITES: list[tuple[str, Callable[[Sequent, list], Optional[bool]]]] = [
+    # every fired step removes exactly one output node
+    ("step-decrement", lambda program, walk: all(
+        comm_size(r.joined_term()) == comm_size(s.joined_term()) - 1
+        for s, reducts in walk for r in reducts)),
+    # every one-step reduct typechecks with the same declarations and types
+    ("subject-reduction", lambda program, walk: all(
+        _retypes(r) for _, reducts in walk for r in reducts)),
+    # an applied output or binary output always yields a redex
+    ("progress", lambda program, walk: all(
+        reducts or not _can_fire(s) for s, reducts in walk)),
+    # confluence by exhaustive enumeration on small terms
+    ("confluence", lambda program, walk: None
+     if comm_size(program.joined_term()) > CONFLUENCE_CS_LIMIT
+     else len(enumerate_normal_forms(program.joined_term())) == 1),
+    # the subformula property of the reconstructed normal form
+    ("subformula", lambda program, walk:
+     check_subformula(reconstruct(walk[-1][0])) is None),
+    # simple-context channel discipline on every reachable sequent
+    ("no-freaks", lambda program, walk: all(
+        check_no_freaks(s) is None for s, _ in walk)),
+    # the runtime reaches the normal form's components on every schedule
+    ("runtime-determinacy", lambda program, walk: all(
+        sorted(map(print_term, run_concurrent(program, seed=rseed)))
+        == sorted(map(print_term, flatten_par(walk[-1][0].joined_term())))
+        for rseed in range(RUNTIME_SEEDS))),
+]
 
 
 def run_property_suite(n_cases: int, cfg: GenConfig,
-                       reducer=apply_redex) -> Report:
-    """Drive every metatheory suite over n_cases generated derivations.
-    The reducer hook exists so tests can inject a corrupted engine and watch
-    the suites catch it."""
-    names = ["step-decrement", "subject-reduction", "progress", "confluence",
-             "subformula", "no-freaks", "runtime-determinacy"]
-    results = {n: PropertyResult(n) for n in names}
-
+                       reducts=one_step) -> Report:
+    """Run every suite of SUITES over n_cases generated programs, on one
+    walk per program.  A predicate that raises fails its case, and an
+    engine that raises on the walk fails every suite's.  The reducts hook
+    exists so tests can inject a corrupted engine and watch the suites
+    catch it."""
+    results = [PropertyResult(name) for name, _ in SUITES]
     for case in range(n_cases):
         case_seed = cfg.seed * 1_000_003 + case
-        d = gen_derivation(GenConfig(case_seed, cfg.max_nodes))
-        seq = d.conclusion
-        joined = seq.joined_term()
-        m = len(seq.delta)
-        types = [e.type for e in seq.delta]
-
-        states = _reduction_states(seq, reducer)
-
-        # step-decrement: every fired step removes exactly one output node
-        ok = True
-        for (s, redexes) in states:
-            base = comm_size(s.joined_term())
-            for r in redexes:
-                if comm_size(reducer(s.joined_term(), r)) != base - 1:
-                    ok = False
-        results["step-decrement"].record(case_seed, ok)
-
-        # progress: an applied output or binary output always yields a redex
-        ok = True
-        for (s, redexes) in states:
-            has_potential = any(
-                isinstance(sub, Dist)
-                or (isinstance(sub, App) and isinstance(sub.fun, Send))
-                for sub in nodes(s.joined_term(), children))
-            if has_potential and not redexes:
-                ok = False
-        results["progress"].record(case_seed, ok)
-
-        # subject reduction: every one-step reduct re-typechecks identically
-        ok = True
-        for (s, redexes) in states:
-            for r in redexes:
-                parts = split_joined(reducer(s.joined_term(), r), m)
-                reduct = Sequent(s.gamma,
-                                 tuple(DeltaEntry(t, ty)
-                                       for t, ty in zip(parts, types)))
-                try:
-                    d2 = reconstruct(reduct)
-                except TypecheckError:
-                    ok = False
-                    continue
-                if d2.conclusion.gamma != s.gamma \
-                        or [e.type for e in d2.conclusion.delta] != types:
-                    ok = False
-        results["subject-reduction"].record(case_seed, ok)
-
-        # confluence by exhaustive enumeration on small terms
-        if comm_size(joined) <= CONFLUENCE_CS_LIMIT:
-            forms = enumerate_normal_forms(joined)
-            results["confluence"].record(case_seed, len(forms) == 1)
-
-        # subformula property of the reconstructed normal form
-        final_seq = states[-1][0]
+        program = gen_derivation(GenConfig(case_seed, cfg.max_nodes)).conclusion
         try:
-            nd = reconstruct(final_seq)
-            check_subformula(nd)
-            ok = True
+            walk = _walk(program, reducts)
         except Exception:
-            ok = False
-        results["subformula"].record(case_seed, ok)
-
-        # simple-context channel discipline on every reachable sequent
-        ok = True
-        for (s, _) in states:
+            walk = None
+        for result, (_, holds) in zip(results, SUITES):
             try:
-                check_no_freaks(s)
+                ok = walk is not None and holds(program, walk)
             except Exception:
                 ok = False
-        results["no-freaks"].record(case_seed, ok)
-
-        # runtime determinacy across schedules
-        expected = sorted(print_term(t) for e in states[-1][0].delta
-                          for t in flatten_par(e.term))
-        ok = True
-        for rseed in range(RUNTIME_SEEDS):
-            try:
-                got = sorted(print_term(t)
-                             for t in run_concurrent(seq, seed=rseed))
-            except DeadlockReport:
-                ok = False
-                continue
-            if got != expected:
-                ok = False
-        results["runtime-determinacy"].record(case_seed, ok)
-
-    return Report([results[n] for n in names])
+            if ok is not None:
+                result.record(case_seed, ok)
+    return Report(results)

@@ -249,6 +249,22 @@ def test_props_rejects_a_node_budget_below_one(value):
         f"lamp props: error: argument --max-nodes: invalid positive value: '{value}'")
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, option", [
+    (["props"], "--n"),
+    (["enumerate", "corpus/excluded_middle.lamp"], "--budget"),
+])
+def test_counts_below_one_are_rejected(command, option, value):
+    # a case count or state budget below one would check nothing, or stop
+    # before the first state
+    r = run_cli(*command, option, value)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines()[-1] == (
+        f"lamp {command[0]}: error: argument {option}: "
+        f"invalid positive value: '{value}'")
+
+
 def test_color_toggle():
     r = run_cli("run", "corpus/cyclic.lamp", env_extra={"LAMP_COLOR": "1"})
     assert r.returncode == 0, r.stderr

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from lamp import runtime
-from lamp.parser import parse_program
+from lamp.parser import parse_program, parse_term
 from lamp.reconstruct import reconstruct
 from lamp.reduction import normalize
 from lamp.runtime import (
@@ -105,6 +105,19 @@ def test_non_linear_program_exhausts_round_budget():
     with pytest.raises(DeadlockReport) as info:
         run_concurrent(prog.sequent)
     assert info.value.out_of_rounds
+
+
+@pytest.mark.parametrize("text", [
+    # the only receiver is the activator's own argument: fully local, yet
+    # no redex, since its least common ancestor is the App
+    "(out x. *) x",
+    # x is local but not across a Par, and y is in another component
+    "(out2 x y. (* | *)) x | y",
+])
+def test_untyped_activator_that_cannot_send_is_left_alone(text):
+    term = parse_term(text)
+    seq = Sequent((), (DeltaEntry(term, None),))
+    assert run_concurrent(seq) == flatten_par(term)
 
 
 def test_worker_order_is_seeded():

@@ -7,7 +7,8 @@ from lamp.derivations import (
     Rule, all_sequents, check_channel_linearity, check_derivation,
 )
 from lamp.reconstruct import reconstruct
-from lamp.reduction import Redex, apply_redex, comm_size, normalize
+from lamp import testlab
+from lamp.reduction import apply_redex, comm_size, find_redexes, normalize
 from lamp.sexpr import derivation_to_sexpr, mll_to_sexpr
 from lamp.terms import App, Send, replace_at, subterm_at
 from lamp.testlab import (
@@ -113,18 +114,51 @@ def test_suite_passes():
 def test_corrupted_reducer_is_caught():
     # a comm that drops the receiver replacement breaks linearity, and the
     # subject reduction suite must notice
-    def corrupted(t, r: Redex):
-        if r.kind == "comm":
-            node = subterm_at(t, r.activator)
-            assert isinstance(node, App) and isinstance(node.fun, Send)
-            return replace_at(t, r.activator, node.fun.body)
-        return apply_redex(t, r)
+    def corrupted(t):
+        out = []
+        for r in find_redexes(t):
+            if r.kind == "comm":
+                node = subterm_at(t, r.activator)
+                assert isinstance(node, App) and isinstance(node.fun, Send)
+                out.append(replace_at(t, r.activator, node.fun.body))
+            else:
+                out.append(apply_redex(t, r))
+        return out
 
     report = run_property_suite(40, GenConfig(seed=11, max_nodes=11),
-                                reducer=corrupted)
+                                reducts=corrupted)
     by_name = {r.name: r for r in report.results}
     assert by_name["subject-reduction"].failures > 0
     assert by_name["subject-reduction"].first_failing_seed is not None
+
+
+def test_each_reduct_is_built_once(monkeypatch):
+    # the walk builds every one-step reduct of every state once, and the
+    # suites read them from it; the (state, redex) pairs are counted here
+    # on the path API, independently of the walk
+    calls = []
+    real = testlab._reduct
+    monkeypatch.setattr(testlab, "_reduct",
+                        lambda *args: calls.append(1) or real(*args))
+    cfg = GenConfig(seed=4, max_nodes=14)
+    run_property_suite(30, cfg)
+    pairs = 0
+    for case in range(30):
+        t = gen_derivation(GenConfig(cfg.seed * 1_000_003 + case,
+                                     cfg.max_nodes)).conclusion.joined_term()
+        while redexes := find_redexes(t):
+            pairs += len(redexes)
+            t = apply_redex(t, redexes[0])
+    assert pairs > 30
+    assert len(calls) == pairs
+
+
+def test_a_raising_engine_fails_every_suite():
+    def broken(t):
+        raise RuntimeError("engine fault")
+
+    report = run_property_suite(3, GenConfig(seed=1), reducts=broken)
+    assert [(r.cases, r.failures) for r in report.results] == [(3, 3)] * 7
 
 
 def test_report_render_format():

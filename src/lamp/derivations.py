@@ -26,7 +26,7 @@ from typing import Any, Sequence
 
 from .terms import (
     App, BOT, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    UNIT, Var, _scan, children, nodes, preorder, var_names,
+    TypeExpr, UNIT, Var, _scan, children, nodes, preorder, var_names,
 )
 
 
@@ -56,6 +56,11 @@ class Derivation:
     rule: Rule
     conclusion: Sequent
     premises: tuple["Derivation", ...] = ()
+
+
+def axiom(x: str, a: TypeExpr) -> Sequent:
+    """The conclusion of Ax, the one rule without premises."""
+    return Sequent(((x, a),), (DeltaEntry(Var(x), a),))
 
 
 # the kids, for preorder and fold, of a node of either derivation kind

@@ -20,10 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Iterator
 
 from .derivations import (
-    Derivation, Rule, _EntryNames, _match, _without, multiset_diff, premises_of,
+    Derivation, Rule, _EntryNames, _STAR, _match, _replaced, _without, axiom,
+    multiset_diff, premises_of,
 )
 from .terms import (
     App, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
@@ -264,20 +265,19 @@ def _to_mll(d: Derivation, inst: dict[str, Any], subs: list[MllDerivation]) -> M
         return MllDerivation(MllRule.CUT, con, (sub2, cut1))
 
     if rule is Rule.PARR_E:
-        a, b = inst["a"], inst["b"]
-        par_pos = _typed_pos(d.premises[0].conclusion, inst["j"])
         gx, gy = inst["gamma_pos_x"], inst["gamma_pos_y"]
         sub1, sub2, sub3 = subs
-        e1, e2, e3 = sub1.conclusion, sub2.conclusion, sub3.conclusion
-        sides = _without(e2.left, gx) + _without(e3.left, gy)
+        e2, e3 = sub2.conclusion, sub3.conclusion
         parr_l = MllDerivation(
             MllRule.PARR_L,
-            MllSequent(sides + (ParT(a, b),), e2.right + e3.right),
+            MllSequent(_without(e2.left, gx) + _without(e3.left, gy)
+                       + (ParT(inst["a"], inst["b"]),), e2.right + e3.right),
             (sub2, sub3))
+        # the cut concludes what BotR's premise must: con without the
+        # ParrE's bot, in con's order
+        dist_pos = _typed_pos(d.conclusion, inst["i"])
         cut = MllDerivation(
-            MllRule.CUT,
-            MllSequent(e1.left + sides,
-                       _without(e1.right, par_pos) + e2.right + e3.right),
+            MllRule.CUT, MllSequent(con.left, _without(con.right, dist_pos)),
             (sub1, parr_l))
         return MllDerivation(MllRule.BOT_R, con, (cut,))
 
@@ -287,148 +287,82 @@ def _to_mll(d: Derivation, inst: dict[str, Any], subs: list[MllDerivation]) -> M
 # ---------------------------------------------------------------------------
 # Sequent-calculus -> natural-deduction direction
 
-def _typed(delta: tuple[DeltaEntry, ...]) -> tuple[DeltaEntry, ...]:
-    return tuple(e for e in delta if e.type is not None)
+def _typed_first(*deltas: tuple[DeltaEntry, ...]) -> tuple[DeltaEntry, ...]:
+    """The entries of deltas in turn, the typed ones before the untyped:
+    the one order in which this direction joins entries."""
+    joined = tuple(itertools.chain(*deltas))
+    return (tuple(e for e in joined if e.type is not None)
+            + tuple(e for e in joined if e.type is None))
 
 
-def _untyped(delta: tuple[DeltaEntry, ...]) -> tuple[DeltaEntry, ...]:
-    return tuple(e for e in delta if e.type is None)
+def _close_last(d: Derivation) -> Derivation:
+    """BotE closing the last entry of d's conclusion, a bot."""
+    s = d.conclusion
+    closed = DeltaEntry(Close(s.delta[-1].term), None)
+    return Derivation(Rule.BOT_E, Sequent(s.gamma, s.delta[:-1] + (closed,)), (d,))
 
 
-class _Translator:
-    def __init__(self):
-        self._ids = itertools.count()
+def _to_nmll(node: MllDerivation, inst: dict[str, Any], subs: list[Derivation],
+             names: Iterator[str]) -> Derivation:
+    """One node of mll_to_nmll: node, its rule instance data, the
+    translations of its premises and the fresh names yet to draw."""
+    rule = node.rule
+    if rule is MllRule.AX_ID:
+        return Derivation(Rule.AX, axiom(next(names), node.conclusion.left[0]))
+    if rule is MllRule.AX_BOT:
+        return _close_last(Derivation(Rule.AX, axiom(next(names), BOT)))
+    if rule is MllRule.CUT:
+        return _cut_encoding(*subs, inst["i"], inst["j"], inst["a"])
 
-    def fresh(self) -> str:
-        return f"c{next(self._ids)}"
+    i, j, a, b = map(inst.get, "ijab")
+    s = subs[0].conclusion
+    if rule is MllRule.BOT_R:
+        return Derivation(Rule.BOT_I, Sequent(
+            s.gamma, s.delta[:i] + (_STAR,) + s.delta[i:]), tuple(subs))
+    if rule is MllRule.LOLLI_R:
+        entry = DeltaEntry(Send(s.gamma[j][0], s.delta[i].term), Lolli(a, b))
+        return Derivation(Rule.LOLLI_I, Sequent(
+            _without(s.gamma, j), _replaced(s.delta, i, entry)), tuple(subs))
+    if rule is MllRule.PARR_R:
+        entry = DeltaEntry(Par(s.delta[i].term, s.delta[i + 1].term), ParT(a, b))
+        return Derivation(Rule.PARR_I, Sequent(
+            s.gamma, s.delta[:i] + (entry,) + s.delta[i + 2:]), tuple(subs))
 
-    def translate(self, node: MllDerivation, inst: dict[str, Any],
-                  subs: list[Derivation]) -> Derivation:
-        """One node of mll_to_nmll: node, its rule instance data and the
-        translations of its premises."""
-        rule = node.rule
-        con = node.conclusion
+    # LolliL and ParrL: the introduced formula is a fresh name's axiom
+    x = next(names)
+    if rule is MllRule.LOLLI_L:
+        ty = Lolli(a, b)
+        entry = DeltaEntry(App(Var(x), s.delta[i].term), b)
+        app = Derivation(Rule.LOLLI_E, Sequent(
+            s.gamma + ((x, ty),), _replaced(s.delta, i, entry)),
+            (Derivation(Rule.AX, axiom(x, ty)), subs[0]))
+        return _cut_encoding(app, subs[1], i, j, b)
+    # ParrL: a Dist on the fresh name, closed
+    ty = ParT(a, b)
+    s2 = subs[1].conclusion
+    entry = DeltaEntry(Dist(s.gamma[i][0], s2.gamma[j][0], Var(x)), BOT)
+    return _close_last(Derivation(Rule.PARR_E, Sequent(
+        _without(s.gamma, i) + _without(s2.gamma, j) + ((x, ty),),
+        _typed_first(s.delta, s2.delta) + (entry,)),
+        (Derivation(Rule.AX, axiom(x, ty)), *subs)))
 
-        if rule is MllRule.AX_ID:
-            x = self.fresh()
-            a = con.left[0]
-            return Derivation(Rule.AX, Sequent(((x, a),),
-                                               (DeltaEntry(Var(x), a),)))
 
-        if rule is MllRule.AX_BOT:
-            x = self.fresh()
-            ax = Derivation(Rule.AX, Sequent(((x, BOT),),
-                                             (DeltaEntry(Var(x), BOT),)))
-            return Derivation(
-                Rule.BOT_E,
-                Sequent(((x, BOT),), (DeltaEntry(Close(Var(x)), None),)),
-                (ax,))
-
-        if rule is MllRule.BOT_R:
-            (sub,) = subs
-            i = inst["i"]
-            s = sub.conclusion
-            delta = s.delta[:i] + (DeltaEntry(UNIT, BOT),) + s.delta[i:]
-            return Derivation(Rule.BOT_I, Sequent(s.gamma, delta), (sub,))
-
-        if rule is MllRule.LOLLI_R:
-            (sub,) = subs
-            i, j, a, b = inst["i"], inst["j"], inst["a"], inst["b"]
-            s = sub.conclusion
-            x = s.gamma[j][0]
-            gamma = s.gamma[:j] + s.gamma[j + 1:]
-            entry = DeltaEntry(Send(x, s.delta[i].term), Lolli(a, b))
-            delta = s.delta[:i] + (entry,) + s.delta[i + 1:]
-            return Derivation(Rule.LOLLI_I, Sequent(gamma, delta), (sub,))
-
-        if rule is MllRule.PARR_R:
-            (sub,) = subs
-            i, a, b = inst["i"], inst["a"], inst["b"]
-            s = sub.conclusion
-            entry = DeltaEntry(Par(s.delta[i].term, s.delta[i + 1].term),
-                               ParT(a, b))
-            delta = s.delta[:i] + (entry,) + s.delta[i + 2:]
-            return Derivation(Rule.PARR_I, Sequent(s.gamma, delta), (sub,))
-
-        if rule is MllRule.CUT:
-            d_left, d_right = subs
-            return self._cut_encoding(d_left, d_right,
-                                      inst["i"], inst["j"], inst["a"])
-
-        if rule is MllRule.LOLLI_L:
-            d_arg, d_right = subs
-            i, j, a, b = inst["i"], inst["j"], inst["a"], inst["b"]
-            f = self.fresh()
-            ty = Lolli(a, b)
-            ax = Derivation(Rule.AX, Sequent(((f, ty),),
-                                             (DeltaEntry(Var(f), ty),)))
-            s1 = d_arg.conclusion
-            app_entry = DeltaEntry(App(Var(f), s1.delta[i].term), b)
-            app = Derivation(
-                Rule.LOLLI_E,
-                Sequent(s1.gamma + ((f, ty),),
-                        s1.delta[:i] + (app_entry,) + s1.delta[i + 1:]),
-                (ax, d_arg))
-            return self._cut_encoding(app, d_right, i, j, b)
-
-        if rule is MllRule.PARR_L:
-            d_a, d_b = subs
-            i, j, a, b = inst["i"], inst["j"], inst["a"], inst["b"]
-            p = self.fresh()
-            ty = ParT(a, b)
-            ax = Derivation(Rule.AX, Sequent(((p, ty),),
-                                             (DeltaEntry(Var(p), ty),)))
-            s1, s2 = d_a.conclusion, d_b.conclusion
-            x, y = s1.gamma[i][0], s2.gamma[j][0]
-            gamma = (s1.gamma[:i] + s1.gamma[i + 1:]
-                     + s2.gamma[:j] + s2.gamma[j + 1:] + ((p, ty),))
-            dist_entry = DeltaEntry(Dist(x, y, Var(p)), BOT)
-            typed = _typed(s1.delta) + _typed(s2.delta)
-            untyped = _untyped(s1.delta) + _untyped(s2.delta)
-            dist = Derivation(Rule.PARR_E,
-                              Sequent(gamma, typed + untyped + (dist_entry,)),
-                              (ax, d_a, d_b))
-            close_entry = DeltaEntry(Close(dist_entry.term), None)
-            return Derivation(Rule.BOT_E,
-                              Sequent(gamma, typed + untyped + (close_entry,)),
-                              (dist,))
-
-        raise AssertionError(f"unhandled rule {rule!r}")
-
-    def _cut_encoding(self, d_left: Derivation, d_right: Derivation,
-                      i: int, j: int, a: TypeExpr) -> Derivation:
-        """Encode a cut on A: turn the right premise's A declaration into an
-        output channel of type A -o bot and apply it to the left premise's
-        A entry, then close the resulting bot."""
-        s2 = d_right.conclusion
-        x = s2.gamma[j][0]
-        n2 = len(_typed(s2.delta))
-        boti = Derivation(
-            Rule.BOT_I,
-            Sequent(s2.gamma,
-                    _typed(s2.delta) + (DeltaEntry(UNIT, BOT),)
-                    + _untyped(s2.delta)),
-            (d_right,))
-        send_entry = DeltaEntry(Send(x, UNIT), Lolli(a, BOT))
-        lolli_i = Derivation(
-            Rule.LOLLI_I,
-            Sequent(s2.gamma[:j] + s2.gamma[j + 1:],
-                    _typed(s2.delta) + (send_entry,) + _untyped(s2.delta)),
-            (boti,))
-        s1 = d_left.conclusion
-        arg = s1.delta[i]
-        app_entry = DeltaEntry(App(send_entry.term, arg.term), BOT)
-        gamma = s1.gamma + lolli_i.conclusion.gamma
-        typed = (_without(_typed(s1.delta), i) + _typed(s2.delta))
-        untyped = _untyped(s1.delta) + _untyped(s2.delta)
-        lolli_e = Derivation(
-            Rule.LOLLI_E,
-            Sequent(gamma, typed + untyped + (app_entry,)),
-            (lolli_i, d_left))
-        close_entry = DeltaEntry(Close(app_entry.term), None)
-        return Derivation(Rule.BOT_E,
-                          Sequent(gamma, typed + untyped + (close_entry,)),
-                          (lolli_e,))
+def _cut_encoding(d_left: Derivation, d_right: Derivation,
+                  i: int, j: int, a: TypeExpr) -> Derivation:
+    """Encode a cut on A: turn the right premise's A declaration into an
+    output channel of type A -o bot and apply it to the left premise's
+    A entry, then close the resulting bot."""
+    s1, s2 = d_left.conclusion, d_right.conclusion
+    gamma = _without(s2.gamma, j)
+    send = DeltaEntry(Send(s2.gamma[j][0], UNIT), Lolli(a, BOT))
+    boti = Derivation(Rule.BOT_I, Sequent(
+        s2.gamma, _typed_first(s2.delta, (_STAR,))), (d_right,))
+    lolli_i = Derivation(Rule.LOLLI_I, Sequent(
+        gamma, _typed_first(s2.delta, (send,))), (boti,))
+    app = DeltaEntry(App(send.term, s1.delta[i].term), BOT)
+    return _close_last(Derivation(Rule.LOLLI_E, Sequent(
+        s1.gamma + gamma, _typed_first(_without(s1.delta, i), s2.delta) + (app,)),
+        (lolli_i, d_left)))
 
 
 def mll_to_nmll(d: MllDerivation) -> Derivation:
@@ -440,6 +374,6 @@ def mll_to_nmll(d: MllDerivation) -> Derivation:
     is the order in which fresh names are drawn."""
     insts = {id(node): match_mll(node, path)
              for path, node in preorder(d, premises_of)}
-    tr = _Translator()
+    names = map("c{}".format, itertools.count())
     return fold(d, premises_of,
-                lambda node, subs: tr.translate(node, insts[id(node)], subs))
+                lambda node, subs: _to_nmll(node, insts[id(node)], subs, names))

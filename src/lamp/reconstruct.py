@@ -237,9 +237,9 @@ class _Reconstructor:
                     return Derivation(Rule.LOLLI_I, seq, (sub,))
 
         # branching inversions: every placement of every candidate in turn,
-        # each attempt from the subst as it is here.  The error reported is
-        # the last placement's of the first candidate whose context split
-        # exists.
+        # each from the subst as the candidate's binding left it.  The
+        # error reported is the last placement's of the first candidate
+        # whose context split exists.
         candidates = [i for i, e in enumerate(delta)
                       if isinstance(e.term, (App, Dist))]
         if not candidates:
@@ -249,37 +249,35 @@ class _Reconstructor:
         snapshot = dict(self.subst)
         first: Optional[TypecheckError] = None
         for i in candidates:
-            attempts = self._branching(seq, i)
             last: Optional[TypecheckError] = None
-            while True:
-                try:
-                    step = next(attempts, None)
-                    if step is None:
-                        break
-                    rule, premises = step
-                    return Derivation(rule, seq, tuple(map(self.solve, premises)))
-                except TypecheckError as err:
-                    self.subst = dict(snapshot)
-                    if isinstance(err, _NoSplit):
-                        break
-                    last = err
+            try:
+                rule, placements = self._branching(seq, i)
+                bound = dict(self.subst)
+                for premises in placements:
+                    try:
+                        return Derivation(rule, seq, tuple(map(self.solve, premises)))
+                    except TypecheckError as err:
+                        self.subst = dict(bound)
+                        last = err
+            except _NoSplit:
+                pass
+            except TypecheckError as err:
+                last = err
+            self.subst = dict(snapshot)
             if first is None:
                 first = last
         raise first if first is not None else UnsatisfiableSplit(_NO_SPLIT)
 
     def _branching(self, seq: Sequent, i: int
-                   ) -> Iterator[tuple[Rule, list[Sequent]]]:
-        """Invert LolliE or ParrE at entry i: yield the rule and its
-        premises once per placement of the components that share no name
-        with a premise seed, leftmost placement first.  Each premise gets
-        the declarations and side entries the split gives it, in order,
-        its seed entry (if any) where entry i stood, and the declarations
-        its rule adds last.
-
-        The first step makes the unknowns, applies the annotations and
-        computes the split, raising what fails; solve restores the subst
-        after a failed placement, so each later step binds the
-        annotations again."""
+                   ) -> tuple[Rule, Iterator[list[Sequent]]]:
+        """Invert LolliE or ParrE at entry i: make the unknowns, bind what
+        the rule asks of them and compute the context split, raising what
+        fails.  Returns the rule and, built as they are drawn, its premises
+        once per placement of the components that share no name with a
+        premise seed, leftmost placement first.  Each premise gets the
+        declarations and side entries the split gives it, in order, its
+        seed entry (if any) where entry i stood, and the declarations its
+        rule adds last."""
         gamma, delta = seq.gamma, seq.delta
         e = delta[i]
         rest = delta[:i] + delta[i + 1:]
@@ -299,15 +297,8 @@ class _Reconstructor:
                 rule, seeds = Rule.PARR_E, [self.names(body), {x}, {y}]
                 adds = [((DeltaEntry(body, ty),), ()),
                         ((), ((x, a),)), ((), ((y, b),))]
+        self._apply_annotation(pinned, ty)
 
-        def bind() -> None:
-            # what the rule asks of the unknowns: ParrE's entry is bot, and
-            # the seed term's annotation holds
-            if rule is Rule.PARR_E:
-                self.unify(e.type, BOT)
-            self._apply_annotation(pinned, ty)
-
-        bind()
         g = len(gamma)
         owner, floating = self._split(
             [{x} for x, _ in gamma] + [self.names(r.term) for r in rest], seeds)
@@ -317,21 +308,22 @@ class _Reconstructor:
             choices = [(0,) * len(floating)]
         else:
             choices = itertools.product(range(len(seeds)), repeat=len(floating))
-        for n, choice in enumerate(choices):
-            if n:
-                bind()
+
+        def premises(choice) -> list[Sequent]:
             own = list(owner)
             for group, k in zip(floating, choice):
                 for j in group:
                     own[j] = k
-            premises = []
+            out = []
             for k, (seed, decls) in enumerate(adds):
                 mine = [o == k for o in own]
-                premises.append(Sequent(
+                out.append(Sequent(
                     tuple(itertools.compress(gamma, mine)) + decls,
                     tuple(itertools.compress(rest[:i], mine[g:])) + seed
                     + tuple(itertools.compress(rest[i:], mine[g + i:]))))
-            yield rule, premises
+            return out
+
+        return rule, map(premises, choices)
 
     def finalize(self, d: Derivation) -> Derivation:
         # solve hands a premise the very declaration and entry objects of

@@ -24,7 +24,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .derivations import Derivation, Rule, _replaced, _without, premises_of
+from .derivations import (
+    Derivation, Rule, _replaced, _without, axiom, premises_of,
+)
 from .metatheory import check_no_freaks, check_subformula
 from .mll import MllDerivation, MllRule, MllSequent
 from .reconstruct import reconstruct
@@ -32,7 +34,7 @@ from .reduction import _reduct, _redexes, comm_size, enumerate_normal_forms
 from .runtime import run_concurrent
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, UNIT, Var, _scan, children, flatten_par, fold, nodes,
+    Term, TypeExpr, UNIT, _scan, children, flatten_par, fold, nodes,
     print_term, split_joined,
 )
 
@@ -67,11 +69,6 @@ class ForwardRule(NamedTuple):
 
     premises: tuple[Callable[[Sequent, tuple], Iterable], ...]
     conclusion: Callable[..., Sequent]
-
-
-def axiom(x: str, a: TypeExpr) -> Sequent:
-    """The conclusion of Ax, the one rule without premises."""
-    return Sequent(((x, a),), (DeltaEntry(Var(x), a),))
 
 
 def _whole(s, prev) -> tuple:

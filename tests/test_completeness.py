@@ -9,10 +9,10 @@ artifact can offer: below the bound there are no counterexamples at all.
 
 import hashlib
 
-from lamp.derivations import Rule
+from lamp.derivations import Rule, axiom
 from lamp.reconstruct import reconstruct
 from lamp.terms import Atom, BOT, Dist, Sequent, print_sequent, subterms
-from lamp.testlab import FORWARD, _canonical, _size, axiom, closure
+from lamp.testlab import FORWARD, _canonical, _size, closure
 
 TYPES = [Atom("A"), BOT]
 MAX_SIZE = 7

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from lamp import derivations
-from lamp.derivations import Derivation, Rule, check_derivation
+from lamp.derivations import Derivation, Rule, check_derivation, premises_of
 from lamp.mll import (
     MllDerivation, MllRule, MllRuleViolation, MllSequent, check_mll,
     mll_to_nmll, nmll_to_mll, type_erasure,
@@ -15,7 +15,8 @@ from lamp.mll import (
 from lamp.parser import parse_program
 from lamp.reconstruct import reconstruct
 from lamp.terms import (
-    Atom, BOT, Close, DeltaEntry, Lolli, ParT, Sequent, Var, var_names,
+    Atom, BOT, Close, DeltaEntry, Lolli, ParT, Sequent, Var, preorder,
+    var_names,
 )
 from lamp.testlab import GenConfig, gen_derivation, gen_mll
 from lamp.sexpr import derivation_to_sexpr, mll_to_sexpr
@@ -145,10 +146,13 @@ def test_generated_mll_round(seed):
 
 
 # -- cross-fed round trips ---------------------------------------------------
-# Each translator indexes into the other side's sequents by position, and
-# neither keeps the other's order, so a round trip can fail to check
-# (ROADMAP item 1).  These are the smallest known witnesses; the marks are
-# strict, so they go once item 1 makes the round trips sound.
+# mll_to_nmll builds each sequent in its source's order, and nmll_to_mll's
+# ParrE cut follows its ND conclusion's order, so an MLL round trip checks
+# and concludes its input exactly.  The ND round trip does not check yet:
+# nmll_to_mll indexes the translated premises by position, and mll_to_nmll
+# does not keep the ND side's order (ROADMAP item 1).  The smallest known
+# witnesses below are strict xfails, whose marks go once item 1 makes that
+# half sound.
 
 def _item_1(raises, text):
     return pytest.mark.xfail(strict=True, raises=raises,
@@ -163,11 +167,29 @@ def test_nd_round_trip_of_a_generated_derivation():
     check_derivation(mll_to_nmll(nmll_to_mll(d)))
 
 
-@_item_1(MllRuleViolation, "bot-right must add one bot on the right")
 def test_mll_round_trip_of_a_generated_derivation():
-    # B -o B, B par bot |- B
+    # B -o B, B par bot |- B: a ParrE whose cut must take the order of
+    # the ParrE's conclusion, not of its premises
     m = gen_mll(GenConfig(seed=65, max_nodes=5))
     check_mll(nmll_to_mll(mll_to_nmll(m)))
+
+
+def test_mll_round_trips_check_and_conclude_their_input():
+    for max_nodes in (12, 36):
+        for seed in range(200):
+            m = gen_mll(GenConfig(seed=seed, max_nodes=max_nodes))
+            back = nmll_to_mll(mll_to_nmll(m))
+            check_mll(back)
+            assert back.conclusion == m.conclusion, (max_nodes, seed)
+
+
+def test_mll_to_nmll_keeps_the_order_of_every_node():
+    # the order rule mll_to_nmll's builders keep, node by node: a
+    # translated sequent erases to its source in the source's order
+    for seed in range(50):
+        m = gen_mll(GenConfig(seed=seed, max_nodes=24))
+        for _, node in preorder(m, premises_of):
+            assert type_erasure(mll_to_nmll(node).conclusion) == node.conclusion
 
 
 @_item_1(derivations.RuleViolation,

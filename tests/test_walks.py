@@ -2,7 +2,8 @@
 buy: terms, types and derivations of any depth at the default recursion
 limit, and no function in src/lamp that calls itself outside a short list
 of searches and bounded generators.  Beside them, a guard that terms._put
-stays the one rebuild of an edited term."""
+stays the one rebuild of an edited term, and one that no function keeps a
+local it never reads."""
 
 import ast
 import sys
@@ -96,6 +97,28 @@ def test_only_put_and_the_constructor_call_tuple_new():
              and node.func.value.id == "tuple"}
     assert found <= TUPLE_NEW_CALLERS, sorted(found - TUPLE_NEW_CALLERS)
     assert "terms._put" in found
+
+
+# -- no dead stores: every local a function assigns is read ----------------
+
+def _unread_locals(fn: ast.FunctionDef) -> set[str]:
+    """The names fn (or a function inside it) assigns and never reads,
+    but for those starting with _; a nonlocal or global name counts as
+    read, since its value outlives the call."""
+    stored, read = set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name):
+            (stored if isinstance(node.ctx, ast.Store) else read).add(node.id)
+        elif isinstance(node, (ast.Nonlocal, ast.Global)):
+            read.update(node.names)
+    return {name for name in stored - read if not name.startswith("_")}
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    found = {f"{'.'.join(scope)}: {name}" for scope, node in _src_nodes()
+             if isinstance(node, ast.FunctionDef)
+             for name in _unread_locals(node)}
+    assert not found, sorted(found)
 
 
 # -- any depth at the default recursion limit ---------------------------------

@@ -11,6 +11,25 @@ premises.  Because no rule ever drops a name from a conclusion, checking
 disjointness on premise conclusions is equivalent to checking it on whole
 subtrees.
 
+A node's conclusion shares the entries its rule leaves unchanged with its
+premises: the same objects, in each premise's order.  So the checker
+first aligns a conclusion with its premises (``_align``): it pairs
+maximal runs of equal entries, each starting at an identical pair, in the
+interleaved order in which a binary rule merges its premises, each run
+found by slice comparisons made in C, where identical entries compare at
+once.  Only what the runs leave, normally just the rule's principal
+entries, is paired entry by entry (by id, then by equality) or searched
+for an interleaving; a conclusion that shares fewer entries with its
+premises, or holds them in another order, leaves more to those steps.
+The alignment only decides which equal entries pair: every rule
+condition is still checked on values.
+
+``check_derivation`` matches each node once, in preorder.  Two conditions
+on a node's premises, that they share no name and that a LolliI's
+abstracted name occurs free in its premise, wait until the premises'
+subtrees are matched and are read off what those gathered on the way up
+(``instances``), so no premise entry is read for them.
+
 ``match_rule`` returns the matched instance data (principal positions and
 component types); the sequent-calculus translators reuse it to drive their
 constructions off checked trees instead of re-searching.
@@ -20,13 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
-from operator import attrgetter
-from typing import Any, Sequence
+from itertools import chain, repeat
+from operator import attrgetter, contains, itemgetter
+from typing import Any, Iterator, Optional, Sequence
 
 from .terms import (
     App, BOT, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    TypeExpr, UNIT, Var, _scan, children, nodes, preorder, var_names,
+    TypeExpr, UNIT, Var, _scan, children, equal, nodes, var_names,
 )
 
 
@@ -103,12 +122,125 @@ def _replaced(entries: tuple, i: int, *new) -> tuple:
     return entries[:i] + tuple(new) + entries[i + 1:]
 
 
+def _run(a: Sequence, i: int, b: Sequence, j: int) -> int:
+    """The length of the run of equal entries from a[i] and b[j] on, given
+    that a[i] is b[j]; a run whose second pair is not identical ends at
+    one.  Else one comparison where the run reaches the end of a or b, or
+    slices of doubling length, then a binary search: each slice is
+    compared in C, where identical entries compare at once."""
+    top = len(a) - i if len(a) - i < len(b) - j else len(b) - j
+    if top == 1 or a[i + 1] is not b[j + 1]:
+        return 1
+    if a[i:i + top] == b[j:j + top]:
+        return top
+    lo, hi = 2, 4  # a[i:i + lo] == b[j:j + lo], and not so for top
+    while hi < top and a[i + lo:i + hi] == b[j + lo:j + hi]:
+        lo, hi = hi, 2 * hi
+    hi = min(hi, top)
+    while hi - lo > 1:  # not so for hi
+        mid = (lo + hi) // 2
+        if a[i + lo:i + mid] == b[j + lo:j + mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+_END = object()  # after the last entry
+
+# the edits a unary rule makes to its premise's entries, as (entries
+# added, entries dropped) at one place: BotI, LolliI and BotE, ParrI
+_EDITS = ((1, 0), (1, 1), (1, 2))
+
+# what _align leaves unpaired before it stops: a rule's principal entries
+# are at most three, on either side
+_LOOSE = 8
+
+
+def _align(a: Sequence, parts: Sequence[Sequence]) -> tuple[list, list]:
+    """Pair entries of a with equal entries of the parts, in maximal runs
+    (_run) that each start at an identical pair, in interleaved order;
+    return what is left unpaired of a, and of the parts, each in order.
+
+    With one part, the run both start with is paired, then the rest if it
+    is equal once the edit a unary rule makes at that place (_EDITS) is
+    left out.  Otherwise a cursor walks each part: where a's next entry is
+    the object at the cursor of a part, the run the two share is paired
+    and both advance past it (of several such parts, the longest run
+    wins); where it is at no cursor, a added it, in place of the one or
+    two entries at a cursor if the entry after it follows those, or
+    dropped the one or two entries at a cursor that it follows.  After
+    _LOOSE entries left over one at a time, the input is not a rule's
+    shared shape and all the rest is left over."""
+    if len(parts) == 1 and a and parts[0]:
+        p = parts[0]
+        lo = _run(a, 0, p, 0) if a[0] is p[0] else 0
+        for added, dropped in _EDITS:
+            if a[lo + added:] == p[lo + dropped:]:
+                return list(a[lo:lo + added]), list(p[lo:lo + dropped])
+    at = [0] * len(parts)
+    extra: list = []
+    gaps: list[tuple[int, int, int]] = []  # (part, from, to) left over
+    i = 0
+    while i < len(a):
+        x = a[i]
+        n = 0
+        for m, p in enumerate(parts):
+            if at[m] < len(p) and p[at[m]] is x:
+                r = _run(a, i, p, at[m])
+                if r > n:
+                    best, n = m, r
+        if n:
+            i += n
+            at[best] += n
+            continue
+        if len(extra) + len(gaps) >= _LOOSE:
+            break
+        # x heads no part.  Where the entry after it is at a cursor or one
+        # or two places behind it, the conclusion added x in place of the
+        # entries before that one; where x itself is one or two places
+        # behind a cursor, it dropped the entries before x
+        y = a[i + 1] if i + 1 < len(a) else _END
+        added, dropped = True, 0
+        for m, p in enumerate(parts):
+            w = (*p[at[m]:at[m] + 3], None, None, None)
+            if w[0] is y or w[1] is y or w[2] is y:
+                dropped = 0 if w[0] is y else 1 if w[1] is y else 2
+                break
+            if w[1] is x or w[2] is x:
+                added, dropped = False, 1 if w[1] is x else 2
+                break
+        if dropped:
+            gaps.append((m, at[m], at[m] + dropped))
+            at[m] += dropped
+        if added:
+            extra.append(x)
+            i += 1
+    extra += a[i:]
+    missing = []
+    for m, p in enumerate(parts):
+        for g, lo, hi in gaps:
+            if g == m:
+                missing += p[lo:hi]
+        missing += p[at[m]:]
+    return extra, missing
+
+
 def _is_interleaving(target: tuple, parts: tuple[tuple, ...]) -> bool:
     """Whether target merges the parts preserving each part's order.
 
-    Depth first with an explicit stack, trying the parts in order at each
-    position; a state (how far each part is consumed) that failed once is
-    not explored again."""
+    The parts one after another, or identity runs (_align) that pair every
+    entry, prove it; otherwise _interleaves decides."""
+    if target == tuple(chain(*parts)) \
+            or len(target) > _SMALL and _align(target, parts) == ([], []):
+        return True
+    return _interleaves(target, parts)
+
+
+def _interleaves(target: tuple, parts: tuple[tuple, ...]) -> bool:
+    """_is_interleaving by search: depth first with an explicit stack,
+    trying the parts in order at each position; a state (how far each
+    part is consumed) that failed once is not explored again."""
     end = tuple(len(p) for p in parts)
     state = (0,) * len(parts)
     trail: list[tuple[tuple[int, ...], int]] = []  # (state before, part taken)
@@ -137,14 +269,43 @@ def _is_interleaving(target: tuple, parts: tuple[tuple, ...]) -> bool:
         k += 1
 
 
+# below this many entries, aligning costs more than it saves
+_SMALL = 8
+
+
 def multiset_diff(a: Sequence, *parts: Sequence) -> tuple[list, list]:
     """What a holds beyond the parts together, and what they hold beyond a,
-    as multisets, each in order.  Identical objects pair first, by id; what
-    is left pairs by equality, which stops at the first difference instead
-    of hashing whole terms.  Where a rule's conclusion shares its
-    unchanged entries with its premises, only the principal entries are
-    left; where it does not, equal entries mostly sit in the same order,
-    so each finds its partner near the front."""
+    as multisets, each in order.
+
+    Where a has more than a few entries, the runs the lists share pair
+    first (_align); what is left pairs entry by entry (_pair): by id, then
+    by equality, which stops at the first difference instead of hashing
+    whole terms.  Where a rule's conclusion shares its unchanged entries
+    with its premises, the runs leave only the principal entries; where it
+    does not, equal entries mostly sit in the same order, so each finds its
+    partner near the front.  Which copies of equal entries pair can change
+    which objects are returned and their order, but never the values
+    returned, as multisets, which is all a rule reads from them."""
+    if len(a) > _SMALL:
+        a, rest = _align(a, parts)
+        if not a or not rest:  # nothing left to pair
+            return a, rest
+        parts = (rest,)
+    return _pair(a, parts)
+
+
+def _pair(a: Sequence, parts: Sequence[Sequence]) -> tuple[list, list]:
+    """multiset_diff's pairing, entry by entry.  A few entries pair each
+    with the first equal one left in a, found by a scan in C, where
+    identical entries compare at once; many by id, then by equality."""
+    if len(a) <= _SMALL:
+        rest, missing = list(a), []
+        for x in chain(*parts):
+            if x in rest:
+                rest.remove(x)
+            else:
+                missing.append(x)
+        return rest, missing
     ids: dict[int, int] = {}
     for x in chain(*parts):
         ids[id(x)] = ids.get(id(x), 0) + 1
@@ -172,54 +333,100 @@ def multiset_diff(a: Sequence, *parts: Sequence) -> tuple[list, list]:
     return rest, missing
 
 
-def _where(entries: tuple, e) -> list[int]:
-    """The positions of the entries equal to e, in order."""
-    return [k for k, x in enumerate(entries) if x is e or x == e]
+def _where(entries: tuple, e) -> Iterator[int]:
+    """The positions of the entries equal to e, in order, each found by a
+    scan in C."""
+    k = -1
+    while True:
+        try:
+            k = entries.index(e, k + 1)
+        except ValueError:
+            return
+        yield k
 
 
-class _EntryNames:
-    """Per entry object, the names it uses and the names free in it, each
-    computed once.  Keyed by id: valid while the entries it has seen are
-    alive, which the derivation being checked guarantees."""
+class _Memo:
+    """What matching the nodes of one derivation computes once.  Per entry
+    object, the names it uses and the names free in it; per premise
+    sequent, its declarations as a dict, kept from its parent's match
+    until its own node's.  Keyed by id: valid while the objects it has
+    seen are alive, which the derivation being checked guarantees.  Names
+    are looked up for a whole delta in C; an entry costs a Python step
+    only when it is first seen."""
 
     def __init__(self):
         self._all: dict[int, frozenset[str]] = {}
         self._free: dict[int, frozenset[str]] = {}
+        self._gammas: dict[int, dict] = {}
 
-    def all(self, e: DeltaEntry) -> frozenset[str]:
-        hit = self._all.get(id(e))
-        if hit is None:
-            hit = self._all[id(e)] = frozenset(var_names(e.term))
-        return hit
+    def all(self, delta: Sequence[DeltaEntry]) -> list[frozenset[str]]:
+        """The names each entry of delta uses, bound ones included."""
+        sets = list(map(self._all.get, map(id, delta)))
+        if None in sets:
+            for k in _where(sets, None):
+                sets[k] = self._all[id(delta[k])] = frozenset(var_names(delta[k].term))
+        return sets
 
-    def free(self, e: DeltaEntry) -> frozenset[str]:
-        hit = self._free.get(id(e))
-        if hit is None:
-            hit = self._free[id(e)] = frozenset(_scan(e.term).free)
-        return hit
+    def free_in(self, x: str, delta: Sequence[DeltaEntry]) -> bool:
+        """Whether x is free in some entry of delta: first among the
+        entries seen before, then in the others, one by one."""
+        sets = list(map(self._free.get, map(id, delta)))
+        if any(map(contains, filter(None, sets), repeat(x))):
+            return True
+        for k in _where(sets, None) if None in sets else ():
+            free = self._free[id(delta[k])] = frozenset(_scan(delta[k].term).free)
+            if x in free:
+                return True
+        return False
+
+    def gamma(self, s: Sequent, path, what: str, keep: bool = False) -> dict:
+        """s's declarations as a dict, or a RuleViolation if s declares a
+        name twice; with keep, kept for the node that concludes s."""
+        d = self._gammas.pop(id(s), None)
+        if d is None:
+            d = dict(s.gamma)
+            if len(d) != len(s.gamma):
+                raise RuleViolation(path, f"{what} declares a variable twice")
+        if keep:
+            self._gammas[id(s)] = d
+        return d
+
+    def same_gamma(self, p: Sequent, con: Sequent, cg: dict, path, rule: Rule) -> None:
+        """A unary rule's check that p declares what con does, cg."""
+        if p.gamma != con.gamma:
+            raise RuleViolation(path, f"{rule.value} must not change declarations")
+        self._gammas[id(p)] = cg
 
 
-def _gamma_dict(s: Sequent, path, what: str) -> dict:
-    d = dict(s.gamma)
-    if len(d) != len(s.gamma):
-        raise RuleViolation(path, f"{what} declares a variable twice")
-    return d
+_name = itemgetter(0)  # of a declaration
 
 
-def _premises_disjoint(node: Derivation, path, names: _EntryNames) -> None:
-    if len(node.premises) < 2:
-        return
-    used = []
-    for p in node.premises:
-        s = {x for x, _ in p.conclusion.gamma}
-        s.update(*(names.all(e) for e in p.conclusion.delta))
-        used.append(s)
+def _premises_disjoint(node: Derivation, path, memo: _Memo) -> None:
+    reason = _shared([_used(p.conclusion, memo) for p in node.premises])
+    if reason:
+        raise RuleViolation(path, reason)
+
+
+def _bound_somewhere(x: str, p: Sequent, path, memo: _Memo) -> None:
+    """LolliI's condition that x, abstracted from its premise p, occurs
+    free in p, from p's entries."""
+    if not memo.free_in(x, p.delta):
+        raise RuleViolation(path, f"abstracted {x!r} occurs neither in the "
+                                  f"principal term nor elsewhere (no weakening)")
+
+
+def _used(s: Sequent, memo: _Memo) -> set[str]:
+    """The names s declares or uses, read from its entries."""
+    return set(chain(map(_name, s.gamma), *memo.all(s.delta)))
+
+
+def _shared(used: list[set[str]]) -> Optional[str]:
+    """The violation of premises whose names are used, if two share one."""
     for i in range(len(used)):
         for j in range(i + 1, len(used)):
-            shared = used[i] & used[j]
-            if shared:
-                raise RuleViolation(
-                    path, f"premises {i} and {j} share variables {sorted(shared)}")
+            if not used[i].isdisjoint(used[j]):
+                return f"premises {i} and {j} share variables {sorted(used[i] & used[j])}"
+    return None
 
 
 _STAR = DeltaEntry(UNIT, BOT)
@@ -228,74 +435,77 @@ _STAR = DeltaEntry(UNIT, BOT)
 def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> RuleInstance:
     """Verify that node instantiates its rule and return the instance data.
     Subderivations are not descended into (see check_derivation)."""
-    return _match(node, path, _EntryNames())
+    return _match(node, path, _Memo())
 
 
-def _match(node: Derivation, path: tuple[int, ...], names: _EntryNames) -> RuleInstance:
+def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
+           defer: bool = False) -> RuleInstance:
     """match_rule.  Each rule finds its principal entries as what one
     multiset difference between conclusion and premises leaves over, and
     reports the first positions that hold those values.  Side entries of
     unary rules are compared up to exchange: the comma is a par, and
     derivation surgery (grafting a subproof over an axiom leaf) permutes
-    conclusions exactly as the calculus allows."""
+    conclusions exactly as the calculus allows.  With defer, that the
+    premises share no name and LolliI's no weakening are left to
+    instances, which has what it needs to test them once the premises'
+    subtrees are matched."""
     rule, con, prems = node.rule, node.conclusion, node.premises
     if len(prems) != ARITY[rule]:
         raise RuleViolation(path, f"{rule.value} expects {ARITY[rule]} premises, "
                                   f"got {len(prems)}")
-    cg = _gamma_dict(con, path, "conclusion")
-    _premises_disjoint(node, path, names)
+    cg = memo.gamma(con, path, "conclusion")
+    if not defer and len(prems) > 1:
+        _premises_disjoint(node, path, memo)
 
     if rule is Rule.AX:
         match con:
-            case Sequent(((x, a),), (DeltaEntry(Var(y), b),)) if x == y and a == b:
+            case Sequent(((x, a),), (DeltaEntry(Var(y), b),)) \
+                    if x == y and (a is b or equal(a, b)):
                 return RuleInstance(rule)
         raise RuleViolation(path, "axiom must be  x : A |- x : A")
 
     if rule is Rule.BOT_I:
         p = prems[0].conclusion
-        if p.gamma != con.gamma:
-            raise RuleViolation(path, "BotI must not change declarations")
+        memo.same_gamma(p, con, cg, path, rule)
         if multiset_diff(con.delta, p.delta) == ([_STAR], []):
             return RuleInstance(rule, {"i": con.delta.index(_STAR)})
         raise RuleViolation(path, "BotI must add one entry  * : bot")
 
     if rule is Rule.BOT_E:
         p = prems[0].conclusion
-        if p.gamma != con.gamma:
-            raise RuleViolation(path, "BotE must not change declarations")
+        memo.same_gamma(p, con, cg, path, rule)
         match multiset_diff(con.delta, p.delta):
-            case [DeltaEntry(Close(body), None) as e], [pe] \
-                    if pe == DeltaEntry(body, BOT):
+            case [DeltaEntry(Close(body), None) as e], [DeltaEntry(t, Bot()) as pe] \
+                    if t == body:
                 return RuleInstance(rule, {"i": con.delta.index(e),
                                            "j": p.delta.index(pe)})
         raise RuleViolation(path, "BotE must close one entry of type bot")
 
     if rule is Rule.PARR_I:
         p = prems[0].conclusion
-        if p.gamma != con.gamma:
-            raise RuleViolation(path, "ParrI must not change declarations")
+        memo.same_gamma(p, con, cg, path, rule)
         match multiset_diff(con.delta, p.delta):
             case [DeltaEntry(Par(s, t), ParT(a, b)) as e], [_, _] as parts:
-                left, right = DeltaEntry(s, a), DeltaEntry(t, b)
-                if parts in ([left, right], [right, left]):
-                    for j in _where(p.delta[:-1], left):
-                        if p.delta[j + 1] == right:
-                            return RuleInstance(rule, {"i": con.delta.index(e),
-                                                       "j": j, "a": a, "b": b})
+                # the two premise entries are s : a and t : b, in any order
+                for left, right in (parts, parts[::-1]):
+                    if (left.term, left.type, right.term, right.type) == (s, a, t, b):
+                        for j in _where(p.delta[:-1], left):
+                            if p.delta[j + 1] == right:
+                                return RuleInstance(rule, {"i": con.delta.index(e),
+                                                           "j": j, "a": a, "b": b})
+                        break
         raise RuleViolation(path, "ParrI must merge two adjacent typed entries")
 
     if rule is Rule.LOLLI_I:
         p = prems[0].conclusion
-        pg = _gamma_dict(p, path, "premise")
+        pg = memo.gamma(p, path, "premise", keep=True)
         match multiset_diff(con.delta, p.delta):
-            case [DeltaEntry(Send(x, t), Lolli(a, b)) as e], [pe] \
-                    if pe == DeltaEntry(t, b) and x not in cg and pg.get(x) == a \
-                    and tuple((y, ty) for y, ty in p.gamma if y != x) == con.gamma:
-                if not any(x in names.free(f) for f in p.delta):
-                    raise RuleViolation(
-                        path, f"abstracted {x!r} occurs neither in the "
-                              f"principal term nor elsewhere (no weakening)")
-                gamma_pos = next(k for k, (y, _) in enumerate(p.gamma) if y == x)
+            case [DeltaEntry(Send(x, t), Lolli(a, b)) as e], [DeltaEntry(t1, b1) as pe] \
+                    if t1 == t and b1 == b and x not in cg and pg.get(x) == a \
+                    and _without(p.gamma, gamma_pos := list(pg).index(x)) \
+                    == con.gamma:
+                if not defer:
+                    _bound_somewhere(x, p, path, memo)
                 return RuleInstance(rule, {"i": con.delta.index(e),
                                            "j": p.delta.index(pe), "x": x,
                                            "a": a, "b": b, "gamma_pos": gamma_pos})
@@ -303,8 +513,8 @@ def _match(node: Derivation, path: tuple[int, ...], names: _EntryNames) -> RuleI
 
     if rule is Rule.LOLLI_E:
         p1, p2 = prems[0].conclusion, prems[1].conclusion
-        g1 = _gamma_dict(p1, path, "premise 0")
-        g2 = _gamma_dict(p2, path, "premise 1")
+        g1 = memo.gamma(p1, path, "premise 0", keep=True)
+        g2 = memo.gamma(p2, path, "premise 1", keep=True)
         joined = dict(g1)
         joined.update(g2)
         if joined != cg or len(g1) + len(g2) != len(cg):
@@ -316,7 +526,7 @@ def _match(node: Derivation, path: tuple[int, ...], names: _EntryNames) -> RuleI
                 for fn, arg in (parts, parts[::-1]):
                     match fn:
                         case DeltaEntry(f, Lolli(a1, b1)) \
-                                if f == s and b1 == b and arg == DeltaEntry(t, a1):
+                                if f == s and b1 == b and (arg.term, arg.type) == (t, a1):
                             for i in _where(con.delta, e):
                                 for j1 in _where(p1.delta, fn):
                                     for j2 in _where(p2.delta, arg):
@@ -332,9 +542,9 @@ def _match(node: Derivation, path: tuple[int, ...], names: _EntryNames) -> RuleI
 
     if rule is Rule.PARR_E:
         p1, p2, p3 = (p.conclusion for p in prems)
-        g1 = _gamma_dict(p1, path, "premise 0")
-        g2 = _gamma_dict(p2, path, "premise 1")
-        g3 = _gamma_dict(p3, path, "premise 2")
+        g1 = memo.gamma(p1, path, "premise 0", keep=True)
+        g2 = memo.gamma(p2, path, "premise 1", keep=True)
+        g3 = memo.gamma(p3, path, "premise 2", keep=True)
         match multiset_diff(con.delta, p1.delta, p2.delta, p3.delta):
             case [DeltaEntry(Dist(x, y, s), Bot()) as e], [pe] \
                     if g2.get(x) is not None and g3.get(y) is not None:
@@ -349,14 +559,12 @@ def _match(node: Derivation, path: tuple[int, ...], names: _EntryNames) -> RuleI
                             if _is_interleaving(
                                     _without(con.delta, i),
                                     (_without(p1.delta, j), p2.delta, p3.delta)):
-                                gx = next(k for k, (n, _) in enumerate(p2.gamma)
-                                          if n == x)
-                                gy = next(k for k, (n, _) in enumerate(p3.gamma)
-                                          if n == y)
+                                # a dict keeps its premise's order
                                 return RuleInstance(
                                     rule, {"i": i, "j": j, "x": x, "y": y,
                                            "a": a, "b": b,
-                                           "gamma_pos_x": gx, "gamma_pos_y": gy})
+                                           "gamma_pos_x": list(g2).index(x),
+                                           "gamma_pos_y": list(g3).index(y)})
         raise RuleViolation(path, "ParrE must consume a par entry and one "
                                   "declaration from each receiving premise")
 
@@ -366,9 +574,94 @@ def _match(node: Derivation, path: tuple[int, ...], names: _EntryNames) -> RuleI
 def check_derivation(d: Derivation) -> None:
     """Raise RuleViolation at the first node, in preorder, that is not a
     rule instance."""
-    names = _EntryNames()
-    for path, node in preorder(d, premises_of):
-        _match(node, path, names)
+    instances(d)
+
+
+def instances(d: Derivation) -> dict[int, dict[str, Any]]:
+    """Every node's instance data, by the node's id, each node matched in
+    preorder; raises check_derivation's RuleViolation.
+
+    Two conditions on a node's premises wait until their subtrees are
+    matched.  That they share no name is read off the names each subtree
+    gathered on the way up, without reading a premise's entries: an
+    axiom's conclusion uses its one name, and no rule instance adds or
+    drops a name, so a node's conclusion uses what its premises' do.  That
+    a LolliI's abstracted name occurs free in its premise holds wherever
+    the premise's subtree matches: an axiom's name occurs free, and a
+    declared name stays free through every rule instance.  On a violation,
+    the nodes still waiting above it, which come first in preorder, are
+    tested first, from their entries."""
+    # (node, its premises once entered, its index among its parent's);
+    # the entered nodes on the stack are the current node's ancestors
+    stack: list = [(d, None, 0)]
+    used: list[set[str]] = []  # per matched subtree, its conclusion's names
+    memo, data = _Memo(), {}
+    while stack:
+        node, ks, k = stack.pop()
+        if ks is None:
+            try:
+                data[id(node)] = _match(node, (), memo, True).data
+            except RuleViolation:
+                _raise_first(stack, used, data, node, k, memo)
+            ks = node.premises
+            if not ks:  # an axiom, of one name
+                used.append({node.conclusion.gamma[0][0]})
+                continue
+            stack.append((node, ks, k))
+            for i in range(len(ks) - 1, -1, -1):
+                stack.append((ks[i], None, i))
+        elif len(ks) > 1:
+            # each set belongs to its subtree alone: the widest takes the
+            # others in, and they share a name if it grows by less
+            sets = used[-len(ks):]
+            wide = max(sets, key=len)
+            total = sum(map(len, sets))
+            wide.update(*sets)
+            if len(wide) != total:
+                _raise_first(stack, used, data, node, k, memo)
+            used[-len(ks):] = [wide]
+    return data
+
+
+def _raise_first(stack: list, used: list[set[str]], data: dict, node: Derivation,
+                 k: int, memo: _Memo):
+    """Raise the first violation in preorder: node's, the k-th premise of
+    the last node entered on the stack, which fails, or that of a node
+    entered above it: premises that share a name, or a LolliI whose
+    abstracted name is free nowhere in its premise.
+
+    Those nodes match their rules otherwise, so each concludes the names
+    its premises use: gathered already for the premises matched (the
+    first sets on used, in order), and read from the entries of node and
+    of the premises not yet reached.  data holds their instances."""
+    above: list = []  # (node, its index, premises before the way down, not reached)
+    for entry in stack:
+        if entry[1] is None:
+            above[-1][3].append(entry[0])
+        else:
+            if above:
+                above[-1][2] = entry[2]
+            above.append([entry[0], entry[2], k, []])
+    shared = {}  # the nodes above whose premises share a name, by depth
+    if any(len(a[0].premises) > 1 for a in above):
+        names = _used(node.conclusion, memo)
+        start = sum(a[2] for a in above)
+        for t in range(len(above) - 1, -1, -1):
+            _, _, before, rest = above[t]
+            start -= before
+            sets = used[start:start + before] + [names] + [
+                _used(p.conclusion, memo) for p in reversed(rest)]
+            if len(sets) > 1:
+                shared[t] = _shared(sets)
+                names.update(*sets)
+    path = tuple(a[1] for a in above[1:])
+    for t, (a, _, _, _) in enumerate(above):
+        if shared.get(t):
+            raise RuleViolation(path[:t], shared[t])
+        if a.rule is Rule.LOLLI_I:
+            _bound_somewhere(data[id(a)]["x"], a.premises[0].conclusion, path[:t], memo)
+    _match(node, path + (k,) if above else (), memo)
+    raise AssertionError("the failing node matched")
 
 
 def name_counts(s: Sequent) -> dict[str, tuple[int, int]]:

@@ -20,15 +20,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Iterator
 
 from .derivations import (
-    Derivation, Rule, _EntryNames, _STAR, _match, _replaced, _without, axiom,
-    multiset_diff, premises_of,
+    Derivation, Rule, _STAR, _replaced, _without, axiom, instances, multiset_diff,
+    premises_of,
 )
 from .terms import (
     App, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    TypeExpr, UNIT, Var, _Node, children, fold, preorder, print_type,
+    TypeExpr, UNIT, Var, _Node, children, fold, nodes, preorder, print_type,
 )
 
 
@@ -119,15 +120,16 @@ def _match_split(con: MllSequent, p1: MllSequent, p2: MllSequent, cls,
                 if b1 != (a1 if k is None else b):
                     continue
                 l2 = _without(p2.left, j)
-                if multiset_diff(left, l1, l2) != ([], []) \
-                        or multiset_diff(con.right, r1, p2.right) != ([], []):
-                    continue
                 inst = ({"i": i, "j": j, "a": a1} if k is None
                         else {"k": k, "i": i, "j": j, "a": a, "b": b})
+                # an exact concatenation is also a multiset match, so the
+                # multisets are compared only until the first such match
                 if con.left == (l1 + l2 + intro if on_left else l1 + intro + l2) \
                         and con.right == r1 + p2.right:
                     return inst
-                if found is None:
+                if found is None \
+                        and multiset_diff(left, l1, l2) == ([], []) \
+                        and multiset_diff(con.right, r1, p2.right) == ([], []):
                     found = inst
     return found
 
@@ -191,21 +193,42 @@ def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]
 
 
 def check_mll(d: MllDerivation) -> None:
-    for path, node in preorder(d, premises_of):
-        match_mll(node, path)
+    for _ in _matched(d):
+        pass
+
+
+def _matched(d: MllDerivation) -> Iterator[tuple[MllDerivation, dict[str, Any]]]:
+    """(node, match_mll(node)) for every node of d, in preorder.  A path is
+    built only for a node that fails: the first path of that node object,
+    where the walk met it first, since match_mll reads only the node."""
+    for node in nodes(d, premises_of):
+        try:
+            yield node, match_mll(node)
+        except MllRuleViolation as err:
+            path = next(p for p, n in preorder(d, premises_of) if n is node)
+            raise MllRuleViolation(path, err.reason) from None
 
 
 # ---------------------------------------------------------------------------
 # Type erasure and the natural-deduction -> sequent-calculus direction
 
+# the type of a declaration, and of an entry (None if untyped), read by
+# index as terms does (a property read costs about twice as much): the
+# entries of a sequent are projected and split on it in C, without a
+# Python step per entry
+_decl_type, _entry_type = itemgetter(1), itemgetter(2)
+
+
 def type_erasure(s: Sequent) -> MllSequent:
-    return MllSequent(tuple(ty for _, ty in s.gamma),
-                      tuple(e.type for e in s.delta if e.type is not None))
+    # a type is a non-empty tuple, so filter(None, ...) drops only None
+    return MllSequent(tuple(map(_decl_type, s.gamma)),
+                      tuple(filter(None, map(_entry_type, s.delta))))
 
 
 def _typed_pos(s: Sequent, delta_index: int) -> int:
     """Position of a typed entry among the typed entries only."""
-    return sum(1 for e in s.delta[:delta_index] if e.type is not None)
+    before = s.delta[:delta_index]
+    return len(before) - list(map(_entry_type, before)).count(None)
 
 
 def nmll_to_mll(d: Derivation) -> MllDerivation:
@@ -217,11 +240,9 @@ def nmll_to_mll(d: Derivation) -> MllDerivation:
     lolli-left via two cuts, and a binary output stacks bot-right over a cut
     over par-left.
 
-    Nodes are matched in preorder with one name cache, since they share the
+    Nodes are matched in preorder with one memo, since they share the
     entries their rules leave unchanged, then translated premises first."""
-    names = _EntryNames()
-    insts = {id(node): _match(node, path, names).data
-             for path, node in preorder(d, premises_of)}
+    insts = instances(d)
     return fold(d, premises_of,
                 lambda node, subs: _to_mll(node, insts[id(node)], subs))
 
@@ -291,8 +312,8 @@ def _typed_first(*deltas: tuple[DeltaEntry, ...]) -> tuple[DeltaEntry, ...]:
     """The entries of deltas in turn, the typed ones before the untyped:
     the one order in which this direction joins entries."""
     joined = tuple(itertools.chain(*deltas))
-    return (tuple(e for e in joined if e.type is not None)
-            + tuple(e for e in joined if e.type is None))
+    return (tuple(filter(_entry_type, joined))
+            + tuple(itertools.filterfalse(_entry_type, joined)))
 
 
 def _close_last(d: Derivation) -> Derivation:
@@ -372,8 +393,7 @@ def mll_to_nmll(d: MllDerivation) -> Derivation:
 
     Nodes are matched in preorder, then translated premises first, which
     is the order in which fresh names are drawn."""
-    insts = {id(node): match_mll(node, path)
-             for path, node in preorder(d, premises_of)}
+    insts = {id(node): inst for node, inst in _matched(d)}
     names = map("c{}".format, itertools.count())
     return fold(d, premises_of,
                 lambda node, subs: _to_nmll(node, insts[id(node)], subs, names))

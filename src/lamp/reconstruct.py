@@ -103,11 +103,15 @@ class _Reconstructor:
         while stack:
             a, b = stack.pop()
             a, b = self.resolve(a), self.resolve(b)
-            if a == b:
+            # equal types are descended like unequal ones: tuple == would
+            # recurse in C against the recursion limit
+            if a is b:
                 continue
             if isinstance(b, MetaVar) and not isinstance(a, MetaVar):
                 a, b = b, a
             if isinstance(a, MetaVar):
+                if a == b:  # an unknown has no children
+                    continue
                 if self._occurs(a, b):
                     # resolved now: backtracking rolls subst back before any str()
                     shown = self.deep_resolve(b)

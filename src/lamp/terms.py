@@ -493,6 +493,21 @@ def subformulas(ty: TypeExpr) -> set:
     return set(nodes(ty, children))
 
 
+def equal(a: _Node, b: _Node) -> bool:
+    """a == b for trees of any depth: tuple == recurses in C, against the
+    recursion limit, so node pairs are compared here on a stack instead,
+    identical subtrees at once."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b) or a[:a._first] != b[:b._first]:
+            return False
+        stack.extend(zip(children(a), children(b)))
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Sequents
 

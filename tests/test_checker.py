@@ -20,17 +20,18 @@ import pytest
 
 from lamp.derivations import (
     ARITY, Derivation, Rule, RuleInstance, RuleViolation, check_derivation,
-    match_rule,
+    match_rule, premises_of,
 )
 from lamp.mll import mll_to_nmll, nmll_to_mll
 from lamp.reconstruct import reconstruct
 from lamp.sexpr import derivation_to_sexpr
 from lamp.terms import (
     App, Atom, BOT, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send,
-    Sequent, UNIT, Unit, Var, is_free_in, sequent_names,
+    Sequent, UNIT, Unit, Var, fold, is_free_in, sequent_names,
 )
 from lamp.testlab import GenConfig, gen_derivation
 from tests.conftest import ROOT
+from tests.test_walks import _mll_chain
 
 A, B = Atom("A"), Atom("B")
 
@@ -47,13 +48,27 @@ def _bench_inputs():
 _INPUTS = _bench_inputs()
 
 
-def _ring_and_relay():
-    """The bench's ring and relay programs at their smallest, middle and
-    largest sizes; the oracle takes 3 s on the ring(48) round trip alone."""
+def _ring_and_relay(rings=(8, 24, 48), relays=(8, 16, 24)):
+    """The bench's ring and relay programs, by default at their smallest,
+    middle and largest sizes; the oracle takes 3 s on the ring(48) round
+    trip alone."""
     rng = random.Random(1)
-    cases = [_INPUTS.ring_case(0, n, rng) for n in (8, 24, 48)]
-    cases += [_INPUTS.relay_case(0, n, rng) for n in (8, 16, 24)]
+    cases = [_INPUTS.ring_case(0, n, rng) for n in rings]
+    cases += [_INPUTS.relay_case(0, n, rng) for n in relays]
     return [reconstruct(c.sequent) for c in cases]
+
+
+def _unshared(d):
+    """d with every node's declarations and entries rebuilt as fresh equal
+    objects: no node shares one with another, so no run of identical
+    entries starts anywhere and every entry pairs by equality."""
+    def leave(node, premises):
+        c = node.conclusion
+        return Derivation(node.rule, Sequent(
+            tuple((x, ty) for x, ty in c.gamma),
+            tuple(DeltaEntry(e.term, e.type) for e in c.delta)), tuple(premises))
+
+    return fold(d, premises_of, leave)
 
 
 # -- the oracle: the checker before multiset differences ---------------------
@@ -334,8 +349,11 @@ def test_generated_derivations_and_round_trips_agree_with_oracle():
     round_trips_failing = 0
     for d in _generated():
         assert _assert_agree(d) == 0
-        if _assert_agree(mll_to_nmll(nmll_to_mll(d))):
-            round_trips_failing += 1
+        assert _assert_agree(_unshared(d)) == 0
+        trip = mll_to_nmll(nmll_to_mll(d))
+        failed = _assert_agree(trip)
+        assert _assert_agree(_unshared(trip)) == failed
+        round_trips_failing += failed > 0
     # the round trips exercise the violations too (ROADMAP item 1)
     assert round_trips_failing > 100
 
@@ -344,6 +362,10 @@ def test_ring_and_relay_and_their_round_trips_agree_with_oracle():
     for d in _ring_and_relay():
         assert _assert_agree(d) == 0
         assert _assert_agree(mll_to_nmll(nmll_to_mll(d))) > 0
+    # without shared entries, at the smallest sizes: the oracle is slow
+    for d in _ring_and_relay(rings=(8,), relays=(8,)):
+        assert _assert_agree(_unshared(d)) == 0
+        assert _assert_agree(_unshared(mll_to_nmll(nmll_to_mll(d)))) > 0
 
 
 def test_mutants_agree_with_oracle():
@@ -372,6 +394,100 @@ def test_duplicated_principal_values_report_first_positions():
     check_derivation(d)
 
 
+def _leaf(gamma, delta):
+    """A node concluding gamma |- delta; only its conclusion is read when
+    the node above it is matched."""
+    return Derivation(Rule.AX, Sequent(tuple(gamma), tuple(delta)))
+
+
+def test_exchanged_side_entries_pair_by_value():
+    # a unary rule's side entries, shared with its premise, in another
+    # order: the identity runs stop at each exchange, and every outcome
+    # is the oracle's
+    xs = [DeltaEntry(Var(f"x{k}"), A) for k in range(12)]
+    gamma = [(f"x{k}", A) for k in range(12)]
+    star = DeltaEntry(UNIT, BOT)
+    premise = _leaf(gamma, xs)
+    conclusions = {
+        "blocks swapped": xs[6:] + [star] + xs[:6],
+        "reversed": [star] + xs[::-1],
+        "one moved": xs[1:7] + [xs[0], star] + xs[7:],
+        "an equal copy": [DeltaEntry(Var("x3"), A)] + xs[:3] + xs[4:] + [star],
+        "one dropped": xs[:5] + [star] + xs[6:],
+        "one doubled": xs[:5] + [star, xs[5]] + xs[5:],
+    }
+    outcomes = {}
+    for name, delta in conclusions.items():
+        node = Derivation(Rule.BOT_I, Sequent(tuple(gamma), tuple(delta)), (premise,))
+        outcome = _outcome(match_rule, node, ())
+        assert outcome == _outcome(_old_match_rule, node, ()), name
+        outcomes[name] = outcome[0]
+    assert [k for k, v in outcomes.items() if v == "instance"] == [
+        "blocks swapped", "reversed", "one moved", "an equal copy"]
+
+
+def test_interleaving_keeps_each_premise_order():
+    # LolliE's side entries may interleave the premises' but not reorder
+    # either: runs taken from both premises in turn, and one exchange
+    xs = [DeltaEntry(Var(f"x{k}"), A) for k in range(6)]
+    ys = [DeltaEntry(Var(f"y{k}"), A) for k in range(6)]
+    f = DeltaEntry(Var("f"), Lolli(A, B))
+    a = DeltaEntry(Var("a"), A)
+    app = DeltaEntry(App(Var("f"), Var("a")), B)
+    g1 = [(f"x{k}", A) for k in range(6)] + [("f", Lolli(A, B))]
+    g2 = [(f"y{k}", A) for k in range(6)] + [("a", A)]
+    premises = (_leaf(g1, xs[:3] + [f] + xs[3:]), _leaf(g2, [a] + ys))
+    for side, ok in ((xs[:2] + ys[:3] + xs[2:] + ys[3:], True),
+                     (ys + xs, True),
+                     (xs[:2] + ys[:3] + [xs[3], xs[2]] + xs[4:] + ys[3:], False)):
+        node = Derivation(Rule.LOLLI_E, Sequent(tuple(g1 + g2), tuple(side) + (app,)),
+                          premises)
+        outcome = _outcome(match_rule, node, ())
+        assert outcome == _outcome(_old_match_rule, node, ())
+        assert (outcome[0] == "instance") == ok
+
+
+def test_shared_names_above_a_failing_node_are_reported_first():
+    # f : (A -o A) -o B applied to lam f. f: the premises share the name
+    # f, and only that breaks the LolliE.  It is tested once both
+    # subtrees are matched, but still reported before a node below it
+    # that fails, under either premise
+    fun_ty = Lolli(Lolli(A, A), B)
+    fun = _leaf([("f", fun_ty)], [DeltaEntry(Var("f"), fun_ty)])
+    body = _leaf([("f", A)], [DeltaEntry(Var("f"), A)])
+    lam = DeltaEntry(Send("f", Var("f")), Lolli(A, A))
+    app = DeltaEntry(App(Var("f"), lam.term), B)
+
+    def arg(body):
+        return Derivation(Rule.LOLLI_I, Sequent((), (lam,)), (body,))
+
+    def stalled(d):  # a BotI that adds nothing, concluding what d does
+        return Derivation(Rule.BOT_I, d.conclusion, (d,))
+
+    for fun_d, arg_d in ((fun, arg(body)), (stalled(fun), arg(body)),
+                         (fun, stalled(arg(body))), (fun, arg(stalled(body)))):
+        d = Derivation(Rule.LOLLI_E, Sequent((("f", fun_ty),), (app,)), (fun_d, arg_d))
+        d = Derivation(Rule.BOT_I, Sequent(d.conclusion.gamma, (app, _STAR)), (d,))
+        _assert_agree(d)
+        assert _first_violation(d) == ((0,), "premises 0 and 1 share variables ['f']")
+
+
+def test_weakening_above_a_failing_node_is_reported_first():
+    # a LolliI abstracting x, which its premise declares but uses nowhere;
+    # that premise, an axiom with two declarations, fails too, and comes
+    # later in preorder
+    premise = _leaf([("x", B), ("y", A)], [DeltaEntry(Var("y"), A)])
+    lam = DeltaEntry(Send("x", Var("y")), Lolli(B, A))
+    d = Derivation(Rule.LOLLI_I, Sequent((("y", A),), (lam,)), (premise,))
+    d = Derivation(Rule.BOT_I, Sequent((("y", A),), (lam, _STAR)), (d,))
+    _assert_agree(d)
+    assert _first_violation(d) == ((0,), "abstracted 'x' occurs neither in the "
+                                         "principal term nor elsewhere (no weakening)")
+
+
+_STAR = DeltaEntry(UNIT, BOT)
+
+
 # -- growth guards: counts, not timings ---------------------------------------
 
 def test_reconstruct_shares_unchanged_entries():
@@ -386,6 +502,47 @@ def test_reconstruct_shares_unchanged_entries():
         if node.premises:
             new = [e for e in node.conclusion.delta if id(e) not in ids]
             assert len(new) <= 1
+
+
+def test_identity_runs_leave_per_entry_work_linear_in_nodes(monkeypatch):
+    # entries that reach the pairing entry by entry or the interleaving
+    # search: a few per node matched, on the reconstructed ring(48) and
+    # relay(24), on their round trips up to the node that fails (ROADMAP
+    # item 1), and on an 8,751-node chain whose sequents grow to 2,501
+    # entries, checked at the default recursion limit
+    import lamp.derivations as derivations
+
+    seen = Counter()
+    pair, search, match = (derivations._pair, derivations._interleaves,
+                           derivations._match)
+
+    def counting_pair(a, parts):
+        seen["entries"] += len(a) + sum(map(len, parts))
+        return pair(a, parts)
+
+    def counting_search(target, parts):
+        seen["entries"] += len(target) + sum(map(len, parts))
+        return search(target, parts)
+
+    def counting_match(*args, **kwargs):
+        seen["nodes"] += 1
+        return match(*args, **kwargs)
+
+    monkeypatch.setattr(derivations, "_pair", counting_pair)
+    monkeypatch.setattr(derivations, "_interleaves", counting_search)
+    monkeypatch.setattr(derivations, "_match", counting_match)
+    ring = reconstruct(_INPUTS.ring_case(0, 48, random.Random(1)).sequent)
+    relay = reconstruct(_INPUTS.relay_case(0, 24, random.Random(1)).sequent)
+    chain = mll_to_nmll(_mll_chain(2500, cut=True))
+    assert sys.getrecursionlimit() == 1000
+    for d in (ring, relay, mll_to_nmll(nmll_to_mll(ring)),
+              mll_to_nmll(nmll_to_mll(relay)), chain):
+        seen.clear()
+        try:
+            check_derivation(d)
+        except RuleViolation:
+            pass
+        assert 0 < seen["entries"] <= 6 * seen["nodes"], seen
 
 
 def test_printer_prints_each_entry_object_once(monkeypatch):

@@ -179,6 +179,17 @@ def test_deep_input_exit_code(tmp_path):
     assert r.stderr.startswith("budget exceeded: ")
 
 
+def test_deep_declared_type_checks(tmp_path):
+    # the declaration and the entry parse as two equal 2,000-deep types:
+    # unification and the axiom compare them without recursing in C
+    ty = " par ".join(["bot"] * 2001)
+    f = tmp_path / "deep_type.lamp"
+    f.write_text(f"x : {ty} |- x : {ty}\n")
+    r = run_cli("check", str(f))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0] == f'(Ax "x : {ty} |- x : {ty}")'
+
+
 def test_wide_programs_go_through(tmp_path):
     # | chains and applications are read with loops, and every walk over
     # the tree keeps its own stack

@@ -18,9 +18,10 @@ maximal runs of equal entries, each starting at an identical pair, in the
 interleaved order in which a binary rule merges its premises, each run
 found by slice comparisons made in C, where identical entries compare at
 once.  Only what the runs leave, normally just the rule's principal
-entries, is paired entry by entry (by id, then by equality) or searched
-for an interleaving; a conclusion that shares fewer entries with its
-premises, or holds them in another order, leaves more to those steps.
+entries, is paired entry by entry (a few by a scan, more by id, then by
+equality) or searched for an interleaving; a conclusion that shares
+fewer entries with its premises, or holds them in another order, leaves
+more to those steps.
 The alignment only decides which equal entries pair: every rule
 condition is still checked on values.
 
@@ -269,7 +270,11 @@ def _interleaves(target: tuple, parts: tuple[tuple, ...]) -> bool:
         k += 1
 
 
-# below this many entries, aligning costs more than it saves
+# up to this many entries, aligning costs more than it saves, and a scan
+# pairs faster than ids do (measured on the checker's own calls: at 6-8
+# entries, 2.5 us a call unaligned against 3.8 aligned, at 9-12 entries
+# 10.1 against 5.8; the scan beats id pairing 2.9x at two entries, 1.6x
+# at eight, and breaks even near sixteen)
 _SMALL = 8
 
 
@@ -297,7 +302,9 @@ def multiset_diff(a: Sequence, *parts: Sequence) -> tuple[list, list]:
 def _pair(a: Sequence, parts: Sequence[Sequence]) -> tuple[list, list]:
     """multiset_diff's pairing, entry by entry.  A few entries pair each
     with the first equal one left in a, found by a scan in C, where
-    identical entries compare at once; many by id, then by equality."""
+    identical entries compare at once; more, as a rule's shape leaves only
+    where the lists share few objects or hold them out of order, by id
+    first, which is linear where they share them, then by equality."""
     if len(a) <= _SMALL:
         rest, missing = list(a), []
         for x in chain(*parts):
@@ -347,12 +354,12 @@ def _where(entries: tuple, e) -> Iterator[int]:
 
 class _Memo:
     """What matching the nodes of one derivation computes once.  Per entry
-    object, the names it uses and the names free in it; per premise
-    sequent, its declarations as a dict, kept from its parent's match
-    until its own node's.  Keyed by id: valid while the objects it has
-    seen are alive, which the derivation being checked guarantees.  Names
-    are looked up for a whole delta in C; an entry costs a Python step
-    only when it is first seen."""
+    object, the names it uses and the names free in it; per sequent, its
+    declarations as a dict, which a node's match builds for its premises
+    and the premises' own matches reuse.  Keyed by id: valid while the
+    objects it has seen are alive, which the derivation being checked
+    guarantees.  Names are looked up for a whole delta in C; an entry
+    costs a Python step only when it is first seen."""
 
     def __init__(self):
         self._all: dict[int, frozenset[str]] = {}
@@ -379,20 +386,20 @@ class _Memo:
                 return True
         return False
 
-    def gamma(self, s: Sequent, path, what: str, keep: bool = False) -> dict:
+    def gamma(self, s: Sequent, path, what: str) -> dict:
         """s's declarations as a dict, or a RuleViolation if s declares a
-        name twice; with keep, kept for the node that concludes s."""
-        d = self._gammas.pop(id(s), None)
+        name twice."""
+        d = self._gammas.get(id(s))
         if d is None:
             d = dict(s.gamma)
             if len(d) != len(s.gamma):
                 raise RuleViolation(path, f"{what} declares a variable twice")
-        if keep:
             self._gammas[id(s)] = d
         return d
 
     def same_gamma(self, p: Sequent, con: Sequent, cg: dict, path, rule: Rule) -> None:
-        """A unary rule's check that p declares what con does, cg."""
+        """A unary rule's check that p declares what con does, cg, which
+        is then p's dict too."""
         if p.gamma != con.gamma:
             raise RuleViolation(path, f"{rule.value} must not change declarations")
         self._gammas[id(p)] = cg
@@ -498,7 +505,7 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
 
     if rule is Rule.LOLLI_I:
         p = prems[0].conclusion
-        pg = memo.gamma(p, path, "premise", keep=True)
+        pg = memo.gamma(p, path, "premise")
         match multiset_diff(con.delta, p.delta):
             case [DeltaEntry(Send(x, t), Lolli(a, b)) as e], [DeltaEntry(t1, b1) as pe] \
                     if t1 == t and b1 == b and x not in cg and pg.get(x) == a \
@@ -513,8 +520,8 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
 
     if rule is Rule.LOLLI_E:
         p1, p2 = prems[0].conclusion, prems[1].conclusion
-        g1 = memo.gamma(p1, path, "premise 0", keep=True)
-        g2 = memo.gamma(p2, path, "premise 1", keep=True)
+        g1 = memo.gamma(p1, path, "premise 0")
+        g2 = memo.gamma(p2, path, "premise 1")
         joined = dict(g1)
         joined.update(g2)
         if joined != cg or len(g1) + len(g2) != len(cg):
@@ -542,9 +549,9 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
 
     if rule is Rule.PARR_E:
         p1, p2, p3 = (p.conclusion for p in prems)
-        g1 = memo.gamma(p1, path, "premise 0", keep=True)
-        g2 = memo.gamma(p2, path, "premise 1", keep=True)
-        g3 = memo.gamma(p3, path, "premise 2", keep=True)
+        g1 = memo.gamma(p1, path, "premise 0")
+        g2 = memo.gamma(p2, path, "premise 1")
+        g3 = memo.gamma(p3, path, "premise 2")
         match multiset_diff(con.delta, p1.delta, p2.delta, p3.delta):
             case [DeltaEntry(Dist(x, y, s), Bot()) as e], [pe] \
                     if g2.get(x) is not None and g3.get(y) is not None:
@@ -591,76 +598,65 @@ def instances(d: Derivation) -> dict[int, dict[str, Any]]:
     declared name stays free through every rule instance.  On a violation,
     the nodes still waiting above it, which come first in preorder, are
     tested first, from their entries."""
-    # (node, its premises once entered, its index among its parent's);
-    # the entered nodes on the stack are the current node's ancestors
-    stack: list = [(d, None, 0)]
-    used: list[set[str]] = []  # per matched subtree, its conclusion's names
+    # the nodes entered and not left, root first: each with its index
+    # among its parent's premises and the names of its premises matched
+    frames: list[tuple[Derivation, int, list[set[str]]]] = []
     memo, data = _Memo(), {}
-    while stack:
-        node, ks, k = stack.pop()
-        if ks is None:
-            try:
-                data[id(node)] = _match(node, (), memo, True).data
-            except RuleViolation:
-                _raise_first(stack, used, data, node, k, memo)
-            ks = node.premises
-            if not ks:  # an axiom, of one name
-                used.append({node.conclusion.gamma[0][0]})
-                continue
-            stack.append((node, ks, k))
-            for i in range(len(ks) - 1, -1, -1):
-                stack.append((ks[i], None, i))
-        elif len(ks) > 1:
+    node, k = d, 0
+    while True:
+        try:
+            data[id(node)] = _match(node, (), memo, True).data
+        except RuleViolation:
+            _raise_first(frames, data, node, k, memo)
+        if node.premises:
+            frames.append((node, k, []))
+            node, k = node.premises[0], 0
+            continue
+        names = {node.conclusion.gamma[0][0]}  # an axiom's one name
+        while frames:  # leave each node whose premises are all matched
+            node, k, sets = frames[-1]
+            sets.append(names)
+            if len(sets) < len(node.premises):
+                node, k = node.premises[len(sets)], len(sets)
+                break
+            frames.pop()
             # each set belongs to its subtree alone: the widest takes the
             # others in, and they share a name if it grows by less
-            sets = used[-len(ks):]
-            wide = max(sets, key=len)
-            total = sum(map(len, sets))
-            wide.update(*sets)
-            if len(wide) != total:
-                _raise_first(stack, used, data, node, k, memo)
-            used[-len(ks):] = [wide]
-    return data
+            names, total = max(sets, key=len), sum(map(len, sets))
+            names.update(*sets)
+            if len(names) != total:
+                _raise_first(frames, data, node, k, memo)
+        else:
+            return data
 
 
-def _raise_first(stack: list, used: list[set[str]], data: dict, node: Derivation,
-                 k: int, memo: _Memo):
+def _raise_first(frames: list, data: dict, node: Derivation, k: int, memo: _Memo):
     """Raise the first violation in preorder: node's, the k-th premise of
-    the last node entered on the stack, which fails, or that of a node
-    entered above it: premises that share a name, or a LolliI whose
-    abstracted name is free nowhere in its premise.
+    the last node on frames, which fails, or that of a node on frames
+    above it: premises that share a name, or a LolliI whose abstracted
+    name is free nowhere in its premise.
 
     Those nodes match their rules otherwise, so each concludes the names
-    its premises use: gathered already for the premises matched (the
-    first sets on used, in order), and read from the entries of node and
-    of the premises not yet reached.  data holds their instances."""
-    above: list = []  # (node, its index, premises before the way down, not reached)
-    for entry in stack:
-        if entry[1] is None:
-            above[-1][3].append(entry[0])
-        else:
-            if above:
-                above[-1][2] = entry[2]
-            above.append([entry[0], entry[2], k, []])
-    shared = {}  # the nodes above whose premises share a name, by depth
-    if any(len(a[0].premises) > 1 for a in above):
+    its premises use: gathered already for the premises matched, and read
+    from the entries of node and of the premises not yet reached.  data
+    holds their instances."""
+    path = tuple(i for _, i, _ in frames[1:]) + (k,) if frames else ()
+    shared = {}  # the reason of each node on frames whose premises share a name
+    if any(len(a.premises) > 1 for a, _, _ in frames):
         names = _used(node.conclusion, memo)
-        start = sum(a[2] for a in above)
-        for t in range(len(above) - 1, -1, -1):
-            _, _, before, rest = above[t]
-            start -= before
-            sets = used[start:start + before] + [names] + [
-                _used(p.conclusion, memo) for p in reversed(rest)]
+        for t in range(len(frames) - 1, -1, -1):
+            a, _, sets = frames[t]
+            sets = sets + [names] + [
+                _used(p.conclusion, memo) for p in a.premises[len(sets) + 1:]]
             if len(sets) > 1:
                 shared[t] = _shared(sets)
                 names.update(*sets)
-    path = tuple(a[1] for a in above[1:])
-    for t, (a, _, _, _) in enumerate(above):
+    for t, (a, _, _) in enumerate(frames):
         if shared.get(t):
             raise RuleViolation(path[:t], shared[t])
         if a.rule is Rule.LOLLI_I:
             _bound_somewhere(data[id(a)]["x"], a.premises[0].conclusion, path[:t], memo)
-    _match(node, path + (k,) if above else (), memo)
+    _match(node, path, memo)
     raise AssertionError("the failing node matched")
 
 

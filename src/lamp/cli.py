@@ -35,25 +35,19 @@ _ERRORS = (
     ("derivations", "LinearityError", EXIT_TYPE, "type error"),
     ("reduction", "BudgetExceeded", EXIT_BUDGET, "budget exceeded"),
     ("derivations", "RuleViolation", EXIT_INTERNAL, _INTERNAL),
-    ("mll", "MllRuleViolation", EXIT_INTERNAL, _INTERNAL),
     ("runtime", "DeadlockReport", EXIT_INTERNAL, _INTERNAL),
     ("runtime", "ChannelProtocolError", EXIT_INTERNAL, _INTERNAL),
 )
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("LAMP_COLOR", "0") == "1"
-
-
-def _render_trace_lines(initial: str, steps: list[tuple[str, str]]) -> str:
-    color = _color_enabled()
-    lines = [initial]
-    for k, (desc, term) in enumerate(steps, start=1):
-        prefix = f"step {k}: {desc}"
-        if color:
-            prefix = f"\x1b[36m{prefix}\x1b[0m"
-        lines.append(f"{prefix} => {term}")
-    return "\n".join(lines)
+def _print_trace(trace) -> None:
+    """trace as Trace.render gives it; with LAMP_COLOR=1, each step's
+    prefix, which ends where its line first holds " => ", in cyan."""
+    lines = trace.render().split("\n")
+    if os.environ.get("LAMP_COLOR", "0") == "1":
+        lines[1:] = ["\x1b[36m{}\x1b[0m => {}".format(*line.split(" => ", 1))
+                     for line in lines[1:]]
+    print("\n".join(lines))
 
 
 def _read(path: str) -> str:
@@ -91,7 +85,7 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     from .derivations import check_channel_linearity
-    from .reduction import cbv_trace, normalize
+    from .reduction import Trace, cbv_trace, normalize
     from .terms import flatten_par, join_par, print_term
     prog = _load(args.file)
     # reduction terminates only on linear terms: beta copies an argument
@@ -99,15 +93,11 @@ def cmd_run(args) -> int:
     check_channel_linearity(prog.sequent)
     term = prog.sequent.joined_term()
     if args.mode == "full":
-        trace = normalize(term)
-        print(_render_trace_lines(
-            print_term(trace.initial),
-            [(d, print_term(t)) for d, t in trace.steps]))
+        _print_trace(normalize(term))
         return EXIT_OK
     if args.mode == "cbv":
-        steps = [(desc, print_term(join_par(state)))
-                 for desc, state in cbv_trace(flatten_par(term))]
-        print(_render_trace_lines(print_term(term), steps))
+        _print_trace(Trace(term, [(desc, join_par(state))
+                                  for desc, state in cbv_trace(flatten_par(term))]))
         return EXIT_OK
     # concurrent: honor the precondition by typechecking first
     from .reconstruct import reconstruct

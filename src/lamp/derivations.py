@@ -70,6 +70,8 @@ ARITY = {
 }
 
 
+# a node of either calculus: the sequent calculus (mll) builds its trees
+# from this class too, with its own rules and sequents
 @dataclass(frozen=True)
 class Derivation:
     rule: Rule
@@ -96,6 +98,8 @@ class RuleInstance:
 
 
 class RuleViolation(Exception):
+    """A node that is not an instance of its rule, in either calculus."""
+
     def __init__(self, path: tuple[int, ...], reason: str):
         super().__init__(f"at node {list(path)}: {reason}")
         self.path = path
@@ -411,6 +415,27 @@ def _shared(used: list[set[str]]) -> Optional[str]:
 _STAR = DeltaEntry(UNIT, BOT)
 
 
+def _premise_count(node: Derivation, arity: dict, path: tuple[int, ...]) -> None:
+    """Check that node has as many premises as its rule takes, by arity,
+    the premise counts of one calculus.  A node whose rule arity does not
+    list, such as a node of the other calculus, is an unknown rule at its
+    own path: node, or a premise of node, checked before node's rule reads
+    the premise's conclusion."""
+    rule, prems = node.rule, node.premises
+    n = arity.get(rule)
+    if n is None:
+        raise RuleViolation(path, f"unknown rule {rule!r}")
+    if len(prems) != n:
+        raise RuleViolation(path, f"{rule.value} expects {n} premises, "
+                                  f"got {len(prems)}")
+    # arity lists every rule of one enum, so a premise's rule is listed
+    # iff it is of rule's enum: a class test, where hashing an enum member
+    # costs a Python call
+    for k, p in enumerate(prems):
+        if type(p.rule) is not type(rule):
+            raise RuleViolation(path + (k,), f"unknown rule {p.rule!r}")
+
+
 def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> RuleInstance:
     """Verify that node instantiates its rule and return the instance data.
     Subderivations are not descended into (see check_derivation)."""
@@ -429,9 +454,7 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
     instances, which has what it needs to test them once the premises'
     subtrees are matched."""
     rule, con, prems = node.rule, node.conclusion, node.premises
-    if len(prems) != ARITY[rule]:
-        raise RuleViolation(path, f"{rule.value} expects {ARITY[rule]} premises, "
-                                  f"got {len(prems)}")
+    _premise_count(node, ARITY, path)
     cg = memo.gamma(con, path, "conclusion")
     if not defer and len(prems) > 1:
         _premises_disjoint(node, path, memo)
@@ -547,8 +570,6 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
         raise RuleViolation(path, "ParrE must consume a par entry and one "
                                   "declaration from each receiving premise")
 
-    raise RuleViolation(path, f"unknown rule {rule!r}")
-
 
 def check_derivation(d: Derivation) -> None:
     """Raise RuleViolation at the first node, in preorder, that is not a
@@ -638,7 +659,7 @@ def name_counts(s: Sequent) -> dict[str, tuple[int, int]]:
     counts: dict[str, list[int]] = {}
     for e in s.delta:
         for sub in nodes(e.term, children):
-            for x in sub[1:sub._first]:  # its names, see terms.binders
+            for x in sub[1:sub._first]:  # its names, see terms.var_names
                 counts.setdefault(x, [0, 0])[type(sub) is not Var] += 1
     return {k: (v[0], v[1]) for k, v in counts.items()}
 

@@ -9,8 +9,8 @@ from typing import Optional, Union
 from .derivations import Derivation, Rule, premises_of
 from .terms import (
     App, BOT, Close, DeltaEntry, Lolli, Par, ParT, Send, Sequent, Term,
-    TypeExpr, Var, binders, free_index, is_simple, preorder, print_term,
-    print_type, sequent_names, subformulas, substitute, subterms,
+    TypeExpr, Var, _path, _scan, children, is_simple, preorder, print_term,
+    print_type, sequent_names, subformulas, substitute, subterm_at,
 )
 
 
@@ -167,16 +167,28 @@ class FreakOccurrence(Exception):
 def check_no_freaks(s: Sequent) -> None:
     """In a typable sequent, a channel bound inside a subterm that sits in a
     simple context never occurs free in that surrounding context: a process
-    cannot hold both ends of a channel without a parallel in between."""
+    cannot hold both ends of a channel without a parallel in between.
+
+    That is, no binder of a channel and free occurrence of it meet with no
+    Par at or above their least common ancestor, so that the ancestor's
+    child on the binder's side is simple; a comm's two ends must meet at a
+    Par.  Of such children, the first in preorder is reported, with the
+    channel of its first binder in preorder."""
     for e in s.delta:
-        root = e.term
-        index = free_index(root)
-        for path, sub in subterms(root):
-            if not path or not is_simple(path, root):
-                continue
-            for z in binders(sub):
-                for occ in index.get(z, ()):
-                    if occ[:len(path)] != path:
-                        raise FreakOccurrence(
-                            f"channel {z!r} bound inside {print_term(sub)} "
-                            f"occurs in its surrounding simple context")
+        free = _scan(e.term).free
+        first = None  # the path and channel to report
+        for path, sub in preorder(e.term, children):
+            for z in sub[1:sub._first] if type(sub) is not Var else ():
+                for occ in map(_path, free.get(z, ())):
+                    # neither of a binder and a free occurrence of its
+                    # channel is above the other: their paths part
+                    k = 0
+                    while path[k] == occ[k]:
+                        k += 1
+                    side = path[:k + 1]
+                    if (first is None or side < first[0]) and is_simple(side, e.term):
+                        first = side, z
+        if first is not None:
+            sub = print_term(subterm_at(e.term, first[0]))
+            raise FreakOccurrence(f"channel {first[1]!r} bound inside {sub} "
+                                  f"occurs in its surrounding simple context")

@@ -7,6 +7,10 @@ multiplicative.  Both translations are syntax directed and total on checked
 input; each direction's output is validated by the opposite checker in the
 test suite.
 
+Derivations of both calculi are ``derivations.Derivation`` trees, and a
+node that is not an instance of its rule is a ``RuleViolation`` in both;
+only the rules and the sequents differ.
+
 Type erasure keeps declaration types on the left and typed entry types on
 the right, dropping untyped close entries.  Derivations produced by the
 sequent-to-natural-deduction direction keep every typed entry before every
@@ -18,14 +22,13 @@ entry indices; fresh term variables come from a deterministic counter
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Any, Iterator
 
 from .derivations import (
-    Derivation, Rule, _STAR, _replaced, _without, axiom, instances, multiset_diff,
-    premises_of,
+    Derivation, Rule, RuleViolation, _STAR, _premise_count, _replaced, _without,
+    axiom, instances, multiset_diff, premises_of,
 )
 from .terms import (
     App, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
@@ -61,18 +64,10 @@ class MllSequent(_Node):
     __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class MllDerivation:
-    rule: MllRule
-    conclusion: MllSequent
-    premises: tuple["MllDerivation", ...] = ()
-
-
-class MllRuleViolation(Exception):
-    def __init__(self, path: tuple[int, ...], reason: str):
-        super().__init__(f"at node {list(path)}: {reason}")
-        self.path = path
-        self.reason = reason
+# the sequent calculus's trees and violations are natural deduction's
+# classes, under the names lamp has always exported them by
+MllDerivation = Derivation
+MllRuleViolation = RuleViolation
 
 
 def print_mll_sequent(s: MllSequent) -> str:
@@ -134,23 +129,21 @@ def _match_split(con: MllSequent, p1: MllSequent, p2: MllSequent, cls,
     return found
 
 
-def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
+def match_mll(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
     """Verify one node against its rule schema; returns the matched
     principal positions and component types."""
     rule, con, prems = node.rule, node.conclusion, node.premises
-    if len(prems) != MLL_ARITY[rule]:
-        raise MllRuleViolation(path, f"{rule.value} expects {MLL_ARITY[rule]} "
-                                     f"premises, got {len(prems)}")
+    _premise_count(node, MLL_ARITY, path)
 
     if rule is MllRule.AX_ID:
         if len(con.left) == 1 and con.left == con.right:
             return {"a": con.left[0]}
-        raise MllRuleViolation(path, "identity axiom must be  A |- A")
+        raise RuleViolation(path, "identity axiom must be  A |- A")
 
     if rule is MllRule.AX_BOT:
         if con.left == (BOT,) and con.right == ():
             return {}
-        raise MllRuleViolation(path, "bottom axiom must be  bot |-")
+        raise RuleViolation(path, "bottom axiom must be  bot |-")
 
     if rule is MllRule.BOT_R:
         p = prems[0].conclusion
@@ -158,7 +151,7 @@ def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]
             for i, ty in enumerate(con.right):
                 if ty == BOT and _without(con.right, i) == p.right:
                     return {"i": i}
-        raise MllRuleViolation(path, "bot-right must add one bot on the right")
+        raise RuleViolation(path, "bot-right must add one bot on the right")
 
     if rule is MllRule.LOLLI_R:
         p = prems[0].conclusion
@@ -170,7 +163,7 @@ def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]
                     for j, ty2 in enumerate(p.left):
                         if ty2 == a and _without(p.left, j) == con.left:
                             return {"i": i, "j": j, "a": a, "b": b}
-        raise MllRuleViolation(path, "lolli-right must move the antecedent left")
+        raise RuleViolation(path, "lolli-right must move the antecedent left")
 
     if rule is MllRule.PARR_R:
         p = prems[0].conclusion
@@ -180,33 +173,32 @@ def match_mll(node: MllDerivation, path: tuple[int, ...] = ()) -> dict[str, Any]
                     case ParT(a, b):
                         if p.right == con.right[:i] + (a, b) + con.right[i + 1:]:
                             return {"i": i, "a": a, "b": b}
-        raise MllRuleViolation(path, "par-right must split one par formula")
+        raise RuleViolation(path, "par-right must split one par formula")
 
     if rule in _SPLITTING:
         inst = _match_split(con, prems[0].conclusion, prems[1].conclusion,
                             *_SPLITTING[rule][:2])
         if inst is not None:
             return inst
-        raise MllRuleViolation(path, _SPLITTING[rule][2])
-
-    raise MllRuleViolation(path, f"unknown rule {rule!r}")
+        raise RuleViolation(path, _SPLITTING[rule][2])
 
 
-def check_mll(d: MllDerivation) -> None:
+def check_mll(d: Derivation) -> None:
     for _ in _matched(d):
         pass
 
 
-def _matched(d: MllDerivation) -> Iterator[tuple[MllDerivation, dict[str, Any]]]:
+def _matched(d: Derivation) -> Iterator[tuple[Derivation, dict[str, Any]]]:
     """(node, match_mll(node)) for every node of d, in preorder.  A path is
     built only for a node that fails: the first path of that node object,
-    where the walk met it first, since match_mll reads only the node."""
+    where the walk met it first, since match_mll reads only the node and
+    its premises' rules, then the path from there."""
     for node in nodes(d, premises_of):
         try:
             yield node, match_mll(node)
-        except MllRuleViolation as err:
+        except RuleViolation as err:
             path = next(p for p, n in preorder(d, premises_of) if n is node)
-            raise MllRuleViolation(path, err.reason) from None
+            raise RuleViolation(path + err.path, err.reason) from None
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +223,7 @@ def _typed_pos(s: Sequent, delta_index: int) -> int:
     return len(before) - list(map(_entry_type, before)).count(None)
 
 
-def nmll_to_mll(d: Derivation) -> MllDerivation:
+def nmll_to_mll(d: Derivation) -> Derivation:
     """Translate a checked natural deduction derivation; the result concludes
     the type erasure of d's conclusion and passes check_mll.
 
@@ -247,49 +239,49 @@ def nmll_to_mll(d: Derivation) -> MllDerivation:
                 lambda node, subs: _to_mll(node, insts[id(node)], subs))
 
 
-def _to_mll(d: Derivation, inst: dict[str, Any], subs: list[MllDerivation]) -> MllDerivation:
+def _to_mll(d: Derivation, inst: dict[str, Any], subs: list[Derivation]) -> Derivation:
     """One node of nmll_to_mll: d, its rule instance data and the
     translations of its premises."""
     con = type_erasure(d.conclusion)
     rule = d.rule
 
     if rule is Rule.AX:
-        return MllDerivation(MllRule.AX_ID, con)
+        return Derivation(MllRule.AX_ID, con)
 
     if rule is Rule.BOT_I:
-        return MllDerivation(MllRule.BOT_R, con, (subs[0],))
+        return Derivation(MllRule.BOT_R, con, (subs[0],))
 
     if rule is Rule.LOLLI_I:
-        return MllDerivation(MllRule.LOLLI_R, con, (subs[0],))
+        return Derivation(MllRule.LOLLI_R, con, (subs[0],))
 
     if rule is Rule.PARR_I:
-        return MllDerivation(MllRule.PARR_R, con, (subs[0],))
+        return Derivation(MllRule.PARR_R, con, (subs[0],))
 
     if rule is Rule.BOT_E:
-        axbot = MllDerivation(MllRule.AX_BOT, MllSequent((BOT,), ()))
-        return MllDerivation(MllRule.CUT, con, (subs[0], axbot))
+        axbot = Derivation(MllRule.AX_BOT, MllSequent((BOT,), ()))
+        return Derivation(MllRule.CUT, con, (subs[0], axbot))
 
     if rule is Rule.LOLLI_E:
         a, b = inst["a"], inst["b"]
         fun_pos = _typed_pos(d.premises[0].conclusion, inst["j1"])
         sub1, sub2 = subs
         e1 = sub1.conclusion
-        ax_a = MllDerivation(MllRule.AX_ID, MllSequent((a,), (a,)))
-        ax_b = MllDerivation(MllRule.AX_ID, MllSequent((b,), (b,)))
-        lolli_l = MllDerivation(
+        ax_a = Derivation(MllRule.AX_ID, MllSequent((a,), (a,)))
+        ax_b = Derivation(MllRule.AX_ID, MllSequent((b,), (b,)))
+        lolli_l = Derivation(
             MllRule.LOLLI_L, MllSequent((a, Lolli(a, b)), (b,)), (ax_a, ax_b))
-        cut1 = MllDerivation(
+        cut1 = Derivation(
             MllRule.CUT,
             MllSequent(e1.left + (a,),
                        e1.right[:fun_pos] + (b,) + e1.right[fun_pos + 1:]),
             (sub1, lolli_l))
-        return MllDerivation(MllRule.CUT, con, (sub2, cut1))
+        return Derivation(MllRule.CUT, con, (sub2, cut1))
 
     if rule is Rule.PARR_E:
         gx, gy = inst["gamma_pos_x"], inst["gamma_pos_y"]
         sub1, sub2, sub3 = subs
         e2, e3 = sub2.conclusion, sub3.conclusion
-        parr_l = MllDerivation(
+        parr_l = Derivation(
             MllRule.PARR_L,
             MllSequent(_without(e2.left, gx) + _without(e3.left, gy)
                        + (ParT(inst["a"], inst["b"]),), e2.right + e3.right),
@@ -297,10 +289,10 @@ def _to_mll(d: Derivation, inst: dict[str, Any], subs: list[MllDerivation]) -> M
         # the cut concludes what BotR's premise must: con without the
         # ParrE's bot, in con's order
         dist_pos = _typed_pos(d.conclusion, inst["i"])
-        cut = MllDerivation(
+        cut = Derivation(
             MllRule.CUT, MllSequent(con.left, _without(con.right, dist_pos)),
             (sub1, parr_l))
-        return MllDerivation(MllRule.BOT_R, con, (cut,))
+        return Derivation(MllRule.BOT_R, con, (cut,))
 
     raise AssertionError(f"unhandled rule {rule!r}")
 
@@ -323,7 +315,7 @@ def _close_last(d: Derivation) -> Derivation:
     return Derivation(Rule.BOT_E, Sequent(s.gamma, s.delta[:-1] + (closed,)), (d,))
 
 
-def _to_nmll(node: MllDerivation, inst: dict[str, Any], subs: list[Derivation],
+def _to_nmll(node: Derivation, inst: dict[str, Any], subs: list[Derivation],
              names: Iterator[str]) -> Derivation:
     """One node of mll_to_nmll: node, its rule instance data, the
     translations of its premises and the fresh names yet to draw."""
@@ -386,7 +378,7 @@ def _cut_encoding(d_left: Derivation, d_right: Derivation,
         (lolli_i, d_left)))
 
 
-def mll_to_nmll(d: MllDerivation) -> Derivation:
+def mll_to_nmll(d: Derivation) -> Derivation:
     """Translate a checked sequent calculus derivation into natural
     deduction; the result's conclusion erases back to d's conclusion up to
     the order in which independent contexts were joined.

@@ -299,7 +299,7 @@ def _check_binders_unique(s: Sequent) -> None:
         for sub in nodes(e.term, children):
             if type(sub) is Var:
                 continue
-            for x in sub[1:sub._first]:  # its names, see terms.binders
+            for x in sub[1:sub._first]:  # its names, see terms.var_names
                 if x in seen:
                     raise DuplicateBinder(f"binder {x!r} is bound more than once")
                 seen.add(x)

@@ -155,11 +155,15 @@ def _reduct(act: Cell, firing: tuple, receivers: Sequence[Cell]) -> Term:
                 + [(c, v) for c, (_, v) in zip(receivers, sends, strict=True)])
 
 
+def _in_paths(act: Cell, firing: tuple, receivers: Sequence[Cell]) -> Redex:
+    """The redex at the cells of one scan, named by paths."""
+    return Redex(firing[0], _path(act), tuple(map(_path, receivers)))
+
+
 def find_redexes(t: Term) -> list[Redex]:
     """All redexes of t in leftmost-outermost activator order, read off one
     _scan of t."""
-    return [Redex(firing[0], _path(act), tuple(map(_path, recv)))
-            for act, firing, recv in _redexes(_scan(t))]
+    return [_in_paths(*found) for found in _redexes(_scan(t))]
 
 
 def apply_redex(t: Term, r: Redex) -> Term:
@@ -251,12 +255,13 @@ def _component(c: Cell, spine: set[int]) -> Optional[Cell]:
     return c
 
 
-def _cbv_fire(components: list[Term]) -> Optional[tuple[list[Term], Redex, str]]:
-    """cbv_step's new components and redex, and the step's text, from one
-    _scan of the joined components: the first activator at an evaluation
-    position whose argument is a value fires, a comm into the first free
-    occurrence of its channel at an evaluation position of another
-    component."""
+def _cbv_fire(components: list[Term]) -> Optional[tuple]:
+    """cbv_step's new components beside the activator cell, the firing and
+    the receiver cells of the redex fired, from one _scan of the joined
+    components (only cbv_step needs the redex's paths): the first activator
+    at an evaluation position whose argument is a value fires, a comm into
+    the first free occurrence of its channel at an evaluation position of
+    another component."""
     if not components:
         return None
     joined, spine = components[0], set()
@@ -282,9 +287,8 @@ def _cbv_fire(components: list[Term]) -> Optional[tuple[list[Term], Redex, str]]
                     break
             else:
                 continue
-        r = Redex(kind, _path(act), tuple(map(_path, receivers)))
         fired = _reduct(act, firing, receivers)
-        return split_joined(fired, len(components)), r, _step_text(kind, firing[2])
+        return split_joined(fired, len(components)), act, firing, receivers
     return None
 
 
@@ -294,15 +298,13 @@ def cbv_step(components: list[Term]) -> Optional[tuple[list[Term], Redex]]:
     into the joined term), or None when every component is cbv-stuck.
     Only applied outputs fire, and only on a value argument."""
     fired = _cbv_fire(components)
-    return None if fired is None else fired[:2]
+    return None if fired is None else (fired[0], _in_paths(*fired[1:]))
 
 
 def cbv_trace(components: list[Term]) -> list[tuple[str, list[Term]]]:
     """Run cbv_step to exhaustion, collecting (description, state) pairs."""
     steps: list[tuple[str, list[Term]]] = []
-    while True:
-        fired = _cbv_fire(components)
-        if fired is None:
-            return steps
-        components, _, desc = fired
-        steps.append((desc, components))
+    while (fired := _cbv_fire(components)) is not None:
+        components, _, (kind, _, sends), _ = fired
+        steps.append((_step_text(kind, sends), components))
+    return steps

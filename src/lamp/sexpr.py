@@ -45,7 +45,7 @@ def derivation_to_sexpr(d: Derivation) -> str:
     return _write(d, lambda s: print_sequent(s, memo))
 
 
-def mll_to_sexpr(d: MllDerivation) -> str:
+def mll_to_sexpr(d: Derivation) -> str:
     from .mll import print_mll_sequent
     return _write(d, print_mll_sequent)
 
@@ -137,7 +137,7 @@ def parse_mll_sequent_text(text: str) -> MllSequent:
     return MllSequent(left, right)
 
 
-def _build(text: str, tags: dict, parse_sequent, make):
+def _build(text: str, tags: dict, parse_sequent) -> Derivation:
     """The derivation text spells.  Tags and sequents are checked in
     preorder, the order a reader meets them."""
     tree = _read_all(text)
@@ -148,14 +148,13 @@ def _build(text: str, tags: dict, parse_sequent, make):
             raise ParseError(f"unknown rule tag {tag!r}")
         parsed[id(node)] = tags[tag], parse_sequent(seq_text)
     return fold(tree, _PREMISES,
-                lambda node, subs: make(*parsed[id(node)], tuple(subs)))
+                lambda node, subs: Derivation(*parsed[id(node)], tuple(subs)))
 
 
 def sexpr_to_derivation(text: str) -> Derivation:
-    return _build(text, _NMLL_TAGS, parse_sequent_text, Derivation)
+    return _build(text, _NMLL_TAGS, parse_sequent_text)
 
 
-def sexpr_to_mll(text: str) -> MllDerivation:
-    from .mll import MllDerivation, MllRule
-    return _build(text, {r.value: r for r in MllRule}, parse_mll_sequent_text,
-                  MllDerivation)
+def sexpr_to_mll(text: str) -> Derivation:
+    from .mll import MllRule
+    return _build(text, {r.value: r for r in MllRule}, parse_mll_sequent_text)

@@ -199,18 +199,8 @@ def replace_at(t: Term, path: Path, new: Term) -> Term:
     return _put([(next(_cells_at(t, (path,))), new)])
 
 
-def subterms(t: Term) -> Iterator[tuple[Path, Term]]:
-    """All (path, subterm) pairs in preorder, leftmost-outermost first."""
-    return preorder(t, children)
-
-
 # s[1:s._first] are the names node s carries: a variable's, or the
 # channels a Send or Dist binds
-
-def binders(t: Term) -> set[str]:
-    """Names bound by a Send or Dist anywhere in t."""
-    return {x for s in nodes(t, children) if type(s) is not Var for x in s[1:s._first]}
-
 
 def var_names(t: Term) -> set[str]:
     """Every name occurring in t, as a variable or as a binder."""
@@ -314,15 +304,6 @@ def _cells_at(t: Term, paths) -> Iterator[Cell]:
                 raise InvalidPath(f"no child {i} at {type(node).__name__}")
             c = made.setdefault((id(c), first + i), (c, first + i, node[first + i]))
         yield c
-
-
-def free_index(t: Term) -> dict[str, list[Path]]:
-    """Paths of the free occurrences of every name in t, each in preorder.
-
-    Occurrences under a Send or Dist binder for the same name are bound and
-    skipped; binders for other names are transparent.
-    """
-    return {x: [_path(c) for c in cells] for x, cells in _scan(t).free.items()}
 
 
 def occurrences(t: Term, x: str) -> list[Path]:

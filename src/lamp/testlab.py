@@ -28,7 +28,7 @@ from .derivations import (
     Derivation, Rule, _replaced, _without, axiom, premises_of,
 )
 from .metatheory import check_no_freaks, check_subformula
-from .mll import MllDerivation, MllRule, MllSequent
+from .mll import MllRule, MllSequent
 from .reconstruct import reconstruct
 from .reduction import _reduct, _redexes, comm_size, enumerate_normal_forms
 from .runtime import run_concurrent
@@ -164,7 +164,6 @@ class _Gen:
         lambda s, prev: [j for j, e in enumerate(s.delta)
                          if isinstance(e.type, ParT) and isinstance(e.term, Par)],
         *FORWARD[Rule.PARR_E].premises[1:]))}
-    derivation = Derivation
     key = "{0.seed}:{0.max_nodes}:" + ",".join(_ATOMS)
     # the rules drawn, an axiom first, beside their weights; the order
     # fixes the rng draws.  The bounds sum them as rng.choices does.
@@ -225,7 +224,7 @@ class _Gen:
     def _apply(self, rule) -> None:
         """Add an axiom of rule, or apply rule at an option drawn if any."""
         if rule not in self.table:
-            self.pool.append((self.derivation(rule, self._axiom(rule)), 1))
+            self.pool.append((Derivation(rule, self._axiom(rule)), 1))
             return
         options = self._options(rule)
         if not options:
@@ -235,7 +234,7 @@ class _Gen:
         con = self.table[rule].conclusion(seqs, positions, self.rng)
         ds = tuple(self.pool[k][0] for k in ks)
         keep = max(ks)
-        self.pool[keep] = (self.derivation(rule, con, ds),
+        self.pool[keep] = (Derivation(rule, con, ds),
                            1 + sum(self.pool[k][1] for k in ks))
         for k in sorted(set(ks) - {keep}, reverse=True):
             del self.pool[k]
@@ -390,7 +389,6 @@ _MLL_FORWARD: dict[MllRule, ForwardRule] = {
 
 class _MllGen(_Gen):
     table = _MLL_FORWARD
-    derivation = MllDerivation
     key = "mll:{0.seed}:{0.max_nodes}"
     # the rules drawn, an axiom first, beside thresholds on rng.random():
     # not weights, whose running sums would round to other bounds
@@ -416,7 +414,7 @@ class _MllGen(_Gen):
         return MllSequent((a,), (a,))
 
 
-def gen_mll(cfg: GenConfig) -> MllDerivation:
+def gen_mll(cfg: GenConfig) -> Derivation:
     return _MllGen(cfg).run()
 
 

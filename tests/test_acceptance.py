@@ -18,8 +18,8 @@ from lamp.reduction import (
 )
 from lamp.runtime import run_concurrent
 from lamp.terms import (
-    App, DeltaEntry, Dist, Send, Sequent, flatten_par, join_par, print_term,
-    split_joined, subterms,
+    App, DeltaEntry, Dist, Send, Sequent, children, flatten_par, join_par,
+    nodes, print_term, split_joined,
 )
 from lamp.testlab import GenConfig, gen_derivation, gen_mll
 from tests.conftest import CORPUS_NAMES, GOLDEN, corpus_text, run_cli
@@ -152,7 +152,7 @@ def test_criterion_6_progress_and_no_deadlock():
         has_potential = any(
             isinstance(s, Dist)
             or (isinstance(s, App) and isinstance(s.fun, Send))
-            for _, s in subterms(t))
+            for s in nodes(t, children))
         if not has_potential:
             continue
         with_potential += 1

@@ -11,7 +11,7 @@ import hashlib
 
 from lamp.derivations import Rule, axiom
 from lamp.reconstruct import reconstruct
-from lamp.terms import Atom, BOT, Dist, Sequent, print_sequent, subterms
+from lamp.terms import Atom, BOT, Dist, Sequent, children, nodes, print_sequent
 from lamp.testlab import FORWARD, _canonical, _size, closure
 
 TYPES = [Atom("A"), BOT]
@@ -49,7 +49,7 @@ def test_reconstruct_complete_up_to_bound():
     extra = _dist_layer(seen)
     assert (len(seen), len(extra), len(seen | extra)) == (579, 603, 1182)
     assert any(isinstance(sub, Dist)
-               for s in extra for e in s.delta for _, sub in subterms(e.term))
+               for s in extra for e in s.delta for sub in nodes(e.term, children))
     lines = sorted(print_sequent(s) for s in seen | extra)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGEST
     for s in sorted(seen | extra, key=_size):

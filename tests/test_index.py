@@ -1,11 +1,11 @@
 """The free-occurrence index against the per-name walks it replaced.
 
-``free_index`` finds every name's free occurrences in one pass; redex
-search, the runtime and the printer read it.  The oracles below are the
-walks lamp used before: one ``occurrences`` walk per name, and a
-``find_redexes`` that walks the term once per channel.  Both must agree
-with the index on every state normalize reaches, and on every state
-enumerate visits, for 400 generated programs.  On the same states, the
+``terms._scan`` finds every name's free occurrences in one pass (its
+``free`` index); redex search, the runtime and the printer read it.  The
+oracles below are the walks lamp used before: one ``occurrences`` walk per
+name, and a ``find_redexes`` that walks the term once per channel.  Both
+must agree with the index on every state normalize reaches, and on every
+state enumerate visits, for 400 generated programs.  On the same states, the
 reducts that enumerate and normalize build from one scan must be the
 ones ``apply_redex`` builds from each redex's paths.
 """
@@ -20,14 +20,19 @@ from lamp.reduction import (
     Redex, _reduct, _redexes, apply_redex, comm_size, find_redexes, normalize,
 )
 from lamp.terms import (
-    App, Close, Dist, Par, Send, UNIT, Var, _scan, children, flatten_par,
-    free_index, is_free_in, occurrences, print_term, subterm_at, subterms,
+    App, Close, Dist, Par, Send, UNIT, Var, _path, _scan, children,
+    flatten_par, is_free_in, occurrences, preorder, print_term, subterm_at,
     var_names,
 )
 from lamp.testlab import GenConfig, gen_derivation
 from tests.test_terms import _terms
 
 DEPTH = 10_000
+
+
+def _index(t):
+    """The paths of every name's free occurrences in t, off one _scan."""
+    return {x: [_path(c) for c in cells] for x, cells in _scan(t).free.items()}
 
 
 # -- oracles: the per-name walks --------------------------------------------
@@ -125,7 +130,7 @@ def test_free_index_matches_per_name_walk():
     _, states = _states()
     assert len(states) > 1000
     for t in states:
-        index = free_index(t)
+        index = _index(t)
         for x in var_names(t):
             assert index.get(x, []) == _old_occurrences(t, x), (print_term(t), x)
         assert set(index) <= var_names(t)
@@ -144,7 +149,7 @@ def test_find_redexes_matches_per_channel_search():
 @given(_terms(4))
 def test_free_index_matches_walk_on_untyped_terms(t):
     # names repeat, binders shadow and Dist may bind one name twice here
-    index = free_index(t)
+    index = _index(t)
     for x in var_names(t):
         assert index.get(x, []) == _old_occurrences(t, x)
     assert find_redexes(t) == _old_find_redexes(t)
@@ -154,18 +159,18 @@ def test_free_index_matches_walk_on_untyped_terms(t):
 def test_is_free_in_matches_index_on_untyped_terms(t):
     # the early-exit walk against the index, on t and on every subterm;
     # Dist may bind one name twice and inner binders shadow outer ones
-    for _, s in subterms(t):
-        index = free_index(s)
+    for _, s in preorder(t, children):
+        index = _index(s)
         for x in var_names(t) | {"fresh"}:
             assert is_free_in(x, s) == (x in index), (print_term(s), x)
 
 
 def test_is_free_in_respects_a_dist_binding_one_name_twice():
     t = Dist("x", "x", Par(Var("x"), Var("y")))
-    assert not is_free_in("x", t) and "x" not in free_index(t)
-    assert is_free_in("y", t) and "y" in free_index(t)
+    assert not is_free_in("x", t) and "x" not in _index(t)
+    assert is_free_in("y", t) and "y" in _index(t)
     t = Par(Var("x"), Dist("x", "x", Var("x")))
-    assert is_free_in("x", t) and free_index(t)["x"] == [(0,)]
+    assert is_free_in("x", t) and _index(t)["x"] == [(0,)]
 
 
 def _check_reducts_from_one_scan(t, normalizes=True):
@@ -194,7 +199,7 @@ def test_reducts_from_one_scan_match_apply_redex_on_untyped_terms(t):
     # several receivers per channel, and receivers that meet below the
     # activator's Par, only occur here; normalize runs only where no name
     # occurs twice, since a beta that copies may never terminate
-    names = [s.name for _, s in subterms(t) if type(s) is Var]
+    names = [s.name for _, s in preorder(t, children) if type(s) is Var]
     _check_reducts_from_one_scan(t, normalizes=len(names) == len(set(names)))
 
 
@@ -211,12 +216,12 @@ def test_index_follows_a_binder_flip():
     # now binds the occurrence that was free, and prints as a lambda
     t = Par(App(Send("x", Var("y")), Var("v")),
             App(Send("y", UNIT), Var("x")))
-    assert free_index(t) == {"y": [(0, 0, 0)], "v": [(0, 1)], "x": [(1, 1)]}
+    assert _index(t) == {"y": [(0, 0, 0)], "v": [(0, 1)], "x": [(1, 1)]}
     assert print_term(t) == "(out x. y) v | (out y. *) x"
     (r_y,) = [r for r in find_redexes(t) if r.activator == (1,)]
     t2 = apply_redex(t, r_y)
     assert t2 == Par(App(Send("x", Var("x")), Var("v")), UNIT)
-    assert free_index(t2) == {"v": [(0, 1)]}
+    assert _index(t2) == {"v": [(0, 1)]}
     assert print_term(t2) == "(lam x. x) v | *"
     assert [r.kind for r in find_redexes(t2)] == ["beta"]
 
@@ -225,7 +230,7 @@ def test_index_lists_both_occurrences_of_a_non_linear_name():
     # one sender, two receivers: the race test_cli's enumerate reports
     t = parse_program("|- (out x. *) v | x | x : bot par (A par A)\n") \
         .sequent.joined_term()
-    assert free_index(t)["x"] == [(1, 0), (1, 1)]
+    assert _index(t)["x"] == [(1, 0), (1, 1)]
     assert find_redexes(t) == [Redex("comm", (0,), ((1, 0),)),
                                Redex("comm", (0,), ((1, 1),))]
     assert find_redexes(t) == _old_find_redexes(t)
@@ -234,7 +239,7 @@ def test_index_lists_both_occurrences_of_a_non_linear_name():
 def test_receiver_beside_the_output_needs_a_par_between():
     # untypable: the output and its receiver meet at an application
     t = App(Var("x"), App(Send("x", UNIT), Var("v")))
-    assert free_index(t)["x"] == [(0,)]
+    assert _index(t)["x"] == [(0,)]
     assert find_redexes(t) == _old_find_redexes(t) == []
     t = Par(Var("x"), App(Send("x", UNIT), Var("v")))
     assert find_redexes(t) == [Redex("comm", (1,), ((0,),))]
@@ -266,9 +271,9 @@ def test_dist_receivers_that_meet_below_the_activators_par():
 
 
 def test_inner_binder_for_the_same_name_shadows():
-    assert free_index(Send("x", Send("x", Var("x")))) == {}
+    assert _index(Send("x", Send("x", Var("x")))) == {}
     t = Send("x", Dist("x", "y", Par(Var("x"), Var("y"))))
-    assert free_index(t) == {}
+    assert _index(t) == {}
     assert not is_free_in("x", t.body)
     assert print_term(t) == "out x. out2 x y. (x | y)"
 
@@ -282,8 +287,8 @@ def test_traversals_survive_a_term_ten_thousand_deep():
     # one output whose receiver sits DEPTH closes down the other side
     t = Par(App(Send("x", UNIT), Var("v")), deep)
     receiver = (1,) + (0,) * DEPTH
-    assert sum(1 for _ in subterms(t)) == DEPTH + 6
-    assert free_index(t) == {"v": [(0, 1)], "x": [receiver]}
+    assert sum(1 for _ in preorder(t, children)) == DEPTH + 6
+    assert _index(t) == {"v": [(0, 1)], "x": [receiver]}
     assert occurrences(t, "x") == [receiver]
     assert comm_size(t) == 1
     assert print_term(t) == "(out x. *) v | " + "close(" * DEPTH + "x" + ")" * DEPTH
@@ -298,6 +303,6 @@ def test_traversals_survive_a_term_ten_thousand_deep():
     nested = Var("n0")
     for i in range(DEPTH):
         nested = Send(f"n{i}", nested)
-    assert free_index(nested) == {}
+    assert _index(nested) == {}
     assert comm_size(nested) == DEPTH
     assert find_redexes(nested) == []

@@ -12,9 +12,9 @@ from lamp.mll import MllSequent
 from lamp.reconstruct import MetaVar
 from lamp.terms import (
     App, Atom, BOT, Bot, Close, DeltaEntry, Dist, InvalidPath, Lolli, Par,
-    ParT, Send, Sequent, UNIT, Unit, Var, _Node, flatten_par, is_free_in,
-    is_simple, join_par, occurrences, print_term, print_type, replace_at,
-    split_joined, substitute, subterm_at,
+    ParT, Send, Sequent, UNIT, Unit, Var, _Node, children, flatten_par,
+    is_free_in, is_simple, join_par, occurrences, preorder, print_term,
+    print_type, replace_at, split_joined, substitute, subterm_at,
 )
 from lamp.parser import parse_term, parse_type
 from lamp.reduction import enumerate_normal_forms, find_redexes, normalize
@@ -314,6 +314,5 @@ def test_flatten_preserves_components(t):
 
 @given(_terms(4))
 def test_subterm_paths_consistent(t):
-    from lamp.terms import subterms
-    for path, sub in subterms(t):
+    for path, sub in preorder(t, children):
         assert subterm_at(t, path) == sub

@@ -6,14 +6,16 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given
 
 from lamp.derivations import (
-    Derivation, LinearityError, Rule, RuleViolation, check_channel_linearity,
-    check_derivation,
+    Derivation, LinearityError, Rule, RuleViolation, _replaced,
+    check_channel_linearity, check_derivation,
 )
 from lamp.metatheory import (
-    BottomLike, HeadVar, PreconditionViolation, ShapeViolation, ValueShape,
-    check_no_freaks, check_subformula, classify_normal, subst_derivation,
+    BottomLike, FreakOccurrence, HeadVar, PreconditionViolation,
+    ShapeViolation, ValueShape, check_no_freaks, check_subformula,
+    classify_normal, subst_derivation,
 )
 from lamp.parser import parse_program
 from lamp.reconstruct import (
@@ -21,13 +23,15 @@ from lamp.reconstruct import (
     reconstruct,
 )
 from lamp.sexpr import derivation_to_sexpr
-from lamp.testlab import GenConfig, gen_derivation
+from lamp.testlab import GenConfig, _walk, gen_derivation, one_step
 from lamp.terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    UNIT, Var,
+    UNIT, Var, _path, _scan, children, is_simple, nodes, occurrences,
+    preorder, print_sequent, print_term, replace_at,
 )
-from tests.conftest import corpus_text
+from tests.conftest import CORPUS_NAMES, corpus_text
 from tests.test_checker import _INPUTS
+from tests.test_terms import _terms
 
 A, B = Atom("A"), Atom("B")
 # the package exports the function under the module's name
@@ -304,10 +308,110 @@ def test_no_freaks_on_corpus():
 
 def test_no_freaks_detects_self_communication():
     # z applied to its own output channel: both ends in one simple context
-    from lamp.metatheory import FreakOccurrence
     s = Sequent((), (DeltaEntry(App(Var("z"), Send("z", UNIT)), BOT),))
     with pytest.raises(FreakOccurrence):
         check_no_freaks(s)
+
+
+def _bound(t):
+    """The channels bound in t, each once, in the order of their first
+    binders in preorder."""
+    return list(dict.fromkeys(x for n in nodes(t, children) if type(n) is not Var
+                              for x in n[1:n._first]))
+
+
+def _freaks_oracle(s):
+    """check_no_freaks as first written: each position with no Par above
+    it, in preorder, against the free occurrences of every channel bound
+    inside it.  The first subterm whose channels occur free outside it,
+    with those channels in the order of their first binders in preorder
+    (the first version took them in set order), or None."""
+    for e in s.delta:
+        root = e.term
+        for path, sub in preorder(root, children):
+            if not path or not is_simple(path, root):
+                continue
+            out = [z for z in _bound(sub)
+                   if any(occ[:len(path)] != path for occ in occurrences(root, z))]
+            if out:
+                return sub, out
+    return None
+
+
+def _same_freak(s):
+    want = _freaks_oracle(s)
+    if want is None:
+        check_no_freaks(s)
+        return False
+    sub, channels = want
+    with pytest.raises(FreakOccurrence) as err:
+        check_no_freaks(s)
+    assert str(err.value) == (f"channel {channels[0]!r} bound inside "
+                              f"{print_term(sub)} occurs in its surrounding "
+                              f"simple context"), print_sequent(s)
+    return True
+
+
+def _moved(s):
+    """s with the free occurrence of a channel that s binds moved out of
+    its place, in turn, to the top of every position of its entry: across
+    a Par, out of one, into the binder's side or out of the entry."""
+    for k, e in enumerate(s.delta):
+        bound = _bound(e.term)
+        for z, cells in _scan(e.term).free.items():
+            if z not in bound:
+                continue
+            for c in cells:
+                base = replace_at(e.term, _path(c), Var("moved"))
+                for q, sub in preorder(base, children):
+                    entry = DeltaEntry(replace_at(base, q, App(Var(z), sub)), e.type)
+                    yield Sequent(s.gamma, _replaced(s.delta, k, entry))
+
+
+def test_no_freaks_agrees_with_its_first_definition():
+    # the corpus and every state the property suite's walk visits, with
+    # its one-step reducts, then each with a channel's occurrence moved
+    seqs = [parse_program(corpus_text(name)).sequent for name in CORPUS_NAMES]
+    for max_nodes in (12, 24, 36):
+        for seed in range(40):
+            program = gen_derivation(GenConfig(seed, max_nodes)).conclusion
+            for state, reducts in _walk(program, one_step):
+                seqs += [state, *reducts]
+    assert not any(map(_same_freak, seqs))
+    freaks = moved = 0
+    for s in seqs:
+        for m in _moved(s):
+            moved += 1
+            freaks += _same_freak(m)
+    # what the test covers: states, mutants, and the mutants that are freaks
+    assert (len(seqs), moved, freaks) == (2058, 3258, 707)
+
+
+@given(_terms(4))
+def test_no_freaks_agrees_with_its_first_definition_on_untyped_terms(t):
+    # names repeat, binders shadow and Dist may bind one name twice here
+    _same_freak(Sequent((), (DeltaEntry(t, None),)))
+
+
+def test_no_freaks_names_the_first_binder_of_its_subterm():
+    # y and x are both bound inside the function and occur free in its
+    # argument, with no Par between: y's binder comes first
+    t = App(Send("y", Send("x", UNIT)), App(Var("x"), Var("y")))
+    with pytest.raises(FreakOccurrence) as err:
+        check_no_freaks(Sequent((), (DeltaEntry(t, None),)))
+    assert str(err.value) == ("channel 'y' bound inside out y. out x. * "
+                              "occurs in its surrounding simple context")
+
+
+def test_no_freaks_allows_a_par_above_the_meeting_point():
+    # the same ends across a Par are a comm's, not a freak
+    t = Par(Send("y", Send("x", UNIT)), App(Var("x"), Var("y")))
+    check_no_freaks(Sequent((), (DeltaEntry(t, None),)))
+    # but not a Par below it, in the binder's subterm
+    t = App(Par(Send("y", UNIT), UNIT), Var("y"))
+    with pytest.raises(FreakOccurrence) as err:
+        check_no_freaks(Sequent((), (DeltaEntry(t, None),)))
+    assert "bound inside out y. * | *" in str(err.value)
 
 
 # -- error text is rendered only when read -----------------------------------

@@ -415,12 +415,14 @@ def _shared(used: list[set[str]]) -> Optional[str]:
 _STAR = DeltaEntry(UNIT, BOT)
 
 
-def _premise_count(node: Derivation, arity: dict, path: tuple[int, ...]) -> None:
-    """Check that node has as many premises as its rule takes, by arity,
-    the premise counts of one calculus.  A node whose rule arity does not
-    list, such as a node of the other calculus, is an unknown rule at its
-    own path: node, or a premise of node, checked before node's rule reads
-    the premise's conclusion."""
+def _well_formed(node: Derivation, arity: dict, sequent: type,
+                 path: tuple[int, ...]) -> None:
+    """Check that node is a node of one calculus: a rule arity lists, as
+    many premises as the rule takes, and sequents of class sequent as its
+    conclusion and its premises'.  A node of the other calculus is an
+    unknown rule, and a conclusion of the other calculus a wrong sequent,
+    at its own path: node, or a premise of node, checked before node's
+    rule reads the premise's conclusion."""
     rule, prems = node.rule, node.premises
     n = arity.get(rule)
     if n is None:
@@ -428,12 +430,20 @@ def _premise_count(node: Derivation, arity: dict, path: tuple[int, ...]) -> None
     if len(prems) != n:
         raise RuleViolation(path, f"{rule.value} expects {n} premises, "
                                   f"got {len(prems)}")
+    _sequent_is(node, sequent, path)
     # arity lists every rule of one enum, so a premise's rule is listed
     # iff it is of rule's enum: a class test, where hashing an enum member
     # costs a Python call
     for k, p in enumerate(prems):
         if type(p.rule) is not type(rule):
             raise RuleViolation(path + (k,), f"unknown rule {p.rule!r}")
+        _sequent_is(p, sequent, path + (k,))
+
+
+def _sequent_is(node: Derivation, sequent: type, path: tuple[int, ...]) -> None:
+    if type(node.conclusion) is not sequent:
+        raise RuleViolation(path, f"conclusion is {type(node.conclusion).__name__}, "
+                                  f"expected {sequent.__name__}")
 
 
 def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> RuleInstance:
@@ -454,7 +464,7 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
     instances, which has what it needs to test them once the premises'
     subtrees are matched."""
     rule, con, prems = node.rule, node.conclusion, node.premises
-    _premise_count(node, ARITY, path)
+    _well_formed(node, ARITY, Sequent, path)
     cg = memo.gamma(con, path, "conclusion")
     if not defer and len(prems) > 1:
         _premises_disjoint(node, path, memo)

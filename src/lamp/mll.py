@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Any, Iterator
 
 from .derivations import (
-    Derivation, Rule, RuleViolation, _STAR, _premise_count, _replaced, _without,
+    Derivation, Rule, RuleViolation, _STAR, _replaced, _well_formed, _without,
     axiom, instances, multiset_diff, premises_of,
 )
 from .terms import (
@@ -133,7 +133,7 @@ def match_mll(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
     """Verify one node against its rule schema; returns the matched
     principal positions and component types."""
     rule, con, prems = node.rule, node.conclusion, node.premises
-    _premise_count(node, MLL_ARITY, path)
+    _well_formed(node, MLL_ARITY, MllSequent, path)
 
     if rule is MllRule.AX_ID:
         if len(con.left) == 1 and con.left == con.right:

@@ -126,13 +126,9 @@ class _Reconstructor:
                     lambda: f"cannot unify {print_type(ra)} with {print_type(rb)}")
             stack.extend(zip(reversed(children(a)), reversed(children(b))))
 
-    def deep_resolve(self, ty, default: Optional[TypeExpr] = None):
-        def leave(s, parts):
-            if parts:
-                return type(s)(*parts)
-            return default if default is not None and isinstance(s, MetaVar) else s
-
-        return fold(self.resolve(ty), self._kids, leave)
+    def deep_resolve(self, ty):
+        return fold(self.resolve(ty), self._kids,
+                    lambda s, parts: type(s)(*parts) if parts else s)
 
     def _as(self, cls, ty) -> tuple:
         """The two children of ty as a cls (Lolli or ParT): its own if it
@@ -333,9 +329,14 @@ class _Reconstructor:
         # solve hands a premise the very declaration and entry objects of
         # its conclusion that the rule leaves unchanged; resolving each
         # object once keeps that sharing, which the checker and the
-        # printer rely on to do per-entry work once per object.  Keyed by
-        # id: every key stays alive in d for the whole walk.
+        # printer rely on to do per-entry work once per object.  A type is
+        # solved one node at a time, each distinct node once, and equal
+        # solved types are one object, found by tag, names and child ids:
+        # so an axiom's declaration and entry share theirs.  Keyed by id:
+        # every key stays alive in d, in subst or in types for the whole
+        # walk.
         done: dict[int, object] = {}
+        types: dict[tuple, TypeExpr] = {}
 
         def fix(item, resolved):
             hit = done.get(id(item))
@@ -343,12 +344,25 @@ class _Reconstructor:
                 hit = done[id(item)] = resolved(item)
             return hit
 
+        def kids(ty) -> tuple:
+            return () if id(ty) in done else self._kids(ty)
+
+        def leave(ty, parts):
+            hit = done.get(id(ty))
+            if hit is None:
+                new = BOT if type(ty) is MetaVar else type(ty)(*parts) if parts else ty
+                key = new[:new._first] + tuple(map(id, parts))
+                hit = done[id(ty)] = types.setdefault(key, new)
+            return hit
+
+        def solved(ty):
+            return fold(self.resolve(ty), kids, leave)
+
         def declaration(g):
-            return g[0], self.deep_resolve(g[1], BOT)
+            return g[0], solved(g[1])
 
         def entry(e: DeltaEntry) -> DeltaEntry:
-            return DeltaEntry(e.term, None if e.type is None
-                              else self.deep_resolve(e.type, BOT))
+            return DeltaEntry(e.term, None if e.type is None else solved(e.type))
 
         def fix_seq(s: Sequent) -> Sequent:
             return Sequent(tuple(fix(g, declaration) for g in s.gamma),

@@ -73,9 +73,13 @@ class Trace:
         return self.steps[-1][1] if self.steps else self.initial
 
     def render(self) -> str:
-        lines = [print_term(self.initial)]
+        """The initial state, then one line per step.  The states share
+        all but the subterms each step rebuilt, so they print through one
+        span memo (see terms.print_term), whose nodes self keeps alive."""
+        memo: dict = {}
+        lines = [print_term(self.initial, memo)]
         for k, (desc, term) in enumerate(self.steps, start=1):
-            lines.append(f"step {k}: {desc} => {print_term(term)}")
+            lines.append(f"step {k}: {desc} => {print_term(term, memo)}")
         return "\n".join(lines)
 
 

@@ -40,8 +40,9 @@ def _write(d, sequent_text) -> str:
 
 
 def derivation_to_sexpr(d: Derivation) -> str:
-    # nodes share their unchanged entries: each is printed once
-    memo: dict[int, str] = {}
+    # nodes share their unchanged entries, and entries their subterms and
+    # subtypes: through one span memo each shared object is printed once
+    memo: dict = {}
     return _write(d, lambda s: print_sequent(s, memo))
 
 

@@ -35,8 +35,9 @@ each node above them once.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from itertools import compress
+from operator import itemgetter, not_
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Walks.  Terms, types and both kinds of derivation are trees; kids(node)
@@ -107,17 +108,30 @@ class _Node(tuple):
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         fields = cls.__match_args__
-        tag = (cls.__name__,)
+        tag = cls.__name__
         cls._first = cls.__dict__.get("_first", len(fields) + 1)
         for k, name in enumerate(fields, 1):
             setattr(cls, name, property(itemgetter(k)))
 
-        def __new__(c, *values):
-            if len(values) != len(fields):
-                raise TypeError(f"{c.__name__}() takes {len(fields)} fields "
-                                f"{fields}, got {len(values)}")
-            return tuple.__new__(c, tag + values)
+        # one positional parameter per field: the call itself checks the
+        # field count, faster than a *values function that counts them
+        if not fields:
+            def __new__(c):
+                return tuple.__new__(c, (tag,))
+        elif len(fields) == 1:
+            def __new__(c, a):
+                return tuple.__new__(c, (tag, a))
+        elif len(fields) == 2:
+            def __new__(c, a, b):
+                return tuple.__new__(c, (tag, a, b))
+        else:
+            def __new__(c, a, b, d):
+                return tuple.__new__(c, (tag, a, b, d))
 
+        # a wrong field count then raises "App() missing 1 required
+        # positional argument: 'arg'"
+        __new__.__code__ = __new__.__code__.replace(co_varnames=("cls", *fields))
+        __new__.__qualname__ = tag
         cls.__new__ = staticmethod(__new__)
 
     def __getnewargs__(self) -> tuple:
@@ -520,89 +534,159 @@ def sequent_names(s: Sequent) -> set[str]:
 # ---------------------------------------------------------------------------
 # Printing.  print_term round-trips with the parser; Send prints as a
 # lambda exactly when its bound name occurs free in the body, which one
-# _scan of the whole term records for every Send at once.
+# _scan of the whole term records for every Send at once.  A node's text
+# depends on the node alone (its parent adds any parentheses around it), so
+# a caller printing many terms that share subterms, such as the states of a
+# trace or the conclusions of a derivation, can pass one memo to reuse the
+# text of each shared subterm: a span memo maps the id of a printed node to
+# (text, start, end), where text[start:end] is the node's text inside the
+# text of the first root printed that held it.
 
 _LOOSE = frozenset({Send, Dist, Par})  # the classes looser than application
+# per infix class: the classes its left operand takes parentheses in, those
+# its right operand takes them in, and its operator
+_INFIX = {
+    App: (_LOOSE, _LOOSE | {App}, " "),
+    Par: ({Par}, (), " | "),
+    Lolli: ({Lolli, ParT}, {ParT}, " -o "),
+    ParT: ({ParT}, (), " par "),
+}
+
+Memo = dict[int, tuple[str, int, int]]
 
 
-def print_term(t: Term) -> str:
-    lams = _scan(t).lams
+def print_term(t: Term, memo: Optional[Memo] = None) -> str:
+    """t in lamp syntax.
 
-    def text(n: Term, kids: list[str]) -> str:
-        # fields by index, as in _scan
-        cls = type(n)
-        if cls is Var:
-            return n[1]
-        if cls is Unit:
-            return "*"
-        if cls is Close:
-            return f"close({kids[0]})"
-        if cls is App:
-            f, a = kids
-            if type(n[1]) in _LOOSE:
-                f = f"({f})"
-            if type(n[2]) in _LOOSE or type(n[2]) is App:
-                a = f"({a})"
-            return f"{f} {a}"
-        # a Par left of | or in a binder's body takes parentheses
-        b = kids[0]
-        if type(n[1] if cls is Par else n[-1]) is Par:
-            b = f"({b})"
-        if cls is Par:
-            return f"{b} | {kids[1]}"
-        if cls is Send:
-            return f"{'lam' if id(n) in lams else 'out'} {n[1]}. {b}"
-        return f"out2 {n[1]} {n[2]}. {b}"
-
-    return fold(t, children, text)
+    memo, if given, is a span memo.  A node found in it is copied as its
+    slice and not walked; a root not found adds its text once and one span
+    for each node it prints anew but a leaf (a leaf prints as fast as it
+    is looked up).  So memo holds one string per root printed, a string
+    the caller's output holds anyway, and one entry per node printed.  The
+    caller keeps every node printed through memo alive while it reuses
+    memo, so that no id in it is reused for another node.
+    """
+    hit = None if memo is None else memo.get(id(t))
+    if hit is not None:
+        return hit[0][hit[1]:hit[2]]
+    return _print(t, memo, _scan(t).lams)
 
 
-_TYPE_LEVEL = {Atom: 2, Bot: 2, MetaVar: 2, Lolli: 1, ParT: 0}
+def print_type(ty: TypeExpr, memo: Optional[Memo] = None) -> str:
+    """ty in lamp syntax; memo is a span memo, as for print_term."""
+    return _print(ty, memo, ())
 
 
-def print_type(ty: TypeExpr) -> str:
-    def wrap(s: str, kid: TypeExpr, lvl: int) -> str:
-        return f"({s})" if _TYPE_LEVEL[type(kid)] < lvl else s
+def _print(t, memo: Optional[Memo], lams) -> str:
+    """The text of term or type t, printed by one explicit-stack walk that
+    copies whatever memo holds; lams holds the ids of the Sends of t that
+    print as lambdas."""
+    out: list[str] = []
+    put = out.append
+    n = 0  # the length of out's text
+    # nodes yet to print and the literal pieces between them; with a memo,
+    # also the id of each node printed anew, popped after its last piece
+    stack: list = [t]
+    push, pop = stack.append, stack.pop
+    if memo is not None:
+        opened: list[int] = []  # the start of each node whose id is stacked
+        spans: list[int] = []  # id, start, end of each node closed
+    while stack:
+        s = pop()
+        cls = type(s)
+        if cls is str:
+            put(s)
+            n += len(s)
+        elif cls is Var or cls is Atom or cls is MetaVar:
+            s = s[1]  # fields by index, as in _scan
+            put(s)
+            n += len(s)
+        elif cls is Unit or cls is Bot:
+            s = "*" if cls is Unit else "bot"
+            put(s)
+            n += len(s)
+        elif cls is int:
+            spans += (s, opened.pop(), n)
+        else:
+            if memo is not None:
+                hit = memo.get(id(s))
+                if hit is not None:
+                    put(hit[0][hit[1]:hit[2]])
+                    n += hit[2] - hit[1]
+                    continue
+                opened.append(n)
+                push(id(s))
+            infix = _INFIX.get(cls)
+            if infix is not None:
+                left, right, op = infix
+                if type(s[2]) in right:
+                    push(")")
+                    push(s[2])
+                    push(op + "(")
+                else:
+                    push(s[2])
+                    push(op)
+                if type(s[1]) in left:
+                    push(")")
+                    push(s[1])
+                    put("(")
+                    n += 1
+                else:
+                    push(s[1])
+            elif cls is Close:
+                push(")")
+                push(s[1])
+                put("close(")
+                n += 6
+            elif cls is Send or cls is Dist:
+                # a Par in a binder's body takes parentheses
+                head = (f"{'lam' if id(s) in lams else 'out'} {s[1]}. " if cls is Send
+                        else f"out2 {s[1]} {s[2]}. ")
+                if type(s[-1]) is Par:
+                    push(")")
+                    push(s[-1])
+                    head += "("
+                else:
+                    push(s[-1])
+                put(head)
+                n += len(head)
+            else:
+                raise TypeError(f"not a term or a type: {s!r}")
+    text = "".join(out)
+    if memo is not None:
+        for k in range(0, len(spans), 3):
+            memo[spans[k]] = (text, spans[k + 1], spans[k + 2])
+    return text
 
-    def text(n: TypeExpr, kids: list[str]) -> str:
-        match n:
-            case Atom(name) | MetaVar(name):
-                return name
-            case Bot():
-                return "bot"
-            case Lolli(a, b):
-                return f"{wrap(kids[0], a, 2)} -o {wrap(kids[1], b, 1)}"
-            case ParT(a, _):
-                return f"{wrap(kids[0], a, 1)} par {kids[1]}"
-        raise TypeError(f"not a type: {n!r}")
 
-    return fold(ty, children, text)
+def _declaration_text(g: tuple[str, TypeExpr], memo: Optional[Memo]) -> str:
+    return f"{g[0]} : {print_type(g[1], memo)}"
 
 
-def _declaration_text(g: tuple[str, TypeExpr]) -> str:
-    return f"{g[0]} : {print_type(g[1])}"
+def _entry_text(e: DeltaEntry, memo: Optional[Memo]) -> str:
+    term = print_term(e.term, memo)
+    return term if e.type is None else f"{term} : {print_type(e.type, memo)}"
 
 
-def _entry_text(e: DeltaEntry) -> str:
-    if e.type is None:
-        return print_term(e.term)
-    return f"{print_term(e.term)} : {print_type(e.type)}"
-
-
-def print_sequent(s: Sequent, memo: Optional[dict[int, str]] = None) -> str:
-    """s in lamp syntax.  memo, if given, maps the id of each declaration
-    and entry object printed so far to its text, so that a caller printing
-    many sequents that share those objects prints each once; the caller
-    keeps the objects alive while it reuses memo."""
+def _texts(items: tuple, fmt: Callable, memo: Optional[Memo]) -> Iterable[str]:
+    """fmt(item, memo) for each of items.  With a memo, an item object's
+    text is made once and kept in memo under its id as a whole-text span,
+    and the items found there are read in C."""
     if memo is None:
-        memo = {}
+        return [fmt(x, memo) for x in items]
+    for x in compress(items, map(not_, map(memo.__contains__, map(id, items)))):
+        text = fmt(x, memo)
+        memo[id(x)] = (text, 0, len(text))
+    return map(itemgetter(0), map(memo.__getitem__, map(id, items)))
 
-    def text(item, fmt) -> str:
-        hit = memo.get(id(item))
-        if hit is None:
-            hit = memo[id(item)] = fmt(item)
-        return hit
 
-    decls = ", ".join(text(g, _declaration_text) for g in s.gamma)
-    ents = ", ".join(text(e, _entry_text) for e in s.delta)
+def print_sequent(s: Sequent, memo: Optional[Memo] = None) -> str:
+    """s in lamp syntax.  memo, if given, is a span memo, as for print_term,
+    kept alive by the caller the same way; it also maps the id of each
+    declaration and entry object printed through it to its whole text, so
+    that a caller printing many sequents that share those objects, such as
+    the conclusions of a derivation, prints each once, and the shared
+    subterms and subtypes of the new ones once too."""
+    decls = ", ".join(_texts(s.gamma, _declaration_text, memo))
+    ents = ", ".join(_texts(s.delta, _entry_text, memo))
     return f"{decls} |- {ents}" if decls else f"|- {ents}"

@@ -555,9 +555,9 @@ def test_printer_prints_each_entry_object_once(monkeypatch):
     calls = Counter()
     real = terms.print_term
 
-    def counting(t):
+    def counting(t, memo=None):
         calls["print_term"] += 1
-        return real(t)
+        return real(t, memo)
 
     monkeypatch.setattr(terms, "print_term", counting)
     for d, text in zip(derivations, texts):

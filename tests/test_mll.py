@@ -249,38 +249,54 @@ def test_both_calculi_share_the_tree_and_the_violation():
     assert lamp.MllRuleViolation is lamp.RuleViolation
 
 
-def _foreign_cases():
-    """(checks, tree, path): trees of one calculus with a node of the other
-    at path, beside the checks of the first calculus, which must report
-    the node there as an unknown rule."""
+def _cases_with(in_nd, in_mll):
+    """(checks, tree, path): trees of each calculus with the node in_nd or
+    in_mll at path, beside the checks of that calculus: at the root, under
+    a unary node and as a binary node's second premise."""
     nd_checks = (check_derivation, nmll_to_mll)
     mll_checks = (check_mll, mll_to_nmll)
-    m, d = ax_id(A), Derivation(Rule.AX, derivations.axiom("x", A))
     star = Sequent((("x", A),), (DeltaEntry(Var("x"), A), derivations._STAR))
     lolli_e = gen_derivation(GenConfig(seed=0, max_nodes=6))
     assert lolli_e.rule is Rule.LOLLI_E
     return [
-        (nd_checks, m, ()),
-        (nd_checks, _stars_over(Derivation(Rule.BOT_I, star, (m,)), 1), (0, 0)),
+        (nd_checks, in_nd, ()),
+        (nd_checks, _stars_over(Derivation(Rule.BOT_I, star, (in_nd,)), 1), (0, 0)),
         (nd_checks, Derivation(Rule.LOLLI_E, lolli_e.conclusion,
-                               (lolli_e.premises[0], m)), (1,)),
-        (mll_checks, d, ()),
-        (mll_checks, Derivation(MllRule.BOT_R, MllSequent((A,), (A, BOT)), (d,)), (0,)),
+                               (lolli_e.premises[0], in_nd)), (1,)),
+        (mll_checks, in_mll, ()),
+        (mll_checks, Derivation(MllRule.BOT_R, MllSequent((A,), (A, BOT)), (in_mll,)),
+         (0,)),
         (mll_checks, Derivation(MllRule.CUT, MllSequent((A,), (A,)),
-                                (ax_id(A), d)), (1,)),
+                                (ax_id(A), in_mll)), (1,)),
     ]
 
 
-def test_a_node_of_the_other_calculus_is_an_unknown_rule_at_its_path():
-    for checks, tree, path in _foreign_cases():
+def _violations(cases):
+    """(check, the path and reason of its violation, the node at path)."""
+    for checks, tree, path in cases:
         node = tree
         for k in path:
             node = node.premises[k]
         for check in checks:
             with pytest.raises(derivations.RuleViolation) as err:
                 check(tree)
-            assert (err.value.path, err.value.reason) \
-                == (path, f"unknown rule {node.rule!r}"), check.__name__
+            yield check, (err.value.path, err.value.reason), path, node
+
+
+def test_a_node_of_the_other_calculus_is_an_unknown_rule_at_its_path():
+    cases = _cases_with(ax_id(A), Derivation(Rule.AX, derivations.axiom("x", A)))
+    for check, found, path, node in _violations(cases):
+        assert found == (path, f"unknown rule {node.rule!r}"), check.__name__
+
+
+def test_a_conclusion_of_the_other_calculus_is_a_violation_at_its_path():
+    # rules of the right calculus over the other calculus's sequents
+    cases = _cases_with(Derivation(Rule.AX, MllSequent((A,), (A,))),
+                        Derivation(MllRule.AX_ID, derivations.axiom("x", A)))
+    for check, found, path, node in _violations(cases):
+        want = "MllSequent, expected Sequent" if isinstance(node.rule, Rule) \
+            else "Sequent, expected MllSequent"
+        assert found == (path, f"conclusion is {want}"), check.__name__
 
 
 # -- nmll_to_mll: one name cache, no recursion -------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given
 
 from lamp.derivations import (
     Derivation, LinearityError, Rule, RuleViolation, _replaced,
-    check_channel_linearity, check_derivation,
+    check_channel_linearity, check_derivation, premises_of,
 )
 from lamp.metatheory import (
     BottomLike, FreakOccurrence, HeadVar, PreconditionViolation,
@@ -27,7 +27,7 @@ from lamp.testlab import GenConfig, _walk, gen_derivation, one_step
 from lamp.terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
     UNIT, Var, _path, _scan, children, is_simple, nodes, occurrences,
-    preorder, print_sequent, print_term, replace_at,
+    preorder, print_sequent, print_term, print_type, replace_at,
 )
 from tests.conftest import CORPUS_NAMES, corpus_text
 from tests.test_checker import _INPUTS
@@ -552,6 +552,21 @@ def test_reconstruct_output_is_byte_stable():
         h.update(b"\n\n")
     assert verdicts == {True: 306, False: 570}
     assert h.hexdigest() == RECONSTRUCT_DIGEST
+
+
+def test_equal_solved_types_are_one_object():
+    # finalize interns each solved type by tag, names and child ids: every
+    # axiom's declaration and entry share their type, and so does every
+    # pair of equal types anywhere in the derivation, down to subtypes
+    d = reconstruct(_INPUTS.ring_case(0, 48, random.Random(1)).sequent)
+    axioms = [n.conclusion for n in nodes(d, premises_of) if n.rule is Rule.AX]
+    assert len(axioms) == 98
+    assert all(s.gamma[0][1] is s.delta[0].type for s in axioms)
+    types = {id(ty): ty for n in nodes(d, premises_of)
+             for ty in [ty for _, ty in n.conclusion.gamma]
+             + [e.type for e in n.conclusion.delta if e.type is not None]
+             for ty in nodes(ty, children)}
+    assert len(types) == len({print_type(ty) for ty in types.values()}) == 52
 
 
 # -- polarity pre-check -----------------------------------------------------------

@@ -24,15 +24,16 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from operator import itemgetter
-from typing import Any, Iterator
+from typing import Any, Iterator, Optional
 
 from .derivations import (
     Derivation, Rule, RuleViolation, _STAR, _replaced, _well_formed, _without,
     axiom, instances, multiset_diff, premises_of,
 )
 from .terms import (
-    App, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    TypeExpr, UNIT, Var, _Node, children, fold, nodes, preorder, print_type,
+    App, BOT, Close, DeltaEntry, Dist, Lolli, Memo, Par, ParT, Send, Sequent,
+    TypeExpr, UNIT, Var, _Node, _texts, children, fold, nodes, preorder,
+    print_type,
 )
 
 
@@ -70,9 +71,13 @@ MllDerivation = Derivation
 MllRuleViolation = RuleViolation
 
 
-def print_mll_sequent(s: MllSequent) -> str:
-    left = ", ".join(print_type(t) for t in s.left)
-    right = ", ".join(print_type(t) for t in s.right)
+def print_mll_sequent(s: MllSequent, memo: Optional[Memo] = None) -> str:
+    """s in lamp syntax.  memo, if given, is a span memo (see
+    terms.print_term), kept alive by the caller the same way: a caller
+    printing many sequents that share types, such as the conclusions of
+    a derivation, prints each shared type once."""
+    left = ", ".join(_texts(s.left, print_type, memo, subtrees=True))
+    right = ", ".join(_texts(s.right, print_type, memo, subtrees=True))
     out = f"{left} |-" if left else "|-"
     return f"{out} {right}" if right else out
 

@@ -20,25 +20,38 @@ Dist node and moves (never copies) the transmitted terms, so on linear
 terms the communication size decreases by exactly one per step, which
 bounds every reduction sequence.
 
-Redexes are found on one ``_scan`` of a term, which gives every position
-as a parent-linked cell (see ``terms``); the LCA test climbs cells, and
-``_reduct`` builds a reduct with ``terms._put`` at the cells of the scan
-that found its redex.  ``normalize``, ``enumerate_normal_forms``, cbv and
-the runtime fire straight from the scan; ``find_redexes`` and
-``apply_redex`` speak in paths, for callers that hold a redex across
-calls, and ``apply_redex`` checks that it still matches.
+A reduction state is held as its components along the left Par spine of
+the joined term (``_State``), each with its own ``_scan``, which gives
+every position as a parent-linked cell (see ``terms``), and an index from
+each free name to the components it is free in.  Redex search reads the
+components left to right and each in preorder, which is leftmost-outermost
+order on the joined term; a receiver in another component is across a
+spine Par, one in the activator's own component is tested by climbing
+cells.  A step ``_put``s new nodes only inside the components it changes
+and rescans only those, the way a reaction touches only the molecules it
+involves (Berry & Boudol's chemical abstract machine).  ``normalize``,
+cbv and the runtime (one component per worker) keep their states' scans
+across steps.  ``find_redexes``, ``apply_redex`` and
+``enumerate_normal_forms`` meet each state once and run the same search
+on it as one component, which costs one scan as a split state would.
+``find_redexes`` and ``apply_redex`` speak in paths, for callers that
+hold a redex across calls, and ``apply_redex`` checks that it still
+matches.  ``Trace.render`` prints a state component by component, so a
+component no step changed is printed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import accumulate, compress, count, product, repeat
+from operator import attrgetter, contains, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .terms import (
-    App, Cell, Close, Dist, Par, Path, Send, Term, UNIT, Var, _Scan,
-    _cells_at, _path, _put, _scan, children, is_free_in, nodes, print_term,
-    split_joined, substitute, subterm_at,
+    App, Cell, Close, Dist, Memo, Par, Path, Send, Term, UNIT, Var, _cells_at,
+    _path, _put, _scan, _texts, children, is_free_in, nodes, print_term,
+    substitute, subterm_at,
 )
 
 class StaleRedex(Exception):
@@ -58,9 +71,7 @@ class Redex:
     receivers: tuple[Path, ...] = ()
 
     def describe(self, root: Term) -> str:
-        if self.kind == "beta":
-            return "Beta"
-        return _step_text(self.kind, fire(subterm_at(root, self.activator))[2])
+        return _step_text(fire(subterm_at(root, self.activator)))
 
 
 @dataclass
@@ -73,13 +84,23 @@ class Trace:
         return self.steps[-1][1] if self.steps else self.initial
 
     def render(self) -> str:
-        """The initial state, then one line per step.  The states share
-        all but the subterms each step rebuilt, so they print through one
-        span memo (see terms.print_term), whose nodes self keeps alive."""
-        memo: dict = {}
-        lines = [print_term(self.initial, memo)]
+        """The initial state, then one line per step, each state printed
+        as print_term prints it.  A state prints as its components along
+        its left Par spine, joined in C: the states share all but the
+        components each step rebuilt, so a component already printed is
+        looked up by id, and a new one prints through one span memo (see
+        terms.print_term), which copies the subterms it shares with those
+        printed before.  self keeps every node printed alive."""
+        memo: Memo = {}
+
+        def text(t: Term) -> str:
+            got = list(_texts(_split(t)[0], print_term, memo, subtrees=True))
+            # each spine Par but the root is the left operand of the next
+            return "(" * (len(got) - 2) + ") | ".join([" | ".join(got[:2])] + got[2:])
+
+        lines = [text(self.initial)]
         for k, (desc, term) in enumerate(self.steps, start=1):
-            lines.append(f"step {k}: {desc} => {print_term(term, memo)}")
+            lines.append(f"step {k}: {desc} => {text(term)}")
         return "\n".join(lines)
 
 
@@ -94,17 +115,20 @@ def fire(node: Term, lams: Optional[set[int]] = None) -> Optional[tuple]:
     each of its channels; otherwise None.  A beta's one channel is bound in
     its own continuation; comm and dist send across a Par.  lams, the
     lambdas of a _scan over a term holding node, answers that without a
-    walk of the continuation."""
-    match node:
-        case App(Send(x, u) as send, v):
-            lam = id(send) in lams if lams is not None else is_free_in(x, u)
-            return ("beta" if lam else "comm"), u, ((x, v),)
-        case Dist(x, y, Par(s, t)):
-            return "dist", UNIT, ((x, s), (y, t))
+    walk of the continuation.  Fields are read by index, as in _scan: a
+    class pattern costs about as much as the rest of a search step."""
+    if type(node) is App and type(node[1]) is Send:
+        _, (_, x, u), v = node
+        lam = id(node[1]) in lams if lams is not None else is_free_in(x, u)
+        return ("beta" if lam else "comm"), u, ((x, v),)
+    if type(node) is Dist and type(node[3]) is Par:
+        _, x, y, (_, s, t) = node
+        return "dist", UNIT, ((x, s), (y, t))
     return None
 
 
-def _step_text(kind: str, sends) -> str:
+def _step_text(firing: tuple) -> str:
+    kind, _, sends = firing
     if kind == "beta":
         return "Beta"
     return " ".join([kind.capitalize()] + [x for x, _ in sends])
@@ -128,46 +152,133 @@ def _across_par(above: set[int], c: Cell) -> bool:
     return type(c[2]) is Par
 
 
-def _redexes(scan: _Scan) -> Iterator[tuple[Cell, tuple, tuple[Cell, ...]]]:
-    """(activator cell, its firing, receiver cells) of every redex of the
-    scanned term, in find_redexes' order, one at a time."""
-    for act in scan.acts:
-        firing = fire(act[2], scan.lams)
-        if firing[0] == "beta":
-            # a beta's receiver is in its own continuation: nothing to choose
-            yield act, firing, ()
-            continue
-        above = _above(act)
-        choices = [[c for c in scan.free.get(x, ()) if _across_par(above, c)]
-                   for x, _ in firing[2]]
-        # activators come in preorder and each receiver list in preorder,
-        # so the product is already in (activator, receivers) order
-        for recv in product(*choices):
-            yield act, firing, recv
+# ---------------------------------------------------------------------------
+# A state as its components.  Every redex, receivers included, lies inside
+# the components of a term's left Par spine, and the least common ancestor
+# of two positions in different components is a spine Par; so a step
+# changes only the components that hold its activator and receivers.
+
+def _split(t: Term) -> tuple[list[Term], list[Term]]:
+    """The components of t along its left Par spine, left to right, and
+    the spine: its k-th term joins components 0..k, its last is t."""
+    spine = [t]
+    while type(spine[-1]) is Par:
+        spine.append(spine[-1][1])
+    spine.reverse()
+    return [spine[0], *map(itemgetter(2), spine[1:])], spine
 
 
-def _reduct(act: Cell, firing: tuple, receivers: Sequence[Cell]) -> Term:
-    """The term whose scan holds act and receivers, with the activator at
-    act fired: its continuation in its place, a beta's value substituted
-    into it, and each other value at its receiver, paired with sends in
-    order."""
+class _State:
+    """A reduction state: its components, each with its _scan, kept until
+    a step changes that component."""
+
+    __slots__ = ("parts", "scans", "owners")
+
+    def __init__(self, parts: list[Term]):
+        self.parts = parts
+        self.scans = list(map(_scan, parts))
+        # per name asked about, the components it is free in, in order
+        self.owners: dict[str, list[int]] = {}
+
+    def where(self, x: str) -> list[int]:
+        """The components x is free in, in order, asked of each component's
+        own index in C and kept until a step moves x (one component's own
+        index answers at once)."""
+        if len(self.scans) == 1:
+            return [0] if x in self.scans[0].free else []
+        if x not in self.owners:
+            has_x = map(contains, map(attrgetter("free"), self.scans), repeat(x))
+            self.owners[x] = list(compress(count(), has_x))
+        return self.owners[x]
+
+    def step(self, changed: dict[int, Term]) -> None:
+        """Put changed's components in place; only they are rescanned."""
+        for j, p in changed.items():
+            old, scan = self.scans[j].free.keys(), _scan(p)
+            if self.owners:  # forget the names asked about that came or went
+                for x in (old ^ scan.free.keys()) & self.owners.keys():
+                    del self.owners[x]
+            self.parts[j], self.scans[j] = p, scan
+
+
+def _receivers(state: _State, i: int, act: Cell, x: str) -> list[tuple[int, Cell]]:
+    """(component, cell) of each free occurrence of x that the activator
+    at cell act of component i can send to, in order: every one in another
+    component, and those in component i across a Par from act."""
+    out = []
+    for j in state.where(x):
+        cells = state.scans[j].free[x]
+        if j == i:
+            cells = [c for c in cells if _across_par(_above(act), c)]
+        out += zip(repeat(j), cells)
+    return out
+
+
+def _redexes(state: _State, cbv: bool = False) -> Iterator[tuple]:
+    """(component, activator cell, its firing, receivers) of every redex of
+    the state, in find_redexes' order, one at a time; a receiver is a
+    (component, cell) pair.  Components come left to right, and the
+    activators of each in preorder.  With cbv, only the redexes
+    call-by-value may fire (see below), its choice first."""
+    for i, scan in enumerate(state.scans):
+        for act in scan.acts:
+            node = act[2]
+            if cbv and not (type(node) is App and is_value(node[2]) and _at_eval(act)):
+                continue
+            firing = fire(node, scan.lams)
+            if firing[0] == "beta":
+                # a beta's receiver is in its own continuation: nothing to choose
+                yield i, act, firing, ()
+                continue
+            choices = [_receivers(state, i, act, x) for x, _ in firing[2]]
+            if cbv:  # a comm, into an evaluation position of another component
+                choices = [[r for r in choices[0] if r[0] != i and _at_eval(r[1])]]
+            # activators come in preorder and each receiver list in order,
+            # so the product is already in (activator, receivers) order
+            for recv in product(*choices):
+                yield i, act, firing, recv
+
+
+def _changed(i: int, act: Cell, firing: tuple, receivers: Sequence) -> dict:
+    """The components a redex changes, each rebuilt once: component i with
+    its activator at cell act fired, its continuation in its place and a
+    beta's value substituted into it, and each other value put at its
+    receiver, a (component, cell) pair, paired with sends in order."""
     kind, cont, sends = firing
     if kind == "beta":
         ((x, v),) = sends
-        return _put([(act, substitute(cont, x, v))])
-    return _put([(act, cont)]
-                + [(c, v) for c, (_, v) in zip(receivers, sends, strict=True)])
+        return {i: _put([(act, substitute(cont, x, v))])}
+    edits = {i: [(act, cont)]}
+    for (j, c), (_, v) in zip(receivers, sends, strict=True):
+        edits.setdefault(j, []).append((c, v))
+    for j, e in edits.items():
+        edits[j] = _put(e)
+    return edits
 
 
-def _in_paths(act: Cell, firing: tuple, receivers: Sequence[Cell]) -> Redex:
-    """The redex at the cells of one scan, named by paths."""
-    return Redex(firing[0], _path(act), tuple(map(_path, receivers)))
+def _in_paths(m: int, i: int, act: Cell, firing: tuple, receivers: Sequence) -> Redex:
+    """The redex at cells of a state of m components, named by paths into
+    the joined term."""
+    paths = [(0,) * (m - 1 - j) + (1,) * (j > 0) + _path(c)
+             for j, c in ((i, act), *receivers)]
+    return Redex(firing[0], paths[0], tuple(paths[1:]))
+
+
+# A state met once, as enumerate meets each, is one component: split, it
+# would be scanned whole all the same, and joined again for every reduct.
+
+def _reducts(t: Term) -> Iterator[Term]:
+    """The one-step reducts of t in find_redexes' order, each built from
+    the one scan of t."""
+    for found in _redexes(_State([t])):
+        yield _changed(*found)[0]
 
 
 def find_redexes(t: Term) -> list[Redex]:
-    """All redexes of t in leftmost-outermost activator order, read off one
-    _scan of t."""
-    return [_in_paths(*found) for found in _redexes(_scan(t))]
+    """All redexes of t in leftmost-outermost activator order, read off the
+    one scan of t."""
+    return [Redex(firing[0], _path(act), tuple(_path(c) for _, c in recv))
+            for _, act, firing, recv in _redexes(_State([t]))]
 
 
 def apply_redex(t: Term, r: Redex) -> Term:
@@ -177,33 +288,39 @@ def apply_redex(t: Term, r: Redex) -> Term:
     firing = fire(act[2])
     if firing is None or firing[0] != r.kind:
         raise StaleRedex(f"activator is not a {r.kind} redex")
-    if r.kind == "beta":
-        return _reduct(act, firing, ())
     receivers = tuple(cells)
-    above = _above(act)
-    for (x, _), c in zip(firing[2], receivers, strict=True):
-        if c[2] != Var(x) or not _across_par(above, c):
-            raise StaleRedex(f"receiver for {x!r} no longer valid")
-    return _reduct(act, firing, receivers)
+    if r.kind != "beta":
+        above = _above(act)
+        for (x, _), c in zip(firing[2], receivers, strict=True):
+            if c[2] != Var(x) or not _across_par(above, c):
+                raise StaleRedex(f"receiver for {x!r} no longer valid")
+    # t is one component here, and its cells are that component's
+    return _changed(0, act, firing, [(0, c) for c in receivers])[0]
 
 
 def normalize(t: Term) -> Trace:
     """Reduce t to normal form, always firing the first redex in
-    leftmost-outermost order, found and fired off one _scan per step.
-    Terminates because every step removes one Send or Dist node."""
+    leftmost-outermost order.  Each step rescans only the components it
+    changed.  Terminates because every step removes one Send or Dist node."""
     trace = Trace(t, [])
-    while True:
-        first = next(_redexes(_scan(t)), None)
-        if first is None:
-            return trace
-        act, firing, receivers = first
-        t = _reduct(act, firing, receivers)
-        trace.steps.append((_step_text(firing[0], firing[2]), t))
+    parts, spine = _split(t)
+    state = _State(parts)
+    # Par's constructor without the class call around it, which costs a
+    # third of each Par of the spine rebuilt above a step's components
+    par = partial(Par.__new__, Par)
+    while (found := next(_redexes(state), None)) is not None:
+        changed = _changed(*found)
+        state.step(changed)
+        lo = min(changed)
+        first = par(spine[lo - 1], parts[lo]) if lo else parts[0]
+        spine[lo:] = accumulate(parts[lo + 1:], par, initial=first)
+        trace.steps.append((_step_text(found[2]), spine[-1]))
+    return trace
 
 
 def enumerate_normal_forms(t: Term, max_states: int = 100_000) -> set[Term]:
     """Breadth-first exploration of every redex choice at every state,
-    each reduct built from the one _scan of its state.
+    each reduct built from the one scan of its state.
 
     Returns the set of syntactically distinct normal forms reached.
     Raises BudgetExceeded once more than max_states states are visited.
@@ -216,9 +333,8 @@ def enumerate_normal_forms(t: Term, max_states: int = 100_000) -> set[Term]:
         nxt: list[Term] = []
         for s in frontier:
             fired = False
-            for act, firing, receivers in _redexes(_scan(s)):
+            for s2 in _reducts(s):
                 fired = True
-                s2 = _reduct(act, firing, receivers)
                 # one lookup per reduct, whose hash tuple recomputes in C
                 # over every node (it keeps none): seen grows iff s2 is new
                 before = len(seen)
@@ -245,70 +361,40 @@ def is_value(t: Term) -> bool:
     return isinstance(t, (Send, Par))
 
 
-def _component(c: Cell, spine: set[int]) -> Optional[Cell]:
-    """The cell of the top-level component holding cell c, if c is at an
-    evaluation position of it, else None; spine holds the ids of the Par
-    nodes that join the components."""
-    while c[0] is not None and id(c[0][2]) not in spine:
+def _at_eval(c: Cell) -> bool:
+    """Whether cell c is at an evaluation position of the component whose
+    scan made it."""
+    while c[0] is not None:
         up = c[0]
         cls = type(up[2])
         if not (cls is Dist or cls is Close
                 or cls is App and (c[1] == 1 or is_value(up[2][1]))):
-            return None
+            return False
         c = up
-    return c
-
-
-def _cbv_fire(components: list[Term]) -> Optional[tuple]:
-    """cbv_step's new components beside the activator cell, the firing and
-    the receiver cells of the redex fired, from one _scan of the joined
-    components (only cbv_step needs the redex's paths): the first activator
-    at an evaluation position whose argument is a value fires, a comm into
-    the first free occurrence of its channel at an evaluation position of
-    another component."""
-    if not components:
-        return None
-    joined, spine = components[0], set()
-    for p in components[1:]:  # join_par, keeping the joining Pars' ids
-        joined = Par(joined, p)
-        spine.add(id(joined))
-    scan = _scan(joined)
-    for act in scan.acts:
-        node = act[2]
-        if type(node) is Dist or not is_value(node[2]):
-            continue
-        home = _component(act, spine)
-        if home is None:
-            continue
-        firing = fire(node, scan.lams)
-        kind, _, ((x, _),) = firing
-        receivers = ()
-        if kind == "comm":
-            for c in scan.free.get(x, ()):
-                there = _component(c, spine)
-                if there is not None and there is not home:
-                    receivers = (c,)
-                    break
-            else:
-                continue
-        fired = _reduct(act, firing, receivers)
-        return split_joined(fired, len(components)), act, firing, receivers
-    return None
+    return True
 
 
 def cbv_step(components: list[Term]) -> Optional[tuple[list[Term], Redex]]:
     """One call-by-value step over top-level components, scanning left to
     right.  Returns the new component list and the fired redex (with paths
     into the joined term), or None when every component is cbv-stuck.
-    Only applied outputs fire, and only on a value argument."""
-    fired = _cbv_fire(components)
-    return None if fired is None else (fired[0], _in_paths(*fired[1:]))
+    Only applied outputs fire, and only on a value argument: the first
+    activator at an evaluation position whose argument is a value, a comm
+    into the first free occurrence of its channel at an evaluation
+    position of another component."""
+    state = _State(list(components))
+    for found in _redexes(state, cbv=True):
+        state.step(_changed(*found))
+        return state.parts, _in_paths(len(components), *found)
+    return None
 
 
 def cbv_trace(components: list[Term]) -> list[tuple[str, list[Term]]]:
-    """Run cbv_step to exhaustion, collecting (description, state) pairs."""
+    """Run cbv_step to exhaustion, collecting (description, state) pairs;
+    each step rescans only the components it changed."""
     steps: list[tuple[str, list[Term]]] = []
-    while (fired := _cbv_fire(components)) is not None:
-        components, _, (kind, _, sends), _ = fired
-        steps.append((_step_text(kind, sends), components))
+    state = _State(list(components))
+    while (found := next(_redexes(state, cbv=True), None)) is not None:
+        state.step(_changed(*found))
+        steps.append((_step_text(found[2]), state.parts.copy()))
     return steps

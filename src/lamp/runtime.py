@@ -11,6 +11,12 @@ Each top-level parallel component runs as a worker.  A worker repeatedly:
    term, putting the delivered value at that channel's free occurrences,
    which the poll's scan already holds.
 
+A poll reads the worker's term as a reduction state of one component (see
+``reduction._State``), so local redexes are found by the same search
+normalize uses.  The state is made by the first poll of a term and kept
+through sleep and wake-up, so the poll a fill wakes scans nothing; a step
+drops it, and the next poll scans the new term.
+
 Linearity makes every channel single use, so a cell is filled exactly once
 and consumed exactly once; any second fill or consume aborts the run.  The
 scheduler is a seeded simulation: worker order is reshuffled every round,
@@ -31,9 +37,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .reduction import (
-    _above, _across_par, _reduct, _redexes, comm_size, fire,
+    _State, _above, _across_par, _changed, _redexes, comm_size, fire,
 )
-from .terms import Sequent, Term, _Scan, _put, _scan, flatten_par
+from .terms import Sequent, Term, _put, _scan, flatten_par
 
 
 class ChannelProtocolError(Exception):
@@ -78,6 +84,10 @@ class DeadlockReport(Exception):
 class _Worker:
     index: int
     term: Term
+    # term as a state of one component, made by the poll that first reads
+    # it and kept through sleep and wake-up until a step changes the term;
+    # dropped then, so that a scan is not kept while nobody reads it
+    state: Optional[_State] = None
     # set while a poll has made no progress and no cell for a name free
     # in term has been filled since: polling it again would do nothing
     asleep: bool = False
@@ -86,27 +96,29 @@ class _Worker:
              fill: Callable[[str, Term, int], None]) -> Optional[list[str]]:
         """Take one step if the worker can; return None if it did, else the
         names free in its term, whose fills are what can wake it."""
-        scan = _scan(self.term)
-        first = next(_redexes(scan), None)
+        if self.state is None:
+            self.state = _State([self.term])
+        first = next(_redexes(self.state), None)
         if first is not None:
-            self.term = _reduct(*first)
+            self.term, self.state = _changed(*first)[0], None
             return None
-        if self.send_step(scan, fill):
+        if self.send_step(fill):
             return None
+        scan = self.state.scans[0]
         ready = [x for x in scan.free
                  if x in cells and cells[x].state == "filled"]
         if ready:
             name = min(ready)
             value = cells[name].consume()
-            self.term = _put([(c, value) for c in scan.free[name]])
+            self.term, self.state = _put([(c, value) for c in scan.free[name]]), None
             return None
         return list(scan.free)
 
-    def send_step(self, scan: _Scan,
-                  fill: Callable[[str, Term, int], None]) -> bool:
+    def send_step(self, fill: Callable[[str, Term, int], None]) -> bool:
         """Fire an activator with a receiver in another component (poll has
         fired every local redex, betas too): its value fills that channel's
         cell, while a receiver in this component gets its value in place."""
+        scan = self.state.scans[0]
         for act in scan.acts:
             kind, cont, sends = fire(act[2], scan.lams)
             local = [scan.free.get(x) for x, _ in sends]
@@ -116,12 +128,11 @@ class _Worker:
             if any(occ and not _across_par(above, occ[0]) for occ in local):
                 continue  # not yet deliverable
             here = [(x, v) for (x, v), occ in zip(sends, local) if occ]
-            term = _reduct(act, (kind, cont, here),
-                           [occ[0] for occ in local if occ])
+            self.term, self.state = _changed(0, act, (kind, cont, here), [
+                (0, occ[0]) for occ in local if occ])[0], None
             for (x, v), occ in zip(sends, local):
                 if not occ:
                     fill(x, v, self.index)
-            self.term = term
             return True
         return False
 

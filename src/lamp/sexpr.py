@@ -47,8 +47,11 @@ def derivation_to_sexpr(d: Derivation) -> str:
 
 
 def mll_to_sexpr(d: Derivation) -> str:
+    # nodes share their unchanged types: through one span memo each shared
+    # type is printed once
     from .mll import print_mll_sequent
-    return _write(d, print_mll_sequent)
+    memo: dict = {}
+    return _write(d, lambda s: print_mll_sequent(s, memo))
 
 
 def _quote(s: str) -> str:

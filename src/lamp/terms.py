@@ -668,16 +668,23 @@ def _entry_text(e: DeltaEntry, memo: Optional[Memo]) -> str:
     return term if e.type is None else f"{term} : {print_type(e.type, memo)}"
 
 
-def _texts(items: tuple, fmt: Callable, memo: Optional[Memo]) -> Iterable[str]:
+def _texts(items: tuple, fmt: Callable, memo: Optional[Memo],
+           subtrees: bool = False) -> Iterable[str]:
     """fmt(item, memo) for each of items.  With a memo, an item object's
     text is made once and kept in memo under its id as a whole-text span,
-    and the items found there are read in C."""
+    and the items found there are read in C.  subtrees says that an item
+    may also have been printed inside another (a type inside a type), so
+    that its span is cut out of that text, in C too."""
     if memo is None:
         return [fmt(x, memo) for x in items]
     for x in compress(items, map(not_, map(memo.__contains__, map(id, items)))):
         text = fmt(x, memo)
         memo[id(x)] = (text, 0, len(text))
-    return map(itemgetter(0), map(memo.__getitem__, map(id, items)))
+    spans = list(map(memo.__getitem__, map(id, items)))
+    if not subtrees:
+        return map(itemgetter(0), spans)
+    cuts = map(slice, map(itemgetter(1), spans), map(itemgetter(2), spans))
+    return map(str.__getitem__, map(itemgetter(0), spans), cuts)
 
 
 def print_sequent(s: Sequent, memo: Optional[Memo] = None) -> str:

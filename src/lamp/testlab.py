@@ -30,11 +30,11 @@ from .derivations import (
 from .metatheory import check_no_freaks, check_subformula
 from .mll import MllRule, MllSequent
 from .reconstruct import reconstruct
-from .reduction import _reduct, _redexes, comm_size, enumerate_normal_forms
+from .reduction import _reducts, comm_size, enumerate_normal_forms
 from .runtime import run_concurrent
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, UNIT, _scan, children, flatten_par, fold, nodes,
+    Term, TypeExpr, UNIT, children, flatten_par, fold, nodes,
     print_term, split_joined,
 )
 
@@ -463,8 +463,8 @@ RUNTIME_SEEDS = 5
 
 def one_step(t: Term) -> list[Term]:
     """The one-step reducts of t in find_redexes order, each built once
-    from one _scan of t."""
-    return [_reduct(*redex) for redex in _redexes(_scan(t))]
+    from one scan per component of t."""
+    return list(_reducts(t))
 
 
 def _walk(seq: Sequent, reducts) -> list[tuple[Sequent, list[Sequent]]]:

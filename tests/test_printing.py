@@ -4,35 +4,37 @@ each term on its own; the memo stays linear in what it prints."""
 
 import random
 import tracemalloc
+from functools import lru_cache
 
 from hypothesis import given, strategies as st
 
+from lamp.mll import MllSequent, nmll_to_mll, print_mll_sequent
 from lamp.parser import parse_term, parse_type
 from lamp.reconstruct import reconstruct
 from lamp.reduction import Trace, cbv_trace, normalize
-from lamp.sexpr import _write, derivation_to_sexpr
+from lamp.sexpr import _write, derivation_to_sexpr, mll_to_sexpr
 from lamp.terms import (
-    App, BOT, Lolli, Par, ParT, Send, UNIT, Var, children, flatten_par,
+    App, Atom, BOT, Lolli, Par, ParT, Send, UNIT, Var, children, flatten_par,
     join_par, nodes, preorder, print_sequent, print_term, print_type,
     replace_at,
 )
-from lamp.testlab import GenConfig, gen_derivation
+from lamp.testlab import GenConfig, gen_derivation, gen_mll
 from tests.test_checker import _INPUTS
 from tests.test_terms import _terms
 
 SIZES = range(8, 49, 8)
 
 
+@lru_cache(maxsize=1)
 def _derivations():
     """400 generated derivations, then the bench's ring and relay programs
     at n = 8..48, reconstructed."""
-    for max_nodes in (12, 36):
-        for seed in range(200):
-            yield gen_derivation(GenConfig(seed=seed, max_nodes=max_nodes))
+    out = [gen_derivation(GenConfig(seed=seed, max_nodes=max_nodes))
+           for max_nodes in (12, 36) for seed in range(200)]
     rng = random.Random(1)
     for make in (_INPUTS.ring_case, _INPUTS.relay_case):
-        for n in SIZES:
-            yield reconstruct(make(0, n, rng).sequent)
+        out += [reconstruct(make(0, n, rng).sequent) for n in SIZES]
+    return out
 
 
 def _render_alone(trace: Trace) -> str:
@@ -69,6 +71,30 @@ def test_a_memo_prints_each_subterm_as_it_prints_alone(t, rng):
         alive.append(edited)
         assert print_term(edited, memo) == print_term(edited)
     assert print_term(t, memo) == print_term(t)
+
+
+def test_mll_memo_printing_is_byte_identical():
+    # mll_to_sexpr prints every conclusion through one span memo; printed
+    # alone, each must give the same text
+    ms = [gen_mll(GenConfig(seed=seed, max_nodes=max_nodes))
+          for max_nodes in (12, 36) for seed in range(200)]
+    ms += [nmll_to_mll(d) for d in _derivations()[400:]]
+    assert len(ms) == 400 + 2 * len(SIZES)
+    for m in ms:
+        assert mll_to_sexpr(m) == _write(m, print_mll_sequent)
+
+
+def test_a_type_printed_inside_another_prints_alone_as_an_item():
+    # the memo holds the inner type as a span of the outer one's text, and
+    # the sequent's own entry for it must be cut out of that text
+    inner = Lolli(Atom("A"), Atom("B"))
+    outer = Lolli(inner, BOT)  # alive while memo is used, as a caller must
+    memo = {}
+    assert print_type(outer, memo) == "(A -o B) -o bot"
+    s = MllSequent((inner,), (ParT(inner, inner), inner))
+    want = "A -o B |- A -o B par A -o B, A -o B"
+    assert print_mll_sequent(s, memo) == print_mll_sequent(s) == want
+    assert print_mll_sequent(s, memo) == want
 
 
 def test_types_print_through_the_memo_terms_use():

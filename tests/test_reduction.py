@@ -6,19 +6,21 @@ import random
 
 import pytest
 
-from lamp import reduction
+from lamp import reduction, terms
 from lamp.parser import parse_program, parse_term
 from lamp.reduction import (
-    BudgetExceeded, StaleRedex, apply_redex, cbv_step, cbv_trace,
+    BudgetExceeded, StaleRedex, Trace, apply_redex, cbv_step, cbv_trace,
     comm_size, enumerate_normal_forms, find_redexes, is_value, normalize,
 )
 from lamp.runtime import run_concurrent
 from lamp.terms import (
-    App, Dist, Par, Send, UNIT, Var, _scan, flatten_par, join_par, print_term,
+    App, Close, Dist, Par, Send, UNIT, Var, _scan, children, flatten_par,
+    join_par, nodes, print_term,
 )
 from lamp.testlab import GenConfig, gen_derivation
 from tests.conftest import corpus_text
 from tests.test_checker import _INPUTS
+from tests.test_index import _old_find_redexes
 
 # sha256 over 400 generated programs of everything the reducers print:
 # normalize's trace, each cbv step, three concurrent runs and, for small
@@ -111,9 +113,10 @@ def test_normalize_single_beta():
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])
-def test_normalize_scans_once_per_step(monkeypatch, n):
-    # a count guard, not a timing guard: each step is found and fired off
-    # one scan of its state, and the normal form takes one more
+def test_normalize_rescans_only_the_components_a_step_changes(monkeypatch, n):
+    # a count guard, not a timing guard: the first state is scanned once per
+    # component, then each ring step rescans the two components it changed
+    # (sender and receiver), and the normal form needs no scan of its own
     calls = 0
 
     def counted(t):
@@ -123,9 +126,10 @@ def test_normalize_scans_once_per_step(monkeypatch, n):
 
     monkeypatch.setattr(reduction, "_scan", counted)
     case = _INPUTS.ring_case(0, n, random.Random(n))
-    trace = normalize(case.sequent.joined_term())
-    assert len(trace.steps) >= n
-    assert calls == len(trace.steps) + 1
+    t = case.sequent.joined_term()
+    trace = normalize(t)
+    assert len(trace.steps) == n + 1
+    assert calls == len(flatten_par(t)) + 2 * len(trace.steps)
 
 
 @pytest.mark.parametrize("name,final_components,steps", [
@@ -287,3 +291,168 @@ def test_reduction_behaviour_is_byte_stable():
                 lines += sorted(print_term(n) for n in enumerate_normal_forms(t))
             h.update(("\n".join(lines) + "\n").encode())
     assert h.hexdigest() == REDUCTION_DIGEST
+
+
+# -- states as components, against the per-channel oracle --------------------
+
+SIZES = range(8, 49, 8)
+
+
+def _programs():
+    """The 400 generated programs, then ring(n) and relay(n), n = 8..48."""
+    for max_nodes in (12, 36):
+        for seed in range(200):
+            yield gen_derivation(GenConfig(seed=seed, max_nodes=max_nodes)) \
+                .conclusion.joined_term()
+    rng = random.Random(2)
+    for make in (_INPUTS.ring_case, _INPUTS.relay_case):
+        for n in SIZES:
+            yield make(0, n, rng).sequent.joined_term()
+
+
+def _render_alone(trace):
+    """Trace.render's lines, each state printed on its own without a memo."""
+    return [print_term(trace.initial)] + [
+        f"step {k}: {desc} => {print_term(t)}"
+        for k, (desc, t) in enumerate(trace.steps, start=1)]
+
+
+def _check_against_oracle(t):
+    """Every normalize step fires the oracle's first redex of its state,
+    every cbv step one of the oracle's redexes, and both traces render
+    as their states print alone."""
+    trace = normalize(t)
+    state = t
+    for desc, nxt in trace.steps:
+        first = _old_find_redexes(state)[0]
+        assert (desc, nxt) == (first.describe(state), apply_redex(state, first))
+        state = nxt
+    assert _old_find_redexes(state) == []
+    assert trace.render().split("\n") == _render_alone(trace)
+
+    comps = flatten_par(t)
+    cbv = Trace(t, [])
+    for desc, after in cbv_trace(comps):
+        joined, nxt = join_par(comps), join_par(after)
+        assert any((r.describe(joined), apply_redex(joined, r)) == (desc, nxt)
+                   for r in _old_find_redexes(joined)), print_term(joined)
+        cbv.steps.append((desc, nxt))
+        comps = after
+    assert cbv.render().split("\n") == _render_alone(cbv)
+    return len(trace.steps) + len(cbv.steps)
+
+
+def test_every_step_matches_the_per_channel_oracle():
+    steps = sum(map(_check_against_oracle, _programs()))
+    assert steps > 2000
+
+
+# hand-made states: (term, the lines its normalize trace renders)
+EDGE_SHAPES = {
+    # component 0 turns into a Par, whose halves then communicate
+    "component 0 is a Par": (
+        Par(App(Send("x", Par(App(Send("y", UNIT), Var("w")), Var("y"))),
+                Var("v")), Var("x")),
+        ["(out x. ((out y. *) w | y)) v | x",
+         "step 1: Comm x => ((out y. *) w | y) | v",
+         "step 2: Comm y => (* | w) | v"]),
+    # a right-hand component nested to the right, as the parser nests
+    "a right-hand component is a Par": (
+        Par(App(Send("x", UNIT), Var("v")), Par(Var("u"), Var("x"))),
+        ["(out x. *) v | u | x", "step 1: Comm x => * | u | v"]),
+    # sender and receiver meet at a Par inside one component
+    "receiver in the activator's own component": (
+        Par(Var("u"), Close(Par(App(Send("x", UNIT), Var("v")), Var("x")))),
+        ["u | close((out x. *) v | x)", "step 1: Comm x => u | close(* | v)"]),
+    "a Dist with receivers in two other components": (
+        join_par([Dist("x", "y", Par(Var("s"), Var("t"))), Close(Var("x")),
+                  App(Var("f"), Var("y"))]),
+        ["(out2 x y. (s | t) | close(x)) | f y",
+         "step 1: Dist x y => (* | close(s)) | f t"]),
+    # the Send over z is rebuilt, and z occurs only in f z, which state 0
+    # printed: its lam comes from the component's scan, not the memo
+    "a rebuilt Send bound in an unchanged subtree": (
+        Par(App(Send("x", UNIT), Var("v")),
+            Send("z", App(App(Var("f"), Var("z")), Var("x")))),
+        ["(out x. *) v | lam z. f z x", "step 1: Comm x => * | lam z. f z v"]),
+    # x is asked about while its occurrence sits beside its output, not
+    # across a Par; the Comm y moves it into component 1, where x reaches it
+    "a channel whose occurrence moves to another component": (
+        Par(App(Send("x", UNIT), App(Send("y", UNIT), Var("x"))), Var("y")),
+        ["(out x. *) ((out y. *) x) | y", "step 1: Comm y => (out x. *) * | x",
+         "step 2: Comm x => * | *"]),
+    # the receiver's value turns its binder from an output into a lambda
+    "a binder that flips": (
+        Par(App(Send("y", UNIT), Var("x")), App(Send("x", Var("y")), Var("v"))),
+        ["(out y. *) x | (out x. y) v", "step 1: Comm y => * | (lam x. x) v",
+         "step 2: Beta => * | v"]),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_SHAPES)
+def test_edge_shapes_reduce_and_render_as_the_oracle_says(name):
+    t, lines = EDGE_SHAPES[name]
+    _check_against_oracle(t)
+    assert normalize(t).render().split("\n") == lines
+
+
+def test_cbv_with_a_par_as_component_0():
+    # cbv keeps the components it is given: a Par component is one value
+    # and the handshake into component 1 still fires
+    comps = [Par(Var("u"), Var("w")), App(Send("x", UNIT), Send("a", Var("a"))),
+             App(Send("k", Var("k")), Var("x"))]
+    steps = cbv_trace(comps)
+    assert [(d, [print_term(c) for c in s]) for d, s in steps] == [
+        ("Comm x", ["u | w", "*", "(lam k. k) (lam a. a)"]),
+        ("Beta", ["u | w", "*", "lam a. a"])]
+    assert cbv_step(comps)[1] in _old_find_redexes(join_par(comps))
+
+
+# -- work counters, not wall time ----------------------------------------------
+
+def _work(monkeypatch, t):
+    """The nodes _scan visits and the nodes _print prints anew (a node the
+    memo holds is copied, not printed) over normalize(t).render()."""
+    scanned = printed = 0
+    scan, print_ = terms._scan, terms._print
+
+    def counted_scan(u):
+        nonlocal scanned
+        scanned += sum(1 for _ in nodes(u, children))
+        return scan(u)
+
+    def counted_print(u, memo, lams):
+        nonlocal printed
+        stack = [u]
+        while stack:
+            s = stack.pop()
+            if memo is None or len(s) == s._first or id(s) not in memo:
+                printed += 1
+                stack.extend(children(s))
+        return print_(u, memo, lams)
+
+    monkeypatch.setattr(terms, "_scan", counted_scan)
+    monkeypatch.setattr(reduction, "_scan", counted_scan)
+    monkeypatch.setattr(terms, "_print", counted_print)
+    trace = normalize(t)
+    trace.render()
+    return scanned, printed, len(trace.steps)
+
+
+def test_relay_work_grows_linearly(monkeypatch):
+    # each relay step changes one or two small components
+    small = _work(monkeypatch, _INPUTS.relay_case(0, 64, random.Random(0))
+                  .sequent.joined_term())
+    big = _work(monkeypatch, _INPUTS.relay_case(0, 128, random.Random(0))
+                .sequent.joined_term())
+    assert big[0] <= 2.2 * small[0] and big[1] <= 2.2 * small[1], (small, big)
+
+
+def test_ring_work_is_a_fraction_of_rescanning_every_state(monkeypatch):
+    # ring forwards a value that grows with n, so the component receiving
+    # it is rescanned whole each step and ring stays quadratic; printing
+    # copies that value from the memo
+    t = _INPUTS.ring_case(0, 256, random.Random(0)).sequent.joined_term()
+    scanned, printed, steps = _work(monkeypatch, t)
+    whole = steps * sum(1 for _ in nodes(t, children))
+    assert scanned <= whole / 3 and printed <= whole / 3, (scanned, printed, whole)

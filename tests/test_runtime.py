@@ -15,7 +15,7 @@ from lamp.runtime import (
 )
 from lamp.testlab import GenConfig, gen_derivation
 from lamp.terms import (
-    App, DeltaEntry, Par, ParT, BOT, Send, Sequent, UNIT, Var, _scan,
+    App, DeltaEntry, Par, ParT, BOT, Send, Sequent, UNIT, Var,
     flatten_par, print_term,
 )
 from tests.conftest import corpus_text
@@ -143,15 +143,16 @@ class _AlwaysAwake(runtime._Worker):
 
 
 def _counted_run(monkeypatch, sequent, seed):
-    # every poll scans its worker's term once, and redex search reads that scan
+    # every poll starts one redex search over its worker's kept scan
     calls = 0
+    real = runtime._redexes
 
-    def counted(t):
+    def counted(state):
         nonlocal calls
         calls += 1
-        return _scan(t)
+        return real(state)
 
-    monkeypatch.setattr(runtime, "_scan", counted)
+    monkeypatch.setattr(runtime, "_redexes", counted)
     return run_concurrent(sequent, seed=seed), calls
 
 
@@ -183,3 +184,18 @@ def test_sleeping_workers_leave_the_schedule_unchanged(monkeypatch):
     monkeypatch.setattr(runtime, "_Worker", _AlwaysAwake)
     assert [[run_concurrent(seq, seed=s) for s in range(3)]
             for seq in programs] == want
+
+
+def test_final_list_is_the_same_on_every_seed():
+    # the scheduler's seed orders the workers' polls, and on these programs
+    # no order moves the final list: each worker ends with the same term
+    rng = random.Random(0)
+    programs = [gen_derivation(GenConfig(seed=seed, max_nodes=m)).conclusion
+                for m in (12, 36) for seed in range(200)]
+    programs += [make(0, n, rng).sequent for n in range(8, 25)
+                 for make in (_INPUTS.ring_case, _INPUTS.relay_case)]
+    for seq in programs:
+        first = run_concurrent(seq, seed=0)
+        for seed in range(1, 10):
+            assert run_concurrent(seq, seed=seed) == first, \
+                (print_term(seq.joined_term()), seed)

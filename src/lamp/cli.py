@@ -176,10 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scheduler permutation for --mode concurrent")
     p.set_defaults(fn=cmd_run)
 
-    p = sub.add_parser("enumerate", help="explore every reduction order")
+    p = sub.add_parser("enumerate", help="explore every reduction order, "
+                       "one past each pinned beta of a linear program")
     p.add_argument("file")
     p.add_argument("--budget", type=positive, default=100_000,
-                   help="maximum number of visited states")
+                   help="maximum number of states the search visits")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("translate", help="convert between derivation styles")

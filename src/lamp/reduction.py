@@ -34,6 +34,10 @@ cbv and the runtime (one component per worker) keep their states' scans
 across steps.  ``find_redexes``, ``apply_redex`` and
 ``enumerate_normal_forms`` meet each state once and run the same search
 on it as one component, which costs one scan as a split state would.
+On a linear term, ``enumerate_normal_forms`` follows only a state's first
+pinned beta, one whose variable no rule can move out of its body: such a
+beta is a persistent set (Godefroid 1996, "Partial-Order Methods for the
+Verification of Concurrent Systems"), so every normal form is still met.
 ``find_redexes`` and ``apply_redex`` speak in paths, for callers that
 hold a redex across calls, and ``apply_redex`` checks that it still
 matches.  ``Trace.render`` prints a state component by component, so a
@@ -267,11 +271,56 @@ def _in_paths(m: int, i: int, act: Cell, firing: tuple, receivers: Sequence) -> 
 # A state met once, as enumerate meets each, is one component: split, it
 # would be scanned whole all the same, and joined again for every reduct.
 
-def _reducts(t: Term) -> Iterator[Term]:
+def _reducts(t: Term, linear: bool = False) -> Iterator[Term]:
     """The one-step reducts of t in find_redexes' order, each built from
-    the one scan of t."""
-    for found in _redexes(_State([t])):
-        yield _changed(*found)[0]
+    the one scan of t.  If linear (see enumerate_normal_forms), only the
+    first pinned beta's when t has one."""
+    state = _State([t])
+    found = _redexes(state)
+    if linear:
+        scan = state.scans[0]
+        for act in scan.acts:
+            lam = act[2][1]
+            if type(lam) is Send and id(lam) in scan.lams and _pinned(lam):
+                found = [(0, act, fire(act[2], scan.lams), ())]
+                break
+    for f in found:
+        yield _changed(*f)[0]
+
+
+def _linear(t: Term) -> bool:
+    """Whether no name of t is bound twice, by a Send or by either name of
+    a Dist, and no bound name occurs twice as a variable."""
+    bound: list[str] = []
+    uses: dict[str, int] = {}
+    for s in nodes(t, children):
+        cls = type(s)
+        if cls is Var:
+            uses[s[1]] = uses.get(s[1], 0) + 1
+        elif cls is Send:
+            bound.append(s[1])
+        elif cls is Dist:
+            bound += s[1:3]
+    return len(set(bound)) == len(bound) and all(uses.get(x, 0) < 2 for x in bound)
+
+
+def _pinned(lam: Send) -> bool:
+    """Whether lam x. u has an x reached from u through no App argument and
+    no Dist body: the positions no rule moves out of u."""
+    x, stack = lam[1], [lam[2]]
+    while stack:
+        s = stack.pop()
+        cls = type(s)
+        if cls is Var:
+            if s[1] == x:
+                return True
+        elif cls is App:
+            stack.append(s[1])
+        elif cls is Par:
+            stack += s[1:]
+        elif cls is Send or cls is Close:
+            stack.append(s[-1])
+    return False
 
 
 def find_redexes(t: Term) -> list[Redex]:
@@ -319,12 +368,33 @@ def normalize(t: Term) -> Trace:
 
 
 def enumerate_normal_forms(t: Term, max_states: int = 100_000) -> set[Term]:
-    """Breadth-first exploration of every redex choice at every state,
-    each reduct built from the one scan of its state.
+    """Breadth-first search of t's reduction orders, each reduct built from
+    the one scan of its state.  Returns the set of syntactically distinct
+    normal forms reached.  Raises BudgetExceeded once the search has
+    visited more than max_states states; with the pruning below, it may
+    visit far fewer states than are reachable.
 
-    Returns the set of syntactically distinct normal forms reached.
-    Raises BudgetExceeded once more than max_states states are visited.
+    If t is linear (no name bound twice, by a Send or by either name of a
+    Dist, and no bound name used twice), each state follows only its first
+    pinned beta in redex order when it has one: a ``(lam x. u) v`` whose x
+    is reached from u through no App argument and no Dist body.  No rule
+    copies, so every state is linear too.  Otherwise, and at a state with
+    no pinned beta, it follows every redex.  A pinned beta is a persistent
+    set (Godefroid 1996), so this reaches every normal form:
+
+    * on a path that does not fire it, it stays a pinned beta: rules move
+      only App arguments and Dist bodies, and none copies;
+    * firing it moves v only inside its own App, so every other redex of
+      the state keeps the least common ancestor that enables it;
+    * so it commutes with every other redex, and a normal form reached by
+      a path from the state is reached by one that fires it first.  Every
+      path ends, as each step removes a Send or a Dist node.
+
+    Comms are not pruned: one can disable another through the value it
+    carries, as in ``(out x. *) y | x ((out y. w) u)``, which has the two
+    normal forms ``* | u w`` and ``* | y ((out y. w) u)``.
     """
+    linear = _linear(t)
     seen: set[Term] = set()
     normal: set[Term] = set()
     frontier = [t]
@@ -333,7 +403,7 @@ def enumerate_normal_forms(t: Term, max_states: int = 100_000) -> set[Term]:
         nxt: list[Term] = []
         for s in frontier:
             fired = False
-            for s2 in _reducts(s):
+            for s2 in _reducts(s, linear):
                 fired = True
                 # one lookup per reduct, whose hash tuple recomputes in C
                 # over every node (it keeps none): seen grows iff s2 is new

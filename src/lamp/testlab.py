@@ -457,7 +457,7 @@ class Report:
         return "\n".join(lines)
 
 
-CONFLUENCE_CS_LIMIT = 6
+CONFLUENCE_CS_LIMIT = 12
 RUNTIME_SEEDS = 5
 
 

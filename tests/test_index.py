@@ -5,9 +5,9 @@
 oracles below are the walks lamp used before: one ``occurrences`` walk per
 name, and a ``find_redexes`` that walks the term once per channel.  Both
 must agree with the index on every state normalize reaches, and on every
-state enumerate visits, for 400 generated programs.  On the same states, the
-reducts that enumerate and normalize build from one scan must be the
-ones ``apply_redex`` builds from each redex's paths.
+state reachable at comm_size <= 6, for 400 generated programs.  On the
+same states, the reducts that enumerate and normalize build from one scan
+must be the ones ``apply_redex`` builds from each redex's paths.
 """
 
 from functools import lru_cache
@@ -93,8 +93,11 @@ def _old_find_redexes(t):
 
 # -- the states both are compared on ----------------------------------------
 
-def _reachable(t):
-    """Every state enumerate_normal_forms visits from t."""
+def _reachable(t, limit=None):
+    """Every state reachable from t, by a plain breadth-first search over
+    every redex of every state: the oracle for enumerate_normal_forms,
+    which follows one beta where it may.  None once more than limit
+    states are found."""
     seen = {t}
     frontier = [t]
     while frontier:
@@ -104,6 +107,8 @@ def _reachable(t):
                 s2 = apply_redex(s, r)
                 if s2 not in seen:
                     seen.add(s2)
+                    if limit is not None and len(seen) > limit:
+                        return None
                     nxt.append(s2)
         frontier = nxt
     return seen
@@ -174,7 +179,8 @@ def test_is_free_in_respects_a_dist_binding_one_name_twice():
 
 
 def _check_reducts_from_one_scan(t, normalizes=True):
-    # what enumerate_normal_forms builds for t, in its order
+    # what enumerate_normal_forms builds for t, in its order, where it
+    # follows every redex
     redexes = find_redexes(t)
     assert list(_reducts(t)) == [apply_redex(t, r) for r in redexes], print_term(t)
     if not normalizes:

@@ -3,8 +3,10 @@ enumeration, and the call-by-value discipline."""
 
 import hashlib
 import random
+from itertools import count
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from lamp import reduction, terms
 from lamp.parser import parse_program, parse_term
@@ -20,7 +22,8 @@ from lamp.terms import (
 from lamp.testlab import GenConfig, gen_derivation
 from tests.conftest import corpus_text
 from tests.test_checker import _INPUTS
-from tests.test_index import _old_find_redexes
+from tests.test_index import _old_find_redexes, _reachable
+from tests.test_terms import _terms
 
 # sha256 over 400 generated programs of everything the reducers print:
 # normalize's trace, each cbv step, three concurrent runs and, for small
@@ -166,6 +169,27 @@ def test_enumerate_budget():
         enumerate_normal_forms(prog.sequent.joined_term(), max_states=3)
 
 
+@pytest.mark.parametrize("text,forms", [
+    # linear: the comm on x1 and the beta on f join in one step, yet firing
+    # the comm first loses the first form, so a diamond licenses no pruning
+    ("(out x1. *) x2 | (lam f. f x1) (out x2. *)",
+     {"(out x1. *) x1 | *", "* | (out x2. *) x2"}),
+    # linear: both ends of both comms are pinned, yet x's carries y and so
+    # disables y's, so comms are not pruned
+    ("(out x. *) y | x ((out y. w) u)", {"* | u w", "* | y ((out y. w) u)"}),
+    # linear: an x in an App argument is not pinned, as the comm on a
+    # carries it out of the beta's body
+    ("(lam x. (out a. *) x) b | (out b. *) a",
+     {"(out a. *) a | *", "(out x. *) x | *", "* | (out b. *) b"}),
+    # not linear: a beta that copies its argument is no persistent set
+    ("(lam x. x x) ((out c. *) w) | c",
+     {"(out c. *) w * | w", "* ((out c. *) w) | w", "* * | w"}),
+])
+def test_enumerate_finds_every_normal_form_of_a_race(text, forms):
+    t = parse_term(text)
+    assert {print_term(n) for n in enumerate_normal_forms(t)} == forms
+
+
 def test_maximal_traces_same_length():
     # explore every maximal reduction sequence of a small program and check
     # they all have length cs(t) - cs(nf)
@@ -291,6 +315,95 @@ def test_reduction_behaviour_is_byte_stable():
                 lines += sorted(print_term(n) for n in enumerate_normal_forms(t))
             h.update(("\n".join(lines) + "\n").encode())
     assert h.hexdigest() == REDUCTION_DIGEST
+
+
+# -- enumerate's pruned search, against the plain breadth-first search -------
+
+def _bfs_normal_forms(t, limit=None):
+    """The normal forms _reachable finds from t; None past limit states."""
+    states = _reachable(t, limit)
+    return None if states is None else \
+        {s for s in states if not _old_find_redexes(s)}
+
+
+def test_enumerate_matches_the_plain_search_on_generated_programs(monkeypatch):
+    visited = 0
+    real = reduction._reducts
+
+    def counted(*args):
+        nonlocal visited
+        visited += 1
+        return real(*args)
+
+    monkeypatch.setattr(reduction, "_reducts", counted)
+    programs, bfs_states = 0, 0
+    for max_nodes in (12, 36):
+        for seed in range(200):
+            t = gen_derivation(GenConfig(seed=seed, max_nodes=max_nodes)) \
+                .conclusion.joined_term()
+            if comm_size(t) > 8:
+                continue
+            programs += 1
+            states = _reachable(t)
+            bfs_states += len(states)
+            want = {s for s in states if not _old_find_redexes(s)}
+            assert enumerate_normal_forms(t) == want, print_term(t)
+    # a count guard: generated programs are linear, and their betas are
+    # mostly pinned, so a search that stops pruning visits the 9,254
+    assert (programs, bfs_states, visited) == (333, 9254, 1486)
+
+
+@given(_terms(4))
+def test_enumerate_matches_the_plain_search_on_untyped_terms(t):
+    # most of these bind or use a name twice and take the unpruned path;
+    # a beta that copies may never stop, so the oracle is bounded
+    want = _bfs_normal_forms(t, 2000)
+    assume(want is not None)
+    assert enumerate_normal_forms(t) == want
+
+
+# (arity, build) of each shape _linear_terms draws, leaves first; an
+# applied Send, a beta or a comm once named, is listed twice
+_SHAPES = [
+    (0, lambda: UNIT), (0, lambda: Var("?")),
+    (2, lambda u, v: App(Send("?", u), v)), (2, lambda u, v: App(Send("?", u), v)),
+    (2, Par), (2, App), (2, lambda s, t: Dist("?", "?", Par(s, t))), (1, Close),
+]
+
+
+@st.composite
+def _linear_terms(draw):
+    """Untyped terms with unique binders, each bound name used at most
+    once: a shape of applied Sends, Pars, Apps, binary outputs and closes,
+    whose binders are named apart in preorder.  Each variable takes a
+    binder's name not yet used, most often its innermost enclosing one's,
+    or a free name."""
+    def shape(depth):
+        arity, build = draw(st.sampled_from(_SHAPES if depth else _SHAPES[:2]))
+        return build(*(shape(depth - 1) for _ in range(arity)))
+
+    t = shape(draw(st.integers(2, 5)))
+    names = iter(count())
+    unused = [f"n{i}" for i in range(sum(
+        len(s[1:s._first]) for s in nodes(t, children) if type(s) is not Var))]
+
+    def named(s, scope):
+        if type(s) is Var:
+            mine = [x for x in scope if x in unused][-1:]
+            x = draw(st.sampled_from(mine * 2 + unused + ["free"]))
+            if x in unused:
+                unused.remove(x)
+            return Var(x)
+        binds = [f"n{next(names)}" for _ in s[1:s._first]]
+        return type(s)(*binds, *(named(k, scope + binds) for k in children(s)))
+
+    return named(t, [])
+
+
+@given(_linear_terms())
+def test_enumerate_matches_the_plain_search_on_linear_terms(t):
+    assert reduction._linear(t)
+    assert enumerate_normal_forms(t) == _bfs_normal_forms(t)
 
 
 # -- states as components, against the per-channel oracle --------------------

@@ -33,11 +33,10 @@ _EXPORTS = {
     ),
     "derivations": (
         "Derivation", "LinearityError", "Rule", "RuleViolation",
-        "check_channel_linearity", "check_derivation",
+        "TypecheckError", "check_channel_linearity", "check_derivation",
     ),
     "reconstruct": (
-        "LinearityViolation", "TypecheckError", "UnificationFailure",
-        "UnsatisfiableSplit",
+        "LinearityViolation", "UnificationFailure", "UnsatisfiableSplit",
     ),
     "metatheory": (
         "BottomLike", "HeadVar", "NormalShape", "PreconditionViolation",
@@ -47,8 +46,8 @@ _EXPORTS = {
     ),
     "reduction": (
         "BudgetExceeded", "Redex", "StaleRedex", "Trace", "apply_redex",
-        "cbv_step", "cbv_trace", "comm_size", "enumerate_normal_forms",
-        "find_redexes", "is_value", "normalize",
+        "cbv_trace", "comm_size", "enumerate_normal_forms", "find_redexes",
+        "is_value", "normalize",
     ),
     "mll": (
         "MllDerivation", "MllRule", "MllRuleViolation", "MllSequent",

@@ -31,8 +31,7 @@ EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_INTERNAL, EXIT_BUDGET, EXIT_IO = range(6)
 _INTERNAL = "internal invariant violation"
 _ERRORS = (
     ("parser", "ParseError", EXIT_PARSE, "parse error"),
-    ("reconstruct", "TypecheckError", EXIT_TYPE, "type error"),
-    ("derivations", "LinearityError", EXIT_TYPE, "type error"),
+    ("derivations", "TypecheckError", EXIT_TYPE, "type error"),
     ("reduction", "BudgetExceeded", EXIT_BUDGET, "budget exceeded"),
     ("derivations", "RuleViolation", EXIT_INTERNAL, _INTERNAL),
     ("runtime", "DeadlockReport", EXIT_INTERNAL, _INTERNAL),

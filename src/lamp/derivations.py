@@ -31,13 +31,14 @@ subtrees are matched and are read off what those gathered on the way up
 (``instances``), so no premise entry is read for them.
 
 ``match_rule`` returns the matched instance data (principal positions and
-component types); the sequent-calculus translators reuse it to drive their
-constructions off checked trees instead of re-searching.
+component types) as a dict, as ``mll.match_mll`` does; the
+sequent-calculus translators reuse it to drive their constructions off
+checked trees instead of re-searching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter, contains, itemgetter
@@ -45,7 +46,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 from .terms import (
     App, BOT, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    TypeExpr, UNIT, Var, _scan, children, equal, nodes, var_names,
+    TypeExpr, UNIT, Var, _scan, equal, name_counts, nodes, var_names,
 )
 
 
@@ -88,15 +89,6 @@ def axiom(x: str, a: TypeExpr) -> Sequent:
 premises_of = attrgetter("premises")
 
 
-@dataclass
-class RuleInstance:
-    """How a node instantiates its rule: principal entry index plus
-    rule-specific positions and types."""
-
-    rule: Rule
-    data: dict[str, Any] = field(default_factory=dict)
-
-
 class RuleViolation(Exception):
     """A node that is not an instance of its rule, in either calculus."""
 
@@ -106,7 +98,20 @@ class RuleViolation(Exception):
         self.reason = reason
 
 
-class LinearityError(Exception):
+class TypecheckError(Exception):
+    """A typing failure.  Its message may be given as a function that
+    renders it: backtracking throws most of these errors away unread, so
+    the text is built on the first str()."""
+
+    def __str__(self) -> str:
+        if len(self.args) == 1 and callable(self.args[0]):
+            self.args = (self.args[0](),)
+        return super().__str__()
+
+
+class LinearityError(TypecheckError):
+    """A program that uses a name other than exactly once."""
+
     def __init__(self, name: str, var_count: int, binder_count: int, declared: bool):
         where = "declared" if declared else "undeclared"
         super().__init__(
@@ -446,14 +451,14 @@ def _sequent_is(node: Derivation, sequent: type, path: tuple[int, ...]) -> None:
                                   f"expected {sequent.__name__}")
 
 
-def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> RuleInstance:
+def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
     """Verify that node instantiates its rule and return the instance data.
     Subderivations are not descended into (see check_derivation)."""
     return _match(node, path, _Memo())
 
 
 def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
-           defer: bool = False) -> RuleInstance:
+           defer: bool = False) -> dict[str, Any]:
     """match_rule.  Each rule finds its principal entries as what one
     multiset difference between conclusion and premises leaves over, and
     reports the first positions that hold those values.  Side entries of
@@ -473,14 +478,14 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
         match con:
             case Sequent(((x, a),), (DeltaEntry(Var(y), b),)) \
                     if x == y and (a is b or equal(a, b)):
-                return RuleInstance(rule)
+                return {}
         raise RuleViolation(path, "axiom must be  x : A |- x : A")
 
     if rule is Rule.BOT_I:
         p = prems[0].conclusion
         memo.same_gamma(p, con, cg, path, rule)
         if multiset_diff(con.delta, p.delta) == ([_STAR], []):
-            return RuleInstance(rule, {"i": con.delta.index(_STAR)})
+            return {"i": con.delta.index(_STAR)}
         raise RuleViolation(path, "BotI must add one entry  * : bot")
 
     if rule is Rule.BOT_E:
@@ -489,8 +494,7 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
         match multiset_diff(con.delta, p.delta):
             case [DeltaEntry(Close(body), None) as e], [DeltaEntry(t, Bot()) as pe] \
                     if t == body:
-                return RuleInstance(rule, {"i": con.delta.index(e),
-                                           "j": p.delta.index(pe)})
+                return {"i": con.delta.index(e), "j": p.delta.index(pe)}
         raise RuleViolation(path, "BotE must close one entry of type bot")
 
     if rule is Rule.PARR_I:
@@ -503,8 +507,8 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
                     if (left.term, left.type, right.term, right.type) == (s, a, t, b):
                         for j in _where(p.delta[:-1], left):
                             if p.delta[j + 1] == right:
-                                return RuleInstance(rule, {"i": con.delta.index(e),
-                                                           "j": j, "a": a, "b": b})
+                                return {"i": con.delta.index(e),
+                                        "j": j, "a": a, "b": b}
                         break
         raise RuleViolation(path, "ParrI must merge two adjacent typed entries")
 
@@ -518,9 +522,8 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
                     == con.gamma:
                 if not defer:
                     _bound_somewhere(x, p, path, memo)
-                return RuleInstance(rule, {"i": con.delta.index(e),
-                                           "j": p.delta.index(pe), "x": x,
-                                           "a": a, "b": b, "gamma_pos": gamma_pos})
+                return {"i": con.delta.index(e), "j": p.delta.index(pe),
+                        "x": x, "a": a, "b": b, "gamma_pos": gamma_pos}
         raise RuleViolation(path, "LolliI must abstract one declaration into a Send")
 
     if rule is Rule.LOLLI_E:
@@ -546,9 +549,8 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
                                                 _without(con.delta, i),
                                                 (_without(p1.delta, j1),
                                                  _without(p2.delta, j2))):
-                                            return RuleInstance(
-                                                rule, {"i": i, "j1": j1, "j2": j2,
-                                                       "a": a1, "b": b1})
+                                            return {"i": i, "j1": j1, "j2": j2,
+                                                    "a": a1, "b": b1}
         raise RuleViolation(path, "LolliE must apply a function entry to an "
                                   "argument entry from the other premise")
 
@@ -572,11 +574,10 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
                                     _without(con.delta, i),
                                     (_without(p1.delta, j), p2.delta, p3.delta)):
                                 # a dict keeps its premise's order
-                                return RuleInstance(
-                                    rule, {"i": i, "j": j, "x": x, "y": y,
-                                           "a": a, "b": b,
-                                           "gamma_pos_x": list(g2).index(x),
-                                           "gamma_pos_y": list(g3).index(y)})
+                                return {"i": i, "j": j, "x": x, "y": y,
+                                        "a": a, "b": b,
+                                        "gamma_pos_x": list(g2).index(x),
+                                        "gamma_pos_y": list(g3).index(y)}
         raise RuleViolation(path, "ParrE must consume a par entry and one "
                                   "declaration from each receiving premise")
 
@@ -608,7 +609,7 @@ def instances(d: Derivation) -> dict[int, dict[str, Any]]:
     node, k = d, 0
     while True:
         try:
-            data[id(node)] = _match(node, (), memo, True).data
+            data[id(node)] = _match(node, (), memo, True)
         except RuleViolation:
             _raise_first(frames, data, node, k, memo)
         if node.premises:
@@ -663,23 +664,12 @@ def _raise_first(frames: list, data: dict, node: Derivation, k: int, memo: _Memo
     raise AssertionError("the failing node matched")
 
 
-def name_counts(s: Sequent) -> dict[str, tuple[int, int]]:
-    """Per name: (variable occurrences, binder occurrences) across the
-    conclusion list, counting textually (bound occurrences included)."""
-    counts: dict[str, list[int]] = {}
-    for e in s.delta:
-        for sub in nodes(e.term, children):
-            for x in sub[1:sub._first]:  # its names, see terms.var_names
-                counts.setdefault(x, [0, 0])[type(sub) is not Var] += 1
-    return {k: (v[0], v[1]) for k, v in counts.items()}
-
-
 def check_channel_linearity(s: Sequent) -> None:
     """Every declared name occurs exactly once as a variable and never as a
     binder; every undeclared name occurs exactly once as a variable and
     exactly once as a binder.  Reports the first offender: declarations in
     order, then names in order of first occurrence."""
-    counts = name_counts(s)
+    counts = name_counts(e.term for e in s.delta)
     declared = dict.fromkeys(x for x, _ in s.gamma)
     for x in dict.fromkeys([*declared, *counts]):
         var_n, bind_n = counts.get(x, (0, 0))

@@ -140,9 +140,10 @@ class _Parser:
         return self.next().text
 
     # -- types ------------------------------------------------------------
-    # Each chain a op b op ... is read by a loop, so its length costs no
-    # recursion.  The three loops are not one shared method: its frame
-    # would lower how deep the parentheses the parser reads can nest.
+    # Each chain a op b op ... is read by a loop, and so is each chain of
+    # binder prefixes (seq), so its length costs no recursion.  The three
+    # operator loops are not one shared method: its frame would lower how
+    # deep the parentheses the parser reads can nest.
 
     def type_(self) -> TypeExpr:
         parts = [self.lolli()]
@@ -182,44 +183,48 @@ class _Parser:
         return _nest_right(parts, Par)
 
     def seq(self) -> Term:
-        t = self.peek()
-        if t.text == "out":
-            self.next()
-            x = self.ident()
+        # the binder prefixes of a chain, outermost first, read by a loop:
+        # (token, name, second name or the bound one of x(y).)
+        prefixes: list[tuple[Token, str, str]] = []
+        while True:
+            t = self.peek()
+            if t.text in ("out", "lam", "out2"):
+                self.next()
+                x = self.ident()
+                y = self.ident() if t.text == "out2" else ""
+            # sync-input sugar x(y). u, distinguished from application by the dot
+            elif (t.kind == "ident" and t.text not in KEYWORDS
+                    and self.peek(1).text == "(" and self.peek(2).kind == "ident"
+                    and self.peek(2).text not in KEYWORDS
+                    and self.peek(3).text == ")" and self.peek(4).text == "."):
+                x = self.ident()
+                self.expect("(")
+                y = self.ident()
+                self.expect(")")
+            else:
+                break
             self.expect(".")
-            return Send(x, self.seq())
-        if t.text == "lam":
-            self.next()
-            x = self.ident()
-            self.expect(".")
-            body = self.seq()
-            if not is_free_in(x, body):
-                raise LamWithoutOccurrence(
-                    f"lam-bound {x!r} does not occur in its body", t.line, t.col)
-            return Send(x, body)
-        if t.text == "out2":
-            self.next()
-            x = self.ident()
-            y = self.ident()
-            self.expect(".")
-            return Dist(x, y, self.seq())
-        # sync-input sugar x(y). u, distinguished from application by the dot
-        if (t.kind == "ident" and t.text not in KEYWORDS
-                and self.peek(1).text == "(" and self.peek(2).kind == "ident"
-                and self.peek(2).text not in KEYWORDS
-                and self.peek(3).text == ")" and self.peek(4).text == "."):
-            chan = self.ident()
-            self.expect("(")
-            y = self.ident()
-            self.expect(")")
-            self.expect(".")
-            body = self.seq()
-            if not is_free_in(y, body):
-                raise LamWithoutOccurrence(
-                    f"input-bound {y!r} does not occur in its continuation",
-                    t.line, t.col)
-            return App(Send(y, body), Var(chan))
-        return self.app()
+            prefixes.append((t, x, y))
+        # the body, then each prefix around it, innermost first
+        body = self.app()
+        while prefixes:
+            t, x, y = prefixes.pop()
+            if t.text == "out":
+                body = Send(x, body)
+            elif t.text == "out2":
+                body = Dist(x, y, body)
+            elif t.text == "lam":
+                if not is_free_in(x, body):
+                    raise LamWithoutOccurrence(
+                        f"lam-bound {x!r} does not occur in its body", t.line, t.col)
+                body = Send(x, body)
+            else:
+                if not is_free_in(y, body):
+                    raise LamWithoutOccurrence(
+                        f"input-bound {y!r} does not occur in its continuation",
+                        t.line, t.col)
+                body = App(Send(y, body), Var(x))
+        return body
 
     def app(self) -> Term:
         out = self.atom()

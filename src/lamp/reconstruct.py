@@ -24,24 +24,14 @@ import itertools
 from typing import Iterable, Iterator, Optional
 
 from .derivations import (
-    Derivation, LinearityError, Rule, check_channel_linearity, premises_of,
+    Derivation, LinearityError, Rule, TypecheckError, check_channel_linearity,
+    premises_of,
 )
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, MetaVar, Par, ParT, Send,
     Sequent, Term, TypeExpr, Unit, Var, children, fold, nodes,
     print_sequent, print_term, print_type, var_names,
 )
-
-
-class TypecheckError(Exception):
-    """A typing failure.  Its message may be given as a function that
-    renders it: backtracking throws most of these errors away unread, so
-    the text is built on the first str()."""
-
-    def __str__(self) -> str:
-        if len(self.args) == 1 and callable(self.args[0]):
-            self.args = (self.args[0](),)
-        return super().__str__()
 
 
 class UnsatisfiableSplit(TypecheckError):
@@ -60,8 +50,9 @@ class UnificationFailure(TypecheckError):
     pass
 
 
-class LinearityViolation(TypecheckError):
-    pass
+# reconstruct's linearity failure is the checker's, under the name lamp
+# has always exported it by
+LinearityViolation = LinearityError
 
 
 class _Reconstructor:
@@ -412,10 +403,7 @@ def reconstruct(goal: Sequent,
     """Find a derivation of goal; raises a TypecheckError subclass if the
     sequent is not typable by the backward strategy.  A goal whose atoms
     are unbalanced (polarity_balance) is rejected before any search."""
-    try:
-        check_channel_linearity(goal)
-    except LinearityError as err:
-        raise LinearityViolation(str(err)) from err
+    check_channel_linearity(goal)
     for e in goal.delta:
         if e.type is None and not isinstance(e.term, Close):
             raise UnsatisfiableSplit(

@@ -54,8 +54,8 @@ from typing import Iterator, Optional, Sequence
 
 from .terms import (
     App, Cell, Close, Dist, Memo, Par, Path, Send, Term, UNIT, Var, _cells_at,
-    _path, _put, _scan, _texts, children, is_free_in, nodes, print_term,
-    substitute, subterm_at,
+    _path, _put, _scan, _texts, children, is_free_in, name_counts, nodes,
+    print_term, substitute, subterm_at,
 )
 
 class StaleRedex(Exception):
@@ -260,14 +260,6 @@ def _changed(i: int, act: Cell, firing: tuple, receivers: Sequence) -> dict:
     return edits
 
 
-def _in_paths(m: int, i: int, act: Cell, firing: tuple, receivers: Sequence) -> Redex:
-    """The redex at cells of a state of m components, named by paths into
-    the joined term."""
-    paths = [(0,) * (m - 1 - j) + (1,) * (j > 0) + _path(c)
-             for j, c in ((i, act), *receivers)]
-    return Redex(firing[0], paths[0], tuple(paths[1:]))
-
-
 # A state met once, as enumerate meets each, is one component: split, it
 # would be scanned whole all the same, and joined again for every reduct.
 
@@ -291,17 +283,7 @@ def _reducts(t: Term, linear: bool = False) -> Iterator[Term]:
 def _linear(t: Term) -> bool:
     """Whether no name of t is bound twice, by a Send or by either name of
     a Dist, and no bound name occurs twice as a variable."""
-    bound: list[str] = []
-    uses: dict[str, int] = {}
-    for s in nodes(t, children):
-        cls = type(s)
-        if cls is Var:
-            uses[s[1]] = uses.get(s[1], 0) + 1
-        elif cls is Send:
-            bound.append(s[1])
-        elif cls is Dist:
-            bound += s[1:3]
-    return len(set(bound)) == len(bound) and all(uses.get(x, 0) < 2 for x in bound)
+    return all(b < 2 and (b == 0 or v < 2) for v, b in name_counts([t]).values())
 
 
 def _pinned(lam: Send) -> bool:
@@ -444,24 +426,14 @@ def _at_eval(c: Cell) -> bool:
     return True
 
 
-def cbv_step(components: list[Term]) -> Optional[tuple[list[Term], Redex]]:
-    """One call-by-value step over top-level components, scanning left to
-    right.  Returns the new component list and the fired redex (with paths
-    into the joined term), or None when every component is cbv-stuck.
-    Only applied outputs fire, and only on a value argument: the first
-    activator at an evaluation position whose argument is a value, a comm
-    into the first free occurrence of its channel at an evaluation
-    position of another component."""
-    state = _State(list(components))
-    for found in _redexes(state, cbv=True):
-        state.step(_changed(*found))
-        return state.parts, _in_paths(len(components), *found)
-    return None
-
-
 def cbv_trace(components: list[Term]) -> list[tuple[str, list[Term]]]:
-    """Run cbv_step to exhaustion, collecting (description, state) pairs;
-    each step rescans only the components it changed."""
+    """Call-by-value steps over top-level components until every one is
+    cbv-stuck, as (description, components) pairs; each step rescans only
+    the components it changed.  Only applied outputs fire, and only on a
+    value argument: the first activator, scanning left to right, at an
+    evaluation position whose argument is a value, a comm into the first
+    free occurrence of its channel at an evaluation position of another
+    component."""
     steps: list[tuple[str, list[Term]]] = []
     state = _State(list(components))
     while (found := next(_redexes(state, cbv=True), None)) is not None:

@@ -221,6 +221,18 @@ def var_names(t: Term) -> set[str]:
     return {x for s in nodes(t, children) for x in s[1:s._first]}
 
 
+def name_counts(ts: Iterable[Term]) -> dict[str, tuple[int, int]]:
+    """Per name occurring in the terms ts: (variable occurrences, binder
+    occurrences), counted textually (bound occurrences included), in order
+    of first occurrence."""
+    counts: dict[str, list[int]] = {}
+    for t in ts:
+        for s in nodes(t, children):
+            for x in s[1:s._first]:
+                counts.setdefault(x, [0, 0])[type(s) is not Var] += 1
+    return {x: (v, b) for x, (v, b) in counts.items()}
+
+
 # A position in a scanned term is a cell (parent cell, k, node): node is
 # the subterm there and parent cell's node[k] (a tuple index, not a path
 # index); the root's cell is (None, 0, root).  A cell is built in O(1) as
@@ -525,10 +537,7 @@ class Sequent(_Node):
 
 def sequent_names(s: Sequent) -> set[str]:
     """All names used anywhere in a sequent: declarations, variables, binders."""
-    out = {x for x, _ in s.gamma}
-    for e in s.delta:
-        out |= var_names(e.term)
-    return out
+    return {x for x, _ in s.gamma}.union(name_counts(e.term for e in s.delta))
 
 
 # ---------------------------------------------------------------------------

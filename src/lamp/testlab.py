@@ -461,12 +461,6 @@ CONFLUENCE_CS_LIMIT = 12
 RUNTIME_SEEDS = 5
 
 
-def one_step(t: Term) -> list[Term]:
-    """The one-step reducts of t in find_redexes order, each built once
-    from one scan per component of t."""
-    return list(_reducts(t))
-
-
 def _walk(seq: Sequent, reducts) -> list[tuple[Sequent, list[Sequent]]]:
     """Each state of the leftmost reduction from seq beside its one-step
     reducts, each split back into seq's entries with seq's types.  The next
@@ -530,19 +524,19 @@ SUITES: list[tuple[str, Callable[[Sequent, list], Optional[bool]]]] = [
 ]
 
 
-def run_property_suite(n_cases: int, cfg: GenConfig,
-                       reducts=one_step) -> Report:
+def run_property_suite(n_cases: int, cfg: GenConfig, reducts=None) -> Report:
     """Run every suite of SUITES over n_cases generated programs, on one
     walk per program.  A predicate that raises fails its case, and an
-    engine that raises on the walk fails every suite's.  The reducts hook
-    exists so tests can inject a corrupted engine and watch the suites
-    catch it."""
+    engine that raises on the walk fails every suite's.  reducts lists a
+    term's one-step reducts, by default the engine's own (_reducts); the
+    hook exists so tests can inject a corrupted engine and watch the
+    suites catch it."""
     results = [PropertyResult(name) for name, _ in SUITES]
     for case in range(n_cases):
         case_seed = cfg.seed * 1_000_003 + case
         program = gen_derivation(GenConfig(case_seed, cfg.max_nodes)).conclusion
         try:
-            walk = _walk(program, reducts)
+            walk = _walk(program, reducts or _reducts)
         except Exception:
             walk = None
         for result, (_, holds) in zip(results, SUITES):

@@ -13,7 +13,7 @@ from lamp.mll import check_mll, mll_to_nmll, nmll_to_mll, type_erasure
 from lamp.parser import parse_program, parse_term
 from lamp.reconstruct import reconstruct
 from lamp.reduction import (
-    apply_redex, cbv_step, cbv_trace, comm_size, enumerate_normal_forms,
+    apply_redex, cbv_trace, comm_size, enumerate_normal_forms,
     find_redexes, normalize,
 )
 from lamp.runtime import run_concurrent
@@ -211,5 +211,5 @@ def test_criterion_9_cbv_synchrony():
     # reaching its start takes exactly the one announced head contraction
     assert rendered[0] == (
         "Beta", "(out x. *) (lam a. a) | (lam k. k) ((lam y. y) x)")
-    assert cbv_step([parse_term("x(y). y")]) is None
+    assert cbv_trace([parse_term("x(y). y")]) == []
     _ok(9, "synchronous handshake reproduced step for step; bare input stuck")

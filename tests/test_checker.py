@@ -19,8 +19,8 @@ from functools import lru_cache
 import pytest
 
 from lamp.derivations import (
-    ARITY, Derivation, Rule, RuleInstance, RuleViolation, check_derivation,
-    match_rule, premises_of,
+    ARITY, Derivation, Rule, RuleViolation, check_derivation, match_rule,
+    premises_of,
 )
 from lamp.mll import mll_to_nmll, nmll_to_mll
 from lamp.reconstruct import reconstruct
@@ -120,7 +120,7 @@ def _old_match_rule(node, path=()):
     if rule is Rule.AX:
         match con:
             case Sequent(((x, a),), (DeltaEntry(Var(y), b),)) if x == y and a == b:
-                return RuleInstance(rule)
+                return {}
         raise RuleViolation(path, "axiom must be  x : A |- x : A")
 
     if rule is Rule.BOT_I:
@@ -130,7 +130,7 @@ def _old_match_rule(node, path=()):
         for i, e in enumerate(con.delta):
             if e == DeltaEntry(Unit(), Bot()) \
                     and _old_same_entries(_old_without(con.delta, i), p.delta):
-                return RuleInstance(rule, {"i": i})
+                return {"i": i}
         raise RuleViolation(path, "BotI must add one entry  * : bot")
 
     if rule is Rule.BOT_E:
@@ -143,7 +143,7 @@ def _old_match_rule(node, path=()):
                 for j, pe in enumerate(p.delta):
                     if pe == want and _old_same_entries(
                             _old_without(con.delta, i), _old_without(p.delta, j)):
-                        return RuleInstance(rule, {"i": i, "j": j})
+                        return {"i": i, "j": j}
         raise RuleViolation(path, "BotE must close one entry of type bot")
 
     if rule is Rule.PARR_I:
@@ -159,7 +159,7 @@ def _old_match_rule(node, path=()):
                                 and _old_same_entries(
                                     _old_without(con.delta, i),
                                     _old_without(_old_without(p.delta, j + 1), j)):
-                            return RuleInstance(rule, {"i": i, "j": j, "a": a, "b": b})
+                            return {"i": i, "j": j, "a": a, "b": b}
         raise RuleViolation(path, "ParrI must merge two adjacent typed entries")
 
     if rule is Rule.LOLLI_I:
@@ -187,8 +187,8 @@ def _old_match_rule(node, path=()):
                             path, f"abstracted {x!r} occurs neither in the "
                                   f"principal term nor elsewhere (no weakening)")
                     gamma_pos = next(k for k, (y, _) in enumerate(p.gamma) if y == x)
-                    return RuleInstance(rule, {"i": i, "j": hit, "x": x, "a": a,
-                                               "b": b, "gamma_pos": gamma_pos})
+                    return {"i": i, "j": hit, "x": x, "a": a, "b": b,
+                            "gamma_pos": gamma_pos}
         raise RuleViolation(path, "LolliI must abstract one declaration into a Send")
 
     if rule is Rule.LOLLI_E:
@@ -210,9 +210,8 @@ def _old_match_rule(node, path=()):
                                             _old_without(con.delta, i),
                                             (_old_without(p1.delta, j1),
                                              _old_without(p2.delta, j2))):
-                                        return RuleInstance(
-                                            rule, {"i": i, "j1": j1, "j2": j2,
-                                                   "a": a1, "b": b1})
+                                        return {"i": i, "j1": j1, "j2": j2,
+                                                "a": a1, "b": b1}
         raise RuleViolation(path, "LolliE must apply a function entry to an "
                                   "argument entry from the other premise")
 
@@ -238,9 +237,8 @@ def _old_match_rule(node, path=()):
                                 (_old_without(p1.delta, j), p2.delta, p3.delta)):
                             gx = next(k for k, (n, _) in enumerate(p2.gamma) if n == x)
                             gy = next(k for k, (n, _) in enumerate(p3.gamma) if n == y)
-                            return RuleInstance(
-                                rule, {"i": i, "j": j, "x": x, "y": y, "a": a, "b": b,
-                                       "gamma_pos_x": gx, "gamma_pos_y": gy})
+                            return {"i": i, "j": j, "x": x, "y": y, "a": a, "b": b,
+                                    "gamma_pos_x": gx, "gamma_pos_y": gy}
         raise RuleViolation(path, "ParrE must consume a par entry and one "
                                   "declaration from each receiving premise")
 
@@ -264,7 +262,7 @@ def _outcome(match, node, path):
         inst = match(node, path)
     except RuleViolation as err:
         return "violation", err.path, err.reason
-    return "instance", inst.rule, inst.data
+    return "instance", inst
 
 
 def _first_violation(d):
@@ -390,7 +388,7 @@ def test_duplicated_principal_values_report_first_positions():
     leaf = Derivation(Rule.AX, Sequent((("x", A),), (x,)))
     below = Derivation(Rule.BOT_I, Sequent((("x", A),), (x, star2)), (leaf,))
     d = Derivation(Rule.BOT_I, Sequent((("x", A),), (star1, x, star2)), (below,))
-    assert match_rule(d).data == _old_match_rule(d).data == {"i": 0}
+    assert match_rule(d) == _old_match_rule(d) == {"i": 0}
     check_derivation(d)
 
 
@@ -596,7 +594,7 @@ def test_lolli_e_with_two_thousand_side_entries_checks():
     gamma = (("f", Lolli(A, B)), ("a", A))
     d = Derivation(Rule.LOLLI_E, Sequent(gamma, side + (app,)), (d1, d2))
     check_derivation(d)
-    assert match_rule(d).data == {"i": 2000, "j1": 1000, "j2": 1000, "a": A, "b": B}
+    assert match_rule(d) == {"i": 2000, "j1": 1000, "j2": 1000, "a": A, "b": B}
     text = derivation_to_sexpr(d)
     assert text.count("\n") == 2003
     assert text.endswith('(Ax "a : A |- a : A"' + ")" * 1002)

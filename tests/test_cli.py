@@ -179,6 +179,15 @@ def test_deep_input_exit_code(tmp_path):
     assert r.stderr.startswith("budget exceeded: ")
 
 
+def test_long_binder_chains_parse(tmp_path):
+    # a chain of binder prefixes is read by a loop
+    f = tmp_path / "chain.lamp"
+    text = "|- close(" + " ".join(f"out x{k}." for k in range(3000)) + " *)"
+    f.write_text(text + "\n")
+    r = run_cli("parse", str(f))
+    assert (r.returncode, r.stdout) == (0, text + "\n"), r.stderr
+
+
 def test_deep_declared_type_checks(tmp_path):
     # the declaration and the entry parse as two equal 2,000-deep types:
     # unification and the axiom compare them without recursing in C
@@ -303,7 +312,7 @@ _EXPORTS = {
                   "ShapeViolation SubformulaCounterexample ValueShape "
                   "check_no_freaks check_subformula classify_normal "
                   "subst_derivation",
-    "reduction": "BudgetExceeded Redex StaleRedex Trace apply_redex cbv_step "
+    "reduction": "BudgetExceeded Redex StaleRedex Trace apply_redex "
                  "cbv_trace comm_size enumerate_normal_forms find_redexes "
                  "is_value normalize",
     "mll": "MllDerivation MllRule MllRuleViolation MllSequent check_mll "

@@ -7,7 +7,7 @@ from lamp.parser import (
     parse_term, parse_type,
 )
 from lamp.terms import (
-    App, Atom, BOT, Close, DeltaEntry, Lolli, Par, ParT, Send, Sequent,
+    App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
     UNIT, Var, print_sequent,
 )
 
@@ -55,6 +55,20 @@ def test_sync_input_sugar():
 def test_sync_input_sugar_requires_use():
     with pytest.raises(LamWithoutOccurrence):
         parse_term("x(y). *")
+
+
+def test_binder_chain_reports_its_innermost_failing_binder():
+    # a chain is read whole, then wrapped innermost first: the innermost
+    # binder without an occurrence is the one named, at its line:col
+    for text, where in (("lam a. lam b. out c. a", "1:8: lam-bound 'b'"),
+                        ("x(y). z(w).\n  y", "1:7: input-bound 'w'"),
+                        ("lam a. x(y). lam b. a y", "1:14: lam-bound 'b'")):
+        with pytest.raises(LamWithoutOccurrence) as info:
+            parse_term(text)
+        assert str(info.value).startswith(where)
+    assert parse_term("out2 p q. lam a. x(y). out c. a y") == Dist(
+        "p", "q", Send("a", App(Send("y", Send("c", App(Var("a"), Var("y")))),
+                                Var("x"))))
 
 
 def test_sugar_versus_application_lookahead():

@@ -11,7 +11,7 @@ from hypothesis import assume, given, strategies as st
 from lamp import reduction, terms
 from lamp.parser import parse_program, parse_term
 from lamp.reduction import (
-    BudgetExceeded, StaleRedex, Trace, apply_redex, cbv_step, cbv_trace,
+    BudgetExceeded, StaleRedex, Trace, apply_redex, cbv_trace,
     comm_size, enumerate_normal_forms, find_redexes, is_value, normalize,
 )
 from lamp.runtime import run_concurrent
@@ -234,21 +234,21 @@ def test_cbv_three_step_synchrony():
 
 
 def test_cbv_bare_input_stuck():
-    assert cbv_step([parse_term("x(y). y")]) is None
+    assert cbv_trace([parse_term("x(y). y")]) == []
 
 
 def test_cbv_open_variable_stuck():
-    assert cbv_step([Var("x")]) is None
+    assert cbv_trace([Var("x")]) == []
 
 
 def test_cbv_receiver_must_be_free():
     # the only x at an evaluation position of the other component is bound
     # by its out2, so the output has no receiver
     sender = App(Send("x", UNIT), Send("v", Var("v")))
-    assert cbv_step([sender, Dist("x", "y", Var("x"))]) is None
-    assert cbv_step([sender, Dist("u", "y", Var("x"))])[0] \
-        == [UNIT, Dist("u", "y", Send("v", Var("v")))]
-    assert cbv_step([]) is None
+    assert cbv_trace([sender, Dist("x", "y", Var("x"))]) == []
+    assert cbv_trace([sender, Dist("u", "y", Var("x"))]) \
+        == [("Comm x", [UNIT, Dist("u", "y", Send("v", Var("v")))])]
+    assert cbv_trace([]) == []
 
 
 def test_cbv_sender_blocks_until_receiver_ready():
@@ -258,37 +258,36 @@ def test_cbv_sender_blocks_until_receiver_ready():
     assert steps[0][0] == "Comm x"
 
 
+def _cbv_fired(components, redexes=find_redexes):
+    """Per cbv step from components, in cbv_trace's order, its description
+    and the first of redexes(state before it) that apply_redex turns into
+    the state after it; and the final state.  Fails if a step is none of
+    the asynchronous redexes of its state."""
+    state, fired = join_par(components), []
+    for desc, parts in cbv_trace(components):
+        after = join_par(parts)
+        hits = [r for r in redexes(state) if apply_redex(state, r) == after]
+        assert hits, desc
+        fired.append((desc, hits[0]))
+        state = after
+    return fired, state
+
+
 def test_cbv_sound_wrt_asynchronous_engine():
     # a stuck-free cbv run ends at the one normal form, and every cbv
     # transition is literally one of the asynchronous redexes of its state
     t0 = parse_term("(out x. *) (lam a. a) | (lam z. z (x(y). y)) (lam k. k)")
-    state = flatten_par(t0)
-    while True:
-        nxt = cbv_step(state)
-        if nxt is None:
-            break
-        joined_before = join_par(state)
-        state, redex = nxt
-        assert redex in find_redexes(joined_before)
-        assert apply_redex(joined_before, redex) == join_par(state)
-    assert join_par(state) == normalize(t0).final
+    fired, final = _cbv_fired(flatten_par(t0))
+    assert [(d, r.kind) for d, r in fired] == [
+        ("Beta", "beta"), ("Comm x", "comm"), ("Beta", "beta"), ("Beta", "beta")]
+    assert final == normalize(t0).final
 
 
 def test_cbv_sound_on_generated_programs():
-    from lamp.testlab import GenConfig, gen_derivation
     for seed in range(150):
         t0 = gen_derivation(GenConfig(seed=seed, max_nodes=12)) \
             .conclusion.joined_term()
-        state = flatten_par(t0)
-        while True:
-            nxt = cbv_step(state)
-            if nxt is None:
-                break
-            joined = join_par(state)
-            state, redex = nxt
-            assert redex in find_redexes(joined)
-            assert apply_redex(joined, redex) == join_par(state)
-        final = join_par(state)
+        _, final = _cbv_fired(flatten_par(t0))
         if not find_redexes(final):  # ran to completion, not merely stuck
             assert flatten_par(final) == flatten_par(normalize(t0).final)
 
@@ -406,6 +405,26 @@ def test_enumerate_matches_the_plain_search_on_linear_terms(t):
     assert enumerate_normal_forms(t) == _bfs_normal_forms(t)
 
 
+def _old_linear(t):
+    """reduction._linear as its own walk over t, before it read the name
+    census: no name bound twice, by a Send or by either name of a Dist,
+    and no bound name used twice as a variable."""
+    bound, uses = [], {}
+    for s in nodes(t, children):
+        if type(s) is Var:
+            uses[s[1]] = uses.get(s[1], 0) + 1
+        elif type(s) is Send:
+            bound.append(s[1])
+        elif type(s) is Dist:
+            bound += s[1:3]
+    return len(set(bound)) == len(bound) and all(uses.get(x, 0) < 2 for x in bound)
+
+
+@given(st.one_of(_terms(4), _linear_terms()))
+def test_linear_reads_the_census_as_its_old_walk_did(t):
+    assert reduction._linear(t) == _old_linear(t)
+
+
 # -- states as components, against the per-channel oracle --------------------
 
 SIZES = range(8, 49, 8)
@@ -518,7 +537,8 @@ def test_cbv_with_a_par_as_component_0():
     assert [(d, [print_term(c) for c in s]) for d, s in steps] == [
         ("Comm x", ["u | w", "*", "(lam k. k) (lam a. a)"]),
         ("Beta", ["u | w", "*", "lam a. a"])]
-    assert cbv_step(comps)[1] in _old_find_redexes(join_par(comps))
+    # each step is one of the per-channel oracle's redexes of its state
+    _cbv_fired(comps, _old_find_redexes)
 
 
 # -- work counters, not wall time ----------------------------------------------

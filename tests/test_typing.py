@@ -14,8 +14,8 @@ from lamp.derivations import (
 )
 from lamp.metatheory import (
     BottomLike, FreakOccurrence, HeadVar, PreconditionViolation,
-    ShapeViolation, ValueShape, check_no_freaks, check_subformula,
-    classify_normal, subst_derivation,
+    ShapeViolation, SubformulaCounterexample, ValueShape, check_no_freaks,
+    check_subformula, classify_normal, subst_derivation,
 )
 from lamp.parser import parse_program
 from lamp.reconstruct import (
@@ -23,11 +23,12 @@ from lamp.reconstruct import (
     reconstruct,
 )
 from lamp.sexpr import derivation_to_sexpr
-from lamp.testlab import GenConfig, _walk, gen_derivation, one_step
+from lamp.reduction import _reducts
+from lamp.testlab import GenConfig, _walk, gen_derivation
 from lamp.terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
     UNIT, Var, _path, _scan, children, is_simple, nodes, occurrences,
-    preorder, print_sequent, print_term, print_type, replace_at,
+    preorder, print_sequent, print_term, print_type, replace_at, subformulas,
 )
 from tests.conftest import CORPUS_NAMES, corpus_text
 from tests.test_checker import _INPUTS
@@ -110,6 +111,19 @@ def test_reconstruct_undeclared_variable():
     prog = parse_program("|- x : A")
     with pytest.raises(LinearityViolation):
         reconstruct(prog.sequent)
+
+
+def test_a_linearity_failure_is_one_error_under_every_name():
+    # reconstruct raises the checker's own LinearityError, which is also
+    # reconstruct's LinearityViolation and a TypecheckError, with its text
+    prog = parse_program("x : A, y : B |- x : A")
+    with pytest.raises(LinearityError) as info:
+        reconstruct(prog.sequent)
+    err = info.value
+    assert isinstance(err, LinearityViolation) and isinstance(err, TypecheckError)
+    assert LinearityViolation is LinearityError
+    assert str(err) == "declared name 'y' occurs 0x as a variable and 0x as a binder"
+    assert (err.name, err.var_count, err.binder_count, err.declared) == ("y", 0, 0, True)
 
 
 def test_reconstruct_type_mismatch():
@@ -279,9 +293,48 @@ def test_subformula_detects_redex_types():
     prog = parse_program("y: A |- (lam x. x) y : A")
     d = reconstruct(prog.sequent)
     check_derivation(d)
-    from lamp.metatheory import SubformulaCounterexample
     with pytest.raises(SubformulaCounterexample):
         check_subformula(d)
+
+
+def _old_check_subformula(d):
+    """check_subformula as it was: the end-sequent's subformulas as a set
+    of types, each type of d looked up in it."""
+    allowed = {BOT}
+    root = d.conclusion
+    for ty in [ty for _, ty in root.gamma] + [e.type for e in root.delta]:
+        if ty is not None:
+            allowed |= subformulas(ty)
+    for path, node in preorder(d, premises_of):
+        for ty in [ty for _, ty in node.conclusion.gamma] + [
+                e.type for e in node.conclusion.delta]:
+            if ty is not None and ty not in allowed:
+                raise SubformulaCounterexample(path, ty)
+
+
+def _subformula_outcome(check, d):
+    try:
+        check(d)
+    except SubformulaCounterexample as err:
+        return err.node_path, err.type, str(err)
+    return None
+
+
+def test_subformula_numbers_agree_with_the_set_of_types():
+    # same counterexample, path and text as the set lookup, over the
+    # redex-laden generated derivations, most of which have one
+    found = 0
+    for max_nodes in (12, 24):
+        for seed in range(100):
+            d = gen_derivation(GenConfig(seed, max_nodes))
+            outcome = _subformula_outcome(check_subformula, d)
+            assert outcome == _subformula_outcome(_old_check_subformula, d)
+            found += outcome is not None
+    assert found == 146
+    d = reconstruct(parse_program("y: A |- (lam x. x) y : A").sequent)
+    assert _subformula_outcome(check_subformula, d) == (
+        (0,), Lolli(A, A),
+        "type A -o A at node [0] is not a subformula of the end-sequent")
 
 
 def test_subformula_of_normalized_corpus():
@@ -375,7 +428,7 @@ def test_no_freaks_agrees_with_its_first_definition():
     for max_nodes in (12, 24, 36):
         for seed in range(40):
             program = gen_derivation(GenConfig(seed, max_nodes)).conclusion
-            for state, reducts in _walk(program, one_step):
+            for state, reducts in _walk(program, _reducts):
                 seqs += [state, *reducts]
     assert not any(map(_same_freak, seqs))
     freaks = moved = 0

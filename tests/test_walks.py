@@ -42,10 +42,9 @@ def test_fold_leaves_children_first_left_to_right():
 
 # -- no recursion outside the searches and the bounded generators -----------
 
-# the parser's binder chains, the backward proof search, and two type
-# generators whose depth is at most 2
-ALLOWED = {"_Parser.seq", "_Reconstructor.solve", "_Gen.leaf_type",
-           "_MllGen._type"}
+# the backward proof search, and two type generators whose depth is at
+# most 2
+ALLOWED = {"_Reconstructor.solve", "_Gen.leaf_type", "_MllGen._type"}
 
 
 def _calls_itself(fn: ast.FunctionDef) -> bool:
@@ -147,6 +146,16 @@ def test_deep_types_hash_print_and_yield_subformulas():
         # the declaration and the entry share the one type object
         check_subformula(Derivation(
             Rule.AX, Sequent((("x", ty),), (DeltaEntry(Var("x"), ty),))))
+
+
+def test_deep_equal_types_pass_the_subformula_audit():
+    # the declaration and the entry are two equal, distinct objects: the
+    # audit numbers each once instead of comparing them whole
+    assert sys.getrecursionlimit() == 1000
+    for depth in (2000, 4000):
+        text = " par ".join(["bot"] * (depth + 1))
+        check_subformula(Derivation(Rule.AX, Sequent(
+            (("x", parse_type(text)),), (DeltaEntry(Var("x"), parse_type(text)),))))
 
 
 def _nd_chain(n):

@@ -1,5 +1,8 @@
 """Program file grammar: sequents, sugar, annotations, rejection rules."""
 
+import hashlib
+import re
+
 import pytest
 
 from lamp.parser import (
@@ -8,8 +11,10 @@ from lamp.parser import (
 )
 from lamp.terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    UNIT, Var, print_sequent,
+    UNIT, Var, children, nodes, print_sequent, print_term, print_type,
 )
+from lamp.testlab import GenConfig, gen_derivation
+from tests.conftest import CORPUS_NAMES, corpus_text
 
 
 def test_axiom_sequent():
@@ -122,3 +127,78 @@ def test_sequent_roundtrip_through_printer():
     prog = parse_program(text)
     again = parse_program(print_sequent(prog.sequent))
     assert again.sequent == prog.sequent
+
+
+# -- parse behaviour, pinned -------------------------------------------------
+
+# SHA-256 of parse_program's outcome on each text of _digest_texts(), "\n\n"
+# after each: for an accepted text, print_sequent of its sequent and, per
+# annotation, its text and whether its node is in the tree by identity
+# (reconstruct looks annotations up by id); for a rejected one, the
+# exception's class name and text, line:col included.  Taken when the
+# parser read tokens by recursive descent.
+PARSE_DIGEST = \
+    "3316d5f780f1b913fb5df0384fdf118afbce86238e550a60cb834304c6fef918"
+
+_TOKEN = re.compile(r"\|-|-o|[A-Za-z_][A-Za-z0-9_]*|[(),.:|*]")
+
+
+# texts the generator does not write: annotations, the sync-input sugar,
+# comments, line breaks, parenthesized types and repeated binders
+_HAND_WRITTEN = [
+    "# a comment\nx : A  # trailing\n  |- x : A\n",
+    "|- (out x. * : A -o bot) | x : (A -o bot) par A",
+    "|- ((lam a. a : A -o A) (b : A) : A) : A",
+    "b : A |- ((lam a. (a : A)) : A -o A) b : A",
+    "f : (A -o B) -o C, g : A -o B |- f (lam a. g(h). h a) : C",
+    "|- x(y).\n  y(z). z : bot, close(out2 p q. (p | (q : bot)))",
+    "|- close(close((out x. *) (x : bot))) : bot",
+    "|- (out x. *) (out x. *) : bot, close(out2 p p. (lam q. q))",
+    "|- (lam a. x(a). a) (out b. out c. b) : bot, close(lam b. *)",
+]
+
+
+def _digest_texts():
+    """The corpus files, then gen_derivation conclusions, printed, at
+    max_nodes 12 and 36 for seeds 0-199, then _HAND_WRITTEN; for the
+    first 40 generated texts and the hand-written ones, each text with
+    one token deleted and each with one token written twice."""
+    for name in CORPUS_NAMES:
+        yield corpus_text(name)
+    printed = [print_sequent(gen_derivation(GenConfig(seed=seed, max_nodes=m))
+                             .conclusion)
+               for m in (12, 36) for seed in range(200)]
+    yield from printed
+    yield from _HAND_WRITTEN
+    for text in printed[:40] + _HAND_WRITTEN:
+        for m in _TOKEN.finditer(text):
+            s, e = m.span()
+            yield text[:s] + text[e:]
+            yield text[:e] + " " + text[s:e] + text[e:]
+
+
+def _outcome(text: str) -> tuple[str, str]:
+    """The class name of text's outcome (Program or an error's) and its
+    printed form."""
+    try:
+        prog = parse_program(text)
+    except ParseError as e:
+        return type(e).__name__, str(e)
+    in_tree = {id(n) for e in prog.sequent.delta for n in nodes(e.term, children)}
+    lines = [print_sequent(prog.sequent)]
+    lines += [f"{print_term(node)} : {print_type(ty)} {id(node) in in_tree}"
+              for node, ty in prog.annotations]
+    return "Program", "\n".join(lines)
+
+
+def test_parse_behaviour_is_byte_stable():
+    h = hashlib.sha256()
+    kinds: dict[str, int] = {}
+    for text in _digest_texts():
+        kind, out = _outcome(text)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        h.update(f"{kind}: {out}".encode())
+        h.update(b"\n\n")
+    assert kinds == {"Program": 695, "ParseError": 2374,
+                     "LamWithoutOccurrence": 127, "DuplicateBinder": 4}
+    assert h.hexdigest() == PARSE_DIGEST

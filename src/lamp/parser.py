@@ -23,17 +23,22 @@ Grammar (``#`` starts a line comment)::
 ``x(y). u`` desugars to App(Send(y, u), Var(x)) and likewise requires y in u.
 ``(t : T)`` attaches a type annotation to the subterm t; annotations guide
 type reconstruction and are collected on the side, not stored in the tree.
+
+The grammar is read in one flat pass over a list of string tokens.  Each
+chain (``|``, application, binder prefixes, ``par``, ``-o``) is a loop and
+each open ``(`` or ``close(`` a frame on an explicit stack: nesting costs
+no recursion.  Tokens carry no positions; an error's line:col is found by
+scanning the text again up to the failing token.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, UNIT, Var, children, is_free_in, nodes,
+    Term, TypeExpr, UNIT, Var, is_free_in,
 )
 
 
@@ -54,41 +59,32 @@ class DuplicateBinder(ParseError):
 
 KEYWORDS = {"lam", "out", "out2", "close", "bot", "par"}
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>\|\-|-o|[(),.:|*])
-    """,
-    re.VERBOSE,
-)
+_SKIP, _TOKEN = r"\s+|\#[^\n]*", r"[A-Za-z_][A-Za-z0-9_]*|\|-|-o|[(),.:|*]"
+# the longest prefix of a text that whitespace, comments and tokens spell
+_SPELLED_RE = re.compile(f"(?:{_SKIP}|{_TOKEN})*")
+# each token after what is skipped before it, then "" at the end
+_TOKEN_RE = re.compile(f"(?:{_SKIP})*({_TOKEN}|\\Z)")
+
+# the tokens that are no identifier ("" is the end of input), and those
+# that name no variable
+_OPS = frozenset({"|-", "-o", "(", ")", ",", ".", ":", "|", "*", ""})
+_NOT_NAME = _OPS | KEYWORDS
+_NO_ATOM = _NOT_NAME - {"*", "(", "close"}  # the tokens no atom starts with
+# what a lam or x(y). prefix (kind "") whose name its body lacks reports
+_UNUSED = {"lam": "lam-bound {!r} does not occur in its body",
+           "": "input-bound {!r} does not occur in its continuation"}
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "op", "eof"
-    text: str
-    line: int
-    col: int
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    pos, line, line_start = 0, 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != pos:
-            break  # text[pos] starts no token
-        kind, tok = m.lastgroup, m.group()
-        if kind != "ws":
-            toks.append(Token(kind, tok, line, start - line_start + 1))
-        elif "\n" in tok:
-            line += tok.count("\n")
-            line_start = start + tok.rindex("\n") + 1
-        pos = m.end()
-    if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}",
-                         line, pos - line_start + 1)
-    toks.append(Token("eof", "", line, len(text) - line_start + 1))
-    return toks
+def tokenize(text: str) -> list[str]:
+    """text's tokens, then "" (twice if it ends in whitespace or a comment)."""
+    end = _SPELLED_RE.match(text).end()
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", *_line_col(text, end))
+    return _TOKEN_RE.findall(text)
 
 
 @dataclass
@@ -99,236 +95,240 @@ class Program:
     annotations: list[tuple[Term, TypeExpr]] = field(default_factory=list)
 
 
-def _nest_right(parts: list, make):
-    """The parts [a, b, c] of a chain as make(a, make(b, c))."""
-    out = parts.pop()
-    for left in reversed(parts):
-        out = make(left, out)
-    return out
+class _Reader:
+    """A text's tokens and the index of the next one, plus what reading
+    them records: the annotations, per name its last variable token's
+    index, the names bound, and those bound again, first repeat first."""
 
-
-class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = tokenize(text)
         self.i = 0
         self.annotations: list[tuple[Term, TypeExpr]] = []
+        self.used: dict[str, int] = {}
+        self.bound: set[str] = set()
+        self.rebound: dict[str, None] = {}
 
-    def peek(self, k: int = 0) -> Token:
-        j = self.i + k
-        return self.toks[j] if j < len(self.toks) else self.toks[-1]
+    def fail(self, j: int, msg: str, error=ParseError):
+        """Raise error(msg) at token j's line:col, found by a new scan."""
+        for k, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            if k == j:
+                raise error(msg, *_line_col(self.text, m.start(1)))
 
-    def next(self) -> Token:
-        t = self.peek()
-        if t.kind != "eof":
+    def wanted(self, j: int, what: str):
+        self.fail(j, f"expected {what}, found {self.toks[j] or 'end of input'!r}")
+
+    def expect(self, tok: str) -> None:
+        if self.toks[self.i] != tok:
+            self.wanted(self.i, repr(tok))
+        self.i += 1
+
+    def skip(self, tok: str) -> bool:
+        """Whether the next token is tok, stepping past it if so."""
+        if self.toks[self.i] == tok:
             self.i += 1
-        return t
+            return True
+        return False
 
-    def fail(self, msg: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok.line, tok.col)
-
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind == "eof":
-            self.fail(f"expected {text!r}, found {t.text or 'end of input'!r}")
-        return self.next()
-
-    def ident(self) -> str:
-        t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS:
-            self.fail(f"expected identifier, found {t.text or 'end of input'!r}")
-        return self.next().text
-
-    # -- types ------------------------------------------------------------
-    # Each chain a op b op ... is read by a loop, and so is each chain of
-    # binder prefixes (seq), so its length costs no recursion.  The three
-    # operator loops are not one shared method: its frame would lower how
-    # deep the parentheses the parser reads can nest.
-
-    def type_(self) -> TypeExpr:
-        parts = [self.lolli()]
-        while self.peek().text == "par":
-            self.next()
-            parts.append(self.lolli())
-        return _nest_right(parts, ParT)
-
-    def lolli(self) -> TypeExpr:
-        parts = [self.tatom()]
-        while self.peek().text == "-o":
-            self.next()
-            parts.append(self.tatom())
-        return _nest_right(parts, Lolli)
-
-    def tatom(self) -> TypeExpr:
-        t = self.peek()
-        if t.text == "bot":
-            self.next()
-            return BOT
-        if t.text == "(":
-            self.next()
-            ty = self.type_()
-            self.expect(")")
-            return ty
-        if t.kind == "ident":
-            return Atom(self.next().text)
-        self.fail(f"expected a type, found {t.text or 'end of input'!r}")
-
-    # -- terms ------------------------------------------------------------
-
-    def term(self) -> Term:
-        parts = [self.seq()]
-        while self.peek().text == "|":
-            self.next()
-            parts.append(self.seq())
-        return _nest_right(parts, Par)
-
-    def seq(self) -> Term:
-        # the binder prefixes of a chain, outermost first, read by a loop:
-        # (token, name, second name or the bound one of x(y).)
-        prefixes: list[tuple[Token, str, str]] = []
-        while True:
-            t = self.peek()
-            if t.text in ("out", "lam", "out2"):
-                self.next()
-                x = self.ident()
-                y = self.ident() if t.text == "out2" else ""
-            # sync-input sugar x(y). u, distinguished from application by the dot
-            elif (t.kind == "ident" and t.text not in KEYWORDS
-                    and self.peek(1).text == "(" and self.peek(2).kind == "ident"
-                    and self.peek(2).text not in KEYWORDS
-                    and self.peek(3).text == ")" and self.peek(4).text == "."):
-                x = self.ident()
-                self.expect("(")
-                y = self.ident()
-                self.expect(")")
-            else:
-                break
-            self.expect(".")
-            prefixes.append((t, x, y))
-        # the body, then each prefix around it, innermost first
-        body = self.app()
-        while prefixes:
-            t, x, y = prefixes.pop()
-            if t.text == "out":
-                body = Send(x, body)
-            elif t.text == "out2":
-                body = Dist(x, y, body)
-            elif t.text == "lam":
-                if not is_free_in(x, body):
-                    raise LamWithoutOccurrence(
-                        f"lam-bound {x!r} does not occur in its body", t.line, t.col)
-                body = Send(x, body)
-            else:
-                if not is_free_in(y, body):
-                    raise LamWithoutOccurrence(
-                        f"input-bound {y!r} does not occur in its continuation",
-                        t.line, t.col)
-                body = App(Send(y, body), Var(x))
-        return body
-
-    def app(self) -> Term:
-        out = self.atom()
-        while self._at_atom():
-            out = App(out, self.atom())
+    def end(self, out):
+        """out, once no token but the end of input is left."""
+        if self.toks[self.i]:
+            self.fail(self.i, f"trailing input {self.toks[self.i]!r}")
         return out
 
-    def _at_atom(self) -> bool:
-        t = self.peek()
-        return (t.text in ("*", "(", "close")
-                or (t.kind == "ident" and t.text not in KEYWORDS))
+    def type_(self) -> TypeExpr:
+        toks, i = self.toks, self.i
+        stack: list = []  # per open "(": the par and -o parts around it
+        pars: list = []  # the finished lollis of the par chain
+        lollis: list = []  # the finished tatoms of the -o chain
+        while True:
+            t = toks[i]
+            if t == "(":
+                stack.append((pars, lollis))
+                pars, lollis = [], []
+                i += 1
+                continue
+            if t in _OPS:
+                self.wanted(i, "a type")
+            ty = BOT if t == "bot" else Atom(t)
+            i += 1
+            # the chains ty ends, and each type in parentheses it ends
+            while True:
+                t = toks[i]
+                if t == "-o":
+                    lollis.append(ty)
+                    i += 1
+                    break
+                while lollis:
+                    ty = Lolli(lollis.pop(), ty)
+                if t == "par":
+                    pars.append(ty)
+                    i += 1
+                    break
+                while pars:
+                    ty = ParT(pars.pop(), ty)
+                if not stack:
+                    self.i = i
+                    return ty
+                if t != ")":
+                    self.wanted(i, "')'")
+                i += 1
+                pars, lollis = stack.pop()
 
-    def atom(self) -> Term:
-        t = self.peek()
-        if t.text == "*":
-            self.next()
-            return UNIT
-        if t.text == "close":
-            self.next()
-            self.expect("(")
-            body = self.term()
-            self.expect(")")
-            return Close(body)
-        if t.text == "(":
-            self.next()
-            inner = self.term()
-            if self.peek().text == ":":
-                self.next()
-                self.annotations.append((inner, self.type_()))
-            self.expect(")")
-            return inner
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            return Var(self.next().text)
-        self.fail(f"expected a term, found {t.text or 'end of input'!r}")
-
-    # -- sequents ----------------------------------------------------------
+    def term(self) -> Term:
+        toks, i = self.toks, self.i
+        used, bound, rebound = self.used, self.bound, self.rebound
+        stack: list = []  # per open "(" or "close(": its index, the state around it
+        parts: list = []  # the finished seqs of the | chain
+        # the seq's binder prefixes, outermost first: (first token's index,
+        # "out" "lam" "out2" or "" for x(y)., names it binds, dot's index)
+        prefixes: list = []
+        app = None  # the seq's application so far
+        while True:
+            t = toks[i]
+            while app is None:  # at a seq's start: its binder prefixes
+                if t == "out" or t == "lam" or t == "out2":
+                    j, kind = i + 2 + (t == "out2"), t
+                    names = toks[i + 1:j]
+                    for k, z in enumerate(names, i + 1):
+                        if z in _NOT_NAME:
+                            self.wanted(k, "identifier")
+                    if toks[j] != ".":
+                        self.wanted(j, "'.'")
+                # sync-input sugar x(y). u, told from application by the dot
+                elif (t not in _NOT_NAME and toks[i + 1] == "("
+                        and toks[i + 2] not in _NOT_NAME and toks[i + 3] == ")"
+                        and toks[i + 4] == "."):
+                    used[t] = i
+                    j, kind, names = i + 4, "", toks[i + 2:i + 3]
+                else:
+                    break
+                for z in names:
+                    if z in bound:
+                        rebound.setdefault(z)
+                    bound.add(z)
+                prefixes.append((i, kind, names, j))
+                i = j + 1
+                t = toks[i]
+            if t == "(" or t == "close":
+                stack.append((i, parts, prefixes, app))
+                i += 1 + (t == "close")
+                if toks[i - 1] != "(":
+                    self.wanted(i - 1, "'('")
+                parts, prefixes, app = [], [], None
+                continue
+            if t == "*":
+                atom = UNIT
+            elif t not in _NOT_NAME:
+                atom = Var(t)
+                used[t] = i
+            else:
+                self.wanted(i, "a term")
+            i += 1
+            # the atom joins the app; where no atom follows, the seq and the term end
+            while True:
+                app = atom if app is None else App(app, atom)
+                t = toks[i]
+                if t not in _NO_ATOM:
+                    break
+                # the seq ends: its prefixes wrap its body, innermost first
+                body = app
+                while prefixes:
+                    k, kind, names, dot = prefixes.pop()
+                    z = names[-1]
+                    if kind in _UNUSED and not (is_free_in(z, body) if z in rebound
+                                                else used.get(z, -1) > dot):
+                        self.fail(k, _UNUSED[kind].format(z), LamWithoutOccurrence)
+                    if kind == "out2":
+                        body = Dist(*names, body)
+                    elif kind:
+                        body = Send(z, body)
+                    else:
+                        body = App(Send(z, body), Var(toks[k]))
+                if t == "|":
+                    parts.append(body)
+                    i += 1
+                    app = None
+                    break
+                while parts:
+                    body = Par(parts.pop(), body)
+                if not stack:
+                    self.i = i
+                    return body
+                k, parts, prefixes, app = stack.pop()
+                if t == ":" and toks[k] == "(":
+                    self.i = i + 1
+                    self.annotations.append((body, self.type_()))
+                    i = self.i
+                if toks[i] != ")":
+                    self.wanted(i, "')'")
+                i += 1
+                atom = Close(body) if toks[k] == "close" else body
 
     def sequent(self) -> Sequent:
-        gamma: list[tuple[str, TypeExpr]] = []
-        if self.peek().text != "|-":
-            while True:
-                tok = self.peek()
-                x = self.ident()
-                self.expect(":")
-                ty = self.type_()
-                if any(x == y for y, _ in gamma):
-                    self.fail(f"duplicate declaration of {x!r}", tok)
-                gamma.append((x, ty))
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
+        toks = self.toks
+        gamma: dict[str, TypeExpr] = {}
+        more = toks[self.i] != "|-"
+        while more:
+            j = self.i
+            x = toks[j]
+            if x in _NOT_NAME:
+                self.wanted(j, "identifier")
+            self.i += 1
+            self.expect(":")
+            ty = self.type_()
+            if x in gamma:
+                self.fail(j, f"duplicate declaration of {x!r}")
+            gamma[x] = ty
+            more = self.skip(",")
         self.expect("|-")
         delta: list[DeltaEntry] = []
         while True:
-            tok = self.peek()
+            j = self.i
             term = self.term()
-            ty = None
-            if self.peek().text == ":":
-                self.next()
-                ty = self.type_()
-            if ty is None and not isinstance(term, Close):
-                self.fail("untyped conclusion must have the form close(...)", tok)
+            ty = self.type_() if self.skip(":") else None
+            if ty is None and type(term) is not Close:
+                self.fail(j, "untyped conclusion must have the form close(...)")
             delta.append(DeltaEntry(term, ty))
-            if self.peek().text == ",":
-                self.next()
-                continue
-            break
-        if self.peek().kind != "eof":
-            self.fail(f"trailing input {self.peek().text!r}")
-        return Sequent(tuple(gamma), tuple(delta))
+            if not self.skip(","):
+                break
+        return self.end(Sequent(tuple(gamma.items()), tuple(delta)))
 
-
-def _check_binders_unique(s: Sequent) -> None:
-    seen: set[str] = set()
-    for e in s.delta:
-        for sub in nodes(e.term, children):
-            if type(sub) is Var:
-                continue
-            for x in sub[1:sub._first]:  # its names, see terms.var_names
-                if x in seen:
-                    raise DuplicateBinder(f"binder {x!r} is bound more than once")
-                seen.add(x)
+    def types(self, stop: str) -> tuple:
+        """Types separated by ',', none if the next token is stop."""
+        out = [] if self.toks[self.i] == stop else [self.type_()]
+        while out and self.skip(","):
+            out.append(self.type_())
+        return tuple(out)
 
 
 def parse_program(text: str) -> Program:
-    p = _Parser(text)
-    seq = p.sequent()
-    _check_binders_unique(seq)
-    return Program(seq, p.annotations)
+    r = _Reader(text)
+    seq = r.sequent()
+    if r.rebound:  # the first name bound again is reported
+        raise DuplicateBinder(f"binder {next(iter(r.rebound))!r} is bound more than once")
+    return Program(seq, r.annotations)
+
+
+def parse_sequent(text: str) -> Sequent:
+    """A sequent alone, binders not checked (the derivation reader's)."""
+    return _Reader(text).sequent()
+
+
+def parse_type_sides(text: str) -> tuple[tuple, tuple]:
+    """Two comma-separated type lists around '|-'; either may be empty."""
+    r = _Reader(text)
+    left = r.types("|-")
+    r.expect("|-")
+    return left, r.end(r.types(""))
 
 
 def parse_term(text: str) -> Term:
     """Parse a bare term snippet (used by tests and the trace reader)."""
-    p = _Parser(text)
-    t = p.term()
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
-    return t
+    r = _Reader(text)
+    return r.end(r.term())
 
 
 def parse_type(text: str) -> TypeExpr:
-    p = _Parser(text)
-    ty = p.type_()
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
-    return ty
+    r = _Reader(text)
+    return r.end(r.type_())

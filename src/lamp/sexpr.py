@@ -11,8 +11,8 @@ import re
 from operator import itemgetter
 
 from .derivations import Derivation, Rule
-from .parser import ParseError, _Parser
-from .terms import Sequent, fold, nodes, print_sequent
+from .parser import ParseError, parse_sequent, parse_type_sides
+from .terms import fold, nodes, print_sequent
 
 # the MLL writer and reader import mll themselves: lamp check, which uses
 # neither, then never compiles it
@@ -117,28 +117,10 @@ def _read_all(text: str):
             open_nodes[-1][2].append(node)
 
 
-def parse_sequent_text(text: str) -> Sequent:
-    return _Parser(text).sequent()
-
-
 def parse_mll_sequent_text(text: str) -> MllSequent:
     """Types separated by ',', then '|-', then types; a side may be empty."""
     from .mll import MllSequent
-    p = _Parser(text)
-
-    def types(stop: str) -> tuple:
-        out = [] if p.peek().text == stop else [p.type_()]
-        while out and p.peek().text == ",":
-            p.next()
-            out.append(p.type_())
-        return tuple(out)
-
-    left = types("|-")
-    p.expect("|-")
-    right = types("")  # the end of input's text
-    if p.peek().kind != "eof":
-        p.fail(f"trailing input {p.peek().text!r}")
-    return MllSequent(left, right)
+    return MllSequent(*parse_type_sides(text))
 
 
 def _build(text: str, tags: dict, parse_sequent) -> Derivation:
@@ -156,7 +138,7 @@ def _build(text: str, tags: dict, parse_sequent) -> Derivation:
 
 
 def sexpr_to_derivation(text: str) -> Derivation:
-    return _build(text, _NMLL_TAGS, parse_sequent_text)
+    return _build(text, _NMLL_TAGS, parse_sequent)
 
 
 def sexpr_to_mll(text: str) -> Derivation:

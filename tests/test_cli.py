@@ -171,12 +171,32 @@ def test_missing_file_exit_code(tmp_path):
 
 
 def test_deep_input_exit_code(tmp_path):
-    # the parser still reads parentheses by recursive descent
+    # the parser reads parentheses with its own stack, so 1,500 levels
+    # parse; the proof search still costs one Python frame per rule, so
+    # ring(255) parses but is nested too deeply to check
     deep = tmp_path / "deep.lamp"
     deep.write_text("|- " + "(" * 1500 + "*" + ")" * 1500 + " : bot\n")
     r = run_cli("parse", str(deep))
+    assert (r.returncode, r.stdout, r.stderr) == (0, "|- * : bot\n", "")
+    f = tmp_path / "ring.lamp"
+    f.write_text(_INPUTS.ring_case(0, 255, random.Random(0)).text + "\n")
+    r = run_cli("check", str(f))
     _assert_one_line_error(r, 4)
     assert r.stderr.startswith("budget exceeded: ")
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("|- " + "(" * 20000 + "*" + ")" * 20000 + " : bot", "|- * : bot"),
+    ("|- " + "close(" * 20000 + "*" + ")" * 20000, None),
+    ("x : " + "(" * 20000 + "A" + ")" * 20000 + " |- x : A", "x : A |- x : A"),
+], ids=["parens", "close", "type-parens"])
+def test_twenty_thousand_parentheses_parse(tmp_path, text, printed):
+    # each open parenthesis is a frame on the parser's own stack, in a term
+    # and in a type
+    deep = tmp_path / "deep.lamp"
+    deep.write_text(text + "\n")
+    r = run_cli("parse", str(deep))
+    assert (r.returncode, r.stdout, r.stderr) == (0, (printed or text) + "\n", "")
 
 
 def test_long_binder_chains_parse(tmp_path):
@@ -242,8 +262,10 @@ def test_translate_to_nmll_reports_the_first_bad_node(tmp_path):
 
 
 def test_deep_ring_checks_runs_and_translates(tmp_path):
-    # the proof search costs one Python frame per rule, so the bench's
-    # ring text at 240 components stays inside the default recursion limit
+    # the parser no longer sets the limit: it reads any nesting with its
+    # own stack.  The proof search costs one Python frame per rule, so the
+    # bench's ring text at 240 components stays inside the default
+    # recursion limit
     f = tmp_path / "ring.lamp"
     f.write_text(_INPUTS.ring_case(0, 240, random.Random(0)).text + "\n")
     for args in (["check"], ["run", "--mode", "concurrent"],

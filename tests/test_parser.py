@@ -11,7 +11,7 @@ from lamp.parser import (
 )
 from lamp.terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    UNIT, Var, children, nodes, print_sequent, print_term, print_type,
+    UNIT, Var, children, is_free_in, nodes, print_sequent, print_term, print_type,
 )
 from lamp.testlab import GenConfig, gen_derivation
 from tests.conftest import CORPUS_NAMES, corpus_text
@@ -202,3 +202,25 @@ def test_parse_behaviour_is_byte_stable():
     assert kinds == {"Program": 695, "ParseError": 2374,
                      "LamWithoutOccurrence": 127, "DuplicateBinder": 4}
     assert h.hexdigest() == PARSE_DIGEST
+
+
+def test_lam_chains_walk_no_body_unless_a_binder_repeats(monkeypatch):
+    # a lam checks its name against the variable tokens read after its dot;
+    # only a name bound more than once has its body walked by is_free_in
+    calls = []
+    monkeypatch.setattr("lamp.parser.is_free_in",
+                        lambda x, t: calls.append(x) or is_free_in(x, t))
+    n = 20000
+    t = parse_term(" ".join(f"lam x{k}." for k in range(n)) + " "
+                   + " ".join(f"x{k}" for k in range(n)))
+    assert calls == []
+    for k in range(n):
+        assert type(t) is Send and t.chan == f"x{k}"
+        t = t.body
+    for k in reversed(range(1, n)):
+        assert type(t) is App and t.arg == Var(f"x{k}")
+        t = t.fun
+    assert t == Var("x0")
+    assert parse_term("lam a. (lam a. a) a") == Send(
+        "a", App(Send("a", Var("a")), Var("a")))
+    assert calls == ["a", "a"]

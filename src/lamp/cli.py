@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("enumerate", help="explore every reduction order, "
-                       "one past each pinned beta of a linear program")
+                       "one past each pinned beta or fixed comm of a linear "
+                       "program")
     p.add_argument("file")
     p.add_argument("--budget", type=positive, default=100_000,
                    help="maximum number of states the search visits")

@@ -35,8 +35,10 @@ across steps.  ``find_redexes``, ``apply_redex`` and
 ``enumerate_normal_forms`` meet each state once and run the same search
 on it as one component, which costs one scan as a split state would.
 On a linear term, ``enumerate_normal_forms`` follows only a state's first
-pinned beta, one whose variable no rule can move out of its body: such a
-beta is a persistent set (Godefroid 1996, "Partial-Order Methods for the
+pinned beta, one whose variable no rule can move out of its body, or,
+with none, its first fixed comm, one whose ends no rule can move and whose
+value lands across a top-level Par from every partner: each is a
+persistent set (Godefroid 1996, "Partial-Order Methods for the
 Verification of Concurrent Systems"), so every normal form is still met.
 ``find_redexes`` and ``apply_redex`` speak in paths, for callers that
 hold a redex across calls, and ``apply_redex`` checks that it still
@@ -53,8 +55,8 @@ from operator import attrgetter, contains, itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .terms import (
-    App, Cell, Close, Dist, Memo, Par, Path, Send, Term, UNIT, Var, _cells_at,
-    _path, _put, _scan, _texts, children, is_free_in, name_counts, nodes,
+    App, Cell, Close, Dist, Memo, Par, Path, Send, Term, UNIT, Var, _Scan,
+    _cells_at, _path, _put, _scan, _texts, children, is_free_in, name_counts, nodes,
     print_term, substitute, subterm_at,
 )
 
@@ -263,27 +265,43 @@ def _changed(i: int, act: Cell, firing: tuple, receivers: Sequence) -> dict:
 # A state met once, as enumerate meets each, is one component: split, it
 # would be scanned whole all the same, and joined again for every reduct.
 
-def _reducts(t: Term, linear: bool = False) -> Iterator[Term]:
+def _reducts(t: Term, bound: Optional[frozenset] = None) -> Iterator[Term]:
     """The one-step reducts of t in find_redexes' order, each built from
-    the one scan of t.  If linear (see enumerate_normal_forms), only the
-    first pinned beta's when t has one."""
+    the one scan of t.  Given bound, the names a linear start term binds
+    (see enumerate_normal_forms), only the first pinned beta's when t has
+    one, else the first fixed comm's when t has one."""
     state = _State([t])
     found = _redexes(state)
-    if linear:
+    if bound is not None:
         scan = state.scans[0]
+        comms = []
         for act in scan.acts:
             lam = act[2][1]
-            if type(lam) is Send and id(lam) in scan.lams and _pinned(lam):
+            if type(lam) is not Send:
+                continue
+            if id(lam) not in scan.lams:
+                comms.append(act)
+            elif _pinned(lam):
                 found = [(0, act, fire(act[2], scan.lams), ())]
                 break
+        else:
+            for act in comms:
+                recv = _fixed_comm(scan, bound, act)
+                if recv is not None:
+                    found = [(0, act, fire(act[2], scan.lams), ((0, recv),))]
+                    break
     for f in found:
         yield _changed(*f)[0]
 
 
-def _linear(t: Term) -> bool:
-    """Whether no name of t is bound twice, by a Send or by either name of
-    a Dist, and no bound name occurs twice as a variable."""
-    return all(b < 2 and (b == 0 or v < 2) for v, b in name_counts([t]).values())
+def _linear(t: Term) -> Optional[frozenset]:
+    """The names t binds, if no name of t is bound twice, by a Send or by
+    either name of a Dist, and no bound name occurs twice as a variable;
+    else None."""
+    counts = name_counts([t]).items()
+    if all(b < 2 and (b == 0 or v < 2) for _, (v, b) in counts):
+        return frozenset(x for x, (_, b) in counts if b)
+    return None
 
 
 def _pinned(lam: Send) -> bool:
@@ -303,6 +321,82 @@ def _pinned(lam: Send) -> bool:
         elif cls is Send or cls is Close:
             stack.append(s[-1])
     return False
+
+
+def _process(c: Cell, bound: frozenset) -> Optional[int]:
+    """If cell c is at a fixed position, the id of the cell of the
+    top-level process holding it (the maximal non-Par subterm reached from
+    the root through Pars only); else None.  A fixed position is reached
+    from the root through no Dist body and no App argument, but that of an
+    App whose function is a variable of a name not in bound: no rule moves
+    it, and none removes a Par above it."""
+    top = c
+    while c[0] is not None:
+        up = c[0]
+        node = up[2]
+        cls = type(node)
+        if cls is not Par:
+            if cls is Dist or cls is App and c[1] == 2 \
+                    and (type(node[1]) is not Var or node[1][1] in bound):
+                return None
+            top = up
+        c = up
+    return id(top)
+
+
+def _fixed_comm(scan: _Scan, bound: frozenset, act: Cell) -> Optional[Cell]:
+    """The receiver's cell if the comm at cell act of a linear state's
+    scan is fixed, else None.  It is fixed if its activator and receiver
+    are at fixed positions (see _process) in different top-level
+    processes, and its value is one-sided: take the value, and
+    transitively what an activator outside sends to each receiver inside
+    them; every name with an end in those values has its other end outside
+    them all, at a fixed position in a process other than the receiver's,
+    or is a Send whose body holds the receiver."""
+    v = act[2][2]
+    recv = scan.free.get(act[2][1][1])
+    if not recv:
+        return None
+    recv = recv[0]
+    q = _process(recv, bound)
+    if q is None or _process(act, bound) in (None, q):
+        return None
+    # per bound name, the activator cell that binds it and what it sends
+    senders = {}
+    for a in scan.acts:
+        node = a[2]
+        if type(node) is App:
+            senders[node[1][1]] = (a, node[2])
+        else:
+            senders[node[1]], senders[node[2]] = (a, node[3][1]), (a, node[3][2])
+    held = _above(recv)
+    # the values' nodes; each value is the argument of an App at a fixed
+    # position, or a part of a fixed Dist's body, so none holds another
+    stack = [v]
+    while stack:
+        s = stack.pop()
+        cls = type(s)
+        if cls is Var:
+            if s[1] not in bound:
+                continue
+            if (got := senders.get(s[1])) is None:
+                return None
+            c, sent = got
+            if _process(c, bound) in (None, q) \
+                    and (type(c[2]) is not App or id(c) not in held):
+                return None
+            stack.append(sent)
+        elif cls is Send or cls is Dist:
+            # a variable in its own body meets this binder as an activator
+            # inside the value, or as none, and is refused
+            for y in s[1:s._first]:
+                cells = scan.free.get(y)
+                if cells and _process(cells[0], bound) in (None, q):
+                    return None
+            stack.append(s[-1])
+        else:
+            stack += s[1:]
+    return recv
 
 
 def find_redexes(t: Term) -> list[Redex]:
@@ -358,25 +452,51 @@ def enumerate_normal_forms(t: Term, max_states: int = 100_000) -> set[Term]:
 
     If t is linear (no name bound twice, by a Send or by either name of a
     Dist, and no bound name used twice), each state follows only its first
-    pinned beta in redex order when it has one: a ``(lam x. u) v`` whose x
-    is reached from u through no App argument and no Dist body.  No rule
-    copies, so every state is linear too.  Otherwise, and at a state with
-    no pinned beta, it follows every redex.  A pinned beta is a persistent
-    set (Godefroid 1996), so this reaches every normal form:
+    pinned beta in redex order when it has one, else only its first fixed
+    comm when it has one.  No rule copies, so every state is linear too.
+    Otherwise, and at a state with neither, it follows every redex.  A
+    redex is named by the binder it fires: a beta and a comm on one binder
+    do the same, the body in the App's place and the value at the
+    variable.  Two redexes on distinct binders that each stay a redex after
+    the other fires commute (rules move subterms and never copy them).  So
+    a redex r is a persistent set (Godefroid 1996), and a normal form
+    reached by a path from the state is reached by one that fires r first,
+    if on every path that does not fire r, r stays a redex and disables no
+    redex where it could fire.  Every path ends, as each step removes a
+    Send or a Dist node.
+
+    A pinned beta is a ``(lam x. u) v`` whose x is reached from u through
+    no App argument and no Dist body:
 
     * on a path that does not fire it, it stays a pinned beta: rules move
       only App arguments and Dist bodies, and none copies;
     * firing it moves v only inside its own App, so every other redex of
-      the state keeps the least common ancestor that enables it;
-    * so it commutes with every other redex, and a normal form reached by
-      a path from the state is reached by one that fires it first.  Every
-      path ends, as each step removes a Send or a Dist node.
+      the state keeps the least common ancestor that enables it.
 
-    Comms are not pruned: one can disable another through the value it
+    A fixed comm is a ``(out x. u) v`` whose activator and receiver sit at
+    fixed positions, reached from the root through no Dist body and no App
+    argument but that of an App whose function is a variable no binder of
+    t binds, in different top-level processes (the maximal non-Par
+    subterms reached from the root through Pars); and whose value is
+    one-sided: take v, and transitively what an activator outside sends to
+    each receiver inside (an applied Send or a Dist with a Par body, else
+    the comm is not fixed); every name with an end in those values has its
+    other end outside them all, at a fixed position in a process other than
+    the receiver's, or is a Send whose body holds the receiver:
+
+    * on a path that does not fire it, it stays a comm across a top-level
+      Par: no rule moves a fixed position, and processes only split;
+    * everything in v when it fires lands across a top-level Par from the
+      other end of its name, or in the body of that end's Send, where the
+      redex on it is a beta; the rest keeps its least common ancestors, so
+      firing it disables no redex.
+
+    A comm that is not fixed can disable another through the value it
     carries, as in ``(out x. *) y | x ((out y. w) u)``, which has the two
-    normal forms ``* | u w`` and ``* | y ((out y. w) u)``.
+    normal forms ``* | u w`` and ``* | y ((out y. w) u)``; there the
+    search follows every redex.
     """
-    linear = _linear(t)
+    bound = _linear(t)
     seen: set[Term] = set()
     normal: set[Term] = set()
     frontier = [t]
@@ -385,7 +505,7 @@ def enumerate_normal_forms(t: Term, max_states: int = 100_000) -> set[Term]:
         nxt: list[Term] = []
         for s in frontier:
             fired = False
-            for s2 in _reducts(s, linear):
+            for s2 in _reducts(s, bound):
                 fired = True
                 # one lookup per reduct, whose hash tuple recomputes in C
                 # over every node (it keeps none): seen grows iff s2 is new

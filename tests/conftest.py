@@ -5,6 +5,16 @@ import sys
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # only the property tests need it; they fail to collect
+    pass
+else:
+    # HYPOTHESIS_PROFILE=thorough runs each property test on 2,000
+    # examples; unset, hypothesis keeps its default profile
+    settings.register_profile("thorough", max_examples=2000, deadline=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 CORPUS = ROOT / "corpus"

@@ -6,7 +6,7 @@ import random
 from itertools import count
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lamp import reduction, terms
 from lamp.parser import parse_program, parse_term
@@ -174,9 +174,23 @@ def test_enumerate_budget():
     # the comm first loses the first form, so a diamond licenses no pruning
     ("(out x1. *) x2 | (lam f. f x1) (out x2. *)",
      {"(out x1. *) x1 | *", "* | (out x2. *) x2"}),
-    # linear: both ends of both comms are pinned, yet x's carries y and so
-    # disables y's, so comms are not pruned
+    # linear: both ends of the comm on x are fixed, yet it carries y and so
+    # disables y's, whose activator is not: its value is not one-sided
     ("(out x. *) y | x ((out y. w) u)", {"* | u w", "* | y ((out y. w) u)"}),
+    # linear: the comm on y is not fixed, as its activator is in the value
+    # that the comm on x carries into an App argument
+    ("(out x. *) ((out y. *) *) | (out z. y) x",
+     {"* | (out z. *) *", "* | (out z. y) ((out y. *) *)"}),
+    # linear: the comm on x is not fixed, as its receiver is in the value
+    # that the comm on y carries into the App of x's activator
+    ("(out x. *) y | (out y. *) x", {"(out x. *) x | *", "* | (out y. *) y"}),
+    # linear: the comm on x is not fixed, as the Dist that y's comm sends
+    # into x's value would land in x d, where its d is not across a Par
+    ("(x d | (out x. *) y) | (out y. e) (out2 d e. (* | *))",
+     {"((out2 d e. (* | *)) d | *) | e", "(* * | *) | *"}),
+    # linear: the comm on x is not fixed, as its value holds an output on
+    # y whose receiver is in the process of x's receiver
+    ("x y | (out x. *) ((out y. *) *)", {"(out y. *) * y | *", "* * | *"}),
     # linear: an x in an App argument is not pinned, as the comm on a
     # carries it out of the beta's body
     ("(lam x. (out a. *) x) b | (out b. *) a",
@@ -349,7 +363,27 @@ def test_enumerate_matches_the_plain_search_on_generated_programs(monkeypatch):
             assert enumerate_normal_forms(t) == want, print_term(t)
     # a count guard: generated programs are linear, and their betas are
     # mostly pinned, so a search that stops pruning visits the 9,254
-    assert (programs, bfs_states, visited) == (333, 9254, 1486)
+    assert (programs, bfs_states, visited) == (333, 9254, 1455)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_enumerate_follows_one_order_through_ring(monkeypatch, n):
+    # ring fires only comms, each fixed where it is first in redex order,
+    # so the search visits one order's n + 2 states of the 2^(n+1)
+    visited = 0
+    real = reduction._reducts
+
+    def counted(*args):
+        nonlocal visited
+        visited += 1
+        return real(*args)
+
+    monkeypatch.setattr(reduction, "_reducts", counted)
+    t = _INPUTS.ring_case(0, n, random.Random(n)).sequent.joined_term()
+    forms = enumerate_normal_forms(t)
+    states = _reachable(t)
+    assert (visited, len(states)) == (n + 2, 2 ** (n + 1))
+    assert forms == {s for s in states if not _old_find_redexes(s)}
 
 
 @given(_terms(4))
@@ -373,15 +407,16 @@ _SHAPES = [
 @st.composite
 def _linear_terms(draw):
     """Untyped terms with unique binders, each bound name used at most
-    once: a shape of applied Sends, Pars, Apps, binary outputs and closes,
-    whose binders are named apart in preorder.  Each variable takes a
-    binder's name not yet used, most often its innermost enclosing one's,
-    or a free name."""
+    once: one to four top-level processes, each a shape of applied Sends,
+    Pars, Apps, binary outputs and closes, whose binders are named apart in
+    preorder.  Each variable takes a binder's name not yet used, most often
+    its innermost enclosing one's, or a free name."""
     def shape(depth):
         arity, build = draw(st.sampled_from(_SHAPES if depth else _SHAPES[:2]))
         return build(*(shape(depth - 1) for _ in range(arity)))
 
-    t = shape(draw(st.integers(2, 5)))
+    t = join_par([shape(draw(st.integers(1, 4)))
+                  for _ in range(draw(st.integers(1, 4)))])
     names = iter(count())
     unused = [f"n{i}" for i in range(sum(
         len(s[1:s._first]) for s in nodes(t, children) if type(s) is not Var))]
@@ -399,10 +434,43 @@ def _linear_terms(draw):
     return named(t, [])
 
 
+# the plain search on four processes can take longer than hypothesis's
+# deadline on a slow or busy machine, and a verdict must not depend on that
+@settings(deadline=None)
 @given(_linear_terms())
 def test_enumerate_matches_the_plain_search_on_linear_terms(t):
-    assert reduction._linear(t)
+    assert reduction._linear(t) is not None
     assert enumerate_normal_forms(t) == _bfs_normal_forms(t)
+
+
+def _binder(t, r):
+    """The name of the Send or the first name of the Dist that fires r."""
+    node = terms.subterm_at(t, r.activator)
+    return node[1] if type(node) is Dist else node[1][1]
+
+
+def _fire_on(t, x):
+    """t after its redex on binder x, or None if t has none."""
+    for r in find_redexes(t):
+        if _binder(t, r) == x:
+            return apply_redex(t, r)
+    return None
+
+
+@settings(deadline=None)
+@given(_linear_terms())
+def test_redexes_on_distinct_binders_commute(t):
+    # the third point of enumerate_normal_forms' argument: of two redexes
+    # that each stay a redex after the other fires, both orders meet; a
+    # pair where one disables the other is skipped
+    binders = sorted({_binder(t, r) for r in find_redexes(t)})
+    for k, x in enumerate(binders):
+        for y in binders[k + 1:]:
+            xy, yx = _fire_on(t, x), _fire_on(t, y)
+            xy = xy and _fire_on(xy, y)
+            yx = yx and _fire_on(yx, x)
+            if xy is not None and yx is not None:
+                assert xy == yx, (print_term(t), x, y)
 
 
 def _old_linear(t):
@@ -422,7 +490,7 @@ def _old_linear(t):
 
 @given(st.one_of(_terms(4), _linear_terms()))
 def test_linear_reads_the_census_as_its_old_walk_did(t):
-    assert reduction._linear(t) == _old_linear(t)
+    assert (reduction._linear(t) is not None) == _old_linear(t)
 
 
 # -- states as components, against the per-channel oracle --------------------

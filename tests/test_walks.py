@@ -17,10 +17,10 @@ from lamp.mll import (
     type_erasure,
 )
 from lamp.parser import parse_term, parse_type
-from lamp.reduction import comm_size
+from lamp.reduction import comm_size, enumerate_normal_forms
 from lamp.terms import (
-    Atom, BOT, Close, DeltaEntry, Sequent, UNIT, Var, children, flatten_par,
-    fold, print_term, print_type, subformulas,
+    App, Atom, BOT, Close, DeltaEntry, Par, Send, Sequent, UNIT, Var,
+    children, flatten_par, fold, print_term, print_type, subformulas,
 )
 from tests.conftest import SRC
 
@@ -156,6 +156,20 @@ def test_deep_equal_types_pass_the_subformula_audit():
         text = " par ".join(["bot"] * (depth + 1))
         check_subformula(Derivation(Rule.AX, Sequent(
             (("x", parse_type(text)),), (DeltaEntry(Var("x"), parse_type(text)),))))
+
+
+def test_enumerate_meets_one_copy_of_a_deep_state():
+    # the comms on a and b, fired in either order, would rebuild the close
+    # spine as equal, distinct objects, which the search's set compares
+    # level by level; each state's first comm is fixed, so one order is
+    # followed and no two such states meet
+    assert sys.getrecursionlimit() == 1000
+    deep = App(Send("b", UNIT), UNIT)
+    for _ in range(2000):
+        deep = Close(deep)
+    t = Par(Par(App(Send("a", UNIT), UNIT), Var("a")), Par(deep, Var("b")))
+    want = "(* | *) | " + "close(" * 2000 + "*" + ")" * 2000 + " | *"
+    assert [print_term(n) for n in enumerate_normal_forms(t)] == [want]
 
 
 def _nd_chain(n):

@@ -8,8 +8,20 @@ branching rule is inverted.  Its context split is forced: declarations and
 entries form a graph with an edge whenever they share a name, and every
 connected component must follow the premise seed it touches, because
 premises of a rule may not share variables.  Components touching no seed
-go to the leftmost premise; components touching two seeds rule the
-candidate out.
+float: each placement of them among the premises is tried in turn,
+leftmost first (with more than five, the leftmost alone); components
+touching two seeds rule the candidate out.
+
+A derivation is one tree.  Its leaves are the axioms, one per variable
+occurrence, and its only rules with other than one premise are LolliE, one
+per application, and ParrE, one per binary output.  So the terms of every
+derivable sequent's entries have a surplus (variables minus applications
+minus twice the binary outputs) of exactly 1.  A goal with another surplus
+would need the MIX rule, which lamp lacks, and is rejected before any
+search, like a goal whose atoms are unbalanced.  The search drops every
+placement of floating components that leaves some premise a surplus other
+than 1 before building it: such a premise has no derivation, so the first
+placement that succeeds, and the derivation found, stay the same.
 
 Unknown types (an unannotated application argument, the content types of a
 binary output) become metavariables solved by first-order unification.
@@ -46,6 +58,18 @@ class _NoSplit(UnsatisfiableSplit):
 _NO_SPLIT = "premise seeds share a variable; no disjoint split exists"
 
 
+def tree_counts(terms: Iterable[Term]) -> tuple[int, int, int]:
+    """The variables, applications and binary outputs in terms: the Ax,
+    LolliE and ParrE nodes of any derivation whose entries they are."""
+    kinds = []
+    stack = list(terms)
+    while stack:
+        s = stack.pop()
+        kinds.append(type(s))
+        stack += s[s._first:]
+    return kinds.count(Var), kinds.count(App), kinds.count(Dist)
+
+
 class UnificationFailure(TypecheckError):
     pass
 
@@ -64,11 +88,21 @@ class _Reconstructor:
         # var_names per subterm, by id; each value holds its term, so no
         # key outlives the object it names
         self._names: dict[int, tuple[Term, set[str]]] = {}
+        self._surplus: dict[int, tuple[Term, int]] = {}
 
     def names(self, term: Term) -> set[str]:
         hit = self._names.get(id(term))
         if hit is None:
             hit = self._names[id(term)] = (term, var_names(term))
+        return hit[1]
+
+    def surplus(self, term: Term) -> int:
+        """Variables minus applications minus twice the binary outputs in
+        term (see the module docstring), memoized like names."""
+        hit = self._surplus.get(id(term))
+        if hit is None:
+            v, a, d = tree_counts((term,))
+            hit = self._surplus[id(term)] = (term, v - a - 2 * d)
         return hit[1]
 
     # -- unification -------------------------------------------------------
@@ -265,10 +299,11 @@ class _Reconstructor:
         the rule asks of them and compute the context split, raising what
         fails.  Returns the rule and, built as they are drawn, its premises
         once per placement of the components that share no name with a
-        premise seed, leftmost placement first.  Each premise gets the
-        declarations and side entries the split gives it, in order, its
-        seed entry (if any) where entry i stood, and the declarations its
-        rule adds last."""
+        premise seed, leftmost placement first, dropping each placement
+        that leaves some premise a surplus other than 1 (raising if that
+        drops them all).  Each premise gets the declarations and side
+        entries the split gives it, in order, its seed entry (if any) where
+        entry i stood, and the declarations its rule adds last."""
         gamma, delta = seq.gamma, seq.delta
         e = delta[i]
         rest = delta[:i] + delta[i + 1:]
@@ -299,6 +334,27 @@ class _Reconstructor:
             choices = [(0,) * len(floating)]
         else:
             choices = itertools.product(range(len(seeds)), repeat=len(floating))
+        if floating:
+            # keep the placements that leave every premise a surplus of 1,
+            # summed per premise from its fixed part and its groups'
+            weight = [0] * g + [self.surplus(r.term) for r in rest]
+            fixed = [sum(self.surplus(e.term) for e in seed) for seed, _ in adds]
+            for j, k in enumerate(owner):
+                if k is not None:
+                    fixed[k] += weight[j]
+            groups = [sum(weight[j] for j in group) for group in floating]
+
+            def one_tree(choice) -> bool:
+                sums = list(fixed)
+                for w, k in zip(groups, choice):
+                    sums[k] += w
+                return sums.count(1) == len(sums)
+
+            choices = list(filter(one_tree, choices))
+            if not choices:
+                raise UnsatisfiableSplit(
+                    lambda: "no placement makes each premise one tree: "
+                    + print_sequent(seq))
 
         def premises(choice) -> list[Sequent]:
             own = list(owner)
@@ -402,7 +458,8 @@ def reconstruct(goal: Sequent,
                 annotations: Iterable[tuple[Term, TypeExpr]] = ()) -> Derivation:
     """Find a derivation of goal; raises a TypecheckError subclass if the
     sequent is not typable by the backward strategy.  A goal whose atoms
-    are unbalanced (polarity_balance) is rejected before any search."""
+    are unbalanced (polarity_balance), or whose entries' surplus is not 1,
+    is rejected before any search."""
     check_channel_linearity(goal)
     for e in goal.delta:
         if e.type is None and not isinstance(e.term, Close):
@@ -411,6 +468,11 @@ def reconstruct(goal: Sequent,
     bal = polarity_balance(goal)
     if bal:
         raise UnificationFailure(_unbalanced_text(bal))
+    v, a, d = tree_counts(e.term for e in goal.delta)
+    trees = v - a - 2 * d
+    if trees != 1:
+        raise UnsatisfiableSplit(
+            f"the entries make {trees} proof trees, not 1: {v} variables - {a}"
+            f" applications - 2 * {d} binary outputs; lamp has no MIX rule")
     rec = _Reconstructor(annotations)
-    d = rec.solve(goal)
-    return rec.finalize(d)
+    return rec.finalize(rec.solve(goal))

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lamp import reduction, terms
 from lamp.parser import parse_program, parse_term
+from lamp.reconstruct import tree_counts
 from lamp.reduction import (
     BudgetExceeded, StaleRedex, Trace, apply_redex, cbv_trace,
     comm_size, enumerate_normal_forms, find_redexes, is_value, normalize,
@@ -471,6 +472,23 @@ def test_redexes_on_distinct_binders_commute(t):
             yx = yx and _fire_on(yx, x)
             if xy is not None and yx is not None:
                 assert xy == yx, (print_term(t), x, y)
+
+
+# what each rule removes from a term's (variables, applications, binary
+# outputs): beta and comm an App and the variable the value replaces, dist
+# the Dist and its two receivers
+_REMOVED = {"beta": (1, 1, 0), "comm": (1, 1, 0), "dist": (2, 0, 1)}
+
+
+@settings(deadline=None)
+@given(_linear_terms())
+def test_each_reduct_keeps_the_surplus(t):
+    # variables - applications - 2 * binary outputs counts a typed term's
+    # proof trees (reconstruct.tree_counts), so reduction keeps it
+    before = tree_counts([t])
+    for r, u in zip(find_redexes(t), reduction._reducts(t), strict=True):
+        after = tree_counts([u])
+        assert tuple(b - a for b, a in zip(before, after)) == _REMOVED[r.kind]
 
 
 def _old_linear(t):

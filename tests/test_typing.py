@@ -19,8 +19,8 @@ from lamp.metatheory import (
 )
 from lamp.parser import parse_program
 from lamp.reconstruct import (
-    LinearityViolation, TypecheckError, UnificationFailure, polarity_balance,
-    reconstruct,
+    LinearityViolation, TypecheckError, UnificationFailure, UnsatisfiableSplit,
+    polarity_balance, reconstruct, tree_counts,
 )
 from lamp.sexpr import derivation_to_sexpr
 from lamp.reduction import _reducts
@@ -566,12 +566,13 @@ def test_unification_error_shows_types_as_they_were_when_raised():
 # after each, in two digests: derivation_to_sexpr of each accepted goal's
 # derivation, and each rejected goal's error class name and text.  A search
 # that only prunes failing branches keeps the first; it may change which
-# failure a rejection reports.  Taken when solve and the placement loop were
-# two nested backtracking loops
+# failure a rejection reports.  The first was taken when solve and the
+# placement loop were two nested backtracking loops, the second when the
+# search began to drop placements by surplus
 RECONSTRUCT_DERIVATIONS_DIGEST = \
     "ac1840bd3e6e0db4552cad8a8839e8c39e4b45ea68f54746cd9f144458a315a9"
 RECONSTRUCT_REJECTIONS_DIGEST = \
-    "6a777f569a37055f9e4f10291353d8ec79521264199ee016c1a0760899e7674d"
+    "06c766d0dca4d3152079c8caf22f3bee8a2b9ad0bd6ae1b3dc178faf5adc84dd"
 
 
 def _digest_goals():
@@ -687,3 +688,104 @@ def test_unbalanced_message_names_every_atom():
     with pytest.raises(UnificationFailure) as info:
         reconstruct(parse_program("x : A, y : C |- x y : B").sequent)
     assert str(info.value).endswith(": A -1, B +1, C -1")
+
+
+# -- surplus: a derivation is one tree ----------------------------------------
+
+def test_every_derivable_sequent_has_surplus_one():
+    # Ax, LolliE and ParrE are the only rules with other than one premise,
+    # and each is one variable, application or binary output of the terms
+    derivations = [gen_derivation(GenConfig(seed=seed, max_nodes=size))
+                   for size in (12, 36) for seed in range(200)]
+    rng = random.Random(1)
+    cases = [_INPUTS.ring_case(0, n, rng) for n in range(8, 49, 8)]
+    cases += [_INPUTS.relay_case(0, n, rng) for n in range(8, 49, 8)]
+    derivations += [reconstruct(c.sequent) for c in cases]
+    checked = 0
+    for d in derivations:
+        for node in nodes(d, premises_of):
+            v, a, b = tree_counts(e.term for e in node.conclusion.delta)
+            assert v - a - 2 * b == 1
+            checked += 1
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_goals_that_need_mix_are_rejected_before_the_search(monkeypatch, k):
+    # f_i : A -o B, a_i : A |- f_i a_i : B for i < k: each application
+    # typechecks alone, but together they need the MIX rule.  Balanced, so
+    # the polarity pre-check passes them; a search over their placements
+    # grows exponentially in k
+    solves = _counting_solve(monkeypatch)
+    decls = ", ".join(f"f{i} : A -o B, a{i} : A" for i in range(k))
+    entries = ", ".join(f"f{i} a{i} : B" for i in range(k))
+    goal = parse_program(f"{decls} |- {entries}").sequent
+    assert polarity_balance(goal) == {}
+    with pytest.raises(UnsatisfiableSplit) as info:
+        reconstruct(goal)
+    assert not solves
+    assert str(info.value) == (
+        f"the entries make {k} proof trees, not 1: {2 * k} variables - {k}"
+        " applications - 2 * 0 binary outputs; lamp has no MIX rule")
+
+
+def test_surplus_check_counts_binary_outputs_and_units():
+    with pytest.raises(UnsatisfiableSplit) as info:
+        reconstruct(parse_program("|- * : bot").sequent)
+    assert str(info.value) == (
+        "the entries make 0 proof trees, not 1: 0 variables - 0 applications"
+        " - 2 * 0 binary outputs; lamp has no MIX rule")
+    # a binary output joins three trees: its body's and each channel's
+    reconstruct(parse_program(
+        "p : A par B |- out2 x y. p : bot, x : A, y : B").sequent)
+    with pytest.raises(UnsatisfiableSplit) as info:
+        reconstruct(parse_program(
+            "p : A par B, q : C |- out2 x y. p : bot, x : A, y : B, q : C").sequent)
+    assert str(info.value) == (
+        "the entries make 2 proof trees, not 1: 4 variables - 0 applications"
+        " - 2 * 1 binary outputs; lamp has no MIX rule")
+
+
+def test_a_split_whose_every_placement_is_pruned_says_so(monkeypatch):
+    # the root split leaves no floating component, so its one placement is
+    # built although its function premise has surplus 2 (the argument's is
+    # 0); inside it, g a's split floats x, and x in either premise leaves
+    # that premise two trees
+    goal = parse_program("g : A -o B, a : A |- (out x. g a) * : B, x : bot").sequent
+    solves = _counting_solve(monkeypatch)
+    with pytest.raises(UnsatisfiableSplit) as info:
+        reconstruct(goal)
+    assert str(info.value) == ("no placement makes each premise one tree: "
+                               "g : A -o B, a : A, x : ?t0 |- g a : B, x : bot")
+    # the root, the function premise and its LolliI premise
+    assert len(solves) == 3
+
+
+def _derivation_size(d):
+    return sum(1 for _ in nodes(d, premises_of))
+
+
+@pytest.mark.parametrize("sizes", [(12,), (18, 19, 20, 21, 22)])
+def test_search_does_not_backtrack_on_generated_programs(monkeypatch, sizes):
+    # each solve call builds one node of the derivation found: no placement
+    # the search tries fails
+    solves = _counting_solve(monkeypatch)
+    for size in sizes:
+        for seed in range(300):
+            solves.clear()
+            d = reconstruct(gen_derivation(GenConfig(seed=seed, max_nodes=size)).conclusion)
+            assert len(solves) == _derivation_size(d), (size, seed)
+
+
+def test_search_at_max_nodes_40_backtracks_47_times(monkeypatch):
+    # the calls that fail sit under applications to * and binary outputs
+    # with a * payload: a unit adds no tree, and most of these splits leave
+    # no floating component, so their one placement is built untested.  A
+    # lower count is progress: lower the pin
+    solves = _counting_solve(monkeypatch)
+    extra = 0
+    for seed in range(300):
+        solves.clear()
+        d = reconstruct(gen_derivation(GenConfig(seed=seed, max_nodes=40)).conclusion)
+        extra += len(solves) - _derivation_size(d)
+    assert extra == 47

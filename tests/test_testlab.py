@@ -3,6 +3,8 @@ and its ability to catch an injected engine bug."""
 
 import hashlib
 
+import pytest
+
 from lamp.derivations import (
     Rule, all_sequents, check_channel_linearity, check_derivation,
 )
@@ -44,6 +46,26 @@ def test_mll_generation_is_byte_stable():
             h.update((mll_to_sexpr(d) + "\n").encode())
     assert h.hexdigest() == \
         "e35f536b06456946cf8a5c2f0cb6a902c16b937d931b37bef59425224bc14921"
+
+
+@pytest.mark.parametrize("gen,show,max_nodes,digest", [
+    (gen_derivation, derivation_to_sexpr, 48,
+     "d1f4542d2b797a074cf9f9bb766531362a945efe34e75a89b61074fc48a05850"),
+    (gen_derivation, derivation_to_sexpr, 96,
+     "53446d7010cb03b61a260430bef8b0681b7212d1f97be543e34a39992d11455a"),
+    (gen_mll, mll_to_sexpr, 48,
+     "e44b84d073ab7b1d3ca2e147d91db675038d4fc80fdb61163615122eca0ef13f"),
+    (gen_mll, mll_to_sexpr, 96,
+     "71743ef0881608523f5d2407f6397c44ed72cbfda80dc976803a644f6d858dbc"),
+], ids=["nd-48", "nd-96", "mll-48", "mll-96"])
+def test_generation_is_byte_stable_at_larger_sizes(gen, show, max_nodes, digest):
+    # sha256 of 50 derivations at the sizes the property suites and the
+    # bench draw at, past the 36 nodes the digests above reach
+    h = hashlib.sha256()
+    for seed in range(50):
+        d = gen(GenConfig(seed=seed, max_nodes=max_nodes))
+        h.update((show(d) + "\n").encode())
+    assert h.hexdigest() == digest
 
 
 def test_generated_derivations_check():

@@ -13,7 +13,16 @@ Identical configurations reproduce identical derivations byte for byte.
 
 Each non-axiom rule is written forward once, in FORWARD or, for the
 sequent calculus, _MLL_FORWARD.  One engine samples both tables; ``closure``
-exhausts FORWARD below a size bound for the completeness probe.
+exhausts FORWARD below a size bound for the completeness probe.  A premise
+that reads an earlier one says what it reads (ForwardRule.reads), so its
+positions in a sequent depend on the sequent and that value alone.  Each
+pool entry keeps an index of its positions per (premise, value read),
+filled on first lookup, and a draw looks positions up instead of running
+every premise on every entry for every prefix.
+
+The suites' engines (reduction, runtime, metatheory) are imported on first
+use, so generating programs, as the benchmark's set-up and most tests do,
+compiles none of them.
 """
 
 from __future__ import annotations
@@ -22,16 +31,15 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import (
+    Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence,
+)
 
 from .derivations import (
     Derivation, Rule, _replaced, _without, axiom, premises_of,
 )
-from .metatheory import check_no_freaks, check_subformula
 from .mll import MllRule, MllSequent
 from .reconstruct import reconstruct
-from .reduction import _reducts, comm_size, enumerate_normal_forms
-from .runtime import run_concurrent
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
     Term, TypeExpr, UNIT, children, flatten_par, fold, nodes,
@@ -61,23 +69,32 @@ def _node_count(d: Derivation) -> int:
 # by _Gen, exhausted below a size bound by closure.
 
 class ForwardRule(NamedTuple):
-    """A non-axiom rule read forward.  premises[n](s, prev) lists, in a
-    fixed order, the positions at which sequent s can serve as premise n,
-    given the (sequent, position) pairs chosen for premises 0..n-1;
-    conclusion(seqs, positions, rng) builds the conclusion, drawing from
-    rng only for BotR (where its bot goes).  Premises share no name."""
+    """A non-axiom rule read forward.  premises[n](s, v) lists, in a fixed
+    order, the positions at which sequent s can serve as premise n, where
+    v is what premise n reads of the (sequent, position) pairs prev chosen
+    for premises 0..n-1: reads[n - 1](prev) for n > 0, None for the first
+    premise, which reads nothing.  A premise sees prev only through its
+    reads, so its positions in s are fixed by s and v, and the generator
+    lists them once per pool entry and value.  conclusion(seqs, positions,
+    rng) builds the conclusion, drawing from rng only for BotR (where its
+    bot goes).  Premises share no name."""
 
-    premises: tuple[Callable[[Sequent, tuple], Iterable], ...]
+    premises: tuple[Callable[[Sequent, Hashable], Sequence], ...]
     conclusion: Callable[..., Sequent]
+    reads: tuple[Callable[[tuple], Hashable], ...] = ()
 
 
-def _whole(s, prev) -> tuple:
+def _whole(s, v) -> tuple:
     return (None,)  # the one position of a premise taken whole
 
 
 def _principal(prev: tuple) -> DeltaEntry:
     s, j = prev[0]
     return s.delta[j]
+
+
+def _declared(s, a) -> list[int]:
+    return [g for g, (_, b) in enumerate(s.gamma) if b == a]  # of type a
 
 
 def _bot_i(seqs, _positions, _rng=None) -> Sequent:
@@ -125,32 +142,31 @@ def _parr_e(seqs, positions, _rng=None) -> Sequent:
 FORWARD: dict[Rule, ForwardRule] = {
     Rule.BOT_I: ForwardRule((_whole,), _bot_i),
     Rule.BOT_E: ForwardRule(
-        (lambda s, prev: [i for i, e in enumerate(s.delta) if e.type == BOT],),
+        (lambda s, v: [i for i, e in enumerate(s.delta) if e.type == BOT],),
         _bot_e),
     Rule.LOLLI_I: ForwardRule(
-        (lambda s, prev: [(j, i) for j in range(len(s.gamma))
-                          for i, e in enumerate(s.delta)
-                          if e.type is not None],),
+        (lambda s, v: [(j, i) for j in range(len(s.gamma))
+                       for i, e in enumerate(s.delta)
+                       if e.type is not None],),
         _lolli_i),
     Rule.PARR_I: ForwardRule(
-        (lambda s, prev: [i for i in range(len(s.delta) - 1)
-                          if s.delta[i].type is not None
-                          and s.delta[i + 1].type is not None],),
+        (lambda s, v: [i for i in range(len(s.delta) - 1)
+                       if s.delta[i].type is not None
+                       and s.delta[i + 1].type is not None],),
         _parr_i),
     Rule.LOLLI_E: ForwardRule(
-        (lambda s, prev: [j for j, e in enumerate(s.delta)
-                          if isinstance(e.type, Lolli)],
-         lambda s, prev: [j for j, e in enumerate(s.delta)
-                          if e.type == _principal(prev).type.arg]),
-        _lolli_e),
+        (lambda s, v: [j for j, e in enumerate(s.delta)
+                       if isinstance(e.type, Lolli)],
+         lambda s, arg: [j for j, e in enumerate(s.delta) if e.type == arg]),
+        _lolli_e,
+        (lambda prev: _principal(prev).type.arg,)),
     Rule.PARR_E: ForwardRule(
-        (lambda s, prev: [j for j, e in enumerate(s.delta)
-                          if isinstance(e.type, ParT)],
-         lambda s, prev: [g for g, (_, a) in enumerate(s.gamma)
-                          if a == _principal(prev).type.left],
-         lambda s, prev: [g for g, (_, b) in enumerate(s.gamma)
-                          if b == _principal(prev).type.right]),
-        _parr_e),
+        (lambda s, v: [j for j, e in enumerate(s.delta)
+                       if isinstance(e.type, ParT)],
+         _declared, _declared),
+        _parr_e,
+        (lambda prev: _principal(prev).type.left,
+         lambda prev: _principal(prev).type.right)),
 }
 
 
@@ -161,8 +177,8 @@ class _Gen:
 
     # ParrE splits only literal parallel compositions: see the module doc
     table = {**FORWARD, Rule.PARR_E: FORWARD[Rule.PARR_E]._replace(premises=(
-        lambda s, prev: [j for j, e in enumerate(s.delta)
-                         if isinstance(e.type, ParT) and isinstance(e.term, Par)],
+        lambda s, v: [j for j, e in enumerate(s.delta)
+                      if isinstance(e.type, ParT) and isinstance(e.term, Par)],
         *FORWARD[Rule.PARR_E].premises[1:]))}
     key = "{0.seed}:{0.max_nodes}:" + ",".join(_ATOMS)
     # the rules drawn, an axiom first, beside their weights; the order
@@ -176,8 +192,11 @@ class _Gen:
         self.cfg = cfg
         self.rng = random.Random(self.key.format(cfg))
         self._ids = itertools.count()
-        # each derivation beside its node count
-        self.pool: list[tuple] = []
+        # each derivation beside its node count and its premise positions,
+        # keyed by (premise, value read) and listed on first lookup
+        self.pool: list[tuple[Derivation, int, dict]] = []
+        # the node count of the largest entry, from the axiom run adds first
+        self.largest = 1
 
     def atom(self) -> TypeExpr:
         return Atom(self.rng.choice(_ATOMS))
@@ -203,46 +222,62 @@ class _Gen:
     def _axiom(self, rule: Rule) -> Sequent:
         return axiom(f"v{next(self._ids)}", self.leaf_type())
 
-    def _options(self, rule) -> list[tuple]:
-        """Every (ks, prev, nodes left) at which the rule fits the node
+    def _options(self, fr: ForwardRule) -> list[tuple]:
+        """Every (ks, prev, nodes left) at which the rule fr fits the node
         budget: premise n is pool entry ks[n], and prev[n] its (sequent,
-        position) pair.  In the order of nested loops over the premises."""
+        position) pair.  In the order of nested loops over the premises,
+        the pool and the positions.  An entry lists its positions for a
+        premise and value once, and the entries with positions for them
+        are found once per draw, so a prefix costs only what it grows."""
         options = [((), (), self.cfg.max_nodes - 1)]
-        for gen in self.table[rule].premises:
+        for premise, read in zip(fr.premises, (None, *fr.reads)):
+            fits = {}  # value read -> the entries with positions for it
             grown = []
             for ks, prev, budget in options:
-                for k, (d, size) in enumerate(self.pool):
-                    if k in ks or size > budget:
-                        continue
-                    s = d.conclusion
-                    for p in gen(s, prev):
-                        grown.append((ks + (k,), prev + ((s, p),),
-                                      budget - size))
+                v = read(prev) if read else None
+                hits = fits.get(v)
+                if hits is None:
+                    hits = fits[v] = []
+                    key = premise, v
+                    for k, (d, size, at) in enumerate(self.pool):
+                        s = d.conclusion
+                        ps = at.get(key)
+                        if ps is None:
+                            ps = at[key] = premise(s, v)
+                        if ps:
+                            hits.append((k, s, size, ps))
+                for k, s, size, ps in hits:
+                    if size <= budget and k not in ks:
+                        grown_ks, left = ks + (k,), budget - size
+                        for p in ps:
+                            grown.append((grown_ks, prev + ((s, p),), left))
             options = grown
         return options
 
     def _apply(self, rule) -> None:
         """Add an axiom of rule, or apply rule at an option drawn if any."""
-        if rule not in self.table:
-            self.pool.append((Derivation(rule, self._axiom(rule)), 1))
+        fr = self.table.get(rule)
+        if fr is None:
+            self.pool.append((Derivation(rule, self._axiom(rule)), 1, {}))
             return
-        options = self._options(rule)
+        options = self._options(fr)
         if not options:
             return
         ks, prev, _ = self.rng.choice(options)
         seqs, positions = zip(*prev)
-        con = self.table[rule].conclusion(seqs, positions, self.rng)
+        con = fr.conclusion(seqs, positions, self.rng)
         ds = tuple(self.pool[k][0] for k in ks)
-        keep = max(ks)
-        self.pool[keep] = (Derivation(rule, con, ds),
-                           1 + sum(self.pool[k][1] for k in ks))
-        for k in sorted(set(ks) - {keep}, reverse=True):
+        size = 1 + sum(self.pool[k][1] for k in ks)
+        keep, *rest = sorted(ks, reverse=True)
+        self.pool[keep] = (Derivation(rule, con, ds), size, {})
+        self.largest = max(self.largest, size)
+        for k in rest:
             del self.pool[k]
 
     def run(self):
         self._apply(self.rules[0])
         for _ in range(self.cfg.max_nodes * 4):
-            if max(n for _, n in self.pool) >= self.cfg.max_nodes:
+            if self.largest >= self.cfg.max_nodes:
                 break
             self._apply(self.pick())
         return max(self.pool, key=lambda entry: entry[1])[0]
@@ -299,9 +334,10 @@ def closure(types: Iterable[TypeExpr], max_size: int) -> set[Sequent]:
 
     def pair(s1: Sequent, s2: Sequent) -> None:
         first, second = lolli_e.premises
+        (read,) = lolli_e.reads
         fresh = None
-        for j1 in first(s1, ()):
-            for j2 in second(s2, ((s1, j1),)):
+        for j1 in first(s1, None):
+            for j2 in second(s2, read(((s1, j1),))):
                 # canonical names all start with n, so a prefix freshens
                 fresh = fresh or _renamed(s2, lambda x: "f" + x)
                 add(lolli_e.conclusion((s1, fresh), (j1, j2)))
@@ -311,7 +347,7 @@ def closure(types: Iterable[TypeExpr], max_size: int) -> set[Sequent]:
     # each sequent meets every earlier one, and itself, as either premise
     for k, (s, size) in enumerate(order):
         for rule in unary:
-            for p in rule.premises[0](s, ()):
+            for p in rule.premises[0](s, None):
                 add(rule.conclusion((s,), (p,)))
         for other, other_size in order[:k + 1]:
             # a LolliE conclusion holds both premises plus one application
@@ -325,7 +361,8 @@ def closure(types: Iterable[TypeExpr], max_size: int) -> set[Sequent]:
 # Random sequent calculus derivations (for translation round-trips)
 
 # A binary sequent calculus rule takes its first premise, prev[0][0], whole
-# and lists pairs (i in the first premise, j in the second's left).
+# and lists pairs (i in the first premise, j in the second's left); its
+# second premise reads the first's formulas (Cut) or only their count.
 
 def _bot_r(seqs, _positions, rng) -> MllSequent:
     (s,) = seqs
@@ -365,25 +402,28 @@ def _parr_l(seqs, positions, _rng) -> MllSequent:
                       s1.right + s2.right)
 
 
-def _pairs(xs: tuple, ys: tuple) -> Iterable[tuple[int, int]]:
-    return itertools.product(range(len(xs)), range(len(ys)))
+def _beside_left(s: MllSequent, m: int) -> list[tuple[int, int]]:
+    """Each of m positions beside each position of s's left."""
+    return list(itertools.product(range(m), range(len(s.left))))
 
 
 _MLL_FORWARD: dict[MllRule, ForwardRule] = {
     MllRule.BOT_R: ForwardRule((_whole,), _bot_r),
     MllRule.LOLLI_R: ForwardRule(
-        (lambda s, prev: _pairs(s.right, s.left),), _lolli_r),
+        (lambda s, v: _beside_left(s, len(s.right)),), _lolli_r),
     MllRule.PARR_R: ForwardRule(
-        (lambda s, prev: range(len(s.right) - 1),), _parr_r),
+        (lambda s, v: range(len(s.right) - 1),), _parr_r),
     MllRule.CUT: ForwardRule(
         (_whole,
-         lambda s, prev: [(i, j) for i, a in enumerate(prev[0][0].right)
-                          for j, b in enumerate(s.left) if a == b]),
-        _cut),
+         lambda s, right: [(i, j) for i, a in enumerate(right)
+                           for j, b in enumerate(s.left) if a == b]),
+        _cut, (lambda prev: prev[0][0].right,)),
     MllRule.LOLLI_L: ForwardRule(
-        (_whole, lambda s, prev: _pairs(prev[0][0].right, s.left)), _lolli_l),
+        (_whole, _beside_left),
+        _lolli_l, (lambda prev: len(prev[0][0].right),)),
     MllRule.PARR_L: ForwardRule(
-        (_whole, lambda s, prev: _pairs(prev[0][0].left, s.left)), _parr_l),
+        (_whole, _beside_left),
+        _parr_l, (lambda prev: len(prev[0][0].left),)),
 }
 
 
@@ -466,6 +506,7 @@ def _walk(seq: Sequent, reducts) -> list[tuple[Sequent, list[Sequent]]]:
     reducts, each split back into seq's entries with seq's types.  The next
     state is the first reduct; at most comm_size + 1 states are taken,
     which stops an engine that removes no node."""
+    from .reduction import comm_size
     types = [e.type for e in seq.delta]
     m = len(types)
     walk = []
@@ -492,46 +533,61 @@ def _can_fire(s: Sequent) -> bool:
                for t in nodes(s.joined_term(), children))
 
 
-# Each suite beside its predicate over a generated program and its walk:
-# True or False, or None to skip the case.  The check_* functions raise on
-# a violation and return None.
-SUITES: list[tuple[str, Callable[[Sequent, list], Optional[bool]]]] = [
-    # every fired step removes exactly one output node
-    ("step-decrement", lambda program, walk: all(
-        comm_size(r.joined_term()) == comm_size(s.joined_term()) - 1
-        for s, reducts in walk for r in reducts)),
-    # every one-step reduct typechecks with the same declarations and types
-    ("subject-reduction", lambda program, walk: all(
-        _retypes(r) for _, reducts in walk for r in reducts)),
-    # an applied output or binary output always yields a redex
-    ("progress", lambda program, walk: all(
-        reducts or not _can_fire(s) for s, reducts in walk)),
-    # confluence by exhaustive enumeration on small terms
-    ("confluence", lambda program, walk: None
-     if comm_size(program.joined_term()) > CONFLUENCE_CS_LIMIT
-     else len(enumerate_normal_forms(program.joined_term())) == 1),
-    # the subformula property of the reconstructed normal form
-    ("subformula", lambda program, walk:
-     check_subformula(reconstruct(walk[-1][0])) is None),
-    # simple-context channel discipline on every reachable sequent
-    ("no-freaks", lambda program, walk: all(
-        check_no_freaks(s) is None for s, _ in walk)),
-    # the runtime reaches the normal form's components on every schedule
-    ("runtime-determinacy", lambda program, walk: all(
-        sorted(map(print_term, run_concurrent(program, seed=rseed)))
-        == sorted(map(print_term, flatten_par(walk[-1][0].joined_term())))
-        for rseed in range(RUNTIME_SEEDS))),
-]
+def _reducts(t: Term) -> Iterator[Term]:
+    """The suites' default engine, reduction._reducts, imported on first
+    call like every engine the suites run; tests patch this name to watch
+    it."""
+    from . import reduction
+    return reduction._reducts(t)
+
+
+def _suites() -> list[tuple[str, Callable[[Sequent, list], Optional[bool]]]]:
+    """Each suite beside its predicate over a generated program and its
+    walk: True or False, or None to skip the case.  The check_* functions
+    raise on a violation and return None.  The engines are imported here,
+    on first use: generating programs needs none of them."""
+    from .metatheory import check_no_freaks, check_subformula
+    from .reduction import comm_size, enumerate_normal_forms
+    from .runtime import run_concurrent
+
+    return [
+        # every fired step removes exactly one output node
+        ("step-decrement", lambda program, walk: all(
+            comm_size(r.joined_term()) == comm_size(s.joined_term()) - 1
+            for s, reducts in walk for r in reducts)),
+        # every one-step reduct typechecks with the same declarations and types
+        ("subject-reduction", lambda program, walk: all(
+            _retypes(r) for _, reducts in walk for r in reducts)),
+        # an applied output or binary output always yields a redex
+        ("progress", lambda program, walk: all(
+            reducts or not _can_fire(s) for s, reducts in walk)),
+        # confluence by exhaustive enumeration on small terms
+        ("confluence", lambda program, walk: None
+         if comm_size(program.joined_term()) > CONFLUENCE_CS_LIMIT
+         else len(enumerate_normal_forms(program.joined_term())) == 1),
+        # the subformula property of the reconstructed normal form
+        ("subformula", lambda program, walk:
+         check_subformula(reconstruct(walk[-1][0])) is None),
+        # simple-context channel discipline on every reachable sequent
+        ("no-freaks", lambda program, walk: all(
+            check_no_freaks(s) is None for s, _ in walk)),
+        # the runtime reaches the normal form's components on every schedule
+        ("runtime-determinacy", lambda program, walk: all(
+            sorted(map(print_term, run_concurrent(program, seed=rseed)))
+            == sorted(map(print_term, flatten_par(walk[-1][0].joined_term())))
+            for rseed in range(RUNTIME_SEEDS))),
+    ]
 
 
 def run_property_suite(n_cases: int, cfg: GenConfig, reducts=None) -> Report:
-    """Run every suite of SUITES over n_cases generated programs, on one
+    """Run every suite of _suites() over n_cases generated programs, on one
     walk per program.  A predicate that raises fails its case, and an
     engine that raises on the walk fails every suite's.  reducts lists a
     term's one-step reducts, by default the engine's own (_reducts); the
     hook exists so tests can inject a corrupted engine and watch the
     suites catch it."""
-    results = [PropertyResult(name) for name, _ in SUITES]
+    suites = _suites()
+    results = [PropertyResult(name) for name, _ in suites]
     for case in range(n_cases):
         case_seed = cfg.seed * 1_000_003 + case
         program = gen_derivation(GenConfig(case_seed, cfg.max_nodes)).conclusion
@@ -539,7 +595,7 @@ def run_property_suite(n_cases: int, cfg: GenConfig, reducts=None) -> Report:
             walk = _walk(program, reducts or _reducts)
         except Exception:
             walk = None
-        for result, (_, holds) in zip(results, SUITES):
+        for result, (_, holds) in zip(results, suites):
             try:
                 ok = walk is not None and holds(program, walk)
             except Exception:

@@ -30,7 +30,7 @@ def _dist_layer(seen):
     parr_e, bot_e = FORWARD[Rule.PARR_E], FORWARD[Rule.BOT_E]
     out = set()
     for s in seen:
-        for j in parr_e.premises[0](s, ()):
+        for j in parr_e.premises[0](s, None):
             e = s.delta[j]
             # canonical names all start with n, so r0 and r1 are fresh
             con = parr_e.conclusion(

@@ -2,6 +2,7 @@
 and its ability to catch an injected engine bug."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -66,6 +67,73 @@ def test_generation_is_byte_stable_at_larger_sizes(gen, show, max_nodes, digest)
         d = gen(GenConfig(seed=seed, max_nodes=max_nodes))
         h.update((show(d) + "\n").encode())
     assert h.hexdigest() == digest
+
+
+def _nested_loop_options(g, fr):
+    """The reference listing of a draw's options: nested loops over the
+    premises, every pool entry for every prefix, each premise's positions
+    listed afresh."""
+    options = [((), (), g.cfg.max_nodes - 1)]
+    for n, premise in enumerate(fr.premises):
+        grown = []
+        for ks, prev, budget in options:
+            v = fr.reads[n - 1](prev) if n else None
+            for k, (d, size, _) in enumerate(g.pool):
+                if k in ks or size > budget:
+                    continue
+                s = d.conclusion
+                for p in premise(s, v):
+                    grown.append((ks + (k,), prev + ((s, p),), budget - size))
+        options = grown
+    return options
+
+
+GENERATORS = [(testlab._Gen, gen_derivation), (testlab._MllGen, gen_mll)]
+
+
+@pytest.mark.parametrize("cls,gen", GENERATORS, ids=["nd", "mll"])
+def test_each_draw_offers_the_nested_loop_options(monkeypatch, cls, gen):
+    draws = []
+    indexed = cls._options
+
+    def checked(self, fr):
+        options = indexed(self, fr)
+        assert options == _nested_loop_options(self, fr)
+        draws.append(len(options))
+        return options
+
+    monkeypatch.setattr(cls, "_options", checked)
+    for max_nodes in (12, 36):
+        for seed in range(200):
+            gen(GenConfig(seed=seed, max_nodes=max_nodes))
+    # draws that offer nothing and draws that offer several both occur
+    assert len(draws) > 10_000 and 0 in draws and max(draws) > 5
+
+
+@pytest.mark.parametrize("cls,gen", GENERATORS, ids=["nd", "mll"])
+def test_each_premise_position_is_listed_once(monkeypatch, cls, gen):
+    # counted per (pool entry, rule, premise, value read); a pool entry is
+    # its conclusion object, which lives as long as the run
+    calls = Counter()
+
+    def counted(rule, n, premise):
+        def listed(s, v):
+            calls[id(s), rule, n, v] += 1
+            return premise(s, v)
+        return listed
+
+    monkeypatch.setattr(cls, "table", {
+        rule: fr._replace(premises=tuple(
+            counted(rule, n, premise) for n, premise in enumerate(fr.premises)))
+        for rule, fr in cls.table.items()})
+    total = 0
+    for max_nodes in (12, 36):
+        for seed in range(100):
+            calls.clear()
+            gen(GenConfig(seed=seed, max_nodes=max_nodes))
+            assert max(calls.values(), default=1) == 1, (seed, max_nodes)
+            total += sum(calls.values())
+    assert total > 10_000
 
 
 def test_generated_derivations_check():

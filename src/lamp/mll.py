@@ -1,11 +1,16 @@
 """Two-sided sequent calculus for multiplicative linear logic and the
 constructive translations to and from the natural deduction system.
 
-Sequents here carry types only.  The checker matches contexts as multisets
-(the calculus is considered up to exchange) while splits stay strictly
-multiplicative.  Both translations are syntax directed and total on checked
-input; each direction's output is validated by the opposite checker in the
-test suite.
+Sequents here carry types only.  The axioms and the unary rules compare
+contexts in order: BotR's premise is its conclusion without one bot on
+the right, ParrR's has the par's two parts in its place, and LolliR's has
+the consequent in the lolli's place and the antecedent at any one position
+of the conclusion's left.  Only the context-splitting rules (Cut, LolliL,
+ParrL) match contexts as multisets, the conclusion's against the
+premises' joined; that is the one place exchange is allowed, and splits
+stay strictly multiplicative.  Both translations are syntax directed and
+total on checked input; each direction's output is validated by the
+opposite checker in the test suite.
 
 Derivations of both calculi are ``derivations.Derivation`` trees, and a
 node that is not an instance of its rule is a ``RuleViolation`` in both;

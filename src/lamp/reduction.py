@@ -56,7 +56,7 @@ from typing import Iterator, Optional, Sequence
 
 from .terms import (
     App, Cell, Close, Dist, Memo, Par, Path, Send, Term, UNIT, Var, _Scan,
-    _cells_at, _path, _put, _scan, _texts, children, is_free_in, name_counts, nodes,
+    _cells_at, _path, _put, _scan, _texts, children, name_counts, nodes,
     print_term, substitute, subterm_at,
 )
 
@@ -77,7 +77,8 @@ class Redex:
     receivers: tuple[Path, ...] = ()
 
     def describe(self, root: Term) -> str:
-        return _step_text(fire(subterm_at(root, self.activator)))
+        node = subterm_at(root, self.activator)
+        return _step_text(fire(node, _scan(node).lams))
 
 
 @dataclass
@@ -115,18 +116,18 @@ def comm_size(t: Term) -> int:
     return sum(1 for s in nodes(t, children) if isinstance(s, (Send, Dist)))
 
 
-def fire(node: Term, lams: Optional[set[int]] = None) -> Optional[tuple]:
+def fire(node: Term, lams: dict[int, list[Cell]]) -> Optional[tuple]:
     """The reduction rules, written once.  If node is an activator, return
     its kind, the continuation that replaces it, and the value it hands to
     each of its channels; otherwise None.  A beta's one channel is bound in
     its own continuation; comm and dist send across a Par.  lams, the
-    lambdas of a _scan over a term holding node, answers that without a
-    walk of the continuation.  Fields are read by index, as in _scan: a
-    class pattern costs about as much as the rest of a search step."""
+    lambdas of a _scan over node or a term holding it, tells which: the
+    scan alone decides what a variable is bound by.  Fields are read by
+    index, as in _scan: a class pattern costs about as much as the rest of
+    a search step."""
     if type(node) is App and type(node[1]) is Send:
         _, (_, x, u), v = node
-        lam = id(node[1]) in lams if lams is not None else is_free_in(x, u)
-        return ("beta" if lam else "comm"), u, ((x, v),)
+        return ("beta" if id(node[1]) in lams else "comm"), u, ((x, v),)
     if type(node) is Dist and type(node[3]) is Par:
         _, x, y, (_, s, t) = node
         return "dist", UNIT, ((x, s), (y, t))
@@ -281,7 +282,7 @@ def _reducts(t: Term, bound: Optional[frozenset] = None) -> Iterator[Term]:
                 continue
             if id(lam) not in scan.lams:
                 comms.append(act)
-            elif _pinned(lam):
+            elif _pinned(lam, scan.lams[id(lam)]):
                 found = [(0, act, fire(act[2], scan.lams), ())]
                 break
         else:
@@ -304,22 +305,19 @@ def _linear(t: Term) -> Optional[frozenset]:
     return None
 
 
-def _pinned(lam: Send) -> bool:
+def _pinned(lam: Send, cells: list[Cell]) -> bool:
     """Whether lam x. u has an x reached from u through no App argument and
-    no Dist body: the positions no rule moves out of u."""
-    x, stack = lam[1], [lam[2]]
-    while stack:
-        s = stack.pop()
-        cls = type(s)
-        if cls is Var:
-            if s[1] == x:
-                return True
-        elif cls is App:
-            stack.append(s[1])
-        elif cls is Par:
-            stack += s[1:]
-        elif cls is Send or cls is Close:
-            stack.append(s[-1])
+    no Dist body, the positions no rule moves out of u: climbs from each
+    cell of cells, the occurrences lam binds (its _scan lams entry), up to
+    lam."""
+    for c in cells:
+        while c[2] is not lam:
+            up = c[0]
+            if type(up[2]) is Dist or type(up[2]) is App and c[1] == 2:
+                break
+            c = up
+        else:
+            return True
     return False
 
 
@@ -410,7 +408,7 @@ def apply_redex(t: Term, r: Redex) -> Term:
     """Fire one redex.  Raises StaleRedex if r does not match t anymore."""
     cells = _cells_at(t, (r.activator, *r.receivers))
     act = next(cells)
-    firing = fire(act[2])
+    firing = fire(act[2], _scan(act[2]).lams)
     if firing is None or firing[0] != r.kind:
         raise StaleRedex(f"activator is not a {r.kind} redex")
     receivers = tuple(cells)

@@ -28,9 +28,12 @@ function, ``children``, serves terms and types alike.  A path (child
 indices from the root) names a position to callers; inside a walk,
 ``_scan`` names one by a cell linked to its parent's, built in O(1) where
 a path costs its length, and a path is built only for a position that is
-reported.  An edit of a term (``replace_at``, ``substitute``, a reduct, a
-runtime consume) puts new subterms at cells with ``_put``, which rebuilds
-each node above them once.
+reported.  ``_scan`` is the one walk that decides which binder a variable
+belongs to: firing, printing, ``substitute``, ``is_free_in`` and
+enumerate's pruning read its free-name index and its lambdas.  An edit of
+a term (``replace_at``, ``substitute``, a reduct, a runtime consume) puts
+new subterms at cells with ``_put``, which rebuilds each node above them
+once.
 """
 
 from __future__ import annotations
@@ -245,22 +248,24 @@ class _Scan(NamedTuple):
     """What one preorder pass over a term finds."""
 
     free: dict[str, list[Cell]]  # per name, its free occurrences in preorder
-    lams: set[int]  # ids of the Sends whose name is free in their own body
+    # per Send whose name is free in its own body, by id, the occurrences
+    # it binds in preorder
+    lams: dict[int, list[Cell]]
     # activator candidates in preorder: App(Send, _) and Dist(_, _, Par)
     acts: list[Cell]
 
 
 def _scan(t: Term) -> _Scan:
-    """One preorder pass over t: the name index, the lambdas and the
-    activator candidates, each at its cell, which together are all redex
-    search and firing read.
+    """One preorder pass over t: the name index, the lambdas with the
+    occurrences each binds and the activator candidates, each at its cell,
+    which together are all redex search, firing and substitution read.
 
     A variable belongs to its innermost enclosing Send or Dist binder for
     its name; with none it is free.  Binders for other names are
-    transparent.
+    transparent.  This is the one place that rule is written down.
     """
     free: dict[str, list[Cell]] = {}
-    lams: set[int] = set()
+    lams: dict[int, list[Cell]] = {}
     acts: list[Cell] = []
     # per name, the enclosing binders innermost last: a Send, or None for
     # a Dist; a (None, names, None) stack entry closes the binders for names
@@ -275,7 +280,7 @@ def _scan(t: Term) -> _Scan:
             bound = scope.get(s[1])
             if bound:
                 if bound[-1] is not None:
-                    lams.add(id(bound[-1]))
+                    lams.setdefault(id(bound[-1]), []).append(c)
             else:
                 free.setdefault(s[1], []).append(c)
         elif cls is App:
@@ -338,36 +343,14 @@ def occurrences(t: Term, x: str) -> list[Path]:
 
 
 def is_free_in(x: str, t: Term) -> bool:
-    """Whether x occurs free in t; stops at the first free occurrence."""
-    return next(_free_cells(t, x), None) is not None
-
-
-def _free_cells(t: Term, x: str) -> Iterator[Cell]:
-    """The cells of the free occurrences of x in t, in preorder: one walk
-    that makes a cell per node it enters and skips every binder for x."""
-    stack: list = [(None, 0, t)]
-    while stack:
-        c = stack.pop()
-        s = c[2]
-        cls = type(s)
-        if cls is Var:
-            if s[1] == x:
-                yield c
-        elif cls is Send:
-            if s[1] != x:
-                stack.append((c, 2, s[2]))
-        elif cls is Dist:
-            if s[1] != x and s[2] != x:
-                stack.append((c, 3, s[3]))
-        else:  # Unit has no children, App, Par and Close have them from 1
-            for k in range(len(s) - 1, 0, -1):
-                stack.append((c, k, s[k]))
+    """Whether x occurs free in t."""
+    return x in _scan(t).free
 
 
 def substitute(t: Term, x: str, s: Term) -> Term:
     """Replace every free occurrence of x in t by s.  No renaming, ever.
     A subterm with no free x comes back as the same object."""
-    edits = [(c, s) for c in _free_cells(t, x)]
+    edits = [(c, s) for c in _scan(t).free.get(x, ())]
     return _put(edits) if edits else t
 
 
@@ -588,8 +571,8 @@ def print_type(ty: TypeExpr, memo: Optional[Memo] = None) -> str:
 
 def _print(t, memo: Optional[Memo], lams) -> str:
     """The text of term or type t, printed by one explicit-stack walk that
-    copies whatever memo holds; lams holds the ids of the Sends of t that
-    print as lambdas."""
+    copies whatever memo holds; the Sends of t that print as lambdas are
+    those whose ids are in lams."""
     out: list[str] = []
     put = out.append
     n = 0  # the length of out's text

@@ -1,31 +1,34 @@
 """The free-occurrence index against the per-name walks it replaced.
 
 ``terms._scan`` finds every name's free occurrences in one pass (its
-``free`` index); redex search, the runtime and the printer read it.  The
-oracles below are the walks lamp used before: one ``occurrences`` walk per
-name, and a ``find_redexes`` that walks the term once per channel.  Both
-must agree with the index on every state normalize reaches, and on every
-state reachable at comm_size <= 6, for 400 generated programs.  On the
-same states, the reducts that enumerate and normalize build from one scan
-must be the ones ``apply_redex`` builds from each redex's paths.
+``free`` index); redex search, the runtime, the printer, ``substitute``
+and ``is_free_in`` read it.  The oracles below are the walks lamp used
+before: one ``occurrences`` walk per name, and a ``find_redexes`` that
+walks the term once per channel.  Both must agree with the index on every
+state normalize reaches, and on every state reachable at comm_size <= 6,
+for 400 generated programs.  On the same states, the reducts that
+enumerate and normalize build from one scan must be the ones
+``apply_redex`` builds from each redex's paths.  ``substitute`` and
+``is_free_in`` must agree with the one-name walk they used before,
+``_old_free_cells``.
 """
 
 from functools import lru_cache
 from itertools import product
 
-from hypothesis import given
+from hypothesis import example, given
 
 from lamp.parser import parse_program, parse_term
 from lamp.reduction import (
     Redex, _reducts, apply_redex, comm_size, find_redexes, normalize,
 )
 from lamp.terms import (
-    App, Close, Dist, Par, Send, UNIT, Var, _path, _scan, children,
-    flatten_par, is_free_in, occurrences, preorder, print_term, subterm_at,
-    var_names,
+    App, Close, Dist, Par, Send, UNIT, Var, _path, _put, _scan, children,
+    equal, flatten_par, is_free_in, occurrences, preorder, print_term,
+    substitute, subterm_at, var_names,
 )
 from lamp.testlab import GenConfig, gen_derivation
-from tests.test_terms import _terms
+from tests.test_terms import _names, _terms
 
 DEPTH = 10_000
 
@@ -62,6 +65,30 @@ def _old_occurrences(t, x):
 
     walk(t, ())
     return found
+
+
+def _old_free_cells(t, x):
+    """The cells of the free occurrences of x in t, in preorder, by a walk
+    of its own that makes a cell per node it enters and skips every binder
+    for x: what substitute put at and is_free_in stopped at before both
+    read _scan's index."""
+    stack = [(None, 0, t)]
+    while stack:
+        c = stack.pop()
+        s = c[2]
+        cls = type(s)
+        if cls is Var:
+            if s[1] == x:
+                yield c
+        elif cls is Send:
+            if s[1] != x:
+                stack.append((c, 2, s[2]))
+        elif cls is Dist:
+            if s[1] != x and s[2] != x:
+                stack.append((c, 3, s[3]))
+        else:  # Unit has no children, App, Par and Close have them from 1
+            for k in range(len(s) - 1, 0, -1):
+                stack.append((c, k, s[k]))
 
 
 def _old_lca_is_par(root, a, b):
@@ -162,8 +189,8 @@ def test_free_index_matches_walk_on_untyped_terms(t):
 
 @given(_terms(4))
 def test_is_free_in_matches_index_on_untyped_terms(t):
-    # the early-exit walk against the index, on t and on every subterm;
-    # Dist may bind one name twice and inner binders shadow outer ones
+    # is_free_in against the index, on t and on every subterm; Dist may
+    # bind one name twice and inner binders shadow outer ones
     for _, s in preorder(t, children):
         index = _index(s)
         for x in var_names(t) | {"fresh"}:
@@ -176,6 +203,24 @@ def test_is_free_in_respects_a_dist_binding_one_name_twice():
     assert is_free_in("y", t) and "y" in _index(t)
     t = Par(Var("x"), Dist("x", "x", Var("x")))
     assert is_free_in("x", t) and _index(t)["x"] == [(0,)]
+
+
+# a Dist that binds one name twice, one that binds it second, and a Send
+# rebound inside its own body, each beside a free occurrence of the name
+@example(Par(Close(Var("x")), Dist("x", "x", Par(Var("x"), Var("x")))), "x", Var("q"))
+@example(Par(Close(Var("x")), Dist("y", "x", Par(Var("x"), Var("y")))), "x", Var("q"))
+@example(Par(Var("x"), Send("x", App(Send("x", Var("x")), Var("x")))), "x", Var("q"))
+@given(_terms(4), _names, _terms(1))
+def test_substitute_and_is_free_in_agree_with_the_free_cells_walk(t, x, s):
+    cells = list(_old_free_cells(t, x))
+    assert [_path(c) for c in _scan(t).free.get(x, ())] == [_path(c) for c in cells]
+    for _, u in preorder(t, children):
+        assert is_free_in(x, u) == (next(_old_free_cells(u, x), None) is not None)
+    out = substitute(t, x, s)
+    if cells:
+        assert out == _put([(c, s) for c in cells])
+    else:
+        assert out is t
 
 
 def _check_reducts_from_one_scan(t, normalizes=True):
@@ -311,3 +356,18 @@ def test_traversals_survive_a_term_ten_thousand_deep():
     assert _index(nested) == {}
     assert comm_size(nested) == DEPTH
     assert find_redexes(nested) == []
+
+
+def test_substitute_on_a_term_ten_thousand_deep():
+    def chain(leaf):
+        # closes and outputs on other names, DEPTH of them over leaf
+        for i in range(DEPTH):
+            leaf = Close(leaf) if i % 2 else Send(f"n{i}", leaf)
+        return leaf
+
+    # x free down one side, and bound by a Send at the top of the other
+    t = Par(chain(Var("x")), Send("x", chain(Var("x"))))
+    out = substitute(t, "x", UNIT)
+    assert equal(out, Par(chain(UNIT), t.right)) and out.right is t.right
+    assert is_free_in("x", t) and not is_free_in("x", out)
+    assert substitute(out, "x", Var("y")) is out

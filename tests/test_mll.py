@@ -60,6 +60,25 @@ def test_lolli_left_display_instance():
     check_mll(node)
 
 
+def _bot_r(right, premise):
+    return MllDerivation(MllRule.BOT_R, MllSequent((A,), right), (premise,))
+
+
+def test_unary_rules_keep_order_and_splits_match_multisets():
+    # A |- A, bot and A |- bot, A, each a bot-right over the identity axiom
+    a_bot, bot_a = _bot_r((A, BOT), ax_id(A)), _bot_r((BOT, A), ax_id(A))
+    check_mll(a_bot)
+    check_mll(bot_a)
+    # a unary rule reads its premise's contexts in order: one bot added
+    # anywhere, the rest as the premise lists them
+    check_mll(_bot_r((A, BOT, BOT), a_bot))
+    with pytest.raises(MllRuleViolation, match="bot-right must add one bot"):
+        check_mll(_bot_r((BOT, BOT, A), a_bot))
+    # a split matches the premises' contexts as multisets
+    check_mll(MllDerivation(MllRule.CUT, MllSequent((A,), (BOT, A, BOT)),
+                            (a_bot, bot_a)))
+
+
 def test_axiom_translates_to_identity():
     d = Derivation(Rule.AX, Sequent((("x", A),), (DeltaEntry(Var("x"), A),)))
     m = nmll_to_mll(d)

@@ -6,7 +6,7 @@ import random
 from itertools import count
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lamp import reduction, terms
 from lamp.parser import parse_program, parse_term
@@ -509,6 +509,44 @@ def _old_linear(t):
 @given(st.one_of(_terms(4), _linear_terms()))
 def test_linear_reads_the_census_as_its_old_walk_did(t):
     assert (reduction._linear(t) is not None) == _old_linear(t)
+
+
+def _old_pinned(lam):
+    """reduction._pinned as a walk of lam's body, before it climbed from
+    the occurrences _scan finds: whether lam x. u has an x reached from u
+    through no App argument and no Dist body.  It ignores binders for x
+    inside u, which a linear term has none of."""
+    x, stack = lam[1], [lam[2]]
+    while stack:
+        s = stack.pop()
+        cls = type(s)
+        if cls is Var:
+            if s[1] == x:
+                return True
+        elif cls is App:
+            stack.append(s[1])
+        elif cls is Par:
+            stack += s[1:]
+        elif cls is Send or cls is Close:
+            stack.append(s[-1])
+    return False
+
+
+# a lambda whose variable sits in a Dist body, and one whose variable is
+# an App argument, inside its body
+@example(App(Send("a", Dist("b", "c", Par(Var("a"), Var("b")))), UNIT))
+@example(App(Send("a", App(Var("f"), Var("a"))), UNIT))
+@settings(deadline=None)
+@given(_linear_terms())
+def test_pinned_climb_agrees_with_the_body_walk(t):
+    # every lambda activator of every state reachable from t
+    for s in _reachable(t):
+        scan = _scan(s)
+        for act in scan.acts:
+            lam = act[2][1]
+            if type(lam) is Send and id(lam) in scan.lams:
+                assert reduction._pinned(lam, scan.lams[id(lam)]) == _old_pinned(lam), \
+                    print_term(s)
 
 
 # -- states as components, against the per-channel oracle --------------------

@@ -115,7 +115,8 @@ def cmd_enumerate(args) -> int:
     forms = enumerate_normal_forms(term, args.budget)
     for text in sorted(print_term(t) for t in forms):
         print(text)
-    print("CONFLUENT" if len(forms) == 1 else "NON-CONFLUENT")
+    print("NO NORMAL FORM" if not forms
+          else "CONFLUENT" if len(forms) == 1 else "NON-CONFLUENT")
     return EXIT_OK
 
 

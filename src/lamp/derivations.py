@@ -335,33 +335,26 @@ def _where(entries: tuple, e) -> Iterator[int]:
 
 class _Memo:
     """What matching the nodes of one derivation computes once.  Per entry
-    object, the names it uses and the names free in it; per sequent, its
-    declarations as a dict, which a node's match builds for its premises
-    and the premises' own matches reuse.  Keyed by id: valid while the
-    objects it has seen are alive, which the derivation being checked
-    guarantees.  Names are looked up for a whole delta in C; an entry
-    costs a Python step only when it is first seen.
+    object, the names free in it; per sequent, its declarations as a dict,
+    which a node's match builds for its premises and the premises' own
+    matches reuse.  Keyed by id: valid while the objects it has seen are
+    alive, which the derivation being checked guarantees.  Names are
+    looked up for a whole delta in C; an entry costs a Python step only
+    when it is first seen.
 
-    The two name memos stay for a check that fails: _raise_first reads the
-    names of the same entries again for every node on its frames.  With
-    all and free_in as plain reads of var_names and _scan, one pass of
-    ring's check and translate (bench/ops.py) took 0.53 s instead of
-    0.38 s, best of 7 on a 2-vCPU VM; under cProfile, _raise_first on the
-    pass's 15 failing round trips (ROADMAP item 1) went from 0.03 to
-    0.46 s, nearly all of the difference."""
+    The free-name memo stays for a check that fails: _raise_first asks
+    again, for every LolliI on its frames, whether a name is free in
+    entries it has read.  On one pass of ring's check and translate
+    (bench/ops.py, seed 2, whose 15 round trips fail, ROADMAP item 1) it
+    answered 24,899 of its 27,706 entry reads, and the pass took a quarter
+    longer without it (0.44 s against 0.34 s, medians of 6 alternating
+    runs, each best of 7, on a 2-vCPU VM).  _used reads var_names: a memo
+    of the names each entry uses was hit 0 times in that pass's 217 calls,
+    on 266 entries."""
 
     def __init__(self):
-        self._all: dict[int, frozenset[str]] = {}
         self._free: dict[int, frozenset[str]] = {}
         self._gammas: dict[int, dict] = {}
-
-    def all(self, delta: Sequence[DeltaEntry]) -> list[frozenset[str]]:
-        """The names each entry of delta uses, bound ones included."""
-        sets = list(map(self._all.get, map(id, delta)))
-        if None in sets:
-            for k in _where(sets, None):
-                sets[k] = self._all[id(delta[k])] = frozenset(var_names(delta[k].term))
-        return sets
 
     def free_in(self, x: str, delta: Sequence[DeltaEntry]) -> bool:
         """Whether x is free in some entry of delta: first among the
@@ -397,8 +390,8 @@ class _Memo:
 _name = itemgetter(0)  # of a declaration
 
 
-def _premises_disjoint(node: Derivation, path, memo: _Memo) -> None:
-    reason = _shared([_used(p.conclusion, memo) for p in node.premises])
+def _premises_disjoint(node: Derivation, path) -> None:
+    reason = _shared([_used(p.conclusion) for p in node.premises])
     if reason:
         raise RuleViolation(path, reason)
 
@@ -411,9 +404,9 @@ def _bound_somewhere(x: str, p: Sequent, path, memo: _Memo) -> None:
                                   f"principal term nor elsewhere (no weakening)")
 
 
-def _used(s: Sequent, memo: _Memo) -> set[str]:
+def _used(s: Sequent) -> set[str]:
     """The names s declares or uses, read from its entries."""
-    return set(chain(map(_name, s.gamma), *memo.all(s.delta)))
+    return set(chain(map(_name, s.gamma), *(var_names(e.term) for e in s.delta)))
 
 
 def _shared(used: list[set[str]]) -> Optional[str]:
@@ -480,7 +473,7 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
     _well_formed(node, ARITY, Sequent, path)
     cg = memo.gamma(con, path, "conclusion")
     if not defer and len(prems) > 1:
-        _premises_disjoint(node, path, memo)
+        _premises_disjoint(node, path)
 
     if rule is Rule.AX:
         match con:
@@ -655,11 +648,11 @@ def _raise_first(frames: list, data: dict, node: Derivation, k: int, memo: _Memo
     path = tuple(i for _, i, _ in frames[1:]) + (k,) if frames else ()
     shared = {}  # the reason of each node on frames whose premises share a name
     if any(len(a.premises) > 1 for a, _, _ in frames):
-        names = _used(node.conclusion, memo)
+        names = _used(node.conclusion)
         for t in range(len(frames) - 1, -1, -1):
             a, _, sets = frames[t]
             sets = sets + [names] + [
-                _used(p.conclusion, memo) for p in a.premises[len(sets) + 1:]]
+                _used(p.conclusion) for p in a.premises[len(sets) + 1:]]
             if len(sets) > 1:
                 shared[t] = _shared(sets)
                 names.update(*sets)

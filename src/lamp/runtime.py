@@ -13,9 +13,10 @@ Each top-level parallel component runs as a worker.  A worker repeatedly:
 
 A poll reads the worker's term as a reduction state of one component (see
 ``reduction._State``), so local redexes are found by the same search
-normalize uses.  The state is made by the first poll of a term and kept
-through sleep and wake-up, so the poll a fill wakes scans nothing; a step
-drops it, and the next poll scans the new term.
+normalize uses.  Every poll scans the term afresh: nearly every poll
+follows a step of its worker, which changed the term, and a scan kept
+through sleep and wake-up served 10 of 3,391 polls on one pass of the
+bench's ring programs.
 
 Linearity makes every channel single use, so a cell is filled exactly once
 and consumed exactly once; any second fill or consume aborts the run.  The
@@ -24,7 +25,8 @@ and any interleaving must produce the same final component multiset as the
 sequential normalizer, which the test suite checks across many seeds.
 A worker whose poll makes no progress sleeps until a cell for a name free
 in its term is filled: nothing else can change what a poll of that term
-finds, so the schedule is the same as if it were polled every round.
+finds, so the schedule is the same as if it were polled every round
+(workers that never sleep are polled 30,804 times on that ring pass).
 Workers transmit asynchronously, exactly like the term-level rules: a
 strictly blocking discipline could not run programs whose messages are
 inert applications such as a pending function call.
@@ -39,7 +41,7 @@ from typing import Callable, Optional
 from .reduction import (
     _State, _above, _across_par, _changed, _redexes, comm_size, fire,
 )
-from .terms import Sequent, Term, _put, _scan, flatten_par
+from .terms import Sequent, Term, _Scan, _put, _scan, flatten_par
 
 
 class ChannelProtocolError(Exception):
@@ -84,10 +86,6 @@ class DeadlockReport(Exception):
 class _Worker:
     index: int
     term: Term
-    # term as a state of one component, made by the poll that first reads
-    # it and kept through sleep and wake-up until a step changes the term;
-    # dropped then, so that a scan is not kept while nobody reads it
-    state: Optional[_State] = None
     # set while a poll has made no progress and no cell for a name free
     # in term has been filled since: polling it again would do nothing
     asleep: bool = False
@@ -96,29 +94,28 @@ class _Worker:
              fill: Callable[[str, Term, int], None]) -> Optional[list[str]]:
         """Take one step if the worker can; return None if it did, else the
         names free in its term, whose fills are what can wake it."""
-        if self.state is None:
-            self.state = _State([self.term])
-        first = next(_redexes(self.state), None)
+        state = _State([self.term])
+        first = next(_redexes(state), None)
         if first is not None:
-            self.term, self.state = _changed(*first)[0], None
+            self.term = _changed(*first)[0]
             return None
-        if self.send_step(fill):
+        scan = state.scans[0]
+        if self.send_step(scan, fill):
             return None
-        scan = self.state.scans[0]
         ready = [x for x in scan.free
                  if x in cells and cells[x].state == "filled"]
         if ready:
             name = min(ready)
             value = cells[name].consume()
-            self.term, self.state = _put([(c, value) for c in scan.free[name]]), None
+            self.term = _put([(c, value) for c in scan.free[name]])
             return None
         return list(scan.free)
 
-    def send_step(self, fill: Callable[[str, Term, int], None]) -> bool:
-        """Fire an activator with a receiver in another component (poll has
-        fired every local redex, betas too): its value fills that channel's
-        cell, while a receiver in this component gets its value in place."""
-        scan = self.state.scans[0]
+    def send_step(self, scan: _Scan, fill: Callable[[str, Term, int], None]) -> bool:
+        """Fire an activator of scan, the poll's scan of term, with a
+        receiver in another component (poll has fired every local redex,
+        betas too): its value fills that channel's cell, while a receiver
+        in this component gets its value in place."""
         for act in scan.acts:
             kind, cont, sends = fire(act[2], scan.lams)
             local = [scan.free.get(x) for x, _ in sends]
@@ -128,8 +125,8 @@ class _Worker:
             if any(occ and not _across_par(above, occ[0]) for occ in local):
                 continue  # not yet deliverable
             here = [(x, v) for (x, v), occ in zip(sends, local) if occ]
-            self.term, self.state = _changed(0, act, (kind, cont, here), [
-                (0, occ[0]) for occ in local if occ])[0], None
+            self.term = _changed(0, act, (kind, cont, here), [
+                (0, occ[0]) for occ in local if occ])[0]
             for (x, v), occ in zip(sends, local):
                 if not occ:
                     fill(x, v, self.index)

@@ -55,6 +55,16 @@ def test_enumerate_untyped_race_is_non_confluent(tmp_path):
     assert len(lines) == 3
 
 
+def test_enumerate_without_a_normal_form_says_so(tmp_path):
+    # untypable and copying: every state reached reduces, back to itself,
+    # so there is no normal form for confluence to speak of
+    f = tmp_path / "omega.lamp"
+    f.write_text("|- (lam x. x x) (lam y. y y) : bot\n")
+    r = run_cli("enumerate", str(f))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "NO NORMAL FORM\n"
+
+
 def test_run_concurrent_mode():
     for seed in ("0", "1", "7"):
         r = run_cli("run", "corpus/cyclic.lamp", "--mode", "concurrent",

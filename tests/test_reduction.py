@@ -642,6 +642,11 @@ EDGE_SHAPES = {
         Par(App(Send("y", UNIT), Var("x")), App(Send("x", Var("y")), Var("v"))),
         ["(out y. *) x | (out x. y) v", "step 1: Comm y => * | (lam x. x) v",
          "step 2: Beta => * | v"]),
+    # a race: x is free in two other components, and the first receives;
+    # the value lets cbv fire it too
+    "a channel free in two other components": (
+        join_par([App(Send("x", UNIT), Send("a", Var("a"))), Var("x"), Var("x")]),
+        ["((out x. *) (lam a. a) | x) | x", "step 1: Comm x => (* | lam a. a) | x"]),
 }
 
 

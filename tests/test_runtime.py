@@ -143,7 +143,7 @@ class _AlwaysAwake(runtime._Worker):
 
 
 def _counted_run(monkeypatch, sequent, seed):
-    # every poll starts one redex search over its worker's kept scan
+    # every poll starts one redex search over a fresh scan of its worker's term
     calls = 0
     real = runtime._redexes
 

@@ -9,7 +9,8 @@
     lamp props [--n N] [--seed N]       run the metatheory property suites
 
 Exit codes: 0 success, 1 type error (including a program that uses a
-channel other than exactly once), 2 parse error, 3 internal invariant
+channel other than exactly once, and a to-nmll input that is not a
+sequent calculus derivation), 2 parse error, 3 internal invariant
 violation, 4 state budget exceeded or input nested too deeply, 5 file
 not readable.  Set LAMP_COLOR=1 for ANSI-colored trace output.
 """
@@ -85,7 +86,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     from .derivations import check_channel_linearity
     from .reduction import Trace, cbv_trace, normalize
-    from .terms import flatten_par, join_par, print_term
+    from .terms import Par, _spine, flatten_par, fold, join_par, print_term
     prog = _load(args.file)
     # reduction terminates only on linear terms: beta copies an argument
     # whose bound name occurs twice
@@ -95,7 +96,11 @@ def cmd_run(args) -> int:
         _print_trace(normalize(term))
         return EXIT_OK
     if args.mode == "cbv":
-        _print_trace(Trace(term, [(desc, join_par(state))
+        # each state's components go back where flatten_par took them from
+        def rejoin(state):
+            parts = iter(state)
+            return fold(term, _spine, lambda t, kids: Par(*kids) if kids else next(parts))
+        _print_trace(Trace(term, [(desc, rejoin(state))
                                   for desc, state in cbv_trace(flatten_par(term))]))
         return EXIT_OK
     # concurrent: honor the precondition by typechecking first
@@ -121,7 +126,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    from .derivations import check_derivation
+    from .derivations import RuleViolation, check_derivation
     from .mll import check_mll, mll_to_nmll, nmll_to_mll
     from .reconstruct import reconstruct
     from .sexpr import derivation_to_sexpr, mll_to_sexpr, sexpr_to_mll
@@ -132,8 +137,14 @@ def cmd_translate(args) -> int:
         check_mll(m)
         print(mll_to_sexpr(m))
         return EXIT_OK
-    # mll_to_nmll matches every node as check_mll does, in the same order
-    d = mll_to_nmll(sexpr_to_mll(_read(args.file)))
+    # mll_to_nmll matches every node as check_mll does, in the same order,
+    # before it translates any: a violation it raises is the input's
+    m = sexpr_to_mll(_read(args.file))
+    try:
+        d = mll_to_nmll(m)
+    except RuleViolation as err:
+        print(f"not a derivation: {err}", file=sys.stderr)
+        return EXIT_TYPE
     check_derivation(d)
     print(derivation_to_sexpr(d))
     return EXIT_OK

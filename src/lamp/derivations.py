@@ -46,7 +46,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 from .terms import (
     App, BOT, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    TypeExpr, UNIT, Var, _scan, equal, name_counts, nodes, var_names,
+    TypeExpr, UNIT, Var, _scan, equal, name_counts, var_names,
 )
 
 
@@ -679,8 +679,3 @@ def check_channel_linearity(s: Sequent) -> None:
                 raise LinearityError(x, var_n, bind_n, declared=True)
         elif var_n != 1 or bind_n != 1:
             raise LinearityError(x, var_n, bind_n, declared=False)
-
-
-def all_sequents(d: Derivation):
-    """Every node's conclusion, in preorder."""
-    return (node.conclusion for node in nodes(d, premises_of))

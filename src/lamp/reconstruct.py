@@ -70,6 +70,13 @@ def tree_counts(terms: Iterable[Term]) -> tuple[int, int, int]:
     return kinds.count(Var), kinds.count(App), kinds.count(Dist)
 
 
+def _surplus(term: Term) -> int:
+    """Variables minus applications minus twice the binary outputs in term
+    (see the module docstring)."""
+    v, a, d = tree_counts((term,))
+    return v - a - 2 * d
+
+
 class UnificationFailure(TypecheckError):
     pass
 
@@ -88,21 +95,11 @@ class _Reconstructor:
         # var_names per subterm, by id; each value holds its term, so no
         # key outlives the object it names
         self._names: dict[int, tuple[Term, set[str]]] = {}
-        self._surplus: dict[int, tuple[Term, int]] = {}
 
     def names(self, term: Term) -> set[str]:
         hit = self._names.get(id(term))
         if hit is None:
             hit = self._names[id(term)] = (term, var_names(term))
-        return hit[1]
-
-    def surplus(self, term: Term) -> int:
-        """Variables minus applications minus twice the binary outputs in
-        term (see the module docstring), memoized like names."""
-        hit = self._surplus.get(id(term))
-        if hit is None:
-            v, a, d = tree_counts((term,))
-            hit = self._surplus[id(term)] = (term, v - a - 2 * d)
         return hit[1]
 
     # -- unification -------------------------------------------------------
@@ -337,8 +334,8 @@ class _Reconstructor:
         if floating:
             # keep the placements that leave every premise a surplus of 1,
             # summed per premise from its fixed part and its groups'
-            weight = [0] * g + [self.surplus(r.term) for r in rest]
-            fixed = [sum(self.surplus(e.term) for e in seed) for seed, _ in adds]
+            weight = [0] * g + [_surplus(r.term) for r in rest]
+            fixed = [sum(_surplus(e.term) for e in seed) for seed, _ in adds]
             for j, k in enumerate(owner):
                 if k is not None:
                     fixed[k] += weight[j]

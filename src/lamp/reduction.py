@@ -3,7 +3,8 @@
 A single constructor, Send, is both the lambda and the output channel, so
 every rule has one shape: an activator is replaced by its continuation and
 hands one value to each of its channels.  ``fire`` writes the rules down
-once; everything else here and in the runtime only chooses receivers.
+once; everything else here and in the runtime only chooses receivers,
+through ``_receivers``.
 
 * beta      -- ``(lam x. u) v`` anywhere, with x free in u;
 * comm      -- an applied output ``(out x. u) v`` whose unique free
@@ -41,8 +42,10 @@ value lands across a top-level Par from every partner: each is a
 persistent set (Godefroid 1996, "Partial-Order Methods for the
 Verification of Concurrent Systems"), so every normal form is still met.
 ``find_redexes`` and ``apply_redex`` speak in paths, for callers that
-hold a redex across calls, and ``apply_redex`` checks that it still
-matches.  ``Trace.render`` prints a state component by component, so a
+hold a redex across calls: ``apply_redex`` fires the redex of that search
+whose paths are the ones it is given.  So ``_receivers`` alone decides
+where a value may go, for the search, firing, cbv and the runtime's
+sends.  ``Trace.render`` prints a state component by component, so a
 component no step changed is printed once.
 """
 
@@ -56,7 +59,7 @@ from typing import Iterator, Optional, Sequence
 
 from .terms import (
     App, Cell, Close, Dist, Memo, Par, Path, Send, Term, UNIT, Var, _Scan,
-    _cells_at, _path, _put, _scan, _texts, children, name_counts, nodes,
+    _path, _put, _scan, _texts, children, name_counts, nodes,
     print_term, substitute, subterm_at,
 )
 
@@ -402,20 +405,14 @@ def find_redexes(t: Term) -> list[Redex]:
 
 
 def apply_redex(t: Term, r: Redex) -> Term:
-    """Fire one redex.  Raises StaleRedex if r does not match t anymore."""
-    cells = _cells_at(t, (r.activator, *r.receivers))
-    act = next(cells)
-    firing = fire(act[2], _scan(act[2]).lams)
-    if firing is None or firing[0] != r.kind:
-        raise StaleRedex(f"activator is not a {r.kind} redex")
-    receivers = tuple(cells)
-    if r.kind != "beta":
-        above = _above(act)
-        for (x, _), c in zip(firing[2], receivers, strict=True):
-            if c[2] != Var(x) or not _across_par(above, c):
-                raise StaleRedex(f"receiver for {x!r} no longer valid")
-    # t is one component here, and its cells are that component's
-    return _changed(0, act, firing, [(0, c) for c in receivers])[0]
+    """Fire the redex of t that find_redexes lists with r's kind,
+    activator and receivers.  Raises StaleRedex if it lists none."""
+    for found in _redexes(_State([t])):
+        _, act, firing, recv = found
+        if firing[0] == r.kind and _path(act) == r.activator \
+                and tuple(_path(c) for _, c in recv) == r.receivers:
+            return _changed(*found)[0]
+    raise StaleRedex(f"no such {r.kind} redex at {list(r.activator)}")
 
 
 def normalize(t: Term) -> Trace:

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .reduction import (
-    _State, _above, _across_par, _changed, _redexes, comm_size, fire,
+    _State, _changed, _receivers, _redexes, comm_size, fire,
 )
-from .terms import Sequent, Term, _Scan, _put, _scan, flatten_par
+from .terms import Sequent, Term, _put, _scan, flatten_par
 
 
 class ChannelProtocolError(Exception):
@@ -100,7 +100,7 @@ class _Worker:
             self.term = _changed(*first)[0]
             return None
         scan = state.scans[0]
-        if self.send_step(scan, fill):
+        if self.send_step(state, fill):
             return None
         ready = [x for x in scan.free
                  if x in cells and cells[x].state == "filled"]
@@ -111,24 +111,23 @@ class _Worker:
             return None
         return list(scan.free)
 
-    def send_step(self, scan: _Scan, fill: Callable[[str, Term, int], None]) -> bool:
-        """Fire an activator of scan, the poll's scan of term, with a
-        receiver in another component (poll has fired every local redex,
-        betas too): its value fills that channel's cell, while a receiver
-        in this component gets its value in place."""
+    def send_step(self, state: _State, fill: Callable[[str, Term, int], None]) -> bool:
+        """Fire an activator of state, the poll's one-component state of
+        term, with a receiver in another component (poll has fired every
+        redex, betas too): its value fills that channel's cell, while a
+        channel free in term gets its value at the first receiver
+        _receivers gives, and with none the activator waits."""
+        scan = state.scans[0]
         for act in scan.acts:
             kind, cont, sends = fire(act[2], scan.lams)
-            local = [scan.free.get(x) for x, _ in sends]
-            if all(local):
-                continue  # fully local, so a redex
-            above = _above(act)
-            if any(occ and not _across_par(above, occ[0]) for occ in local):
+            here = [_receivers(state, 0, act, x) if x in scan.free else None
+                    for x, _ in sends]
+            if [] in here:
                 continue  # not yet deliverable
-            here = [(x, v) for (x, v), occ in zip(sends, local) if occ]
-            self.term = _changed(0, act, (kind, cont, here), [
-                (0, occ[0]) for occ in local if occ])[0]
-            for (x, v), occ in zip(sends, local):
-                if not occ:
+            sent = [s for s, recv in zip(sends, here) if recv]
+            self.term = _changed(0, act, (kind, cont, sent), [r[0] for r in here if r])[0]
+            for (x, v), recv in zip(sends, here):
+                if recv is None:
                     fill(x, v, self.index)
             return True
         return False

@@ -207,13 +207,13 @@ def children(t: _Node) -> tuple:
 
 
 def subterm_at(t: Term, path: Path) -> Term:
-    return next(_cells_at(t, (path,)))[2]
+    return _cell_at(t, path)[2]
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
     """t with the subterm at path replaced by new: the nodes along path are
     rebuilt bottom up, everything off it is shared."""
-    return _put([(next(_cells_at(t, (path,))), new)])
+    return _put([(_cell_at(t, path), new)])
 
 
 # s[1:s._first] are the names node s carries: a variable's, or the
@@ -321,20 +321,16 @@ def _path(c: Cell) -> Path:
     return tuple(out)
 
 
-def _cells_at(t: Term, paths) -> Iterator[Cell]:
-    """A cell for the position of each path in t, made as the paths are
-    read, one per position, as one scan of t would make them."""
-    root = (None, 0, t)
-    made: dict[tuple[int, int], Cell] = {}  # (id of the parent cell, k)
-    for path in paths:
-        c = root
-        for i in path:
-            node = c[2]
-            first = node._first
-            if not 0 <= i < len(node) - first:
-                raise InvalidPath(f"no child {i} at {type(node).__name__}")
-            c = made.setdefault((id(c), first + i), (c, first + i, node[first + i]))
-        yield c
+def _cell_at(t: Term, path: Path) -> Cell:
+    """A cell for the position of path in t, as a scan of t would make it."""
+    c = (None, 0, t)
+    for i in path:
+        node = c[2]
+        first = node._first
+        if not 0 <= i < len(node) - first:
+            raise InvalidPath(f"no child {i} at {type(node).__name__}")
+        c = (c, first + i, node[first + i])
+    return c
 
 
 def occurrences(t: Term, x: str) -> list[Path]:
@@ -433,7 +429,7 @@ def is_simple(path: Path, root: Term) -> bool:
     Punching a hole at such a position yields a context that is not a
     parallel composition of the hole with anything else.
     """
-    c = next(_cells_at(root, (path,)))[0]
+    c = _cell_at(root, path)[0]
     while c is not None:
         if type(c[2]) is Par:
             return False

@@ -36,7 +36,7 @@ from typing import (
 )
 
 from .derivations import (
-    Derivation, Rule, _replaced, _without, axiom, premises_of,
+    Derivation, Rule, _replaced, _without, axiom,
 )
 from .mll import MllRule, MllSequent
 from .reconstruct import reconstruct
@@ -58,10 +58,6 @@ class GenConfig:
     def __post_init__(self):
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
-
-
-def _node_count(d: Derivation) -> int:
-    return sum(1 for _ in nodes(d, premises_of))
 
 
 # ---------------------------------------------------------------------------

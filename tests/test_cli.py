@@ -80,6 +80,18 @@ def test_run_cbv_mode():
     assert r.stdout.splitlines()[1].startswith("step 1:")
 
 
+def test_run_cbv_keeps_the_programs_par_tree(tmp_path):
+    # the components go back at the leaves of the program's Par spine, so a
+    # step prints as --mode full and the initial line do
+    f = tmp_path / "nested.lamp"
+    f.write_text("|- (out x. *) (lam a. a) | x | * : bot par ((bot -o bot) par bot)\n")
+    want = "(out x. *) (lam a. a) | x | *\nstep 1: Comm x => * | lam a. a | *\n"
+    for mode in ("cbv", "full"):
+        r = run_cli("run", str(f), "--mode", mode)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == want, mode
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.lamp"
     bad.write_text("|- lam . x : A")
@@ -266,9 +278,31 @@ def test_translate_to_nmll_reports_the_first_bad_node(tmp_path):
                  '  (BotR "A |- A, bot"\n'
                  '    (AxBot "bot |-")))\n')
     r = run_cli("translate", str(f), "--direction", "to-nmll")
-    _assert_one_line_error(r, 3)
-    assert r.stderr == ("internal invariant violation: at node [0]: "
+    _assert_one_line_error(r, 1)
+    assert r.stderr == ("not a derivation: at node [0]: "
                         "bot-right must add one bot on the right\n")
+
+
+def test_translate_to_nmll_rejects_a_well_formed_non_derivation(tmp_path):
+    # the file parses as a sequent calculus tree, but its axiom is no
+    # instance of AxId: the input is wrong, not lamp
+    f = tmp_path / "ax.mllsx"
+    f.write_text('(AxId "A |- B")\n')
+    r = run_cli("translate", str(f), "--direction", "to-nmll")
+    _assert_one_line_error(r, 1)
+    assert r.stderr == "not a derivation: at node []: identity axiom must be  A |- A\n"
+
+
+def test_translate_to_nmll_output_violation_stays_internal(tmp_path, monkeypatch, capsys):
+    # a rule violation in what lamp built from a valid input is lamp's fault
+    from lamp import cli, mll
+    from lamp.derivations import Derivation, Rule
+    from lamp.terms import Sequent
+    f = tmp_path / "ax.mllsx"
+    f.write_text('(AxId "A |- A")\n')
+    monkeypatch.setattr(mll, "mll_to_nmll", lambda m: Derivation(Rule.AX, Sequent((), ())))
+    assert cli.main(["translate", str(f), "--direction", "to-nmll"]) == 3
+    assert capsys.readouterr().err.startswith("internal invariant violation: at node []: ")
 
 
 def test_deep_ring_checks_runs_and_translates(tmp_path):

@@ -8,23 +8,26 @@ walks the term once per channel.  Both must agree with the index on every
 state normalize reaches, and on every state reachable at comm_size <= 6,
 for 400 generated programs.  On the same states, the reducts that
 enumerate and normalize build from one scan must be the ones
-``apply_redex`` builds from each redex's paths.  ``substitute`` and
-``is_free_in`` must agree with the one-name walk they used before,
-``_old_free_cells``.
+``apply_redex`` builds from each redex's paths, and on random terms
+``apply_redex`` must fire exactly what ``find_redexes`` lists.
+``substitute`` and ``is_free_in`` must agree with the one-name walk they
+used before, ``_old_free_cells``.
 """
 
 from functools import lru_cache
 from itertools import product
 
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, strategies as st
 
 from lamp.parser import parse_program, parse_term
 from lamp.reduction import (
-    Redex, _reducts, apply_redex, comm_size, find_redexes, normalize,
+    Redex, StaleRedex, _reducts, apply_redex, comm_size, find_redexes,
+    normalize,
 )
 from lamp.terms import (
     App, Close, Dist, Par, Send, UNIT, Var, _path, _put, _scan, children,
-    equal, flatten_par, is_free_in, occurrences, preorder, print_term,
+    equal, flatten_par, fold, is_free_in, occurrences, preorder, print_term,
     substitute, subterm_at, var_names,
 )
 from lamp.testlab import GenConfig, gen_derivation
@@ -251,6 +254,39 @@ def test_reducts_from_one_scan_match_apply_redex_on_untyped_terms(t):
     # occurs twice, since a beta that copies may never terminate
     names = [s.name for _, s in preorder(t, children) if type(s) is Var]
     _check_reducts_from_one_scan(t, normalizes=len(names) == len(set(names)))
+
+
+@example(Par(App(Send("x", UNIT), Var("v")), Send("x", Var("x"))), 3)
+@example(Send("x", Par(App(Send("x", UNIT), Var("v")), Var("x"))), 3)
+@given(_terms(4), st.integers(1, 3))
+def test_apply_redex_fires_exactly_what_find_redexes_lists(t, k):
+    # names fold into k of them, so that binders capture and shadow often
+    pool = sorted(var_names(t))
+    t = fold(t, children, lambda s, kids: type(s)(
+        *(pool[pool.index(x) % k] for x in s[1:s._first]), *kids))
+    # every activator, with every variable cell named by its channel as a
+    # receiver (a pair of them for a dist), bound and free alike
+    listed = find_redexes(t)
+    reducts = list(_reducts(t))
+    cells = {}
+    for path, s in preorder(t, children):
+        if type(s) is Var:
+            cells.setdefault(s.name, []).append(path)
+    tried = []
+    for a, s in preorder(t, children):
+        if type(s) is App and type(s.fun) is Send:
+            tried.append(Redex("beta", a))
+            tried += [Redex("comm", a, (c,)) for c in cells.get(s.fun.chan, ())]
+        elif type(s) is Dist and type(s.body) is Par:
+            tried += [Redex("dist", a, recv) for recv in product(
+                cells.get(s.chan1, ()), cells.get(s.chan2, ()))]
+    assert set(listed) <= set(tried)
+    for r in tried:
+        if r in listed:
+            assert apply_redex(t, r) == reducts[listed.index(r)], (print_term(t), r)
+        else:
+            with pytest.raises(StaleRedex):
+                apply_redex(t, r)
 
 
 def test_print_parse_round_trip_on_generated_programs():

@@ -12,7 +12,7 @@ from lamp import reduction, terms
 from lamp.parser import parse_program, parse_term
 from lamp.reconstruct import tree_counts
 from lamp.reduction import (
-    BudgetExceeded, StaleRedex, Trace, apply_redex, cbv_trace,
+    BudgetExceeded, Redex, StaleRedex, Trace, apply_redex, cbv_trace,
     comm_size, enumerate_normal_forms, find_redexes, is_value, normalize,
 )
 from lamp.runtime import run_concurrent
@@ -94,6 +94,23 @@ def test_stale_redex_rejected():
     t2 = apply_redex(t, r)
     with pytest.raises(StaleRedex):
         apply_redex(t2, r)
+
+
+@pytest.mark.parametrize("t,r", [
+    # the receiver is the lambda's own bound x, not a free occurrence
+    (Par(App(Send("x", UNIT), Var("v")), Send("x", Var("x"))),
+     Redex("comm", (0,), ((1, 0),))),
+    (Par(Par(Dist("x", "y", Par(Var("s"), Var("t"))), Send("x", Var("x"))),
+         Var("y")),
+     Redex("dist", (0, 0), ((0, 1, 0), (1,)))),
+    # the receiver sits across a Par but is bound by the lambda above both
+    (Send("x", Par(App(Send("x", UNIT), Var("v")), Var("x"))),
+     Redex("comm", (0, 0), ((0, 1),))),
+])
+def test_apply_redex_sends_only_to_a_free_receiver(t, r):
+    assert find_redexes(t) == []
+    with pytest.raises(StaleRedex):
+        apply_redex(t, r)
 
 
 def test_capture_both_orders_reach_same_form():

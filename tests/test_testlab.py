@@ -7,15 +7,15 @@ from collections import Counter
 import pytest
 
 from lamp.derivations import (
-    Rule, all_sequents, check_channel_linearity, check_derivation,
+    Rule, check_channel_linearity, check_derivation, premises_of,
 )
 from lamp.reconstruct import reconstruct
 from lamp import testlab
 from lamp.reduction import apply_redex, comm_size, find_redexes, normalize
 from lamp.sexpr import derivation_to_sexpr, mll_to_sexpr
-from lamp.terms import App, Send, replace_at, subterm_at
+from lamp.terms import App, Send, nodes, replace_at, subterm_at
 from lamp.testlab import (
-    GenConfig, _node_count, gen_derivation, gen_mll, run_property_suite,
+    GenConfig, gen_derivation, gen_mll, run_property_suite,
 )
 
 
@@ -150,14 +150,14 @@ def test_size_one_yields_an_axiom():
 def test_size_cap_respected():
     for seed in range(40):
         d = gen_derivation(GenConfig(seed=seed, max_nodes=7))
-        assert _node_count(d) <= 7
+        assert sum(1 for _ in nodes(d, premises_of)) <= 7
 
 
 def test_every_internal_sequent_is_linear():
     for seed in range(40):
         d = gen_derivation(GenConfig(seed=seed, max_nodes=11))
-        for s in all_sequents(d):
-            check_channel_linearity(s)
+        for node in nodes(d, premises_of):
+            check_channel_linearity(node.conclusion)
 
 
 def test_generated_conclusions_reconstruct():

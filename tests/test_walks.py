@@ -9,7 +9,7 @@ import ast
 import sys
 
 from lamp.derivations import (
-    Derivation, Rule, all_sequents, check_derivation,
+    Derivation, Rule, check_derivation, premises_of,
 )
 from lamp.metatheory import check_subformula
 from lamp.mll import (
@@ -20,7 +20,7 @@ from lamp.parser import parse_term, parse_type
 from lamp.reduction import comm_size, enumerate_normal_forms
 from lamp.terms import (
     App, Atom, BOT, Close, DeltaEntry, Par, Send, Sequent, UNIT, Var,
-    children, flatten_par, fold, print_term, print_type, subformulas,
+    children, flatten_par, fold, nodes, print_term, print_type, subformulas,
 )
 from tests.conftest import SRC
 
@@ -191,7 +191,7 @@ def test_natural_deduction_chain_checks_and_translates():
     assert sys.getrecursionlimit() == 1000
     d = _nd_chain(DEPTH)
     check_derivation(d)
-    assert sum(1 for _ in all_sequents(d)) == DEPTH + 1
+    assert sum(1 for _ in nodes(d, premises_of)) == DEPTH + 1
     check_subformula(d)
     m = nmll_to_mll(d)
     check_mll(m)

@@ -12,12 +12,9 @@ that importing lamp, as every ``lamp`` command does, compiles only the
 modules the command needs.
 """
 
+import sys
 from importlib import import_module
-
-# The function reconstruct shares its name with its module: imported on
-# first use, it would be shadowed by the module as soon as anything
-# imported lamp.reconstruct, so it is bound here, as it always was.
-from .reconstruct import reconstruct  # noqa: F401
+from types import ModuleType
 
 _EXPORTS = {
     "terms": (
@@ -37,6 +34,7 @@ _EXPORTS = {
     ),
     "reconstruct": (
         "LinearityViolation", "UnificationFailure", "UnsatisfiableSplit",
+        "reconstruct",
     ),
     "metatheory": (
         "BottomLike", "HeadVar", "NormalShape", "PreconditionViolation",
@@ -64,7 +62,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = sorted([*_MODULE_OF, "reconstruct"])
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
@@ -74,3 +72,18 @@ def __getattr__(name: str):
     value = getattr(import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
+
+
+class _Package(ModuleType):
+    """lamp's own module type.  Loading the module lamp.reconstruct binds
+    lamp.reconstruct to it; the function reconstruct, which shares the
+    name, is bound instead, so that lamp.reconstruct is the function
+    whichever is imported or read first."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "reconstruct" and isinstance(value, ModuleType):
+            value = value.reconstruct
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

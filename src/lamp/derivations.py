@@ -38,11 +38,10 @@ checked trees instead of re-searching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter, contains, itemgetter
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .terms import (
     App, BOT, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
@@ -73,8 +72,7 @@ ARITY = {
 
 # a node of either calculus: the sequent calculus (mll) builds its trees
 # from this class too, with its own rules and sequents
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     rule: Rule
     conclusion: Sequent
     premises: tuple["Derivation", ...] = ()

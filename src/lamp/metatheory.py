@@ -3,8 +3,7 @@ normal-term shape classification, and the subformula audit."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .derivations import Derivation, Rule, premises_of
 from .terms import (
@@ -74,20 +73,28 @@ def subst_derivation(d1: Derivation, d2: Derivation, x: str,
 # ---------------------------------------------------------------------------
 # Shapes of normal terms
 
-@dataclass(frozen=True)
-class ValueShape:
+class ValueShape(NamedTuple):
     kind: str  # "lambda-or-channel" | "parallel"
 
 
-@dataclass(frozen=True)
-class HeadVar:
+class HeadVar(NamedTuple):
     head: str
     stack: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
 class BottomLike:
-    pass
+    """The shape of every bottom-like process: all are equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is BottomLike
+
+    def __hash__(self) -> int:
+        return hash(BottomLike)
+
+    def __repr__(self) -> str:
+        return "BottomLike()"
 
 
 NormalShape = Union[ValueShape, HeadVar, BottomLike]

@@ -34,7 +34,7 @@ scanning the text again up to the failing token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
@@ -87,12 +87,11 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-@dataclass
-class Program:
+class Program(NamedTuple):
     """A parsed sequent plus any inline type annotations found in it."""
 
     sequent: Sequent
-    annotations: list[tuple[Term, TypeExpr]] = field(default_factory=list)
+    annotations: Sequence[tuple[Term, TypeExpr]] = ()
 
 
 class _Reader:

@@ -51,11 +51,10 @@ component no step changed is printed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, compress, count, product, repeat
 from operator import attrgetter, contains, itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .terms import (
     App, Cell, Close, Dist, Memo, Par, Path, Send, Term, UNIT, Var, _Scan,
@@ -73,8 +72,7 @@ class BudgetExceeded(Exception):
         self.visited = visited
 
 
-@dataclass(frozen=True)
-class Redex:
+class Redex(NamedTuple):
     kind: str  # "beta" | "comm" | "dist"
     activator: Path
     receivers: tuple[Path, ...] = ()
@@ -84,8 +82,7 @@ class Redex:
         return _step_text(fire(node, _scan(node).lams))
 
 
-@dataclass
-class Trace:
+class Trace(NamedTuple):
     initial: Term
     steps: list[tuple[str, Term]]
 

@@ -35,7 +35,6 @@ inert applications such as a pending function call.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .reduction import (
@@ -48,11 +47,11 @@ class ChannelProtocolError(Exception):
     pass
 
 
-@dataclass
 class ChannelCell:
-    name: str
-    state: str = "empty"  # empty -> filled -> consumed
-    value: Optional[Term] = None
+    def __init__(self, name: str):
+        self.name = name
+        self.state = "empty"  # empty -> filled -> consumed
+        self.value: Optional[Term] = None
 
     def fill(self, value: Term) -> None:
         if self.state != "empty":
@@ -70,11 +69,13 @@ class ChannelCell:
         return value
 
 
-@dataclass
 class DeadlockReport(Exception):
-    blocked_workers: list[int]
-    pending_channels: list[str]
-    out_of_rounds: bool = False
+    # args is the arguments as given, which BaseException.__new__ keeps
+    def __init__(self, blocked_workers: list[int], pending_channels: list[str],
+                 out_of_rounds: bool = False):
+        self.blocked_workers = blocked_workers
+        self.pending_channels = pending_channels
+        self.out_of_rounds = out_of_rounds
 
     def __str__(self) -> str:
         how = "out of rounds" if self.out_of_rounds else "stuck"
@@ -82,13 +83,13 @@ class DeadlockReport(Exception):
                 f"channels {self.pending_channels} undelivered")
 
 
-@dataclass
 class _Worker:
-    index: int
-    term: Term
-    # set while a poll has made no progress and no cell for a name free
-    # in term has been filled since: polling it again would do nothing
-    asleep: bool = False
+    def __init__(self, index: int, term: Term):
+        self.index = index
+        self.term = term
+        # set while a poll has made no progress and no cell for a name free
+        # in term has been filled since: polling it again would do nothing
+        self.asleep = False
 
     def poll(self, cells: dict[str, ChannelCell],
              fill: Callable[[str, Term, int], None]) -> Optional[list[str]]:

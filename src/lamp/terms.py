@@ -22,8 +22,8 @@ and run in C: hashing knows no recursion limit, but comparing two equal,
 distinct trees counts each level against it.  The tag keeps constructors
 with equal fields, such as ``App(a, b)`` and ``Par(a, b)`` or
 ``Lolli(a, b)`` and ``ParT(a, b)``, apart.  Fields are also named
-attributes, class patterns match on them, and the repr is the field-named
-one of a dataclass.  Walks index the tuple directly, and one kids
+attributes, class patterns match on them, and the repr names them, as
+a NamedTuple's does.  Walks index the tuple directly, and one kids
 function, ``children``, serves terms and types alike.  A path (child
 indices from the root) names a position to callers; inside a walk,
 ``_scan`` names one by a cell linked to its parent's, built in O(1) where
@@ -227,12 +227,32 @@ def var_names(t: Term) -> set[str]:
 def name_counts(ts: Iterable[Term]) -> dict[str, tuple[int, int]]:
     """Per name occurring in the terms ts: (variable occurrences, binder
     occurrences), counted textually (bound occurrences included), in order
-    of first occurrence."""
+    of first occurrence.  One preorder walk over all of ts, which, as
+    _scan's, reads fields by index."""
     counts: dict[str, list[int]] = {}
-    for t in ts:
-        for s in nodes(t, children):
-            for x in s[1:s._first]:
-                counts.setdefault(x, [0, 0])[type(s) is not Var] += 1
+    stack = [*ts]
+    stack.reverse()
+    while stack:
+        s = stack.pop()
+        cls = type(s)
+        if cls is Var:
+            c = counts.get(s[1])
+            if c is None:
+                counts[s[1]] = [1, 0]
+            else:
+                c[0] += 1
+        elif cls is App or cls is Par:
+            stack.append(s[2])
+            stack.append(s[1])
+        elif cls is Send:
+            counts.setdefault(s[1], [0, 0])[1] += 1
+            stack.append(s[2])
+        elif cls is Dist:
+            counts.setdefault(s[1], [0, 0])[1] += 1
+            counts.setdefault(s[2], [0, 0])[1] += 1
+            stack.append(s[3])
+        elif cls is Close:
+            stack.append(s[1])
     return {x: (v, b) for x, (v, b) in counts.items()}
 
 

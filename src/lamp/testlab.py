@@ -12,7 +12,7 @@ programs that can always fire.
 Identical configurations reproduce identical derivations byte for byte.
 
 Each non-axiom rule is written forward once, in FORWARD or, for the
-sequent calculus, _MLL_FORWARD.  One engine samples both tables; ``closure``
+sequent calculus, _MllGen.table.  One engine samples both tables; ``closure``
 exhausts FORWARD below a size bound for the completeness probe.  A premise
 that reads an earlier one says what it reads (ForwardRule.reads), so its
 positions in a sequent depend on the sequent and that value alone.  Each
@@ -20,8 +20,9 @@ pool entry keeps an index of its positions per (premise, value read),
 filled on first lookup, and a draw looks positions up instead of running
 every premise on every entry for every prefix.
 
-The suites' engines (reduction, runtime, metatheory) are imported on first
-use, so generating programs, as the benchmark's set-up and most tests do,
+The suites' engines (reconstruct, reduction, runtime, metatheory) and the
+sequent calculus's rules (mll) are imported on first use, so generating
+natural deduction programs, as the benchmark's set-up and most tests do,
 compiles none of them.
 """
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import (
     Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 )
@@ -38,8 +38,6 @@ from typing import (
 from .derivations import (
     Derivation, Rule, _replaced, _without, axiom,
 )
-from .mll import MllRule, MllSequent
-from .reconstruct import reconstruct
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
     Term, TypeExpr, UNIT, children, flatten_par, fold, nodes,
@@ -50,14 +48,15 @@ from .terms import (
 _ATOMS = ("A", "B")  # the atoms generated types are built from
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    seed: int = 0
-    max_nodes: int = 12
+class GenConfig(NamedTuple("GenConfig", [("seed", int), ("max_nodes", int)])):
+    """A generator's seed and its bound on rule applications."""
 
-    def __post_init__(self):
-        if self.max_nodes < 1:
+    __slots__ = ()
+
+    def __new__(cls, seed: int = 0, max_nodes: int = 12):
+        if max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
+        return super().__new__(cls, seed, max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -403,35 +402,55 @@ def _beside_left(s: MllSequent, m: int) -> list[tuple[int, int]]:
     return list(itertools.product(range(m), range(len(s.left))))
 
 
-_MLL_FORWARD: dict[MllRule, ForwardRule] = {
-    MllRule.BOT_R: ForwardRule((_whole,), _bot_r),
-    MllRule.LOLLI_R: ForwardRule(
-        (lambda s, v: _beside_left(s, len(s.right)),), _lolli_r),
-    MllRule.PARR_R: ForwardRule(
-        (lambda s, v: range(len(s.right) - 1),), _parr_r),
-    MllRule.CUT: ForwardRule(
-        (_whole,
-         lambda s, right: [(i, j) for i, a in enumerate(right)
-                           for j, b in enumerate(s.left) if a == b]),
-        _cut, (lambda prev: prev[0][0].right,)),
-    MllRule.LOLLI_L: ForwardRule(
-        (_whole, _beside_left),
-        _lolli_l, (lambda prev: len(prev[0][0].right),)),
-    MllRule.PARR_L: ForwardRule(
-        (_whole, _beside_left),
-        _parr_l, (lambda prev: len(prev[0][0].left),)),
-}
-
-
-class _MllGen(_Gen):
-    table = _MLL_FORWARD
-    key = "mll:{0.seed}:{0.max_nodes}"
-    # the rules drawn, an axiom first, beside thresholds on rng.random():
-    # not weights, whose running sums would round to other bounds
-    rules, bounds = zip(
+def _load_mll(gen: type) -> None:
+    """Import mll and set the class attributes of gen, the sequent
+    calculus generator, that name its rules: table, the forward rules, and
+    the rules drawn, an axiom first, beside thresholds on rng.random()
+    (rules, bounds), not weights, whose running sums would round to other
+    bounds.  MllRule and MllSequent are bound in this module, for the
+    conclusions above.  Like the suites' engines, mll is imported on first
+    use: generating natural deduction programs compiles none of it."""
+    global MllRule, MllSequent
+    from .mll import MllRule, MllSequent
+    gen.table = {
+        MllRule.BOT_R: ForwardRule((_whole,), _bot_r),
+        MllRule.LOLLI_R: ForwardRule(
+            (lambda s, v: _beside_left(s, len(s.right)),), _lolli_r),
+        MllRule.PARR_R: ForwardRule(
+            (lambda s, v: range(len(s.right) - 1),), _parr_r),
+        MllRule.CUT: ForwardRule(
+            (_whole,
+             lambda s, right: [(i, j) for i, a in enumerate(right)
+                               for j, b in enumerate(s.left) if a == b]),
+            _cut, (lambda prev: prev[0][0].right,)),
+        MllRule.LOLLI_L: ForwardRule(
+            (_whole, _beside_left),
+            _lolli_l, (lambda prev: len(prev[0][0].right),)),
+        MllRule.PARR_L: ForwardRule(
+            (_whole, _beside_left),
+            _parr_l, (lambda prev: len(prev[0][0].left),)),
+    }
+    gen.rules, gen.bounds = zip(
         (MllRule.AX_ID, 0.22), (MllRule.AX_BOT, 0.3), (MllRule.BOT_R, 0.42),
         (MllRule.LOLLI_R, 0.58), (MllRule.PARR_R, 0.68), (MllRule.CUT, 0.8),
         (MllRule.LOLLI_L, 0.92), (MllRule.PARR_L, 1.0))
+
+
+class _FromMll:
+    """A class attribute of the sequent calculus generator that _load_mll
+    sets on its first read, from the class or an instance."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner: type):
+        _load_mll(owner)
+        return getattr(owner, self.name)
+
+
+class _MllGen(_Gen):
+    table, rules, bounds = _FromMll(), _FromMll(), _FromMll()
+    key = "mll:{0.seed}:{0.max_nodes}"
 
     def _type(self, depth: int = 0) -> TypeExpr:
         r = self.rng.random()
@@ -457,12 +476,12 @@ def gen_mll(cfg: GenConfig) -> Derivation:
 # ---------------------------------------------------------------------------
 # Property suites
 
-@dataclass
 class PropertyResult:
-    name: str
-    cases: int = 0
-    failures: int = 0
-    failing_seeds: list[int] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.cases = 0
+        self.failures = 0
+        self.failing_seeds: list[int] = []
 
     @property
     def first_failing_seed(self) -> Optional[int]:
@@ -475,9 +494,8 @@ class PropertyResult:
             self.failing_seeds.append(seed)
 
 
-@dataclass
-class Report:
-    results: list[PropertyResult] = field(default_factory=list)
+class Report(NamedTuple):
+    results: list[PropertyResult]
 
     @property
     def passed(self) -> bool:
@@ -518,6 +536,7 @@ def _walk(seq: Sequent, reducts) -> list[tuple[Sequent, list[Sequent]]]:
 
 
 def _retypes(s: Sequent) -> bool:
+    from .reconstruct import reconstruct
     con = reconstruct(s).conclusion
     return (con.gamma == s.gamma
             and [e.type for e in con.delta] == [e.type for e in s.delta])
@@ -543,6 +562,7 @@ def _suites() -> list[tuple[str, Callable[[Sequent, list], Optional[bool]]]]:
     raise on a violation and return None.  The engines are imported here,
     on first use: generating programs needs none of them."""
     from .metatheory import check_no_freaks, check_subformula
+    from .reconstruct import reconstruct
     from .reduction import comm_size, enumerate_normal_forms
     from .runtime import run_concurrent
 

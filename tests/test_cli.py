@@ -389,8 +389,9 @@ _EXPORTS = {
 
 
 def test_every_export_still_imports_from_lamp():
-    # lamp.testlab first: it imports the module lamp.reconstruct, whose
-    # name is also the name of the function lamp exports
+    # lamp imported by way of a submodule, lamp.testlab; the orders that
+    # matter to lamp.reconstruct, which names both a module and the
+    # function lamp exports, are pinned below
     r = run_python("-c", f"""
 import importlib, json, lamp.testlab
 exports = {_EXPORTS!r}
@@ -407,21 +408,49 @@ print(json.dumps([wrong, sorted(set(lamp.__all__) - set(namespace))]))
     assert set(json.loads(r.stdout)) == exported
 
 
+@pytest.mark.parametrize("first", [
+    "import lamp.reconstruct\nimport lamp",
+    "import lamp\nread = lamp.reconstruct\nimport lamp.reconstruct",
+    "from lamp import reconstruct as read\nimport lamp.reconstruct",
+    "from lamp.reconstruct import reconstruct as read\nimport lamp",
+])
+def test_lamp_reconstruct_is_the_function_whichever_comes_first(first):
+    r = run_python("-c", f"""
+{first}
+import sys
+function = sys.modules["lamp.reconstruct"].reconstruct
+print(lamp.reconstruct is function and globals().get("read", function) is function)
+""")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "True\n"
+
+
+# modules that none of the four commands below loads in its default mode
+_NEVER = {"metatheory", "mll", "runtime", "testlab"}
+
+
 @pytest.mark.parametrize("command,unused", [
-    ("run", {"metatheory", "mll", "runtime", "sexpr", "testlab"}),
-    ("check", {"metatheory", "mll", "reduction", "runtime", "testlab"}),
+    ("run", _NEVER | {"reconstruct", "sexpr"}),
+    ("check", _NEVER | {"reduction"}),
+    ("parse", _NEVER | {"derivations", "reconstruct", "reduction", "sexpr"}),
+    ("enumerate", _NEVER | {"derivations", "reconstruct", "sexpr"}),
 ])
 def test_a_command_imports_only_what_it_runs(command, unused):
+    # what the command brings in beyond what python's start-up did
     r = run_python("-c", f"""
 import json, sys
+before = set(sys.modules)
 from lamp.cli import main
 code = main([{command!r}, "corpus/cyclic.lamp"])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lamp."))]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """)
     assert r.returncode == 0, r.stderr
     code, loaded = json.loads(r.stdout.splitlines()[-1])
     assert code == 0
-    assert not {m.removeprefix("lamp.") for m in loaded} & unused, loaded
+    assert not {m.removeprefix("lamp.") for m in loaded if m.startswith("lamp.")} \
+        & unused, loaded
+    # dataclasses alone brought in inspect, ast, dis, tokenize and more
+    assert not {"dataclasses", "inspect"} & set(loaded), loaded
 
 
 def _errors():

@@ -101,6 +101,89 @@ def test_hash_and_equality_are_tuples_own():
         assert hash(t) == hash(tuple(t)) and t == cls(*FIELDS[cls])
 
 
+# -- the records of the other modules -----------------------------------------
+
+_SEQ = Sequent((("x", A),), (DeltaEntry(Var("x"), A),))
+_SEQ_TEXT = ("Sequent(gamma=(('x', Atom(name='A')),), "
+             "delta=(DeltaEntry(term=Var(name='x'), type=Atom(name='A')),))")
+
+
+def _records():
+    """One instance of each record class, beside the repr it printed as a
+    dataclass."""
+    from lamp.derivations import Derivation, Rule
+    from lamp.parser import Program
+    from lamp.reduction import Redex, Trace
+    ax = Derivation(Rule.AX, _SEQ)
+    ax_text = f"Derivation(rule=<Rule.AX: 'Ax'>, conclusion={_SEQ_TEXT}, premises=())"
+    return [
+        (ax, ax_text),
+        (Derivation(Rule.BOT_I, _SEQ, (ax,)),
+         f"Derivation(rule=<Rule.BOT_I: 'BotI'>, conclusion={_SEQ_TEXT}, "
+         f"premises=({ax_text},))"),
+        (Redex("comm", (0,), ((1, 0),)),
+         "Redex(kind='comm', activator=(0,), receivers=((1, 0),))"),
+        (Redex("beta", (1,)), "Redex(kind='beta', activator=(1,), receivers=())"),
+        (Program(_SEQ, []), f"Program(sequent={_SEQ_TEXT}, annotations=[])"),
+        (Trace(UNIT, [("beta", UNIT)]),
+         "Trace(initial=Unit(), steps=[('beta', Unit())])"),
+    ]
+
+
+def test_records_print_as_they_did():
+    for record, text in _records():
+        assert repr(record) == text
+
+
+def test_records_compare_and_hash_by_their_fields():
+    from lamp.derivations import Derivation, Rule
+    from lamp.reduction import Redex
+    assert Redex("beta", (1,)) == Redex("beta", (1,), ())
+    assert Redex("beta", (1,)) != Redex("beta", (0,))
+    assert len({Redex("comm", (0,), ((1,),)), Redex("comm", (0,), ((1,),))}) == 1
+    assert hash(Derivation(Rule.AX, _SEQ)) == hash(Derivation(Rule.AX, _SEQ, ()))
+    assert Derivation(Rule.AX, _SEQ) != Derivation(Rule.BOT_I, _SEQ)
+
+
+def test_records_are_immutable():
+    for record, _ in _records():
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_records_pickle_and_copy_round_trip():
+    for record, text in _records():
+        backs = [pickle.loads(pickle.dumps(record, proto))
+                 for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in backs + [copy.copy(record), copy.deepcopy(record)]:
+            assert back == record and type(back) is type(record)
+            assert repr(back) == text
+
+
+def test_gen_config_checks_its_bound():
+    from lamp.testlab import GenConfig
+    assert GenConfig() == GenConfig(0, 12) and GenConfig(seed=3).max_nodes == 12
+    assert repr(GenConfig(1, 2)) == "GenConfig(seed=1, max_nodes=2)"
+    with pytest.raises(ValueError):
+        GenConfig(max_nodes=0)
+    with pytest.raises(ValueError):
+        GenConfig(5, -1)
+
+
+def test_deadlock_report_keeps_its_fields_and_text():
+    from lamp.runtime import DeadlockReport
+    err = DeadlockReport([1, 2], ["x"])
+    assert isinstance(err, Exception)
+    assert (err.blocked_workers, err.pending_channels, err.out_of_rounds) \
+        == ([1, 2], ["x"], False)
+    assert str(err) == "stuck: workers [1, 2] blocked, channels ['x'] undelivered"
+    assert str(DeadlockReport([], [], True)) \
+        == "out of rounds: workers [] blocked, channels [] undelivered"
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is DeadlockReport and str(back) == str(err)
+
+
 def test_occurrences_in_parallel_and_under_other_binder():
     t = Par(Var("x"), Send("y", Var("x")))
     assert occurrences(t, "x") == [(0,), (1, 0)]

@@ -15,8 +15,10 @@ import random
 import sys
 from collections import Counter
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lamp.derivations import (
     ARITY, Derivation, Rule, RuleViolation, check_derivation, match_rule,
@@ -27,7 +29,8 @@ from lamp.reconstruct import reconstruct
 from lamp.sexpr import derivation_to_sexpr
 from lamp.terms import (
     App, Atom, BOT, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send,
-    Sequent, UNIT, Unit, Var, fold, is_free_in, sequent_names,
+    Sequent, UNIT, Unit, Var, children, fold, is_free_in, preorder,
+    sequent_names,
 )
 from lamp.testlab import GenConfig, gen_derivation
 from tests.conftest import ROOT
@@ -378,6 +381,79 @@ def test_mutants_agree_with_oracle():
     # most mutants fail; those that still check (a permuted conclusion, a
     # swap of two equal entries) must check under both
     assert kinds[1] > 1000 and kinds[0] > 50, kinds
+
+
+# -- one edit at one node, drawn at random -------------------------------------
+
+def _flipped(ty, path):
+    """ty with the atom at path renamed, A to B and any other to A."""
+    if not path:
+        return Atom("B" if ty.name == "A" else "A")
+    kids = list(children(ty))
+    kids[path[0]] = _flipped(kids[path[0]], path[1:])
+    return type(ty)(*kids)
+
+
+def _edited(items, kind, rng, type_of=lambda x: x, with_type=lambda x, ty: ty):
+    """items after one edit of kind, drawn by rng, or None if items has too
+    few: an item dropped, one duplicated at any place, one swapped with its
+    right neighbour, or one atom of an item's type (type_of, rebuilt by
+    with_type) renamed."""
+    items = list(items)
+    if kind == "drop" and items:
+        del items[rng.randrange(len(items))]
+    elif kind == "duplicate" and items:
+        items.insert(rng.randrange(len(items) + 1), rng.choice(items))
+    elif kind == "swap" and len(items) > 1:
+        k = rng.randrange(len(items) - 1)
+        items[k:k + 2] = items[k + 1], items[k]
+    elif kind == "atom":
+        spots = [(k, p) for k, x in enumerate(items) if type_of(x) is not None
+                 for p, t in preorder(type_of(x), children) if type(t) is Atom]
+        if not spots:
+            return None
+        k, p = rng.choice(spots)
+        items[k] = with_type(items[k], _flipped(type_of(items[k]), p))
+    else:
+        return None
+    return tuple(items)
+
+
+def _edit_sequent(s, kind, rng):
+    """s after one edit of kind to its declarations or its entries (see
+    _edited), or with one declaration renamed, or None if it has too few."""
+    if kind == "rename":
+        if not s.gamma:
+            return None
+        gamma = list(s.gamma)
+        k = rng.randrange(len(gamma))
+        gamma[k] = (gamma[k][0] + "_", gamma[k][1])
+        return Sequent(tuple(gamma), s.delta)
+    if rng.randrange(2):
+        gamma = _edited(s.gamma, kind, rng, itemgetter(1), lambda d, ty: (d[0], ty))
+        return None if gamma is None else Sequent(gamma, s.delta)
+    delta = _edited(s.delta, kind, rng, attrgetter("type"),
+                    lambda e, ty: DeltaEntry(e.term, ty))
+    return None if delta is None else Sequent(s.gamma, delta)
+
+
+@lru_cache(maxsize=None)
+def _generated_one(seed, max_nodes):
+    return gen_derivation(GenConfig(seed=seed, max_nodes=max_nodes))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 199), st.sampled_from((12, 36)),
+       st.sampled_from(("drop", "duplicate", "swap", "atom", "rename")),
+       st.randoms(use_true_random=False))
+def test_single_edits_agree_with_oracle(seed, max_nodes, kind, rng):
+    # one edit at one node of a generated derivation: every node, and the
+    # first violation, as the oracle has them
+    d = _generated_one(seed, max_nodes)
+    path, node = rng.choice(list(_nodes(d)))
+    con = _edit_sequent(node.conclusion, kind, rng)
+    if con is not None:
+        _assert_agree(_replace(d, path, Derivation(node.rule, con, node.premises)))
 
 
 def test_duplicated_principal_values_report_first_positions():

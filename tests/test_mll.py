@@ -3,15 +3,18 @@
 import hashlib
 import random
 import sys
+from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lamp
 from lamp import derivations
 from lamp.derivations import Derivation, Rule, check_derivation, premises_of
 from lamp.mll import (
     MllDerivation, MllRule, MllRuleViolation, MllSequent, check_mll,
-    mll_to_nmll, nmll_to_mll, type_erasure,
+    match_mll, mll_to_nmll, nmll_to_mll, type_erasure,
 )
 from lamp.parser import parse_program
 from lamp.reconstruct import reconstruct
@@ -22,7 +25,9 @@ from lamp.terms import (
 from lamp.testlab import GenConfig, gen_derivation, gen_mll
 from lamp.sexpr import derivation_to_sexpr, mll_to_sexpr
 from tests.conftest import corpus_text
-from tests.test_checker import _INPUTS, _stars_over
+from tests.test_checker import (
+    _INPUTS, _edited, _nodes, _outcome, _replace, _ring_and_relay, _stars_over,
+)
 
 A, B = Atom("A"), Atom("B")
 
@@ -316,6 +321,194 @@ def test_a_conclusion_of_the_other_calculus_is_a_violation_at_its_path():
         want = "MllSequent, expected Sequent" if isinstance(node.rule, Rule) \
             else "Sequent, expected MllSequent"
         assert found == (path, f"conclusion is {want}"), check.__name__
+
+
+# -- the oracle: the sequent calculus checker before the rule table ----------
+# match_mll and _match_split as they were when both checkers matched each
+# rule by its own branch, with multisets compared by Counter
+
+_OLD_MLL_ARITY = {
+    MllRule.AX_ID: 0, MllRule.AX_BOT: 0, MllRule.BOT_R: 1, MllRule.LOLLI_R: 1,
+    MllRule.PARR_R: 1, MllRule.LOLLI_L: 2, MllRule.PARR_L: 2, MllRule.CUT: 2,
+}
+
+_OLD_SPLITTING = {
+    MllRule.CUT: (None, False, "cut formulas do not match the contexts"),
+    MllRule.LOLLI_L: (Lolli, False, "lolli-left does not match its premises"),
+    MllRule.PARR_L: (ParT, True, "par-left does not match its premises"),
+}
+
+
+def _old_without(entries, i):
+    return entries[:i] + entries[i + 1:]
+
+
+def _old_same(a, *parts):
+    return Counter(a) == Counter(x for p in parts for x in p)
+
+
+def _old_match_split(con, p1, p2, cls, on_left):
+    if cls is None:
+        heads = [(None, (), None, None)]
+    else:
+        heads = [(k, (ty,), ty[1], ty[2]) for k, ty in enumerate(con.left)
+                 if type(ty) is cls]
+    found = None
+    for k, intro, a, b in heads:
+        left = con.left if k is None else _old_without(con.left, k)
+        for i, a1 in enumerate(p1.left if on_left else p1.right):
+            if a is not None and a1 != a:
+                continue
+            l1 = _old_without(p1.left, i) if on_left else p1.left
+            r1 = p1.right if on_left else _old_without(p1.right, i)
+            for j, b1 in enumerate(p2.left):
+                if b1 != (a1 if k is None else b):
+                    continue
+                l2 = _old_without(p2.left, j)
+                inst = ({"i": i, "j": j, "a": a1} if k is None
+                        else {"k": k, "i": i, "j": j, "a": a, "b": b})
+                if con.left == (l1 + l2 + intro if on_left else l1 + intro + l2) \
+                        and con.right == r1 + p2.right:
+                    return inst
+                if found is None and _old_same(left, l1, l2) \
+                        and _old_same(con.right, r1, p2.right):
+                    found = inst
+    return found
+
+
+def _old_match_mll(node, path=()):
+    rule, con, prems = node.rule, node.conclusion, node.premises
+    if len(prems) != _OLD_MLL_ARITY[rule]:
+        raise MllRuleViolation(path, f"{rule.value} expects {_OLD_MLL_ARITY[rule]} "
+                                     f"premises, got {len(prems)}")
+
+    if rule is MllRule.AX_ID:
+        if len(con.left) == 1 and con.left == con.right:
+            return {"a": con.left[0]}
+        raise MllRuleViolation(path, "identity axiom must be  A |- A")
+
+    if rule is MllRule.AX_BOT:
+        if con.left == (BOT,) and con.right == ():
+            return {}
+        raise MllRuleViolation(path, "bottom axiom must be  bot |-")
+
+    if rule is MllRule.BOT_R:
+        p = prems[0].conclusion
+        if p.left == con.left:
+            for i, ty in enumerate(con.right):
+                if ty == BOT and _old_without(con.right, i) == p.right:
+                    return {"i": i}
+        raise MllRuleViolation(path, "bot-right must add one bot on the right")
+
+    if rule is MllRule.LOLLI_R:
+        p = prems[0].conclusion
+        for i, ty in enumerate(con.right):
+            if type(ty) is Lolli:
+                a, b = ty.arg, ty.res
+                if p.right != con.right[:i] + (b,) + con.right[i + 1:]:
+                    continue
+                for j, ty2 in enumerate(p.left):
+                    if ty2 == a and _old_without(p.left, j) == con.left:
+                        return {"i": i, "j": j, "a": a, "b": b}
+        raise MllRuleViolation(path, "lolli-right must move the antecedent left")
+
+    if rule is MllRule.PARR_R:
+        p = prems[0].conclusion
+        if p.left == con.left:
+            for i, ty in enumerate(con.right):
+                if type(ty) is ParT:
+                    a, b = ty.left, ty.right
+                    if p.right == con.right[:i] + (a, b) + con.right[i + 1:]:
+                        return {"i": i, "a": a, "b": b}
+        raise MllRuleViolation(path, "par-right must split one par formula")
+
+    cls, on_left, reason = _OLD_SPLITTING[rule]
+    inst = _old_match_split(con, prems[0].conclusion, prems[1].conclusion, cls, on_left)
+    if inst is not None:
+        return inst
+    raise MllRuleViolation(path, reason)
+
+
+def _first_mll_violation(m):
+    try:
+        check_mll(m)
+    except MllRuleViolation as err:
+        return err.path, err.reason
+    return None
+
+
+def _assert_mll_agree(m):
+    """Same outcome at every node, and check_mll stops at the oracle's first
+    violation in preorder; returns how many nodes failed."""
+    first, failed = None, 0
+    for path, node in _nodes(m):
+        old = _outcome(_old_match_mll, node, path)
+        if old[0] == "violation":
+            failed += 1
+            first = first or (old[1], old[2])
+        assert _outcome(match_mll, node, path) == old, path
+    assert _first_mll_violation(m) == first
+    return failed
+
+
+_MLL_EDITS = ("drop", "duplicate", "swap", "atom")
+
+
+def _mll_edit(m, kind, rng):
+    """m with one edit of kind (see test_checker._edited) to one side of one
+    node's conclusion, both drawn by rng, or None if that side has too few
+    formulas."""
+    path, node = rng.choice(list(_nodes(m)))
+    c = node.conclusion
+    side = rng.randrange(2)
+    edited = _edited(c[1 + side], kind, rng)
+    if edited is None:
+        return None
+    con = MllSequent(edited, c.right) if side == 0 else MllSequent(c.left, edited)
+    return _replace(m, path, MllDerivation(node.rule, con, node.premises))
+
+
+def test_generated_mll_and_single_edits_agree_with_oracle():
+    rng = random.Random(0)
+    outcomes = Counter()
+    for max_nodes in (12, 36):
+        for seed in range(200):
+            m = gen_mll(GenConfig(seed=seed, max_nodes=max_nodes))
+            assert _assert_mll_agree(m) == 0
+            for kind in _MLL_EDITS:
+                mutant = _mll_edit(m, kind, rng)
+                if mutant is not None:
+                    outcomes[kind, _assert_mll_agree(mutant) > 0] += 1
+    # every kind of edit breaks some node; a swap of two equal formulas, or
+    # of formulas a split matches as a multiset, breaks none
+    assert all(outcomes[kind, True] > 40 for kind in _MLL_EDITS), outcomes
+    assert outcomes["swap", False] > 20, outcomes
+
+
+def test_ring_and_relay_translations_agree_with_oracle():
+    rng = random.Random(0)
+    failing = 0
+    for d in _ring_and_relay(rings=(8, 24), relays=(8, 16)):
+        m = nmll_to_mll(d)
+        assert _assert_mll_agree(m) == 0
+        for kind in _MLL_EDITS * 4:
+            mutant = _mll_edit(m, kind, rng)
+            failing += mutant is not None and _assert_mll_agree(mutant) > 0
+    assert failing > 30
+
+
+@lru_cache(maxsize=None)
+def _generated_mll(seed, max_nodes):
+    return gen_mll(GenConfig(seed=seed, max_nodes=max_nodes))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 199), st.sampled_from((12, 36)), st.sampled_from(_MLL_EDITS),
+       st.randoms(use_true_random=False))
+def test_single_edits_agree_with_the_old_sequent_checker(seed, max_nodes, kind, rng):
+    mutant = _mll_edit(_generated_mll(seed, max_nodes), kind, rng)
+    if mutant is not None:
+        _assert_mll_agree(mutant)
 
 
 # -- nmll_to_mll: one name cache, no recursion -------------------------------

@@ -19,18 +19,18 @@ from types import ModuleType
 _EXPORTS = {
     "terms": (
         "App", "Atom", "BOT", "Bot", "Close", "DeltaEntry", "Dist", "Lolli",
-        "Par", "ParT", "Send", "Sequent", "Term", "TypeExpr", "UNIT", "Unit",
-        "Var", "flatten_par", "is_simple", "join_par", "occurrences",
-        "print_sequent", "print_term", "print_type", "split_joined",
-        "substitute",
+        "LinearityError", "Par", "ParT", "Send", "Sequent", "Term",
+        "TypeExpr", "TypecheckError", "UNIT", "Unit", "Var",
+        "check_channel_linearity", "flatten_par", "is_simple", "join_par",
+        "occurrences", "print_sequent", "print_term", "print_type",
+        "split_joined", "substitute",
     ),
     "parser": (
         "DuplicateBinder", "LamWithoutOccurrence", "ParseError", "Program",
         "parse_program", "parse_term", "parse_type",
     ),
     "derivations": (
-        "Derivation", "LinearityError", "Rule", "RuleViolation",
-        "TypecheckError", "check_channel_linearity", "check_derivation",
+        "Derivation", "Rule", "RuleViolation", "check_derivation",
     ),
     "reconstruct": (
         "LinearityViolation", "UnificationFailure", "UnsatisfiableSplit",

@@ -32,7 +32,7 @@ EXIT_OK, EXIT_TYPE, EXIT_PARSE, EXIT_INTERNAL, EXIT_BUDGET, EXIT_IO = range(6)
 _INTERNAL = "internal invariant violation"
 _ERRORS = (
     ("parser", "ParseError", EXIT_PARSE, "parse error"),
-    ("derivations", "TypecheckError", EXIT_TYPE, "type error"),
+    ("terms", "TypecheckError", EXIT_TYPE, "type error"),
     ("reduction", "BudgetExceeded", EXIT_BUDGET, "budget exceeded"),
     ("derivations", "RuleViolation", EXIT_INTERNAL, _INTERNAL),
     ("runtime", "DeadlockReport", EXIT_INTERNAL, _INTERNAL),
@@ -84,9 +84,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .derivations import check_channel_linearity
     from .reduction import Trace, cbv_trace, normalize
-    from .terms import Par, _spine, flatten_par, fold, join_par, print_term
+    from .terms import (
+        Par, _spine, check_channel_linearity, flatten_par, fold, join_par, print_term,
+    )
     prog = _load(args.file)
     # reduction terminates only on linear terms: beta copies an argument
     # whose bound name occurs twice

@@ -43,9 +43,12 @@ from itertools import chain, repeat
 from operator import attrgetter, contains, itemgetter
 from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
+# the typing errors and the linearity check live in terms and are exported
+# here too, where they were first
 from .terms import (
-    App, BOT, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    TypeExpr, UNIT, Var, _scan, equal, name_counts, var_names,
+    App, BOT, Bot, Close, DeltaEntry, Dist, LinearityError, Lolli, Par, ParT,
+    Send, Sequent, TypeExpr, TypecheckError, UNIT, Var, _scan,
+    check_channel_linearity, equal, var_names,
 )
 
 
@@ -94,31 +97,6 @@ class RuleViolation(Exception):
         super().__init__(f"at node {list(path)}: {reason}")
         self.path = path
         self.reason = reason
-
-
-class TypecheckError(Exception):
-    """A typing failure.  Its message may be given as a function that
-    renders it: backtracking throws most of these errors away unread, so
-    the text is built on the first str()."""
-
-    def __str__(self) -> str:
-        if len(self.args) == 1 and callable(self.args[0]):
-            self.args = (self.args[0](),)
-        return super().__str__()
-
-
-class LinearityError(TypecheckError):
-    """A program that uses a name other than exactly once."""
-
-    def __init__(self, name: str, var_count: int, binder_count: int, declared: bool):
-        where = "declared" if declared else "undeclared"
-        super().__init__(
-            f"{where} name {name!r} occurs {var_count}x as a variable and "
-            f"{binder_count}x as a binder")
-        self.name = name
-        self.var_count = var_count
-        self.binder_count = binder_count
-        self.declared = declared
 
 
 def _without(entries: tuple, i: int) -> tuple:
@@ -661,19 +639,3 @@ def _raise_first(frames: list, data: dict, node: Derivation, k: int, memo: _Memo
             _bound_somewhere(data[id(a)]["x"], a.premises[0].conclusion, path[:t], memo)
     _match(node, path, memo)
     raise AssertionError("the failing node matched")
-
-
-def check_channel_linearity(s: Sequent) -> None:
-    """Every declared name occurs exactly once as a variable and never as a
-    binder; every undeclared name occurs exactly once as a variable and
-    exactly once as a binder.  Reports the first offender: declarations in
-    order, then names in order of first occurrence."""
-    counts = name_counts(e.term for e in s.delta)
-    declared = dict.fromkeys(x for x, _ in s.gamma)
-    for x in dict.fromkeys([*declared, *counts]):
-        var_n, bind_n = counts.get(x, (0, 0))
-        if x in declared:
-            if var_n != 1 or bind_n != 0:
-                raise LinearityError(x, var_n, bind_n, declared=True)
-        elif var_n != 1 or bind_n != 1:
-            raise LinearityError(x, var_n, bind_n, declared=False)

@@ -35,14 +35,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional
 
-from .derivations import (
-    Derivation, LinearityError, Rule, TypecheckError, check_channel_linearity,
-    premises_of,
-)
+from .derivations import Derivation, Rule, premises_of
 from .terms import (
-    App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, MetaVar, Par, ParT, Send,
-    Sequent, Term, TypeExpr, Unit, Var, children, fold, nodes,
-    print_sequent, print_term, print_type, var_names,
+    App, Atom, BOT, Close, DeltaEntry, Dist, LinearityError, Lolli, MetaVar,
+    Par, ParT, Send, Sequent, Term, TypeExpr, TypecheckError, Unit, Var,
+    check_channel_linearity, children, fold, nodes, print_sequent,
+    print_term, print_type, var_names,
 )
 
 

@@ -539,6 +539,47 @@ def sequent_names(s: Sequent) -> set[str]:
     return {x for x, _ in s.gamma}.union(name_counts(e.term for e in s.delta))
 
 
+class TypecheckError(Exception):
+    """A typing failure.  Its message may be given as a function that
+    renders it: backtracking throws most of these errors away unread, so
+    the text is built on the first str()."""
+
+    def __str__(self) -> str:
+        if len(self.args) == 1 and callable(self.args[0]):
+            self.args = (self.args[0](),)
+        return super().__str__()
+
+
+class LinearityError(TypecheckError):
+    """A program that uses a name other than exactly once."""
+
+    def __init__(self, name: str, var_count: int, binder_count: int, declared: bool):
+        where = "declared" if declared else "undeclared"
+        super().__init__(
+            f"{where} name {name!r} occurs {var_count}x as a variable and "
+            f"{binder_count}x as a binder")
+        self.name = name
+        self.var_count = var_count
+        self.binder_count = binder_count
+        self.declared = declared
+
+
+def check_channel_linearity(s: Sequent) -> None:
+    """Every declared name occurs exactly once as a variable and never as a
+    binder; every undeclared name occurs exactly once as a variable and
+    exactly once as a binder.  Reports the first offender: declarations in
+    order, then names in order of first occurrence."""
+    counts = name_counts(e.term for e in s.delta)
+    declared = dict.fromkeys(x for x, _ in s.gamma)
+    for x in dict.fromkeys([*declared, *counts]):
+        var_n, bind_n = counts.get(x, (0, 0))
+        if x in declared:
+            if var_n != 1 or bind_n != 0:
+                raise LinearityError(x, var_n, bind_n, declared=True)
+        elif var_n != 1 or bind_n != 1:
+            raise LinearityError(x, var_n, bind_n, declared=False)
+
+
 # ---------------------------------------------------------------------------
 # Printing.  print_term round-trips with the parser; Send prints as a
 # lambda exactly when its bound name occurs free in the body, which one

@@ -430,7 +430,7 @@ _NEVER = {"metatheory", "mll", "runtime", "testlab"}
 
 
 @pytest.mark.parametrize("command,unused", [
-    ("run", _NEVER | {"reconstruct", "sexpr"}),
+    ("run", _NEVER | {"derivations", "reconstruct", "sexpr"}),
     ("check", _NEVER | {"reduction"}),
     ("parse", _NEVER | {"derivations", "reconstruct", "reduction", "sexpr"}),
     ("enumerate", _NEVER | {"derivations", "reconstruct", "sexpr"}),

@@ -38,10 +38,15 @@ checked trees instead of re-searching.
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter, contains, itemgetter
-from typing import Any, Iterator, NamedTuple, Optional, Sequence
+from typing import (
+    Any, Callable, Hashable, Iterator, NamedTuple, Optional, Sequence,
+)
 
 # the typing errors and the linearity check live in terms and are exported
 # here too, where they were first
@@ -372,10 +377,12 @@ def _premises_disjoint(node: Derivation, path) -> None:
         raise RuleViolation(path, reason)
 
 
-def _bound_somewhere(x: str, p: Sequent, path, memo: _Memo) -> None:
-    """LolliI's condition that x, abstracted from its premise p, occurs
-    free in p, from p's entries."""
-    if not memo.free_in(x, p.delta):
+def _bound_somewhere(node: Derivation, inst: dict, path, memo: _Memo) -> None:
+    """The one rule condition a match defers that is not about shape: a
+    LolliI's abstracted name occurs free in its premise, read from the
+    premise's entries."""
+    if node.rule is Rule.LOLLI_I \
+            and not memo.free_in(x := inst["x"], node.premises[0].conclusion.delta):
         raise RuleViolation(path, f"abstracted {x!r} occurs neither in the "
                                   f"principal term nor elsewhere (no weakening)")
 
@@ -395,6 +402,287 @@ def _shared(used: list[set[str]]) -> Optional[str]:
 
 
 _STAR = DeltaEntry(UNIT, BOT)
+
+
+# ---------------------------------------------------------------------------
+# The rules, each written once, as data: the generator (testlab) draws from
+# these tables and the checkers walk them, natural deduction's here and the
+# sequent calculus's in mll.  A sequent of either calculus is a (tag, side
+# 0, side 1) tuple: declarations and entries, or left and right.
+
+class Spots(NamedTuple):
+    """Where a sequent s can serve as one premise of a rule, given v, what
+    the premise reads of the premises before it (ForwardRule.reads).  A
+    position holds one index per entry of sides, into side k of s for k 0
+    or 1, or into v for k 2 or 3, where v is side k - 2 of the premise
+    before; it is None for a premise taken whole, the index itself for
+    one.  An index takes width items from there.  Calling the spots lists
+    the positions whose items, followed by v, fit, in the order of nested
+    loops over the sides."""
+
+    sides: tuple[int, ...] = ()
+    fits: Optional[Callable[..., bool]] = None
+    width: int = 1
+
+    def __call__(self, s: tuple, v: Hashable) -> Sequence:
+        fits = self.fits
+        if not self.sides:
+            return (None,)
+        if len(self.sides) == 2:
+            a, b = (v if k > 1 else s[1 + k] for k in self.sides)
+            pairs = itertools.product(range(len(a)), range(len(b)))
+            return [(i, j) for i, j in pairs if fits is None or fits(a[i], b[j], v)]
+        items = v if self.sides[0] > 1 else s[1 + self.sides[0]]
+        if self.width == 2:
+            return [p for p in range(len(items) - 1)
+                    if fits is None or fits(items[p], items[p + 1], v)]
+        return [p for p, x in enumerate(items) if fits is None or fits(x, v)]
+
+
+class ForwardRule(NamedTuple):
+    """A rule with premises, read forward by the generator and backward by
+    the checker.  premises[n] lists where a sequent can serve as premise
+    n, given reads[n - 1](prev) for n > 0, where prev holds the (sequent,
+    position) pairs chosen for premises 0..n-1.  The conclusion has each
+    side of the premises, in order, without the items their positions
+    take; new(*items) is the entry (or formula) the rule adds on side
+    `side` (None: it adds none), at the place at(seqs, positions, draw)
+    gives, where draw(n) picks one of 0..n.  An instance reports, by
+    names, the new entry's place and each index ("-" leaves one out), and
+    record(*items).  reason is the violation of a node that is none."""
+
+    premises: tuple[Spots, ...]
+    new: Callable
+    names: str
+    reason: str
+    record: Callable[..., dict] = lambda *items: {}
+    at: Callable = lambda seqs, positions, draw: positions[0]
+    reads: tuple[Callable[[tuple], Hashable], ...] = ()
+    side: Optional[int] = 1
+
+    def conclusion(self, seqs: tuple, positions: tuple, draw=None,
+                   at: Optional[int] = None) -> tuple:
+        """The conclusion over premises concluding seqs, at positions; the
+        new entry at `at`, by default where self.at puts it."""
+        taken = tuple(zip(_plan(self)[1], _flat(positions)))
+        sides = [tuple(chain(*_rests(seqs, taken, k))) for k in (0, 1)]
+        if self.side is not None:
+            if at is None:
+                at = self.at(seqs, positions, draw)
+            s = sides[self.side]
+            sides[self.side] = s[:at] + (self.new(*_items(seqs, taken)),) + s[at:]
+        return type(seqs[0])(*sides)
+
+
+def _flat(positions: Sequence) -> list[int]:
+    """The indices of positions, in order."""
+    return [i for p in positions if p is not None
+            for i in (p if type(p) is tuple else (p,))]
+
+
+def _items(seqs: tuple, taken: Sequence) -> list:
+    """The items ((premise, side, width), index) pairs take, in order."""
+    return [x for (q, k, w), p in taken for x in seqs[q][1 + k][p:p + w]]
+
+
+def _rests(seqs: tuple, taken: Sequence, k: int) -> tuple[tuple, ...]:
+    """Side k of each premise without the items taken from it: a rule
+    takes at most one index's items from one side of one premise."""
+    rests = [s[1 + k] for s in seqs]
+    for (q, kk, w), p in taken:
+        if kk == k:
+            rests[q] = rests[q][:p] + rests[q][p + w:]
+    return tuple(rests)
+
+
+def _takes(seqs: tuple, idx: tuple, left: list) -> Iterator[tuple]:
+    """Each way for the indices idx, (premise, side, width) each, to take
+    the items left on their sides, as positions, in the order of nested
+    loops: each index takes a distinct value left on its side, then, in
+    order, each place holding it (an adjacent pair: it and a value left
+    after it), found by a scan in C (_where).  Places are not searched
+    beyond those reached."""
+
+    def spots(t: int, left: list) -> Iterator[tuple[int, list]]:
+        # index t's positions beside what each leaves on every side
+        q, k, w = idx[t]
+        items, values = seqs[q][1 + k], left[k]
+        for n, v in enumerate(values):
+            if v in values[:n]:
+                continue
+            rest = values[:n] + values[n + 1:]
+            for p in _where(items, v):
+                now = rest
+                if w == 2:
+                    if p + 1 == len(items) or items[p + 1] not in rest:
+                        continue
+                    now = list(rest)
+                    now.remove(items[p + 1])
+                yield p, [now if kk == k else x for kk, x in enumerate(left)]
+
+    loops, chosen = [spots(0, left)], []
+    while loops:
+        got = next(loops[-1], None)
+        del chosen[len(loops) - 1:]
+        if got is None:
+            loops.pop()
+        elif len(loops) == len(idx):
+            yield (*chosen, got[0])
+        else:
+            chosen.append(got[0])
+            loops.append(spots(len(loops), got[1]))
+
+
+_PLANS: dict[int, tuple] = {}
+
+
+def _plan(fr: ForwardRule) -> tuple:
+    """What fr's positions read, computed once per rule (kept, so its id
+    stays its own): (premise, side, width) per index; the items taken from
+    each side; per premise, the slice of the indices and of the items
+    that are its own, its number of indices, its fits and its read; and
+    the instance key of the new entry's place and of each index."""
+    got = _PLANS.get(id(fr))
+    if got is None or got[0] is not fr:
+        idx = tuple((n - (k > 1), k % 2, sp.width)
+                    for n, sp in enumerate(fr.premises) for k in sp.sides)
+        layout, t, u = [], 0, 0
+        for n, sp in enumerate(fr.premises):
+            m, w = len(sp.sides), len(sp.sides) * sp.width
+            layout.append((t, slice(t, t + m), slice(u, u + w), m, sp.fits,
+                           fr.reads[n - 1] if n else None))
+            t, u = t + m, u + w
+        taking = [sum(w for _, k, w in idx if k == side) for side in (0, 1)]
+        got = _PLANS[id(fr)] = fr, idx, taking, layout, fr.names.split()
+    return got
+
+
+def _instance(fr: ForwardRule, con: tuple, seqs: tuple,
+              exchange: tuple) -> Optional[dict[str, Any]]:
+    """The instance data of rule fr at a node concluding con over premises
+    concluding seqs, or None if there is none.  exchange[k] says how side
+    k of con must match fr's conclusion: "order", exactly; "multiset";
+    "interleave", the new entry anywhere and the rest merging each
+    premise's side in order; "split", exactly at the first positions that
+    give that, else as multisets; None, not at all.
+
+    The items a rule takes are what a multiset difference between con and
+    the premises leaves over on each side (_takes), and its new entry is
+    what con has beyond them, at a place holding it; all are tried in
+    order until the sides match, so the first instance is reported.  Only
+    the first place is tried where it cannot change the outcome."""
+    _, idx, taking, layout, names = _plan(fr)
+    side = fr.side
+    left: list = [None, None]
+    for k in (0, 1):
+        how = exchange[k]
+        if how is None or how == "order" and not taking[k] and side != k:
+            continue
+        extra, missing = multiset_diff(con[1 + k], *[s[1 + k] for s in seqs])
+        if len(extra) != (side == k) or len(missing) != taking[k]:
+            return None
+        left[k] = missing
+        if side == k:
+            e = extra[0]
+    if side is None:
+        e, places = None, (None,)
+    else:
+        c = con[1 + side]
+        places = _where(c, e) if exchange[side] in ("order", "interleave") \
+            else (c.index(e),)
+    found = None
+    for at in places:
+        for flat in _takes(seqs, idx, left) if idx else ((),):
+            taken = tuple(zip(idx, flat))
+            items = _items(seqs, taken)
+            positions, prev = [], ()
+            for t, ts, us, m, fits, read in layout:
+                p = None if m == 0 else flat[t] if m == 1 else flat[ts]
+                if fits is not None and not fits(*items[us], read and read(prev)):
+                    break
+                positions.append(p)
+                prev += ((seqs[len(prev)], p),)
+            else:
+                new = fr.new(*items)
+                if new != e:
+                    continue
+                exact = ok = True
+                for k in (0, 1):
+                    how = exchange[k]
+                    if how == "interleave":
+                        ok = _is_interleaving(_without(con[1 + k], at),
+                                              _rests(seqs, taken, k))
+                    elif how == "order" or how == "split" and exact:
+                        built = tuple(chain(*_rests(seqs, taken, k)))
+                        if side == k:
+                            place = fr.at(seqs, positions, lambda n: at)
+                            built = built[:place] + (new,) + built[place:]
+                        exact = built == con[1 + k]
+                        ok = exact or how == "split"
+                    if not ok:
+                        break
+                else:
+                    inst = dict(zip(names, (at, *flat)))
+                    inst.pop("-", None)
+                    inst.update(fr.record(*items))
+                    if exact or "split" not in exchange:
+                        return inst
+                    found = found or inst
+    return found
+
+
+def _same(a: list, b: list) -> bool:
+    """Whether the short lists a and b hold the same values as multisets."""
+    return len(a) == len(b) and all(a.count(x) == b.count(x) for x in a)
+
+
+def _declared(d: tuple, a: TypeExpr) -> bool:
+    return d[1] == a  # a declaration of type a
+
+
+def _principal(prev: tuple) -> DeltaEntry:
+    s, j = prev[0]
+    return s.delta[j]
+
+
+FORWARD: dict[Rule, ForwardRule] = {
+    Rule.BOT_I: ForwardRule(
+        (Spots(),), lambda: _STAR, "i", "BotI must add one entry  * : bot",
+        at=lambda seqs, positions, draw: len(seqs[0].delta)),
+    Rule.BOT_E: ForwardRule(
+        (Spots((1,), lambda e, v: e.type == BOT),),
+        lambda e: DeltaEntry(Close(e.term), None), "i j",
+        "BotE must close one entry of type bot"),
+    Rule.LOLLI_I: ForwardRule(
+        (Spots((0, 1), lambda d, e, v: e.type is not None),),
+        lambda d, e: DeltaEntry(Send(d[0], e.term), Lolli(d[1], e.type)),
+        "i gamma_pos j", "LolliI must abstract one declaration into a Send",
+        lambda d, e: {"x": d[0], "a": d[1], "b": e.type},
+        at=lambda seqs, positions, draw: positions[0][1]),
+    Rule.PARR_I: ForwardRule(
+        (Spots((1,), lambda e1, e2, v: e1.type is not None
+               and e2.type is not None, 2),),
+        lambda e1, e2: DeltaEntry(Par(e1.term, e2.term), ParT(e1.type, e2.type)),
+        "i j", "ParrI must merge two adjacent typed entries",
+        lambda e1, e2: {"a": e1.type, "b": e2.type}),
+    Rule.LOLLI_E: ForwardRule(
+        (Spots((1,), lambda e, v: isinstance(e.type, Lolli)),
+         Spots((1,), lambda e, arg: e.type == arg)),
+        lambda fn, arg: DeltaEntry(App(fn.term, arg.term), fn.type.res),
+        "i j1 j2", "LolliE must apply a function entry to an argument entry "
+                   "from the other premise",
+        lambda fn, arg: {"a": fn.type.arg, "b": fn.type.res},
+        reads=(lambda prev: _principal(prev).type.arg,)),
+    Rule.PARR_E: ForwardRule(
+        (Spots((1,), lambda e, v: isinstance(e.type, ParT)),
+         Spots((0,), _declared), Spots((0,), _declared)),
+        lambda e, dx, dy: DeltaEntry(Dist(dx[0], dy[0], e.term), BOT),
+        "i j gamma_pos_x gamma_pos_y", "ParrE must consume a par entry and one "
+                                       "declaration from each receiving premise",
+        lambda e, dx, dy: {"x": dx[0], "y": dy[0], "a": dx[1], "b": dy[1]},
+        reads=(lambda prev: _principal(prev).type.left,
+               lambda prev: _principal(prev).type.right)),
+}
 
 
 def _well_formed(node: Derivation, arity: dict, sequent: type,
@@ -436,127 +724,48 @@ def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
 
 def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
            defer: bool = False) -> dict[str, Any]:
-    """match_rule.  Each rule finds its principal entries as what one
-    multiset difference between conclusion and premises leaves over, and
-    reports the first positions that hold those values.  Side entries of
-    unary rules are compared up to exchange: the comma is a par, and
-    derivation surgery (grafting a subproof over an axiom leaf) permutes
-    conclusions exactly as the calculus allows.  With defer, that the
-    premises share no name and LolliI's no weakening are left to
-    instances, which has what it needs to test them once the premises'
-    subtrees are matched."""
+    """match_rule: an axiom by its one shape, any other rule by a walk of
+    FORWARD (_instance).  A unary rule's entries match its conclusion as
+    multisets: the comma is a par, and derivation surgery (grafting a
+    subproof over an axiom leaf) permutes conclusions exactly as the
+    calculus allows; its declarations match in order.  A binary rule's
+    declarations match as multisets, its entries as an interleaving of its
+    premises'.  Declarations a rule passes on unchanged are compared
+    first, each premise's checked for duplicates unless they are the
+    conclusion's.  With defer, that the premises share no name and
+    LolliI's no weakening are left to instances, which has what it needs
+    to test them once the premises' subtrees are matched."""
     rule, con, prems = node.rule, node.conclusion, node.premises
     _well_formed(node, ARITY, Sequent, path)
     cg = memo.gamma(con, path, "conclusion")
     if not defer and len(prems) > 1:
         _premises_disjoint(node, path)
-
-    if rule is Rule.AX:
+    if not prems:
         match con:
             case Sequent(((x, a),), (DeltaEntry(Var(y), b),)) \
                     if x == y and (a is b or equal(a, b)):
                 return {}
         raise RuleViolation(path, "axiom must be  x : A |- x : A")
-
-    if rule is Rule.BOT_I:
-        p = prems[0].conclusion
-        memo.same_gamma(p, con, cg, path, rule)
-        if multiset_diff(con.delta, p.delta) == ([_STAR], []):
-            return {"i": con.delta.index(_STAR)}
-        raise RuleViolation(path, "BotI must add one entry  * : bot")
-
-    if rule is Rule.BOT_E:
-        p = prems[0].conclusion
-        memo.same_gamma(p, con, cg, path, rule)
-        match multiset_diff(con.delta, p.delta):
-            case [DeltaEntry(Close(body), None) as e], [DeltaEntry(t, Bot()) as pe] \
-                    if t == body:
-                return {"i": con.delta.index(e), "j": p.delta.index(pe)}
-        raise RuleViolation(path, "BotE must close one entry of type bot")
-
-    if rule is Rule.PARR_I:
-        p = prems[0].conclusion
-        memo.same_gamma(p, con, cg, path, rule)
-        match multiset_diff(con.delta, p.delta):
-            case [DeltaEntry(Par(s, t), ParT(a, b)) as e], [_, _] as parts:
-                # the two premise entries are s : a and t : b, in any order
-                for left, right in (parts, parts[::-1]):
-                    if (left.term, left.type, right.term, right.type) == (s, a, t, b):
-                        for j in _where(p.delta[:-1], left):
-                            if p.delta[j + 1] == right:
-                                return {"i": con.delta.index(e),
-                                        "j": j, "a": a, "b": b}
-                        break
-        raise RuleViolation(path, "ParrI must merge two adjacent typed entries")
-
-    if rule is Rule.LOLLI_I:
-        p = prems[0].conclusion
-        pg = memo.gamma(p, path, "premise")
-        match multiset_diff(con.delta, p.delta):
-            case [DeltaEntry(Send(x, t), Lolli(a, b)) as e], [DeltaEntry(t1, b1) as pe] \
-                    if t1 == t and b1 == b and x not in cg and pg.get(x) == a \
-                    and _without(p.gamma, gamma_pos := list(pg).index(x)) \
-                    == con.gamma:
-                if not defer:
-                    _bound_somewhere(x, p, path, memo)
-                return {"i": con.delta.index(e), "j": p.delta.index(pe),
-                        "x": x, "a": a, "b": b, "gamma_pos": gamma_pos}
-        raise RuleViolation(path, "LolliI must abstract one declaration into a Send")
-
-    if rule is Rule.LOLLI_E:
-        p1, p2 = prems[0].conclusion, prems[1].conclusion
-        g1 = memo.gamma(p1, path, "premise 0")
-        g2 = memo.gamma(p2, path, "premise 1")
-        joined = dict(g1)
-        joined.update(g2)
-        if joined != cg or len(g1) + len(g2) != len(cg):
-            raise RuleViolation(path, "LolliE must join the premise declarations")
-        match multiset_diff(con.delta, p1.delta, p2.delta):
-            case [DeltaEntry(App(s, t), b) as e], [_, _] as parts if b is not None:
-                # the function entry has the Lolli type, so at most one
-                # order of the two parts fits
-                for fn, arg in (parts, parts[::-1]):
-                    match fn:
-                        case DeltaEntry(f, Lolli(a1, b1)) \
-                                if f == s and b1 == b and (arg.term, arg.type) == (t, a1):
-                            for i in _where(con.delta, e):
-                                for j1 in _where(p1.delta, fn):
-                                    for j2 in _where(p2.delta, arg):
-                                        if _is_interleaving(
-                                                _without(con.delta, i),
-                                                (_without(p1.delta, j1),
-                                                 _without(p2.delta, j2))):
-                                            return {"i": i, "j1": j1, "j2": j2,
-                                                    "a": a1, "b": b1}
-        raise RuleViolation(path, "LolliE must apply a function entry to an "
-                                  "argument entry from the other premise")
-
-    if rule is Rule.PARR_E:
-        p1, p2, p3 = (p.conclusion for p in prems)
-        g1 = memo.gamma(p1, path, "premise 0")
-        g2 = memo.gamma(p2, path, "premise 1")
-        g3 = memo.gamma(p3, path, "premise 2")
-        match multiset_diff(con.delta, p1.delta, p2.delta, p3.delta):
-            case [DeltaEntry(Dist(x, y, s), Bot()) as e], [pe] \
-                    if g2.get(x) is not None and g3.get(y) is not None:
-                a, b = g2[x], g3[y]
-                joined = dict(g1)
-                joined.update({k: v for k, v in g2.items() if k != x})
-                joined.update({k: v for k, v in g3.items() if k != y})
-                if joined == cg and len(g1) + len(g2) + len(g3) - 2 == len(cg) \
-                        and pe == DeltaEntry(s, ParT(a, b)):
-                    for i in _where(con.delta, e):
-                        for j in _where(p1.delta, pe):
-                            if _is_interleaving(
-                                    _without(con.delta, i),
-                                    (_without(p1.delta, j), p2.delta, p3.delta)):
-                                # a dict keeps its premise's order
-                                return {"i": i, "j": j, "x": x, "y": y,
-                                        "a": a, "b": b,
-                                        "gamma_pos_x": list(g2).index(x),
-                                        "gamma_pos_y": list(g3).index(y)}
-        raise RuleViolation(path, "ParrE must consume a par entry and one "
-                                  "declaration from each receiving premise")
+    fr = FORWARD[rule]
+    seqs = tuple([p.conclusion for p in prems])
+    kept = not _plan(fr)[2][0]  # no declaration taken
+    if kept and len(seqs) == 1:
+        memo.same_gamma(seqs[0], con, cg, path, rule)
+    else:
+        gs = [memo.gamma(s, path, f"premise {k}" if len(seqs) > 1 else "premise")
+              for k, s in enumerate(seqs)]
+        joined = {}
+        for g in gs:
+            joined.update(g)
+        if kept and (joined != cg or sum(map(len, gs)) != len(cg)):
+            raise RuleViolation(path, f"{rule.value} must join the premise declarations")
+    exchange = ("order", "multiset") if len(seqs) == 1 else ("multiset", "interleave")
+    inst = _instance(fr, con, seqs, (None, exchange[1]) if kept else exchange)
+    if inst is None:
+        raise RuleViolation(path, fr.reason)
+    if not defer:
+        _bound_somewhere(node, inst, path, memo)
+    return inst
 
 
 def check_derivation(d: Derivation) -> None:
@@ -635,7 +844,6 @@ def _raise_first(frames: list, data: dict, node: Derivation, k: int, memo: _Memo
     for t, (a, _, _) in enumerate(frames):
         if shared.get(t):
             raise RuleViolation(path[:t], shared[t])
-        if a.rule is Rule.LOLLI_I:
-            _bound_somewhere(data[id(a)]["x"], a.premises[0].conclusion, path[:t], memo)
+        _bound_somewhere(a, data[id(a)], path[:t], memo)
     _match(node, path, memo)
     raise AssertionError("the failing node matched")

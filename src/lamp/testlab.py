@@ -29,19 +29,15 @@ compiles none of them.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import random
-from typing import (
-    Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence,
-)
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .derivations import (
-    Derivation, Rule, _replaced, _without, axiom,
-)
+from .derivations import FORWARD, Derivation, Rule, Spots, axiom
 from .terms import (
-    App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    Term, TypeExpr, UNIT, children, flatten_par, fold, nodes,
-    print_term, split_joined,
+    App, Atom, BOT, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent, Term,
+    TypeExpr, children, flatten_par, fold, nodes, print_term, split_joined,
 )
 
 
@@ -59,112 +55,6 @@ class GenConfig(NamedTuple("GenConfig", [("seed", int), ("max_nodes", int)])):
         return super().__new__(cls, seed, max_nodes)
 
 
-# ---------------------------------------------------------------------------
-# The forward typing rules, each written once and driven two ways: sampled
-# by _Gen, exhausted below a size bound by closure.
-
-class ForwardRule(NamedTuple):
-    """A non-axiom rule read forward.  premises[n](s, v) lists, in a fixed
-    order, the positions at which sequent s can serve as premise n, where
-    v is what premise n reads of the (sequent, position) pairs prev chosen
-    for premises 0..n-1: reads[n - 1](prev) for n > 0, None for the first
-    premise, which reads nothing.  A premise sees prev only through its
-    reads, so its positions in s are fixed by s and v, and the generator
-    lists them once per pool entry and value.  conclusion(seqs, positions,
-    rng) builds the conclusion, drawing from rng only for BotR (where its
-    bot goes).  Premises share no name."""
-
-    premises: tuple[Callable[[Sequent, Hashable], Sequence], ...]
-    conclusion: Callable[..., Sequent]
-    reads: tuple[Callable[[tuple], Hashable], ...] = ()
-
-
-def _whole(s, v) -> tuple:
-    return (None,)  # the one position of a premise taken whole
-
-
-def _principal(prev: tuple) -> DeltaEntry:
-    s, j = prev[0]
-    return s.delta[j]
-
-
-def _declared(s, a) -> list[int]:
-    return [g for g, (_, b) in enumerate(s.gamma) if b == a]  # of type a
-
-
-def _bot_i(seqs, _positions, _rng=None) -> Sequent:
-    (s,) = seqs
-    return Sequent(s.gamma, s.delta + (DeltaEntry(UNIT, BOT),))
-
-
-def _bot_e(seqs, positions, _rng=None) -> Sequent:
-    (s,), (i,) = seqs, positions
-    entry = DeltaEntry(Close(s.delta[i].term), None)
-    return Sequent(s.gamma, _replaced(s.delta, i, entry))
-
-
-def _lolli_i(seqs, positions, _rng=None) -> Sequent:
-    (s,), ((j, i),) = seqs, positions
-    x, a = s.gamma[j]
-    e = s.delta[i]
-    entry = DeltaEntry(Send(x, e.term), Lolli(a, e.type))
-    return Sequent(_without(s.gamma, j), _replaced(s.delta, i, entry))
-
-
-def _parr_i(seqs, positions, _rng=None) -> Sequent:
-    (s,), (i,) = seqs, positions
-    e1, e2 = s.delta[i], s.delta[i + 1]
-    entry = DeltaEntry(Par(e1.term, e2.term), ParT(e1.type, e2.type))
-    return Sequent(s.gamma, s.delta[:i] + (entry,) + s.delta[i + 2:])
-
-
-def _lolli_e(seqs, positions, _rng=None) -> Sequent:
-    (s1, s2), (j1, j2) = seqs, positions
-    fn, arg = s1.delta[j1], s2.delta[j2]
-    entry = DeltaEntry(App(fn.term, arg.term), fn.type.res)
-    return Sequent(s1.gamma + s2.gamma,
-                   _replaced(s1.delta, j1, entry) + _without(s2.delta, j2))
-
-
-def _parr_e(seqs, positions, _rng=None) -> Sequent:
-    (s1, s2, s3), (j, g2, g3) = seqs, positions
-    entry = DeltaEntry(Dist(s2.gamma[g2][0], s3.gamma[g3][0], s1.delta[j].term),
-                       BOT)
-    return Sequent(s1.gamma + _without(s2.gamma, g2) + _without(s3.gamma, g3),
-                   _replaced(s1.delta, j, entry) + s2.delta + s3.delta)
-
-
-FORWARD: dict[Rule, ForwardRule] = {
-    Rule.BOT_I: ForwardRule((_whole,), _bot_i),
-    Rule.BOT_E: ForwardRule(
-        (lambda s, v: [i for i, e in enumerate(s.delta) if e.type == BOT],),
-        _bot_e),
-    Rule.LOLLI_I: ForwardRule(
-        (lambda s, v: [(j, i) for j in range(len(s.gamma))
-                       for i, e in enumerate(s.delta)
-                       if e.type is not None],),
-        _lolli_i),
-    Rule.PARR_I: ForwardRule(
-        (lambda s, v: [i for i in range(len(s.delta) - 1)
-                       if s.delta[i].type is not None
-                       and s.delta[i + 1].type is not None],),
-        _parr_i),
-    Rule.LOLLI_E: ForwardRule(
-        (lambda s, v: [j for j, e in enumerate(s.delta)
-                       if isinstance(e.type, Lolli)],
-         lambda s, arg: [j for j, e in enumerate(s.delta) if e.type == arg]),
-        _lolli_e,
-        (lambda prev: _principal(prev).type.arg,)),
-    Rule.PARR_E: ForwardRule(
-        (lambda s, v: [j for j, e in enumerate(s.delta)
-                       if isinstance(e.type, ParT)],
-         _declared, _declared),
-        _parr_e,
-        (lambda prev: _principal(prev).type.left,
-         lambda prev: _principal(prev).type.right)),
-}
-
-
 class _Gen:
     """The forward generator, drawing rules and their options to grow a
     pool from axioms.  A calculus sets the class attributes and _axiom, the
@@ -172,8 +62,7 @@ class _Gen:
 
     # ParrE splits only literal parallel compositions: see the module doc
     table = {**FORWARD, Rule.PARR_E: FORWARD[Rule.PARR_E]._replace(premises=(
-        lambda s, v: [j for j, e in enumerate(s.delta)
-                      if isinstance(e.type, ParT) and isinstance(e.term, Par)],
+        Spots((1,), lambda e, v: isinstance(e.type, ParT) and isinstance(e.term, Par)),
         *FORWARD[Rule.PARR_E].premises[1:]))}
     key = "{0.seed}:{0.max_nodes}:" + ",".join(_ATOMS)
     # the rules drawn, an axiom first, beside their weights; the order
@@ -260,7 +149,7 @@ class _Gen:
             return
         ks, prev, _ = self.rng.choice(options)
         seqs, positions = zip(*prev)
-        con = fr.conclusion(seqs, positions, self.rng)
+        con = fr.conclusion(seqs, positions, functools.partial(self.rng.randint, 0))
         ds = tuple(self.pool[k][0] for k in ks)
         size = 1 + sum(self.pool[k][1] for k in ks)
         keep, *rest = sorted(ks, reverse=True)
@@ -355,102 +244,24 @@ def closure(types: Iterable[TypeExpr], max_size: int) -> set[Sequent]:
 # ---------------------------------------------------------------------------
 # Random sequent calculus derivations (for translation round-trips)
 
-# A binary sequent calculus rule takes its first premise, prev[0][0], whole
-# and lists pairs (i in the first premise, j in the second's left); its
-# second premise reads the first's formulas (Cut) or only their count.
-
-def _bot_r(seqs, _positions, rng) -> MllSequent:
-    (s,) = seqs
-    i = rng.randint(0, len(s.right))
-    return MllSequent(s.left, s.right[:i] + (BOT,) + s.right[i:])
-
-
-def _lolli_r(seqs, positions, _rng) -> MllSequent:
-    (s,), ((i, j),) = seqs, positions
-    return MllSequent(_without(s.left, j),
-                      _replaced(s.right, i, Lolli(s.left[j], s.right[i])))
-
-
-def _parr_r(seqs, positions, _rng) -> MllSequent:
-    (s,), (i,) = seqs, positions
-    r = s.right
-    return MllSequent(s.left, r[:i] + (ParT(r[i], r[i + 1]),) + r[i + 2:])
-
-
-def _cut(seqs, positions, _rng) -> MllSequent:
-    (s1, s2), (_, (i, j)) = seqs, positions
-    return MllSequent(s1.left + _without(s2.left, j),
-                      _without(s1.right, i) + s2.right)
-
-
-def _lolli_l(seqs, positions, _rng) -> MllSequent:
-    (s1, s2), (_, (i, j)) = seqs, positions
-    ty = Lolli(s1.right[i], s2.left[j])
-    return MllSequent(s1.left + (ty,) + _without(s2.left, j),
-                      _without(s1.right, i) + s2.right)
-
-
-def _parr_l(seqs, positions, _rng) -> MllSequent:
-    (s1, s2), (_, (i, j)) = seqs, positions
-    ty = ParT(s1.left[i], s2.left[j])
-    return MllSequent(_without(s1.left, i) + _without(s2.left, j) + (ty,),
-                      s1.right + s2.right)
-
-
-def _beside_left(s: MllSequent, m: int) -> list[tuple[int, int]]:
-    """Each of m positions beside each position of s's left."""
-    return list(itertools.product(range(m), range(len(s.left))))
-
-
-def _load_mll(gen: type) -> None:
-    """Import mll and set the class attributes of gen, the sequent
-    calculus generator, that name its rules: table, the forward rules, and
-    the rules drawn, an axiom first, beside thresholds on rng.random()
-    (rules, bounds), not weights, whose running sums would round to other
-    bounds.  MllRule and MllSequent are bound in this module, for the
-    conclusions above.  Like the suites' engines, mll is imported on first
-    use: generating natural deduction programs compiles none of it."""
-    global MllRule, MllSequent
-    from .mll import MllRule, MllSequent
-    gen.table = {
-        MllRule.BOT_R: ForwardRule((_whole,), _bot_r),
-        MllRule.LOLLI_R: ForwardRule(
-            (lambda s, v: _beside_left(s, len(s.right)),), _lolli_r),
-        MllRule.PARR_R: ForwardRule(
-            (lambda s, v: range(len(s.right) - 1),), _parr_r),
-        MllRule.CUT: ForwardRule(
-            (_whole,
-             lambda s, right: [(i, j) for i, a in enumerate(right)
-                               for j, b in enumerate(s.left) if a == b]),
-            _cut, (lambda prev: prev[0][0].right,)),
-        MllRule.LOLLI_L: ForwardRule(
-            (_whole, _beside_left),
-            _lolli_l, (lambda prev: len(prev[0][0].right),)),
-        MllRule.PARR_L: ForwardRule(
-            (_whole, _beside_left),
-            _parr_l, (lambda prev: len(prev[0][0].left),)),
-    }
-    gen.rules, gen.bounds = zip(
-        (MllRule.AX_ID, 0.22), (MllRule.AX_BOT, 0.3), (MllRule.BOT_R, 0.42),
-        (MllRule.LOLLI_R, 0.58), (MllRule.PARR_R, 0.68), (MllRule.CUT, 0.8),
-        (MllRule.LOLLI_L, 0.92), (MllRule.PARR_L, 1.0))
-
-
-class _FromMll:
-    """A class attribute of the sequent calculus generator that _load_mll
-    sets on its first read, from the class or an instance."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner: type):
-        _load_mll(owner)
-        return getattr(owner, self.name)
-
-
 class _MllGen(_Gen):
-    table, rules, bounds = _FromMll(), _FromMll(), _FromMll()
+    """The sequent calculus generator.  Its rules are mll's, imported when
+    a generator is made, so generating natural deduction programs compiles
+    none of mll."""
+
     key = "mll:{0.seed}:{0.max_nodes}"
+
+    def __init__(self, cfg: GenConfig):
+        super().__init__(cfg)
+        from . import mll
+        self.mll, self.table = mll, mll.MLL_FORWARD
+        # thresholds on rng.random(), not weights, whose running sums
+        # would round to other bounds
+        self.rules, self.bounds = zip(
+            (mll.MllRule.AX_ID, 0.22), (mll.MllRule.AX_BOT, 0.3),
+            (mll.MllRule.BOT_R, 0.42), (mll.MllRule.LOLLI_R, 0.58),
+            (mll.MllRule.PARR_R, 0.68), (mll.MllRule.CUT, 0.8),
+            (mll.MllRule.LOLLI_L, 0.92), (mll.MllRule.PARR_L, 1.0))
 
     def _type(self, depth: int = 0) -> TypeExpr:
         r = self.rng.random()
@@ -462,11 +273,11 @@ class _MllGen(_Gen):
             return Lolli(self._type(depth + 1), self._type(depth + 1))
         return ParT(self._type(depth + 1), self._type(depth + 1))
 
-    def _axiom(self, rule: MllRule) -> MllSequent:
-        if rule is MllRule.AX_BOT:
-            return MllSequent((BOT,), ())
+    def _axiom(self, rule) -> tuple:
+        if rule is self.mll.MllRule.AX_BOT:
+            return self.mll.MllSequent((BOT,), ())
         a = self._type()
-        return MllSequent((a,), (a,))
+        return self.mll.MllSequent((a,), (a,))
 
 
 def gen_mll(cfg: GenConfig) -> Derivation:

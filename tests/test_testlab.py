@@ -7,10 +7,10 @@ from collections import Counter
 import pytest
 
 from lamp.derivations import (
-    Rule, check_channel_linearity, check_derivation, premises_of,
+    Rule, Spots, check_channel_linearity, check_derivation, premises_of,
 )
 from lamp.reconstruct import reconstruct
-from lamp import testlab
+from lamp import mll, testlab
 from lamp.reduction import apply_redex, comm_size, find_redexes, normalize
 from lamp.sexpr import derivation_to_sexpr, mll_to_sexpr
 from lamp.terms import App, Send, nodes, replace_at, subterm_at
@@ -110,22 +110,29 @@ def test_each_draw_offers_the_nested_loop_options(monkeypatch, cls, gen):
     assert len(draws) > 10_000 and 0 in draws and max(draws) > 5
 
 
-@pytest.mark.parametrize("cls,gen", GENERATORS, ids=["nd", "mll"])
-def test_each_premise_position_is_listed_once(monkeypatch, cls, gen):
+@pytest.mark.parametrize("owner,name,gen", [
+    (testlab._Gen, "table", gen_derivation), (mll, "MLL_FORWARD", gen_mll),
+], ids=["nd", "mll"])
+def test_each_premise_position_is_listed_once(monkeypatch, owner, name, gen):
     # counted per (pool entry, rule, premise, value read); a pool entry is
-    # its conclusion object, which lives as long as the run
+    # its conclusion object, which lives as long as the run.  The table is
+    # patched where each generator reads it: the sequent calculus's in mll
     calls = Counter()
 
-    def counted(rule, n, premise):
-        def listed(s, v):
-            calls[id(s), rule, n, v] += 1
-            return premise(s, v)
-        return listed
+    class Counted(Spots):
+        def __call__(self, s, v):
+            calls[id(s), self.rule, self.n, v] += 1
+            return super().__call__(s, v)
 
-    monkeypatch.setattr(cls, "table", {
+    def counted(rule, n, premise):
+        spots = Counted(*premise)
+        spots.rule, spots.n = rule, n
+        return spots
+
+    monkeypatch.setattr(owner, name, {
         rule: fr._replace(premises=tuple(
             counted(rule, n, premise) for n, premise in enumerate(fr.premises)))
-        for rule, fr in cls.table.items()})
+        for rule, fr in getattr(owner, name).items()})
     total = 0
     for max_nodes in (12, 36):
         for seed in range(100):

@@ -30,19 +30,25 @@ abstracted name occurs free in its premise, wait until the premises'
 subtrees are matched and are read off what those gathered on the way up
 (``instances``), so no premise entry is read for them.
 
-``match_rule`` returns the matched instance data (principal positions and
-component types) as a dict, as ``mll.match_mll`` does; the
-sequent-calculus translators reuse it to drive their constructions off
-checked trees instead of re-searching.
+Each rule with premises is written once, in FORWARD: where a sequent can
+serve as each premise (``spots``), the entry the rule adds and where it
+goes.  The random generator (testlab) draws from that table, and the
+checker walks it (``_instance``): a node is an instance of rule R when
+premise positions R's listers accept, holding the items a multiset
+difference leaves over, and the place of the entry the conclusion has
+beyond the premises, make R's builder give the node's conclusion up to
+the exchange R allows, tried in order so the first such positions are
+reported.  ``match_rule`` returns them, with the component types, as a
+dict, as ``mll.match_mll`` does; the sequent-calculus translators reuse it
+to drive their constructions off checked trees instead of re-searching.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from operator import attrgetter, contains, itemgetter
 from typing import (
     Any, Callable, Hashable, Iterator, NamedTuple, Optional, Sequence,
@@ -58,6 +64,10 @@ from .terms import (
 
 
 class Rule(Enum):
+    # members are singletons: hashing them by identity runs in C, where
+    # Enum's own hash of the name is a Python call
+    __hash__ = object.__hash__
+
     AX = "Ax"
     LOLLI_I = "LolliI"
     LOLLI_E = "LolliE"
@@ -138,10 +148,12 @@ def _run(a: Sequence, i: int, b: Sequence, j: int) -> int:
 
 _END = object()  # after the last entry
 
-# the edits a unary rule makes to its premise's entries, as (entries
-# added, entries dropped) at one place: BotI, LolliI and BotE, ParrI.
-# Testing them ahead of the cursor walk saves 5-8% of checking ring(48)
-_EDITS = ((1, 0), (1, 1), (1, 2))
+# the edit a unary rule makes to one side of its premise, at one place:
+# one entry or formula added or none, and at most two dropped (BotI, BotE,
+# ParrI and their sequent calculus namesakes; LolliI's declarations and
+# LolliR's left drop one).  Testing it ahead of the cursor walk saves 5-8%
+# of checking ring(48)
+_ADDED = (1, 0)
 
 # what _align leaves unpaired before it stops: a rule's principal entries
 # are at most three, on either side
@@ -154,7 +166,7 @@ def _align(a: Sequence, parts: Sequence[Sequence]) -> tuple[list, list]:
     return what is left unpaired of a, and of the parts, each in order.
 
     With one part, the run both start with is paired, then the rest if it
-    is equal once the edit a unary rule makes at that place (_EDITS) is
+    is equal once the edit a unary rule makes at that place (_ADDED) is
     left out.  Otherwise a cursor walks each part: where a's next entry is
     the object at the cursor of a part, the run the two share is paired
     and both advance past it (of several such parts, the longest run
@@ -166,8 +178,9 @@ def _align(a: Sequence, parts: Sequence[Sequence]) -> tuple[list, list]:
     if len(parts) == 1 and a and parts[0]:
         p = parts[0]
         lo = _run(a, 0, p, 0) if a[0] is p[0] else 0
-        for added, dropped in _EDITS:
-            if a[lo + added:] == p[lo + dropped:]:
+        for added in _ADDED:
+            dropped = len(p) - len(a) + added  # so the rests are as long
+            if 0 <= dropped <= 2 and a[lo + added:] == p[lo + dropped:]:
                 return list(a[lo:lo + added]), list(p[lo:lo + dropped])
     at = [0] * len(parts)
     extra: list = []
@@ -406,56 +419,81 @@ _STAR = DeltaEntry(UNIT, BOT)
 
 # ---------------------------------------------------------------------------
 # The rules, each written once, as data: the generator (testlab) draws from
-# these tables and the checkers walk them, natural deduction's here and the
-# sequent calculus's in mll.  A sequent of either calculus is a (tag, side
-# 0, side 1) tuple: declarations and entries, or left and right.
+# these tables, natural deduction's here and the sequent calculus's in mll,
+# and the checker walks natural deduction's.  A sequent of either calculus
+# is a (tag, side 0, side 1) tuple: declarations and entries, or left and
+# right.
 
-class Spots(NamedTuple):
-    """Where a sequent s can serve as one premise of a rule, given v, what
-    the premise reads of the premises before it (ForwardRule.reads).  A
-    position holds one index per entry of sides, into side k of s for k 0
-    or 1, or into v for k 2 or 3, where v is side k - 2 of the premise
-    before; it is None for a premise taken whole, the index itself for
-    one.  An index takes width items from there.  Calling the spots lists
-    the positions whose items, followed by v, fit, in the order of nested
-    loops over the sides."""
+def _whole(s: tuple, v: Hashable) -> tuple:
+    return (None,)  # the one position of a premise taken whole
 
-    sides: tuple[int, ...] = ()
-    fits: Optional[Callable[..., bool]] = None
-    width: int = 1
 
-    def __call__(self, s: tuple, v: Hashable) -> Sequence:
-        fits = self.fits
-        if not self.sides:
-            return (None,)
-        if len(self.sides) == 2:
-            a, b = (v if k > 1 else s[1 + k] for k in self.sides)
+def spots(sides: tuple[int, ...] = (), fits: Optional[Callable[..., bool]] = None,
+          width: int = 1) -> Callable[[tuple, Hashable], Sequence]:
+    """The lister of where a sequent s can serve as one premise of a rule,
+    given v, what the premise reads of the premises before it
+    (ForwardRule.reads).  A position holds one index per entry of sides,
+    into side k of s for k 0 or 1, or into v for k 2 or 3, where v is side
+    k - 2 of the premise before; it is None for a premise taken whole, the
+    index itself for one.  An index takes width items from there.  The
+    lister lists the positions whose items, followed by v, fit, in the
+    order of nested loops over the sides; it keeps sides, fits and width
+    as attributes, which the checker reads."""
+    if not sides:
+        lister = functools.partial(_whole)  # its own object, for its attributes
+    elif len(sides) == 2:
+        (i, j) = sides
+
+        def lister(s, v):
+            a = v if i > 1 else s[1 + i]
+            b = v if j > 1 else s[1 + j]
             pairs = itertools.product(range(len(a)), range(len(b)))
-            return [(i, j) for i, j in pairs if fits is None or fits(a[i], b[j], v)]
-        items = v if self.sides[0] > 1 else s[1 + self.sides[0]]
-        if self.width == 2:
-            return [p for p in range(len(items) - 1)
-                    if fits is None or fits(items[p], items[p + 1], v)]
-        return [p for p, x in enumerate(items) if fits is None or fits(x, v)]
+            if fits is None:
+                return list(pairs)
+            return [(p, q) for p, q in pairs if fits(a[p], b[q], v)]
+    elif width == 2:
+        k = 1 + sides[0]
+
+        def lister(s, v):
+            a = s[k]
+            if fits is None:
+                return range(len(a) - 1)
+            return [p for p in range(len(a) - 1) if fits(a[p], a[p + 1], v)]
+    else:
+        k = 1 + sides[0]
+
+        def lister(s, v):
+            a = v if k > 2 else s[k]
+            if fits is None:
+                return range(len(a))
+            return [p for p, x in enumerate(a) if fits(x, v)]
+    lister.sides, lister.fits, lister.width = sides, fits, width
+    return lister
+
+
+def _nothing(*items) -> dict:
+    return {}  # a rule's record, by default
 
 
 class ForwardRule(NamedTuple):
-    """A rule with premises, read forward by the generator and backward by
-    the checker.  premises[n] lists where a sequent can serve as premise
-    n, given reads[n - 1](prev) for n > 0, where prev holds the (sequent,
-    position) pairs chosen for premises 0..n-1.  The conclusion has each
-    side of the premises, in order, without the items their positions
-    take; new(*items) is the entry (or formula) the rule adds on side
-    `side` (None: it adds none), at the place at(seqs, positions, draw)
-    gives, where draw(n) picks one of 0..n.  An instance reports, by
-    names, the new entry's place and each index ("-" leaves one out), and
-    record(*items).  reason is the violation of a node that is none."""
+    """A rule with premises, read forward by the generator and, in natural
+    deduction, backward by the checker.  premises[n] lists where a sequent
+    can serve as premise n (a ``spots`` lister), given reads[n - 1](prev)
+    for n > 0, where prev holds the (sequent, position) pairs chosen for
+    premises 0..n-1; a read depends on the items at those positions, not
+    on where they are.  The conclusion has each side of the premises, in
+    order, without the items their positions take; new(*items) is the
+    entry (or formula) the rule adds on side `side` (None: it adds none),
+    at the place at(seqs, positions, draw) gives, where draw(n) picks one
+    of 0..n.  For the checker, an instance reports, by names, the new
+    entry's place and each index, and record(*items); reason is the
+    violation of a node that is none."""
 
-    premises: tuple[Spots, ...]
+    premises: tuple[Callable[[tuple, Hashable], Sequence], ...]
     new: Callable
-    names: str
-    reason: str
-    record: Callable[..., dict] = lambda *items: {}
+    names: str = ""
+    reason: str = ""
+    record: Callable[..., dict] = _nothing
     at: Callable = lambda seqs, positions, draw: positions[0]
     reads: tuple[Callable[[tuple], Hashable], ...] = ()
     side: Optional[int] = 1
@@ -464,171 +502,162 @@ class ForwardRule(NamedTuple):
                    at: Optional[int] = None) -> tuple:
         """The conclusion over premises concluding seqs, at positions; the
         new entry at `at`, by default where self.at puts it."""
-        taken = tuple(zip(_plan(self)[1], _flat(positions)))
-        sides = [tuple(chain(*_rests(seqs, taken, k))) for k in (0, 1)]
+        flat: list = []
+        for p in positions:
+            if type(p) is tuple:
+                flat += p
+            elif p is not None:
+                flat.append(p)
+        parts = [None, list(map(_SIDES[1], seqs)), list(map(_SIDES[2], seqs))]
+        items: list = []
+        for (q, s, w), p in zip(_plan(self)[1], flat):
+            part = parts[s][q]
+            items += part[p:p + w]
+            parts[s][q] = part[:p] + part[p + w:]
+        sides = [_joined(ps) for ps in parts[1:]]
         if self.side is not None:
             if at is None:
                 at = self.at(seqs, positions, draw)
             s = sides[self.side]
-            sides[self.side] = s[:at] + (self.new(*_items(seqs, taken)),) + s[at:]
+            sides[self.side] = s[:at] + (self.new(*items),) + s[at:]
         return type(seqs[0])(*sides)
 
 
-def _flat(positions: Sequence) -> list[int]:
-    """The indices of positions, in order."""
-    return [i for p in positions if p is not None
-            for i in (p if type(p) is tuple else (p,))]
+_SIDES = (None, itemgetter(1), itemgetter(2))  # a sequent's sides, by tuple index
+_PLANS: dict[tuple, tuple] = {}
 
 
-def _items(seqs: tuple, taken: Sequence) -> list:
-    """The items ((premise, side, width), index) pairs take, in order."""
-    return [x for (q, k, w), p in taken for x in seqs[q][1 + k][p:p + w]]
-
-
-def _rests(seqs: tuple, taken: Sequence, k: int) -> tuple[tuple, ...]:
-    """Side k of each premise without the items taken from it: a rule
-    takes at most one index's items from one side of one premise."""
-    rests = [s[1 + k] for s in seqs]
-    for (q, kk, w), p in taken:
-        if kk == k:
-            rests[q] = rests[q][:p] + rests[q][p + w:]
-    return tuple(rests)
-
-
-def _takes(seqs: tuple, idx: tuple, left: list) -> Iterator[tuple]:
-    """Each way for the indices idx, (premise, side, width) each, to take
-    the items left on their sides, as positions, in the order of nested
-    loops: each index takes a distinct value left on its side, then, in
-    order, each place holding it (an adjacent pair: it and a value left
-    after it), found by a scan in C (_where).  Places are not searched
-    beyond those reached."""
-
-    def spots(t: int, left: list) -> Iterator[tuple[int, list]]:
-        # index t's positions beside what each leaves on every side
-        q, k, w = idx[t]
-        items, values = seqs[q][1 + k], left[k]
-        for n, v in enumerate(values):
-            if v in values[:n]:
-                continue
-            rest = values[:n] + values[n + 1:]
-            for p in _where(items, v):
-                now = rest
-                if w == 2:
-                    if p + 1 == len(items) or items[p + 1] not in rest:
-                        continue
-                    now = list(rest)
-                    now.remove(items[p + 1])
-                yield p, [now if kk == k else x for kk, x in enumerate(left)]
-
-    loops, chosen = [spots(0, left)], []
-    while loops:
-        got = next(loops[-1], None)
-        del chosen[len(loops) - 1:]
-        if got is None:
-            loops.pop()
-        elif len(loops) == len(idx):
-            yield (*chosen, got[0])
-        else:
-            chosen.append(got[0])
-            loops.append(spots(len(loops), got[1]))
-
-
-_PLANS: dict[int, tuple] = {}
-
-
-def _plan(fr: ForwardRule) -> tuple:
-    """What fr's positions read, computed once per rule (kept, so its id
-    stays its own): (premise, side, width) per index; the items taken from
-    each side; per premise, the slice of the indices and of the items
-    that are its own, its number of indices, its fits and its read; and
-    the instance key of the new entry's place and of each index."""
-    got = _PLANS.get(id(fr))
+def _plan(fr: ForwardRule, exchange: tuple = (None, None)) -> tuple:
+    """What checking or building fr reads, computed once per rule and
+    exchange (see _instance; the rule is kept, so its id stays its own):
+    (premise, tuple index of the side, width) per index; the items taken
+    from each side, by tuple index; the sides to take a multiset
+    difference of, each with its tuple index, whether the new entry is
+    there and the items taken; the sides compared, each with its tuple
+    index, exchange and whether more than one item taken there must be
+    checked to be what the difference left; per premise with a fit test,
+    the test, its read, the premise's number, where its position is among
+    the indices (an index, a slice, or None) and the slice of the items
+    that are its own; and the instance keys of the new entry's place and
+    of each index."""
+    got = _PLANS.get((id(fr), exchange))
     if got is None or got[0] is not fr:
-        idx = tuple((n - (k > 1), k % 2, sp.width)
+        idx = tuple((n - (k > 1), 1 + k % 2, sp.width)
                     for n, sp in enumerate(fr.premises) for k in sp.sides)
-        layout, t, u = [], 0, 0
+        shapes, fits, t, u = [], [], 0, 0
         for n, sp in enumerate(fr.premises):
             m, w = len(sp.sides), len(sp.sides) * sp.width
-            layout.append((t, slice(t, t + m), slice(u, u + w), m, sp.fits,
-                           fr.reads[n - 1] if n else None))
+            shapes.append(None if m == 0 else t if m == 1 else slice(t, t + m))
+            if sp.fits is not None:
+                fits.append((sp.fits, fr.reads[n - 1] if n else None, n,
+                             slice(u, u + w)))
             t, u = t + m, u + w
-        taking = [sum(w for _, k, w in idx if k == side) for side in (0, 1)]
-        got = _PLANS[id(fr)] = fr, idx, taking, layout, fr.names.split()
+        taking = [0] + [sum(w for _, ss, w in idx if ss == s) for s in (1, 2)]
+        side = None if fr.side is None else 1 + fr.side
+        diffs = [(s, side == s, taking[s]) for s, how in enumerate(exchange, 1)
+                 if how not in (None, "order") or taking[s] or side == s]
+        # more than one item taken from a side matched as a multiset must be
+        # what the difference left there; an interleaving holds them only
+        # if they are
+        checks = [(s, how, taking[s] > 1 and how == "multiset")
+                  for s, how in enumerate(exchange, 1) if how is not None]
+        got = _PLANS[id(fr), exchange] = (fr, idx, taking, diffs, checks, shapes,
+                                          fits, fr.names.split())
     return got
 
 
-def _instance(fr: ForwardRule, con: tuple, seqs: tuple,
-              exchange: tuple) -> Optional[dict[str, Any]]:
-    """The instance data of rule fr at a node concluding con over premises
-    concluding seqs, or None if there is none.  exchange[k] says how side
-    k of con must match fr's conclusion: "order", exactly; "multiset";
-    "interleave", the new entry anywhere and the rest merging each
-    premise's side in order; "split", exactly at the first positions that
-    give that, else as multisets; None, not at all.
+def _instance(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
+    """The instance data at a node concluding con over premises concluding
+    seqs of the rule fr whose plan (_plan) for an exchange this is, or
+    None if there is none.  exchange[k] says how side k + 1 of con, its
+    declarations or its entries, must match fr's conclusion: "order",
+    exactly; "multiset"; "interleave", the new entry anywhere and the rest
+    merging each premise's entries in order; None, not at all.
 
     The items a rule takes are what a multiset difference between con and
-    the premises leaves over on each side (_takes), and its new entry is
-    what con has beyond them, at a place holding it; all are tried in
-    order until the sides match, so the first instance is reported.  Only
-    the first place is tried where it cannot change the outcome."""
-    _, idx, taking, layout, names = _plan(fr)
-    side = fr.side
-    left: list = [None, None]
-    for k in (0, 1):
-        how = exchange[k]
-        if how is None or how == "order" and not taking[k] and side != k:
-            continue
-        extra, missing = multiset_diff(con[1 + k], *[s[1 + k] for s in seqs])
-        if len(extra) != (side == k) or len(missing) != taking[k]:
+    the premises leaves over on each side, and its new entry is what con
+    has beyond them.  An index's positions are those holding an item left
+    on its side, found by scans in C (_where), the new entry's those
+    holding it (only the first, unless the entries interleave); they are
+    tried in the order of nested loops until the sides match, so the first
+    instance is reported.  The first of each, found by one scan in C per
+    value, are tried ahead of that: they are nearly always the instance."""
+    fr, idx, _, diffs, checks, *_ = plan
+    left: list = [None, None, None]  # by tuple index
+    for s, adds, taking in diffs:
+        extra, missing = multiset_diff(con[s], *map(_SIDES[s], seqs))
+        if len(extra) != adds or len(missing) != taking:
             return None
-        left[k] = missing
-        if side == k:
+        left[s] = missing
+        if adds:
             e = extra[0]
-    if side is None:
-        e, places = None, (None,)
-    else:
-        c = con[1 + side]
-        places = _where(c, e) if exchange[side] in ("order", "interleave") \
-            else (c.index(e),)
-    found = None
-    for at in places:
-        for flat in _takes(seqs, idx, left) if idx else ((),):
-            taken = tuple(zip(idx, flat))
-            items = _items(seqs, taken)
-            positions, prev = [], ()
-            for t, ts, us, m, fits, read in layout:
-                p = None if m == 0 else flat[t] if m == 1 else flat[ts]
-                if fits is not None and not fits(*items[us], read and read(prev)):
-                    break
-                positions.append(p)
-                prev += ((seqs[len(prev)], p),)
-            else:
-                new = fr.new(*items)
-                if new != e:
-                    continue
-                exact = ok = True
-                for k in (0, 1):
-                    how = exchange[k]
-                    if how == "interleave":
-                        ok = _is_interleaving(_without(con[1 + k], at),
-                                              _rests(seqs, taken, k))
-                    elif how == "order" or how == "split" and exact:
-                        built = tuple(chain(*_rests(seqs, taken, k)))
-                        if side == k:
-                            place = fr.at(seqs, positions, lambda n: at)
-                            built = built[:place] + (new,) + built[place:]
-                        exact = built == con[1 + k]
-                        ok = exact or how == "split"
-                    if not ok:
-                        break
-                else:
-                    inst = dict(zip(names, (at, *flat)))
-                    inst.pop("-", None)
-                    inst.update(fr.record(*items))
-                    if exact or "split" not in exchange:
-                        return inst
-                    found = found or inst
-    return found
+    c = con[1 + fr.side]
+    first = [c.index(e)]
+    for q, s, w in idx:
+        items, best = seqs[q][s], None
+        for v in left[s]:
+            try:
+                best = items.index(v) if best is None else items.index(v, 0, best)
+            except ValueError:
+                pass
+        first.append(best)
+    got = None not in first and _tried(plan, con, seqs, left, e, *first)
+    if got:
+        return got
+    spots = []  # each index's positions; a pair's second item is left too
+    for q, s, w in idx:
+        items, values = seqs[q][s], left[s]
+        ps = sorted({p for v in values for p in _where(items, v)})
+        spots.append(ps if w == 1 else
+                     [p for p in ps if p + 1 < len(items) and items[p + 1] in values])
+    interleave = ("interleave" in (how for _, how, _ in checks))
+    for at in _where(c, e) if interleave else first[:1]:
+        for flat in itertools.product(*spots):
+            got = (at, *flat) != tuple(first) and _tried(plan, con, seqs, left, e, at, *flat)
+            if got:
+                return got
+    return None
+
+
+def _tried(plan: tuple, con: tuple, seqs: tuple, left: list, e, at: int,
+           *flat: int) -> Optional[dict[str, Any]]:
+    """The instance data at positions flat with the new entry at `at`, or
+    None (see _instance)."""
+    fr, idx, _, _, checks, shapes, fits, names = plan
+    items = []
+    for (q, s, w), p in zip(idx, flat):
+        if w == 1:
+            items.append(seqs[q][s][p])
+        else:
+            items += seqs[q][s][p:p + w]
+    for fit, read, n, us in fits:
+        if read is not None:  # what premise n reads of those before it
+            read = read(tuple((seqs[m], None if sh is None else flat[sh])
+                              for m, sh in enumerate(shapes[:n])))
+        if not fit(*items[us], read):
+            return None
+    if fr.new(*items) != e:
+        return None
+    for s, how, several in checks:
+        if several and not _same([x for (q, ss, w), p in zip(idx, flat) if ss == s
+                                  for x in seqs[q][s][p:p + w]], left[s]):
+            return None
+        if how != "multiset":
+            rests = list(map(_SIDES[s], seqs))  # without the items taken
+            for (q, ss, w), p in zip(idx, flat):
+                if ss == s:
+                    rests[q] = rests[q][:p] + rests[q][p + w:]
+            if not (_is_interleaving(_without(con[s], at), rests) if how == "interleave"
+                    else _joined(rests) == con[s]):
+                return None
+    inst = dict(zip(names, (at, *flat)))
+    inst.pop("-", None)
+    inst.update(fr.record(*items))
+    return inst
+
+
+def _joined(parts: list) -> tuple:
+    return parts[0] if len(parts) == 1 else tuple(chain(*parts))
 
 
 def _same(a: list, b: list) -> bool:
@@ -647,35 +676,35 @@ def _principal(prev: tuple) -> DeltaEntry:
 
 FORWARD: dict[Rule, ForwardRule] = {
     Rule.BOT_I: ForwardRule(
-        (Spots(),), lambda: _STAR, "i", "BotI must add one entry  * : bot",
+        (spots(),), lambda: _STAR, "i", "BotI must add one entry  * : bot",
         at=lambda seqs, positions, draw: len(seqs[0].delta)),
     Rule.BOT_E: ForwardRule(
-        (Spots((1,), lambda e, v: e.type == BOT),),
+        (spots((1,), lambda e, v: e.type == BOT),),
         lambda e: DeltaEntry(Close(e.term), None), "i j",
         "BotE must close one entry of type bot"),
     Rule.LOLLI_I: ForwardRule(
-        (Spots((0, 1), lambda d, e, v: e.type is not None),),
+        (spots((0, 1), lambda d, e, v: e.type is not None),),
         lambda d, e: DeltaEntry(Send(d[0], e.term), Lolli(d[1], e.type)),
         "i gamma_pos j", "LolliI must abstract one declaration into a Send",
         lambda d, e: {"x": d[0], "a": d[1], "b": e.type},
         at=lambda seqs, positions, draw: positions[0][1]),
     Rule.PARR_I: ForwardRule(
-        (Spots((1,), lambda e1, e2, v: e1.type is not None
+        (spots((1,), lambda e1, e2, v: e1.type is not None
                and e2.type is not None, 2),),
         lambda e1, e2: DeltaEntry(Par(e1.term, e2.term), ParT(e1.type, e2.type)),
         "i j", "ParrI must merge two adjacent typed entries",
         lambda e1, e2: {"a": e1.type, "b": e2.type}),
     Rule.LOLLI_E: ForwardRule(
-        (Spots((1,), lambda e, v: isinstance(e.type, Lolli)),
-         Spots((1,), lambda e, arg: e.type == arg)),
+        (spots((1,), lambda e, v: isinstance(e.type, Lolli)),
+         spots((1,), lambda e, arg: e.type == arg)),
         lambda fn, arg: DeltaEntry(App(fn.term, arg.term), fn.type.res),
         "i j1 j2", "LolliE must apply a function entry to an argument entry "
                    "from the other premise",
         lambda fn, arg: {"a": fn.type.arg, "b": fn.type.res},
         reads=(lambda prev: _principal(prev).type.arg,)),
     Rule.PARR_E: ForwardRule(
-        (Spots((1,), lambda e, v: isinstance(e.type, ParT)),
-         Spots((0,), _declared), Spots((0,), _declared)),
+        (spots((1,), lambda e, v: isinstance(e.type, ParT)),
+         spots((0,), _declared), spots((0,), _declared)),
         lambda e, dx, dy: DeltaEntry(Dist(dx[0], dy[0], e.term), BOT),
         "i j gamma_pos_x gamma_pos_y", "ParrE must consume a par entry and one "
                                        "declaration from each receiving premise",
@@ -700,26 +729,25 @@ def _well_formed(node: Derivation, arity: dict, sequent: type,
     if len(prems) != n:
         raise RuleViolation(path, f"{rule.value} expects {n} premises, "
                                   f"got {len(prems)}")
-    _sequent_is(node, sequent, path)
     # arity lists every rule of one enum, so a premise's rule is listed
-    # iff it is of rule's enum: a class test, where hashing an enum member
-    # costs a Python call
-    for k, p in enumerate(prems):
+    # iff it is of rule's enum: a class test
+    for k, p in enumerate((node, *prems)):
+        at = path + (k - 1,) if k else path
         if type(p.rule) is not type(rule):
-            raise RuleViolation(path + (k,), f"unknown rule {p.rule!r}")
-        _sequent_is(p, sequent, path + (k,))
-
-
-def _sequent_is(node: Derivation, sequent: type, path: tuple[int, ...]) -> None:
-    if type(node.conclusion) is not sequent:
-        raise RuleViolation(path, f"conclusion is {type(node.conclusion).__name__}, "
-                                  f"expected {sequent.__name__}")
+            raise RuleViolation(at, f"unknown rule {p.rule!r}")
+        if type(p.conclusion) is not sequent:
+            raise RuleViolation(at, f"conclusion is {type(p.conclusion).__name__}, "
+                                    f"expected {sequent.__name__}")
 
 
 def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
     """Verify that node instantiates its rule and return the instance data.
     Subderivations are not descended into (see check_derivation)."""
     return _match(node, path, _Memo())
+
+
+# how a unary and a binary rule match: declarations, then entries
+_ND_EXCHANGE = ("order", "multiset"), ("multiset", "interleave")
 
 
 def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
@@ -748,7 +776,9 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
         raise RuleViolation(path, "axiom must be  x : A |- x : A")
     fr = FORWARD[rule]
     seqs = tuple([p.conclusion for p in prems])
-    kept = not _plan(fr)[2][0]  # no declaration taken
+    exchange = _ND_EXCHANGE[len(seqs) > 1]
+    plan = _plan(fr, exchange)
+    kept = not plan[2][1]  # no declaration taken: compared here first
     if kept and len(seqs) == 1:
         memo.same_gamma(seqs[0], con, cg, path, rule)
     else:
@@ -759,8 +789,7 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
             joined.update(g)
         if kept and (joined != cg or sum(map(len, gs)) != len(cg)):
             raise RuleViolation(path, f"{rule.value} must join the premise declarations")
-    exchange = ("order", "multiset") if len(seqs) == 1 else ("multiset", "interleave")
-    inst = _instance(fr, con, seqs, (None, exchange[1]) if kept else exchange)
+    inst = _instance(_plan(fr, (None, exchange[1])) if kept else plan, con, seqs)
     if inst is None:
         raise RuleViolation(path, fr.reason)
     if not defer:

@@ -11,19 +11,20 @@ programs that can always fire.
 
 Identical configurations reproduce identical derivations byte for byte.
 
-Each non-axiom rule is written forward once, in FORWARD or, for the
-sequent calculus, _MllGen.table.  One engine samples both tables; ``closure``
-exhausts FORWARD below a size bound for the completeness probe.  A premise
-that reads an earlier one says what it reads (ForwardRule.reads), so its
+Each non-axiom rule is written forward once, in derivations.FORWARD or,
+for the sequent calculus, mll.MLL_FORWARD; the natural deduction checker
+walks FORWARD too.  One engine samples both tables; ``closure`` exhausts
+FORWARD below a size bound for the completeness probe.  A premise that
+reads an earlier one says what it reads (ForwardRule.reads), so its
 positions in a sequent depend on the sequent and that value alone.  Each
 pool entry keeps an index of its positions per (premise, value read),
 filled on first lookup, and a draw looks positions up instead of running
 every premise on every entry for every prefix.
 
-The suites' engines (reconstruct, reduction, runtime, metatheory) and the
-sequent calculus's rules (mll) are imported on first use, so generating
-natural deduction programs, as the benchmark's set-up and most tests do,
-compiles none of them.
+The suites' engines (reconstruct, reduction, runtime, metatheory) are
+imported on first use, and mll when a sequent calculus generator is made
+(gen_mll), so generating natural deduction programs, as the benchmark's
+set-up and most tests do, compiles none of them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import itertools
 import random
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .derivations import FORWARD, Derivation, Rule, Spots, axiom
+from .derivations import FORWARD, Derivation, Rule, spots, axiom
 from .terms import (
     App, Atom, BOT, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent, Term,
     TypeExpr, children, flatten_par, fold, nodes, print_term, split_joined,
@@ -57,12 +58,12 @@ class GenConfig(NamedTuple("GenConfig", [("seed", int), ("max_nodes", int)])):
 
 class _Gen:
     """The forward generator, drawing rules and their options to grow a
-    pool from axioms.  A calculus sets the class attributes and _axiom, the
-    conclusion of an axiom rule; these are natural deduction's."""
+    pool from axioms.  A calculus sets table, rules and bounds, and _axiom,
+    the conclusion of an axiom rule; these are natural deduction's."""
 
     # ParrE splits only literal parallel compositions: see the module doc
     table = {**FORWARD, Rule.PARR_E: FORWARD[Rule.PARR_E]._replace(premises=(
-        Spots((1,), lambda e, v: isinstance(e.type, ParT) and isinstance(e.term, Par)),
+        spots((1,), lambda e, v: isinstance(e.type, ParT) and isinstance(e.term, Par)),
         *FORWARD[Rule.PARR_E].premises[1:]))}
     key = "{0.seed}:{0.max_nodes}:" + ",".join(_ATOMS)
     # the rules drawn, an axiom first, beside their weights; the order

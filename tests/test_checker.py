@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamp.derivations import (
-    ARITY, Derivation, Rule, RuleViolation, check_derivation, match_rule,
-    premises_of,
+    ARITY, FORWARD, Derivation, Rule, RuleViolation, check_derivation,
+    match_rule, premises_of,
 )
 from lamp.mll import mll_to_nmll, nmll_to_mll
 from lamp.reconstruct import reconstruct
@@ -679,3 +679,42 @@ def test_lolli_e_with_two_thousand_side_entries_checks():
     with pytest.raises(RuleViolation, match="LolliE must apply") as err:
         check_derivation(Derivation(Rule.LOLLI_E, Sequent(gamma, moved), (d1, d2)))
     assert err.value.path == ()
+
+
+# -- the rule table rebuilds what the checker matched -------------------------
+
+def _rebuilt(node, inst):
+    """node's conclusion as its rule's builder in FORWARD gives it, at the
+    positions and the place match_rule reported (by the rule's names)."""
+    fr = FORWARD[node.rule]
+    at, *flat = [inst.get(name) for name in fr.names.split()]
+    seqs = tuple(p.conclusion for p in node.premises)
+    positions, flat = [], iter(flat)
+    for premise in fr.premises:
+        m = len(premise.sides)
+        positions.append(None if m == 0 else next(flat) if m == 1
+                         else tuple(next(flat) for _ in range(m)))
+    return fr.conclusion(seqs, tuple(positions), at=at)
+
+
+def test_every_rule_rebuilds_the_conclusions_it_matched():
+    # over the 400 generated derivations, every rule with premises: the
+    # builder gives each conclusion up to the exchange the rule allows, and,
+    # as the nodes are the generator's own output, exactly, but where the
+    # node or a premise holds equal copies, the first of which the checker
+    # reports
+    outcomes = Counter()
+    for d in _generated():
+        for _, node in _nodes(d):
+            if not node.premises:
+                continue
+            con, rebuilt = node.conclusion, _rebuilt(node, match_rule(node))
+            assert Counter(rebuilt.delta) == Counter(con.delta)
+            assert (rebuilt.gamma == con.gamma if len(node.premises) == 1
+                    else Counter(rebuilt.gamma) == Counter(con.gamma))
+            exact = rebuilt == con
+            assert exact or any(len(set(side)) < len(side) for s in (
+                con, *(p.conclusion for p in node.premises)) for side in s[1:])
+            outcomes[node.rule, exact] += 1
+    assert {rule for rule, _ in outcomes} == set(FORWARD)
+    assert all(outcomes[rule, True] > 40 for rule in FORWARD), outcomes

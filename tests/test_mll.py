@@ -13,8 +13,8 @@ import lamp
 from lamp import derivations
 from lamp.derivations import Derivation, Rule, check_derivation, premises_of
 from lamp.mll import (
-    MllDerivation, MllRule, MllRuleViolation, MllSequent, check_mll,
-    match_mll, mll_to_nmll, nmll_to_mll, type_erasure,
+    MLL_FORWARD, MllDerivation, MllRule, MllRuleViolation, MllSequent,
+    check_mll, match_mll, mll_to_nmll, nmll_to_mll, type_erasure,
 )
 from lamp.parser import parse_program
 from lamp.reconstruct import reconstruct
@@ -591,3 +591,35 @@ def test_nmll_to_mll_translates_a_thousand_node_chain():
         (m,) = m.premises
         depth += 1
     assert depth == 1000 and m.rule is MllRule.AX_ID
+
+
+# -- the rule table rebuilds what the checker matched ------------------------
+
+# where match_mll's instance data puts the positions MLL_FORWARD's builders
+# read, beside the new formula's place; a split's is the builder's own,
+# where an exact concatenation puts it
+_POSITIONS = {
+    MllRule.BOT_R: lambda inst: ((None,), inst["i"]),
+    MllRule.LOLLI_R: lambda inst: (((inst["i"], inst["j"]),), None),
+    MllRule.PARR_R: lambda inst: ((inst["i"],), None),
+    MllRule.CUT: lambda inst: ((None, (inst["i"], inst["j"])), None),
+    MllRule.LOLLI_L: lambda inst: ((None, (inst["i"], inst["j"])), None),
+    MllRule.PARR_L: lambda inst: ((None, (inst["i"], inst["j"])), None),
+}
+
+
+def test_every_rule_rebuilds_the_conclusions_it_matched():
+    # over the 400 generated derivations, every rule with premises: the
+    # nodes are the generator's own output, in order or exact
+    # concatenations, so the builder gives each conclusion exactly
+    rules = Counter()
+    for max_nodes in (12, 36):
+        for seed in range(200):
+            for _, node in _nodes(gen_mll(GenConfig(seed=seed, max_nodes=max_nodes))):
+                if node.premises:
+                    positions, at = _POSITIONS[node.rule](match_mll(node))
+                    seqs = tuple(p.conclusion for p in node.premises)
+                    assert MLL_FORWARD[node.rule].conclusion(
+                        seqs, positions, at=at) == node.conclusion
+                    rules[node.rule] += 1
+    assert set(rules) == set(MLL_FORWARD) and min(rules.values()) > 100, rules

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from lamp.derivations import (
-    Rule, Spots, check_channel_linearity, check_derivation, premises_of,
+    Rule, check_channel_linearity, check_derivation, premises_of,
 )
 from lamp.reconstruct import reconstruct
 from lamp import mll, testlab
@@ -119,15 +119,12 @@ def test_each_premise_position_is_listed_once(monkeypatch, owner, name, gen):
     # patched where each generator reads it: the sequent calculus's in mll
     calls = Counter()
 
-    class Counted(Spots):
-        def __call__(self, s, v):
-            calls[id(s), self.rule, self.n, v] += 1
-            return super().__call__(s, v)
-
     def counted(rule, n, premise):
-        spots = Counted(*premise)
-        spots.rule, spots.n = rule, n
-        return spots
+        def listed(s, v):
+            calls[id(s), rule, n, v] += 1
+            return premise(s, v)
+        listed.__dict__.update(premise.__dict__)  # what the lister takes
+        return listed
 
     monkeypatch.setattr(owner, name, {
         rule: fr._replace(premises=tuple(

@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 from enum import Enum
-from itertools import chain, compress, count, repeat
+from itertools import chain, repeat
 from operator import attrgetter, contains, itemgetter
 from typing import (
     Any, Callable, Hashable, Iterator, NamedTuple, Optional, Sequence,

@@ -42,15 +42,13 @@ from .derivations import (
     premises_of,
 )
 from .terms import (
-    App, BOT, Close, DeltaEntry, Dist, Lolli, Memo, Par, ParT, Send, Sequent,
+    App, BOT, DeltaEntry, Dist, Lolli, Memo, Par, ParT, Send, Sequent,
     TypeExpr, UNIT, Var, _Node, _texts, children, fold, nodes, preorder,
     print_type,
 )
 
 
 class MllRule(Enum):
-    __hash__ = object.__hash__  # as Rule's
-
     AX_ID = "AxId"
     AX_BOT = "AxBot"
     BOT_R = "BotR"

@@ -596,10 +596,8 @@ def _instance(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
     for q, s, w in idx:
         items, best = seqs[q][s], None
         for v in left[s]:
-            try:
-                best = items.index(v) if best is None else items.index(v, 0, best)
-            except ValueError:
-                pass
+            if v in (items if best is None else items[:best]):
+                best = items.index(v)
         first.append(best)
     got = None not in first and _tried(plan, con, seqs, left, e, *first)
     if got:
@@ -632,8 +630,8 @@ def _tried(plan: tuple, con: tuple, seqs: tuple, left: list, e, at: int,
             items += seqs[q][s][p:p + w]
     for fit, read, n, us in fits:
         if read is not None:  # what premise n reads of those before it
-            read = read(tuple((seqs[m], None if sh is None else flat[sh])
-                              for m, sh in enumerate(shapes[:n])))
+            read = read(tuple(zip(seqs, [None if sh is None else flat[sh]
+                                         for sh in shapes[:n]])))
         if not fit(*items[us], read):
             return None
     if fr.new(*items) != e:
@@ -651,7 +649,6 @@ def _tried(plan: tuple, con: tuple, seqs: tuple, left: list, e, at: int,
                     else _joined(rests) == con[s]):
                 return None
     inst = dict(zip(names, (at, *flat)))
-    inst.pop("-", None)
     inst.update(fr.record(*items))
     return inst
 
@@ -748,6 +745,8 @@ def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
 
 # how a unary and a binary rule match: declarations, then entries
 _ND_EXCHANGE = ("order", "multiset"), ("multiset", "interleave")
+_PREMISES = "premise 0", "premise 1", "premise 2"
+_conclusion = attrgetter("conclusion")
 
 
 def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
@@ -775,20 +774,22 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
                 return {}
         raise RuleViolation(path, "axiom must be  x : A |- x : A")
     fr = FORWARD[rule]
-    seqs = tuple([p.conclusion for p in prems])
+    seqs = tuple(map(_conclusion, prems))
     exchange = _ND_EXCHANGE[len(seqs) > 1]
     plan = _plan(fr, exchange)
     kept = not plan[2][1]  # no declaration taken: compared here first
     if kept and len(seqs) == 1:
         memo.same_gamma(seqs[0], con, cg, path, rule)
     else:
-        gs = [memo.gamma(s, path, f"premise {k}" if len(seqs) > 1 else "premise")
-              for k, s in enumerate(seqs)]
-        joined = {}
-        for g in gs:
-            joined.update(g)
-        if kept and (joined != cg or sum(map(len, gs)) != len(cg)):
-            raise RuleViolation(path, f"{rule.value} must join the premise declarations")
+        gs = [memo.gamma(s, path, what) for s, what in
+              zip(seqs, ("premise",) if len(seqs) == 1 else _PREMISES)]
+        if kept:
+            joined = {}
+            for g in gs:
+                joined.update(g)
+            if joined != cg or sum(map(len, gs)) != len(cg):
+                raise RuleViolation(path, f"{rule.value} must join the premise "
+                                          f"declarations")
     inst = _instance(_plan(fr, (None, exchange[1])) if kept else plan, con, seqs)
     if inst is None:
         raise RuleViolation(path, fr.reason)

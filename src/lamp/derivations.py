@@ -45,7 +45,6 @@ to drive their constructions off checked trees instead of re-searching.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from enum import Enum
 from itertools import chain, repeat
@@ -424,10 +423,6 @@ _STAR = DeltaEntry(UNIT, BOT)
 # is a (tag, side 0, side 1) tuple: declarations and entries, or left and
 # right.
 
-def _whole(s: tuple, v: Hashable) -> tuple:
-    return (None,)  # the one position of a premise taken whole
-
-
 def spots(sides: tuple[int, ...] = (), fits: Optional[Callable[..., bool]] = None,
           width: int = 1) -> Callable[[tuple, Hashable], Sequence]:
     """The lister of where a sequent s can serve as one premise of a rule,
@@ -440,9 +435,10 @@ def spots(sides: tuple[int, ...] = (), fits: Optional[Callable[..., bool]] = Non
     order of nested loops over the sides; it keeps sides, fits and width
     as attributes, which the checker reads."""
     if not sides:
-        lister = functools.partial(_whole)  # its own object, for its attributes
+        def lister(s, v):
+            return (None,)  # the one position of a premise taken whole
     elif len(sides) == 2:
-        (i, j) = sides
+        i, j = sides
 
         def lister(s, v):
             a = v if i > 1 else s[1 + i]
@@ -459,14 +455,16 @@ def spots(sides: tuple[int, ...] = (), fits: Optional[Callable[..., bool]] = Non
             if fits is None:
                 return range(len(a) - 1)
             return [p for p in range(len(a) - 1) if fits(a[p], a[p + 1], v)]
+    elif sides[0] > 1:  # an index into v
+        def lister(s, v):
+            return range(len(v)) if fits is None else \
+                [p for p, x in enumerate(v) if fits(x, v)]
     else:
         k = 1 + sides[0]
 
         def lister(s, v):
-            a = v if k > 2 else s[k]
-            if fits is None:
-                return range(len(a))
-            return [p for p, x in enumerate(a) if fits(x, v)]
+            return range(len(s[k])) if fits is None else \
+                [p for p, x in enumerate(s[k]) if fits(x, v)]
     lister.sides, lister.fits, lister.width = sides, fits, width
     return lister
 
@@ -508,13 +506,21 @@ class ForwardRule(NamedTuple):
                 flat += p
             elif p is not None:
                 flat.append(p)
-        parts = [None, list(map(_SIDES[1], seqs)), list(map(_SIDES[2], seqs))]
-        items: list = []
-        for (q, s, w), p in zip(_plan(self)[1], flat):
-            part = parts[s][q]
-            items += part[p:p + w]
-            parts[s][q] = part[:p] + part[p + w:]
-        sides = [_joined(ps) for ps in parts[1:]]
+        if len(seqs) == 1:  # a unary rule: each side its premise's
+            sides = list(seqs[0][1:])
+            items = []
+            for (_, s, w), p in zip(_plan(self)[1], flat):
+                part = sides[s - 1]
+                items += part[p:p + w]
+                sides[s - 1] = part[:p] + part[p + w:]
+        else:
+            parts = [None, list(map(_SIDES[1], seqs)), list(map(_SIDES[2], seqs))]
+            items = []
+            for (q, s, w), p in zip(_plan(self)[1], flat):
+                part = parts[s][q]
+                items += part[p:p + w]
+                parts[s][q] = part[:p] + part[p + w:]
+            sides = [_joined(ps) for ps in parts[1:]]
         if self.side is not None:
             if at is None:
                 at = self.at(seqs, positions, draw)
@@ -535,11 +541,11 @@ def _plan(fr: ForwardRule, exchange: tuple = (None, None)) -> tuple:
     difference of, each with its tuple index, whether the new entry is
     there and the items taken; the sides compared, each with its tuple
     index, exchange and whether more than one item taken there must be
-    checked to be what the difference left; per premise with a fit test,
-    the test, its read, the premise's number, where its position is among
-    the indices (an index, a slice, or None) and the slice of the items
-    that are its own; and the instance keys of the new entry's place and
-    of each index."""
+    checked to be what the difference left; per premise, where its
+    position is among the indices (an index, a slice, or None); per
+    premise with a fit test, the test, its read, the premise's number and
+    the slice of the items that are its own; and the instance keys of the
+    new entry's place and of each index."""
     got = _PLANS.get((id(fr), exchange))
     if got is None or got[0] is not fr:
         idx = tuple((n - (k > 1), 1 + k % 2, sp.width)
@@ -599,19 +605,20 @@ def _instance(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
             if v in (items if best is None else items[:best]):
                 best = items.index(v)
         first.append(best)
+    first = tuple(first)
     got = None not in first and _tried(plan, con, seqs, left, e, *first)
     if got:
         return got
-    spots = []  # each index's positions; a pair's second item is left too
+    cands = []  # each index's positions; a pair's second item is left too
     for q, s, w in idx:
         items, values = seqs[q][s], left[s]
         ps = sorted({p for v in values for p in _where(items, v)})
-        spots.append(ps if w == 1 else
+        cands.append(ps if w == 1 else
                      [p for p in ps if p + 1 < len(items) and items[p + 1] in values])
-    interleave = ("interleave" in (how for _, how, _ in checks))
+    interleave = "interleave" in (how for _, how, _ in checks)
     for at in _where(c, e) if interleave else first[:1]:
-        for flat in itertools.product(*spots):
-            got = (at, *flat) != tuple(first) and _tried(plan, con, seqs, left, e, at, *flat)
+        for flat in itertools.product(*cands):
+            got = (at, *flat) != first and _tried(plan, con, seqs, left, e, at, *flat)
             if got:
                 return got
     return None

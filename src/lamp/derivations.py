@@ -12,16 +12,18 @@ disjointness on premise conclusions is equivalent to checking it on whole
 subtrees.
 
 A node's conclusion shares the entries its rule leaves unchanged with its
-premises: the same objects, in each premise's order.  So the checker
-first aligns a conclusion with its premises (``_align``): it pairs
-maximal runs of equal entries, each starting at an identical pair, in the
-interleaved order in which a binary rule merges its premises, each run
-found by slice comparisons made in C, where identical entries compare at
-once.  Only what the runs leave, normally just the rule's principal
-entries, is paired entry by entry (by a scan in C) or searched for an
-interleaving; a conclusion that shares fewer entries with its premises,
-or holds them in another order, leaves more to those steps.  The
-alignment only decides which equal entries pair: every rule condition
+premises: the same objects, in each premise's order.  So the checker reads
+a node's positions off the runs of identical entries the two share
+(``_aligned``), each run found by slice comparisons made in C, where
+identical entries compare at once: where at most one premise keeps
+entries on a side, the one edit its rule makes there, after a run from
+the start and a run from the other place of the edit (``_edit``); with
+several, the runs paired in the interleaved order in which a binary rule
+merges its premises (``_align``).  The one entry the runs leave in the
+conclusion is the entry the rule adds, and the spans they leave in the
+premises are the items it takes.  A conclusion that shares fewer entries
+with its premises, or holds them in another order, is searched instead
+(``_search``).  The runs only decide where to look: every rule condition
 is still checked on values.
 
 ``check_derivation`` matches each node once, in preorder.  Two conditions
@@ -33,14 +35,16 @@ subtrees are matched and are read off what those gathered on the way up
 Each rule with premises is written once, in FORWARD: where a sequent can
 serve as each premise (``spots``), the entry the rule adds and where it
 goes.  The random generator (testlab) draws from that table, and the
-checker walks it (``_instance``): a node is an instance of rule R when
-premise positions R's listers accept, holding the items a multiset
-difference leaves over, and the place of the entry the conclusion has
-beyond the premises, make R's builder give the node's conclusion up to
-the exchange R allows, tried in order so the first such positions are
-reported.  ``match_rule`` returns them, with the component types, as a
-dict, as ``mll.match_mll`` does; the sequent-calculus translators reuse it
-to drive their constructions off checked trees instead of re-searching.
+checker walks it: a node is an instance of rule R when premise positions
+R's listers accept, and the place of the entry the conclusion has beyond
+the premises, make R's builder give the node's conclusion up to the
+exchange R allows.  Of such positions, the first in the order of nested
+loops are reported: those the runs give, moved to the first equal copy
+where the exchange allows it, or else those a search over the values a
+multiset difference leaves over finds first.  ``match_rule`` returns
+them, with the component types, as a dict, as ``mll.match_mll`` does; the
+sequent-calculus translators reuse it to drive their constructions off
+checked trees instead of re-searching.
 """
 
 from __future__ import annotations
@@ -145,44 +149,42 @@ def _run(a: Sequence, i: int, b: Sequence, j: int) -> int:
     return lo
 
 
-_END = object()  # after the last entry
-
-# the edit a unary rule makes to one side of its premise, at one place:
-# one entry or formula added or none, and at most two dropped (BotI, BotE,
-# ParrI and their sequent calculus namesakes; LolliI's declarations and
-# LolliR's left drop one).  Testing it ahead of the cursor walk saves 5-8%
-# of checking ring(48)
-_ADDED = (1, 0)
-
 # what _align leaves unpaired before it stops: a rule's principal entries
 # are at most three, on either side
 _LOOSE = 8
 
 
+def _edit(a: Sequence, p: Sequence, added: int, dropped: int) -> Optional[tuple]:
+    """Where p turns into a by adding `added` entries at one place and
+    dropping `dropped` at one place, each where a run of identical
+    entries (_run) from the start or from the other place ends: (place
+    in a, place in p), or None."""
+    if len(p) - len(a) + added != dropped:
+        return None
+    lo = _run(a, 0, p, 0) if a and p and a[0] is p[0] else 0
+    for x, y in ((0, 0), (added, 0), (0, dropped)):  # one place, or which first
+        i, k = lo + x, lo + y
+        r = _run(a, i, p, k) if i < len(a) and k < len(p) and a[i] is p[k] else 0
+        if lo + r + added <= len(a) and a[lo + r + added:] == p[lo + r + dropped:]:
+            return lo + r * (not x), lo + r * (not y)
+    return None
+
+
 def _align(a: Sequence, parts: Sequence[Sequence]) -> tuple[list, list]:
     """Pair entries of a with equal entries of the parts, in maximal runs
     (_run) that each start at an identical pair, in interleaved order;
-    return what is left unpaired of a, and of the parts, each in order.
+    return the positions left unpaired in a, in order, and the spans
+    (part, from, to) left unpaired in the parts, by part and in order.
 
-    With one part, the run both start with is paired, then the rest if it
-    is equal once the edit a unary rule makes at that place (_ADDED) is
-    left out.  Otherwise a cursor walks each part: where a's next entry is
-    the object at the cursor of a part, the run the two share is paired
-    and both advance past it (of several such parts, the longest run
-    wins); where it is at no cursor, a added it, in place of the one or
-    two entries at a cursor if the entry after it follows those, or
-    dropped the one or two entries at a cursor that it follows.  After
+    A cursor walks each part: where a's next entry is the object at the
+    cursor of a part, the run the two share is paired and both advance
+    past it (of several such parts, the longest run wins); where it is
+    one or two places behind a cursor, the entries before it were
+    dropped; where it is at none of those places, a added it.  After
     _LOOSE entries left over one at a time, the input is not a rule's
     shared shape and all the rest is left over."""
-    if len(parts) == 1 and a and parts[0]:
-        p = parts[0]
-        lo = _run(a, 0, p, 0) if a[0] is p[0] else 0
-        for added in _ADDED:
-            dropped = len(p) - len(a) + added  # so the rests are as long
-            if 0 <= dropped <= 2 and a[lo + added:] == p[lo + dropped:]:
-                return list(a[lo:lo + added]), list(p[lo:lo + dropped])
     at = [0] * len(parts)
-    extra: list = []
+    extra: list[int] = []
     gaps: list[tuple[int, int, int]] = []  # (part, from, to) left over
     i = 0
     while i < len(a):
@@ -199,52 +201,26 @@ def _align(a: Sequence, parts: Sequence[Sequence]) -> tuple[list, list]:
             continue
         if len(extra) + len(gaps) >= _LOOSE:
             break
-        # x heads no part.  Where the entry after it is at a cursor or one
-        # or two places behind it, the conclusion added x in place of the
-        # entries before that one; where x itself is one or two places
-        # behind a cursor, it dropped the entries before x
-        y = a[i + 1] if i + 1 < len(a) else _END
-        added, dropped = True, 0
         for m, p in enumerate(parts):
-            w = (*p[at[m]:at[m] + 3], None, None, None)
-            if w[0] is y or w[1] is y or w[2] is y:
-                dropped = 0 if w[0] is y else 1 if w[1] is y else 2
+            w = (*p[at[m] + 1:at[m] + 3], None, None)
+            if w[0] is x or w[1] is x:
+                dropped = 1 if w[0] is x else 2
+                gaps.append((m, at[m], at[m] + dropped))
+                at[m] += dropped
                 break
-            if w[1] is x or w[2] is x:
-                added, dropped = False, 1 if w[1] is x else 2
-                break
-        if dropped:
-            gaps.append((m, at[m], at[m] + dropped))
-            at[m] += dropped
-        if added:
-            extra.append(x)
+        else:
+            extra.append(i)
             i += 1
-    extra += a[i:]
-    missing = []
-    for m, p in enumerate(parts):
-        for g, lo, hi in gaps:
-            if g == m:
-                missing += p[lo:hi]
-        missing += p[at[m]:]
-    return extra, missing
-
-
-def _is_interleaving(target: tuple, parts: tuple[tuple, ...]) -> bool:
-    """Whether target merges the parts preserving each part's order.
-
-    The parts one after another, or identity runs (_align) that pair every
-    entry, prove it; otherwise _interleaves decides.  The first test, one
-    comparison in C, saves 2-7% of checking ring(48) or relay(24)."""
-    if target == tuple(chain(*parts)) \
-            or len(target) > _SMALL and _align(target, parts) == ([], []):
-        return True
-    return _interleaves(target, parts)
+    extra += range(i, len(a))
+    return extra, sorted(gaps + [(m, k, len(p)) for m, (k, p) in enumerate(zip(at, parts))
+                                 if k < len(p)])
 
 
 def _interleaves(target: tuple, parts: tuple[tuple, ...]) -> bool:
-    """_is_interleaving by search: depth first with an explicit stack,
-    trying the parts in order at each position; a state (how far each
-    part is consumed) that failed once is not explored again."""
+    """Whether target merges the parts preserving each part's order, by
+    search: depth first with an explicit stack, trying the parts in order
+    at each position; a state (how far each part is consumed) that failed
+    once is not explored again."""
     end = tuple(len(p) for p in parts)
     state = (0,) * len(parts)
     trail: list[tuple[tuple[int, ...], int]] = []  # (state before, part taken)
@@ -293,10 +269,11 @@ def multiset_diff(a: Sequence, *parts: Sequence) -> tuple[list, list]:
     which objects are returned and their order, but never the values
     returned, as multisets, which is all a rule reads from them."""
     if len(a) > _SMALL:
-        a, rest = _align(a, parts)
-        if not a or not rest:  # nothing left to pair
-            return a, rest
-        parts = (rest,)
+        extra, spans = _align(a, parts)
+        if not spans:  # nothing left to pair
+            return [a[i] for i in extra], []
+        a = [a[i] for i in extra]
+        parts = ([x for m, lo, hi in spans for x in parts[m][lo:hi]],)
     return _pair(a, parts)
 
 
@@ -371,13 +348,6 @@ class _Memo:
                 raise RuleViolation(path, f"{what} declares a variable twice")
             self._gammas[id(s)] = d
         return d
-
-    def same_gamma(self, p: Sequent, con: Sequent, cg: dict, path, rule: Rule) -> None:
-        """A unary rule's check that p declares what con does, cg, which
-        is then p's dict too."""
-        if p.gamma != con.gamma:
-            raise RuleViolation(path, f"{rule.value} must not change declarations")
-        self._gammas[id(p)] = cg
 
 
 _name = itemgetter(0)  # of a declaration
@@ -530,12 +500,12 @@ class ForwardRule(NamedTuple):
 
 
 _SIDES = (None, itemgetter(1), itemgetter(2))  # a sequent's sides, by tuple index
-_PLANS: dict[tuple, tuple] = {}
+_PLANS: dict[Hashable, tuple] = {}  # by rule id and exchange; _match's by rule
 
 
 def _plan(fr: ForwardRule, exchange: tuple = (None, None)) -> tuple:
     """What checking or building fr reads, computed once per rule and
-    exchange (see _instance; the rule is kept, so its id stays its own):
+    exchange (see _aligned; the rule is kept, so its id stays its own):
     (premise, tuple index of the side, width) per index; the items taken
     from each side, by tuple index; the sides to take a multiset
     difference of, each with its tuple index, whether the new entry is
@@ -544,8 +514,13 @@ def _plan(fr: ForwardRule, exchange: tuple = (None, None)) -> tuple:
     checked to be what the difference left; per premise, where its
     position is among the indices (an index, a slice, or None); per
     premise with a fit test, the test, its read, the premise's number and
-    the slice of the items that are its own; and the instance keys of the
-    new entry's place and of each index."""
+    the slice of the items that are its own; the instance keys of the new
+    entry's place and of each index; per side compared, what _aligned
+    reads: its tuple index, whether the new entry is there, the width
+    taken from each premise, and the (premise, width) and (number,
+    premise, width) of each index there; and by tuple index, whether the
+    side is matched as a multiset.  Declarations no index takes are not
+    compared: the checker compares them first."""
     got = _PLANS.get((id(fr), exchange))
     if got is None or got[0] is not fr:
         idx = tuple((n - (k > 1), 1 + k % 2, sp.width)
@@ -560,6 +535,7 @@ def _plan(fr: ForwardRule, exchange: tuple = (None, None)) -> tuple:
             t, u = t + m, u + w
         taking = [0] + [sum(w for _, ss, w in idx if ss == s) for s in (1, 2)]
         side = None if fr.side is None else 1 + fr.side
+        key, exchange = exchange, (exchange[0] if taking[1] else None, exchange[1])
         diffs = [(s, side == s, taking[s]) for s, how in enumerate(exchange, 1)
                  if how not in (None, "order") or taking[s] or side == s]
         # more than one item taken from a side matched as a multiset must be
@@ -567,27 +543,93 @@ def _plan(fr: ForwardRule, exchange: tuple = (None, None)) -> tuple:
         # if they are
         checks = [(s, how, taking[s] > 1 and how == "multiset")
                   for s, how in enumerate(exchange, 1) if how is not None]
-        got = _PLANS[id(fr), exchange] = (fr, idx, taking, diffs, checks, shapes,
-                                          fits, fr.names.split())
+        aligned = []
+        for s in (s for s, how in enumerate(exchange, 1) if how is not None):
+            ks = [(k, q, w) for k, (q, ss, w) in enumerate(idx) if ss == s]  # by premise
+            widths = [sum(w for _, qq, w in ks if qq == q)
+                      for q in range(len(fr.premises))]
+            aligned.append((s, side == s, widths, [(q, w) for _, q, w in ks], ks))
+        loose = [how == "multiset" for how in (None, *exchange)]  # by tuple index
+        got = _PLANS[id(fr), key] = (fr, idx, taking, diffs, checks, shapes, fits,
+                                     fr.names.split(), aligned, loose)
     return got
 
 
-def _instance(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
+def _aligned(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
     """The instance data at a node concluding con over premises concluding
-    seqs of the rule fr whose plan (_plan) for an exchange this is, or
-    None if there is none.  exchange[k] says how side k + 1 of con, its
-    declarations or its entries, must match fr's conclusion: "order",
-    exactly; "multiset"; "interleave", the new entry anywhere and the rest
-    merging each premise's entries in order; None, not at all.
+    seqs of the rule fr whose plan (_plan) for an exchange this is, read
+    off the runs of identical entries, or None.  exchange[k] says how side
+    k + 1 of con, its declarations or its entries, must match fr's
+    conclusion: "order", exactly; "multiset"; "interleave", the new entry
+    anywhere and the rest merging each premise's entries in order; None,
+    not at all.
 
-    The items a rule takes are what a multiset difference between con and
-    the premises leaves over on each side, and its new entry is what con
-    has beyond them.  An index's positions are those holding an item left
-    on its side, found by scans in C (_where), the new entry's those
-    holding it (only the first, unless the entries interleave); they are
-    tried in the order of nested loops until the sides match, so the first
-    instance is reported.  The first of each, found by one scan in C per
-    value, are tried ahead of that: they are nearly always the instance."""
+    On each side compared, the one entry the runs leave in con is the new
+    entry, and the one span they leave in a premise an index, of its
+    width: the one edit _edit finds where at most one premise keeps
+    entries on the side, else the runs _align pairs.  Runs pair in each
+    premise's order, so what they pair is con without the new entry, as
+    the premises merge without the items taken: in order with one
+    premise, interleaved with several, which is all the exchanges
+    _ND_EXCHANGE ask.  Of the positions that make an instance, the first
+    in the order of nested loops over the new entry's place and each index
+    is reported, as _search reports it: where an equal copy of the new
+    entry, or of an index's one item, comes first, the copy is taken on a
+    side matched as a multiset, where either leaves the same multiset;
+    elsewhere None is returned.  An item's value ahead of another premise's
+    index is not looked for: no rule of FORWARD takes it there (a function
+    entry's type is never its argument's, and a name two premises declare
+    breaks their disjointness).  None too where the runs leave anything
+    else, or the items do not fit or do not make the new entry.  An entry
+    they make holds each item's term, so it is none of them: the multiset
+    difference _search takes leaves the same entry and items."""
+    fr, idx, _, _, _, _, _, _, aligned, loose = plan
+    flat = [0] * len(idx)
+    for s, adds, widths, shape, ks in aligned:
+        live = [q for q, p in enumerate(seqs) if len(p[s]) != widths[q]] \
+            if seqs[1:] else [0]
+        m = live[0] if live else 0
+        got = len(live) < 2 and _edit(con[s], seqs[m][s], adds, widths[m])
+        if got:  # one premise keeps entries here, or none: its one edit
+            for k, q, _ in ks:
+                flat[k] = got[1] if q == m else 0
+            if adds:
+                at = got[0]
+            continue
+        extra, spans = _align(con[s], [p[s] for p in seqs])
+        if len(extra) != adds or [(q, hi - lo) for q, lo, hi in spans] != shape:
+            return None
+        for (k, _, _), span in zip(ks, spans):
+            flat[k] = span[1]
+        if adds:
+            at = extra[0]
+    c = con[1 + fr.side]
+    e = c[at]
+    if c.index(e) != at:  # an equal copy comes first: as good in a multiset
+        if not loose[1 + fr.side]:
+            return None
+        at = c.index(e)
+    items = []
+    for k, (q, s, w) in enumerate(idx):
+        side, p = seqs[q][s], flat[k]
+        taken = side[p:p + w]
+        if p and min(map(side.index, taken)) < p:
+            if w > 1 or not loose[s]:
+                return None
+            flat[k] = side.index(taken[0])
+        items += taken
+    return _made(plan, seqs, items, e, at, flat)
+
+
+def _search(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
+    """_aligned's instance data, by search.  The items a rule takes are
+    what a multiset difference between con and the premises leaves over on
+    each side, and its new entry is what con has beyond them.  An index's
+    positions are those holding an item left on its side, found by scans
+    in C (_where), the new entry's those holding it (only the first,
+    unless the entries interleave); they are tried in the order of nested
+    loops until the sides match: the premises' entries one after another,
+    one comparison in C, else an interleaving (_interleaves)."""
     fr, idx, _, diffs, checks, *_ = plan
     left: list = [None, None, None]  # by tuple index
     for s, adds, taking in diffs:
@@ -597,44 +639,44 @@ def _instance(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
         left[s] = missing
         if adds:
             e = extra[0]
-    c = con[1 + fr.side]
-    first = [c.index(e)]
-    for q, s, w in idx:
-        items, best = seqs[q][s], None
-        for v in left[s]:
-            if v in (items if best is None else items[:best]):
-                best = items.index(v)
-        first.append(best)
-    first = tuple(first)
-    got = None not in first and _tried(plan, con, seqs, left, e, *first)
-    if got:
-        return got
     cands = []  # each index's positions; a pair's second item is left too
     for q, s, w in idx:
         items, values = seqs[q][s], left[s]
         ps = sorted({p for v in values for p in _where(items, v)})
         cands.append(ps if w == 1 else
                      [p for p in ps if p + 1 < len(items) and items[p + 1] in values])
-    interleave = "interleave" in (how for _, how, _ in checks)
-    for at in _where(c, e) if interleave else first[:1]:
+    c = con[1 + fr.side]
+    for at in _where(c, e) if "interleave" in (how for _, how, _ in checks) \
+            else (c.index(e),):
         for flat in itertools.product(*cands):
-            got = (at, *flat) != first and _tried(plan, con, seqs, left, e, at, *flat)
-            if got:
-                return got
+            items = []
+            for (q, s, w), p in zip(idx, flat):
+                items += seqs[q][s][p:p + w]
+            for s, how, several in checks:  # the sides match?
+                if several and not _same([x for (q, ss, w), p in zip(idx, flat) if ss == s
+                                          for x in seqs[q][s][p:p + w]], left[s]):
+                    break
+                if how != "multiset":
+                    rests = list(map(_SIDES[s], seqs))  # without the items taken
+                    for (q, ss, w), p in zip(idx, flat):
+                        if ss == s:
+                            rests[q] = rests[q][:p] + rests[q][p + w:]
+                    rest = _without(con[s], at) if how == "interleave" else con[s]
+                    if _joined(rests) != rest and (how == "order"
+                                                   or not _interleaves(rest, rests)):
+                        break
+            else:
+                got = _made(plan, seqs, items, e, at, flat)
+                if got:
+                    return got
     return None
 
 
-def _tried(plan: tuple, con: tuple, seqs: tuple, left: list, e, at: int,
-           *flat: int) -> Optional[dict[str, Any]]:
-    """The instance data at positions flat with the new entry at `at`, or
-    None (see _instance)."""
-    fr, idx, _, _, checks, shapes, fits, names = plan
-    items = []
-    for (q, s, w), p in zip(idx, flat):
-        if w == 1:
-            items.append(seqs[q][s][p])
-        else:
-            items += seqs[q][s][p:p + w]
+def _made(plan: tuple, seqs: tuple, items: list, e, at: int,
+          flat: Sequence[int]) -> Optional[dict[str, Any]]:
+    """The instance data where the items taken at positions flat fit their
+    premises and make the new entry e, at `at`, or None."""
+    fr, _, _, _, _, shapes, fits, names, _, _ = plan
     for fit, read, n, us in fits:
         if read is not None:  # what premise n reads of those before it
             read = read(tuple(zip(seqs, [None if sh is None else flat[sh]
@@ -643,20 +685,8 @@ def _tried(plan: tuple, con: tuple, seqs: tuple, left: list, e, at: int,
             return None
     if fr.new(*items) != e:
         return None
-    for s, how, several in checks:
-        if several and not _same([x for (q, ss, w), p in zip(idx, flat) if ss == s
-                                  for x in seqs[q][s][p:p + w]], left[s]):
-            return None
-        if how != "multiset":
-            rests = list(map(_SIDES[s], seqs))  # without the items taken
-            for (q, ss, w), p in zip(idx, flat):
-                if ss == s:
-                    rests[q] = rests[q][:p] + rests[q][p + w:]
-            if not (_is_interleaving(_without(con[s], at), rests) if how == "interleave"
-                    else _joined(rests) == con[s]):
-                return None
-    inst = dict(zip(names, (at, *flat)))
-    inst.update(fr.record(*items))
+    inst = fr.record(*items)
+    inst.update(zip(names, (at, *flat)))
     return inst
 
 
@@ -736,6 +766,8 @@ def _well_formed(node: Derivation, arity: dict, sequent: type,
     # arity lists every rule of one enum, so a premise's rule is listed
     # iff it is of rule's enum: a class test
     for k, p in enumerate((node, *prems)):
+        if type(p.rule) is type(rule) and type(p.conclusion) is sequent:
+            continue
         at = path + (k - 1,) if k else path
         if type(p.rule) is not type(rule):
             raise RuleViolation(at, f"unknown rule {p.rule!r}")
@@ -759,14 +791,14 @@ _conclusion = attrgetter("conclusion")
 def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
            defer: bool = False) -> dict[str, Any]:
     """match_rule: an axiom by its one shape, any other rule by a walk of
-    FORWARD (_instance).  A unary rule's entries match its conclusion as
-    multisets: the comma is a par, and derivation surgery (grafting a
-    subproof over an axiom leaf) permutes conclusions exactly as the
-    calculus allows; its declarations match in order.  A binary rule's
-    declarations match as multisets, its entries as an interleaving of its
-    premises'.  Declarations a rule passes on unchanged are compared
-    first, each premise's checked for duplicates unless they are the
-    conclusion's.  With defer, that the premises share no name and
+    FORWARD (_aligned, else _search).  A unary rule's entries match its
+    conclusion as multisets: the comma is a par, and derivation surgery
+    (grafting a subproof over an axiom leaf) permutes conclusions exactly
+    as the calculus allows; its declarations match in order.  A binary
+    rule's declarations match as multisets, its entries as an interleaving
+    of its premises'.  Declarations a rule passes on unchanged are
+    compared first, each premise's checked for duplicates unless they are
+    the conclusion's.  With defer, that the premises share no name and
     LolliI's no weakening are left to instances, which has what it needs
     to test them once the premises' subtrees are matched."""
     rule, con, prems = node.rule, node.conclusion, node.premises
@@ -782,11 +814,14 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
         raise RuleViolation(path, "axiom must be  x : A |- x : A")
     fr = FORWARD[rule]
     seqs = tuple(map(_conclusion, prems))
-    exchange = _ND_EXCHANGE[len(seqs) > 1]
-    plan = _plan(fr, exchange)
+    plan = _PLANS.get(rule)  # _plan's, by rule
+    if plan is None or plan[0] is not fr:
+        plan = _PLANS[rule] = _plan(fr, _ND_EXCHANGE[len(seqs) > 1])
     kept = not plan[2][1]  # no declaration taken: compared here first
     if kept and len(seqs) == 1:
-        memo.same_gamma(seqs[0], con, cg, path, rule)
+        if seqs[0].gamma != con.gamma:
+            raise RuleViolation(path, f"{rule.value} must not change declarations")
+        memo._gammas[id(seqs[0])] = cg  # the premise's dict too
     else:
         gs = [memo.gamma(s, path, what) for s, what in
               zip(seqs, ("premise",) if len(seqs) == 1 else _PREMISES)]
@@ -797,7 +832,7 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
             if joined != cg or sum(map(len, gs)) != len(cg):
                 raise RuleViolation(path, f"{rule.value} must join the premise "
                                           f"declarations")
-    inst = _instance(_plan(fr, (None, exchange[1])) if kept else plan, con, seqs)
+    inst = _aligned(plan, con, seqs) or _search(plan, con, seqs)
     if inst is None:
         raise RuleViolation(path, fr.reason)
     if not defer:

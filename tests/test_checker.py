@@ -1,13 +1,14 @@
 """The rule checker against the one it replaced.
 
-``match_rule`` finds a node's principal entries as what one multiset
-difference between conclusion and premises leaves over, pairing identical
-entry objects before equal values.  The oracle below is the checker lamp
-used before: it tries every principal position in turn and compares the
-side entries with a fresh multiset per candidate.  On every node of every
-derivation here, both must give the same instance data, or the same
-violation path and reason; ``check_derivation`` must stop where the
-oracle's preorder walk stops first.
+``match_rule`` reads a node's positions off the runs of identical entry
+objects its conclusion shares with its premises, and searches the values
+a multiset difference leaves over where those runs do not explain the
+node.  The oracle below is the checker lamp used before: it tries every
+principal position in turn and compares the side entries with a fresh
+multiset per candidate.  On every node of every derivation here, both
+must give the same instance data, or the same violation path and reason;
+``check_derivation`` must stop where the oracle's preorder walk stops
+first.
 """
 
 import importlib.util
@@ -304,11 +305,12 @@ def _replace(d, path, new):
 
 def _mutants(d, rng, per_kind=1):
     """Derivations that differ from d at one node: two premises swapped, a
-    delta entry dropped or duplicated, the conclusion permuted, or a name of
-    one premise declared again in another.  Yields (mutant, paths whose
-    match can differ)."""
+    delta entry dropped or duplicated, the conclusion permuted, a name of
+    one premise declared again in another, or the conclusion its first
+    premise's, the very objects.  Yields (mutant, paths whose match can
+    differ)."""
     nodes = list(_nodes(d))
-    for kind in ("swap", "drop", "duplicate", "permute", "reuse"):
+    for kind in ("swap", "drop", "duplicate", "permute", "reuse", "stall"):
         for _ in range(per_kind):
             path, node = rng.choice(nodes)
             con, prems = node.conclusion, node.premises
@@ -335,6 +337,8 @@ def _mutants(d, rng, per_kind=1):
                 reused = Derivation(p.rule, Sequent(p.conclusion.gamma + ((x, BOT),),
                                                     p.conclusion.delta), p.premises)
                 new = Derivation(node.rule, con, (prems[0], reused) + prems[2:])
+            elif kind == "stall" and prems:
+                new = Derivation(node.rule, prems[0].conclusion, prems)
             else:
                 continue
             paths = {path, path[:-1]} | {path + (k,) for k in range(len(prems))}
@@ -397,10 +401,13 @@ def _flipped(ty, path):
 def _edited(items, kind, rng, type_of=lambda x: x, with_type=lambda x, ty: ty):
     """items after one edit of kind, drawn by rng, or None if items has too
     few: an item dropped, one duplicated at any place, one swapped with its
-    right neighbour, or one atom of an item's type (type_of, rebuilt by
-    with_type) renamed."""
+    right neighbour, one replaced by an equal but distinct object (rebuilt
+    by with_type), or one atom of an item's type (type_of) renamed."""
     items = list(items)
-    if kind == "drop" and items:
+    if kind == "copy" and items:
+        k = rng.randrange(len(items))
+        items[k] = with_type(items[k], type_of(items[k]))
+    elif kind == "drop" and items:
         del items[rng.randrange(len(items))]
     elif kind == "duplicate" and items:
         items.insert(rng.randrange(len(items) + 1), rng.choice(items))
@@ -444,11 +451,12 @@ def _generated_one(seed, max_nodes):
 
 @settings(deadline=None)
 @given(st.integers(0, 199), st.sampled_from((12, 36)),
-       st.sampled_from(("drop", "duplicate", "swap", "atom", "rename")),
+       st.sampled_from(("drop", "duplicate", "swap", "atom", "rename", "copy")),
        st.randoms(use_true_random=False))
 def test_single_edits_agree_with_oracle(seed, max_nodes, kind, rng):
     # one edit at one node of a generated derivation: every node, and the
-    # first violation, as the oracle has them
+    # first violation, as the oracle has them.  A copy breaks the runs of
+    # identical entries there without changing a value
     d = _generated_one(seed, max_nodes)
     path, node = rng.choice(list(_nodes(d)))
     con = _edit_sequent(node.conclusion, kind, rng)
@@ -466,6 +474,35 @@ def test_duplicated_principal_values_report_first_positions():
     d = Derivation(Rule.BOT_I, Sequent((("x", A),), (star1, x, star2)), (below,))
     assert match_rule(d) == _old_match_rule(d) == {"i": 0}
     check_derivation(d)
+    # where the runs of identical entries reach the later of two equal
+    # copies, the first is reported too: BotE closing the second of two
+    # identical entry objects, ParrI merging the second of a repeated
+    # typed pair, and LolliE whose argument's value is also a side entry of
+    # either premise
+    y = DeltaEntry(Var("y"), B)
+    fun_ty = Lolli(Bot(), B)
+    fun, app = DeltaEntry(Var("f"), fun_ty), DeltaEntry(App(Var("f"), UNIT), B)
+    app_copy = DeltaEntry(App(Var("f"), UNIT), B)
+    for rule, gamma, delta, premises, want in (
+            (Rule.BOT_E, (), (star1, DeltaEntry(Close(UNIT), None)),
+             [((), (star1, star1))], {"i": 1, "j": 0}),
+            (Rule.PARR_I, (("x", A), ("y", B)),
+             (x, y, DeltaEntry(Par(Var("x"), Var("y")), ParT(A, B))),
+             [((("x", A), ("y", B)), (x, y, x, y))], {"i": 2, "j": 0, "a": A, "b": B}),
+            (Rule.LOLLI_E, (("f", fun_ty),), (star1, app),
+             [((("f", fun_ty),), (star1, fun)), ((), (star1,))],
+             {"i": 1, "j1": 1, "j2": 0, "a": Bot(), "b": B}),
+            (Rule.LOLLI_E, (("f", fun_ty),), (star1, app),
+             [((("f", fun_ty),), (fun,)), ((), (star1, star1))],
+             {"i": 1, "j1": 0, "j2": 0, "a": Bot(), "b": B}),
+            # an equal copy of LolliE's new entry ahead of it, which the
+            # entries do not interleave without
+            (Rule.LOLLI_E, (("f", fun_ty), ("x", A)), (app_copy, x, app),
+             [((("f", fun_ty), ("x", A)), (app_copy, x, fun)), ((), (star1,))],
+             {"i": 2, "j1": 2, "j2": 0, "a": Bot(), "b": B})):
+        d = Derivation(rule, Sequent(gamma, delta),
+                       tuple(_leaf(g, ds) for g, ds in premises))
+        assert match_rule(d) == _old_match_rule(d) == want, rule
 
 
 def _leaf(gamma, delta):
@@ -578,17 +615,26 @@ def test_reconstruct_shares_unchanged_entries():
             assert len(new) <= 1
 
 
+# the nodes of the 400 generated derivations whose match the identity runs
+# leave to the search: LolliE and ParrI nodes where an equal copy of an item
+# taken comes first (the generator's * : bot entries are one object), which
+# LolliE's interleaving and ParrI's pair do not let the runs' positions skip
+GENERATED_SEARCHED = 42
+
+
 def test_identity_runs_leave_per_entry_work_linear_in_nodes(monkeypatch):
     # entries that reach the pairing entry by entry or the interleaving
     # search: a few per node matched, on the reconstructed ring(48) and
     # relay(24), on their round trips up to the node that fails (ROADMAP
     # item 1), and on an 8,751-node chain whose sequents grow to 2,501
-    # entries, checked at the default recursion limit
+    # entries, checked at the default recursion limit.  On all of them
+    # but the failing nodes, the identity runs give every node's
+    # positions, and no node's match falls back to the search
     import lamp.derivations as derivations
 
     seen = Counter()
-    pair, search, match = (derivations._pair, derivations._interleaves,
-                           derivations._match)
+    pair, search, match, searched = (derivations._pair, derivations._interleaves,
+                                     derivations._match, derivations._search)
 
     def counting_pair(a, parts):
         seen["entries"] += len(a) + sum(map(len, parts))
@@ -602,21 +648,34 @@ def test_identity_runs_leave_per_entry_work_linear_in_nodes(monkeypatch):
         seen["nodes"] += 1
         return match(*args, **kwargs)
 
+    def counting_searched(*args):
+        inst = searched(*args)
+        seen["searched"] += inst is not None
+        return inst
+
     monkeypatch.setattr(derivations, "_pair", counting_pair)
     monkeypatch.setattr(derivations, "_interleaves", counting_search)
     monkeypatch.setattr(derivations, "_match", counting_match)
+    monkeypatch.setattr(derivations, "_search", counting_searched)
     ring = reconstruct(_INPUTS.ring_case(0, 48, random.Random(1)).sequent)
     relay = reconstruct(_INPUTS.relay_case(0, 24, random.Random(1)).sequent)
     chain = mll_to_nmll(_mll_chain(2500, cut=True))
     assert sys.getrecursionlimit() == 1000
+    failed = 0
     for d in (ring, relay, mll_to_nmll(nmll_to_mll(ring)),
               mll_to_nmll(nmll_to_mll(relay)), chain):
         seen.clear()
         try:
             check_derivation(d)
         except RuleViolation:
-            pass
-        assert 0 < seen["entries"] <= 6 * seen["nodes"], seen
+            failed += 1
+        assert seen["nodes"] > 0 and seen["entries"] <= 6 * seen["nodes"], seen
+        assert seen["searched"] == 0, seen
+    assert failed == 2
+    seen.clear()
+    for d in _generated():
+        check_derivation(d)
+    assert 0 < seen["searched"] <= GENERATED_SEARCHED, seen
 
 
 def test_printer_prints_each_entry_object_once(monkeypatch):

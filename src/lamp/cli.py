@@ -53,8 +53,11 @@ def _print_trace(trace) -> None:
 def _read(path: str) -> str:
     from .parser import ParseError
     try:
+        # a leading byte-order mark is dropped, as Python drops it from
+        # its own sources; the utf-8-sig codec would count a bad byte's
+        # place from after the mark
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         raise ParseError(f"{path} is not UTF-8 text: {err.reason} "
                          f"at byte {err.start}") from None

@@ -49,6 +49,8 @@ from .terms import (
 
 
 class MllRule(Enum):
+    __hash__ = object.__hash__  # singletons, as derivations.Rule
+
     AX_ID = "AxId"
     AX_BOT = "AxBot"
     BOT_R = "BotR"

@@ -27,8 +27,11 @@ type reconstruction and are collected on the side, not stored in the tree.
 The grammar is read in one flat pass over a list of string tokens.  Each
 chain (``|``, application, binder prefixes, ``par``, ``-o``) is a loop and
 each open ``(`` or ``close(`` a frame on an explicit stack: nesting costs
-no recursion.  Tokens carry no positions; an error's line:col is found by
-scanning the text again up to the failing token.
+no recursion.  ``tokenize`` lists the tokens by one ``findall`` of one
+token pattern, comments blanked to spaces first, and checks that they and
+whitespace alone spell the text.  Tokens carry no positions; an error's
+line:col is found by scanning the text again, with the same pattern, up to
+the failing token.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ from .terms import (
 class ParseError(Exception):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         super().__init__(f"{line}:{col}: {message}" if line else message)
-        self.line = line
-        self.col = col
+        self.line, self.col = line, col
 
 
 class LamWithoutOccurrence(ParseError):
@@ -59,11 +61,9 @@ class DuplicateBinder(ParseError):
 
 KEYWORDS = {"lam", "out", "out2", "close", "bot", "par"}
 
-_SKIP, _TOKEN = r"\s+|\#[^\n]*", r"[A-Za-z_][A-Za-z0-9_]*|\|-|-o|[(),.:|*]"
-# the longest prefix of a text that whitespace, comments and tokens spell
-_SPELLED_RE = re.compile(f"(?:{_SKIP}|{_TOKEN})*")
-# each token after what is skipped before it, then "" at the end
-_TOKEN_RE = re.compile(f"(?:{_SKIP})*({_TOKEN}|\\Z)")
+# one token; whitespace and comments (blanked first) lie between tokens
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\|-|-o|[(),.:|*]")
+_COMMENT_RE = re.compile(r"#[^\n]*")
 
 # the tokens that are no identifier ("" is the end of input), and those
 # that name no variable
@@ -79,12 +79,29 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def _blanked(text: str, pattern=_COMMENT_RE) -> str:
+    """text with each match of pattern, a comment unless told otherwise,
+    blanked to as many spaces: every other character keeps its offset."""
+    return pattern.sub(lambda m: " " * len(m[0]), text)
+
+
 def tokenize(text: str) -> list[str]:
-    """text's tokens, then "" (twice if it ends in whitespace or a comment)."""
-    end = _SPELLED_RE.match(text).end()
-    if end < len(text):
+    """text's tokens, then "" (twice if it ends in whitespace or a comment).
+
+    One findall of the token pattern, over the text with its comments
+    blanked, lists the tokens.  The text is spelled by them if they join
+    up to its characters other than whitespace, compared in C: first by
+    count against its spaces and line breaks, then, if other whitespace
+    is left, as strings.  Only if not is it scanned again, for its first
+    character that is neither whitespace nor in a token."""
+    spelled = _blanked(text) if "#" in text else text
+    toks = _TOKEN_RE.findall(spelled)
+    if (len("".join(toks)) + spelled.count(" ") + spelled.count("\n") != len(spelled)
+            and "".join(toks) != "".join(spelled.split())):
+        end = re.search(r"\S", _blanked(spelled, _TOKEN_RE)).start()
         raise ParseError(f"unexpected character {text[end]!r}", *_line_col(text, end))
-    return _TOKEN_RE.findall(text)
+    toks += ["", ""] if spelled[-1:].isspace() else [""]
+    return toks
 
 
 class Program(NamedTuple):
@@ -110,9 +127,9 @@ class _Reader:
 
     def fail(self, j: int, msg: str, error=ParseError):
         """Raise error(msg) at token j's line:col, found by a new scan."""
-        for k, m in enumerate(_TOKEN_RE.finditer(self.text)):
-            if k == j:
-                raise error(msg, *_line_col(self.text, m.start(1)))
+        # token j's offset; the text's end for the end of input's ""
+        at = [m.start() for m in _TOKEN_RE.finditer(_blanked(self.text))][j:] or [len(self.text)]
+        raise error(msg, *_line_col(self.text, at[0]))
 
     def wanted(self, j: int, what: str):
         self.fail(j, f"expected {what}, found {self.toks[j] or 'end of input'!r}")
@@ -121,13 +138,6 @@ class _Reader:
         if self.toks[self.i] != tok:
             self.wanted(self.i, repr(tok))
         self.i += 1
-
-    def skip(self, tok: str) -> bool:
-        """Whether the next token is tok, stepping past it if so."""
-        if self.toks[self.i] == tok:
-            self.i += 1
-            return True
-        return False
 
     def end(self, out):
         """out, once no token but the end of input is left."""
@@ -195,9 +205,8 @@ class _Reader:
                     if toks[j] != ".":
                         self.wanted(j, "'.'")
                 # sync-input sugar x(y). u, told from application by the dot
-                elif (t not in _NOT_NAME and toks[i + 1] == "("
-                        and toks[i + 2] not in _NOT_NAME and toks[i + 3] == ")"
-                        and toks[i + 4] == "."):
+                elif (t not in _NOT_NAME and toks[i + 1] == "(" and toks[i + 2] not in _NOT_NAME
+                        and toks[i + 3] == ")" and toks[i + 4] == "."):
                     used[t] = i
                     j, kind, names = i + 4, "", toks[i + 2:i + 3]
                 else:
@@ -279,24 +288,27 @@ class _Reader:
             if x in gamma:
                 self.fail(j, f"duplicate declaration of {x!r}")
             gamma[x] = ty
-            more = self.skip(",")
+            more = toks[self.i] == ","
+            self.i += more
         self.expect("|-")
         delta: list[DeltaEntry] = []
         while True:
             j = self.i
             term = self.term()
-            ty = self.type_() if self.skip(":") else None
-            if ty is None and type(term) is not Close:
+            typed = toks[self.i] == ":"
+            self.i += typed
+            if not typed and type(term) is not Close:
                 self.fail(j, "untyped conclusion must have the form close(...)")
-            delta.append(DeltaEntry(term, ty))
-            if not self.skip(","):
-                break
-        return self.end(Sequent(tuple(gamma.items()), tuple(delta)))
+            delta.append(DeltaEntry(term, self.type_() if typed else None))
+            if toks[self.i] != ",":
+                return self.end(Sequent(tuple(gamma.items()), tuple(delta)))
+            self.i += 1
 
     def types(self, stop: str) -> tuple:
         """Types separated by ',', none if the next token is stop."""
         out = [] if self.toks[self.i] == stop else [self.type_()]
-        while out and self.skip(","):
+        while out and self.toks[self.i] == ",":
+            self.i += 1
             out.append(self.type_())
         return tuple(out)
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tests.conftest import CORPUS_NAMES, GOLDEN, run_cli, run_python
+from tests.conftest import CORPUS_NAMES, GOLDEN, corpus_text, run_cli, run_python
 from tests.test_checker import _INPUTS
 
 
@@ -184,6 +184,28 @@ def test_malformed_file_is_one_line_parse_error(tmp_path, command, text):
     r = run_cli(command[0], str(f), *command[1:])
     _assert_one_line_error(r, 2)
     assert r.stderr.startswith("parse error: ")
+
+
+def test_a_byte_order_mark_is_read_past(tmp_path):
+    # a UTF-8 file may begin with a byte-order mark: lamp reads what follows
+    lamp = tmp_path / "em.lamp"
+    lamp.write_bytes(("\ufeff" + corpus_text("excluded_middle")).encode())
+    r = run_cli("check", str(lamp))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (GOLDEN / "excluded_middle.check.txt").read_text()
+    to_mll = run_cli("translate", "corpus/excluded_middle.lamp", "--direction", "to-mll")
+    plain, marked = tmp_path / "em.mllsx", tmp_path / "em-bom.mllsx"
+    plain.write_text(to_mll.stdout)
+    marked.write_bytes(("\ufeff" + to_mll.stdout).encode())
+    r = run_cli("translate", str(marked), "--direction", "to-nmll")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli("translate", str(plain), "--direction", "to-nmll").stdout
+    # a byte that is not UTF-8 is still placed counting the mark's three
+    bad = tmp_path / "bad.lamp"
+    bad.write_bytes(b"\xef\xbb\xbf|- \xff")
+    r = run_cli("parse", str(bad))
+    _assert_one_line_error(r, 2)
+    assert r.stderr.endswith(" at byte 6\n"), r.stderr
 
 
 def test_missing_file_exit_code(tmp_path):

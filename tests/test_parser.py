@@ -4,10 +4,11 @@ import hashlib
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lamp.parser import (
-    DuplicateBinder, LamWithoutOccurrence, ParseError, parse_program,
-    parse_term, parse_type,
+    DuplicateBinder, LamWithoutOccurrence, ParseError, _Reader, _line_col,
+    parse_program, parse_term, parse_type, tokenize,
 )
 from lamp.terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
@@ -127,6 +128,68 @@ def test_sequent_roundtrip_through_printer():
     prog = parse_program(text)
     again = parse_program(print_sequent(prog.sequent))
     assert again.sequent == prog.sequent
+
+
+# -- the tokenizer against the two-pattern scan it replaced -------------------
+
+_OLD_SKIP, _OLD_TOKEN = r"\s+|\#[^\n]*", r"[A-Za-z_][A-Za-z0-9_]*|\|-|-o|[(),.:|*]"
+# the longest prefix of a text that whitespace, comments and tokens spell
+_OLD_SPELLED_RE = re.compile(f"(?:{_OLD_SKIP}|{_OLD_TOKEN})*")
+# each token after what is skipped before it, then "" at the end
+_OLD_TOKEN_RE = re.compile(f"(?:{_OLD_SKIP})*({_OLD_TOKEN}|\\Z)")
+
+
+def _old_tokenize(text: str) -> list[str]:
+    """text's tokens, then "" (twice if it ends in whitespace or a comment):
+    one match checks the text, one findall with a skip group lists them."""
+    end = _OLD_SPELLED_RE.match(text).end()
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", *_line_col(text, end))
+    return _OLD_TOKEN_RE.findall(text)
+
+
+def _outcomes(text: str):
+    """tokenize's and _old_tokenize's outcomes on text: the token list, or
+    the error's text and line:col; for a list, also each token's line:col
+    as _Reader.fail gives it and as the old scan's token group starts."""
+    got = []
+    for tokenizer in (tokenize, _old_tokenize):
+        try:
+            got.append(tokenizer(text))
+        except ParseError as e:
+            got.append((str(e), e.line, e.col))
+    if isinstance(got[0], list):
+        places = []
+        for j in range(len(got[0])):
+            with pytest.raises(ParseError) as info:
+                _Reader(text).fail(j, "here")
+            places.append((info.value.line, info.value.col))
+        got[0] = (got[0], places)
+        got[1] = (got[1], [_line_col(text, m.start(1))
+                           for m in _OLD_TOKEN_RE.finditer(text)])
+    return got
+
+
+# identifiers, digits, every operator, a stray "-" and "|", characters no
+# token spells, and whitespace that str.split and \s both know
+_PIECES = ["x", "ab", "_q1", "o", "lam", "out2", "close", "bot", "par",
+           "7", "42", "|-", "-o", "(", ")", ",", ".", ":", "|", "*", "-",
+           "\u00e9", "\u03bb", "$", "\x00", " ", "  ", "\n", "\t", "\r", "\x0b",
+           "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003",
+           "\u3000"]
+_COMMENTS = st.builds("#{}{}".format, st.text(max_size=6), st.sampled_from(["", "\n"]))
+
+
+@given(st.lists(st.one_of(st.sampled_from(_PIECES), _COMMENTS), max_size=14).map("".join))
+@example("x : A#A")
+@example("")
+@example("# only a comment")
+@example("|- x\u3000: A\x85")
+def test_tokenize_agrees_with_the_two_pattern_scan(text):
+    # the same tokens and trailing "", each at the same line:col, or the
+    # same unexpected character at the same line:col
+    new, old = _outcomes(text)
+    assert new == old
 
 
 # -- parse behaviour, pinned -------------------------------------------------

@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 type error (including a program that uses a
 channel other than exactly once, and a to-nmll input that is not a
 sequent calculus derivation), 2 parse error, 3 internal invariant
 violation, 4 state budget exceeded or input nested too deeply, 5 file
-not readable.  Set LAMP_COLOR=1 for ANSI-colored trace output.
+not readable.  A reader that closes the output early (``| head``) ends
+the command quietly, with exit 0.  Set LAMP_COLOR=1 for ANSI-colored
+trace output.
 """
 
 from __future__ import annotations
@@ -226,6 +228,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader stopped reading (``lamp ... | head``): end quietly, with
+        # standard output pointed at devnull so that the interpreter's
+        # final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -1,11 +1,16 @@
 """Command line behaviour: outputs, exit codes, golden stability."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from tests.conftest import CORPUS_NAMES, GOLDEN, corpus_text, run_cli, run_python
+from tests.conftest import (
+    CORPUS_NAMES, GOLDEN, ROOT, SRC, corpus_text, run_cli, run_python,
+)
 from tests.test_checker import _INPUTS
 
 
@@ -206,6 +211,22 @@ def test_a_byte_order_mark_is_read_past(tmp_path):
     r = run_cli("parse", str(bad))
     _assert_one_line_error(r, 2)
     assert r.stderr.endswith(" at byte 6\n"), r.stderr
+
+
+def test_a_closed_output_pipe_ends_quietly():
+    # the reader's end is closed before lamp writes: the write fails with
+    # a broken pipe, which is not an unreadable file (exit 5)
+    r_fd, w_fd = os.pipe()
+    os.close(r_fd)
+    env = dict(os.environ, LAMP_COLOR="0", PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    r = subprocess.run(
+        [sys.executable, "-m", "lamp.cli", "translate", "corpus/cyclic.lamp",
+         "--direction", "to-mll"],
+        stdout=w_fd, stderr=subprocess.PIPE, text=True, cwd=ROOT, env=env,
+        timeout=60)
+    os.close(w_fd)
+    assert (r.returncode, r.stderr) == (0, "")
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -2,8 +2,9 @@
 
     python3 tools/startup.py [FILE]
 
-Runs ``lamp parse|check|run|enumerate FILE`` (by default
-corpus/cyclic.lamp) as ``python -X importtime -m lamp.cli`` with
+Runs ``lamp parse|check|run|enumerate FILE`` and ``lamp translate FILE
+--direction to-mll``, the one command that compiles mll (FILE is by
+default corpus/cyclic.lamp), as ``python -X importtime -m lamp.cli`` with
 PYTHONDONTWRITEBYTECODE=1, so that every lamp module is compiled from
 source as a fresh checkout compiles it.  For each command it prints the
 modules imported after ``site`` (the ones the command itself brings in),
@@ -20,7 +21,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMANDS = ("parse", "check", "run", "enumerate")
+COMMANDS = (("parse",), ("check",), ("run",), ("enumerate",),
+            ("translate", "--direction", "to-mll"))
 
 
 def imports_after_site(stderr: str) -> list[tuple[str, int, int]]:
@@ -47,10 +49,11 @@ def main(argv: list[str]) -> int:
     failed = False
     for command in COMMANDS:
         r = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "lamp.cli", command, path],
+            [sys.executable, "-X", "importtime", "-m", "lamp.cli", command[0], path,
+             *command[1:]],
             cwd=ROOT, env=env, capture_output=True, text=True)
         rows = imports_after_site(r.stderr)
-        print(f"lamp {command} {path}: exit {r.returncode}, "
+        print(f"lamp {' '.join((command[0], path, *command[1:]))}: exit {r.returncode}, "
               f"{len(rows)} modules after site, "
               f"{sum(s for _, s, _ in rows) / 1000:.1f} ms self")
         for name, self_us, cumulative_us in sorted(rows, key=lambda row: -row[1]):

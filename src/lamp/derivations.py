@@ -214,8 +214,8 @@ def _edited(a: Sequence, p: Sequence, added: int, dropped: int) -> Optional[int]
     (_common).  An entry only added, or entries only dropped, can sit
     anywhere in a run of their equal copies, and are moved to its start
     (_back)."""
-    if not added and not dropped or len(a) - added != len(p) - dropped:
-        return 0 if a == p else None
+    if len(a) - added != len(p) - dropped:
+        return None
     lo = _common(a, p)
     if a[lo + added:] != p[lo + dropped:]:
         return None
@@ -634,11 +634,14 @@ def _aligned(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
 
     A side matched in order is decided on values, which suffice there:
     with one premise, the one edit fr makes where the two first differ
-    (_edited), which fr.at must agree with (a draw is answered by the
-    place found); with several, each premise's part in turn, after the new
-    entry, where fr.at puts it given the premises alone.  An entry only
-    added, or an item only taken, is the first of a run of equal copies,
-    which leave the same side.
+    (_edited), its new entry in place of the items it takes there, or,
+    where it takes none, at the place found, which answers a draw (the
+    sequent calculus's unary rules put it there); with several, each
+    premise's part in turn, once the new entry is taken out where fr.at
+    puts it given the premises alone, and an equal copy of it that comes
+    first is reported, as in a multiset.  An entry only added, or an item
+    only taken, is the first of a run of equal copies, which leave the
+    same side.
 
     On each other side compared, the one entry the runs of identical
     entries leave in con is the new entry, and the one span they leave in
@@ -674,13 +677,18 @@ def _aligned(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
                 c = c[:at] + c[at + 1:]
             for q, p in enumerate(seqs):
                 n = len(p[s]) - widths[q] + adds
-                got = _edited(c[o:o + n] if seqs[1:] else c, p[s], adds, widths[q])
-                if got is None:
-                    return None
-                if own[q] is not None:
-                    flat[own[q]] = got
-                if adds:
-                    at = got
+                part = c[o:o + n] if seqs[1:] else c
+                if own[q] is None and not adds:
+                    if part != p[s]:
+                        return None
+                else:
+                    got = _edited(part, p[s], adds, widths[q])
+                    if got is None:
+                        return None
+                    if own[q] is not None:
+                        flat[own[q]] = got
+                    if adds:
+                        at = got
                 o += n
             if o != len(c):
                 return None

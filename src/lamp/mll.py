@@ -126,6 +126,7 @@ MLL_ARITY = {MllRule.AX_ID: 0, MllRule.AX_BOT: 0,
 
 # how a rule's sides match: in order, else, for a split, as multisets
 _IN_ORDER, _AS_MULTISETS = ("order", "order"), ("multiset", "multiset")
+_PLANS: dict[MllRule, tuple] = {}
 
 
 def match_mll(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
@@ -150,11 +151,13 @@ def match_mll(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
         raise RuleViolation(path, "bottom axiom must be  bot |-")
 
     fr = MLL_FORWARD[rule]
+    plans = _PLANS.get(rule)  # derivations._plan's, by rule
+    if plans is None or plans[0][0] is not fr:
+        plans = _PLANS[rule] = _plan(fr, _IN_ORDER), _plan(fr, _AS_MULTISETS)
     seqs = tuple([p.conclusion for p in prems])
-    inst = _aligned(_plan(fr, _IN_ORDER), con, seqs)
+    inst = _aligned(plans[0], con, seqs)
     if inst is None and len(seqs) > 1:
-        plan = _plan(fr, _AS_MULTISETS)
-        inst = _aligned(plan, con, seqs) or _search(plan, con, seqs)
+        inst = _aligned(plans[1], con, seqs) or _search(plans[1], con, seqs)
     if inst is None:
         raise RuleViolation(path, fr.reason)
     return inst

@@ -603,14 +603,14 @@ def _plan(fr: ForwardRule, exchange: tuple = (None, None)) -> tuple:
         checks = [(s, how, taking[s] > 1 and how == "multiset")
                   for s, how in enumerate(exchange, 1) if how is not None]
         aligned = []
-        for s, how in ((s, how) for s, how in enumerate(exchange, 1) if how is not None):
+        for s in (s for s, how in enumerate(exchange, 1) if how is not None):
             ks = [(k, q, w) for k, (q, ss, w) in enumerate(idx) if ss == s]  # by premise
             own = [None] * len(fr.premises)
             widths = [0] * len(fr.premises)
             for k, q, w in ks:
                 own[q], widths[q] = k, w
-            aligned.append((s, how, side == s, widths, [(q, w) for _, q, w in ks],
-                            [k for k, _, _ in ks], own))
+            aligned.append((s, exchange[s - 1], side == s, widths,
+                            [(q, w) for _, q, w in ks], [k for k, _, _ in ks], own))
         names = fr.names.split()
         got = _PLANS[id(fr), exchange] = (fr, idx, taking, diffs, checks, shapes, fits,
                                           names, len(names) > len(idx), aligned,

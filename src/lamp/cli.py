@@ -227,7 +227,11 @@ def _lamp_error(err: Exception):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a short output is still in the buffer: written here, a closed pipe
+        # raises inside this try, not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # the reader stopped reading (``lamp ... | head``): end quietly, with
         # standard output pointed at devnull so that the interpreter's

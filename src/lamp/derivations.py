@@ -24,10 +24,7 @@ conclusion is the entry the rule adds, and the spans they leave in the
 premises are the items it takes.  A conclusion that shares fewer entries
 with its premises, or holds them in another order, is searched instead
 (``_search``).  The runs only decide where to look: every rule condition
-is still checked on values.  A side matched in order, as the sequent
-calculus matches both sides of each rule (``mll.match_mll``), needs no
-runs: it is decided on values, from where the side and its premise
-first differ (``_edited``).
+is still checked on values.
 
 ``check_derivation`` matches each node once, in preorder.  Two conditions
 on a node's premises, that they share no name and that a LolliI's
@@ -38,14 +35,10 @@ subtrees are matched and are read off what those gathered on the way up
 Each rule with premises is written once, in FORWARD: where a sequent can
 serve as each premise (``spots``), the entry the rule adds and where it
 goes.  The random generator (testlab) draws from that table, and the
-checker walks it, as the sequent calculus's checker walks mll's: a node
-is an instance of rule R when premise positions R's listers accept, and
-the place of the entry the conclusion has beyond the premises, make R's
-builder give the node's conclusion up to the exchange R allows (natural
-deduction: a unary rule's declarations in order and entries as
-multisets, a binary rule's declarations as multisets and entries
-interleaved; the sequent calculus: both sides in order, else, for a
-split, as multisets).  Of such positions, the first in the order of nested
+checker walks it: a node is an instance of rule R when premise positions
+R's listers accept, and the place of the entry the conclusion has beyond
+the premises, make R's builder give the node's conclusion up to the
+exchange R allows.  Of such positions, the first in the order of nested
 loops are reported: those the runs give, moved to the first equal copy
 where the exchange allows it, or else those a search over the values a
 multiset difference leaves over finds first.  ``match_rule`` returns
@@ -166,64 +159,6 @@ def _edit(a: Sequence, p: Sequence, added: int, dropped: int) -> Optional[tuple]
     return None
 
 
-def _common(a: Sequence, b: Sequence) -> int:
-    """The length of the common prefix of a and b, by value: the run of
-    identical entries from the start (_run), then, past an equal copy,
-    slices compared in C, by binary search."""
-    top = min(len(a), len(b))
-    lo = _run(a, 0, b, 0) if top and a[0] is b[0] else 0
-    if lo == top or a[lo] != b[lo]:
-        return lo
-    if a[lo:top] == b[lo:top]:
-        return top
-    lo, hi = lo + 1, top  # a[:lo] == b[:lo], a[:hi] != b[:hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if a[lo:mid] == b[lo:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _back(x: Sequence, d: int, w: int) -> int:
-    """The first place d' <= d where dropping w entries of x leaves what
-    dropping them at d does: x[d':d] == x[d' + w:d + w], which holds from
-    some place on, no earlier than the first copy of x[d] where w is 1.
-    That place is tried first, then a binary search: each slice compared
-    in C."""
-    if not d or x[d - 1] != x[d + w - 1]:  # no equal copy just before
-        return d
-    lo = x.index(x[d]) if w == 1 else 0
-    if x[lo:d] == x[lo + w:d + w]:
-        return lo
-    hi = d - 1  # not so at lo, so at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if x[mid:d] == x[mid + w:d + w]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _edited(a: Sequence, p: Sequence, added: int, dropped: int) -> Optional[int]:
-    """The first place where p turns into a, by value, by dropping
-    `dropped` entries and adding `added` there, or None; what is added is
-    none of what is dropped, so both happen where the two first differ
-    (_common).  An entry only added, or entries only dropped, can sit
-    anywhere in a run of their equal copies, and are moved to its start
-    (_back)."""
-    if len(a) - added != len(p) - dropped:
-        return None
-    lo = _common(a, p)
-    if a[lo + added:] != p[lo + dropped:]:
-        return None
-    if bool(added) == bool(dropped):
-        return lo
-    return _back(a, lo, added) if added else _back(p, lo, dropped)
-
-
 def _align(a: Sequence, parts: Sequence[Sequence]) -> tuple[list, list]:
     """Pair entries of a with equal entries of the parts, in maximal runs
     (_run) that each start at an identical pair, in interleaved order;
@@ -303,20 +238,20 @@ def _interleaves(target: tuple, parts: tuple[tuple, ...]) -> bool:
         k += 1
 
 
-# up to this many entries, aligning costs more than it saves (measured on
-# the checker's own calls: at 6-8 entries, 2.5 us a call unaligned
-# against 3.8 aligned; at 9-12 entries, 10.1 against 5.8).  _search is
-# the one caller left: the ring(48) round trip's failing ParrI node (292
-# entries) is rejected in 58 us aligned against 112 us unaligned, while
-# one pass of ring's translations moves by less than its noise either way
-_SMALL = 8
+# up to this many entries, aligning costs more than it saves.  Measured on
+# the 3,072 calls of one pass of ring's translations (bench inputs, seed
+# 2), a call unaligned against aligned: match_mll's splits, 1.2 us against
+# 4.2 at 9-12 entries, 1.9 against 4.2 at 13-32, 3.4 against 3.9 at
+# 33-99; _search on the failing round-trip nodes, 17 against 9 at 33-99
+# entries, 62 against 12 at 100 or more
+_SMALL = 32
 
 
 def multiset_diff(a: Sequence, *parts: Sequence) -> tuple[list, list]:
     """What a holds beyond the parts together, and what they hold beyond a,
     as multisets, each in order.
 
-    Where a has more than a few entries, the runs the lists share pair
+    Where a has more than _SMALL entries, the runs the lists share pair
     first (_align); what is left pairs entry by entry (_pair), by a scan
     that stops at an entry's first difference instead of hashing whole
     terms.  Where a rule's conclusion shares its unchanged entries with its
@@ -446,7 +381,7 @@ _STAR = DeltaEntry(UNIT, BOT)
 # ---------------------------------------------------------------------------
 # The rules, each written once, as data: the generator (testlab) draws from
 # these tables, natural deduction's here and the sequent calculus's in mll,
-# and each calculus's checker walks its own.  A sequent of either calculus
+# and the checker walks natural deduction's.  A sequent of either calculus
 # is a (tag, side 0, side 1) tuple: declarations and entries, or left and
 # right.
 
@@ -501,8 +436,8 @@ def _nothing(*items) -> dict:
 
 
 class ForwardRule(NamedTuple):
-    """A rule with premises, read forward by the generator and backward by
-    the checker, in both calculi.  premises[n] lists where a sequent
+    """A rule with premises, read forward by the generator and, in natural
+    deduction, backward by the checker.  premises[n] lists where a sequent
     can serve as premise n (a ``spots`` lister), given reads[n - 1](prev)
     for n > 0, where prev holds the (sequent, position) pairs chosen for
     premises 0..n-1; a read depends on the items at those positions, not
@@ -510,10 +445,8 @@ class ForwardRule(NamedTuple):
     order, without the items their positions take; new(*items) is the
     entry (or formula) the rule adds on side `side` (None: it adds none),
     at the place at(seqs, positions, draw) gives, where draw(n) picks one
-    of 0..n; where a side is matched in order and several premises keep
-    entries there, at reads only seqs.  For the checker, an instance
-    reports, by names, the new entry's place (where the names outnumber
-    the indices) and each index, and record(*items); reason is the
+    of 0..n.  For the checker, an instance reports, by names, the new
+    entry's place and each index, and record(*items); reason is the
     violation of a node that is none."""
 
     premises: tuple[Callable[[tuple, Hashable], Sequence], ...]
@@ -573,14 +506,13 @@ def _plan(fr: ForwardRule, exchange: tuple = (None, None)) -> tuple:
     checked to be what the difference left; per premise, where its
     position is among the indices (an index, a slice, or None); per
     premise with a fit test, the test, its read, the premise's number and
-    the slice of the items that are its own; the instance keys, and
-    whether the first names the new entry's place (the keys outnumber the
-    indices) or all name indices; per side compared, what _aligned reads:
-    its tuple index and exchange, whether the new entry is there, the
-    width taken from each premise, the (premise, width) and the number of
-    each index there, and per premise the number of its index there, or
-    None (a premise takes from a side at one index at most); and the
-    exchange by tuple index."""
+    the slice of the items that are its own; the instance keys of the new
+    entry's place and of each index; per side compared, what _aligned
+    reads: its tuple index, whether the new entry is there, the width
+    taken from each premise, and the (premise, width) and (number,
+    premise, width) of each index there; and by tuple index, whether the
+    side is matched as a multiset.  Declarations no index takes are not
+    compared: the checker compares them first."""
     got = _PLANS.get((id(fr), exchange))
     if got is None or got[0] is not fr:
         idx = tuple((n - (k > 1), 1 + k % 2, sp.width)
@@ -595,6 +527,7 @@ def _plan(fr: ForwardRule, exchange: tuple = (None, None)) -> tuple:
             t, u = t + m, u + w
         taking = [0] + [sum(w for _, ss, w in idx if ss == s) for s in (1, 2)]
         side = None if fr.side is None else 1 + fr.side
+        key, exchange = exchange, (exchange[0] if taking[1] else None, exchange[1])
         diffs = [(s, side == s, taking[s]) for s, how in enumerate(exchange, 1)
                  if how not in (None, "order") or taking[s] or side == s]
         # more than one item taken from a side matched as a multiset must be
@@ -605,138 +538,75 @@ def _plan(fr: ForwardRule, exchange: tuple = (None, None)) -> tuple:
         aligned = []
         for s in (s for s, how in enumerate(exchange, 1) if how is not None):
             ks = [(k, q, w) for k, (q, ss, w) in enumerate(idx) if ss == s]  # by premise
-            own = [None] * len(fr.premises)
-            widths = [0] * len(fr.premises)
-            for k, q, w in ks:
-                own[q], widths[q] = k, w
-            aligned.append((s, exchange[s - 1], side == s, widths,
-                            [(q, w) for _, q, w in ks], [k for k, _, _ in ks], own))
-        names = fr.names.split()
-        got = _PLANS[id(fr), exchange] = (fr, idx, taking, diffs, checks, shapes, fits,
-                                          names, len(names) > len(idx), aligned,
-                                          (None, *exchange))
+            widths = [sum(w for _, qq, w in ks if qq == q)
+                      for q in range(len(fr.premises))]
+            aligned.append((s, side == s, widths, [(q, w) for _, q, w in ks], ks))
+        loose = [how == "multiset" for how in (None, *exchange)]  # by tuple index
+        got = _PLANS[id(fr), key] = (fr, idx, taking, diffs, checks, shapes, fits,
+                                     fr.names.split(), aligned, loose)
     return got
 
 
 def _aligned(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
     """The instance data at a node concluding con over premises concluding
     seqs of the rule fr whose plan (_plan) for an exchange this is, read
-    off the runs of entries the two share, or None.  exchange[k] says how
-    side k + 1 of con, its declarations or its entries (the left or the
-    right), must match fr's conclusion: "order", exactly, the new entry,
-    if there, where fr.at puts it; "multiset"; "interleave", the new entry
+    off the runs of identical entries, or None.  exchange[k] says how side
+    k + 1 of con, its declarations or its entries, must match fr's
+    conclusion: "order", exactly; "multiset"; "interleave", the new entry
     anywhere and the rest merging each premise's entries in order; None,
-    not at all.  Natural deduction matches a unary rule's declarations in
-    order and its entries as multisets, a binary rule's declarations as
-    multisets and its entries as an interleaving; the sequent calculus
-    both sides in order, and a binary rule's as multisets where no
-    positions give them in order.
+    not at all.
 
-    A side matched in order is decided on values, which suffice there:
-    with one premise, the one edit fr makes where the two first differ
-    (_edited), its new entry in place of the items it takes there, or,
-    where it takes none, at the place found, which answers a draw (the
-    sequent calculus's unary rules put it there); with several, each
-    premise's part in turn, once the new entry is taken out where fr.at
-    puts it given the premises alone, and an equal copy of it that comes
-    first is reported, as in a multiset.  An entry only added, or an item
-    only taken, is the first of a run of equal copies, which leave the
-    same side.
-
-    On each other side compared, the one entry the runs of identical
-    entries leave in con is the new entry, and the one span they leave in
-    a premise an index, of its width: the one edit _edit finds where at
-    most one premise keeps entries on the side, else the runs _align
-    pairs.  Runs pair in each premise's order, so what they pair is con
-    without the new entry, as the premises merge without the items taken:
-    in order with one premise, interleaved with several, which is all the
-    exchanges there ask.  Of the positions that make an instance, the
-    first in the order of nested loops over the new entry's place and each
-    index is reported, as _search reports it: where an equal copy of the
-    new entry, or of an index's one item, comes first, the copy is taken
-    on a side matched as a multiset, where either leaves the same
-    multiset; elsewhere None is returned.  An item's value ahead of
-    another premise's index is not looked for: no rule of FORWARD takes it
-    there (a function entry's type is never its argument's, and a name two
-    premises declare breaks their disjointness), and a sequent calculus
-    rule's two items are on different premises or different sides.  None
-    too where the runs leave anything else, or the items do not fit or do
-    not make the new entry.  An entry they make holds each item's term (a
-    formula, each item), so it is none of them: the multiset difference
-    _search takes leaves the same entry and items."""
-    fr, idx, _, _, _, _, _, _, _, aligned, hows = plan
+    On each side compared, the one entry the runs leave in con is the new
+    entry, and the one span they leave in a premise an index, of its
+    width: the one edit _edit finds where at most one premise keeps
+    entries on the side, else the runs _align pairs.  Runs pair in each
+    premise's order, so what they pair is con without the new entry, as
+    the premises merge without the items taken: in order with one
+    premise, interleaved with several, which is all the exchanges
+    _ND_EXCHANGE ask.  Of the positions that make an instance, the first
+    in the order of nested loops over the new entry's place and each index
+    is reported, as _search reports it: where an equal copy of the new
+    entry, or of an index's one item, comes first, the copy is taken on a
+    side matched as a multiset, where either leaves the same multiset;
+    elsewhere None is returned.  An item's value ahead of another premise's
+    index is not looked for: no rule of FORWARD takes it there (a function
+    entry's type is never its argument's, and a name two premises declare
+    breaks their disjointness).  None too where the runs leave anything
+    else, or the items do not fit or do not make the new entry.  An entry
+    they make holds each item's term, so it is none of them: the multiset
+    difference _search takes leaves the same entry and items."""
+    fr, idx, _, _, _, _, _, _, aligned, loose = plan
     flat = [0] * len(idx)
-    at = None
-    for s, how, adds, widths, shape, ks, own in aligned:
-        if how == "order":  # decided on values: each premise's part in turn
-            c, o = con[s], 0
-            if adds and seqs[1:]:  # the new entry where fr puts it, given the premises
-                at, adds = fr.at(seqs, None, None), 0
-                if not 0 <= at < len(c):
-                    return None
-                c = c[:at] + c[at + 1:]
-            for q, p in enumerate(seqs):
-                n = len(p[s]) - widths[q] + adds
-                part = c[o:o + n] if seqs[1:] else c
-                if own[q] is None and not adds:
-                    if part != p[s]:
-                        return None
-                else:
-                    got = _edited(part, p[s], adds, widths[q])
-                    if got is None:
-                        return None
-                    if own[q] is not None:
-                        flat[own[q]] = got
-                    if adds:
-                        at = got
-                o += n
-            if o != len(c):
-                return None
-        else:
-            live = [q for q, p in enumerate(seqs) if len(p[s]) != widths[q]] \
-                if seqs[1:] else [0]
-            m = live[0] if live else 0
-            got = len(live) < 2 and _edit(con[s], seqs[m][s], adds, widths[m])
-            if got:  # one premise keeps entries here, or none: its one edit
-                for q, k in enumerate(own):
-                    if k is not None:
-                        flat[k] = got[1] if q == m else 0
-                if adds:
-                    at = got[0]
-                continue
-            extra, spans = _align(con[s], [p[s] for p in seqs])
-            if len(extra) != adds:
-                return None
-            if [(q, hi - lo) for q, lo, hi in spans] == shape:
-                for k, span in zip(ks, spans):
-                    flat[k] = span[1]
-            else:  # as good in a multiset: one item left in another premise,
-                # whose run took the equal copy in the index's premise
-                if how != "multiset" or [hi - lo for _, lo, hi in spans] != [1] \
-                        or [w for _, w in shape] != [1]:
-                    return None
-                ((m, lo, _),), ((q, _),) = spans, shape
-                if seqs[m][s][lo] not in seqs[q][s]:
-                    return None
-                flat[ks[0]] = seqs[q][s].index(seqs[m][s][lo])
+    for s, adds, widths, shape, ks in aligned:
+        live = [q for q, p in enumerate(seqs) if len(p[s]) != widths[q]] \
+            if seqs[1:] else [0]
+        m = live[0] if live else 0
+        got = len(live) < 2 and _edit(con[s], seqs[m][s], adds, widths[m])
+        if got:  # one premise keeps entries here, or none: its one edit
+            for k, q, _ in ks:
+                flat[k] = got[1] if q == m else 0
             if adds:
-                at = extra[0]
-    e = None
-    if fr.side is not None:
-        c = con[1 + fr.side]
-        e, how = c[at], hows[1 + fr.side]
-        # with several premises, fr puts the new entry where it is, but an
-        # equal copy that comes first is reported, as in a multiset
-        if (how != "order" or seqs[1:]) and c.index(e) != at:
-            if how == "interleave":
-                return None
-            at = c.index(e)
+                at = got[0]
+            continue
+        extra, spans = _align(con[s], [p[s] for p in seqs])
+        if len(extra) != adds or [(q, hi - lo) for q, lo, hi in spans] != shape:
+            return None
+        for (k, _, _), span in zip(ks, spans):
+            flat[k] = span[1]
+        if adds:
+            at = extra[0]
+    c = con[1 + fr.side]
+    e = c[at]
+    if c.index(e) != at:  # an equal copy comes first: as good in a multiset
+        if not loose[1 + fr.side]:
+            return None
+        at = c.index(e)
     items = []
     for k, (q, s, w) in enumerate(idx):
         side, p = seqs[q][s], flat[k]
         taken = side[p:p + w]
-        if p and hows[s] != "order" and min(map(side.index, taken)) < p:
-            if w > 1 or hows[s] != "multiset":
+        if p and min(map(side.index, taken)) < p:
+            if w > 1 or not loose[s]:
                 return None
             flat[k] = side.index(taken[0])
         items += taken
@@ -744,10 +614,7 @@ def _aligned(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
 
 
 def _search(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
-    """_aligned's instance data, by search, for the exchanges natural
-    deduction uses and the sequent calculus's multisets (a side matched in
-    order is decided by _aligned, except declarations, which hold no new
-    entry and are compared whole).  The items a rule takes are
+    """_aligned's instance data, by search.  The items a rule takes are
     what a multiset difference between con and the premises leaves over on
     each side, and its new entry is what con has beyond them.  An index's
     positions are those holding an item left on its side, found by scans
@@ -757,7 +624,6 @@ def _search(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
     one comparison in C, else an interleaving (_interleaves)."""
     fr, idx, _, diffs, checks, *_ = plan
     left: list = [None, None, None]  # by tuple index
-    e = None
     for s, adds, taking in diffs:
         extra, missing = multiset_diff(con[s], *map(_SIDES[s], seqs))
         if len(extra) != adds or len(missing) != taking:
@@ -771,9 +637,9 @@ def _search(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
         ps = sorted({p for v in values for p in _where(items, v)})
         cands.append(ps if w == 1 else
                      [p for p in ps if p + 1 < len(items) and items[p + 1] in values])
-    c = () if e is None else con[1 + fr.side]
-    for at in (None,) if e is None else _where(c, e) \
-            if "interleave" in (how for _, how, _ in checks) else (c.index(e),):
+    c = con[1 + fr.side]
+    for at in _where(c, e) if "interleave" in (how for _, how, _ in checks) \
+            else (c.index(e),):
         for flat in itertools.product(*cands):
             items = []
             for (q, s, w), p in zip(idx, flat):
@@ -802,7 +668,7 @@ def _made(plan: tuple, seqs: tuple, items: list, e, at: int,
           flat: Sequence[int]) -> Optional[dict[str, Any]]:
     """The instance data where the items taken at positions flat fit their
     premises and make the new entry e, at `at`, or None."""
-    fr, _, _, _, _, shapes, fits, names, named_at, _, _ = plan
+    fr, _, _, _, _, shapes, fits, names, _, _ = plan
     for fit, read, n, us in fits:
         if read is not None:  # what premise n reads of those before it
             read = read(tuple(zip(seqs, [None if sh is None else flat[sh]
@@ -812,7 +678,7 @@ def _made(plan: tuple, seqs: tuple, items: list, e, at: int,
     if fr.new(*items) != e:
         return None
     inst = fr.record(*items)
-    inst.update(zip(names, (at, *flat) if named_at else flat))
+    inst.update(zip(names, (at, *flat)))
     return inst
 
 
@@ -945,8 +811,7 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
     seqs = tuple(map(_conclusion, prems))
     plan = _PLANS.get(rule)  # _plan's, by rule
     if plan is None or plan[0] is not fr:
-        how = _ND_EXCHANGE[len(seqs) > 1]  # declarations no index takes: not walked
-        plan = _PLANS[rule] = _plan(fr, (how[0] if _plan(fr)[2][1] else None, how[1]))
+        plan = _PLANS[rule] = _plan(fr, _ND_EXCHANGE[len(seqs) > 1])
     kept = not plan[2][1]  # no declaration taken: compared here first
     if kept and len(seqs) == 1:
         if seqs[0].gamma != con.gamma:

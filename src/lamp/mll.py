@@ -15,12 +15,11 @@ opposite checker in the test suite.
 Derivations of both calculi are ``derivations.Derivation`` trees, and a
 node that is not an instance of its rule is a ``RuleViolation`` in both;
 only the rules and the sequents differ.  Each rule with premises is
-written once, in MLL_FORWARD, the table the generator (testlab) draws
-from and match_mll walks, as natural deduction's checker walks its own:
-an instance's positions are read off the premises (derivations._aligned),
-and only a split that matches as a multiset and not in order may need a
-search.  The translation to natural deduction builds BotI and the
-closing BotE with natural deduction's builders.
+written forward once, in MLL_FORWARD, the table the generator (testlab)
+draws from; the translation to natural deduction builds BotI and the
+closing BotE with natural deduction's builders.  match_mll still matches
+each rule by its own branch: walking MLL_FORWARD as natural deduction's
+checker walks its table cost twice the time (ROADMAP item 21).
 
 Type erasure keeps declaration types on the left and typed entry types on
 the right, dropping untyped close entries.  Derivations produced by the
@@ -39,12 +38,12 @@ from typing import Any, Iterator, Optional
 
 from .derivations import (
     FORWARD, Derivation, ForwardRule, Rule, RuleViolation, spots, _STAR,
-    _aligned, _plan, _replaced, _search, _well_formed, _without, axiom,
-    instances, premises_of,
+    _replaced, _well_formed, _without, axiom, instances, multiset_diff,
+    premises_of,
 )
 from .terms import (
     App, BOT, DeltaEntry, Dist, Lolli, Memo, Par, ParT, Send, Sequent,
-    TypeExpr, UNIT, Var, _Node, _texts, fold, nodes, preorder,
+    TypeExpr, UNIT, Var, _Node, _texts, children, fold, nodes, preorder,
     print_type,
 )
 
@@ -84,38 +83,28 @@ def print_mll_sequent(s: MllSequent, memo: Optional[Memo] = None) -> str:
     return f"{out} {right}" if right else out
 
 
-# The rules with premises, each written once: the generator (testlab)
-# draws from this table and match_mll walks it.  A binary rule takes its
-# first premise whole and reads one side of it, over which its second
-# premise's positions range beside that premise's left.
-
-def _ab(a: TypeExpr, b: TypeExpr) -> dict:
-    return {"a": a, "b": b}
-
+# The rules with premises, each written once for the generator (testlab),
+# which draws from this table.  A binary rule takes its first premise whole
+# and reads one side of it, over which its second premise's positions
+# range beside that premise's left.
 
 MLL_FORWARD: dict[MllRule, ForwardRule] = {
     MllRule.BOT_R: ForwardRule(
-        (spots(),), lambda: BOT, "i", "bot-right must add one bot on the right",
+        (spots(),), lambda: BOT,
         at=lambda seqs, positions, draw: draw(len(seqs[0].right))),
     MllRule.LOLLI_R: ForwardRule(
-        (spots((1, 0)),), lambda b, a: Lolli(a, b), "i j",
-        "lolli-right must move the antecedent left", lambda b, a: _ab(a, b),
+        (spots((1, 0)),), lambda b, a: Lolli(a, b),
         at=lambda seqs, positions, draw: positions[0][0]),
-    MllRule.PARR_R: ForwardRule(
-        (spots((1,), width=2),), ParT, "i", "par-right must split one par formula",
-        _ab),
+    MllRule.PARR_R: ForwardRule((spots((1,), width=2),), ParT),
     MllRule.CUT: ForwardRule(
         (spots(), spots((3, 0), lambda a, b, right: a == b)), lambda a, b: None,
-        "i j", "cut formulas do not match the contexts", lambda a, b: {"a": a},
         reads=(lambda prev: prev[0][0].right,), side=None),
     MllRule.LOLLI_L: ForwardRule(
-        (spots(), spots((3, 0))), Lolli, "k i j",
-        "lolli-left does not match its premises", _ab,
+        (spots(), spots((3, 0))), Lolli,
         at=lambda seqs, positions, draw: len(seqs[0].left),
         reads=(lambda prev: prev[0][0].right,), side=0),
     MllRule.PARR_L: ForwardRule(
-        (spots(), spots((2, 0))), ParT, "k i j",
-        "par-left does not match its premises", _ab,
+        (spots(), spots((2, 0))), ParT,
         at=lambda seqs, positions, draw: len(seqs[0].left) + len(seqs[1].left) - 2,
         reads=(lambda prev: prev[0][0].left,), side=0),
 }
@@ -124,19 +113,62 @@ MLL_FORWARD: dict[MllRule, ForwardRule] = {
 MLL_ARITY = {MllRule.AX_ID: 0, MllRule.AX_BOT: 0,
              **{rule: len(fr.premises) for rule, fr in MLL_FORWARD.items()}}
 
-# how a rule's sides match: in order, else, for a split, as multisets
-_IN_ORDER, _AS_MULTISETS = ("order", "order"), ("multiset", "multiset")
-_PLANS: dict[MllRule, tuple] = {}
+
+# The context-splitting rules: the class of the conclusion's left formula
+# the rule introduces (None for Cut), whether the first premise's
+# principal formula is on its left, and the rule's error
+_SPLITTING = {
+    MllRule.CUT: (None, False, "cut formulas do not match the contexts"),
+    MllRule.LOLLI_L: (Lolli, False, "lolli-left does not match its premises"),
+    MllRule.PARR_L: (ParT, True, "par-left does not match its premises"),
+}
+
+
+def _match_split(con: MllSequent, p1: MllSequent, p2: MllSequent, cls,
+                 on_left: bool):
+    """The instance of a context-splitting rule, or None.  Formula i of
+    p1 and the declaration j of p2 are principal: a cut formula and its
+    copy, or the two parts of the introduced formula k.  Several choices
+    can match the same multisets; the first whose left-to-right context
+    concatenation reproduces the conclusion lists exactly wins, so that
+    the term decoration erases back verbatim, else the first that
+    matches."""
+    # (k, the introduced formula as a 1-tuple, its parts); a Cut's
+    # formulas are any equal pair
+    if cls is None:
+        heads = [(None, (), None, None)]
+    else:
+        heads = [(k, (ty,), *children(ty)) for k, ty in enumerate(con.left)
+                 if type(ty) is cls]
+    found = None
+    for k, intro, a, b in heads:
+        left = con.left if k is None else _without(con.left, k)
+        for i, a1 in enumerate(p1.left if on_left else p1.right):
+            if a is not None and a1 != a:
+                continue
+            l1 = _without(p1.left, i) if on_left else p1.left
+            r1 = p1.right if on_left else _without(p1.right, i)
+            for j, b1 in enumerate(p2.left):
+                if b1 != (a1 if k is None else b):
+                    continue
+                l2 = _without(p2.left, j)
+                inst = ({"i": i, "j": j, "a": a1} if k is None
+                        else {"k": k, "i": i, "j": j, "a": a, "b": b})
+                # an exact concatenation is also a multiset match, so the
+                # multisets are compared only until the first such match
+                if con.left == (l1 + l2 + intro if on_left else l1 + intro + l2) \
+                        and con.right == r1 + p2.right:
+                    return inst
+                if found is None \
+                        and multiset_diff(left, l1, l2) == ([], []) \
+                        and multiset_diff(con.right, r1, p2.right) == ([], []):
+                    found = inst
+    return found
 
 
 def match_mll(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
-    """Verify one node against its rule and return the matched principal
-    positions and component types: an axiom by its one shape, any other
-    rule by a walk of MLL_FORWARD (derivations._aligned).  Both sides
-    match in order; a split (Cut, LolliL, ParrL) whose sides match in
-    order at no positions matches them as multisets, at the first
-    positions that do (else derivations._search), so that the term
-    decoration of an exact concatenation erases back verbatim."""
+    """Verify one node against its rule schema; returns the matched
+    principal positions and component types."""
     rule, con, prems = node.rule, node.conclusion, node.premises
     _well_formed(node, MLL_ARITY, MllSequent, path)
 
@@ -150,17 +182,42 @@ def match_mll(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
             return {}
         raise RuleViolation(path, "bottom axiom must be  bot |-")
 
-    fr = MLL_FORWARD[rule]
-    plans = _PLANS.get(rule)  # derivations._plan's, by rule
-    if plans is None or plans[0][0] is not fr:
-        plans = _PLANS[rule] = _plan(fr, _IN_ORDER), _plan(fr, _AS_MULTISETS)
-    seqs = tuple([p.conclusion for p in prems])
-    inst = _aligned(plans[0], con, seqs)
-    if inst is None and len(seqs) > 1:
-        inst = _aligned(plans[1], con, seqs) or _search(plans[1], con, seqs)
-    if inst is None:
-        raise RuleViolation(path, fr.reason)
-    return inst
+    if rule is MllRule.BOT_R:
+        p = prems[0].conclusion
+        if p.left == con.left:
+            for i, ty in enumerate(con.right):
+                if ty == BOT and _without(con.right, i) == p.right:
+                    return {"i": i}
+        raise RuleViolation(path, "bot-right must add one bot on the right")
+
+    if rule is MllRule.LOLLI_R:
+        p = prems[0].conclusion
+        for i, ty in enumerate(con.right):
+            match ty:
+                case Lolli(a, b):
+                    if p.right != con.right[:i] + (b,) + con.right[i + 1:]:
+                        continue
+                    for j, ty2 in enumerate(p.left):
+                        if ty2 == a and _without(p.left, j) == con.left:
+                            return {"i": i, "j": j, "a": a, "b": b}
+        raise RuleViolation(path, "lolli-right must move the antecedent left")
+
+    if rule is MllRule.PARR_R:
+        p = prems[0].conclusion
+        if p.left == con.left:
+            for i, ty in enumerate(con.right):
+                match ty:
+                    case ParT(a, b):
+                        if p.right == con.right[:i] + (a, b) + con.right[i + 1:]:
+                            return {"i": i, "a": a, "b": b}
+        raise RuleViolation(path, "par-right must split one par formula")
+
+    if rule in _SPLITTING:
+        inst = _match_split(con, prems[0].conclusion, prems[1].conclusion,
+                            *_SPLITTING[rule][:2])
+        if inst is not None:
+            return inst
+        raise RuleViolation(path, _SPLITTING[rule][2])
 
 
 def check_mll(d: Derivation) -> None:

@@ -678,62 +678,6 @@ def test_identity_runs_leave_per_entry_work_linear_in_nodes(monkeypatch):
     assert 0 < seen["searched"] <= GENERATED_SEARCHED, seen
 
 
-# the nodes of the 400 generated sequent calculus derivations that
-# match_mll leaves to the search: none, since each node the generator
-# builds concatenates its premises exactly, which the walk decides on values
-GENERATED_MLL_SEARCHED = 0
-
-
-def test_sequent_calculus_walk_leaves_no_translated_node_to_the_search(monkeypatch):
-    # match_mll's walk decides every in-order match on values and reads
-    # a split's multiset match off the identity runs: on the translations
-    # of ring(48) and relay(24), on the two 2,500-node chains and on the
-    # generated derivations, no node falls back to the search, and no
-    # entry reaches the pairing entry by entry or the interleaving search
-    import lamp.derivations as derivations
-    import lamp.mll as mll
-    from lamp.testlab import gen_mll
-
-    seen = Counter()
-    pair, search, match, searched = (derivations._pair, derivations._interleaves,
-                                     mll.match_mll, mll._search)
-
-    def counting_pair(a, parts):
-        seen["entries"] += len(a) + sum(map(len, parts))
-        return pair(a, parts)
-
-    def counting_search(target, parts):
-        seen["entries"] += len(target) + sum(map(len, parts))
-        return search(target, parts)
-
-    def counting_match(*args, **kwargs):
-        seen["nodes"] += 1
-        return match(*args, **kwargs)
-
-    def counting_searched(*args):
-        seen["searched"] += 1
-        return searched(*args)
-
-    monkeypatch.setattr(derivations, "_pair", counting_pair)
-    monkeypatch.setattr(derivations, "_interleaves", counting_search)
-    monkeypatch.setattr(mll, "match_mll", counting_match)
-    monkeypatch.setattr(mll, "_search", counting_searched)
-    ring = reconstruct(_INPUTS.ring_case(0, 48, random.Random(1)).sequent)
-    relay = reconstruct(_INPUTS.relay_case(0, 24, random.Random(1)).sequent)
-    assert sys.getrecursionlimit() == 1000
-    for m in (nmll_to_mll(ring), nmll_to_mll(relay), _mll_chain(2500, cut=False),
-              _mll_chain(2500, cut=True)):
-        seen.clear()
-        mll.check_mll(m)
-        assert seen["nodes"] > 0 and seen["searched"] == seen["entries"] == 0, seen
-    seen.clear()
-    for max_nodes in (12, 36):
-        for seed in range(200):
-            mll.check_mll(gen_mll(GenConfig(seed=seed, max_nodes=max_nodes)))
-    assert seen["nodes"] > 9000, seen
-    assert seen["searched"] <= GENERATED_MLL_SEARCHED and seen["entries"] == 0, seen
-
-
 def test_printer_prints_each_entry_object_once(monkeypatch):
     import lamp.terms as terms
 

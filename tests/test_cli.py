@@ -213,16 +213,25 @@ def test_a_byte_order_mark_is_read_past(tmp_path):
     assert r.stderr.endswith(" at byte 6\n"), r.stderr
 
 
-def test_a_closed_output_pipe_ends_quietly():
+@pytest.mark.parametrize("command", [
+    ("translate", "corpus/cyclic.lamp", "--direction", "to-mll"),
+    ("parse", "corpus/cyclic.lamp"),
+])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_output_pipe_ends_quietly(command, unbuffered):
     # the reader's end is closed before lamp writes: the write fails with
-    # a broken pipe, which is not an unreadable file (exit 5)
+    # a broken pipe, which is not an unreadable file (exit 5).  Both
+    # outputs are shorter than the buffer, so they are written when lamp
+    # flushes it, or, unbuffered, while it prints
     r_fd, w_fd = os.pipe()
     os.close(r_fd)
     env = dict(os.environ, LAMP_COLOR="0", PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     r = subprocess.run(
-        [sys.executable, "-m", "lamp.cli", "translate", "corpus/cyclic.lamp",
-         "--direction", "to-mll"],
+        [sys.executable, "-m", "lamp.cli", *command],
         stdout=w_fd, stderr=subprocess.PIPE, text=True, cwd=ROOT, env=env,
         timeout=60)
     os.close(w_fd)

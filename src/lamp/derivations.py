@@ -205,11 +205,12 @@ def _align(a: Sequence, parts: Sequence[Sequence]) -> tuple[list, list]:
                                  if k < len(p)])
 
 
-def _interleaves(target: tuple, parts: tuple[tuple, ...]) -> bool:
-    """Whether target merges the parts preserving each part's order, by
-    search: depth first with an explicit stack, trying the parts in order
-    at each position; a state (how far each part is consumed) that failed
-    once is not explored again."""
+def _interleaving(target: Sequence, parts: Sequence[Sequence]) -> Optional[list[int]]:
+    """How target merges the parts preserving each part's order: the part
+    each item of target comes from, or None if it does not.  By search:
+    depth first with an explicit stack, trying the parts in order at each
+    position; a state (how far each part is consumed) that failed once is
+    not explored again."""
     end = tuple(len(p) for p in parts)
     state = (0,) * len(parts)
     trail: list[tuple[tuple[int, ...], int]] = []  # (state before, part taken)
@@ -218,7 +219,7 @@ def _interleaves(target: tuple, parts: tuple[tuple, ...]) -> bool:
     while True:
         ti = len(trail)
         if ti == len(target) and state == end:
-            return True
+            return [m for _, m in trail]
         taken = None
         if ti < len(target) and state not in failed:
             x = target[ti]
@@ -233,47 +234,21 @@ def _interleaves(target: tuple, parts: tuple[tuple, ...]) -> bool:
             continue
         failed.add(state)
         if not trail:
-            return False
+            return None
         state, k = trail.pop()
         k += 1
 
 
-# up to this many entries, aligning costs more than it saves.  Measured on
-# the 3,072 calls of one pass of ring's translations (bench inputs, seed
-# 2), a call unaligned against aligned: match_mll's splits, 1.2 us against
-# 4.2 at 9-12 entries, 1.9 against 4.2 at 13-32, 3.4 against 3.9 at
-# 33-99; _search on the failing round-trip nodes, 17 against 9 at 33-99
-# entries, 62 against 12 at 100 or more
-_SMALL = 32
-
-
 def multiset_diff(a: Sequence, *parts: Sequence) -> tuple[list, list]:
     """What a holds beyond the parts together, and what they hold beyond a,
-    as multisets, each in order.
-
-    Where a has more than _SMALL entries, the runs the lists share pair
-    first (_align); what is left pairs entry by entry (_pair), by a scan
-    that stops at an entry's first difference instead of hashing whole
-    terms.  Where a rule's conclusion shares its unchanged entries with its
-    premises, the runs leave only the principal entries; where it does
-    not, equal entries mostly sit in the same order, so each finds its
-    partner near the front.  Which copies of equal entries pair can change
-    which objects are returned and their order, but never the values
-    returned, as multisets, which is all a rule reads from them."""
-    if len(a) > _SMALL:
-        extra, spans = _align(a, parts)
-        if not spans:  # nothing left to pair
-            return [a[i] for i in extra], []
-        a = [a[i] for i in extra]
-        parts = ([x for m, lo, hi in spans for x in parts[m][lo:hi]],)
-    return _pair(a, parts)
-
-
-def _pair(a: Sequence, parts: Sequence[Sequence]) -> tuple[list, list]:
-    """multiset_diff's pairing, entry by entry: each entry of the parts
-    pairs with the first equal one left in a, found by a scan in C, where
-    identical entries compare at once and unequal ones at their first
-    difference."""
+    as multisets, each in order.  Each entry of the parts pairs with the
+    first equal one left in a, found by a scan in C, where identical
+    entries compare at once and unequal ones at their first difference,
+    instead of hashing whole terms.  Equal entries mostly sit in the same
+    order, so each finds its partner near the front.  Which copies of
+    equal entries pair can change which objects are returned and their
+    order, but never the values returned, as multisets, which is all a
+    rule reads from them."""
     rest, missing = list(a), []
     for x in chain(*parts):
         if x in rest:
@@ -621,7 +596,7 @@ def _search(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
     in C (_where), the new entry's those holding it (only the first,
     unless the entries interleave); they are tried in the order of nested
     loops until the sides match: the premises' entries one after another,
-    one comparison in C, else an interleaving (_interleaves)."""
+    one comparison in C, else an interleaving (_interleaving)."""
     fr, idx, _, diffs, checks, *_ = plan
     left: list = [None, None, None]  # by tuple index
     for s, adds, taking in diffs:
@@ -654,8 +629,8 @@ def _search(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
                         if ss == s:
                             rests[q] = rests[q][:p] + rests[q][p + w:]
                     rest = _without(con[s], at) if how == "interleave" else con[s]
-                    if _joined(rests) != rest and (how == "order"
-                                                   or not _interleaves(rest, rests)):
+                    if _joined(rests) != rest and (
+                            how == "order" or _interleaving(rest, rests) is None):
                         break
             else:
                 got = _made(plan, seqs, items, e, at, flat)

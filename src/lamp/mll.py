@@ -16,33 +16,43 @@ Derivations of both calculi are ``derivations.Derivation`` trees, and a
 node that is not an instance of its rule is a ``RuleViolation`` in both;
 only the rules and the sequents differ.  Each rule with premises is
 written forward once, in MLL_FORWARD, the table the generator (testlab)
-draws from; the translation to natural deduction builds BotI and the
-closing BotE with natural deduction's builders.  match_mll still matches
+draws from; the translation to natural deduction builds each unary rule's
+namesake with natural deduction's builders.  match_mll still matches
 each rule by its own branch: walking MLL_FORWARD as natural deduction's
 checker walks its table cost twice the time (ROADMAP item 21).
 
+Natural deduction's eliminations have no sequent calculus namesake, and
+nmll_to_mll writes each as cuts: BotE as a cut against the bottom axiom,
+LolliE as two cuts over a lolli-left of two identity axioms, ParrE as
+bot-right over a cut over par-left.  mll_to_nmll turns each of those
+three shapes back into the one elimination, from the translations of its
+real premises, without translating the glue between; so the round trip
+has its input's rule at every node.  Any other cut, lolli-left or
+par-left is encoded by a lolli elimination, closed.
+
 Type erasure keeps declaration types on the left and typed entry types on
-the right, dropping untyped close entries.  Derivations produced by the
-sequent-to-natural-deduction direction keep every typed entry before every
-untyped one, so right-hand positions in the source sequent coincide with
-entry indices; fresh term variables come from a deterministic counter
-(c0, c1, ...) and translations are reproducible byte for byte.
+the right, dropping untyped close entries.  Each node's translation to
+natural deduction erases to that node's sequent in its order, and keeps
+every typed entry before every untyped one, so right-hand positions in
+the source sequent coincide with entry indices; fresh term variables come
+from a deterministic counter (c0, c1, ...) and translations are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Any, Iterator, Optional
 
 from .derivations import (
     FORWARD, Derivation, ForwardRule, Rule, RuleViolation, spots, _STAR,
-    _replaced, _well_formed, _without, axiom, instances, multiset_diff,
-    premises_of,
+    _conclusion, _interleaving, _replaced, _same, _well_formed, _where,
+    _without, axiom, instances, multiset_diff, premises_of,
 )
 from .terms import (
-    App, BOT, DeltaEntry, Dist, Lolli, Memo, Par, ParT, Send, Sequent,
+    App, BOT, Close, DeltaEntry, Dist, Lolli, Memo, ParT, Send, Sequent,
     TypeExpr, UNIT, Var, _Node, _texts, children, fold, nodes, preorder,
     print_type,
 )
@@ -131,39 +141,84 @@ def _match_split(con: MllSequent, p1: MllSequent, p2: MllSequent, cls,
     copy, or the two parts of the introduced formula k.  Several choices
     can match the same multisets; the first whose left-to-right context
     concatenation reproduces the conclusion lists exactly wins, so that
-    the term decoration erases back verbatim, else the first that
-    matches."""
-    # (k, the introduced formula as a 1-tuple, its parts); a Cut's
-    # formulas are any equal pair
-    if cls is None:
-        heads = [(None, (), None, None)]
+    the term decoration erases back verbatim (_exact_split), else the
+    first that matches.  The multisets fix the principal formulas' values:
+    what the conclusion's left holds beyond the premises' (the formula k)
+    and they beyond it on each side; so the first match takes the first
+    copy of each.  k is the first copy of its formula either way: an equal
+    formula before it makes the same concatenation."""
+    found = _exact_split(con, p1, p2, cls, on_left)
+    if found:
+        i, j, f = found  # f: the cut formula, or the formula k
     else:
-        heads = [(k, (ty,), *children(ty)) for k, ty in enumerate(con.left)
-                 if type(ty) is cls]
-    found = None
-    for k, intro, a, b in heads:
-        left = con.left if k is None else _without(con.left, k)
-        for i, a1 in enumerate(p1.left if on_left else p1.right):
-            if a is not None and a1 != a:
-                continue
-            l1 = _without(p1.left, i) if on_left else p1.left
-            r1 = p1.right if on_left else _without(p1.right, i)
-            for j, b1 in enumerate(p2.left):
-                if b1 != (a1 if k is None else b):
-                    continue
-                l2 = _without(p2.left, j)
-                inst = ({"i": i, "j": j, "a": a1} if k is None
-                        else {"k": k, "i": i, "j": j, "a": a, "b": b})
-                # an exact concatenation is also a multiset match, so the
-                # multisets are compared only until the first such match
-                if con.left == (l1 + l2 + intro if on_left else l1 + intro + l2) \
-                        and con.right == r1 + p2.right:
-                    return inst
-                if found is None \
-                        and multiset_diff(left, l1, l2) == ([], []) \
-                        and multiset_diff(con.right, r1, p2.right) == ([], []):
-                    found = inst
-    return found
+        extra, lack = multiset_diff(con.left, p1.left, p2.left)
+        extra_r, lack_r = multiset_diff(con.right, p1.right, p2.right)
+        if extra_r or len(extra) != (cls is not None) or len(lack) != 1 + on_left:
+            return None
+        if cls is None:
+            f = a = b = lack[0]
+        elif type(extra[0]) is cls:
+            f = extra[0]
+            a, b = children(f)
+        else:
+            return None
+        side = p1.left if on_left else p1.right
+        if not (_same(lack, [a, b]) and not lack_r if on_left
+                else lack == [b] and lack_r == [a]) or a not in side or b not in p2.left:
+            return None
+        i, j = side.index(a), p2.left.index(b)
+    if cls is None:
+        return {"i": i, "j": j, "a": f}
+    a, b = children(f)
+    return {"k": con.left.index(f), "i": i, "j": j, "a": a, "b": b}
+
+
+def _exact_split(con: MllSequent, p1: MllSequent, p2: MllSequent, cls,
+                 on_left: bool) -> Optional[tuple]:
+    """(i, j, the cut formula or the introduced one) where con concatenates
+    the premises' contexts exactly, or None.  The lengths fix each
+    premise's part of con and the place of the introduced formula, last
+    on the left or after p1's left; i and j are what each part lacks, at
+    the start of the run of equal copies it lacks one of: the first in
+    _match_split's order."""
+    side = p1.left if on_left else p1.right
+    intro = cls is not None
+    if not side or not p2.left \
+            or len(con.left) != len(p1.left) + len(p2.left) - 1 - on_left + intro:
+        return None
+    n1 = len(side) - 1
+    if on_left:  # con.left: p1's part, p2's, the formula k
+        k = len(con.left) - 1
+        if con.right != p1.right + p2.right:
+            return None
+        i, j = _deleted(side, con.left[:n1]), _deleted(p2.left, con.left[n1:k])
+    else:  # con.left: p1's, the formula k if any, p2's part
+        k = len(p1.left)
+        if con.left[:k] != p1.left or con.right[n1:] != p2.right:
+            return None
+        i, j = _deleted(side, con.right[:n1]), _deleted(p2.left, con.left[k + intro:])
+    if i is None or j is None:
+        return None
+    if not intro:
+        return (i, j, side[i]) if side[i] == p2.left[j] else None
+    ty = con.left[k]
+    if type(ty) is not cls or (side[i], p2.left[j]) != children(ty):
+        return None
+    return i, j, ty
+
+
+def _deleted(a: tuple, x: tuple) -> Optional[int]:
+    """The first i such that a without its item i is x, or None: where the
+    two first differ, found in C, then back to the start of that item's
+    run of equal copies."""
+    if len(a) != len(x) + 1:
+        return None
+    i = next(itertools.compress(itertools.count(), map(ne, a, x)), len(x))
+    if a[i + 1:] != x[i:]:
+        return None
+    while i and a[i - 1] == a[i]:
+        i -= 1
+    return i
 
 
 def match_mll(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
@@ -267,7 +322,7 @@ def nmll_to_mll(d: Derivation) -> Derivation:
     Eliminations have no sequent-calculus namesake and become cuts: closing
     a bot entry cuts against the bottom axiom, an application routes through
     lolli-left via two cuts, and a binary output stacks bot-right over a cut
-    over par-left.
+    over par-left: the three shapes mll_to_nmll turns back (_shape).
 
     Nodes are matched in preorder with one memo, since they share the
     entries their rules leave unchanged, then translated premises first."""
@@ -336,96 +391,252 @@ def _to_mll(d: Derivation, inst: dict[str, Any], subs: list[Derivation]) -> Deri
 
 # ---------------------------------------------------------------------------
 # Sequent-calculus -> natural-deduction direction
+#
+# Each node translates to a derivation whose conclusion erases to the
+# node's sequent in its order, declarations and typed entries alike, and
+# lists its typed entries before its untyped ones: so a position on the
+# sequent's right is the index of an entry, which the unary rules read.
 
-def _typed_first(*deltas: tuple[DeltaEntry, ...]) -> tuple[DeltaEntry, ...]:
-    """The entries of deltas in turn, the typed ones before the untyped:
-    the one order in which this direction joins entries."""
-    joined = tuple(itertools.chain(*deltas))
-    return (tuple(filter(_entry_type, joined))
-            + tuple(itertools.filterfalse(_entry_type, joined)))
+def _typed(d: Derivation) -> tuple[DeltaEntry, ...]:
+    return tuple(filter(_entry_type, d.conclusion.delta))
 
 
-def _close_last(d: Derivation) -> Derivation:
-    """BotE closing the last entry of d's conclusion, a bot."""
+def _untyped(*ds: Derivation) -> tuple[DeltaEntry, ...]:
+    return tuple(itertools.filterfalse(
+        _entry_type, itertools.chain(*(d.conclusion.delta for d in ds))))
+
+
+def _merged(target: tuple, parts: list, taken: tuple, new=None) -> Optional[tuple]:
+    """How target merges the parts, each in its order and without the item
+    at its index in taken (None: it loses none), and new, if given,
+    anywhere: (the indices taken, None) where target is their
+    concatenation with new in the first part's taken place, one
+    comparison in C; else (the indices taken, the part each item of
+    target comes from, new's after theirs), by search (_interleaving); or
+    None.  The search tries the indices given first, then each equal copy
+    of their items: a context-splitting rule's match takes the first equal
+    formula, where another may be the one whose removal merges."""
+    if _dealt(parts, (taken, None), new) == target:
+        return taken, None
+    copies = [(None,) if k is None else (k, *(c for c in _where(p, p[k]) if c != k))
+              for p, k in zip(parts, taken)]
+    for ks in itertools.product(*copies):
+        rests = [p if k is None else _without(p, k) for p, k in zip(parts, ks)]
+        trail = _interleaving(target, rests if new is None else rests + [(new,)])
+        if trail is not None:
+            return ks, trail
+    return None
+
+
+def _dealt(parts: list, order: tuple, new=None) -> tuple:
+    """The items of the parts, each without the item at its index in
+    order[0], and new, in the order _merged found (order)."""
+    ks, trail = order
+    rests = [p if k is None else _without(p, k) for p, k in zip(parts, ks)]
+    if trail is None:
+        if new is not None:
+            rests[0] = _replaced(parts[0], ks[0], new)
+        return tuple(itertools.chain(*rests))
+    its = [*map(iter, rests), iter((new,))]
+    return tuple(map(next, map(its.__getitem__, trail)))
+
+
+def _in_order(items: tuple, types: tuple, key) -> tuple:
+    """items, which hold types as a multiset by key, in types' order: as
+    they are if they already are, else each type taking the first item of
+    that type left."""
+    keys = tuple(map(key, items))
+    if keys == types:
+        return items
+    keys, out = list(keys), []
+    for ty in types:
+        k = keys.index(ty)
+        keys[k] = None
+        out.append(items[k])
+    return tuple(out)
+
+
+def _close(d: Derivation, k: int, typed: tuple, con: MllSequent) -> Derivation:
+    """BotE closing entry k of d's conclusion, a bot, to conclude con: its
+    entries are typed, d's other typed entries, in con's order
+    (_in_order), then d's untyped ones and the close last."""
     s = d.conclusion
-    return Derivation(Rule.BOT_E, FORWARD[Rule.BOT_E].conclusion(
-        (s,), (len(s.delta) - 1,)), (d,))
+    close = DeltaEntry(Close(s.delta[k].term), None)
+    return Derivation(Rule.BOT_E, Sequent(
+        s.gamma, _in_order(typed, con.right, _entry_type) + _untyped(d) + (close,)), (d,))
+
+
+def _elimination(rule: Rule, con: MllSequent, gamma: tuple, typed: tuple,
+                 srcs: tuple, premises: tuple, *last: DeltaEntry) -> Derivation:
+    """A LolliE or ParrE node over premises: gamma declared in con's order;
+    its entries typed, the untyped entries of srcs, and last."""
+    return Derivation(rule, Sequent(_in_order(gamma, con.left, _decl_type),
+                                    typed + _untyped(*srcs) + last), premises)
+
+
+def _shape(node: Derivation, insts: dict[int, dict]) -> Optional[tuple]:
+    """Where node is one of the shapes nmll_to_mll writes for an
+    elimination, with the cut formulas that make it one: (the elimination,
+    its premises' nodes, where their typed entries go (_merged), the
+    ParrL's or LolliL's instance), else None.  A LolliE's or ParrE's
+    entries must merge its premises', else node is not one; a BotE keeps
+    its premise's declarations in order, and its close may reorder the
+    entries (_close)."""
+    match node:
+        case (MllRule.BOT_R, con, ((MllRule.CUT, _, (par, parr_l)) as cut,)) \
+                if parr_l.rule is MllRule.PARR_L:
+            inst = insts[id(parr_l)]
+            if insts[id(cut)]["a"] != ParT(inst["a"], inst["b"]):
+                return None
+            nd, srcs, new = Rule.PARR_E, (par, *parr_l.premises), BOT
+            taken = insts[id(cut)]["i"], None, None
+        case (MllRule.CUT, con, (s, (MllRule.AX_BOT, _, _))):
+            if con.left != s.conclusion.left:
+                return None
+            nd, srcs, new, inst = Rule.BOT_E, (s,), None, None
+            taken = insts[id(node)]["i"],
+        case (MllRule.CUT, con, (arg, (MllRule.CUT, _, (fn, lolli_l)) as cut)) \
+                if lolli_l.rule is MllRule.LOLLI_L \
+                and all(p.rule is MllRule.AX_ID for p in lolli_l.premises):
+            inst = insts[id(lolli_l)]
+            if insts[id(cut)]["a"] != Lolli(inst["a"], inst["b"]) \
+                    or insts[id(node)]["a"] != inst["a"]:
+                return None
+            nd, srcs, new = Rule.LOLLI_E, (fn, arg), inst["b"]
+            taken = insts[id(cut)]["i"], insts[id(node)]["i"]
+        case _:
+            return None
+    order = _merged(con.right, [p.conclusion.right for p in srcs], taken, new)
+    if order is None:
+        if nd is not Rule.BOT_E:
+            return None
+        order = taken, None
+    return nd, srcs, order, inst
+
+
+def _rebuilt(con: MllSequent, shape: tuple, subs: list[Derivation]) -> Derivation:
+    """The elimination a shape (_shape) encodes, concluding con, over the
+    translations of its premises' nodes."""
+    rule, _, order, inst = shape
+    parts = list(map(_typed, subs))
+    if rule is Rule.BOT_E:
+        return _close(subs[0], order[0][0], _dealt(parts, order), con)
+    e = subs[0].conclusion.delta[order[0][0]]  # the function or the par
+    if rule is Rule.LOLLI_E:
+        new = DeltaEntry(App(e.term, subs[1].conclusion.delta[order[0][1]].term),
+                         e.type.res)
+        gamma = subs[0].conclusion.gamma + subs[1].conclusion.gamma
+    else:
+        s, sx, sy = map(_conclusion, subs)
+        gx, gy = inst["i"], inst["j"]
+        new = DeltaEntry(Dist(sx.gamma[gx][0], sy.gamma[gy][0], e.term), BOT)
+        gamma = s.gamma + _without(sx.gamma, gx) + _without(sy.gamma, gy)
+    subs = tuple(subs)
+    return _elimination(rule, con, gamma, _dealt(parts, order, new), subs, subs)
+
+
+# per unary rule, its namesake and, from its instance's i and j, the
+# namesake's positions and the place of its new entry (None: its own)
+_NAMESAKES = {
+    MllRule.BOT_R: lambda i, j: (Rule.BOT_I, (None,), i),
+    MllRule.LOLLI_R: lambda i, j: (Rule.LOLLI_I, ((j, i),), None),
+    MllRule.PARR_R: lambda i, j: (Rule.PARR_I, (i,), None),
+}
 
 
 def _to_nmll(node: Derivation, inst: dict[str, Any], subs: list[Derivation],
-             names: Iterator[str]) -> Derivation:
-    """One node of mll_to_nmll: node, its rule instance data, the
-    translations of its premises and the fresh names yet to draw."""
-    rule = node.rule
+             names: Iterator[str], shape: Optional[tuple]) -> Derivation:
+    """One node of mll_to_nmll: node, its rule instance data, its shape
+    (_shape) if it has one, the translations of its premises, or of its
+    shape's, and the fresh names yet to draw."""
+    rule, con = node.rule, node.conclusion
+    if shape is not None:
+        return _rebuilt(con, shape, subs)
     if rule is MllRule.AX_ID:
-        return Derivation(Rule.AX, axiom(next(names), node.conclusion.left[0]))
+        return Derivation(Rule.AX, axiom(next(names), con.left[0]))
     if rule is MllRule.AX_BOT:
-        return _close_last(Derivation(Rule.AX, axiom(next(names), BOT)))
-    if rule is MllRule.CUT:
-        return _cut_encoding(*subs, inst["i"], inst["j"], inst["a"])
+        return _close(Derivation(Rule.AX, axiom(next(names), BOT)), 0, (), con)
 
     i, j, a, b = map(inst.get, "ijab")
     s = subs[0].conclusion
-    # a unary rule becomes its namesake, which keeps the premise's order
-    if rule is MllRule.BOT_R:
-        return Derivation(Rule.BOT_I, FORWARD[Rule.BOT_I].conclusion(
-            (s,), (None,), at=i), tuple(subs))
-    if rule is MllRule.LOLLI_R:
-        # not LolliI's builder, which types the Send by declaration j where
-        # this takes a, the sequent calculus's formula j (ROADMAP item 1)
-        entry = DeltaEntry(Send(s.gamma[j][0], s.delta[i].term), Lolli(a, b))
-        return Derivation(Rule.LOLLI_I, Sequent(
-            _without(s.gamma, j), _replaced(s.delta, i, entry)), tuple(subs))
-    if rule is MllRule.PARR_R:
-        entry = DeltaEntry(Par(s.delta[i].term, s.delta[i + 1].term), ParT(a, b))
-        return Derivation(Rule.PARR_I, Sequent(
-            s.gamma, s.delta[:i] + (entry,) + s.delta[i + 2:]), tuple(subs))
+    # a unary rule becomes its namesake, by that rule's builder: the
+    # premise's translation erases to the premise in its order, so the
+    # node's positions are the namesake's
+    if rule in _NAMESAKES:
+        nd, positions, at = _NAMESAKES[rule](i, j)
+        return Derivation(nd, FORWARD[nd].conclusion((s,), positions, at=at),
+                          tuple(subs))
 
-    # LolliL and ParrL: the introduced formula is a fresh name's axiom
-    x = next(names)
+    # a context-splitting rule: an elimination, closed, whose entries take
+    # the conclusion's order where they merge the premises' (_merged), and
+    # else join them, in which case the close takes that order
+    taken = (None if rule is MllRule.PARR_L else i, None)
+    order = _merged(con.right, [p.conclusion.right for p in node.premises],
+                    taken) or (taken, None)
+    if rule is not MllRule.PARR_L:
+        i = order[0][0]  # an equal copy, where that one merges
+    if rule is MllRule.CUT:
+        return _cut_encoding(*subs, i, j, a, con, order)
+    x = next(names)  # LolliL and ParrL: the introduced formula is x's axiom
     if rule is MllRule.LOLLI_L:
         ty = Lolli(a, b)
         entry = DeltaEntry(App(Var(x), s.delta[i].term), b)
         app = Derivation(Rule.LOLLI_E, Sequent(
             s.gamma + ((x, ty),), _replaced(s.delta, i, entry)),
             (Derivation(Rule.AX, axiom(x, ty)), subs[0]))
-        return _cut_encoding(app, subs[1], i, j, b)
-    # ParrL: a Dist on the fresh name, closed
+        return _cut_encoding(app, subs[1], i, j, b, con, order)
+    # ParrL: a Dist on x
     ty = ParT(a, b)
     s2 = subs[1].conclusion
-    entry = DeltaEntry(Dist(s.gamma[i][0], s2.gamma[j][0], Var(x)), BOT)
-    return _close_last(Derivation(Rule.PARR_E, Sequent(
-        _without(s.gamma, i) + _without(s2.gamma, j) + ((x, ty),),
-        _typed_first(s.delta, s2.delta) + (entry,)),
-        (Derivation(Rule.AX, axiom(x, ty)), *subs)))
+    typed = _dealt(list(map(_typed, subs)), order)
+    parr_e = _elimination(
+        Rule.PARR_E, con, _without(s.gamma, i) + _without(s2.gamma, j) + ((x, ty),),
+        typed, subs, (Derivation(Rule.AX, axiom(x, ty)), *subs),
+        DeltaEntry(Dist(s.gamma[i][0], s2.gamma[j][0], Var(x)), BOT))
+    return _close(parr_e, -1, typed, con)
 
 
-def _cut_encoding(d_left: Derivation, d_right: Derivation,
-                  i: int, j: int, a: TypeExpr) -> Derivation:
-    """Encode a cut on A: turn the right premise's A declaration into an
-    output channel of type A -o bot and apply it to the left premise's
-    A entry, then close the resulting bot."""
+def _cut_encoding(d_left: Derivation, d_right: Derivation, i: int, j: int,
+                  a: TypeExpr, con: MllSequent, order: tuple) -> Derivation:
+    """Encode a cut on A, of entry i of d_left against declaration j of
+    d_right, concluding con: turn the A declaration into an output channel
+    of type A -o bot and apply it to the A entry, then close the resulting
+    bot.  The two premises' other typed entries go in order (_merged's)."""
     s1, s2 = d_left.conclusion, d_right.conclusion
     gamma = _without(s2.gamma, j)
     send = DeltaEntry(Send(s2.gamma[j][0], UNIT), Lolli(a, BOT))
+    typed2, untyped2 = _typed(d_right), _untyped(d_right)
     boti = Derivation(Rule.BOT_I, Sequent(
-        s2.gamma, _typed_first(s2.delta, (_STAR,))), (d_right,))
+        s2.gamma, typed2 + (_STAR,) + untyped2), (d_right,))
     lolli_i = Derivation(Rule.LOLLI_I, Sequent(
-        gamma, _typed_first(s2.delta, (send,))), (boti,))
-    app = DeltaEntry(App(send.term, s1.delta[i].term), BOT)
-    return _close_last(Derivation(Rule.LOLLI_E, Sequent(
-        s1.gamma + gamma, _typed_first(_without(s1.delta, i), s2.delta) + (app,)),
-        (lolli_i, d_left)))
+        gamma, typed2 + (send,) + untyped2), (boti,))
+    typed = _dealt([_typed(d_left), typed2], order)
+    app = _elimination(
+        Rule.LOLLI_E, con, s1.gamma + gamma, typed, (d_left, d_right), (lolli_i, d_left),
+        DeltaEntry(App(send.term, s1.delta[i].term), BOT))
+    return _close(app, -1, typed, con)
 
 
 def mll_to_nmll(d: Derivation) -> Derivation:
     """Translate a checked sequent calculus derivation into natural
-    deduction; the result's conclusion erases back to d's conclusion up to
-    the order in which independent contexts were joined.
+    deduction; the result's conclusion erases to d's conclusion, in its
+    order.
 
     Nodes are matched in preorder, then translated premises first, which
-    is the order in which fresh names are drawn."""
+    is the order in which fresh names are drawn.  Where a node is one of
+    the shapes nmll_to_mll writes for an elimination (_shape), the walk
+    goes from it to the shape's premises: their translations make that
+    elimination, and the glue between is not translated."""
     insts = {id(node): inst for node, inst in _matched(d)}
     names = map("c{}".format, itertools.count())
-    return fold(d, premises_of,
-                lambda node, subs: _to_nmll(node, insts[id(node)], subs, names))
+    shapes: dict[int, tuple] = {}
+
+    def kids(node: Derivation) -> tuple:
+        shape = _shape(node, insts)
+        if shape is None:
+            return node.premises
+        shapes[id(node)] = shape
+        return shape[1]
+
+    return fold(d, kids, lambda node, subs: _to_nmll(
+        node, insts[id(node)], subs, names, shapes.get(id(node))))

@@ -323,6 +323,18 @@ def test_translate_to_mll(tmp_path):
     assert r2.stdout.startswith("(ParrI")
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_translate_round_trips_every_corpus_file(name, tmp_path):
+    # to-nmll of what to-mll printed: the natural deduction it builds must
+    # check, which the cyclic and client-server programs' once did not
+    r = run_cli("translate", f"corpus/{name}.lamp", "--direction", "to-mll")
+    assert r.returncode == 0, r.stderr
+    mll_file = tmp_path / f"{name}.mllsx"
+    mll_file.write_text(r.stdout)
+    r = run_cli("translate", str(mll_file), "--direction", "to-nmll")
+    assert r.returncode == 0, r.stderr
+
+
 def test_translate_to_nmll_reports_the_first_bad_node(tmp_path):
     # the BotR below the root sits on a bottom axiom: its left side differs
     f = tmp_path / "bad.mllsx"

@@ -173,19 +173,11 @@ def test_generated_mll_round(seed):
 # -- cross-fed round trips ---------------------------------------------------
 # mll_to_nmll builds each sequent in its source's order, and nmll_to_mll's
 # ParrE cut follows its ND conclusion's order, so an MLL round trip checks
-# and concludes its input exactly.  The ND round trip does not check yet:
-# nmll_to_mll indexes the translated premises by position, and mll_to_nmll
-# does not keep the ND side's order (ROADMAP item 1).  The smallest known
-# witnesses below are strict xfails, whose marks go once item 1 makes that
-# half sound.
+# and concludes its input exactly.  mll_to_nmll turns the shapes
+# nmll_to_mll writes for each elimination back into that elimination, so
+# an ND round trip checks too; the smallest witnesses of the fault that
+# once broke it come first.
 
-def _item_1(raises, text):
-    return pytest.mark.xfail(strict=True, raises=raises,
-                             reason=f"ROADMAP item 1, round trip fails: {text}")
-
-
-@_item_1(derivations.RuleViolation,
-         "LolliI must abstract one declaration into a Send")
 def test_nd_round_trip_of_a_generated_derivation():
     # v1 : A |- lam v2. v2 v1 : (A -o B) -o B
     d = gen_derivation(GenConfig(seed=56, max_nodes=4))
@@ -217,12 +209,9 @@ def test_mll_to_nmll_keeps_the_order_of_every_node():
             assert type_erasure(mll_to_nmll(node).conclusion) == node.conclusion
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: the per-node order rule fails")
 def test_nd_round_trip_keeps_the_order_of_every_node():
-    # item 1's per-node rule: each node of nmll_to_mll(d), translated back,
-    # erases to that node's sequent in its order.  It held at 13,063 of
-    # the 14,764 nodes when it was written
+    # the per-node rule: each node of nmll_to_mll(d), translated back,
+    # erases to that node's sequent in its order
     held = total = 0
     for max_nodes in (12, 36):
         for seed in range(200):
@@ -233,18 +222,74 @@ def test_nd_round_trip_keeps_the_order_of_every_node():
     assert held == total, f"the rule holds at {held} of {total} nodes"
 
 
-@_item_1(derivations.RuleViolation,
-         "ParrI must merge two adjacent typed entries")
+def test_splits_in_any_order_translate_in_that_order():
+    # a context-splitting rule's conclusion may list its premises'
+    # formulas in any order, which need not merge theirs: its translation
+    # still checks and erases to it in that order, its close reordering
+    # what the elimination cannot.  Each split of the generated
+    # derivations of both calculi, its conclusion shuffled, as the root
+    rng = random.Random(0)
+    seen = Counter()
+    for seed in range(50):
+        for m in (gen_mll(GenConfig(seed=seed, max_nodes=24)),
+                  nmll_to_mll(gen_derivation(GenConfig(seed=seed, max_nodes=24)))):
+            for node in nodes(m, premises_of):
+                if node.rule not in (MllRule.CUT, MllRule.LOLLI_L, MllRule.PARR_L):
+                    continue
+                left, right = list(node.conclusion.left), list(node.conclusion.right)
+                rng.shuffle(left)
+                rng.shuffle(right)
+                split = MllDerivation(node.rule, MllSequent(tuple(left), tuple(right)),
+                                      node.premises)
+                d = mll_to_nmll(split)
+                check_derivation(d)
+                assert type_erasure(d.conclusion) == split.conclusion
+                seen[node.rule] += 1
+    assert min(seen.values()) > 50, seen
+
+
 def test_nd_round_trip_of_ring():
     d = reconstruct(_INPUTS.ring_case(0, 8, random.Random(0)).sequent)
     check_derivation(mll_to_nmll(nmll_to_mll(d)))
 
 
-@_item_1(derivations.RuleViolation,
-         "LolliI must abstract one declaration into a Send")
 def test_nd_round_trip_of_relay():
     d = reconstruct(_INPUTS.relay_case(0, 8, random.Random(0)).sequent)
     check_derivation(mll_to_nmll(nmll_to_mll(d)))
+
+
+def _round_trip_inputs():
+    """The 400 generated derivations, ring and relay at 8..48, and every
+    sequent of the completeness probe (tests/test_completeness.py),
+    reconstructed: the exhaustive check below its bound."""
+    from tests.test_completeness import MAX_SIZE, TYPES, _dist_layer
+    from lamp.testlab import closure
+
+    yield from (gen_derivation(GenConfig(seed=seed, max_nodes=m))
+                for m in (12, 36) for seed in range(200))
+    sizes = range(8, 49, 8)
+    yield from _ring_and_relay(rings=sizes, relays=sizes)
+    seen = closure(TYPES, MAX_SIZE)
+    for s in sorted(seen | _dist_layer(seen), key=str):
+        yield reconstruct(s)
+
+
+def test_nd_round_trip_keeps_every_rule_and_erasure():
+    # each elimination comes back as the one node it was: the round trip
+    # has d's rule at every path, and each node concludes the erasure of
+    # d's node there, in its order
+    count = 0
+    for d in _round_trip_inputs():
+        trip = mll_to_nmll(nmll_to_mll(d))
+        check_derivation(trip)
+        pairs = list(zip(preorder(d, premises_of), preorder(trip, premises_of)))
+        assert len(pairs) == len(list(nodes(trip, premises_of)))
+        for (path, a), (path2, b) in pairs:
+            assert (path2, b.rule) == (path, a.rule), d.conclusion
+            assert type_erasure(b.conclusion) == type_erasure(a.conclusion), \
+                (d.conclusion, path)
+        count += 1
+    assert count == 400 + 12 + 1182
 
 
 def test_translators_report_the_path_of_a_bad_node():
@@ -535,8 +580,11 @@ def test_nmll_to_mll_output_is_byte_stable():
 
 
 # SHA-256 of derivation_to_sexpr(mll_to_nmll(m)), "\n\n" after each, over
-# _mll_inputs(); taken when mll_to_nmll translated each node by recursion
-MLL_TO_NMLL_SHA256 = "19f1d7cdcd3cf09bc87b6fe857a2a3eca4a7a181561d976ac11376d14341ef8a"
+# _mll_inputs(); taken when mll_to_nmll first turned the shapes nmll_to_mll
+# writes for an elimination back into that elimination, which changed the
+# six ring and relay inputs and the 29 generated ones with a cut against
+# the bottom axiom
+MLL_TO_NMLL_SHA256 = "bc67a049982738fb9822154cee3a90f0fa532b2844013e406d51ffe71b287074"
 
 
 def _mll_inputs():

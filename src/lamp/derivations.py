@@ -51,8 +51,8 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from itertools import chain, repeat
-from operator import attrgetter, contains, itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import (
     Any, Callable, Hashable, Iterator, NamedTuple, Optional, Sequence,
 )
@@ -61,8 +61,8 @@ from typing import (
 # here too, where they were first
 from .terms import (
     App, BOT, Bot, Close, DeltaEntry, Dist, LinearityError, Lolli, Par, ParT,
-    Send, Sequent, TypeExpr, TypecheckError, UNIT, Var, _scan,
-    check_channel_linearity, equal, var_names,
+    Send, Sequent, TypeExpr, TypecheckError, UNIT, Var,
+    check_channel_linearity, equal, is_free_in, var_names,
 )
 
 
@@ -270,51 +270,20 @@ def _where(entries: tuple, e) -> Iterator[int]:
         yield k
 
 
-class _Memo:
-    """What matching the nodes of one derivation computes once.  Per entry
-    object, the names free in it; per sequent, its declarations as a dict,
-    which a node's match builds for its premises and the premises' own
-    matches reuse.  Keyed by id: valid while the objects it has seen are
-    alive, which the derivation being checked guarantees.  Names are
-    looked up for a whole delta in C; an entry costs a Python step only
-    when it is first seen.
-
-    The free-name memo stays for a check that fails: _raise_first asks
-    again, for every LolliI on its frames, whether a name is free in
-    entries it has read.  On one pass of ring's check and translate
-    (bench/ops.py, seed 2, whose 15 round trips fail, ROADMAP item 1) it
-    answered 24,899 of its 27,706 entry reads, and the pass took a quarter
-    longer without it (0.44 s against 0.34 s, medians of 6 alternating
-    runs, each best of 7, on a 2-vCPU VM).  _used reads var_names: a memo
-    of the names each entry uses was hit 0 times in that pass's 217 calls,
-    on 266 entries."""
-
-    def __init__(self):
-        self._free: dict[int, frozenset[str]] = {}
-        self._gammas: dict[int, dict] = {}
-
-    def free_in(self, x: str, delta: Sequence[DeltaEntry]) -> bool:
-        """Whether x is free in some entry of delta: first among the
-        entries seen before, then in the others, one by one."""
-        sets = list(map(self._free.get, map(id, delta)))
-        if any(map(contains, filter(None, sets), repeat(x))):
-            return True
-        for k in _where(sets, None) if None in sets else ():
-            free = self._free[id(delta[k])] = frozenset(_scan(delta[k].term).free)
-            if x in free:
-                return True
-        return False
-
-    def gamma(self, s: Sequent, path, what: str) -> dict:
-        """s's declarations as a dict, or a RuleViolation if s declares a
-        name twice."""
-        d = self._gammas.get(id(s))
-        if d is None:
-            d = dict(s.gamma)
-            if len(d) != len(s.gamma):
-                raise RuleViolation(path, f"{what} declares a variable twice")
-            self._gammas[id(s)] = d
-        return d
+def _gamma(gammas: dict, s: Sequent, path, what: str) -> dict:
+    """s's declarations as a dict, or a RuleViolation if s declares a name
+    twice.  gammas keeps each dict made while matching the nodes of one
+    derivation, by its sequent's id, so that a node's match builds it for
+    its premises and the premises' own matches reuse it: valid while the
+    sequents it has seen are alive, which the derivation being checked
+    guarantees."""
+    d = gammas.get(id(s))
+    if d is None:
+        d = dict(s.gamma)
+        if len(d) != len(s.gamma):
+            raise RuleViolation(path, f"{what} declares a variable twice")
+        gammas[id(s)] = d
+    return d
 
 
 _name = itemgetter(0)  # of a declaration
@@ -326,12 +295,13 @@ def _premises_disjoint(node: Derivation, path) -> None:
         raise RuleViolation(path, reason)
 
 
-def _bound_somewhere(node: Derivation, inst: dict, path, memo: _Memo) -> None:
+def _bound_somewhere(node: Derivation, inst: dict, path) -> None:
     """The one rule condition a match defers that is not about shape: a
     LolliI's abstracted name occurs free in its premise, read from the
     premise's entries."""
+    x = inst.get("x")
     if node.rule is Rule.LOLLI_I \
-            and not memo.free_in(x := inst["x"], node.premises[0].conclusion.delta):
+            and not any(is_free_in(x, e.term) for e in node.premises[0].conclusion.delta):
         raise RuleViolation(path, f"abstracted {x!r} occurs neither in the "
                                   f"principal term nor elsewhere (no weakening)")
 
@@ -749,7 +719,7 @@ def _well_formed(node: Derivation, arity: dict, sequent: type,
 def match_rule(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
     """Verify that node instantiates its rule and return the instance data.
     Subderivations are not descended into (see check_derivation)."""
-    return _match(node, path, _Memo())
+    return _match(node, path, {})
 
 
 # how a unary and a binary rule match: declarations, then entries
@@ -758,7 +728,7 @@ _PREMISES = "premise 0", "premise 1", "premise 2"
 _conclusion = attrgetter("conclusion")
 
 
-def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
+def _match(node: Derivation, path: tuple[int, ...], gammas: dict,
            defer: bool = False) -> dict[str, Any]:
     """match_rule: an axiom by its one shape, any other rule by a walk of
     FORWARD (_aligned, else _search).  A unary rule's entries match its
@@ -773,7 +743,7 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
     to test them once the premises' subtrees are matched."""
     rule, con, prems = node.rule, node.conclusion, node.premises
     _well_formed(node, ARITY, Sequent, path)
-    cg = memo.gamma(con, path, "conclusion")
+    cg = _gamma(gammas, con, path, "conclusion")
     if not defer and len(prems) > 1:
         _premises_disjoint(node, path)
     if not prems:
@@ -791,9 +761,9 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
     if kept and len(seqs) == 1:
         if seqs[0].gamma != con.gamma:
             raise RuleViolation(path, f"{rule.value} must not change declarations")
-        memo._gammas[id(seqs[0])] = cg  # the premise's dict too
+        gammas[id(seqs[0])] = cg  # the premise's dict too
     else:
-        gs = [memo.gamma(s, path, what) for s, what in
+        gs = [_gamma(gammas, s, path, what) for s, what in
               zip(seqs, ("premise",) if len(seqs) == 1 else _PREMISES)]
         if kept:
             joined = {}
@@ -806,7 +776,7 @@ def _match(node: Derivation, path: tuple[int, ...], memo: _Memo,
     if inst is None:
         raise RuleViolation(path, fr.reason)
     if not defer:
-        _bound_somewhere(node, inst, path, memo)
+        _bound_somewhere(node, inst, path)
     return inst
 
 
@@ -833,13 +803,13 @@ def instances(d: Derivation) -> dict[int, dict[str, Any]]:
     # the nodes entered and not left, root first: each with its index
     # among its parent's premises and the names of its premises matched
     frames: list[tuple[Derivation, int, list[set[str]]]] = []
-    memo, data = _Memo(), {}
+    gammas, data = {}, {}
     node, k = d, 0
     while True:
         try:
-            data[id(node)] = _match(node, (), memo, True)
+            data[id(node)] = _match(node, (), gammas, True)
         except RuleViolation:
-            _raise_first(frames, data, node, k, memo)
+            _raise_first(frames, data, node, k, gammas)
         if node.premises:
             frames.append((node, k, []))
             node, k = node.premises[0], 0
@@ -857,12 +827,12 @@ def instances(d: Derivation) -> dict[int, dict[str, Any]]:
             names, total = max(sets, key=len), sum(map(len, sets))
             names.update(*sets)
             if len(names) != total:
-                _raise_first(frames, data, node, k, memo)
+                _raise_first(frames, data, node, k, gammas)
         else:
             return data
 
 
-def _raise_first(frames: list, data: dict, node: Derivation, k: int, memo: _Memo):
+def _raise_first(frames: list, data: dict, node: Derivation, k: int, gammas: dict):
     """Raise the first violation in preorder: node's, the k-th premise of
     the last node on frames, which fails, or that of a node on frames
     above it: premises that share a name, or a LolliI whose abstracted
@@ -886,6 +856,6 @@ def _raise_first(frames: list, data: dict, node: Derivation, k: int, memo: _Memo
     for t, (a, _, _) in enumerate(frames):
         if shared.get(t):
             raise RuleViolation(path[:t], shared[t])
-        _bound_somewhere(a, data[id(a)], path[:t], memo)
-    _match(node, path, memo)
+        _bound_somewhere(a, data[id(a)], path[:t])
+    _match(node, path, gammas)
     raise AssertionError("the failing node matched")

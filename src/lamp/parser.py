@@ -44,6 +44,10 @@ from .terms import (
     Term, TypeExpr, UNIT, Var, is_free_in,
 )
 
+# every node is built as terms._put builds one, (tag, *fields) straight
+# into tuple.__new__, without the Python frame of the class's constructor
+_new = tuple.__new__
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int = 0, col: int = 0):
@@ -159,7 +163,7 @@ class _Reader:
                 continue
             if t in _OPS:
                 self.wanted(i, "a type")
-            ty = BOT if t == "bot" else Atom(t)
+            ty = BOT if t == "bot" else _new(Atom, ("Atom", t))
             i += 1
             # the chains ty ends, and each type in parentheses it ends
             while True:
@@ -169,13 +173,13 @@ class _Reader:
                     i += 1
                     break
                 while lollis:
-                    ty = Lolli(lollis.pop(), ty)
+                    ty = _new(Lolli, ("Lolli", lollis.pop(), ty))
                 if t == "par":
                     pars.append(ty)
                     i += 1
                     break
                 while pars:
-                    ty = ParT(pars.pop(), ty)
+                    ty = _new(ParT, ("ParT", pars.pop(), ty))
                 if not stack:
                     self.i = i
                     return ty
@@ -228,14 +232,14 @@ class _Reader:
             if t == "*":
                 atom = UNIT
             elif t not in _NOT_NAME:
-                atom = Var(t)
+                atom = _new(Var, ("Var", t))
                 used[t] = i
             else:
                 self.wanted(i, "a term")
             i += 1
             # the atom joins the app; where no atom follows, the seq and the term end
             while True:
-                app = atom if app is None else App(app, atom)
+                app = atom if app is None else _new(App, ("App", app, atom))
                 t = toks[i]
                 if t not in _NO_ATOM:
                     break
@@ -248,18 +252,19 @@ class _Reader:
                                                 else used.get(z, -1) > dot):
                         self.fail(k, _UNUSED[kind].format(z), LamWithoutOccurrence)
                     if kind == "out2":
-                        body = Dist(*names, body)
+                        body = _new(Dist, ("Dist", *names, body))
                     elif kind:
-                        body = Send(z, body)
+                        body = _new(Send, ("Send", z, body))
                     else:
-                        body = App(Send(z, body), Var(toks[k]))
+                        body = _new(App, ("App", _new(Send, ("Send", z, body)),
+                                               _new(Var, ("Var", toks[k]))))
                 if t == "|":
                     parts.append(body)
                     i += 1
                     app = None
                     break
                 while parts:
-                    body = Par(parts.pop(), body)
+                    body = _new(Par, ("Par", parts.pop(), body))
                 if not stack:
                     self.i = i
                     return body
@@ -271,7 +276,7 @@ class _Reader:
                 if toks[i] != ")":
                     self.wanted(i, "')'")
                 i += 1
-                atom = Close(body) if toks[k] == "close" else body
+                atom = _new(Close, ("Close", body)) if toks[k] == "close" else body
 
     def sequent(self) -> Sequent:
         toks = self.toks
@@ -299,9 +304,10 @@ class _Reader:
             self.i += typed
             if not typed and type(term) is not Close:
                 self.fail(j, "untyped conclusion must have the form close(...)")
-            delta.append(DeltaEntry(term, self.type_() if typed else None))
+            ty = self.type_() if typed else None
+            delta.append(_new(DeltaEntry, ("DeltaEntry", term, ty)))
             if toks[self.i] != ",":
-                return self.end(Sequent(tuple(gamma.items()), tuple(delta)))
+                return self.end(_new(Sequent, ("Sequent", tuple(gamma.items()), tuple(delta))))
             self.i += 1
 
     def types(self, stop: str) -> tuple:

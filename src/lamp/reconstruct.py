@@ -83,6 +83,10 @@ class UnificationFailure(TypecheckError):
 # has always exported it by
 LinearityViolation = LinearityError
 
+# finalize builds what it rebuilds straight through tuple.__new__, as the
+# parser does, without the Python frame of each class's constructor
+_new = tuple.__new__
+
 
 class _Reconstructor:
     def __init__(self, annotations: Iterable[tuple[Term, TypeExpr]]):
@@ -218,7 +222,7 @@ class _Reconstructor:
     def solve(self, seq: Sequent) -> Derivation:
         gamma, delta = seq.gamma, seq.delta
 
-        for e in delta:
+        for e in delta if self.ann else ():
             if e.type is not None:
                 self._apply_annotation(e.term, e.type)
 
@@ -368,23 +372,19 @@ class _Reconstructor:
         return rule, map(premises, choices)
 
     def finalize(self, d: Derivation) -> Derivation:
-        # solve hands a premise the very declaration and entry objects of
-        # its conclusion that the rule leaves unchanged; resolving each
-        # object once keeps that sharing, which the checker and the
-        # printer rely on to do per-entry work once per object.  A type is
-        # solved one node at a time, each distinct node once, and equal
-        # solved types are one object, found by tag, names and child ids:
-        # so an axiom's declaration and entry share theirs.  Keyed by id:
+        # solve hands a premise the very declaration tuple, declarations
+        # and entries of its conclusion that the rule leaves unchanged;
+        # resolving each object once keeps that sharing, which the checker
+        # and the printer rely on to do per-entry work once per object.
+        # A type is solved one node at a time, each distinct node once,
+        # and equal solved types are one object, found by tag, names and
+        # child ids: so an axiom's declaration and entry share theirs.  A
+        # declaration, entry or type whose solved form is itself is kept,
+        # and new nodes are built as the parser builds them.  Keyed by id:
         # every key stays alive in d, in subst or in types for the whole
         # walk.
         done: dict[int, object] = {}
         types: dict[tuple, TypeExpr] = {}
-
-        def fix(item, resolved):
-            hit = done.get(id(item))
-            if hit is None:
-                hit = done[id(item)] = resolved(item)
-            return hit
 
         def kids(ty) -> tuple:
             return () if id(ty) in done else self._kids(ty)
@@ -392,26 +392,45 @@ class _Reconstructor:
         def leave(ty, parts):
             hit = done.get(id(ty))
             if hit is None:
-                new = BOT if type(ty) is MetaVar else type(ty)(*parts) if parts else ty
-                key = new[:new._first] + tuple(map(id, parts))
-                hit = done[id(ty)] = types.setdefault(key, new)
+                ids = tuple(map(id, parts))
+                new = (BOT if type(ty) is MetaVar else ty if ids == tuple(map(id, children(ty)))
+                       else _new(type(ty), ty[:ty._first] + tuple(parts)))
+                hit = done[id(ty)] = types.setdefault(new[:new._first] + ids, new)
             return hit
 
         def solved(ty):
-            return fold(self.resolve(ty), kids, leave)
+            hit = done.get(id(ty))
+            if hit is None:
+                root = self.resolve(ty)  # a leaf, or a node solved already, needs no fold
+                hit = done.get(id(root))
+                if hit is None:
+                    hit = fold(root, kids, leave) if len(root) > root._first else leave(root, ())
+                done[id(ty)] = hit
+            return hit
 
-        def declaration(g):
-            return g[0], solved(g[1])
+        def declaration(g: tuple) -> tuple:
+            hit = done.get(id(g))
+            if hit is None:
+                ty = solved(g[1])
+                hit = done[id(g)] = g if ty is g[1] else (g[0], ty)
+            return hit
 
         def entry(e: DeltaEntry) -> DeltaEntry:
-            return DeltaEntry(e.term, None if e.type is None else solved(e.type))
+            hit = done.get(id(e))
+            if hit is None:
+                ty = None if e.type is None else solved(e.type)
+                hit = done[id(e)] = (e if ty is e.type
+                                     else _new(DeltaEntry, ("DeltaEntry", e.term, ty)))
+            return hit
 
         def fix_seq(s: Sequent) -> Sequent:
-            return Sequent(tuple(fix(g, declaration) for g in s.gamma),
-                           tuple(fix(e, entry) for e in s.delta))
+            gamma = done.get(id(s.gamma))
+            if gamma is None:
+                gamma = done[id(s.gamma)] = tuple(map(declaration, s.gamma))
+            return _new(Sequent, ("Sequent", gamma, tuple(map(entry, s.delta))))
 
-        return fold(d, premises_of, lambda node, subs: Derivation(
-            node.rule, fix_seq(node.conclusion), tuple(subs)))
+        return fold(d, premises_of, lambda node, subs: _new(Derivation, (
+            node.rule, fix_seq(node.conclusion), tuple(subs))))
 
 
 def polarity_balance(seq: Sequent) -> dict[str, int]:

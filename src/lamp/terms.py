@@ -613,8 +613,12 @@ def print_term(t: Term, memo: Optional[Memo] = None) -> str:
     is looked up).  So memo holds one string per root printed, a string
     the caller's output holds anyway, and one entry per node printed.  The
     caller keeps every node printed through memo alive while it reuses
-    memo, so that no id in it is reused for another node.
+    memo, so that no id in it is reused for another node.  A variable or
+    ``*`` is printed before any scan or walk.
     """
+    cls = type(t)
+    if cls is Var or cls is Unit:
+        return t[1] if cls is Var else "*"
     hit = None if memo is None else memo.get(id(t))
     if hit is not None:
         return hit[0][hit[1]:hit[2]]
@@ -622,7 +626,14 @@ def print_term(t: Term, memo: Optional[Memo] = None) -> str:
 
 
 def print_type(ty: TypeExpr, memo: Optional[Memo] = None) -> str:
-    """ty in lamp syntax; memo is a span memo, as for print_term."""
+    """ty in lamp syntax; memo is a span memo, as for print_term.  An atom,
+    bot and a node found in memo are printed without a walk."""
+    cls = type(ty)
+    if cls is Atom or cls is Bot:
+        return ty[1] if cls is Atom else "bot"
+    hit = None if memo is None else memo.get(id(ty))
+    if hit is not None:
+        return hit[0][hit[1]:hit[2]]
     return _print(ty, memo, ())
 
 

@@ -11,8 +11,8 @@ from lamp.parser import (
     parse_program, parse_term, parse_type, tokenize,
 )
 from lamp.terms import (
-    App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
-    UNIT, Var, children, is_free_in, nodes, print_sequent, print_term, print_type,
+    App, Atom, BOT, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
+    UNIT, Unit, Var, children, is_free_in, nodes, print_sequent, print_term, print_type,
 )
 from lamp.testlab import GenConfig, gen_derivation
 from tests.conftest import CORPUS_NAMES, corpus_text
@@ -265,6 +265,41 @@ def test_parse_behaviour_is_byte_stable():
     assert kinds == {"Program": 695, "ParseError": 2374,
                      "LamWithoutOccurrence": 127, "DuplicateBinder": 4}
     assert h.hexdigest() == PARSE_DIGEST
+
+
+_NODE_CLASSES = (App, Atom, Bot, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send,
+                 Sequent, Unit, Var)
+
+
+def _rebuilt(x):
+    """x rebuilt through the public constructors: a node as its class
+    called on its fields, rebuilt, and a tuple item by item."""
+    if type(x) in _NODE_CLASSES:
+        return type(x)(*map(_rebuilt, x[1:]))
+    return tuple(map(_rebuilt, x)) if type(x) is tuple else x
+
+
+def test_parsed_nodes_are_built_as_their_constructors_build_them():
+    # the parser builds nodes straight through tuple.__new__: each node of
+    # each accepted text (the sequent, entries, terms, types and
+    # annotation pairs) must carry its class name as its tag and equal its
+    # rebuild by the constructors, tags compared at every level
+    count = pair_count = 0
+    for text in _digest_texts():
+        try:
+            prog = parse_program(text)
+        except ParseError:
+            continue
+        seq = prog.sequent
+        trees = [ty for _, ty in seq.gamma] + [x for e in seq.delta for x in e[1:] if x]
+        trees += [x for pair in prog.annotations for x in pair]
+        for node in [seq, *seq.delta, *(n for t in trees for n in nodes(t, children))]:
+            assert node[0] == type(node).__name__ and node == _rebuilt(node), text
+            count += 1
+        pairs = tuple(prog.annotations)
+        assert pairs == _rebuilt(pairs), text
+        pair_count += len(pairs)
+    assert (count, pair_count) == (17818, 37)
 
 
 def test_lam_chains_walk_no_body_unless_a_binder_repeats(monkeypatch):

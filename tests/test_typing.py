@@ -630,6 +630,22 @@ def test_equal_solved_types_are_one_object():
     assert len(types) == len({print_type(ty) for ty in types.values()}) == 52
 
 
+def test_unary_rules_that_keep_declarations_share_their_tuple():
+    # finalize resolves each declaration tuple once: a BotI, BotE or ParrI
+    # node, whose rule leaves its declarations as they are, holds the very
+    # tuple that its premise holds, not an equal copy
+    goals = [_INPUTS.ring_case(0, 48, random.Random(1)).sequent,
+             _INPUTS.relay_case(0, 24, random.Random(1)).sequent]
+    goals += [gen_derivation(GenConfig(seed=seed, max_nodes=24)).conclusion
+              for seed in range(100)]
+    keeping = {Rule.BOT_I, Rule.BOT_E, Rule.PARR_I}
+    # per such node with a declaration: whether it holds its premise's tuple
+    held = [n.conclusion.gamma is n.premises[0].conclusion.gamma
+            for goal in goals for n in nodes(reconstruct(goal), premises_of)
+            if n.rule in keeping and n.conclusion.gamma]
+    assert (held.count(True), held.count(False)) == (576, 0)
+
+
 # -- polarity pre-check -----------------------------------------------------------
 
 def _workload_twins(n=400):

@@ -30,7 +30,10 @@ is still checked on values.
 on a node's premises, that they share no name and that a LolliI's
 abstracted name occurs free in its premise, wait until the premises'
 subtrees are matched and are read off what those gathered on the way up
-(``instances``), so no premise entry is read for them.
+(``instances``), so no premise entry is read for them.  A derivation that
+fails is matched again, in preorder and each node in full, up to the
+first node that fails, which is reported (``_raise_first``): the walk
+``mll.check_mll`` makes (``_matched``).
 
 Each rule with premises is written once, in FORWARD: where a sequent can
 serve as each premise (``spots``), the entry the rule adds and where it
@@ -62,7 +65,7 @@ from typing import (
 from .terms import (
     App, BOT, Bot, Close, DeltaEntry, Dist, LinearityError, Lolli, Par, ParT,
     Send, Sequent, TypeExpr, TypecheckError, UNIT, Var,
-    check_channel_linearity, equal, is_free_in, var_names,
+    check_channel_linearity, equal, is_free_in, nodes, preorder, var_names,
 )
 
 
@@ -258,16 +261,9 @@ def multiset_diff(a: Sequence, *parts: Sequence) -> tuple[list, list]:
     return rest, missing
 
 
-def _where(entries: tuple, e) -> Iterator[int]:
-    """The positions of the entries equal to e, in order, each found by a
-    scan in C."""
-    k = -1
-    while True:
-        try:
-            k = entries.index(e, k + 1)
-        except ValueError:
-            return
-        yield k
+def _where(entries: tuple, e) -> list[int]:
+    """The positions of the entries equal to e, in order."""
+    return [k for k, x in enumerate(entries) if x == e]
 
 
 def _gamma(gammas: dict, s: Sequent, path, what: str) -> dict:
@@ -290,34 +286,19 @@ _name = itemgetter(0)  # of a declaration
 
 
 def _premises_disjoint(node: Derivation, path) -> None:
-    reason = _shared([_used(p.conclusion) for p in node.premises])
-    if reason:
-        raise RuleViolation(path, reason)
-
-
-def _bound_somewhere(node: Derivation, inst: dict, path) -> None:
-    """The one rule condition a match defers that is not about shape: a
-    LolliI's abstracted name occurs free in its premise, read from the
-    premise's entries."""
-    x = inst.get("x")
-    if node.rule is Rule.LOLLI_I \
-            and not any(is_free_in(x, e.term) for e in node.premises[0].conclusion.delta):
-        raise RuleViolation(path, f"abstracted {x!r} occurs neither in the "
-                                  f"principal term nor elsewhere (no weakening)")
+    """A violation where two premises of node share a name, read from
+    their entries."""
+    used = [_used(p.conclusion) for p in node.premises]
+    for i in range(len(used)):
+        for j in range(i + 1, len(used)):
+            if not used[i].isdisjoint(used[j]):
+                raise RuleViolation(path, f"premises {i} and {j} share variables "
+                                          f"{sorted(used[i] & used[j])}")
 
 
 def _used(s: Sequent) -> set[str]:
     """The names s declares or uses, read from its entries."""
     return set(chain(map(_name, s.gamma), *(var_names(e.term) for e in s.delta)))
-
-
-def _shared(used: list[set[str]]) -> Optional[str]:
-    """The violation of premises whose names are used, if two share one."""
-    for i in range(len(used)):
-        for j in range(i + 1, len(used)):
-            if not used[i].isdisjoint(used[j]):
-                return f"premises {i} and {j} share variables {sorted(used[i] & used[j])}"
-    return None
 
 
 _STAR = DeltaEntry(UNIT, BOT)
@@ -335,12 +316,12 @@ def spots(sides: tuple[int, ...] = (), fits: Optional[Callable[..., bool]] = Non
     """The lister of where a sequent s can serve as one premise of a rule,
     given v, what the premise reads of the premises before it
     (ForwardRule.reads).  A position holds one index per entry of sides,
-    into side k of s for k 0 or 1, or into v for k 2 or 3, where v is side
-    k - 2 of the premise before; it is None for a premise taken whole, the
-    index itself for one.  An index takes width items from there.  The
-    lister lists the positions whose items, followed by v, fit, in the
-    order of nested loops over the sides; it keeps sides, fits and width
-    as attributes, which the checker reads."""
+    into side k of s for k 0 or 1, or, in a pair, into v for k 2 or 3,
+    where v is side k - 2 of the premise before; it is None for a premise
+    taken whole, the index itself for one.  An index takes width items
+    from there.  The lister lists the positions whose items, followed by
+    v, fit, in the order of nested loops over the sides; it keeps sides,
+    fits and width as attributes, which the checker reads."""
     if not sides:
         def lister(s, v):
             return (None,)  # the one position of a premise taken whole
@@ -362,10 +343,6 @@ def spots(sides: tuple[int, ...] = (), fits: Optional[Callable[..., bool]] = Non
             if fits is None:
                 return range(len(a) - 1)
             return [p for p in range(len(a) - 1) if fits(a[p], a[p + 1], v)]
-    elif sides[0] > 1:  # an index into v
-        def lister(s, v):
-            return range(len(v)) if fits is None else \
-                [p for p, x in enumerate(v) if fits(x, v)]
     else:
         k = 1 + sides[0]
 
@@ -562,11 +539,11 @@ def _search(plan: tuple, con: tuple, seqs: tuple) -> Optional[dict[str, Any]]:
     """_aligned's instance data, by search.  The items a rule takes are
     what a multiset difference between con and the premises leaves over on
     each side, and its new entry is what con has beyond them.  An index's
-    positions are those holding an item left on its side, found by scans
-    in C (_where), the new entry's those holding it (only the first,
-    unless the entries interleave); they are tried in the order of nested
-    loops until the sides match: the premises' entries one after another,
-    one comparison in C, else an interleaving (_interleaving)."""
+    positions are those holding an item left on its side (_where), the
+    new entry's those holding it (only the first, unless the entries
+    interleave); they are tried in the order of nested loops until the
+    sides match: the premises' entries one after another, one comparison
+    in C, else an interleaving (_interleaving)."""
     fr, idx, _, diffs, checks, *_ = plan
     left: list = [None, None, None]  # by tuple index
     for s, adds, taking in diffs:
@@ -775,8 +752,12 @@ def _match(node: Derivation, path: tuple[int, ...], gammas: dict,
     inst = _aligned(plan, con, seqs) or _search(plan, con, seqs)
     if inst is None:
         raise RuleViolation(path, fr.reason)
-    if not defer:
-        _bound_somewhere(node, inst, path)
+    # the one condition deferred that is not about shape: a LolliI's
+    # abstracted name occurs free in its premise, read from its entries
+    if not defer and rule is Rule.LOLLI_I \
+            and not any(is_free_in(inst["x"], e.term) for e in seqs[0].delta):
+        raise RuleViolation(path, f"abstracted {inst['x']!r} occurs neither in the "
+                                  f"principal term nor elsewhere (no weakening)")
     return inst
 
 
@@ -798,28 +779,28 @@ def instances(d: Derivation) -> dict[int, dict[str, Any]]:
     a LolliI's abstracted name occurs free in its premise holds wherever
     the premise's subtree matches: an axiom's name occurs free, and a
     declared name stays free through every rule instance.  On a violation,
-    the nodes still waiting above it, which come first in preorder, are
-    tested first, from their entries."""
-    # the nodes entered and not left, root first: each with its index
-    # among its parent's premises and the names of its premises matched
-    frames: list[tuple[Derivation, int, list[set[str]]]] = []
+    d is matched again in preorder, each node in full, which locates the
+    first node that fails (_raise_first)."""
+    # the nodes entered and not left, root first: each with the names of
+    # its premises matched
+    frames: list[tuple[Derivation, list[set[str]]]] = []
     gammas, data = {}, {}
-    node, k = d, 0
+    node = d
     while True:
         try:
             data[id(node)] = _match(node, (), gammas, True)
         except RuleViolation:
-            _raise_first(frames, data, node, k, gammas)
+            _raise_first(d)
         if node.premises:
-            frames.append((node, k, []))
-            node, k = node.premises[0], 0
+            frames.append((node, []))
+            node = node.premises[0]
             continue
         names = {node.conclusion.gamma[0][0]}  # an axiom's one name
         while frames:  # leave each node whose premises are all matched
-            node, k, sets = frames[-1]
+            node, sets = frames[-1]
             sets.append(names)
             if len(sets) < len(node.premises):
-                node, k = node.premises[len(sets)], len(sets)
+                node = node.premises[len(sets)]
                 break
             frames.pop()
             # each set belongs to its subtree alone: the widest takes the
@@ -827,35 +808,29 @@ def instances(d: Derivation) -> dict[int, dict[str, Any]]:
             names, total = max(sets, key=len), sum(map(len, sets))
             names.update(*sets)
             if len(names) != total:
-                _raise_first(frames, data, node, k, gammas)
+                _raise_first(d)
         else:
             return data
 
 
-def _raise_first(frames: list, data: dict, node: Derivation, k: int, gammas: dict):
-    """Raise the first violation in preorder: node's, the k-th premise of
-    the last node on frames, which fails, or that of a node on frames
-    above it: premises that share a name, or a LolliI whose abstracted
-    name is free nowhere in its premise.
+def _raise_first(d: Derivation):
+    """Raise the first violation in d, in preorder: each node matched in
+    full (_match without defer), as match_rule matches it, until one
+    fails."""
+    gammas: dict = {}
+    for _ in _matched(d, lambda node: _match(node, (), gammas)):
+        pass
+    raise AssertionError("no node of a failing derivation fails")
 
-    Those nodes match their rules otherwise, so each concludes the names
-    its premises use: gathered already for the premises matched, and read
-    from the entries of node and of the premises not yet reached.  data
-    holds their instances."""
-    path = tuple(i for _, i, _ in frames[1:]) + (k,) if frames else ()
-    shared = {}  # the reason of each node on frames whose premises share a name
-    if any(len(a.premises) > 1 for a, _, _ in frames):
-        names = _used(node.conclusion)
-        for t in range(len(frames) - 1, -1, -1):
-            a, _, sets = frames[t]
-            sets = sets + [names] + [
-                _used(p.conclusion) for p in a.premises[len(sets) + 1:]]
-            if len(sets) > 1:
-                shared[t] = _shared(sets)
-                names.update(*sets)
-    for t, (a, _, _) in enumerate(frames):
-        if shared.get(t):
-            raise RuleViolation(path[:t], shared[t])
-        _bound_somewhere(a, data[id(a)], path[:t])
-    _match(node, path, gammas)
-    raise AssertionError("the failing node matched")
+
+def _matched(d: Derivation, match: Callable) -> Iterator[tuple[Derivation, Any]]:
+    """(node, match(node)) for every node of d, in preorder, in either
+    calculus.  A path is built only for a node that fails: the first path
+    of that node object, where the walk met it first, since a match reads
+    only the node and its premises, then the path from there."""
+    for node in nodes(d, premises_of):
+        try:
+            yield node, match(node)
+        except RuleViolation as err:
+            path = next(p for p, n in preorder(d, premises_of) if n is node)
+            raise RuleViolation(path + err.path, err.reason) from None

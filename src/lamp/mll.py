@@ -16,10 +16,14 @@ Derivations of both calculi are ``derivations.Derivation`` trees, and a
 node that is not an instance of its rule is a ``RuleViolation`` in both;
 only the rules and the sequents differ.  Each rule with premises is
 written forward once, in MLL_FORWARD, the table the generator (testlab)
-draws from; the translation to natural deduction builds each unary rule's
-namesake with natural deduction's builders.  match_mll still matches
-each rule by its own branch: walking MLL_FORWARD as natural deduction's
-checker walks its table cost twice the time (ROADMAP item 21).
+draws from.  One table (_NAMESAKES) pairs each unary rule with its
+natural deduction namesake, which each translation reads its own way;
+the translation to natural deduction builds the namesake with natural
+deduction's builders, and every entry it makes with the new entry of its
+rule in FORWARD, so each rule's entry is written once.  match_mll still
+matches each rule by its own branch: walking MLL_FORWARD as natural
+deduction's checker walks its table cost twice the time (ROADMAP item
+21).
 
 Natural deduction's eliminations have no sequent calculus namesake, and
 nmll_to_mll writes each as cuts: BotE as a cut against the bottom axiom,
@@ -47,13 +51,12 @@ from operator import itemgetter, ne
 from typing import Any, Iterator, Optional
 
 from .derivations import (
-    FORWARD, Derivation, ForwardRule, Rule, RuleViolation, spots, _STAR,
-    _conclusion, _interleaving, _replaced, _same, _well_formed, _where,
-    _without, axiom, instances, multiset_diff, premises_of,
+    FORWARD, Derivation, ForwardRule, Rule, RuleViolation, spots, _conclusion,
+    _interleaving, _matched, _replaced, _same, _well_formed, _where, _without,
+    axiom, instances, multiset_diff, premises_of,
 )
 from .terms import (
-    App, BOT, Close, DeltaEntry, Dist, Lolli, Memo, ParT, Send, Sequent,
-    TypeExpr, UNIT, Var, _Node, _texts, children, fold, nodes, preorder,
+    BOT, DeltaEntry, Lolli, Memo, ParT, Sequent, _Node, _texts, children, fold,
     print_type,
 )
 
@@ -276,21 +279,8 @@ def match_mll(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
 
 
 def check_mll(d: Derivation) -> None:
-    for _ in _matched(d):
+    for _ in _matched(d, match_mll):
         pass
-
-
-def _matched(d: Derivation) -> Iterator[tuple[Derivation, dict[str, Any]]]:
-    """(node, match_mll(node)) for every node of d, in preorder.  A path is
-    built only for a node that fails: the first path of that node object,
-    where the walk met it first, since match_mll reads only the node and
-    its premises' rules, then the path from there."""
-    for node in nodes(d, premises_of):
-        try:
-            yield node, match_mll(node)
-        except RuleViolation as err:
-            path = next(p for p, n in preorder(d, premises_of) if n is node)
-            raise RuleViolation(path + err.path, err.reason) from None
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +327,9 @@ def _to_mll(d: Derivation, inst: dict[str, Any], subs: list[Derivation]) -> Deri
     con = type_erasure(d.conclusion)
     rule = d.rule
 
-    if rule is Rule.AX:
-        return Derivation(MllRule.AX_ID, con)
-
-    if rule is Rule.BOT_I:
-        return Derivation(MllRule.BOT_R, con, (subs[0],))
-
-    if rule is Rule.LOLLI_I:
-        return Derivation(MllRule.LOLLI_R, con, (subs[0],))
-
-    if rule is Rule.PARR_I:
-        return Derivation(MllRule.PARR_R, con, (subs[0],))
+    namesake = _MLL_NAMESAKES.get(rule)
+    if namesake is not None:
+        return Derivation(namesake, con, tuple(subs))
 
     if rule is Rule.BOT_E:
         axbot = Derivation(MllRule.AX_BOT, MllSequent((BOT,), ()))
@@ -372,12 +354,8 @@ def _to_mll(d: Derivation, inst: dict[str, Any], subs: list[Derivation]) -> Deri
     if rule is Rule.PARR_E:
         gx, gy = inst["gamma_pos_x"], inst["gamma_pos_y"]
         sub1, sub2, sub3 = subs
-        e2, e3 = sub2.conclusion, sub3.conclusion
-        parr_l = Derivation(
-            MllRule.PARR_L,
-            MllSequent(_without(e2.left, gx) + _without(e3.left, gy)
-                       + (ParT(inst["a"], inst["b"]),), e2.right + e3.right),
-            (sub2, sub3))
+        parr_l = Derivation(MllRule.PARR_L, MLL_FORWARD[MllRule.PARR_L].conclusion(
+            (sub2.conclusion, sub3.conclusion), (None, (gx, gy))), (sub2, sub3))
         # the cut concludes what BotR's premise must: con without the
         # ParrE's bot, in con's order
         dist_pos = _typed_pos(d.conclusion, inst["i"])
@@ -461,7 +439,7 @@ def _close(d: Derivation, k: int, typed: tuple, con: MllSequent) -> Derivation:
     entries are typed, d's other typed entries, in con's order
     (_in_order), then d's untyped ones and the close last."""
     s = d.conclusion
-    close = DeltaEntry(Close(s.delta[k].term), None)
+    close = FORWARD[Rule.BOT_E].new(s.delta[k])
     return Derivation(Rule.BOT_E, Sequent(
         s.gamma, _in_order(typed, con.right, _entry_type) + _untyped(d) + (close,)), (d,))
 
@@ -523,25 +501,28 @@ def _rebuilt(con: MllSequent, shape: tuple, subs: list[Derivation]) -> Derivatio
         return _close(subs[0], order[0][0], _dealt(parts, order), con)
     e = subs[0].conclusion.delta[order[0][0]]  # the function or the par
     if rule is Rule.LOLLI_E:
-        new = DeltaEntry(App(e.term, subs[1].conclusion.delta[order[0][1]].term),
-                         e.type.res)
+        items = e, subs[1].conclusion.delta[order[0][1]]
         gamma = subs[0].conclusion.gamma + subs[1].conclusion.gamma
     else:
         s, sx, sy = map(_conclusion, subs)
         gx, gy = inst["i"], inst["j"]
-        new = DeltaEntry(Dist(sx.gamma[gx][0], sy.gamma[gy][0], e.term), BOT)
+        items = e, sx.gamma[gx], sy.gamma[gy]
         gamma = s.gamma + _without(sx.gamma, gx) + _without(sy.gamma, gy)
     subs = tuple(subs)
+    new = FORWARD[rule].new(*items)
     return _elimination(rule, con, gamma, _dealt(parts, order, new), subs, subs)
 
 
 # per unary rule, its namesake and, from its instance's i and j, the
-# namesake's positions and the place of its new entry (None: its own)
+# namesake's positions and the place of its new entry (None: its own);
+# nmll_to_mll reads it the other way, with the axioms paired too
 _NAMESAKES = {
-    MllRule.BOT_R: lambda i, j: (Rule.BOT_I, (None,), i),
-    MllRule.LOLLI_R: lambda i, j: (Rule.LOLLI_I, ((j, i),), None),
-    MllRule.PARR_R: lambda i, j: (Rule.PARR_I, (i,), None),
+    MllRule.BOT_R: (Rule.BOT_I, lambda i, j: ((None,), i)),
+    MllRule.LOLLI_R: (Rule.LOLLI_I, lambda i, j: (((j, i),), None)),
+    MllRule.PARR_R: (Rule.PARR_I, lambda i, j: ((i,), None)),
 }
+_MLL_NAMESAKES = {Rule.AX: MllRule.AX_ID,
+                  **{nd: rule for rule, (nd, _) in _NAMESAKES.items()}}
 
 
 def _to_nmll(node: Derivation, inst: dict[str, Any], subs: list[Derivation],
@@ -563,7 +544,8 @@ def _to_nmll(node: Derivation, inst: dict[str, Any], subs: list[Derivation],
     # premise's translation erases to the premise in its order, so the
     # node's positions are the namesake's
     if rule in _NAMESAKES:
-        nd, positions, at = _NAMESAKES[rule](i, j)
+        nd, where = _NAMESAKES[rule]
+        positions, at = where(i, j)
         return Derivation(nd, FORWARD[nd].conclusion((s,), positions, at=at),
                           tuple(subs))
 
@@ -576,44 +558,45 @@ def _to_nmll(node: Derivation, inst: dict[str, Any], subs: list[Derivation],
     if rule is not MllRule.PARR_L:
         i = order[0][0]  # an equal copy, where that one merges
     if rule is MllRule.CUT:
-        return _cut_encoding(*subs, i, j, a, con, order)
-    x = next(names)  # LolliL and ParrL: the introduced formula is x's axiom
+        return _cut_encoding(*subs, i, j, con, order)
+    # LolliL and ParrL: the introduced formula is the axiom of a fresh name
+    ax = Derivation(Rule.AX, axiom(next(names), MLL_FORWARD[rule].new(a, b)))
+    x = ax.conclusion.delta[0]
     if rule is MllRule.LOLLI_L:
-        ty = Lolli(a, b)
-        entry = DeltaEntry(App(Var(x), s.delta[i].term), b)
         app = Derivation(Rule.LOLLI_E, Sequent(
-            s.gamma + ((x, ty),), _replaced(s.delta, i, entry)),
-            (Derivation(Rule.AX, axiom(x, ty)), subs[0]))
-        return _cut_encoding(app, subs[1], i, j, b, con, order)
+            s.gamma + ax.conclusion.gamma,
+            _replaced(s.delta, i, FORWARD[Rule.LOLLI_E].new(x, s.delta[i]))),
+            (ax, subs[0]))
+        return _cut_encoding(app, subs[1], i, j, con, order)
     # ParrL: a Dist on x
-    ty = ParT(a, b)
     s2 = subs[1].conclusion
     typed = _dealt(list(map(_typed, subs)), order)
+    gamma = _without(s.gamma, i) + _without(s2.gamma, j) + ax.conclusion.gamma
     parr_e = _elimination(
-        Rule.PARR_E, con, _without(s.gamma, i) + _without(s2.gamma, j) + ((x, ty),),
-        typed, subs, (Derivation(Rule.AX, axiom(x, ty)), *subs),
-        DeltaEntry(Dist(s.gamma[i][0], s2.gamma[j][0], Var(x)), BOT))
+        Rule.PARR_E, con, gamma, typed, subs, (ax, *subs),
+        FORWARD[Rule.PARR_E].new(x, s.gamma[i], s2.gamma[j]))
     return _close(parr_e, -1, typed, con)
 
 
 def _cut_encoding(d_left: Derivation, d_right: Derivation, i: int, j: int,
-                  a: TypeExpr, con: MllSequent, order: tuple) -> Derivation:
+                  con: MllSequent, order: tuple) -> Derivation:
     """Encode a cut on A, of entry i of d_left against declaration j of
     d_right, concluding con: turn the A declaration into an output channel
     of type A -o bot and apply it to the A entry, then close the resulting
     bot.  The two premises' other typed entries go in order (_merged's)."""
     s1, s2 = d_left.conclusion, d_right.conclusion
     gamma = _without(s2.gamma, j)
-    send = DeltaEntry(Send(s2.gamma[j][0], UNIT), Lolli(a, BOT))
+    star = FORWARD[Rule.BOT_I].new()
+    send = FORWARD[Rule.LOLLI_I].new(s2.gamma[j], star)
     typed2, untyped2 = _typed(d_right), _untyped(d_right)
     boti = Derivation(Rule.BOT_I, Sequent(
-        s2.gamma, typed2 + (_STAR,) + untyped2), (d_right,))
+        s2.gamma, typed2 + (star,) + untyped2), (d_right,))
     lolli_i = Derivation(Rule.LOLLI_I, Sequent(
         gamma, typed2 + (send,) + untyped2), (boti,))
     typed = _dealt([_typed(d_left), typed2], order)
     app = _elimination(
         Rule.LOLLI_E, con, s1.gamma + gamma, typed, (d_left, d_right), (lolli_i, d_left),
-        DeltaEntry(App(send.term, s1.delta[i].term), BOT))
+        FORWARD[Rule.LOLLI_E].new(send, s1.delta[i]))
     return _close(app, -1, typed, con)
 
 
@@ -627,7 +610,7 @@ def mll_to_nmll(d: Derivation) -> Derivation:
     the shapes nmll_to_mll writes for an elimination (_shape), the walk
     goes from it to the shape's premises: their translations make that
     elimination, and the glue between is not translated."""
-    insts = {id(node): inst for node, inst in _matched(d)}
+    insts = {id(node): inst for node, inst in _matched(d, match_mll)}
     names = map("c{}".format, itertools.count())
     shapes: dict[int, tuple] = {}
 

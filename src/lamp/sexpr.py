@@ -96,7 +96,8 @@ def _read_all(text: str):
         if pos >= len(toks) or toks[pos] != "(":
             raise ParseError("expected '(' in s-expression")
         pos += 1
-        if pos >= len(toks) or toks[pos] in '()':
+        # a tag is an atom: neither a parenthesis nor a quoted string
+        if pos >= len(toks) or toks[pos][0] in '()"':
             raise ParseError("expected rule tag")
         tag = toks[pos]
         pos += 1

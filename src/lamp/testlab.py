@@ -35,7 +35,7 @@ import itertools
 import random
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .derivations import FORWARD, Derivation, Rule, spots, axiom
+from .derivations import FORWARD, Derivation, ForwardRule, Rule, spots, axiom
 from .terms import (
     App, Atom, BOT, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent, Term,
     TypeExpr, children, flatten_par, fold, nodes, print_term, split_joined,

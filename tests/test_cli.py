@@ -113,6 +113,15 @@ def test_type_error_exit_code(tmp_path):
     assert "type error" in r.stderr
 
 
+def test_a_typed_close_is_a_one_line_type_error(tmp_path):
+    # close(x) concludes an untyped entry: no type may be given to it
+    bad = tmp_path / "typed_close.lamp"
+    bad.write_text("x : bot |- close(x) : bot\n")
+    r = run_cli("check", str(bad))
+    _assert_one_line_error(r, 1)
+    assert r.stderr == "type error: close(...) entry carries a type: close(x)\n"
+
+
 def test_type_error_prints_types_in_lamp_syntax(tmp_path):
     bad = tmp_path / "mismatch.lamp"
     bad.write_text("a : A |- (lam x. x) a : B")
@@ -189,6 +198,21 @@ def test_malformed_file_is_one_line_parse_error(tmp_path, command, text):
     r = run_cli(command[0], str(f), *command[1:])
     _assert_one_line_error(r, 2)
     assert r.stderr.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("text,error", [
+    ("()", "expected rule tag"),
+    ('("|- * : bot")', "expected rule tag"),  # a sequent where the tag belongs
+    ('AxId "A |- A"', "expected '(' in s-expression"),
+    ("(AxId)", "expected quoted sequent"),
+    ('(AxId "A |- A" "B")', "expected ')' in s-expression"),
+])
+def test_malformed_derivation_file_names_its_error(tmp_path, text, error):
+    f = tmp_path / "bad.mllsx"
+    f.write_text(text)
+    r = run_cli("translate", str(f), "--direction", "to-nmll")
+    _assert_one_line_error(r, 2)
+    assert r.stderr == f"parse error: {error}\n"
 
 
 def test_a_byte_order_mark_is_read_past(tmp_path):

@@ -2,12 +2,13 @@
 and its ability to catch an injected engine bug."""
 
 import hashlib
+import typing
 from collections import Counter
 
 import pytest
 
 from lamp.derivations import (
-    Rule, check_channel_linearity, check_derivation, premises_of,
+    ForwardRule, Rule, check_channel_linearity, check_derivation, premises_of,
 )
 from lamp.reconstruct import reconstruct
 from lamp import mll, testlab
@@ -138,6 +139,12 @@ def test_each_premise_position_is_listed_once(monkeypatch, owner, name, gen):
             assert max(calls.values(), default=1) == 1, (seed, max_nodes)
             total += sum(calls.values())
     assert total > 10_000
+
+
+def test_the_generators_annotations_resolve():
+    # testlab's annotations name only what it imports, so tools that read
+    # them (typing.get_type_hints) resolve every one
+    assert typing.get_type_hints(testlab._Gen._options)["fr"] is ForwardRule
 
 
 def test_generated_derivations_check():

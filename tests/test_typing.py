@@ -232,6 +232,26 @@ def test_graft_rejects_wrong_type():
         subst_derivation(ax("y", Atom("B")), ax("x", A), "x")
 
 
+def test_graft_rejects_an_index_without_a_typed_entry():
+    closed = Derivation(Rule.BOT_E, Sequent((("y", BOT),),
+                                            (DeltaEntry(Close(Var("y")), None),)),
+                        (ax("y", BOT),))
+    for d1, index in ((ax("y", A), 1), (closed, 0)):
+        with pytest.raises(PreconditionViolation, match="no typed entry at the given index"):
+            subst_derivation(d1, ax("x", A), "x", entry_index=index)
+
+
+def test_graft_rejects_a_d2_whose_premises_lost_x():
+    # a BotI concluding x : A |- x : A, * : bot over an axiom of z: not
+    # a derivation, and the spine down to x's axiom breaks at it
+    d2 = Derivation(Rule.BOT_I, Sequent((("x", A),), (DeltaEntry(Var("x"), A),
+                                                      DeltaEntry(UNIT, BOT))),
+                    (ax("z", A),))
+    with pytest.raises(PreconditionViolation,
+                       match="'x' vanished from the premises; d2 is not well formed"):
+        subst_derivation(ax("y", A), d2, "x")
+
+
 # -- normal shapes -------------------------------------------------------------
 
 def test_classify_output_value():
@@ -258,6 +278,22 @@ def test_classify_bottom_like():
 def test_classify_value_at_wrong_type_is_a_bug_signal():
     with pytest.raises(ShapeViolation):
         classify_normal(Send("x", UNIT), BOT)
+    with pytest.raises(ShapeViolation, match="^parallel value typed A -o A$"):
+        classify_normal(Par(Var("u"), Var("v")), Lolli(A, A))
+
+
+def test_classify_other_normal_term_at_a_non_bottom_type_is_a_bug_signal():
+    # an application whose head is no variable, at an atom type
+    with pytest.raises(ShapeViolation, match=r"^normal term \(lam x\. x\) y at non-bottom "
+                                             r"type is neither a value nor a head-variable stack$"):
+        classify_normal(App(Send("x", Var("x")), Var("y")), A)
+
+
+def test_bottom_like_shapes_are_one_value():
+    assert len({BottomLike(), BottomLike()}) == 1
+    assert hash(BottomLike()) == hash(BottomLike())
+    assert BottomLike() != HeadVar("y", ())
+    assert repr(BottomLike()) == "BottomLike()"
 
 
 def test_classify_generated_normal_forms():

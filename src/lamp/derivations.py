@@ -65,7 +65,7 @@ from typing import (
 from .terms import (
     App, BOT, Bot, Close, DeltaEntry, Dist, LinearityError, Lolli, Par, ParT,
     Send, Sequent, TypeExpr, TypecheckError, UNIT, Var,
-    check_channel_linearity, equal, is_free_in, nodes, preorder, var_names,
+    check_channel_linearity, equal, is_free_in, nodes, preorder, sequent_names,
 )
 
 
@@ -282,23 +282,15 @@ def _gamma(gammas: dict, s: Sequent, path, what: str) -> dict:
     return d
 
 
-_name = itemgetter(0)  # of a declaration
-
-
 def _premises_disjoint(node: Derivation, path) -> None:
     """A violation where two premises of node share a name, read from
-    their entries."""
-    used = [_used(p.conclusion) for p in node.premises]
+    their sequents."""
+    used = [sequent_names(p.conclusion) for p in node.premises]
     for i in range(len(used)):
         for j in range(i + 1, len(used)):
             if not used[i].isdisjoint(used[j]):
                 raise RuleViolation(path, f"premises {i} and {j} share variables "
                                           f"{sorted(used[i] & used[j])}")
-
-
-def _used(s: Sequent) -> set[str]:
-    """The names s declares or uses, read from its entries."""
-    return set(chain(map(_name, s.gamma), *(var_names(e.term) for e in s.delta)))
 
 
 _STAR = DeltaEntry(UNIT, BOT)

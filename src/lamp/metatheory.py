@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional, Union
 from .derivations import Derivation, Rule, premises_of
 from .terms import (
     App, BOT, Close, DeltaEntry, Lolli, Par, ParT, Send, Sequent, Term,
-    TypeExpr, Var, _path, _scan, children, fold, is_simple, preorder,
+    TypeExpr, Var, _path, _scan, children, intern, is_simple, preorder,
     print_term, print_type, sequent_names, substitute, subterm_at,
 )
 
@@ -148,34 +148,21 @@ def check_subformula(d: Derivation) -> None:
     """Every type anywhere in d must be a subformula of an end-sequent type
     or of bot.  Intended for derivations whose end-sequent term is normal.
 
-    Equal types get one number, from a table keyed by tag, names and the
-    children's numbers (reconstruct's interning key), each type object
-    numbered once, by id: so no two types are compared or hashed whole,
-    which would recurse in C against the recursion limit and cost each
-    subtree again.  Bot and the end-sequent's types are numbered first, so the
-    numbers below the table's size then are exactly their subformulas."""
-    numbers: dict[int, int] = {}  # by id: d and BOT keep every key alive
-    table: dict[tuple, int] = {}
-
-    def kids(ty) -> tuple:
-        return () if id(ty) in numbers else children(ty)
-
-    def leave(ty, parts) -> int:
-        n = numbers.get(id(ty))
-        if n is None:
-            key = ty[:ty._first] + tuple(parts)
-            n = numbers[id(ty)] = table.setdefault(key, len(table))
-        return n
-
+    Every type is interned into one table (terms.intern), each type
+    object once, by id, so that equal types are one object there.  Bot
+    and the end-sequent's types are interned first, so the table's nodes
+    then are exactly their subformulas."""
+    table: dict[tuple, TypeExpr] = {}
+    done: dict[int, TypeExpr] = {}  # by id: d and BOT keep every key alive
     root = d.conclusion
     for ty in (BOT, *(ty for _, ty in root.gamma), *(e.type for e in root.delta)):
         if ty is not None:
-            fold(ty, kids, leave)
-    allowed = len(table)
+            intern(ty, table, done)
+    allowed = set(map(id, table.values()))
     for path, node in preorder(d, premises_of):
         for ty in (*(ty for _, ty in node.conclusion.gamma),
                    *(e.type for e in node.conclusion.delta)):
-            if ty is not None and fold(ty, kids, leave) >= allowed:
+            if ty is not None and id(intern(ty, table, done)) not in allowed:
                 raise SubformulaCounterexample(path, ty)
 
 

@@ -56,8 +56,8 @@ from .derivations import (
     axiom, instances, multiset_diff, premises_of,
 )
 from .terms import (
-    BOT, DeltaEntry, Lolli, Memo, ParT, Sequent, _Node, _texts, children, fold,
-    print_type,
+    BOT, DeltaEntry, Lolli, Memo, MllSequent, ParT, Sequent, _texts, children,
+    fold, print_type,
 )
 
 
@@ -72,11 +72,6 @@ class MllRule(Enum):
     PARR_L = "ParrL"
     PARR_R = "ParrR"
     CUT = "Cut"
-
-
-class MllSequent(_Node):
-    __slots__ = ()
-    __match_args__ = ("left", "right")
 
 
 # the sequent calculus's trees and violations are natural deduction's
@@ -210,13 +205,20 @@ def _exact_split(con: MllSequent, p1: MllSequent, p2: MllSequent, cls,
     return i, j, ty
 
 
+def _differ(a: tuple, b: tuple) -> int:
+    """Where a and b first differ, found in C; the shorter's length if one
+    begins the other."""
+    return next(itertools.compress(itertools.count(), map(ne, a, b)), min(len(a), len(b)))
+
+
 def _deleted(a: tuple, x: tuple) -> Optional[int]:
     """The first i such that a without its item i is x, or None: where the
-    two first differ, found in C, then back to the start of that item's
-    run of equal copies."""
+    two first differ (_differ, unless a ends in the item, which one
+    comparison tells), then back to the start of that item's run of
+    equal copies."""
     if len(a) != len(x) + 1:
         return None
-    i = next(itertools.compress(itertools.count(), map(ne, a, x)), len(x))
+    i = len(x) if a[:-1] == x else _differ(a, x)
     if a[i + 1:] != x[i:]:
         return None
     while i and a[i - 1] == a[i]:
@@ -242,32 +244,31 @@ def match_mll(node: Derivation, path: tuple[int, ...] = ()) -> dict[str, Any]:
 
     if rule is MllRule.BOT_R:
         p = prems[0].conclusion
-        if p.left == con.left:
-            for i, ty in enumerate(con.right):
-                if ty == BOT and _without(con.right, i) == p.right:
-                    return {"i": i}
+        i = _deleted(con.right, p.right) if p.left == con.left else None
+        if i is not None and con.right[i] == BOT:
+            return {"i": i}
         raise RuleViolation(path, "bot-right must add one bot on the right")
 
+    # LolliR and ParrR replace one formula on the right by its parts: a
+    # formula is never equal to its part, so it sits where the sides differ
     if rule is MllRule.LOLLI_R:
         p = prems[0].conclusion
-        for i, ty in enumerate(con.right):
-            match ty:
-                case Lolli(a, b):
-                    if p.right != con.right[:i] + (b,) + con.right[i + 1:]:
-                        continue
-                    for j, ty2 in enumerate(p.left):
-                        if ty2 == a and _without(p.left, j) == con.left:
-                            return {"i": i, "j": j, "a": a, "b": b}
+        i = _differ(con.right, p.right)
+        if i < len(con.right) == len(p.right) and type(con.right[i]) is Lolli:
+            a, b = children(con.right[i])
+            j = _deleted(p.left, con.left)
+            if p.right[i] == b and p.right[i + 1:] == con.right[i + 1:] \
+                    and j is not None and p.left[j] == a:
+                return {"i": i, "j": j, "a": a, "b": b}
         raise RuleViolation(path, "lolli-right must move the antecedent left")
 
     if rule is MllRule.PARR_R:
         p = prems[0].conclusion
-        if p.left == con.left:
-            for i, ty in enumerate(con.right):
-                match ty:
-                    case ParT(a, b):
-                        if p.right == con.right[:i] + (a, b) + con.right[i + 1:]:
-                            return {"i": i, "a": a, "b": b}
+        i = _differ(con.right, p.right)
+        if p.left == con.left and i < len(con.right) and type(con.right[i]) is ParT:
+            a, b = children(con.right[i])
+            if p.right[i:i + 2] == (a, b) and p.right[i + 2:] == con.right[i + 1:]:
+                return {"i": i, "a": a, "b": b}
         raise RuleViolation(path, "par-right must split one par formula")
 
     if rule in _SPLITTING:

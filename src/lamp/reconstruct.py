@@ -39,8 +39,8 @@ from .derivations import Derivation, Rule, premises_of
 from .terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, LinearityError, Lolli, MetaVar,
     Par, ParT, Send, Sequent, Term, TypeExpr, TypecheckError, Unit, Var,
-    check_channel_linearity, children, fold, nodes, print_sequent,
-    print_term, print_type, var_names,
+    check_channel_linearity, children, fold, intern, node_kinds, nodes,
+    print_sequent, print_term, print_type, var_names,
 )
 
 
@@ -59,12 +59,7 @@ _NO_SPLIT = "premise seeds share a variable; no disjoint split exists"
 def tree_counts(terms: Iterable[Term]) -> tuple[int, int, int]:
     """The variables, applications and binary outputs in terms: the Ax,
     LolliE and ParrE nodes of any derivation whose entries they are."""
-    kinds = []
-    stack = list(terms)
-    while stack:
-        s = stack.pop()
-        kinds.append(type(s))
-        stack += s[s._first:]
+    kinds = node_kinds(terms)
     return kinds.count(Var), kinds.count(App), kinds.count(Dist)
 
 
@@ -376,9 +371,9 @@ class _Reconstructor:
         # and entries of its conclusion that the rule leaves unchanged;
         # resolving each object once keeps that sharing, which the checker
         # and the printer rely on to do per-entry work once per object.
-        # A type is solved one node at a time, each distinct node once,
-        # and equal solved types are one object, found by tag, names and
-        # child ids: so an axiom's declaration and entry share theirs.  A
+        # A type is solved by interning it (terms.intern) through subst,
+        # each unknown left as bot: so equal solved types are one object,
+        # and an axiom's declaration and entry share theirs.  A
         # declaration, entry or type whose solved form is itself is kept,
         # and new nodes are built as the parser builds them.  Keyed by id:
         # every key stays alive in d, in subst or in types for the whole
@@ -386,26 +381,10 @@ class _Reconstructor:
         done: dict[int, object] = {}
         types: dict[tuple, TypeExpr] = {}
 
-        def kids(ty) -> tuple:
-            return () if id(ty) in done else self._kids(ty)
-
-        def leave(ty, parts):
-            hit = done.get(id(ty))
-            if hit is None:
-                ids = tuple(map(id, parts))
-                new = (BOT if type(ty) is MetaVar else ty if ids == tuple(map(id, children(ty)))
-                       else _new(type(ty), ty[:ty._first] + tuple(parts)))
-                hit = done[id(ty)] = types.setdefault(new[:new._first] + ids, new)
-            return hit
-
         def solved(ty):
             hit = done.get(id(ty))
             if hit is None:
-                root = self.resolve(ty)  # a leaf, or a node solved already, needs no fold
-                hit = done.get(id(root))
-                if hit is None:
-                    hit = fold(root, kids, leave) if len(root) > root._first else leave(root, ())
-                done[id(ty)] = hit
+                hit = done[id(ty)] = intern(self.resolve(ty), types, done, self._kids, BOT)
             return hit
 
         def declaration(g: tuple) -> tuple:

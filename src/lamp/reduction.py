@@ -58,7 +58,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .terms import (
     App, Cell, Close, Dist, Memo, Par, Path, Send, Term, UNIT, Var, _Scan,
-    _path, _put, _scan, _texts, children, name_counts, nodes,
+    _path, _put, _scan, _texts, name_counts, node_kinds,
     print_term, substitute, subterm_at,
 )
 
@@ -113,7 +113,8 @@ class Trace(NamedTuple):
 
 def comm_size(t: Term) -> int:
     """Number of Send and Dist nodes in t."""
-    return sum(1 for s in nodes(t, children) if isinstance(s, (Send, Dist)))
+    kinds = node_kinds((t,))
+    return kinds.count(Send) + kinds.count(Dist)
 
 
 def fire(node: Term, lams: dict[int, list[Cell]]) -> Optional[tuple]:

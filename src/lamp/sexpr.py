@@ -12,7 +12,7 @@ from operator import itemgetter
 
 from .derivations import Derivation, Rule
 from .parser import ParseError, parse_sequent, parse_type_sides
-from .terms import fold, nodes, print_sequent
+from .terms import MllSequent, fold, nodes, print_sequent
 
 # the MLL writer and reader import mll themselves: lamp check, which uses
 # neither, then never compiles it
@@ -120,7 +120,6 @@ def _read_all(text: str):
 
 def parse_mll_sequent_text(text: str) -> MllSequent:
     """Types separated by ',', then '|-', then types; a side may be empty."""
-    from .mll import MllSequent
     return MllSequent(*parse_type_sides(text))
 
 

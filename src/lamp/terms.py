@@ -220,8 +220,9 @@ def replace_at(t: Term, path: Path, new: Term) -> Term:
 # channels a Send or Dist binds
 
 def var_names(t: Term) -> set[str]:
-    """Every name occurring in t, as a variable or as a binder."""
-    return {x for s in nodes(t, children) for x in s[1:s._first]}
+    """Every name occurring in t, as a variable or as a binder: the names
+    name_counts counts."""
+    return set(name_counts((t,)))
 
 
 def name_counts(ts: Iterable[Term]) -> dict[str, tuple[int, int]]:
@@ -254,6 +255,18 @@ def name_counts(ts: Iterable[Term]) -> dict[str, tuple[int, int]]:
         elif cls is Close:
             stack.append(s[1])
     return {x: (v, b) for x, (v, b) in counts.items()}
+
+
+def node_kinds(ts: Iterable[_Node]) -> list[type]:
+    """The class of every node of the trees ts, in no fixed order, for
+    counting nodes by kind: one walk with its own stack."""
+    kinds = []
+    stack = list(ts)
+    while stack:
+        s = stack.pop()
+        kinds.append(type(s))
+        stack += s[s._first:]
+    return kinds
 
 
 # A position in a scanned term is a cell (parent cell, k, node): node is
@@ -499,19 +512,44 @@ def subformulas(ty: TypeExpr) -> set:
     return set(nodes(ty, children))
 
 
+def intern(root: _Node, table: dict, done: dict, kids: Callable = children,
+           unknown: Optional[_Node] = None) -> _Node:
+    """The one node of table equal to the tree at root, whose children
+    kids lists: table maps the tag, the names and the interned children's
+    ids of each node to the node, so equal trees intern to one object
+    without being compared or hashed whole, which recurses in C against
+    the recursion limit and costs each subtree again.  A node whose
+    children intern to themselves is kept, else it is rebuilt from them
+    as the parser builds it; with unknown given, a MetaVar interns as
+    unknown.  done maps the id of each node interned to what it interned
+    to, so each object is walked once; the caller keeps each key alive
+    while it reuses done."""
+    hit = done.get(id(root))
+    if hit is not None:
+        return hit
+
+    def open_(node) -> tuple:
+        return () if id(node) in done else kids(node)
+
+    def leave(node, parts):
+        hit = done.get(id(node))
+        if hit is None:
+            ids = tuple(map(id, parts))
+            new = (unknown if unknown is not None and type(node) is MetaVar
+                   else node if ids == tuple(map(id, children(node)))
+                   else tuple.__new__(type(node), node[:node._first] + tuple(parts)))
+            hit = done[id(node)] = table.setdefault(new[:new._first] + ids, new)
+        return hit
+
+    return fold(root, open_, leave) if len(root) > root._first else leave(root, ())
+
+
 def equal(a: _Node, b: _Node) -> bool:
-    """a == b for trees of any depth: tuple == recurses in C, against the
-    recursion limit, so node pairs are compared here on a stack instead,
-    identical subtrees at once."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b) or a[:a._first] != b[:b._first]:
-            return False
-        stack.extend(zip(children(a), children(b)))
-    return True
+    """a == b for trees of any depth: whether both intern to one object
+    of one table."""
+    table: dict = {}
+    done: dict = {}
+    return intern(a, table, done) is intern(b, table, done)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +570,15 @@ class Sequent(_Node):
 
     def joined_term(self) -> Term:
         return join_par([e.term for e in self.delta])
+
+
+class MllSequent(_Node):
+    """A sequent of the sequent calculus (mll): types left and right.  It
+    lives here, where every command's modules can name it, so that
+    reading one compiles no mll."""
+
+    __slots__ = ()
+    __match_args__ = ("left", "right")
 
 
 def sequent_names(s: Sequent) -> set[str]:

@@ -38,7 +38,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .derivations import FORWARD, Derivation, ForwardRule, Rule, spots, axiom
 from .terms import (
     App, Atom, BOT, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent, Term,
-    TypeExpr, children, flatten_par, fold, nodes, print_term, split_joined,
+    TypeExpr, children, flatten_par, fold, node_kinds, nodes, print_term,
+    split_joined,
 )
 
 
@@ -196,7 +197,7 @@ def _canonical(s: Sequent) -> Sequent:
 
 
 def _size(s: Sequent) -> int:
-    return sum(1 for e in s.delta for _ in nodes(e.term, children)) + len(s.gamma)
+    return len(node_kinds(e.term for e in s.delta)) + len(s.gamma)
 
 
 def closure(types: Iterable[TypeExpr], max_size: int) -> set[Sequent]:

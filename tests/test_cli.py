@@ -122,6 +122,17 @@ def test_a_typed_close_is_a_one_line_type_error(tmp_path):
     assert r.stderr == "type error: close(...) entry carries a type: close(x)\n"
 
 
+def test_a_split_with_no_one_tree_placement_is_a_type_error(tmp_path):
+    # the application's premises split {x, y} off as one floating group,
+    # and neither placement leaves each premise one proof tree
+    text = "x : A, y : B |- (x | y) * : A par B, (lam z. z) * : bot"
+    bad = tmp_path / "no_placement.lamp"
+    bad.write_text(text + "\n")
+    r = run_cli("check", str(bad))
+    _assert_one_line_error(r, 1)
+    assert r.stderr == f"type error: no placement makes each premise one tree: {text}\n"
+
+
 def test_type_error_prints_types_in_lamp_syntax(tmp_path):
     bad = tmp_path / "mismatch.lamp"
     bad.write_text("a : A |- (lam x. x) a : B")

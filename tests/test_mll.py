@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import lamp
 from lamp import derivations
-from lamp.derivations import Derivation, Rule, check_derivation, premises_of
+from lamp.derivations import Derivation, Rule, axiom, check_derivation, premises_of
 from lamp.mll import (
     MLL_FORWARD, MllDerivation, MllRule, MllRuleViolation, MllSequent,
     check_mll, match_mll, mll_to_nmll, nmll_to_mll, type_erasure,
@@ -19,8 +19,8 @@ from lamp.mll import (
 from lamp.parser import parse_program
 from lamp.reconstruct import reconstruct
 from lamp.terms import (
-    Atom, BOT, Close, DeltaEntry, Lolli, ParT, Sequent, Var, nodes, preorder,
-    var_names,
+    App, Atom, BOT, Close, DeltaEntry, Lolli, ParT, Send, Sequent, Var, nodes,
+    preorder, sequent_names,
 )
 from lamp.testlab import GenConfig, gen_derivation, gen_mll
 from lamp.sexpr import derivation_to_sexpr, mll_to_sexpr
@@ -604,27 +604,32 @@ def test_mll_to_nmll_output_is_byte_stable():
     assert h.hexdigest() == MLL_TO_NMLL_SHA256
 
 
-def test_nmll_to_mll_names_each_entry_object_once(monkeypatch):
-    # nodes share the entries their rule leaves unchanged; one cache for
-    # the whole walk computes each object's names once
+def test_nmll_to_mll_reads_no_premise_names(monkeypatch):
+    # the premise checks that matching defers read the names each subtree
+    # gathered on the way up, so translating derivations that check reads
+    # no premise's sequent names; a LolliE whose premises share f reads
+    # them to report it
     calls = 0
 
-    def counted(t):
+    def counted(s):
         nonlocal calls
         calls += 1
-        return var_names(t)
+        return sequent_names(s)
 
-    monkeypatch.setattr(derivations, "var_names", counted)
+    monkeypatch.setattr(derivations, "sequent_names", counted)
     for d in _translation_inputs():
-        entries = set()
-        stack = [d]
-        while stack:
-            node = stack.pop()
-            entries.update(id(e) for e in node.conclusion.delta)
-            stack.extend(node.premises)
-        calls = 0
         nmll_to_mll(d)
-        assert calls <= len(entries)
+    assert calls == 0
+    fun_ty = Lolli(Lolli(A, A), B)
+    lam = DeltaEntry(Send("f", Var("f")), Lolli(A, A))
+    arg = Derivation(Rule.LOLLI_I, Sequent((), (lam,)),
+                     (Derivation(Rule.AX, axiom("f", A)),))
+    d = Derivation(Rule.LOLLI_E, Sequent((("f", fun_ty),), (DeltaEntry(
+        App(Var("f"), lam.term), B),)), (Derivation(Rule.AX, axiom("f", fun_ty)), arg))
+    with pytest.raises(derivations.RuleViolation,
+                       match=r"premises 0 and 1 share variables \['f'\]"):
+        nmll_to_mll(d)
+    assert calls > 0
 
 
 def test_nmll_to_mll_translates_a_thousand_node_chain():

@@ -2,6 +2,8 @@
 and its ability to catch an injected engine bug."""
 
 import hashlib
+import importlib
+import inspect
 import typing
 from collections import Counter
 
@@ -18,6 +20,7 @@ from lamp.terms import App, Send, nodes, replace_at, subterm_at
 from lamp.testlab import (
     GenConfig, gen_derivation, gen_mll, run_property_suite,
 )
+from tests.conftest import SRC
 
 
 def test_reproducible():
@@ -141,10 +144,36 @@ def test_each_premise_position_is_listed_once(monkeypatch, owner, name, gen):
     assert total > 10_000
 
 
-def test_the_generators_annotations_resolve():
-    # testlab's annotations name only what it imports, so tools that read
-    # them (typing.get_type_hints) resolve every one
+def _defined_functions(module):
+    """Every function and method defined in module, nested classes' too."""
+    stack = [vars(module)]
+    while stack:
+        for value in stack.pop().values():
+            value = getattr(value, "__func__", value)  # a static or class method's
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(value):
+                stack.append(vars(value))
+            elif inspect.isfunction(value):
+                yield value
+
+
+def test_every_functions_annotations_resolve():
+    # each module's annotations name only what it imports, so tools that
+    # read them (typing.get_type_hints) resolve every one
     assert typing.get_type_hints(testlab._Gen._options)["fr"] is ForwardRule
+    names = sorted(p.stem for p in (SRC / "lamp").glob("*.py"))
+    failed, seen = [], 0
+    for name in names:
+        module = importlib.import_module("lamp" if name == "__init__" else f"lamp.{name}")
+        for fn in _defined_functions(module):
+            seen += 1
+            try:
+                typing.get_type_hints(fn)
+            except NameError as err:
+                failed.append(f"{fn.__module__}.{fn.__qualname__}: {err}")
+    assert not failed, failed
+    assert seen > 200  # 240 when written
 
 
 def test_generated_derivations_check():
@@ -230,7 +259,12 @@ def test_corrupted_reducer_is_caught():
                                 reducts=corrupted)
     by_name = {r.name: r for r in report.results}
     assert by_name["subject-reduction"].failures > 0
-    assert by_name["subject-reduction"].first_failing_seed is not None
+    seed = by_name["subject-reduction"].first_failing_seed
+    assert seed is not None
+    # the report names the seed that failed first on the suite's line
+    line = next(x for x in report.render().splitlines()
+                if x.startswith("subject-reduction:"))
+    assert line.endswith(f" first-failing-seed={seed}")
 
 
 def test_each_reduct_is_built_once(monkeypatch):

@@ -252,6 +252,20 @@ def test_graft_rejects_a_d2_whose_premises_lost_x():
         subst_derivation(ax("y", A), d2, "x")
 
 
+def test_graft_through_a_lolli_elimination_keeps_the_other_premise():
+    # x's axiom is one premise of a LolliE; the other declares f, and the
+    # graft keeps it as it is
+    fun_ty = Lolli(A, B)
+    d2 = Derivation(Rule.LOLLI_E, Sequent(
+        (("f", fun_ty), ("x", A)), (DeltaEntry(App(Var("f"), Var("x")), B),)),
+        (ax("f", fun_ty), ax("x", A)))
+    check_derivation(d2)
+    result = subst_derivation(ax("a", A), d2, "x")
+    check_derivation(result)
+    assert print_sequent(result.conclusion) == "f : A -o B, a : A |- f a : B"
+    assert result.premises[0] is d2.premises[0]
+
+
 # -- normal shapes -------------------------------------------------------------
 
 def test_classify_output_value():
@@ -594,6 +608,22 @@ def test_unification_error_shows_types_as_they_were_when_raised():
         rec.unify(Lolli(t, B), ParT(A, B))
     rec.subst = snapshot
     assert str(info.value) == "cannot unify A -o B with A par B"
+
+
+def test_unify_refuses_an_unknown_inside_its_own_solution():
+    rec = reconstruct_module._Reconstructor(())
+    m = rec.fresh()
+    with pytest.raises(UnificationFailure) as info:
+        rec.unify(m, Lolli(m, A))
+    assert str(info.value) == "occurs check: ?t0 in ?t0 -o A"
+
+
+def test_an_untyped_entry_must_be_a_close():
+    # built here, since the parser refuses an entry without a type
+    goal = Sequent((), (DeltaEntry(App(Send("x", Var("x")), UNIT), None),))
+    with pytest.raises(UnsatisfiableSplit) as info:
+        reconstruct(goal)
+    assert str(info.value) == "untyped entry must be close(...): (lam x. x) *"
 
 
 # -- reconstruct's output, pinned -------------------------------------------

@@ -1,9 +1,9 @@
 """preorder and fold, the two walks over every tree in lamp, and what they
 buy: terms, types and derivations of any depth at the default recursion
 limit, and no function in src/lamp that calls itself outside a short list
-of searches and bounded generators.  Beside them, a guard that terms._put
-stays the one rebuild of an edited term, and one that no function keeps a
-local it never reads."""
+of searches and bounded generators.  Beside them, a guard that the node
+builders listed are the only code that makes a node from new fields, and
+one that no function keeps a local it never reads."""
 
 import ast
 import sys
@@ -82,20 +82,35 @@ def test_no_function_calls_itself():
     assert found <= ALLOWED, sorted(found - ALLOWED)
 
 
-# -- one rebuild: _put is the only code that makes a node from new fields ----
+# -- the node builders: the only code that makes a node from new fields -----
 
-# _Node's generated constructor, and _put, which rebuilds a term around
-# its edited positions
-TUPLE_NEW_CALLERS = {"terms._Node.__init_subclass__.__new__", "terms._put"}
+# _Node's generated constructor; _put, which rebuilds a term around its
+# edited positions; the parser's reader; reconstruct's finalize, which
+# builds each solved entry, sequent and node; and intern, which rebuilds a
+# type whose children interned to other objects
+TUPLE_NEW_CALLERS = {
+    "terms._Node.__init_subclass__.__new__", "terms._put", "terms.intern.leave",
+    "parser._Reader.type_", "parser._Reader.term", "parser._Reader.sequent",
+    "reconstruct._Reconstructor.finalize", "reconstruct._Reconstructor.finalize.entry",
+    "reconstruct._Reconstructor.finalize.fix_seq",
+}
 
 
-def test_only_put_and_the_constructor_call_tuple_new():
+def _is_tuple_new(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "__new__" \
+        and isinstance(node.value, ast.Name) and node.value.id == "tuple"
+
+
+def test_only_the_node_builders_call_tuple_new():
+    # a call of tuple.__new__, or of a module-level name bound to it
+    aliases = {(scope[0], target.id) for scope, node in _src_nodes()
+               if len(scope) == 1 and isinstance(node, ast.Assign)
+               and _is_tuple_new(node.value) for target in node.targets}
     found = {".".join(scope) for scope, node in _src_nodes()
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
-             and node.func.value.id == "tuple"}
-    assert found <= TUPLE_NEW_CALLERS, sorted(found - TUPLE_NEW_CALLERS)
-    assert "terms._put" in found
+             if isinstance(node, ast.Call) and (_is_tuple_new(node.func) or (
+                 isinstance(node.func, ast.Name) and (scope[0], node.func.id) in aliases))}
+    assert {"parser._new", "reconstruct._new"} <= {".".join(a) for a in aliases}
+    assert found == TUPLE_NEW_CALLERS, sorted(found ^ TUPLE_NEW_CALLERS)
 
 
 # -- no dead stores: every local a function assigns is read ----------------

@@ -213,12 +213,11 @@ def _differ(a: tuple, b: tuple) -> int:
 
 def _deleted(a: tuple, x: tuple) -> Optional[int]:
     """The first i such that a without its item i is x, or None: where the
-    two first differ (_differ, unless a ends in the item, which one
-    comparison tells), then back to the start of that item's run of
-    equal copies."""
+    two first differ (_differ), then back to the start of that item's run
+    of equal copies."""
     if len(a) != len(x) + 1:
         return None
-    i = len(x) if a[:-1] == x else _differ(a, x)
+    i = _differ(a, x)
     if a[i + 1:] != x[i:]:
         return None
     while i and a[i - 1] == a[i]:

@@ -27,13 +27,14 @@ with its premises, or holds them in another order, is searched instead
 is still checked on values.
 
 ``check_derivation`` matches each node once, in preorder.  Two conditions
-on a node's premises, that they share no name and that a LolliI's
-abstracted name occurs free in its premise, wait until the premises'
-subtrees are matched and are read off what those gathered on the way up
-(``instances``), so no premise entry is read for them.  A derivation that
-fails is matched again, in preorder and each node in full, up to the
-first node that fails, which is reported (``_raise_first``): the walk
-``mll.check_mll`` makes (``_matched``).
+on a node's premises are not tested node by node (``instances``), so no
+premise entry is read for them: over nodes that are all rule instances
+otherwise, no two premises share a name iff no two axioms do, and a
+LolliI's abstracted name occurs free in its premise wherever the
+premise's subtree matches.  A derivation that fails is matched again, in
+preorder and each node in full, up to the first node that fails, which
+is reported (``_raise_first``): the walk ``mll.check_mll`` makes
+(``_matched``).
 
 Each rule with premises is written once, in FORWARD: where a sequent can
 serve as each premise (``spots``), the entry the rule adds and where it
@@ -269,16 +270,17 @@ def _where(entries: tuple, e) -> list[int]:
 def _gamma(gammas: dict, s: Sequent, path, what: str) -> dict:
     """s's declarations as a dict, or a RuleViolation if s declares a name
     twice.  gammas keeps each dict made while matching the nodes of one
-    derivation, by its sequent's id, so that a node's match builds it for
-    its premises and the premises' own matches reuse it: valid while the
-    sequents it has seen are alive, which the derivation being checked
-    guarantees."""
-    d = gammas.get(id(s))
+    derivation, by the id of the declaration tuple, so a node's match
+    builds it for its premises and the premises' own matches reuse it,
+    as does every node that holds the same tuple (a unary rule that keeps
+    its declarations passes its premise's on): valid while the tuples it
+    has seen are alive, which the derivation being checked guarantees."""
+    d = gammas.get(id(s.gamma))
     if d is None:
         d = dict(s.gamma)
         if len(d) != len(s.gamma):
             raise RuleViolation(path, f"{what} declares a variable twice")
-        gammas[id(s)] = d
+        gammas[id(s.gamma)] = d
     return d
 
 
@@ -708,8 +710,8 @@ def _match(node: Derivation, path: tuple[int, ...], gammas: dict,
     of its premises'.  Declarations a rule passes on unchanged are
     compared first, each premise's checked for duplicates unless they are
     the conclusion's.  With defer, that the premises share no name and
-    LolliI's no weakening are left to instances, which has what it needs
-    to test them once the premises' subtrees are matched."""
+    LolliI's no weakening are left to instances, which reads both off the
+    whole tree."""
     rule, con, prems = node.rule, node.conclusion, node.premises
     _well_formed(node, ARITY, Sequent, path)
     cg = _gamma(gammas, con, path, "conclusion")
@@ -730,7 +732,6 @@ def _match(node: Derivation, path: tuple[int, ...], gammas: dict,
     if kept and len(seqs) == 1:
         if seqs[0].gamma != con.gamma:
             raise RuleViolation(path, f"{rule.value} must not change declarations")
-        gammas[id(seqs[0])] = cg  # the premise's dict too
     else:
         gs = [_gamma(gammas, s, path, what) for s, what in
               zip(seqs, ("premise",) if len(seqs) == 1 else _PREMISES)]
@@ -763,46 +764,30 @@ def instances(d: Derivation) -> dict[int, dict[str, Any]]:
     """Every node's instance data, by the node's id, each node matched in
     preorder; raises check_derivation's RuleViolation.
 
-    Two conditions on a node's premises wait until their subtrees are
-    matched.  That they share no name is read off the names each subtree
-    gathered on the way up, without reading a premise's entries: an
-    axiom's conclusion uses its one name, and no rule instance adds or
-    drops a name, so a node's conclusion uses what its premises' do.  That
-    a LolliI's abstracted name occurs free in its premise holds wherever
-    the premise's subtree matches: an axiom's name occurs free, and a
-    declared name stays free through every rule instance.  On a violation,
-    d is matched again in preorder, each node in full, which locates the
-    first node that fails (_raise_first)."""
-    # the nodes entered and not left, root first: each with the names of
-    # its premises matched
-    frames: list[tuple[Derivation, list[set[str]]]] = []
-    gammas, data = {}, {}
-    node = d
-    while True:
+    Two conditions on a node's premises are read off the whole tree once
+    every node matches.  That they share no name holds at every node iff
+    no two axioms share a name: an axiom's conclusion uses its one name,
+    and no rule instance adds or drops a name (LolliI and ParrE turn
+    declarations into binders), so a node's conclusion uses exactly the
+    names of the axioms above it, and two axioms that share a name, or
+    one axiom met twice, meet at a node whose premises then share it.
+    That a LolliI's abstracted name occurs free in its premise holds
+    wherever the premise's subtree matches: an axiom's name occurs free,
+    and a declared name stays free through every rule instance.  On a
+    violation, d is matched again in preorder, each node in full, which
+    locates the first node that fails (_raise_first)."""
+    gammas, data, names, axioms = {}, {}, set(), 0
+    for node in nodes(d, premises_of):
         try:
             data[id(node)] = _match(node, (), gammas, True)
         except RuleViolation:
             _raise_first(d)
-        if node.premises:
-            frames.append((node, []))
-            node = node.premises[0]
-            continue
-        names = {node.conclusion.gamma[0][0]}  # an axiom's one name
-        while frames:  # leave each node whose premises are all matched
-            node, sets = frames[-1]
-            sets.append(names)
-            if len(sets) < len(node.premises):
-                node = node.premises[len(sets)]
-                break
-            frames.pop()
-            # each set belongs to its subtree alone: the widest takes the
-            # others in, and they share a name if it grows by less
-            names, total = max(sets, key=len), sum(map(len, sets))
-            names.update(*sets)
-            if len(names) != total:
-                _raise_first(d)
-        else:
-            return data
+        if not node.premises:
+            names.add(node.conclusion.gamma[0][0])  # an axiom's one name
+            axioms += 1
+    if len(names) != axioms:
+        _raise_first(d)
+    return data
 
 
 def _raise_first(d: Derivation):

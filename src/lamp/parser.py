@@ -341,7 +341,7 @@ def parse_type_sides(text: str) -> tuple[tuple, tuple]:
 
 
 def parse_term(text: str) -> Term:
-    """Parse a bare term snippet (used by tests and the trace reader)."""
+    """Parse a bare term: the text of one term and nothing after it."""
     r = _Reader(text)
     return r.end(r.term())
 

@@ -507,11 +507,6 @@ TypeExpr = Union[Atom, Bot, Lolli, ParT]
 BOT = Bot()
 
 
-def subformulas(ty: TypeExpr) -> set:
-    """All subformulas of ty, including ty itself."""
-    return set(nodes(ty, children))
-
-
 def intern(root: _Node, table: dict, done: dict, kids: Callable = children,
            unknown: Optional[_Node] = None) -> _Node:
     """The one node of table equal to the tree at root, whose children

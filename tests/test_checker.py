@@ -587,6 +587,40 @@ def test_shared_names_above_a_failing_node_are_reported_first():
         assert _first_violation(d) == ((0,), "premises 0 and 1 share variables ['f']")
 
 
+def test_one_premise_object_twice_shares_its_names():
+    # a ParrE whose two receiving premises are one node object: each of
+    # its names is used twice, though the tree holds one axiom declaring it
+    pair = ParT(A, A)
+    p = _leaf([("p", pair)], [DeltaEntry(Var("p"), pair)])
+    x = _leaf([("x", A)], [DeltaEntry(Var("x"), A)])
+    dist = DeltaEntry(Dist("x", "x", Var("p")), BOT)
+    d = Derivation(Rule.PARR_E, Sequent((("p", pair),), (dist, x.conclusion.delta[0],
+                                                         x.conclusion.delta[0])), (p, x, x))
+    _assert_agree(d)
+    assert _first_violation(d) == ((), "premises 1 and 2 share variables ['x']")
+
+
+def test_shared_names_two_binary_nodes_down_are_reported_there():
+    # the LolliE above that applies f to lam f. f, under two more LolliEs
+    # that apply g and h to its result: every node is a rule instance but
+    # for the inner LolliE's shared f, and no other node's premises share
+    # a name
+    fun_ty, endo = Lolli(Lolli(A, A), B), Lolli(B, B)
+    lam = DeltaEntry(Send("f", Var("f")), Lolli(A, A))
+    arg = Derivation(Rule.LOLLI_I, Sequent((), (lam,)),
+                     (_leaf([("f", A)], [DeltaEntry(Var("f"), A)]),))
+    d = Derivation(Rule.LOLLI_E, Sequent(
+        (("f", fun_ty),), (DeltaEntry(App(Var("f"), lam.term), B),)),
+        (_leaf([("f", fun_ty)], [DeltaEntry(Var("f"), fun_ty)]), arg))
+    for g in ("h", "g"):
+        fn = _leaf([(g, endo)], [DeltaEntry(Var(g), endo)])
+        d = Derivation(Rule.LOLLI_E, Sequent(
+            ((g, endo),) + d.conclusion.gamma,
+            (DeltaEntry(App(Var(g), d.conclusion.delta[0].term), B),)), (fn, d))
+    _assert_agree(d)
+    assert _first_violation(d) == ((1, 1), "premises 0 and 1 share variables ['f']")
+
+
 def test_weakening_above_a_failing_node_is_reported_first():
     # a LolliI abstracting x, which its premise declares but uses nowhere;
     # that premise, an axiom with two declarations, fails too, and comes

@@ -14,8 +14,9 @@ enumerate and normalize build from one scan must be the ones
 used before, ``_old_free_cells``.
 """
 
+import sys
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -43,30 +44,38 @@ def _index(t):
 
 # -- oracles: the per-name walks --------------------------------------------
 
-def _old_subterms(t, prefix=()):
-    yield prefix, t
-    for i, c in enumerate(children(t)):
-        yield from _old_subterms(c, prefix + (i,))
+# both walk on an explicit stack, in preorder: the states the plain search
+# reaches can grow deeper than the recursion limit before its bound stops it
+
+def _kids(prefix, s):
+    """(path, child) for each child of s at prefix, last child first: the
+    order a stack pops them in preorder."""
+    return [(prefix + (i,), c) for i, c in enumerate(children(s))][::-1]
+
+
+def _old_subterms(t):
+    stack = [((), t)]
+    while stack:
+        prefix, s = stack.pop()
+        yield prefix, s
+        stack += _kids(prefix, s)
 
 
 def _old_occurrences(t, x):
-    found = []
-
-    def walk(s, prefix):
+    found, stack = [], [((), t)]
+    while stack:
+        prefix, s = stack.pop()
         match s:
             case Var(y) if y == x:
                 found.append(prefix)
             case Send(y, b):
                 if y != x:
-                    walk(b, prefix + (0,))
+                    stack.append((prefix + (0,), b))
             case Dist(y, z, b):
                 if x not in (y, z):
-                    walk(b, prefix + (0,))
+                    stack.append((prefix + (0,), b))
             case _:
-                for i, c in enumerate(children(s)):
-                    walk(c, prefix + (i,))
-
-    walk(t, ())
+                stack += _kids(prefix, s)
     return found
 
 
@@ -392,6 +401,23 @@ def test_traversals_survive_a_term_ten_thousand_deep():
     assert _index(nested) == {}
     assert comm_size(nested) == DEPTH
     assert find_redexes(nested) == []
+
+
+def test_the_oracle_walks_survive_a_term_five_thousand_deep():
+    # the plain search's states can grow deeper than the recursion limit
+    # before its bound stops it: each reduct of an untyped self-application
+    # is deeper than the one before
+    assert sys.getrecursionlimit() == 1000
+    deep = Var("x")
+    for i in range(5000):
+        deep = App(Var("x"), deep) if i % 1000 == 0 else Close(deep)
+    # x free only in the middle copy: a Send and a Dist bind it in the others
+    t = Par(Send("x", deep), App(deep, Dist("x", "y", deep)))
+    assert all(old == new for old, new in
+               zip_longest(_old_subterms(t), preorder(t, children)))
+    free = occurrences(t, "x")
+    assert len(free) == 6 and _old_occurrences(t, "x") == free
+    assert _old_occurrences(t, "y") == []
 
 
 def test_substitute_on_a_term_ten_thousand_deep():

@@ -28,7 +28,7 @@ from lamp.testlab import GenConfig, _walk, gen_derivation
 from lamp.terms import (
     App, Atom, BOT, Close, DeltaEntry, Dist, Lolli, Par, ParT, Send, Sequent,
     UNIT, Var, _path, _scan, children, is_simple, nodes, occurrences,
-    preorder, print_sequent, print_term, print_type, replace_at, subformulas,
+    preorder, print_sequent, print_term, print_type, replace_at,
 )
 from tests.conftest import CORPUS_NAMES, corpus_text
 from tests.test_checker import _INPUTS
@@ -354,7 +354,7 @@ def _old_check_subformula(d):
     root = d.conclusion
     for ty in [ty for _, ty in root.gamma] + [e.type for e in root.delta]:
         if ty is not None:
-            allowed |= subformulas(ty)
+            allowed |= set(nodes(ty, children))
     for path, node in preorder(d, premises_of):
         for ty in [ty for _, ty in node.conclusion.gamma] + [
                 e.type for e in node.conclusion.delta]:

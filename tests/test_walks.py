@@ -20,7 +20,7 @@ from lamp.parser import parse_term, parse_type
 from lamp.reduction import comm_size, enumerate_normal_forms
 from lamp.terms import (
     App, Atom, BOT, Close, DeltaEntry, Par, Send, Sequent, UNIT, Var,
-    children, flatten_par, fold, nodes, print_term, print_type, subformulas,
+    children, flatten_par, fold, nodes, print_term, print_type,
 )
 from tests.conftest import SRC
 
@@ -156,7 +156,7 @@ def test_deep_types_hash_print_and_yield_subformulas():
         ty = parse_type(text)
         assert hash(ty) == hash(parse_type(text))
         assert print_type(ty) == text
-        subs = subformulas(ty)
+        subs = set(nodes(ty, children))
         assert len(subs) == 2000 + 1 and ty in subs
         # the declaration and the entry share the one type object
         check_subformula(Derivation(
